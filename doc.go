@@ -1,79 +1,26 @@
 // Package repro is a Go reproduction of "Durable Queues: The Second
-// Amendment" (Gal Sela and Erez Petrank, SPAA 2021): durably
-// linearizable lock-free FIFO queues for non-volatile main memory
-// that execute one blocking persist operation per operation and — in
-// their optimized ("second amendment") form — zero accesses to
-// explicitly flushed cache lines.
+// Amendment" (Gal Sela and Erez Petrank, SPAA 2021), grown into a small
+// system. The layers, bottom up:
 //
-// The persistence substrate is a simulated NVRAM (internal/pmem) that
-// models CLWB/SFENCE/movnti semantics, Cascade Lake's
-// flush-invalidates-line behaviour, per-cache-line crash-prefix
-// semantics, Optane-like latencies, and — via pmem.HeapSet — multiple
-// independent persistence domains (NUMA sockets / DIMM sets) sharing
-// one power supply. On top of the queues, internal/broker composes a
-// sharded, multi-topic durable message broker — the application the
-// paper's introduction motivates — whose shards spread across the
-// heap set under pluggable placement policies, with a heap-aware
-// durable catalog and whole-broker two-phase recovery. The broker is
-// administered live: Open brings up an empty (or recovered) broker
-// and CreateTopic/CreateAckGroup append checksummed records to a
-// durable catalog log at runtime — each creation claims its shard
-// windows in a durable high-water slot allocator, initializes its
-// queues, and becomes visible only with the anchor stamp's persist
-// (a pinned three blocking persists of administrative cost), so a
-// crash mid-creation recovers as if the create never happened while
-// recovery replays committed records identically however many
-// sessions created them. The lifecycle closes with DeleteTopic —
-// a checksummed tombstone appended under the same ordered-persist
-// discipline (two blocking persists; windows reclaimed only after
-// the anchor stamp, so a torn delete recovers as "still exists") —
-// a size-bucketed free list, rebuilt at recovery by replaying the
-// log as an allocator simulation, that returns retired shard windows
-// to later creations so churning workloads hold a steady-state NVRAM
-// footprint, and CompactCatalog, which rewrites live records into a
-// next-generation log region behind a single anchor flip when
-// tombstone debris accumulates (doubling as the log resize path). Both
-// directions amortize durability cost below the paper's
-// one-fence-per-operation bound: EnqueueBatch/PublishBatch ride one
-// SFENCE per publish batch, DequeueBatch/PollBatch one SFENCE per
-// persistence domain per poll window (even across shards), and
-// failing dequeues elide already-durable persists entirely. Acked
-// topics go further, making delivery state itself durable: queues
-// gain an ack mode (leased dequeues with zero persist instructions;
-// one NTStore + one fence acknowledges a whole batch; recovery
-// max-merges per-thread acked indices and redelivers everything
-// beyond them), and the broker layers per-group durable lease records
-// and lease takeover on top for exactly-once processing across both
-// consumer and whole-broker crashes. Beyond FIFO order, topics come
-// in delay and priority kinds (TopicConfig.Kind) backed by
-// internal/dheap, a durable priority queue extending the same
-// discipline to heap order: the durable state is a checksummed
-// per-thread entry log while the min-heap on (key, seq) stays
-// volatile and is rebuilt at recovery, so PublishAt/PublishPriority
-// ride one fence per batch, pop-min (DequeueReady, gated on the
-// deadline for delay topics) one fence per delivered batch, and
-// sift-up/sift-down persist nothing. An optional observability layer
-// (internal/obs) watches it all from plain DRAM at zero persist
-// cost — per-thread allocation-free latency histograms per op,
-// topic/group gauges with per-shard lag, a lock-free event trace,
-// and snapshots exported as JSON or Prometheus text — at one
-// predictable branch per operation when disabled. See DESIGN.md for the full
-// system inventory, layering, the multi-heap topology (catalog
-// layouts, membership stamps, placement policies, two-phase recovery),
-// the live-administration protocol (the append-with-fence catalog
-// log) and the lease/ack protocol with soundness arguments.
+//   - internal/pmem: simulated NVRAM (CLWB/SFENCE/movnti, crash-prefix
+//     semantics, Optane-like latencies) and HeapSet, several persistence
+//     domains on one power supply.
+//   - internal/ssmem: the durable node allocator the paper adopts.
+//   - internal/queues: the paper's queues. Core is the one body of the
+//     second amendment (one fence per operation, zero accesses to
+//     flushed lines, batch/lease/ack verbs); OptUnlinkedQ and
+//     internal/blobq are its two payload codecs.
+//   - internal/dheap: a durable priority queue under the same discipline.
+//   - internal/broker: a sharded multi-topic durable message broker over
+//     the queues — live administration on a catalog log, acked groups
+//     with leases and fencing epochs, delay/priority topics — with
+//     internal/batch (window policies) and internal/obs (observability
+//     at zero persist cost) beside it.
+//   - internal/harness, internal/verify, internal/qtest: measurement,
+//     durable-linearizability fuzzing, shared queue audits.
+//   - cmd/ and examples/: Figure-2 sweeps (durbench, bench_test.go),
+//     fence counts, crash fuzzing, broker sweeps and their CI gate.
 //
-// The benchmark suite in bench_test.go regenerates every panel of the
-// paper's Figure 2; the cmd/durbench tool runs the full sweeps and
-// cmd/brokerbench sweeps the broker over shard counts, heap-set
-// sizes (with optional per-heap asymmetric-NUMA latencies), publish
-// and dequeue batch sizes, acked delivery (with optional consumer
-// kills exercising lease takeover), live topic creation
-// (-dyntopics, measuring fences per mid-run CreateTopic), topic
-// retirement churn (-deltopics, measuring fences per mid-run
-// DeleteTopic plus the recycled-window slot footprint), delay and
-// priority topics (-delay/-prio, measuring fences per heap publish
-// and per pop-min), and per-op
-// latency percentiles (-latency, p50/p99/p999 columns); cmd/brokerstat
-// dumps one observed workload's snapshot as Prometheus text or JSON.
+// DESIGN.md has the inventory, the protocols and their soundness
+// arguments; benchmark/ is the repository's benchmark (its own module).
 package repro

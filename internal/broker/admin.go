@@ -3,13 +3,9 @@ package broker
 import (
 	"fmt"
 	"runtime"
-	"sync"
 
-	"repro/internal/blobq"
-	"repro/internal/dheap"
 	"repro/internal/obs"
 	"repro/internal/pmem"
-	"repro/internal/queues"
 )
 
 // Live broker administration. Open brings up a broker — empty on a
@@ -184,33 +180,9 @@ func openExisting(hs *pmem.HeapSet, opts Options) (*Broker, error) {
 		}
 		seen[tc.Name] = true
 	}
-	var mkMu sync.Mutex
-	var mkErr error
-	b := build(hs, threads, lay.topics, lay.locs, lay.bases, lay.nextGlobal, func(view *pmem.Heap, tc TopicConfig) *shard {
-		if tc.Kind.heapKind() {
-			q, err := dheap.Recover(view, threads)
-			if err != nil {
-				mkMu.Lock()
-				if mkErr == nil {
-					mkErr = fmt.Errorf("broker: topic %q: %w", tc.Name, err)
-				}
-				mkMu.Unlock()
-				return &shard{}
-			}
-			return &shard{heapq: q}
-		}
-		if tc.MaxPayload == 0 {
-			if tc.Acked {
-				return &shard{fixed: queues.RecoverOptUnlinkedQAcked(view, threads)}
-			}
-			return &shard{fixed: queues.RecoverOptUnlinkedQ(view, threads)}
-		}
-		return &shard{blob: blobq.Recover(view, blobq.Config{
-			Threads: threads, MaxPayload: tc.MaxPayload, Acked: tc.Acked,
-		})}
-	})
-	if mkErr != nil {
-		return nil, mkErr
+	b, err := build(hs, threads, lay.topics, lay.locs, lay.bases, lay.nextGlobal, (*Topic).recoverShard)
+	if err != nil {
+		return nil, err
 	}
 	for g, loc := range lay.leaseLocs {
 		lr, err := readLeaseRegion(hs.Heap(loc.heap), loc.heap, loc.base, g, lay.leaseCaps[g])
@@ -338,64 +310,25 @@ func (b *Broker) CreateTopic(tid int, tc TopicConfig) (*Topic, error) {
 		b.cat.persistMarks(tid)
 	}
 
-	// 2. Initialize the shard queues, heap by heap in parallel (the
-	// same tid may run on every member concurrently: per-thread
-	// simulator state is per heap).
-	t := &Topic{b: b, cfg: tc, base: snap.shardTotal, locs: locs, shards: make([]*shard, tc.Shards)}
-	perHeap := make([][]int, b.hs.Len())
-	for si, loc := range locs {
-		perHeap[loc.heap] = append(perHeap[loc.heap], si)
-	}
-	var wg sync.WaitGroup
-	for hi, shards := range perHeap {
-		if len(shards) == 0 {
-			continue
-		}
-		wg.Add(1)
-		go func(hi int, shards []int) {
-			defer wg.Done()
-			h := b.hs.Heap(hi)
-			for _, si := range shards {
-				view := h.View(locs[si].base, width)
-				if reused[si] {
-					// Scrub a free-list window's root slots before building
-					// on it: the retired queue's slots (acked frontier,
-					// epoch...) would otherwise survive wherever the new
-					// queue kind does not overwrite them and mislead the
-					// recovery dispatch. The constructor's own persist on
-					// this heap orders the scrub durably before the
-					// record's anchor, so a crash never sees a committed
-					// topic on an unscrubbed window.
-					for slot := 0; slot < width; slot++ {
-						view.Store(tid, view.RootAddr(slot), 0)
-						view.Flush(tid, view.RootAddr(slot))
-					}
-				}
-				var s *shard
-				switch {
-				case tc.Kind.heapKind():
-					s = &shard{heapq: dheap.New(view, dheap.Config{
-						Threads: b.threads, MaxPayload: tc.MaxPayload, InitTid: tid,
-					})}
-				case tc.MaxPayload == 0:
-					if tc.Acked {
-						s = &shard{fixed: queues.NewOptUnlinkedQAckedAs(view, b.threads, tid)}
-					} else {
-						s = &shard{fixed: queues.NewOptUnlinkedQAs(view, b.threads, tid)}
-					}
-				default:
-					s = &shard{blob: blobq.New(view, blobq.Config{
-						Threads: b.threads, MaxPayload: tc.MaxPayload, Acked: tc.Acked, InitTid: tid,
-					})}
-				}
-				s.heap = hi
-				s.h = view
-				s.acked = tc.Acked
-				t.shards[si] = s
+	// 2. Initialize the shard queues, heap by heap in parallel.
+	t := b.newTopic(tc, snap.shardTotal, locs)
+	b.openShards([]*Topic{t}, func(t *Topic, si int, view *pmem.Heap) error {
+		if reused[si] {
+			// Scrub a free-list window's root slots before building on
+			// it: the retired queue's slots (acked frontier, epoch...)
+			// would otherwise survive wherever the new queue kind does
+			// not overwrite them and mislead the recovery dispatch. The
+			// constructor's own persist on this heap orders the scrub
+			// durably before the record's anchor, so a crash never sees
+			// a committed topic on an unscrubbed window.
+			for slot := 0; slot < width; slot++ {
+				view.Store(tid, view.RootAddr(slot), 0)
+				view.Flush(tid, view.RootAddr(slot))
 			}
-		}(hi, shards)
-	}
-	wg.Wait()
+		}
+		t.createShard(si, view, tid)
+		return nil
+	})
 
 	// 3 + 4. Append the record, fence, anchor. Visible only after the
 	// commit persist; a crash in between recovers as "never existed"

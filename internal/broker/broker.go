@@ -9,9 +9,9 @@
 // A Broker manages N topics, each split into M shards, spread over a
 // pmem.HeapSet — an ordered set of independent NVRAM domains (NUMA
 // sockets / DIMM sets). Every shard is an independent durable queue —
-// an OptUnlinkedQ for fixed 8-byte payloads or a blobq.Queue for
-// variable byte payloads — living in its own root-slot window of one
-// member heap (see pmem.View). Shard placement is pluggable: the
+// the one second-amendment core (queues.Core) under the payload codec
+// its topic selects — living in its own root-slot window of one member
+// heap (see pmem.View). Shard placement is pluggable: the
 // default round-robin policy spreads load evenly across domains, the
 // block policy keeps contiguous shard ranges on one domain so that a
 // consumer owning them fences a single domain per poll (heap-affine
@@ -90,7 +90,9 @@ package broker
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -103,9 +105,8 @@ import (
 )
 
 // slotsPerShard is the root-slot window width handed to each FIFO
-// shard's queue. Eight covers the highest slot either queue kind uses
-// (blobq uses slots 2,3,6,7 plus 4 in ack mode; OptUnlinkedQ uses 2,3
-// plus 4 in ack mode).
+// shard's queue. Eight covers the highest slot it uses (the core 2,3
+// plus 4 in ack mode; the blob codec 6,7).
 const slotsPerShard = 8
 
 // heapTopicSlots is the window width of a delay/priority shard: slot
@@ -128,7 +129,7 @@ type TopicKind int
 
 const (
 	// KindFIFO is the default: per-shard FIFO order on the paper's
-	// queues (OptUnlinkedQ / blobq).
+	// second-amendment queue (queues.Core).
 	KindFIFO TopicKind = iota
 	// KindDelay orders delivery by deadline: PublishAt(deadline)
 	// publishes, DequeueReady(now) delivers pop-min among messages
@@ -168,9 +169,9 @@ type TopicConfig struct {
 	// split over (>= 1). More shards mean more enqueue/dequeue
 	// parallelism at the cost of ordering only per shard.
 	Shards int
-	// MaxPayload selects the shard queue kind: 0 means fixed 8-byte
-	// payloads on OptUnlinkedQ (the cheapest path); > 0 means variable
-	// payloads up to MaxPayload bytes on blobq.Queue.
+	// MaxPayload selects the shard queues' payload codec: 0 means fixed
+	// 8-byte payloads inline in the node line (the cheapest path); > 0
+	// means variable payloads up to MaxPayload bytes in blobq's blobs.
 	MaxPayload int
 	// Acked makes the topic's shards ack-mode queues: delivery is a
 	// durable lease (written before PollBatch returns) and a message is
@@ -293,167 +294,104 @@ type topicSet struct {
 	shardTotal int
 }
 
-// shard wraps one durable queue of either payload kind behind a
-// byte-payload interface, together with its placement: heap is the
-// member index (the fence domain), h the shard's root-slot view of it.
+// shard is one FIFO shard: its durable queue — the one core whatever
+// the payload kind, the codec chosen once by createShard or
+// recoverShard — together with its placement: heap is the member index
+// (the fence domain), h the shard's root-slot view of it.
 type shard struct {
-	fixed *queues.OptUnlinkedQ // KindFIFO, MaxPayload == 0
-	blob  *blobq.Queue         // KindFIFO, MaxPayload > 0
-	heapq *dheap.Q             // KindDelay / KindPriority
-	heap  int
-	h     *pmem.Heap
-	acked bool
+	*queues.Core[[]byte]
+	heap int
+	h    *pmem.Heap
 }
 
-func (s *shard) publish(tid int, p []byte) {
-	if s.fixed != nil {
-		s.fixed.Enqueue(tid, binary.LittleEndian.Uint64(p))
-		return
-	}
-	s.blob.Enqueue(tid, p)
-}
-
-func (s *shard) publishBatch(tid int, ps [][]byte) {
-	if s.fixed != nil {
-		vs := make([]uint64, len(ps))
-		for i, p := range ps {
-			vs[i] = binary.LittleEndian.Uint64(p)
+// fenceShards fences tid once on each distinct heap the shards live on:
+// a fence is per-thread per-heap and covers every NTStore tid has
+// outstanding there, whichever shard's line it targets.
+func fenceShards(tid int, ss []*shard) {
+	var fenced []int
+	for _, s := range ss {
+		if !slices.Contains(fenced, s.heap) {
+			s.h.Fence(tid)
+			fenced = append(fenced, s.heap)
 		}
-		s.fixed.EnqueueBatch(tid, vs)
+	}
+}
+
+// wordCodec keeps a fixed topic's 8-byte payload as the item word of
+// the node line — the paper's own layout (queues.OptUnlinkedQ), a
+// payload of zero extra lines — so fixed and blob shards are one queue
+// type. It holds the broker's only conversions between payload bytes
+// and queue words.
+type wordCodec struct{}
+
+func (wordCodec) Write(h *pmem.Heap, tid int, pn, _ pmem.Addr, p []byte) []byte {
+	v := AsU64(p)
+	h.Store(tid, pn+queues.NodePayload, v)
+	return U64(v) // a copy: the caller keeps its buffer
+}
+
+func (wordCodec) Read(h *pmem.Heap, pn pmem.Addr) ([]byte, pmem.Addr, bool) {
+	return U64(h.Load(0, pn+queues.NodePayload)), 0, true
+}
+
+// createShard builds shard si's empty queue on view, charging the
+// construction persists to tid. With recoverShard it is the only place
+// the broker tells the topic and payload kinds apart.
+func (t *Topic) createShard(si int, view *pmem.Heap, tid int) {
+	tc, threads := t.cfg, t.b.threads
+	var q *queues.Core[[]byte]
+	switch {
+	case tc.Kind.heapKind():
+		t.heapq = dheap.New(view, dheap.Config{Threads: threads, MaxPayload: tc.MaxPayload, InitTid: tid})
 		return
+	case tc.MaxPayload > 0:
+		q = blobq.New(view, blobq.Config{Threads: threads, MaxPayload: tc.MaxPayload, Acked: tc.Acked, InitTid: tid}).Core
+	default:
+		q = queues.NewCore[[]byte](view, threads, tid, tc.Acked, wordCodec{}, nil)
 	}
-	s.blob.EnqueueBatch(tid, ps)
+	t.shards[si] = &shard{Core: q, heap: t.locs[si].heap, h: view}
 }
 
-// publishBatchUnfenced issues the batch's stores and asynchronous
-// flushes but leaves the blocking fence to the caller (the pipelined
-// publish path — see Publisher). The batch must not be reported
-// acknowledged until the caller fences tid on this shard's heap.
-func (s *shard) publishBatchUnfenced(tid int, ps [][]byte) {
-	if s.fixed != nil {
-		vs := make([]uint64, len(ps))
-		for i, p := range ps {
-			vs[i] = binary.LittleEndian.Uint64(p)
+// recoverShard replays shard si's own recovery on view: the paper's
+// per-queue recovery for FIFO shards, the entry-log scan for heaps.
+func (t *Topic) recoverShard(si int, view *pmem.Heap) error {
+	tc, threads := t.cfg, t.b.threads
+	var q *queues.Core[[]byte]
+	switch {
+	case tc.Kind.heapKind():
+		hq, err := dheap.Recover(view, threads)
+		if err != nil {
+			return fmt.Errorf("broker: topic %q: %w", tc.Name, err)
 		}
-		s.fixed.EnqueueBatchUnfenced(tid, vs)
-		return
+		t.heapq = hq
+		return nil
+	case tc.MaxPayload > 0:
+		q = blobq.Recover(view, blobq.Config{Threads: threads, MaxPayload: tc.MaxPayload, Acked: tc.Acked}).Core
+	default:
+		q = queues.RecoverCore[[]byte](view, threads, tc.Acked, wordCodec{}, nil)
 	}
-	s.blob.EnqueueBatchUnfenced(tid, ps)
+	t.shards[si] = &shard{Core: q, heap: t.locs[si].heap, h: view}
+	return nil
 }
 
-func (s *shard) consume(tid int) ([]byte, bool) {
-	if s.fixed != nil {
-		v, ok := s.fixed.Dequeue(tid)
-		if !ok {
-			return nil, false
-		}
-		return U64(v), true
-	}
-	return s.blob.Dequeue(tid)
-}
-
-// consumeBatchUnfenced dequeues up to max messages, recording the
-// shard's new head index with one NTStore but leaving the blocking
-// fence (and the node retires) to the caller, so one fence per touched
-// *heap* can cover several shards' dequeues in a single poll. dirty
-// reports an outstanding NTStore; the caller must fence the tid on the
-// shard's heap and then call completeBatch. On an acked shard the
-// batch is instead leased and acknowledged immediately (self-fenced,
-// one fence per shard): amortized acked consumption goes through
-// leased groups, not this path.
-func (s *shard) consumeBatchUnfenced(tid, max int) ([][]byte, bool) {
-	if s.acked {
-		if s.fixed != nil {
-			vs := s.fixed.DequeueBatch(tid, max)
-			if len(vs) == 0 {
-				return nil, false
+// openShards runs open for every shard of ts on the shard's root-slot
+// view of its member heap — heap by heap, the per-heap phases in
+// parallel under the caller's tid (see pmem.HeapSet.Parallel, which
+// also brings a crash signal back to this goroutine) — and returns
+// their errors.
+func (b *Broker) openShards(ts []*Topic, open func(t *Topic, si int, view *pmem.Heap) error) error {
+	errs := make([]error, b.hs.Len())
+	b.hs.Parallel(func(hi int, h *pmem.Heap) {
+		for _, t := range ts {
+			for si, loc := range t.locs {
+				if loc.heap != hi {
+					continue
+				}
+				errs[hi] = errors.Join(errs[hi], open(t, si, h.View(loc.base, slotsForKind(t.cfg.Kind))))
 			}
-			ps := make([][]byte, len(vs))
-			for i, v := range vs {
-				ps[i] = U64(v)
-			}
-			return ps, false
 		}
-		ps := s.blob.DequeueBatch(tid, max)
-		if len(ps) == 0 {
-			return nil, false
-		}
-		return ps, false
-	}
-	if s.fixed != nil {
-		vs, dirty := s.fixed.DequeueBatchUnfenced(tid, max)
-		if len(vs) == 0 {
-			return nil, dirty
-		}
-		ps := make([][]byte, len(vs))
-		for i, v := range vs {
-			ps[i] = U64(v)
-		}
-		return ps, dirty
-	}
-	return s.blob.DequeueBatchUnfenced(tid, max)
-}
-
-func (s *shard) completeBatch(tid int) {
-	if s.fixed != nil {
-		s.fixed.CompleteBatch(tid)
-		return
-	}
-	s.blob.CompleteBatch(tid)
-}
-
-// consumeLeased dequeues up to max messages from an acked shard
-// without any persist instruction: the caller makes the delivery
-// durable by fencing its lease record before exposing the messages,
-// and the messages stay recoverable until ackTo covers them. idxs are
-// the shard-queue indices (contiguous under shard ownership).
-func (s *shard) consumeLeased(tid, max int) (ps [][]byte, idxs []uint64) {
-	if s.fixed != nil {
-		vs, idxs := s.fixed.DequeueLeased(tid, max)
-		if len(vs) == 0 {
-			return nil, nil
-		}
-		ps := make([][]byte, len(vs))
-		for i, v := range vs {
-			ps[i] = U64(v)
-		}
-		return ps, idxs
-	}
-	return s.blob.DequeueLeased(tid, max)
-}
-
-func (s *shard) ackToUnfenced(tid int, idx uint64) bool {
-	if s.fixed != nil {
-		return s.fixed.AckToUnfenced(tid, idx)
-	}
-	return s.blob.AckToUnfenced(tid, idx)
-}
-
-func (s *shard) completeAck(tid int) {
-	if s.fixed != nil {
-		s.fixed.CompleteAck(tid)
-		return
-	}
-	s.blob.CompleteAck(tid)
-}
-
-func (s *shard) ackedTo() uint64 {
-	if s.fixed != nil {
-		return s.fixed.AckedTo()
-	}
-	return s.blob.AckedTo()
-}
-
-func (s *shard) unacked() (ps [][]byte, idxs []uint64) {
-	if s.fixed != nil {
-		vs, idxs := s.fixed.Unacked()
-		ps := make([][]byte, len(vs))
-		for i, v := range vs {
-			ps[i] = U64(v)
-		}
-		return ps, idxs
-	}
-	return s.blob.Unacked()
+	})
+	return errors.Join(errs...)
 }
 
 // U64 encodes v as the 8-byte payload of a fixed topic.
@@ -528,52 +466,33 @@ func checkSet(hs *pmem.HeapSet, threads int) error {
 	return nil
 }
 
-// build constructs the volatile broker skeleton and instantiates each
-// shard's queue via mk, which receives the shard's root-slot view of
-// its member heap. Shards are built heap by heap, the per-heap phases
-// in parallel: member heaps are independent simulators with their own
-// per-thread state, so tid 0 may run on each concurrently. This is the
-// second phase of recovery.
-func build(hs *pmem.HeapSet, threads int, topics []TopicConfig, locs [][]shardLoc, bases []int, nextGlobal int, mk func(view *pmem.Heap, tc TopicConfig) *shard) *Broker {
+// build constructs the volatile broker skeleton over a catalogued
+// layout and opens every shard through open (recoverShard when
+// recovering). This is the second phase of recovery.
+func build(hs *pmem.HeapSet, threads int, topics []TopicConfig, locs [][]shardLoc, bases []int, nextGlobal int, open func(t *Topic, si int, view *pmem.Heap) error) (*Broker, error) {
 	b := &Broker{hs: hs, threads: threads, placement: RoundRobinPlacement}
 	snap := &topicSet{byName: map[string]*Topic{}, shardTotal: nextGlobal}
-	type job struct {
-		t   *Topic
-		si  int
-		loc shardLoc
-	}
-	perHeap := make([][]job, hs.Len())
 	for ti, tc := range topics {
-		t := &Topic{b: b, cfg: tc, base: bases[ti], locs: locs[ti], shards: make([]*shard, tc.Shards)}
-		for si := 0; si < tc.Shards; si++ {
-			loc := locs[ti][si]
-			perHeap[loc.heap] = append(perHeap[loc.heap], job{t: t, si: si, loc: loc})
-		}
+		t := b.newTopic(tc, bases[ti], locs[ti])
 		snap.list = append(snap.list, t)
 		snap.byName[tc.Name] = t
 	}
-	var wg sync.WaitGroup
-	for hi, jobs := range perHeap {
-		if len(jobs) == 0 {
-			continue
-		}
-		wg.Add(1)
-		go func(hi int, jobs []job) {
-			defer wg.Done()
-			h := hs.Heap(hi)
-			for _, j := range jobs {
-				view := h.View(j.loc.base, slotsForKind(j.t.cfg.Kind))
-				s := mk(view, j.t.cfg)
-				s.heap = hi
-				s.h = view
-				s.acked = j.t.cfg.Acked
-				j.t.shards[j.si] = s
-			}
-		}(hi, jobs)
+	if err := b.openShards(snap.list, open); err != nil {
+		return nil, err
 	}
-	wg.Wait()
 	b.snap.Store(snap)
-	return b
+	return b, nil
+}
+
+// newTopic makes the volatile handle of a topic whose shards are yet to
+// be opened. Heap topics keep their one dheap.Q on the topic itself and
+// have no FIFO shards.
+func (b *Broker) newTopic(tc TopicConfig, base int, locs []shardLoc) *Topic {
+	t := &Topic{b: b, cfg: tc, base: base, locs: locs}
+	if !tc.Kind.heapKind() {
+		t.shards = make([]*shard, tc.Shards)
+	}
+	return t
 }
 
 // New creates a broker on a single empty heap (window) — the 1-heap

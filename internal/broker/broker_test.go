@@ -138,6 +138,39 @@ func TestPollFairnessAfterIdle(t *testing.T) {
 	}
 }
 
+// TestPublishPollBatchAllocs pins the Go allocations of one
+// PublishBatch(8) + PollBatch(8) round on a fixed topic beside the
+// fence pins: 28 — per message a volatile node and a payload copy, the
+// rest result-slice growth — where the tagged-union shard converting
+// words per message took 30. A ceiling, so data-plane work can only
+// lower it.
+func TestPublishPollBatchAllocs(t *testing.T) {
+	h := pmem.New(pmem.Config{Bytes: 64 << 20, MaxThreads: 2})
+	b, err := New(h, Config{Topics: []TopicConfig{{Name: "events", Shards: 4}}, Threads: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	g, err := b.NewGroup([]string{"events"}, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	events, c := b.Topic("events"), g.Consumer(0)
+	batch := make([][]byte, 8)
+	for i := range batch {
+		batch[i] = U64(uint64(i))
+	}
+	round := func() {
+		events.PublishBatch(0, batch)
+		c.PollBatch(1, 8)
+	}
+	for i := 0; i < 2000; i++ { // past pool and slice growth
+		round()
+	}
+	if got := testing.AllocsPerRun(500, round); got > 28 {
+		t.Fatalf("PublishBatch(8)+PollBatch(8) = %v allocs, want <= 28", got)
+	}
+}
+
 // TestPollBatchSingleFenceAcrossShards pins the tentpole claim: one
 // PollBatch draining several shards issues one NTStore per shard but
 // rides a single blocking persist for the whole poll, and subsequent

@@ -7,9 +7,7 @@ import (
 	"strings"
 	"testing"
 
-	"repro/internal/blobq"
 	"repro/internal/pmem"
-	"repro/internal/queues"
 )
 
 // legacyLayout replays the write-once builds' layout pass: every
@@ -98,6 +96,13 @@ func seqBases(topics []TopicConfig) (bases []int, next int) {
 	return bases, next
 }
 
+// createAsTid0 opens a legacy layout's shards the way the write-once
+// constructors did: empty queues built by thread 0.
+func createAsTid0(t *Topic, si int, view *pmem.Heap) error {
+	t.createShard(si, view, 0)
+	return nil
+}
+
 // newWithV1Catalog builds a broker exactly as a pre-heap-set binary
 // did: shard queues at the deterministic sequential layout on one
 // heap, then the v1 catalog.
@@ -109,12 +114,10 @@ func newWithV1Catalog(t *testing.T, h *pmem.Heap, cfg Config) *Broker {
 		t.Fatal(err)
 	}
 	bases, next := seqBases(cfg.Topics)
-	b := build(hs, cfg.Threads, cfg.Topics, locs, bases, next, func(view *pmem.Heap, tc TopicConfig) *shard {
-		if tc.MaxPayload == 0 {
-			return &shard{fixed: queues.NewOptUnlinkedQ(view, cfg.Threads)}
-		}
-		return &shard{blob: blobq.New(view, blobq.Config{Threads: cfg.Threads, MaxPayload: tc.MaxPayload})}
-	})
+	b, err := build(hs, cfg.Threads, cfg.Topics, locs, bases, next, createAsTid0)
+	if err != nil {
+		t.Fatal(err)
+	}
 	writeCatalogV1(h, cfg)
 	return b
 }
@@ -206,12 +209,10 @@ func TestCatalogV2Recover(t *testing.T) {
 		t.Fatalf("lease-free layout allocated %d lease regions", len(leaseLocs))
 	}
 	bases, next := seqBases(bcfg.Topics)
-	b := build(hs, bcfg.Threads, bcfg.Topics, locs, bases, next, func(view *pmem.Heap, tc TopicConfig) *shard {
-		if tc.MaxPayload == 0 {
-			return &shard{fixed: queues.NewOptUnlinkedQ(view, bcfg.Threads)}
-		}
-		return &shard{blob: blobq.New(view, blobq.Config{Threads: bcfg.Threads, MaxPayload: tc.MaxPayload})}
-	})
+	b, err := build(hs, bcfg.Threads, bcfg.Topics, locs, bases, next, createAsTid0)
+	if err != nil {
+		t.Fatal(err)
+	}
 	writeCatalogV2(hs, bcfg, locs)
 	b.Topic("events").Publish(0, U64(77))
 	b.Topic("jobs").Publish(0, blobPayload(8))
@@ -354,12 +355,10 @@ func TestCatalogV3Recover(t *testing.T) {
 		t.Fatalf("layout allocated %d lease regions, want 1", len(leaseLocs))
 	}
 	bases, next := seqBases(bcfg.Topics)
-	b := build(hs, bcfg.Threads, bcfg.Topics, locs, bases, next, func(view *pmem.Heap, tc TopicConfig) *shard {
-		if tc.MaxPayload == 0 {
-			return &shard{fixed: queues.NewOptUnlinkedQAcked(view, bcfg.Threads)}
-		}
-		return &shard{blob: blobq.New(view, blobq.Config{Threads: bcfg.Threads, MaxPayload: tc.MaxPayload, Acked: true})}
-	})
+	b, err := build(hs, bcfg.Threads, bcfg.Topics, locs, bases, next, createAsTid0)
+	if err != nil {
+		t.Fatal(err)
+	}
 	shardTotal := b.ShardTotal()
 	for g, loc := range leaseLocs {
 		b.regions = append(b.regions,

@@ -290,7 +290,7 @@ func (b *Broker) NewGroupAcked(topicNames []string, n int, lc LeaseConfig) (*Gro
 	w := leaseWriter{g: g, tid: tid}
 	for _, r := range refs {
 		s := r.t.shards[r.shard]
-		floor := s.ackedTo()
+		floor := s.AckedTo()
 		r.deliveredTo, r.leasedTo = floor, floor
 		l, ok := g.region.readLeaseLine(r.global)
 		if ok {
@@ -381,7 +381,7 @@ func (g *Group) Subscribe(tid int, topicNames ...string) error {
 		w = leaseWriter{g: g, tid: tid}
 		for _, r := range refs {
 			s := r.t.shards[r.shard]
-			floor := s.ackedTo()
+			floor := s.AckedTo()
 			r.deliveredTo, r.leasedTo = floor, floor
 			l, ok := g.region.readLeaseLine(r.global)
 			if ok {
@@ -544,7 +544,7 @@ func (c *Consumer) Poll(tid int) (Message, bool) {
 		if !r.t.enter() {
 			continue // topic retired: its shards read as empty
 		}
-		p, ok := r.t.shards[r.shard].consume(tid)
+		p, ok := r.t.shards[r.shard].Dequeue(tid)
 		r.t.exit()
 		if ok {
 			c.next = (c.next + i + 1) % len(c.refs)
@@ -628,7 +628,11 @@ func (c *Consumer) PollBatch(tid, max int) []Message {
 		}
 		entered = append(entered, r.t)
 		s := r.t.shards[r.shard]
-		ps, dirty := s.consumeBatchUnfenced(tid, max-len(out))
+		// One NTStore of the shard's new head index now; the fence (one
+		// per touched heap, below) and the retires wait. An acked shard
+		// instead leases and acknowledges under its own fence: amortized
+		// acked consumption goes through leased groups, not this path.
+		ps, dirty := s.DequeueBatchUnfenced(tid, max-len(out))
 		if dirty {
 			touched = append(touched, s)
 		}
@@ -648,22 +652,9 @@ func (c *Consumer) PollBatch(tid, max int) []Message {
 	if len(touched) > 0 {
 		// One fence per distinct domain covers every touched shard's
 		// NTStores there.
-		var fenced []int
+		fenceShards(tid, touched)
 		for _, s := range touched {
-			done := false
-			for _, hi := range fenced {
-				if hi == s.heap {
-					done = true
-					break
-				}
-			}
-			if !done {
-				s.h.Fence(tid)
-				fenced = append(fenced, s.heap)
-			}
-		}
-		for _, s := range touched {
-			s.completeBatch(tid)
+			s.CompleteBatch(tid)
 		}
 	}
 	if o != nil && len(out) > 0 {
@@ -719,7 +710,7 @@ func (c *Consumer) pollLeased(tid, max int) []Message {
 			continue // topic retired: its shards read as empty
 		}
 		s := r.t.shards[r.shard]
-		ps, idxs := s.consumeLeased(tid, max-len(out))
+		ps, idxs := s.DequeueLeased(tid, max-len(out))
 		r.t.exit()
 		if len(ps) == 0 {
 			continue
@@ -737,7 +728,7 @@ func (c *Consumer) pollLeased(tid, max int) []Message {
 		r.unackedN += len(ps)
 		w.write(r.global, Lease{
 			Active: true, Owner: c.id, Epoch: r.epoch,
-			Lo: s.ackedTo() + 1, Hi: r.leasedTo,
+			Lo: s.AckedTo() + 1, Hi: r.leasedTo,
 			Deadline: deadline,
 		})
 	}
@@ -800,7 +791,7 @@ func (c *Consumer) Ack(tid int) (int, error) {
 		}
 		entered = append(entered, r.t)
 		s := r.t.shards[r.shard]
-		floor := s.ackedTo()
+		floor := s.AckedTo()
 		if r.deliveredTo <= floor {
 			continue
 		}
@@ -811,26 +802,13 @@ func (c *Consumer) Ack(tid int) (int, error) {
 			r.t.ostats.Acked(r.unackedN)
 		}
 		r.unackedN = 0
-		if s.ackToUnfenced(tid, r.deliveredTo) {
+		if s.AckToUnfenced(tid, r.deliveredTo) {
 			touched = append(touched, s)
 		}
 	}
-	var fenced []int
+	fenceShards(tid, touched)
 	for _, s := range touched {
-		done := false
-		for _, hi := range fenced {
-			if hi == s.heap {
-				done = true
-				break
-			}
-		}
-		if !done {
-			s.h.Fence(tid)
-			fenced = append(fenced, s.heap)
-		}
-	}
-	for _, s := range touched {
-		s.completeAck(tid)
+		s.CompleteAck(tid)
 	}
 	// Like an empty poll, an Ack with nothing new to acknowledge costs
 	// nothing and records no sample.
@@ -881,7 +859,7 @@ func (c *Consumer) AckAsync(tid int) (int, error) {
 			continue
 		}
 		s := r.t.shards[r.shard]
-		floor := s.ackedTo()
+		floor := s.AckedTo()
 		if r.deliveredTo <= floor {
 			r.t.exit()
 			continue
@@ -891,7 +869,7 @@ func (c *Consumer) AckAsync(tid int) (int, error) {
 			r.t.ostats.Acked(r.unackedN)
 		}
 		r.unackedN = 0
-		if s.ackToUnfenced(tid, r.deliveredTo) {
+		if s.AckToUnfenced(tid, r.deliveredTo) {
 			c.asyncAcks = append(c.asyncAcks, s)
 		}
 		r.t.exit()
@@ -920,22 +898,9 @@ func (c *Consumer) drainAcks(tid int) {
 	if len(c.asyncAcks) == 0 {
 		return
 	}
-	var fenced []int
+	fenceShards(tid, c.asyncAcks)
 	for _, s := range c.asyncAcks {
-		done := false
-		for _, hi := range fenced {
-			if hi == s.heap {
-				done = true
-				break
-			}
-		}
-		if !done {
-			s.h.Fence(tid)
-			fenced = append(fenced, s.heap)
-		}
-	}
-	for _, s := range c.asyncAcks {
-		s.completeAck(tid)
+		s.CompleteAck(tid)
 	}
 	c.asyncAcks = c.asyncAcks[:0]
 }
@@ -968,12 +933,12 @@ func (c *Consumer) Nack(tid int) (int, error) {
 			continue
 		}
 		s := r.t.shards[r.shard]
-		floor := s.ackedTo()
+		floor := s.AckedTo()
 		if r.deliveredTo <= floor {
 			r.t.exit()
 			continue
 		}
-		ps, idxs := s.unacked()
+		ps, idxs := s.Unacked()
 		r.t.exit()
 		for i := range ps {
 			if idxs[i] > r.deliveredTo {
@@ -1021,7 +986,7 @@ func (c *Consumer) Renew(tid int, deadline uint64) error {
 			continue // retired with the topic: no lease to maintain
 		}
 		s := r.t.shards[r.shard]
-		floor := s.ackedTo()
+		floor := s.AckedTo()
 		r.t.exit()
 		if r.leasedTo <= floor {
 			continue // nothing unacknowledged: no lease to maintain

@@ -7,7 +7,7 @@ import (
 )
 
 // Heap-topic data plane: the verbs of KindDelay and KindPriority
-// topics. A heap topic has exactly one shard, backed by a dheap.Q —
+// topics. A heap topic has exactly one shard, the topic's dheap.Q —
 // a durable per-thread entry log plus a volatile min-heap on
 // (key, seq) — instead of a FIFO queue. The key is the delivery
 // deadline (delay topics) or the priority rank (priority topics,
@@ -19,15 +19,6 @@ import (
 // fence, a non-empty dequeue batch costs exactly one fence, and
 // sift/gauge/empty-dequeue paths persist nothing — heap maintenance
 // is volatile, so delivery order costs zero ordered persists.
-
-// heapShard returns the single shard's durable heap, or a typed
-// refusal when the topic is of the wrong kind.
-func (t *Topic) heapShard(verb string, want TopicKind) (*shard, error) {
-	if t.cfg.Kind != want {
-		return nil, t.kindErr(verb, want)
-	}
-	return t.shards[0], nil
-}
 
 // PublishAt durably enqueues payload on a delay topic for delivery at
 // deadline (any monotonic uint64 scale the caller also uses for
@@ -64,9 +55,8 @@ func (t *Topic) PublishPriorityBatch(tid int, payloads [][]byte, prios []uint64)
 }
 
 func (t *Topic) heapPublish(tid int, verb string, want TopicKind, keys []uint64, payloads [][]byte) error {
-	s, err := t.heapShard(verb, want)
-	if err != nil {
-		return err
+	if t.cfg.Kind != want {
+		return t.kindErr(verb, want)
 	}
 	if len(payloads) != len(keys) {
 		panic(fmt.Sprintf("broker: %s on topic %q: %d payloads, %d keys",
@@ -84,13 +74,13 @@ func (t *Topic) heapPublish(tid int, verb string, want TopicKind, keys []uint64,
 	defer t.exit()
 	o := t.b.obs
 	if o == nil {
-		if err := s.heapq.PushBatch(tid, keys, payloads); err != nil {
+		if err := t.heapq.PushBatch(tid, keys, payloads); err != nil {
 			return fmt.Errorf("broker: topic %q: %w", t.cfg.Name, err)
 		}
 		return nil
 	}
 	start := obs.Now()
-	if err := s.heapq.PushBatch(tid, keys, payloads); err != nil {
+	if err := t.heapq.PushBatch(tid, keys, payloads); err != nil {
 		return fmt.Errorf("broker: topic %q: %w", t.cfg.Name, err)
 	}
 	o.Lat(tid, obs.OpPublish, start)
@@ -132,14 +122,13 @@ func (t *Topic) DequeueReadyBatch(tid int, now uint64, max int) ([][]byte, error
 	if t.cfg.Kind == KindPriority {
 		maxKey = ^uint64(0) // every rank is always ready
 	}
-	s := t.shards[0]
 	o := t.b.obs
 	if o == nil {
-		ps, _ := s.heapq.PopReadyBatch(tid, maxKey, max)
+		ps, _ := t.heapq.PopReadyBatch(tid, maxKey, max)
 		return ps, nil
 	}
 	start := obs.Now()
-	ps, _ := s.heapq.PopReadyBatch(tid, maxKey, max)
+	ps, _ := t.heapq.PopReadyBatch(tid, maxKey, max)
 	if len(ps) > 0 {
 		o.Lat(tid, obs.OpPoll, start)
 		t.ostats.Delivered(len(ps))
@@ -173,7 +162,7 @@ func (t *Topic) HeapDepth() int {
 		return 0
 	}
 	defer t.exit()
-	return t.shards[0].heapq.Depth()
+	return t.heapq.Depth()
 }
 
 // ReadyDepth reports how many messages are deliverable at now: all of
@@ -187,7 +176,7 @@ func (t *Topic) ReadyDepth(now uint64) int {
 	if t.cfg.Kind == KindPriority {
 		now = ^uint64(0)
 	}
-	return t.shards[0].heapq.ReadyDepth(now)
+	return t.heapq.ReadyDepth(now)
 }
 
 // MinKey reports the smallest undelivered key — the next deadline on
@@ -198,7 +187,7 @@ func (t *Topic) MinKey() (uint64, bool) {
 		return 0, false
 	}
 	defer t.exit()
-	return t.shards[0].heapq.MinKey()
+	return t.heapq.MinKey()
 }
 
 // PublishAt is the broker-level convenience: resolve the named delay

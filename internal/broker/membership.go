@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"repro/internal/obs"
+	"repro/internal/pmem"
 )
 
 // Membership protocol for acked consumer groups: fencing tokens,
@@ -194,8 +195,8 @@ func (g *Group) reassignLocked(tid, from int, targets []int) (shards, moved int)
 			continue
 		}
 		s := r.t.shards[r.shard]
-		floor := s.ackedTo()
-		ps, idxs := s.unacked()
+		floor := s.AckedTo()
+		ps, idxs := s.Unacked()
 		r.t.exit()
 		r.deliveredTo, r.pendingN, r.unackedN = floor, len(ps), 0
 		for i := range ps {
@@ -291,7 +292,7 @@ func (g *Group) Scan(tid int, now uint64) (ScanReport, error) {
 			// leaves an Active line behind with a deadline nobody
 			// maintains. Such a moot lease holds no obligation: the
 			// member is idle, not dead.
-			moot := r.t.shards[r.shard].ackedTo() >= r.leasedTo
+			moot := r.t.shards[r.shard].AckedTo() >= r.leasedTo
 			r.t.exit()
 			if moot {
 				continue
@@ -366,7 +367,7 @@ func (c *Consumer) Steal(tid int) (bool, int, error) {
 			if !r.t.enter() {
 				continue
 			}
-			moot := r.t.shards[r.shard].ackedTo() >= r.leasedTo
+			moot := r.t.shards[r.shard].AckedTo() >= r.leasedTo
 			r.t.exit()
 			if moot {
 				continue
@@ -418,8 +419,8 @@ func (g *Group) stealShardLocked(tid int, v, to *Consumer, ri int) int {
 		return 0
 	}
 	s := r.t.shards[r.shard]
-	floor := s.ackedTo()
-	ps, idxs := s.unacked()
+	floor := s.AckedTo()
+	ps, idxs := s.Unacked()
 	r.t.exit()
 	r.deliveredTo, r.pendingN, r.unackedN = floor, len(ps), 0
 	for i := range ps {
@@ -455,10 +456,14 @@ type Janitor struct {
 
 // StartJanitor runs Scan in a background goroutine with a jittered
 // period (uniform in [period/2, 3*period/2), so a fleet of groups
-// never scans in lockstep), at the group clock. tid must be a thread
-// id reserved for the janitor — the one-goroutine-per-tid rule
-// applies to the scans it issues. Stop it before crashing the heap
-// set in tests: the janitor does not expect simulated crashes.
+// never scans in lockstep), at the group clock. The jitter sequence is
+// seeded from the group's lease-region index (LeaseConfig.Region) and
+// tid — values the caller chose — so a run's scan schedule can be
+// replayed. tid must be a thread id reserved for the janitor — the
+// one-goroutine-per-tid rule applies to the scans it issues. A
+// simulated crash ends the janitor: its scans run under pmem.Protect,
+// so the crash signal never escapes the background goroutine, and Stop
+// still returns.
 func (g *Group) StartJanitor(tid int, period time.Duration) (*Janitor, error) {
 	if !g.leased {
 		return nil, fmt.Errorf("broker: StartJanitor on a group without acknowledgments (use NewGroupAcked)")
@@ -467,7 +472,7 @@ func (g *Group) StartJanitor(tid int, period time.Duration) (*Janitor, error) {
 		return nil, fmt.Errorf("broker: StartJanitor period must be positive, got %v", period)
 	}
 	j := &Janitor{stop: make(chan struct{}), done: make(chan struct{})}
-	rng := rand.New(rand.NewSource(time.Now().UnixNano()))
+	rng := rand.New(rand.NewSource(int64(g.regionIdx)<<32 | int64(tid)))
 	go func() {
 		defer close(j.done)
 		for {
@@ -477,7 +482,9 @@ func (g *Group) StartJanitor(tid int, period time.Duration) (*Janitor, error) {
 				return
 			case <-time.After(d):
 			}
-			g.Scan(tid, g.now())
+			if pmem.Protect(func() { g.Scan(tid, g.now()) }) {
+				return
+			}
 		}
 	}()
 	return j, nil

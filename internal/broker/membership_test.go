@@ -410,6 +410,39 @@ func TestJanitorFencesSilentMember(t *testing.T) {
 	}
 }
 
+// TestJanitorSurvivesCrash: a power failure that catches the janitor
+// inside a scan ends the janitor, not the process — its goroutine has
+// no caller to Protect it, so it must Protect its own scans — and Stop
+// still returns.
+func TestJanitorSurvivesCrash(t *testing.T) {
+	hs, b := newAckedBroker(t, 1, 4, pmem.ModeCrash)
+	clk := &logicalClock{}
+	g, err := b.NewGroupAcked([]string{"events"}, 2, LeaseConfig{TTL: 10, Now: clk.Now})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := uint64(0); i < 16; i++ {
+		b.Topic("events").Publish(0, U64(i))
+	}
+	if ms := g.Consumer(1).PollBatch(2, 8); len(ms) == 0 {
+		t.Fatal("victim polled nothing")
+	}
+	// The victim's lease has expired, so the janitor's next scan must
+	// rewrite lease lines — on a heap set that is already down.
+	clk.Advance(100)
+	hs.CrashNow()
+	j, err := g.StartJanitor(3, time.Millisecond)
+	if err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case <-j.done:
+	case <-time.After(5 * time.Second):
+		t.Fatal("janitor kept running on a crashed heap set")
+	}
+	j.Stop()
+}
+
 // TestEpochDurability: takeovers bump the epoch in the durable lease
 // line, a recovered binding re-seeds its authority from it (so
 // post-crash epochs never fall behind a pre-crash owner), and the
@@ -657,8 +690,8 @@ func membershipChurnRound(t *testing.T, seed int64) {
 						return
 					}
 					var aerr error
-					if pmem.Protect(func() { _, aerr = cons.Ack(tid) }) {
-						return
+					if pmem.Protect(func() { _, aerr = cons.Ack(tid) }) || hs.Crashed() {
+						return // a dead machine records nothing (see consumerCrashRound)
 					}
 					if errors.Is(aerr, ErrFenced) {
 						// The window was taken while we were silent; it is

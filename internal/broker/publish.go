@@ -167,10 +167,10 @@ func (p *Publisher) flush() int {
 	acked := 0
 	if p.pipeline {
 		acked = p.drain()
-		s.publishBatchUnfenced(p.tid, p.buf)
+		s.EnqueueBatchUnfenced(p.tid, p.buf)
 		p.pending, p.npending = s, len(p.buf)
 	} else {
-		s.publishBatch(p.tid, p.buf)
+		s.EnqueueBatch(p.tid, p.buf)
 		acked = len(p.buf)
 	}
 	if o != nil {

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"sync/atomic"
 
+	"repro/internal/dheap"
 	"repro/internal/obs"
 )
 
@@ -43,7 +44,8 @@ type Topic struct {
 	cfg    TopicConfig
 	base   int // global ordinal of shard 0 (catalog creation order)
 	locs   []shardLoc
-	shards []*shard
+	shards []*shard      // KindFIFO
+	heapq  *dheap.Q      // KindDelay / KindPriority: the topic's one shard
 	rr     atomic.Uint64 // round-robin routing cursor
 
 	// deleted flips exactly once, before the topic's tombstone is
@@ -68,7 +70,7 @@ func (t *Topic) Name() string { return t.cfg.Name }
 func (t *Topic) Acked() bool { return t.cfg.Acked }
 
 // Shards returns the topic's shard count.
-func (t *Topic) Shards() int { return len(t.shards) }
+func (t *Topic) Shards() int { return len(t.locs) }
 
 // Deleted reports whether the topic has been retired by DeleteTopic.
 func (t *Topic) Deleted() bool { return t.deleted.Load() }
@@ -138,11 +140,11 @@ func (t *Topic) Publish(tid int, payload []byte) error {
 	// the fast path below is the whole unobserved operation.
 	o := t.b.obs
 	if o == nil {
-		t.shards[s].publish(tid, payload)
+		t.shards[s].Enqueue(tid, payload)
 		return nil
 	}
 	start := obs.Now()
-	t.shards[s].publish(tid, payload)
+	t.shards[s].Enqueue(tid, payload)
 	o.Lat(tid, obs.OpPublish, start)
 	t.ostats.Published(s, 1)
 	o.Event(tid, obs.OpPublish, t.ostats, s)
@@ -170,11 +172,11 @@ func (t *Topic) PublishKey(tid int, key, payload []byte) error {
 	s := int(h % uint64(len(t.shards)))
 	o := t.b.obs
 	if o == nil {
-		t.shards[s].publish(tid, payload)
+		t.shards[s].Enqueue(tid, payload)
 		return nil
 	}
 	start := obs.Now()
-	t.shards[s].publish(tid, payload)
+	t.shards[s].Enqueue(tid, payload)
 	o.Lat(tid, obs.OpPublish, start)
 	t.ostats.Published(s, 1)
 	o.Event(tid, obs.OpPublish, t.ostats, s)
@@ -183,7 +185,7 @@ func (t *Topic) PublishKey(tid int, key, payload []byte) error {
 
 // PublishBatch routes the whole batch to the next shard round-robin
 // and enqueues it with a single blocking persist (see
-// queues.OptUnlinkedQ.EnqueueBatch): the amortized publish path. The
+// queues.Core.EnqueueBatch): the amortized publish path. The
 // batch is acknowledged as a whole when PublishBatch returns nil; a
 // crash before that acknowledges none of it (messages that happened to
 // become durable are recovered, which is allowed — they were simply
@@ -207,11 +209,11 @@ func (t *Topic) PublishBatch(tid int, payloads [][]byte) error {
 	s := int(t.rr.Add(1)-1) % len(t.shards)
 	o := t.b.obs
 	if o == nil {
-		t.shards[s].publishBatch(tid, payloads)
+		t.shards[s].EnqueueBatch(tid, payloads)
 		return nil
 	}
 	start := obs.Now()
-	t.shards[s].publishBatch(tid, payloads)
+	t.shards[s].EnqueueBatch(tid, payloads)
 	o.Lat(tid, obs.OpPublish, start)
 	t.ostats.Published(s, len(payloads))
 	o.Event(tid, obs.OpPublish, t.ostats, s)
@@ -239,7 +241,7 @@ func (t *Topic) DequeueShard(tid, shard int) ([]byte, bool) {
 		return nil, false
 	}
 	defer t.exit()
-	return t.shards[shard].consume(tid)
+	return t.shards[shard].Dequeue(tid)
 }
 
 // Kind reports the topic's delivery-order kind.

@@ -1,6 +1,9 @@
 package pmem
 
-import "math/rand"
+import (
+	"math/rand"
+	"sync"
+)
 
 // HeapSet is an ordered set of independent heaps standing in for
 // distinct NVRAM persistence domains — NUMA sockets or DIMM sets. Each
@@ -70,6 +73,36 @@ func (s *HeapSet) Heap(i int) *Heap { return s.heaps[i] }
 
 // Heaps returns the members in order (a copy).
 func (s *HeapSet) Heaps() []*Heap { return append([]*Heap(nil), s.heaps...) }
+
+// Parallel runs f once per member heap, concurrently, and returns when
+// every call has: members are independent simulators with their own
+// per-thread state, so the same tid may operate on each at once. A
+// simulated crash panics on whichever goroutine touches a heap next —
+// on a child goroutine that would be a panic no caller's Protect can
+// catch — so Parallel Protects every child and re-raises the crash
+// signal on the calling goroutine after the join. A one-member set
+// runs f inline.
+func (s *HeapSet) Parallel(f func(i int, h *Heap)) {
+	if len(s.heaps) == 1 {
+		f(0, s.heaps[0])
+		return
+	}
+	crashed := make([]bool, len(s.heaps))
+	var wg sync.WaitGroup
+	for i, h := range s.heaps {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			crashed[i] = Protect(func() { f(i, h) })
+		}()
+	}
+	wg.Wait()
+	for _, c := range crashed {
+		if c {
+			panic(crashSignal{})
+		}
+	}
+}
 
 // Crashed reports whether any member has crashed (propagation marks
 // all members, so after any crash this is true for the whole set).

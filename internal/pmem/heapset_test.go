@@ -134,3 +134,42 @@ func TestHeapSetRejectsDuplicates(t *testing.T) {
 	}()
 	NewSetOf(h, h.View(0, 8)) // same simulator state twice
 }
+
+// TestHeapSetParallel: every member is visited, and a crash that fires
+// on a fan-out goroutine comes back through the caller's Protect, after
+// every child has stopped, instead of killing the process from a
+// goroutine nobody protects.
+func TestHeapSetParallel(t *testing.T) {
+	s := newCrashSet(t, 3)
+	visited := make([]int, s.Len())
+	s.Parallel(func(i int, h *Heap) {
+		if h != s.Heap(i) {
+			t.Errorf("member %d handed a foreign heap", i)
+		}
+		visited[i]++
+	})
+	for i, n := range visited {
+		if n != 1 {
+			t.Fatalf("member %d visited %d times, want 1", i, n)
+		}
+	}
+
+	s.Heap(1).ScheduleCrashAtAccess(5)
+	stopped := make([]bool, s.Len())
+	crashed := Protect(func() {
+		s.Parallel(func(i int, h *Heap) {
+			defer func() { stopped[i] = true }()
+			for { // only the shared power failure ends a child
+				h.Load(0, h.RootAddr(0))
+			}
+		})
+	})
+	if !crashed {
+		t.Fatal("the crash never reached the caller's Protect")
+	}
+	for i, ok := range stopped {
+		if !ok {
+			t.Fatalf("Parallel returned while member %d's child was still running", i)
+		}
+	}
+}

@@ -271,3 +271,20 @@ func TestOptUnlinkedEnqueueBatchDurable(t *testing.T) {
 		t.Fatal("recovered queue has extra elements")
 	}
 }
+
+// TestOptUnlinkedPairAllocs pins the Go allocations of the Figure-2
+// pair beside its fence pins: one volatile node per enqueue, one result
+// slice per dequeue. A ceiling, so data-plane work can only lower it.
+func TestOptUnlinkedPairAllocs(t *testing.T) {
+	q := NewOptUnlinkedQ(perfHeap(t, 1), 1)
+	pair := func() {
+		q.Enqueue(0, 7)
+		q.Dequeue(0)
+	}
+	for i := 0; i < 5000; i++ { // past pool and slice growth
+		pair()
+	}
+	if got := testing.AllocsPerRun(2000, pair); got > 2 {
+		t.Fatalf("Enqueue+Dequeue = %v allocs, want <= 2", got)
+	}
+}

@@ -15,7 +15,8 @@
 //   - LinkedQ       — first amendment, Figure 3: one fence per
 //     operation, persisted links, validity flags, backward links.
 //   - OptUnlinkedQ  — second amendment, Figure 4: one fence per
-//     operation and zero accesses to flushed content.
+//     operation and zero accesses to flushed content: Core (core.go)
+//     under the inline word codec; blobq is its multi-line codec.
 //   - OptLinkedQ    — second amendment, Figures 5-6.
 //
 // All queues share the same root-slot convention on the heap so that
@@ -143,8 +144,7 @@ func newNodePool(h *pmem.Heap, threads int) *ssmem.Pool {
 }
 
 // newNodePoolAs charges the pool's construction persists to tid, for
-// queues created while other threads are running (see
-// NewOptUnlinkedQAs).
+// queues created while other threads are running (see NewCore).
 func newNodePoolAs(h *pmem.Heap, threads, tid int) *ssmem.Pool {
 	return ssmem.NewPool(h, ssmem.Config{
 		SlotBytes:    nodeSize,
