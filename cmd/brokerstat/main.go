@@ -1,7 +1,8 @@
 // Command brokerstat runs one short canned broker workload with the
 // observability layer enabled and dumps the resulting snapshot — per-op
-// latency summaries, per-topic counters and depth, per-group shard lag
-// and per-heap persist statistics — in a machine-readable format.
+// latency summaries, per-topic counters, depth and allocator footprint
+// (nvram_areas, nvram_free_slots), per-group shard lag and per-heap
+// persist statistics — in a machine-readable format.
 //
 // It is the one-shot companion to cmd/brokerbench: where brokerbench
 // sweeps configurations and reports derived per-message rates,
@@ -113,6 +114,16 @@ func check(snap obs.Snapshot) error {
 	}
 	if err := obs.ValidatePrometheus(bytes.NewReader(pbuf.Bytes())); err != nil {
 		return fmt.Errorf("Prometheus text invalid: %w", err)
+	}
+	// So must the footprint gauges, for every topic: they are how a
+	// per-message heap leak shows in the system's own output.
+	for _, series := range []string{"broker_topic_nvram_areas{", "broker_topic_nvram_free_slots{"} {
+		if n := bytes.Count(pbuf.Bytes(), []byte(series)); n != len(snap.Topics) {
+			return fmt.Errorf("Prometheus text has %d %s...} samples for %d topics", n, series, len(snap.Topics))
+		}
+	}
+	if !bytes.Contains(jbuf.Bytes(), []byte(`"nvram_areas"`)) {
+		return fmt.Errorf("JSON missing the topic nvram_areas field")
 	}
 	// The membership counters must be present in both exports whenever
 	// a group was observed (zero-valued is fine — churn cycles can be

@@ -184,22 +184,28 @@ func (c *codec) Write(h *pmem.Heap, tid int, pn, blob pmem.Addr, payload []byte)
 
 func seal(tag uint64, line int) uint64 { return tag<<8 | uint64(line) + 1 }
 
-// Read accepts a node only if its blob address is a real slot, its
+// Check accepts a node only if its blob address is a real slot, its
 // length fits and every line's seal carries the node's tag; anything
 // else is a torn enqueue whose flag or index was evicted before the
 // payload became durable.
-func (c *codec) Read(h *pmem.Heap, pn pmem.Addr) ([]byte, pmem.Addr, bool) {
+func (c *codec) Check(h *pmem.Heap, pn pmem.Addr) (pmem.Addr, bool) {
 	blob := pmem.Addr(h.Load(0, pn+pnBlob))
 	tag := h.Load(0, pn+pnTag)
-	n := h.Load(0, pn+pnLen)
-	if !ssmem.ValidSlot(c.areas, c.lines*pmem.CacheLineBytes, blob) || n > uint64(c.lines*lineData) {
-		return nil, 0, false
+	if !ssmem.ValidSlot(c.areas, c.lines*pmem.CacheLineBytes, blob) || h.Load(0, pn+pnLen) > uint64(c.lines*lineData) {
+		return 0, false
 	}
 	for l := 0; l < c.lines; l++ {
 		if h.Load(0, blob+pmem.Addr(l*pmem.CacheLineBytes)+sealOff) != seal(tag, l) {
-			return nil, 0, false
+			return 0, false
 		}
 	}
+	return blob, true
+}
+
+// Read copies out the payload of a node Check accepted.
+func (c *codec) Read(h *pmem.Heap, pn pmem.Addr) []byte {
+	blob := pmem.Addr(h.Load(0, pn+pnBlob))
+	n := h.Load(0, pn+pnLen)
 	out := make([]byte, n)
 	// lineData is a multiple of the word size, so stepping a word at a
 	// time never straddles a line boundary.
@@ -213,5 +219,5 @@ func (c *codec) Read(h *pmem.Heap, pn pmem.Addr) ([]byte, pmem.Addr, bool) {
 			copy(out[i:], tail[:])
 		}
 	}
-	return out, blob, true
+	return out
 }

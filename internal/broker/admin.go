@@ -141,7 +141,7 @@ func (b *Broker) observe(o *obs.Observer) error {
 		return out
 	})
 	for _, t := range b.set().list {
-		t.ostats = o.RegisterTopic(t.Name(), t.Shards())
+		t.register(o)
 	}
 	return nil
 }
@@ -342,7 +342,7 @@ func (b *Broker) CreateTopic(tid int, tc TopicConfig) (*Topic, error) {
 	if o != nil {
 		// Registered before the snapshot swap publishes the topic, so
 		// the hot-path invariant (visible topic ⇒ ostats set) holds.
-		t.ostats = o.RegisterTopic(tc.Name, tc.Shards)
+		t.register(o)
 	}
 
 	ns := &topicSet{

@@ -330,8 +330,10 @@ func (wordCodec) Write(h *pmem.Heap, tid int, pn, _ pmem.Addr, p []byte) []byte 
 	return U64(v) // a copy: the caller keeps its buffer
 }
 
-func (wordCodec) Read(h *pmem.Heap, pn pmem.Addr) ([]byte, pmem.Addr, bool) {
-	return U64(h.Load(0, pn+queues.NodePayload)), 0, true
+func (wordCodec) Check(*pmem.Heap, pmem.Addr) (pmem.Addr, bool) { return 0, true }
+
+func (wordCodec) Read(h *pmem.Heap, pn pmem.Addr) []byte {
+	return U64(h.Load(0, pn+queues.NodePayload))
 }
 
 // createShard builds shard si's empty queue on view, charging the

@@ -140,10 +140,10 @@ func TestPollFairnessAfterIdle(t *testing.T) {
 
 // TestPublishPollBatchAllocs pins the Go allocations of one
 // PublishBatch(8) + PollBatch(8) round on a fixed topic beside the
-// fence pins: 28 — per message a volatile node and a payload copy, the
-// rest result-slice growth — where the tagged-union shard converting
-// words per message took 30. A ceiling, so data-plane work can only
-// lower it.
+// fence pins: 27 — per message a volatile node and a payload copy, the
+// rest result-slice growth — where ssmem reallocating its limbo took
+// 28 and the tagged-union shard converting words per message 30. A
+// ceiling, so data-plane work can only lower it.
 func TestPublishPollBatchAllocs(t *testing.T) {
 	h := pmem.New(pmem.Config{Bytes: 64 << 20, MaxThreads: 2})
 	b, err := New(h, Config{Topics: []TopicConfig{{Name: "events", Shards: 4}}, Threads: 2})
@@ -166,8 +166,97 @@ func TestPublishPollBatchAllocs(t *testing.T) {
 	for i := 0; i < 2000; i++ { // past pool and slice growth
 		round()
 	}
-	if got := testing.AllocsPerRun(500, round); got > 28 {
-		t.Fatalf("PublishBatch(8)+PollBatch(8) = %v allocs, want <= 28", got)
+	if got := testing.AllocsPerRun(500, round); got > 27 {
+		t.Fatalf("PublishBatch(8)+PollBatch(8) = %v allocs, want <= 27", got)
+	}
+}
+
+// TestSteadyFootprintSplitTids runs the broker the way brokers run —
+// one tid only publishes, another only polls and acks — on a heap sized
+// for the in-flight window, for twenty times the messages that heap
+// could hold if every message took a fresh slot. Once warm, neither the
+// heap break nor any pool's area count may move: the slots the consumer
+// tid retires must reach the producer tid. When ssmem's free lists were
+// per thread only this died with "out of simulated persistent memory".
+func TestSteadyFootprintSplitTids(t *testing.T) {
+	heapBytes := int64(16 << 20)
+	if raceEnabled {
+		heapBytes = 3 << 20 // the warm footprint is 2.02 MiB
+	}
+	hs := pmem.NewSet(1, pmem.Config{Bytes: heapBytes, MaxThreads: 2})
+	b, err := Open(hs, Options{Threads: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const blobBytes = 1024
+	fixed, err := b.CreateTopic(0, TopicConfig{Name: "fixed", Shards: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	blob, err := b.CreateTopic(0, TopicConfig{Name: "blob", Shards: 1, MaxPayload: blobBytes, Acked: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	region, err := b.CreateAckGroup(0, AckGroupConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	gf, err := b.NewGroup([]string{"fixed"}, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	gb, err := b.NewGroupAcked([]string{"blob"}, 1, LeaseConfig{Region: region, TTL: 1 << 40, Now: func() uint64 { return 1 }})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cf, cb := gf.Consumer(0), gb.Consumer(0)
+
+	words, blobs := make([][]byte, 8), make([][]byte, 8)
+	for i := range words {
+		words[i], blobs[i] = U64(uint64(i)), bytes.Repeat([]byte{byte(i)}, blobBytes)
+	}
+	// run moves msgs messages through tp, 8 at a time: published on
+	// tid 0, polled (and acked) on tid 1.
+	run := func(tp *Topic, c *Consumer, batch [][]byte, msgs int64) {
+		for n := int64(0); n < msgs; n += 8 {
+			if err := tp.PublishBatch(0, batch); err != nil {
+				t.Fatal(err)
+			}
+			for got := 0; got < len(batch); {
+				ms := c.PollBatch(1, len(batch))
+				if len(ms) == 0 {
+					t.Fatalf("topic %s: %d of %d messages delivered", tp.Name(), got, len(batch))
+				}
+				got += len(ms)
+				if !tp.Acked() {
+					continue
+				}
+				if _, err := c.Ack(1); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+	}
+	type footprint struct {
+		brk   uint64
+		areas [2]int
+	}
+	measure := func() footprint {
+		fp := footprint{brk: hs.Heap(0).RawMem(8)} // word 1 of a heap is its persistent break
+		fp.areas[0], _ = fixed.nvram()
+		fp.areas[1], _ = blob.nvram()
+		return fp
+	}
+	run(fixed, cf, words, 8192)
+	run(blob, cb, blobs, 8192)
+	warm := measure()
+	// A fixed-topic message is one 64 B node; a blob message is a node
+	// plus a blob slot of whole lines carrying 56 payload bytes each.
+	const blobSlot = 64 + (blobBytes+55)/56*64
+	run(fixed, cf, words, 20*heapBytes/64)
+	run(blob, cb, blobs, 20*heapBytes/blobSlot)
+	if got := measure(); got != warm {
+		t.Fatalf("footprint moved after warm-up: %+v -> %+v", warm, got)
 	}
 }
 

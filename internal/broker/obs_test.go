@@ -111,10 +111,28 @@ func TestObserverGauges(t *testing.T) {
 	}
 	obsWorkload(t, b)
 
+	before := hs.TotalStats()
 	s := o.Snapshot()
+	if after := hs.TotalStats(); after != before {
+		t.Fatalf("taking a snapshot touched simulated memory: %+v -> %+v", before, after)
+	}
 	byName := map[string]obs.TopicSnapshot{}
 	for _, ts := range s.Topics {
 		byName[ts.Topic] = ts
+	}
+	// Footprint: every shard opened its first node area, and a drained
+	// topic holds on to a slot or two per shard (the dummy, the deferred
+	// retiree) — the rest of its areas is free. jobs' shards have a blob
+	// pool, of smaller areas, beside the node pool.
+	for _, name := range []string{"events", "acked"} {
+		got, shards := byName[name], b.Topic(name).Shards()
+		held := int(got.NVRAMAreas*4096 - got.NVRAMFreeSlots)
+		if int(got.NVRAMAreas) != shards || held < shards || held > 2*shards {
+			t.Fatalf("%s footprint: %d areas, %d free slots (%d held) over %d shards", name, got.NVRAMAreas, got.NVRAMFreeSlots, held, shards)
+		}
+	}
+	if got, shards := byName["jobs"], b.Topic("jobs").Shards(); int(got.NVRAMAreas) != 2*shards || got.NVRAMFreeSlots == 0 {
+		t.Fatalf("jobs footprint: %d areas, %d free slots over %d shards with two pools each", got.NVRAMAreas, got.NVRAMFreeSlots, shards)
 	}
 	if got := byName["events"]; got.Published != 140 || got.Delivered != 140 || got.Depth != 0 {
 		t.Fatalf("events gauges: %+v", got)
@@ -232,6 +250,12 @@ func TestObserverSurvivesRecovery(t *testing.T) {
 	}
 	if s.Topics[0].Published != 25 {
 		t.Fatalf("published = %d, want 25 across the crash", s.Topics[0].Published)
+	}
+	// The footprint gauges follow the recovered broker's pools: one area
+	// per shard, all of it free but the 25 messages and each shard's
+	// dummy.
+	if held := s.Topics[0].NVRAMAreas*4096 - s.Topics[0].NVRAMFreeSlots; s.Topics[0].NVRAMAreas != 2 || held != 25+2 {
+		t.Fatalf("footprint after recovery: %d areas, %d free slots (%d held)", s.Topics[0].NVRAMAreas, s.Topics[0].NVRAMFreeSlots, held)
 	}
 }
 

@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/dheap"
 	"repro/internal/obs"
+	"repro/internal/ssmem"
 )
 
 // ErrTopicDeleted is returned by the data plane — publish paths and
@@ -64,6 +65,27 @@ type Topic struct {
 
 // Name returns the topic name.
 func (t *Topic) Name() string { return t.cfg.Name }
+
+// register creates (or, after recovery, re-binds) the topic's gauge
+// state in o and points its footprint gauges at the shards' pools.
+func (t *Topic) register(o *obs.Observer) {
+	t.ostats = o.RegisterTopic(t.Name(), t.Shards())
+	t.ostats.SetNVRAM(t.nvram)
+}
+
+// nvram sums the allocator footprint of the topic's FIFO shards, node
+// and payload pools alike: areas registered, and slots in them that
+// hold no message. Heap topics keep a fixed arena and report zeros.
+func (t *Topic) nvram() (areas, freeSlots int) {
+	for _, s := range t.shards {
+		nodes, aux := s.PoolStats()
+		for _, st := range [...]ssmem.Stats{nodes, aux} {
+			areas += st.Areas
+			freeSlots += st.ThreadFree + st.DepotFree + st.Limbo
+		}
+	}
+	return areas, freeSlots
+}
 
 // Acked reports whether the topic's shards require acknowledgment
 // (TopicConfig.Acked).

@@ -34,14 +34,18 @@ type OpSnapshot struct {
 	P999Ns float64 `json:"p999_ns"`
 }
 
-// TopicSnapshot is one topic's message gauges.
+// TopicSnapshot is one topic's message gauges and allocator footprint:
+// a topic whose NVRAMAreas climbs while its NVRAMFreeSlots do is
+// leaking slots it could be reusing.
 type TopicSnapshot struct {
-	Topic       string `json:"topic"`
-	Published   uint64 `json:"published"`
-	Delivered   uint64 `json:"delivered"`
-	Acked       uint64 `json:"acked"`
-	Redelivered uint64 `json:"redelivered"`
-	Depth       uint64 `json:"depth"`
+	Topic          string `json:"topic"`
+	Published      uint64 `json:"published"`
+	Delivered      uint64 `json:"delivered"`
+	Acked          uint64 `json:"acked"`
+	Redelivered    uint64 `json:"redelivered"`
+	Depth          uint64 `json:"depth"`
+	NVRAMAreas     uint64 `json:"nvram_areas"`
+	NVRAMFreeSlots uint64 `json:"nvram_free_slots"`
 }
 
 // GroupSnapshot is one consumer group's lag state plus its
@@ -97,9 +101,11 @@ func (o *Observer) Snapshot() Snapshot {
 	o.mu.Unlock()
 	for _, t := range topics {
 		pub, del, ack, redel := t.Counts()
+		areas, free := t.NVRAM()
 		s.Topics = append(s.Topics, TopicSnapshot{
 			Topic: t.name, Published: pub, Delivered: del, Acked: ack,
 			Redelivered: redel, Depth: t.Depth(),
+			NVRAMAreas: uint64(areas), NVRAMFreeSlots: uint64(free),
 		})
 	}
 	for _, g := range groups {
@@ -186,11 +192,18 @@ func (s Snapshot) WritePrometheus(w io.Writer) error {
 		func(t TopicSnapshot) uint64 { return t.Acked })
 	counter("broker_topic_redelivered_total", "Redeliveries per topic.",
 		func(t TopicSnapshot) uint64 { return t.Redelivered })
-	fmt.Fprintln(b, "# HELP broker_topic_depth Messages published but not yet delivered.")
-	fmt.Fprintln(b, "# TYPE broker_topic_depth gauge")
-	for _, t := range s.Topics {
-		fmt.Fprintf(b, "broker_topic_depth{topic=%q} %d\n", t.Topic, t.Depth)
+	gauge := func(name, help string, value func(TopicSnapshot) uint64) {
+		fmt.Fprintf(b, "# HELP %s %s\n# TYPE %s gauge\n", name, help, name)
+		for _, t := range s.Topics {
+			fmt.Fprintf(b, "%s{topic=%q} %d\n", name, t.Topic, value(t))
+		}
 	}
+	gauge("broker_topic_depth", "Messages published but not yet delivered.",
+		func(t TopicSnapshot) uint64 { return t.Depth })
+	gauge("broker_topic_nvram_areas", "Designated ssmem areas registered by the topic's shards.",
+		func(t TopicSnapshot) uint64 { return t.NVRAMAreas })
+	gauge("broker_topic_nvram_free_slots", "Slots of those areas that hold no message.",
+		func(t TopicSnapshot) uint64 { return t.NVRAMFreeSlots })
 	fmt.Fprintln(b, "# HELP broker_group_shard_lag Published head minus group frontier per owned shard.")
 	fmt.Fprintln(b, "# TYPE broker_group_shard_lag gauge")
 	for _, g := range s.Groups {

@@ -25,6 +25,7 @@ func observedFixture() *Observer {
 	ts.Delivered(30)
 	ts.Acked(20)
 	ts.Redelivered(5)
+	ts.SetNVRAM(func() (areas, freeSlots int) { return 3, 4000 })
 	c0.Advance(10)
 	o.SetHeapStats(func() []pmem.Stats {
 		return []pmem.Stats{{Fences: 42, NTStores: 7, Flushes: 3, PostFlushAccesses: 1}}
@@ -55,6 +56,9 @@ func TestSnapshotContents(t *testing.T) {
 	if top.Depth != 25 {
 		t.Fatalf("depth = %d, want 25", top.Depth)
 	}
+	if top.NVRAMAreas != 3 || top.NVRAMFreeSlots != 4000 {
+		t.Fatalf("footprint = %d areas, %d free slots, want 3 and 4000", top.NVRAMAreas, top.NVRAMFreeSlots)
+	}
 	if len(s.Groups) != 1 || len(s.Groups[0].Shards) != 2 {
 		t.Fatalf("groups = %+v", s.Groups)
 	}
@@ -84,7 +88,7 @@ func TestWriteJSONRoundTrips(t *testing.T) {
 	if err := json.Unmarshal(buf.Bytes(), &back); err != nil {
 		t.Fatalf("output is not valid JSON: %v", err)
 	}
-	if len(back.Ops) != int(NumOps) || back.Topics[0].Published != 50 {
+	if len(back.Ops) != int(NumOps) || back.Topics[0].Published != 50 || back.Topics[0].NVRAMAreas != 3 {
 		t.Fatalf("round-trip lost data: %+v", back)
 	}
 }
@@ -101,6 +105,8 @@ func TestWritePrometheusValidates(t *testing.T) {
 		`broker_op_latency_seconds_count{op="publish"} 50`,
 		`broker_topic_published_total{topic="orders"} 50`,
 		`broker_topic_depth{topic="orders"} 25`,
+		`broker_topic_nvram_areas{topic="orders"} 3`,
+		`broker_topic_nvram_free_slots{topic="orders"} 4000`,
 		`broker_group_shard_lag{group="group-0",topic="orders",shard="1"} 25`,
 		`broker_heap_fences_total{heap="0"} 42`,
 	} {

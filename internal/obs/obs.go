@@ -186,6 +186,22 @@ type TopicStats struct {
 
 	shardPub []atomic.Uint64
 	shardDel []atomic.Uint64
+
+	nvram atomic.Pointer[func() (areas, freeSlots int)]
+}
+
+// SetNVRAM installs the provider of the topic's allocator footprint —
+// designated areas registered and slots in them that hold no message —
+// included in snapshots; the broker wires its shards' pools here, and
+// a recovered broker re-registering the topic replaces the provider.
+func (t *TopicStats) SetNVRAM(fn func() (areas, freeSlots int)) { t.nvram.Store(&fn) }
+
+// NVRAM reads the footprint provider; zeros if none was installed.
+func (t *TopicStats) NVRAM() (areas, freeSlots int) {
+	if fn := t.nvram.Load(); fn != nil {
+		return (*fn)()
+	}
+	return 0, 0
 }
 
 // RegisterTopic returns the topic's gauge state, creating it on first

@@ -6,6 +6,7 @@ package qtest
 
 import (
 	"math/rand"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -13,6 +14,7 @@ import (
 
 	"repro/internal/pmem"
 	"repro/internal/queues"
+	"repro/internal/ssmem"
 )
 
 // HeapBytes is the heap size used by the suite.
@@ -216,5 +218,101 @@ func RunCrashRecovery(t *testing.T, in queues.Info, cycles int) {
 		if got[i] != model[i] {
 			t.Fatalf("drain[%d]=%d want %d", i, got[i], model[i])
 		}
+	}
+}
+
+// RunRecycledCrashSweep cuts a short script at every one of its memory
+// accesses (every stride-th, for stride > 1) in a queue whose threads
+// are split the way a broker's are: tid 0 only enqueues, tid 1 only
+// dequeues. The warm-up runs until the slots tid 1 retired have
+// crossed the allocator's depot, so every enqueue of the script writes
+// into a slot of tid 1's that still carries, on media, the set linked
+// flag and the index of its previous life. Recovery must resurrect
+// exactly the durable suffix, in index order, whatever the cut.
+func RunRecycledCrashSweep(t *testing.T, in queues.Info, stride int64) {
+	t.Helper()
+	if raceEnabled {
+		stride *= 6
+	}
+	script := []bool{true, true, false, false, true, true, false, true, false, false}
+	// warm returns a queue on h that holds model, its next enqueue
+	// guaranteed a recycled slot.
+	warm := func(h *pmem.Heap) (q queues.Queue, model []uint64) {
+		q = in.New(h, 2)
+		pools := q.(interface {
+			PoolStats() (nodes, aux ssmem.Stats)
+		})
+		var nodesCrossed, auxCrossed bool
+		for v := uint64(1); ; v++ {
+			q.Enqueue(0, v)
+			model = append(model, v)
+			if v%4 != 0 { // keep a backlog for the script's dequeues
+				q.Dequeue(1)
+				model = model[1:]
+			}
+			// A chunk seen waiting in the depot goes to tid 0, which
+			// never retires and so has no slots of its own, and serves
+			// its next 128 allocations; the two pools donate within an
+			// operation of each other.
+			nodes, aux := pools.PoolStats()
+			nodesCrossed = nodesCrossed || nodes.DepotFree > 0
+			auxCrossed = auxCrossed || aux.DepotFree > 0 || aux.Areas == 0
+			if nodesCrossed && auxCrossed {
+				return q, model
+			}
+			if v > 1<<14 {
+				t.Fatal("warm-up never saw a retired slot reach the depot")
+			}
+		}
+	}
+	cut := func(k int64) (total int64) {
+		h := pmem.New(pmem.Config{Bytes: HeapBytes, Mode: pmem.ModeCrash, MaxThreads: 3})
+		q, model := warm(h)
+		next := model[len(model)-1] + 1
+		h.ScheduleCrashAtAccess(k)
+		var pendingEnq, pendingDeq bool
+		for _, enq := range script {
+			crashed := pmem.Protect(func() {
+				if enq {
+					q.Enqueue(0, next)
+				} else {
+					q.Dequeue(1)
+				}
+			})
+			if crashed {
+				pendingEnq, pendingDeq = enq, !enq
+				break
+			}
+			if enq {
+				model = append(model, next)
+				next++
+			} else {
+				model = model[1:]
+			}
+		}
+		total = h.AccessCount()
+		if !h.Crashed() {
+			h.CrashNow()
+		}
+		h.FinalizeCrash(rand.New(rand.NewSource(k)))
+		h.Restart()
+		got := Drain(in.Recover(h, 2), 1)
+		// The cut operation was pending: it may or may not have taken
+		// effect, and nothing else may differ.
+		switch {
+		case pendingEnq && len(got) == len(model)+1:
+			model = append(model, next)
+		case pendingDeq && len(got) == len(model)-1:
+			model = model[1:]
+		}
+		if !slices.Equal(got, model) {
+			t.Fatalf("crash at access %d (pending enqueue %v, dequeue %v): recovered %v, want %v",
+				k, pendingEnq, pendingDeq, got, model)
+		}
+		return total
+	}
+	total := cut(1 << 60) // never fires: measures the script
+	for k := int64(1); k <= total; k += stride {
+		cut(k)
 	}
 }

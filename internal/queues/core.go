@@ -1,8 +1,9 @@
 package queues
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -62,9 +63,9 @@ type Core[P any] struct {
 }
 
 // Codec is the payload half of a Core: how a payload of type P is laid
-// out in NVRAM. The protocol calls it at exactly two points, so a codec
-// can neither add a fence to an operation nor make the normal path read
-// a flushed line.
+// out in NVRAM. The protocol calls it at exactly two points — before a
+// node is linked, and at recovery — so a codec can neither add a fence
+// to an operation nor make the normal path read a flushed line.
 type Codec[P any] interface {
 	// Write runs on the enqueue path before the node is linked. It
 	// stores p's persistent form into the codec words of the node line
@@ -75,12 +76,17 @@ type Codec[P any] interface {
 	// these flushes — and must not load from NVRAM. It returns the
 	// volatile copy that serves every later read of the payload.
 	Write(h *pmem.Heap, tid int, pn, aux pmem.Addr, p P) P
-	// Read runs only at recovery, once per linked node beyond the
-	// consumption frontier. It validates the persistent form — ok false
-	// marks a torn enqueue, whose node line became durable before its
-	// payload did; the operation was pending and is discarded — and
-	// materializes the payload. aux is the node's aux slot, 0 if none.
-	Read(h *pmem.Heap, pn pmem.Addr) (p P, aux pmem.Addr, ok bool)
+	// Check runs only at recovery, once per linked node beyond the
+	// consumption frontier, in slot order. It validates the persistent
+	// form — ok false marks a torn enqueue, whose node line became
+	// durable before its payload did; the operation was pending and is
+	// discarded — and allocates nothing. aux is the node's aux slot, 0
+	// if none.
+	Check(h *pmem.Heap, pn pmem.Addr) (aux pmem.Addr, ok bool)
+	// Read materializes the payload of a node Check accepted. Recovery
+	// calls it once per resurrected node, in index order, so the copies
+	// lie in memory in the order the queue will hand them out.
+	Read(h *pmem.Heap, pn pmem.Addr) P
 }
 
 // node is the Volatile half of a node.
@@ -182,6 +188,15 @@ func NewCore[P any](h *pmem.Heap, threads, tid int, acked bool, codec Codec[P], 
 
 // Acked reports whether the queue is in acknowledgment mode.
 func (q *Core[P]) Acked() bool { return q.acked }
+
+// PoolStats reports the NVRAM footprint of the queue's node pool and,
+// zero without one, of its aux pool (see ssmem.Pool.Stats).
+func (q *Core[P]) PoolStats() (nodes, aux ssmem.Stats) {
+	if q.aux != nil {
+		aux = q.aux.Stats()
+	}
+	return q.pool.Stats(), aux
+}
 
 // retire hands n's Persistent part — node line and aux slot — back to
 // the allocators.
@@ -316,7 +331,7 @@ func (q *Core[P]) Unacked() (ps []P, idxs []uint64) {
 	q.ackMu.Lock()
 	defer q.ackMu.Unlock()
 	ns := append([]*node[P](nil), q.inflight...)
-	sort.Slice(ns, func(i, j int) bool { return ns[i].index < ns[j].index })
+	slices.SortFunc(ns, func(a, b *node[P]) int { return cmp.Compare(a.index, b.index) })
 	for _, n := range ns {
 		ps = append(ps, n.payload)
 		idxs = append(idxs, n.index)
@@ -601,7 +616,22 @@ func RecoverCore[P any](h *pmem.Heap, threads int, acked bool, codec Codec[P], a
 	}
 	q.ackDurable = frontier // read in ack mode only
 
-	var live []*node[P]
+	// The scan meets nodes in slot order, which is index order only
+	// until slots are recycled. It therefore collects one compact key
+	// per resurrected node — in fixed-size runs, so that collecting
+	// never copies — and the keys are sorted, unless the scan happened
+	// to be in order, before anything is materialized: Volatile nodes
+	// (one slab) and payload copies are then laid out in index order,
+	// and the drain that follows recovery walks memory forward instead
+	// of chasing the allocator's reuse pattern.
+	type key struct {
+		index          uint64
+		pline, auxLine uint32
+	}
+	const runLen = 4096
+	var runs [][]key
+	var last uint64
+	sorted := true
 	q.pool = recoverNodePool(h, threads, func(a pmem.Addr) bool {
 		if h.Load(0, a+nodeLinked) != 1 {
 			return false
@@ -610,22 +640,32 @@ func RecoverCore[P any](h *pmem.Heap, threads int, acked bool, codec Codec[P], a
 		if idx <= frontier {
 			return false
 		}
-		p, auxAddr, ok := codec.Read(h, a)
-		if ok {
-			live = append(live, &node[P]{payload: p, index: idx, pline: lineOf(a), auxLine: lineOf(auxAddr)})
+		auxAddr, ok := codec.Check(h, a)
+		if !ok {
+			return false
 		}
-		return ok
+		if n := len(runs); n == 0 || len(runs[n-1]) == runLen {
+			runs = append(runs, make([]key, 0, runLen))
+		}
+		r := &runs[len(runs)-1]
+		*r = append(*r, key{idx, lineOf(a), lineOf(auxAddr)})
+		sorted = sorted && last <= idx
+		last = idx
+		return true
 	})
-	sort.Slice(live, func(i, j int) bool { return live[i].index < live[j].index })
-	for i := 1; i < len(live); i++ {
-		if live[i].index == live[i-1].index {
-			panic(fmt.Sprintf("queues: recovery found two live nodes with index %d", live[i].index))
+	keys := slices.Concat(runs...)
+	if !sorted {
+		slices.SortFunc(keys, func(a, b key) int { return cmp.Compare(a.index, b.index) })
+	}
+	for i := 1; i < len(keys); i++ {
+		if keys[i].index == keys[i-1].index {
+			panic(fmt.Sprintf("queues: recovery found two live nodes with index %d", keys[i].index))
 		}
 	}
 	if aux != nil {
-		liveAux := make(map[uint32]bool, len(live))
-		for _, n := range live {
-			liveAux[n.auxLine] = true
+		liveAux := make(map[uint32]bool, len(keys))
+		for _, k := range keys {
+			liveAux[k.auxLine] = true
 		}
 		q.aux = ssmem.RecoverPool(h, *aux, func(a pmem.Addr) bool { return liveAux[lineOf(a)] })
 	}
@@ -635,7 +675,10 @@ func RecoverCore[P any](h *pmem.Heap, threads int, acked bool, codec Codec[P], a
 	h.Store(0, dummyPn+nodeIndex, frontier)
 	prev := &node[P]{index: frontier, pline: lineOf(dummyPn)}
 	q.head.Store(prev)
-	for _, n := range live {
+	live := make([]node[P], len(keys))
+	for i, k := range keys {
+		n := &live[i]
+		n.payload, n.index, n.pline, n.auxLine = codec.Read(h, lineAddr(k.pline)), k.index, k.pline, k.auxLine
 		prev.next.Store(n)
 		prev = n
 	}

@@ -17,9 +17,9 @@ func (wordCodec) Write(h *pmem.Heap, tid int, pn, _ pmem.Addr, v uint64) uint64 
 	return v
 }
 
-func (wordCodec) Read(h *pmem.Heap, pn pmem.Addr) (uint64, pmem.Addr, bool) {
-	return h.Load(0, pn+NodePayload), 0, true
-}
+func (wordCodec) Check(*pmem.Heap, pmem.Addr) (pmem.Addr, bool) { return 0, true }
+
+func (wordCodec) Read(h *pmem.Heap, pn pmem.Addr) uint64 { return h.Load(0, pn+NodePayload) }
 
 // NewOptUnlinkedQ creates an empty OptUnlinkedQ.
 func NewOptUnlinkedQ(h *pmem.Heap, threads int) *OptUnlinkedQ {

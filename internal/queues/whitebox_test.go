@@ -2,8 +2,10 @@ package queues
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
+	"unsafe"
 
 	"repro/internal/pmem"
 )
@@ -292,5 +294,103 @@ func TestHeavyChurnReuse(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestRecoveryReversedSlotOrder recovers a backlog whose slot order is
+// the exact reverse of its index order — the queue was drained on tid
+// 1, and tid 0 refilled it from the depot chunk tid 1 donated, popping
+// addresses from the top down — and demands the state recovery builds
+// from a backlog with the same indices in never-recycled, ascending
+// slots: the same chain, materialized in index order, the same ack
+// frontier and redelivery set, the same seeded elision cache.
+func TestRecoveryReversedSlotOrder(t *testing.T) {
+	const drained, backlog, leased = 700, 100, 5
+	type recovered struct {
+		idxs, vals    []uint64
+		lastPersisted []uint64
+		ackedTo       uint64
+		unackedVals   []uint64
+		unackedIdxs   []uint64
+	}
+	run := func(t *testing.T, acked, recycle bool) recovered {
+		h := crashHeap(t, 2)
+		q := NewCore[uint64](h, 2, 0, acked, wordCodec{}, nil)
+		v := uint64(0)
+		fill := func(n int) {
+			for i := 0; i < n; i++ {
+				v++
+				q.Enqueue(0, v)
+			}
+		}
+		consume := func() {
+			for i := 0; i < drained; i++ {
+				if _, ok := q.Dequeue(1); !ok {
+					t.Fatal("queue ran dry during the drain")
+				}
+			}
+		}
+		if recycle {
+			fill(drained)
+			consume()
+			fill(backlog)
+		} else {
+			fill(drained + backlog)
+			consume()
+		}
+		// Slot order of the backlog, along the chain.
+		var plines []uint32
+		for n := q.head.Load().next.Load(); n != nil; n = n.next.Load() {
+			plines = append(plines, n.pline)
+		}
+		if len(plines) != backlog || !slices.IsSortedFunc(plines, func(a, b uint32) int {
+			if recycle {
+				a, b = b, a
+			}
+			return int(a) - int(b)
+		}) {
+			t.Fatalf("recycle=%v: backlog slots %v are not in the order this test is about", recycle, plines)
+		}
+		if acked {
+			q.DequeueLeased(1, leased) // delivered, never acknowledged
+		}
+		h.CrashNow()
+		h.FinalizeCrash(rand.New(rand.NewSource(1)))
+		h.Restart()
+
+		rq := RecoverCore[uint64](h, 2, acked, wordCodec{}, nil)
+		var r recovered
+		var prev uintptr
+		for n := rq.head.Load().next.Load(); n != nil; n = n.next.Load() {
+			r.idxs, r.vals = append(r.idxs, n.index), append(r.vals, n.payload)
+			if at := uintptr(unsafe.Pointer(n)); at <= prev {
+				t.Fatalf("recycle=%v: node with index %d lies below its predecessor in memory", recycle, n.index)
+			} else {
+				prev = at
+			}
+		}
+		for tid := range rq.per {
+			r.lastPersisted = append(r.lastPersisted, rq.per[tid].lastPersisted)
+		}
+		if acked {
+			r.ackedTo = rq.AckedTo()
+			rq.DequeueLeased(1, leased)
+			r.unackedVals, r.unackedIdxs = rq.Unacked()
+		}
+		return r
+	}
+	for _, acked := range []bool{false, true} {
+		inOrder, reversed := run(t, acked, false), run(t, acked, true)
+		if len(inOrder.idxs) != backlog || inOrder.idxs[0] != drained+1 || !slices.IsSorted(inOrder.idxs) {
+			t.Fatalf("acked=%v: in-order recovery chained indices %v", acked, inOrder.idxs)
+		}
+		if acked && (inOrder.ackedTo != drained || len(inOrder.unackedIdxs) != leased) {
+			t.Fatalf("acked=%v: in-order recovery acked to %d with %v unacked", acked, inOrder.ackedTo, inOrder.unackedIdxs)
+		}
+		if !slices.Equal(inOrder.idxs, reversed.idxs) || !slices.Equal(inOrder.vals, reversed.vals) ||
+			!slices.Equal(inOrder.lastPersisted, reversed.lastPersisted) || inOrder.ackedTo != reversed.ackedTo ||
+			!slices.Equal(inOrder.unackedVals, reversed.unackedVals) || !slices.Equal(inOrder.unackedIdxs, reversed.unackedIdxs) {
+			t.Fatalf("acked=%v: recovery from reversed slots differs from in-order recovery:\n%+v\n%+v", acked, reversed, inOrder)
+		}
 	}
 }

@@ -87,7 +87,8 @@ func TestQuickAreasDisjoint(t *testing.T) {
 
 // TestQuickRecoverPartition asserts that after a crash, RecoverPool
 // partitions every slot exactly once between the live set and the
-// free lists, for arbitrary live subsets.
+// depot, for arbitrary live subsets, and that either tid can then
+// allocate all of the depot before any new area opens.
 func TestQuickRecoverPartition(t *testing.T) {
 	prop := func(seed int64, liveMask uint64) bool {
 		rng := rand.New(rand.NewSource(seed))
@@ -123,11 +124,11 @@ func TestQuickRecoverPartition(t *testing.T) {
 				return false
 			}
 		}
-		free := rp.FreeLen(0) + rp.FreeLen(1)
-		if free != total-len(live) {
+		if free := rp.Stats().DepotFree; free != total-len(live) {
 			t.Logf("seed %d: free %d, want %d", seed, free, total-len(live))
 			return false
 		}
+		allocAllOnce(t, rp, rng.Intn(2), total-len(live), live)
 		return true
 	}
 	if err := quick.Check(prop, &quick.Config{MaxCount: 30}); err != nil {

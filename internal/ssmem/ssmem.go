@@ -10,6 +10,17 @@
 // volatile free list; reclamation is deferred through a three-epoch
 // EBR scheme so that a node is only reused once no operation that
 // might still reference it is in flight.
+//
+// Free slots also move between threads, through a shared volatile
+// depot: a thread whose free list passes two chunks donates the top
+// one, a thread whose list is empty takes one before it touches fresh
+// memory, and recovery files every non-live slot there. Without it a
+// thread that only allocates (a producer) would open new areas for
+// ever while the thread that only retires (its consumer) hoarded the
+// slots. Only a free list feeds the depot, so every address in it has
+// already passed its grace period and is safe for any thread; the
+// depot is volatile, and RecoverPool rebuilds it from the liveness
+// scan; and moving an address persists nothing.
 package ssmem
 
 import (
@@ -48,6 +59,18 @@ const (
 	regEntryWords  = 2 // base, slots (slot size is in the pool config)
 	retireAdvanceN = 64
 	ebrIdle        = ^uint64(0)
+	// chunkSlots is the unit in which free slots cross threads. A
+	// thread donates down to two chunks once it holds more, so it keeps
+	// more than one for itself and takes the depot lock once per chunk.
+	chunkSlots = 128
+	// limboRing is the number of limbo buckets a thread needs: a bucket
+	// is drained two epochs after it was filled, so only the current
+	// and the previous epoch's are ever occupied together.
+	limboRing = 3
+	// maxSpare bounds the emptied chunk buffers the depot keeps for the
+	// next donation; steady traffic needs one or two, and a recovered
+	// depot being drained should hand the rest to the collector.
+	maxSpare = 8
 )
 
 type ebrSlot struct {
@@ -64,9 +87,22 @@ type threadState struct {
 	free     []pmem.Addr
 	areaNext pmem.Addr
 	areaEnd  pmem.Addr
-	limbo    []limboBucket
-	retires  uint64
-	_        [40]byte
+	// limbo[e%limboRing] collects what was retired in epoch e; the
+	// buckets' backing arrays are reused from epoch to epoch.
+	limbo   [limboRing]limboBucket
+	retires uint64
+	_       [48]byte
+}
+
+// depot holds the free slots that belong to no thread, in chunks of at
+// most chunkSlots addresses.
+type depot struct {
+	mu    sync.Mutex
+	full  [][]pmem.Addr
+	spare [][]pmem.Addr // emptied chunk buffers
+	// free counts the addresses in full; read without mu by Alloc, so
+	// that a pool nobody donates to never takes the lock.
+	free atomic.Int64
 }
 
 // Pool is a durable fixed-size allocator. Methods taking a tid are
@@ -77,9 +113,11 @@ type Pool struct {
 	cfg     Config
 	regAddr pmem.Addr
 	areaMu  sync.Mutex
+	areas   atomic.Int64 // volatile copy of the registry's count
 	epoch   atomic.Uint64
 	slots   []ebrSlot
 	per     []threadState
+	depot   depot
 }
 
 func validate(cfg *Config) {
@@ -118,9 +156,9 @@ func NewPool(h *pmem.Heap, cfg Config) *Pool {
 
 // RecoverPool re-attaches to the pool anchored at cfg.RootSlot after a
 // crash and restart. live reports whether a slot is still owned by the
-// recovered data structure; every non-live slot is placed back on a
-// free list. live is invoked exactly once per slot ever allocated from
-// the registry's areas.
+// recovered data structure; every non-live slot goes to the depot,
+// where whichever thread allocates first finds it. live is invoked
+// exactly once per slot of the registry's areas.
 func RecoverPool(h *pmem.Heap, cfg Config, live func(pmem.Addr) bool) *Pool {
 	validate(&cfg)
 	p := newPoolCommon(h, cfg)
@@ -129,14 +167,21 @@ func RecoverPool(h *pmem.Heap, cfg Config, live func(pmem.Addr) bool) *Pool {
 	if p.regAddr == 0 {
 		panic("ssmem: RecoverPool on an empty root slot")
 	}
-	next := 0
+	p.areas.Store(int64(h.Load(0, p.regAddr)))
+	d := &p.depot
+	free := 0
 	p.forEachSlot(func(a pmem.Addr) {
-		if !live(a) {
-			ts := &p.per[next%cfg.Threads]
-			ts.free = append(ts.free, a)
-			next++
+		if live(a) {
+			return
 		}
+		if free%chunkSlots == 0 {
+			d.full = append(d.full, make([]pmem.Addr, 0, chunkSlots))
+		}
+		c := &d.full[len(d.full)-1]
+		*c = append(*c, a)
+		free++
 	})
+	d.free.Store(int64(free))
 	return p
 }
 
@@ -177,21 +222,62 @@ func (p *Pool) Exit(tid int) {
 // on real hardware.
 func (p *Pool) Alloc(tid int) pmem.Addr {
 	ts := &p.per[tid]
-	if n := len(ts.free); n > 0 {
-		a := ts.free[n-1]
-		ts.free = ts.free[:n-1]
-		p.clearSlotState(a)
-		return a
-	}
-	if ts.areaNext < ts.areaEnd {
+	if len(ts.free) == 0 && !p.takeChunk(ts) {
+		if ts.areaNext == ts.areaEnd {
+			p.newArea(tid)
+		}
 		a := ts.areaNext
 		ts.areaNext += pmem.Addr(p.cfg.SlotBytes)
 		return a
 	}
-	p.newArea(tid)
-	a := ts.areaNext
-	ts.areaNext += pmem.Addr(p.cfg.SlotBytes)
+	n := len(ts.free) - 1
+	a := ts.free[n]
+	ts.free = ts.free[:n]
+	p.clearSlotState(a)
 	return a
+}
+
+// takeChunk moves one chunk from the depot to ts's empty free list.
+func (p *Pool) takeChunk(ts *threadState) bool {
+	d := &p.depot
+	if d.free.Load() == 0 {
+		return false
+	}
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	n := len(d.full)
+	if n == 0 {
+		return false
+	}
+	c := d.full[n-1]
+	d.full = d.full[:n-1]
+	d.free.Add(-int64(len(c)))
+	ts.free = append(ts.free, c...)
+	if len(d.spare) < maxSpare {
+		d.spare = append(d.spare, c[:0])
+	}
+	return true
+}
+
+// donate moves the top of ts's free list to the depot, chunk by chunk,
+// until no more than two chunks are left. Everything on a free list is
+// past its grace period, so any thread may reuse it.
+func (p *Pool) donate(ts *threadState) {
+	d := &p.depot
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	for len(ts.free) > 2*chunkSlots {
+		var c []pmem.Addr
+		if n := len(d.spare); n > 0 {
+			c, d.spare = d.spare[n-1], d.spare[:n-1]
+		} else {
+			c = make([]pmem.Addr, 0, chunkSlots)
+		}
+		top := len(ts.free) - chunkSlots
+		d.full = append(d.full, append(c, ts.free[top:]...))
+		d.free.Add(chunkSlots)
+		ts.free = ts.free[:top]
+	}
 }
 
 // clearSlotState resets the cache-simulation state of a recycled
@@ -203,17 +289,17 @@ func (p *Pool) clearSlotState(a pmem.Addr) {
 	}
 }
 
-// Retire hands a node to the EBR machinery; it will reappear on tid's
-// free list once two epoch advances prove no concurrent operation can
-// still hold a reference.
+// Retire hands a node to the EBR machinery; it will reappear on a free
+// list — tid's, or through the depot another thread's — once two epoch
+// advances prove no concurrent operation can still hold a reference.
 func (p *Pool) Retire(tid int, a pmem.Addr) {
 	ts := &p.per[tid]
 	e := p.epoch.Load()
 	p.drainLimbo(ts, e)
-	if n := len(ts.limbo); n == 0 || ts.limbo[n-1].epoch != e {
-		ts.limbo = append(ts.limbo, limboBucket{epoch: e})
-	}
-	b := &ts.limbo[len(ts.limbo)-1]
+	// The drain left this bucket empty or already on epoch e: anything
+	// else in it is at least limboRing epochs old.
+	b := &ts.limbo[e%limboRing]
+	b.epoch = e
 	b.addrs = append(b.addrs, a)
 	ts.retires++
 	if ts.retires%retireAdvanceN == 0 {
@@ -225,13 +311,22 @@ func (p *Pool) Retire(tid int, a pmem.Addr) {
 // when no concurrent operation can reference it (e.g. during
 // single-threaded recovery).
 func (p *Pool) FreeImmediate(tid int, a pmem.Addr) {
-	p.per[tid].free = append(p.per[tid].free, a)
+	ts := &p.per[tid]
+	ts.free = append(ts.free, a)
+	if len(ts.free) > 2*chunkSlots {
+		p.donate(ts)
+	}
 }
 
 func (p *Pool) drainLimbo(ts *threadState, e uint64) {
-	for len(ts.limbo) > 0 && ts.limbo[0].epoch+2 <= e {
-		ts.free = append(ts.free, ts.limbo[0].addrs...)
-		ts.limbo = ts.limbo[1:]
+	for i := range ts.limbo {
+		if b := &ts.limbo[i]; len(b.addrs) > 0 && b.epoch+2 <= e {
+			ts.free = append(ts.free, b.addrs...)
+			b.addrs = b.addrs[:0]
+		}
+	}
+	if len(ts.free) > 2*chunkSlots {
+		p.donate(ts)
 	}
 }
 
@@ -265,6 +360,7 @@ func (p *Pool) newArea(tid int) {
 	p.h.Fence(tid)
 	p.h.Store(tid, p.regAddr, count+1)
 	p.h.Persist(tid, p.regAddr)
+	p.areas.Store(int64(count + 1))
 
 	ts := &p.per[tid]
 	ts.areaNext = base
@@ -289,7 +385,38 @@ func (p *Pool) forEachSlot(fn func(pmem.Addr)) {
 }
 
 // AreaCount reports how many designated areas have been registered.
-func (p *Pool) AreaCount() int { return int(p.h.Load(0, p.regAddr)) }
+// It touches no simulated memory.
+func (p *Pool) AreaCount() int { return int(p.areas.Load()) }
+
+// Stats is a pool's footprint. Every slot of every area is either held
+// by the data structure or counted in exactly one of the three slot
+// fields, so Areas × SlotsPerArea minus their sum is the live count.
+type Stats struct {
+	Areas int
+	// ThreadFree is what threads can hand out without leaving their own
+	// state: free lists plus the unused tail of each thread's area.
+	ThreadFree int
+	// DepotFree is what any thread can take from the depot.
+	DepotFree int
+	// Limbo is what was retired and is still inside its grace period.
+	Limbo int
+}
+
+// Stats reports the pool's footprint. Areas and DepotFree are exact at
+// any time; the per-thread sums follow pmem's statistics quiescence
+// contract — exact when the pool's threads are quiescent, a benign
+// torn view otherwise. It touches no simulated memory.
+func (p *Pool) Stats() Stats {
+	s := Stats{Areas: p.AreaCount(), DepotFree: int(p.depot.free.Load())}
+	for i := range p.per {
+		ts := &p.per[i]
+		s.ThreadFree += len(ts.free) + int(ts.areaEnd-ts.areaNext)/p.cfg.SlotBytes
+		for j := range ts.limbo {
+			s.Limbo += len(ts.limbo[j].addrs)
+		}
+	}
+	return s
+}
 
 // Area describes one registered designated area.
 type Area struct {
@@ -330,7 +457,3 @@ func ValidSlot(areas []Area, slotBytes int, a pmem.Addr) bool {
 	}
 	return false
 }
-
-// FreeLen reports the length of tid's free list (excluding limbo).
-// Intended for tests.
-func (p *Pool) FreeLen(tid int) int { return len(p.per[tid].free) }

@@ -51,46 +51,65 @@ func TestRetireReuseAfterEpochs(t *testing.T) {
 		p.Retire(0, b)
 		p.Exit(0)
 	}
-	if p.FreeLen(0) == 0 {
+	if p.Stats().ThreadFree == 0 {
 		t.Fatal("nothing was ever reclaimed")
 	}
 }
 
+// TestEBRBlocksReuseWhileActive holds an epoch open on one thread and
+// checks that a slot retired meanwhile is handed to nobody — neither
+// to the thread that retired it nor, through the depot, to another —
+// until the holder leaves.
 func TestEBRBlocksReuseWhileActive(t *testing.T) {
-	h := newHeap(t, pmem.ModePerf)
-	p := NewPool(h, Config{SlotBytes: 64, SlotsPerArea: 8, Threads: 2, RootSlot: 0})
-	victim := p.Alloc(1)
+	for _, tc := range []struct {
+		name          string
+		reuser, ahead int
+	}{
+		{"same-tid", 1, 0},
+		// A thread keeps the bottom two chunks of its free list to
+		// itself; retire that many ahead of the victim so that the
+		// victim is among what thread 1 gives away.
+		{"other-tid", 2, 2 * chunkSlots},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			h := newHeap(t, pmem.ModePerf)
+			p := NewPool(h, Config{SlotBytes: 64, SlotsPerArea: 8, Threads: 3, RootSlot: 0})
+			var ahead []pmem.Addr
+			for i := 0; i < tc.ahead; i++ {
+				ahead = append(ahead, p.Alloc(1))
+			}
+			victim := p.Alloc(1)
 
-	p.Enter(0) // thread 0 holds an epoch open, as if mid-operation
-	p.Enter(1)
-	p.Retire(1, victim)
-	p.Exit(1)
+			p.Enter(0) // thread 0 holds an epoch open, as if mid-operation
+			p.Enter(1)
+			for _, a := range ahead {
+				p.Retire(1, a)
+			}
+			p.Retire(1, victim)
+			p.Exit(1)
 
-	// Thread 1 churns; the victim must never be handed out while
-	// thread 0 is still inside its operation.
-	for i := 0; i < 5*retireAdvanceN; i++ {
-		p.Enter(1)
-		b := p.Alloc(1)
-		if b == victim {
-			t.Fatal("victim reused while another thread was active in an older epoch")
-		}
-		p.Retire(1, b)
-		p.Exit(1)
-	}
-	p.Exit(0)
-	// Now reuse must eventually happen.
-	reused := false
-	for i := 0; i < 20*retireAdvanceN && !reused; i++ {
-		p.Enter(1)
-		b := p.Alloc(1)
-		if b == victim {
-			reused = true
-		}
-		p.Retire(1, b)
-		p.Exit(1)
-	}
-	if !reused {
-		t.Fatal("victim never reclaimed after all threads exited")
+			// churn allocates on the reuser and retires on thread 1, so
+			// with reuser != 1 every reused slot crossed the depot.
+			churn := func(rounds int) (sawVictim bool) {
+				for i := 0; i < rounds; i++ {
+					p.Enter(tc.reuser)
+					b := p.Alloc(tc.reuser)
+					p.Exit(tc.reuser)
+					sawVictim = sawVictim || b == victim
+					p.Enter(1)
+					p.Retire(1, b)
+					p.Exit(1)
+				}
+				return sawVictim
+			}
+			if churn(20 * chunkSlots) {
+				t.Fatal("victim reused while another thread was active in an older epoch")
+			}
+			p.Exit(0)
+			if !churn(20 * chunkSlots) {
+				t.Fatal("victim never reclaimed after all threads exited")
+			}
+		})
 	}
 }
 
@@ -129,6 +148,93 @@ func TestConcurrentAllocNoDoubleHandout(t *testing.T) {
 	}
 }
 
+// TestSplitTidsNoDoubleHandout is the asymmetric hammer: half the tids
+// only allocate, the other half only retire what they are handed, so
+// every reused slot crossed the depot. No slot may be handed out while
+// its previous holder has not let go of it, and the pool must stop
+// growing although it serves many times its own size.
+func TestSplitTidsNoDoubleHandout(t *testing.T) {
+	h := pmem.New(pmem.Config{Bytes: 32 << 20, MaxThreads: 8})
+	const threads, per, slotsPerArea = 4, 40000, 128
+	p := NewPool(h, Config{SlotBytes: 64, SlotsPerArea: slotsPerArea, Threads: threads, RootSlot: 0})
+	var mu sync.Mutex
+	held := map[pmem.Addr]bool{}
+	// The buffer is the backlog a consumer may fall behind by; with the
+	// limbo and the free lists it bounds the slots in use at once.
+	handoff := make(chan pmem.Addr, 64)
+	var producers, consumers sync.WaitGroup
+	for tid := 0; tid < threads/2; tid++ {
+		producers.Add(1)
+		go func(tid int) {
+			defer producers.Done()
+			for i := 0; i < per; i++ {
+				p.Enter(tid)
+				a := p.Alloc(tid)
+				p.Exit(tid)
+				mu.Lock()
+				if held[a] {
+					t.Errorf("slot %d handed to tid %d while still held", a, tid)
+				}
+				held[a] = true
+				mu.Unlock()
+				handoff <- a
+			}
+		}(tid)
+	}
+	for tid := threads / 2; tid < threads; tid++ {
+		consumers.Add(1)
+		go func(tid int) {
+			defer consumers.Done()
+			for a := range handoff {
+				mu.Lock()
+				delete(held, a)
+				mu.Unlock()
+				p.Enter(tid)
+				p.Retire(tid, a)
+				p.Exit(tid)
+			}
+		}(tid)
+	}
+	producers.Wait()
+	close(handoff)
+	consumers.Wait()
+	served := threads / 2 * per
+	if slots := p.AreaCount() * slotsPerArea; slots > served/4 {
+		t.Fatalf("pool grew to %d slots to serve %d allocations: slots retired on one tid are not reaching the allocating tids", slots, served)
+	}
+	st := p.Stats()
+	if free := st.ThreadFree + st.DepotFree + st.Limbo; free != st.Areas*slotsPerArea {
+		t.Fatalf("everything was retired, but %+v accounts for %d of %d slots", st, free, st.Areas*slotsPerArea)
+	}
+}
+
+// TestSteadyStateAllocatesNothing pins the split-tid cycle — tid 0
+// allocates, tid 1 retires — at zero Go allocations and zero new areas
+// once the limbo ring, the free lists and the depot's chunk buffers
+// have reached their working size.
+func TestSteadyStateAllocatesNothing(t *testing.T) {
+	h := newHeap(t, pmem.ModePerf)
+	p := NewPool(h, Config{SlotBytes: 64, Threads: 2, RootSlot: 0})
+	cycle := func() {
+		for i := 0; i < 4*chunkSlots; i++ {
+			a := p.Alloc(0)
+			p.Enter(1)
+			p.Retire(1, a)
+			p.Exit(1)
+		}
+	}
+	for i := 0; i < 50; i++ {
+		cycle()
+	}
+	areas := p.AreaCount()
+	if got := testing.AllocsPerRun(100, cycle); got != 0 {
+		t.Fatalf("warmed Alloc/Retire cycle across tids = %v allocs per %d slots, want 0", got, 4*chunkSlots)
+	}
+	if p.AreaCount() != areas || areas != 1 {
+		t.Fatalf("areas %d -> %d over a one-slot-deep cycle, want 1 throughout", areas, p.AreaCount())
+	}
+}
+
 func TestRecoverPoolRebuildsFreeLists(t *testing.T) {
 	h := newHeap(t, pmem.ModeCrash)
 	cfg := Config{SlotBytes: 64, SlotsPerArea: 16, Threads: 2, RootSlot: 0}
@@ -154,16 +260,32 @@ func TestRecoverPoolRebuildsFreeLists(t *testing.T) {
 	if seen != total {
 		t.Fatalf("live() saw %d slots, want %d", seen, total)
 	}
-	free := rp.FreeLen(0) + rp.FreeLen(1)
-	if free != total-len(liveSet) {
-		t.Fatalf("recovered free slots = %d, want %d", free, total-len(liveSet))
+	free := total - len(liveSet)
+	if st := rp.Stats(); st.DepotFree != free || st.ThreadFree != 0 || st.Limbo != 0 {
+		t.Fatalf("recovered pool %+v, want all %d non-live slots in the depot", st, free)
 	}
-	// Recovered free slots must be usable and disjoint from live ones.
+	allocAllOnce(t, rp, 1, free, liveSet)
+}
+
+// allocAllOnce checks that tid alone can allocate every one of the
+// pool's free slots exactly once, none of them live, before the pool
+// opens a new area.
+func allocAllOnce(t testing.TB, p *Pool, tid, free int, live map[pmem.Addr]bool) {
+	t.Helper()
+	areas := p.AreaCount()
+	seen := map[pmem.Addr]bool{}
 	for i := 0; i < free; i++ {
-		a := rp.Alloc(i % 2)
-		if liveSet[a] {
-			t.Fatalf("recovery handed out live slot %d", a)
+		a := p.Alloc(tid)
+		if live[a] || seen[a] {
+			t.Fatalf("allocation %d handed out slot %d (live %v, already handed out %v)", i, a, live[a], seen[a])
 		}
+		seen[a] = true
+	}
+	if st := p.Stats(); st != (Stats{Areas: areas}) {
+		t.Fatalf("after allocating every free slot: %+v, want nothing free in %d areas", st, areas)
+	}
+	if p.Alloc(tid); p.AreaCount() != areas+1 {
+		t.Fatalf("the allocation after the last free slot left %d areas, want %d", p.AreaCount(), areas+1)
 	}
 }
 
