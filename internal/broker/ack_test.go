@@ -2,13 +2,9 @@ package broker
 
 import (
 	"bytes"
-	"fmt"
 	"math/rand"
-	"runtime"
-	"sync"
 	"sync/atomic"
 	"testing"
-	"time"
 
 	"repro/internal/pmem"
 )
@@ -31,7 +27,7 @@ func (c *logicalClock) Advance(d uint64) { c.v.Add(d) }
 func newAckedBroker(t *testing.T, heaps, threads int, mode pmem.Mode) (*pmem.HeapSet, *Broker) {
 	t.Helper()
 	hs := pmem.NewSet(heaps, pmem.Config{Bytes: 64 << 20, Mode: mode, MaxThreads: threads})
-	b, err := NewSet(hs, Config{Topics: twoAckedTopics(), Threads: threads, AckGroups: 1})
+	b, err := newBroker(hs, Options{Threads: threads}, twoAckedTopics(), 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -317,7 +313,7 @@ func TestAckedRecoveryExactlyOnce(t *testing.T) {
 	hs.FinalizeCrash(rand.New(rand.NewSource(31)))
 	hs.Restart()
 
-	r, err := RecoverSet(hs, 2)
+	r, err := Open(hs, Options{Threads: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -365,251 +361,5 @@ func TestAckedRecoveryExactlyOnce(t *testing.T) {
 	// after it — exactly once, no allowance.
 	if total := len(acked) + len(seen); total != 2*n {
 		t.Fatalf("processed %d distinct messages, want %d", total, 2*n)
-	}
-}
-
-// TestBrokerCrashFuzzConsumerCrash is the consumer-crash fuzz tier:
-// concurrent producers and an acked consumer group run while a killer
-// repeatedly crashes a random consumer mid-batch (after delivery,
-// before acknowledgment), waits out its lease, and adopts its shards
-// into a survivor; partway through, a full-system crash downs the
-// whole heap set. The broker is recovered, a fresh group binds the
-// lease region, and the audit demands exactly-once processing: no
-// message is ever acknowledged twice (no acked message is redelivered,
-// by takeover or by recovery), and every acknowledged publish is
-// processed exactly once, up to the window-sized observer gap of acks
-// whose fence completed just before the crash cut off the record.
-func TestBrokerCrashFuzzConsumerCrash(t *testing.T) {
-	seeds := []int64{41, 42, 43}
-	if testing.Short() {
-		seeds = seeds[:1]
-	}
-	for _, seed := range seeds {
-		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) { consumerCrashRound(t, seed) })
-	}
-}
-
-func consumerCrashRound(t *testing.T, seed int64) {
-	const (
-		producers   = 2
-		consumers   = 3
-		perProducer = 2000
-		window      = 8
-		heaps       = 2
-		threads     = producers + consumers
-	)
-	hs := pmem.NewSet(heaps, pmem.Config{Bytes: 64 << 20, Mode: pmem.ModeCrash, MaxThreads: threads})
-	b, err := NewSet(hs, Config{Topics: twoAckedTopics(), Threads: threads, AckGroups: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	clk := &logicalClock{}
-	g, err := b.NewGroupAcked([]string{"events", "jobs"}, consumers, LeaseConfig{TTL: 5, Now: clk.Now})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// The window matches this workload's real access volume (~4000
-	// messages ≈ 90k accesses across the set, counting lease and ack
-	// traffic), so the crash usually lands mid-traffic — with kills and
-	// takeovers already behind it — rather than at quiescence.
-	crashRng := rand.New(rand.NewSource(seed))
-	hs.Heap(crashRng.Intn(heaps)).ScheduleCrashAtAccess((10_000 + int64(crashRng.Intn(60_000))) / int64(heaps))
-
-	acked := make([][]uint64, producers)
-	processed := make([]map[uint64]bool, consumers) // acked-and-recorded, per consumer
-	var killFlag [consumers]atomic.Bool
-	var consumerDone [consumers]chan struct{}
-	var producersDone sync.WaitGroup
-	var wg sync.WaitGroup
-	var start sync.WaitGroup
-	start.Add(1)
-
-	for p := 0; p < producers; p++ {
-		wg.Add(1)
-		producersDone.Add(1)
-		go func(p int) {
-			defer wg.Done()
-			defer producersDone.Done()
-			start.Wait()
-			rng := rand.New(rand.NewSource(seed*887 + int64(p)))
-			events, jobs := b.Topic("events"), b.Topic("jobs")
-			for m := uint64(1); m <= perProducer; {
-				runtime.Gosched()
-				id := uint64(p+1)<<32 | m
-				switch rng.Intn(3) {
-				case 0:
-					if pmem.Protect(func() { events.Publish(p, U64(id)) }) {
-						return
-					}
-					acked[p] = append(acked[p], id)
-					m++
-				default:
-					var batch [][]byte
-					var ids []uint64
-					for len(batch) < 6 && m <= perProducer {
-						ids = append(ids, uint64(p+1)<<32|m)
-						batch = append(batch, blobPayload(ids[len(ids)-1]))
-						m++
-					}
-					if pmem.Protect(func() { jobs.PublishBatch(p, batch) }) {
-						return
-					}
-					acked[p] = append(acked[p], ids...)
-				}
-			}
-		}(p)
-	}
-
-	done := make(chan struct{})
-	go func() { producersDone.Wait(); close(done) }()
-	for c := 0; c < consumers; c++ {
-		wg.Add(1)
-		processed[c] = map[uint64]bool{}
-		consumerDone[c] = make(chan struct{})
-		go func(c int) {
-			defer wg.Done()
-			defer close(consumerDone[c])
-			start.Wait()
-			tid := producers + c
-			cons := g.Consumer(c)
-			idle := false
-			for {
-				runtime.Gosched()
-				var ms []Message
-				if pmem.Protect(func() { ms = cons.PollBatch(tid, window) }) {
-					return // full-system crash mid-poll
-				}
-				if len(ms) > 0 {
-					idle = false
-					for _, m := range ms {
-						id := AsU64(m.Payload[:8])
-						if m.Topic == "jobs" && !bytes.Equal(m.Payload, blobPayload(id)) {
-							t.Errorf("consumer %d: payload of %#x corrupted", c, id)
-						}
-					}
-					// "Crash" mid-batch: delivered, never acknowledged —
-					// the window must be redelivered via takeover.
-					if killFlag[c].Load() {
-						return
-					}
-					if pmem.Protect(func() { cons.Ack(tid) }) || hs.Crashed() {
-						// Crash mid-ack: the ack may or may not be durable. And
-						// once the set is down nothing is recorded: the crash
-						// signal is raised only at a pmem access, so an Ack
-						// that makes none — over redeliveries a crashed
-						// takeover queued without moving their shard — returns
-						// as if it had acknowledged.
-						return
-					}
-					// Only now is the batch processed for the audit.
-					for _, m := range ms {
-						processed[c][AsU64(m.Payload[:8])] = true
-					}
-					continue
-				}
-				select {
-				case <-done:
-					if killFlag[c].Load() {
-						return
-					}
-					if idle {
-						return
-					}
-					idle = true
-				default:
-				}
-			}
-		}(c)
-	}
-
-	// The killer: crash consumers 1 and 2 mid-run, wait out their
-	// leases, adopt their shards into consumer 0.
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		start.Wait()
-		for victim := 1; victim < consumers; victim++ {
-			time.Sleep(time.Duration(1+crashRng.Intn(3)) * time.Millisecond)
-			killFlag[victim].Store(true)
-			<-consumerDone[victim]
-			clk.Advance(1000) // let the victim's leases expire
-			vTid := producers + victim
-			var aerr error
-			if pmem.Protect(func() { _, aerr = g.Adopt(vTid, victim, 0) }) {
-				return // full-system crash during takeover
-			}
-			if aerr != nil {
-				t.Errorf("Adopt(%d -> 0): %v", victim, aerr)
-				return
-			}
-		}
-	}()
-
-	start.Done()
-	wg.Wait()
-	if !hs.Crashed() {
-		hs.CrashNow() // traffic finished first; crash at quiescence
-	}
-	hs.FinalizeCrash(rand.New(rand.NewSource(seed * 17)))
-	hs.Restart()
-
-	r, err := RecoverSet(hs, threads)
-	if err != nil {
-		t.Fatal(err)
-	}
-	clk2 := &logicalClock{}
-	g2, err := r.NewGroupAcked([]string{"events", "jobs"}, 1, LeaseConfig{TTL: 5, Now: clk2.Now})
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	// Exactly-once audit. "Processed" = acknowledged: once pre-crash
-	// (recorded after Ack returned) or once in the post-crash drain.
-	seen := map[uint64]string{}
-	for c := range processed {
-		for id := range processed[c] {
-			if prev, dup := seen[id]; dup {
-				t.Fatalf("message %#x acknowledged twice (%s and consumer %d)", id, prev, c)
-			}
-			seen[id] = fmt.Sprintf("consumer %d", c)
-		}
-	}
-	c2 := g2.Consumer(0)
-	drained := 0
-	for {
-		ms := c2.PollBatch(0, 16)
-		if len(ms) == 0 {
-			break
-		}
-		for _, m := range ms {
-			id := AsU64(m.Payload[:8])
-			if m.Topic == "jobs" && !bytes.Equal(m.Payload, blobPayload(id)) {
-				t.Fatalf("recovered payload of %#x corrupted", id)
-			}
-			if prev, dup := seen[id]; dup {
-				t.Fatalf("message %#x both acknowledged by %s and redelivered after recovery", id, prev)
-			}
-			seen[id] = "post-crash drain"
-			drained++
-		}
-		c2.Ack(0)
-	}
-	lost := 0
-	totalAcked := 0
-	for p := range acked {
-		totalAcked += len(acked[p])
-		for _, id := range acked[p] {
-			if _, ok := seen[id]; !ok {
-				lost++
-			}
-		}
-	}
-	t.Logf("seed %d: published %d, processed pre-crash %d, drained post-crash %d, observer-gap %d",
-		seed, totalAcked, len(seen)-drained, drained, lost)
-	// The only permissible gap: a consumer whose Ack's fence completed
-	// right before the system crash killed it between the fence and the
-	// audit record — at most one poll window per consumer.
-	if allowance := consumers * window; lost > allowance {
-		t.Fatalf("%d acknowledged publishes never processed (allowance %d)", lost, allowance)
 	}
 }

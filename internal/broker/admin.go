@@ -47,26 +47,30 @@ type Options struct {
 	Observer *obs.Observer
 }
 
-type openMode int
-
-const (
-	openAny     openMode = iota // create if empty, recover otherwise
-	openCreate                  // must be empty (legacy NewSet semantics)
-	openRecover                 // must host a broker (legacy RecoverSet semantics)
-)
-
-// Open brings up a broker on the heap set: a set whose anchor heap
-// hosts a catalog is recovered (exactly like RecoverSet, including
-// legacy v1/v2/v3 catalogs), an empty set gets a fresh broker with no
-// topics — create them at runtime with CreateTopic. The anchor stamp
-// is the last persist of creation, so a crash inside Open leaves no
-// broker. Call while no other thread operates; Open itself uses
-// thread id 0.
+// Open brings up a broker on the heap set. Call while no other thread
+// operates; Open itself uses thread id 0.
+//
+// A set whose anchor heap hosts a catalog is recovered, never
+// overwritten. Phase one replays the catalog log on heap 0 record by
+// record and verifies every other member's stamp against it — a set
+// missing a catalogued heap, containing a blank or foreign heap, or
+// assembled in the wrong order is an error, never a silent mis-scan.
+// Phase two replays the paper's per-queue recovery for every shard,
+// heap by heap, the per-heap phases in parallel, then re-binds the
+// lease regions. Options.Threads must equal the bound the broker was
+// created with (it sizes the per-thread head-index regions recovery
+// scans) or be 0 to adopt it.
+//
+// A blank set gets a fresh broker with no topics — create them at
+// runtime with CreateTopic — and needs a positive Options.Threads, so
+// Open(hs, Options{}) is "recover or fail". Every member's anchor slot
+// must be empty: a member carrying a catalog or membership stamp
+// belongs to an existing broker or is left over from a creation that
+// crashed before its anchor was written; either way Open refuses
+// rather than overwrite durable state it did not allocate. The anchor
+// stamp is the last persist of creation, so a crash inside Open leaves
+// no broker.
 func Open(hs *pmem.HeapSet, opts Options) (*Broker, error) {
-	return open(hs, opts, openAny)
-}
-
-func open(hs *pmem.HeapSet, opts Options, mode openMode) (*Broker, error) {
 	h := hs.Heap(0)
 	r := &catReader{h: h}
 	reg := pmem.Addr(r.word(h.RootAddr(slotAnchor)))
@@ -74,15 +78,19 @@ func open(hs *pmem.HeapSet, opts Options, mode openMode) (*Broker, error) {
 		return nil, r.err
 	}
 	if reg == 0 {
-		if mode == openRecover {
-			return nil, fmt.Errorf("broker: no catalog anchored (heap 0 hosts no broker)")
-		}
 		return openFresh(hs, opts)
 	}
-	if mode == openCreate {
-		return nil, checkMemberEmpty(h, 0)
+	return openExisting(hs, opts, reg)
+}
+
+// checkObserver refuses an observer that admits fewer thread ids than
+// the broker: both open paths ask before their first persist, so a
+// refused Open leaves the set as it found it.
+func checkObserver(o *obs.Observer, threads int) error {
+	if o != nil && o.Threads() < threads {
+		return fmt.Errorf("broker: observer admits %d thread ids, broker needs %d", o.Threads(), threads)
 	}
-	return openExisting(hs, opts)
+	return nil
 }
 
 // openFresh creates an empty broker: membership stamps on heaps 1..,
@@ -102,6 +110,9 @@ func openFresh(hs *pmem.HeapSet, opts Options) (*Broker, error) {
 	if err := checkSet(hs, opts.Threads); err != nil {
 		return nil, err
 	}
+	if err := checkObserver(opts.Observer, opts.Threads); err != nil {
+		return nil, err
+	}
 	for i := 0; i < hs.Len(); i++ {
 		if err := checkMemberEmpty(hs.Heap(i), i); err != nil {
 			return nil, err
@@ -113,9 +124,7 @@ func openFresh(hs *pmem.HeapSet, opts Options) (*Broker, error) {
 	}
 	b.cat = createCatalogLog(hs, 0, opts.Threads, opts.CatalogLines)
 	b.snap.Store(&topicSet{byName: map[string]*Topic{}})
-	if err := b.observe(opts.Observer); err != nil {
-		return nil, err
-	}
+	b.observe(opts.Observer)
 	return b, nil
 }
 
@@ -123,13 +132,11 @@ func openFresh(hs *pmem.HeapSet, opts Options) (*Broker, error) {
 // heap-stat provider, plus gauge state for every topic the broker
 // already has (recovery re-registers by name, so an observer that
 // outlives the broker keeps its counters). Establishes the invariant
-// the hot paths rely on: b.obs != nil ⇒ every topic has ostats.
-func (b *Broker) observe(o *obs.Observer) error {
+// the hot paths rely on: b.obs != nil ⇒ every topic has ostats. The
+// caller has passed o through checkObserver.
+func (b *Broker) observe(o *obs.Observer) {
 	if o == nil {
-		return nil
-	}
-	if o.Threads() < b.threads {
-		return fmt.Errorf("broker: observer admits %d thread ids, broker needs %d", o.Threads(), b.threads)
+		return
 	}
 	b.obs = o
 	hs := b.hs
@@ -143,14 +150,13 @@ func (b *Broker) observe(o *obs.Observer) error {
 	for _, t := range b.set().list {
 		t.register(o)
 	}
-	return nil
 }
 
-// openExisting recovers the broker anchored on the set: catalog read
-// (or v4 log replay), stamp verification, then the paper's per-queue
-// recovery heap by heap in parallel, then lease-region re-binding.
-func openExisting(hs *pmem.HeapSet, opts Options) (*Broker, error) {
-	lay, err := readCatalog(hs)
+// openExisting recovers the broker anchored at reg on heap 0: catalog
+// log replay, stamp verification, then the paper's per-queue recovery
+// heap by heap in parallel, then lease-region re-binding.
+func openExisting(hs *pmem.HeapSet, opts Options, reg pmem.Addr) (*Broker, error) {
+	lay, err := readCatalog(hs, reg)
 	if err != nil {
 		return nil, err
 	}
@@ -158,7 +164,7 @@ func openExisting(hs *pmem.HeapSet, opts Options) (*Broker, error) {
 	if threads == 0 {
 		threads = lay.threads
 	} else if threads != lay.threads {
-		return nil, fmt.Errorf("broker: Recover with %d threads, but the broker was created with %d",
+		return nil, fmt.Errorf("broker: Open with %d threads, but the broker was created with %d",
 			threads, lay.threads)
 	}
 	if threads <= 0 {
@@ -167,20 +173,11 @@ func openExisting(hs *pmem.HeapSet, opts Options) (*Broker, error) {
 	if err := checkSet(hs, threads); err != nil {
 		return nil, err
 	}
-	// Replay validates v4 records as it reads them; re-validate the
-	// legacy layouts' topic rows to the same standard (duplicate names
-	// included) so no version can smuggle an inconsistent config in.
-	seen := map[string]bool{}
-	for _, tc := range lay.topics {
-		if err := validateTopic(tc); err != nil {
-			return nil, err
-		}
-		if seen[tc.Name] {
-			return nil, fmt.Errorf("broker: catalog records topic %q twice", tc.Name)
-		}
-		seen[tc.Name] = true
+	// Vetted before shard recovery writes anything to the heaps.
+	if err := checkObserver(opts.Observer, threads); err != nil {
+		return nil, err
 	}
-	b, err := build(hs, threads, lay.topics, lay.locs, lay.bases, lay.nextGlobal, (*Topic).recoverShard)
+	b, err := build(hs, threads, lay)
 	if err != nil {
 		return nil, err
 	}
@@ -192,20 +189,11 @@ func openExisting(hs *pmem.HeapSet, opts Options) (*Broker, error) {
 		b.regions = append(b.regions, lr)
 	}
 	b.bound = make([]bool, len(b.regions))
-	b.cat = lay.cat
 	if opts.Placement != nil {
 		b.placement = opts.Placement
 	}
-	if err := b.observe(opts.Observer); err != nil {
-		return nil, err
-	}
+	b.observe(opts.Observer)
 	return b, nil
-}
-
-// errLegacyCatalog reports why admin operations are refused on a
-// broker recovered from a write-once catalog.
-func errLegacyCatalog(op string) error {
-	return fmt.Errorf("broker: %s on a legacy (v1/v2/v3) write-once catalog — migrate by draining into a broker created with Open", op)
 }
 
 // CreateTopic creates a topic on a live broker, durably: the shard
@@ -237,9 +225,6 @@ func (b *Broker) CreateTopic(tid int, tc TopicConfig) (*Topic, error) {
 	var startNs int64
 	if o != nil {
 		startNs = obs.Now()
-	}
-	if b.cat == nil {
-		return nil, errLegacyCatalog("CreateTopic")
 	}
 	if err := validateTopic(tc); err != nil {
 		return nil, err
@@ -392,9 +377,6 @@ func (b *Broker) CreateAckGroup(tid int, cfg AckGroupConfig) (int, error) {
 	if o != nil {
 		startNs = obs.Now()
 	}
-	if b.cat == nil {
-		return 0, errLegacyCatalog("CreateAckGroup")
-	}
 	snap := b.set()
 	capacity := cfg.Capacity
 	if capacity == 0 {
@@ -469,9 +451,6 @@ func (b *Broker) DeleteTopic(tid int, name string) error {
 	var startNs int64
 	if o != nil {
 		startNs = obs.Now()
-	}
-	if b.cat == nil {
-		return errLegacyCatalog("DeleteTopic")
 	}
 	snap := b.set()
 	t := snap.byName[name]
@@ -579,9 +558,6 @@ func (b *Broker) CompactCatalog(tid, capacityLines int) error {
 	var startNs int64
 	if o != nil {
 		startNs = obs.Now()
-	}
-	if b.cat == nil {
-		return errLegacyCatalog("CompactCatalog")
 	}
 	maxCap := maxCatalogLines - logHeaderLines - b.cat.allocLines
 	if capacityLines < 0 || capacityLines > maxCap {

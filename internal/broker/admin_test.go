@@ -4,8 +4,6 @@ import (
 	"bytes"
 	"fmt"
 	"math/rand"
-	"runtime"
-	"sync"
 	"testing"
 
 	"repro/internal/pmem"
@@ -14,7 +12,7 @@ import (
 
 // TestOpenCreateRecoverRoundTrip is the live-administration round
 // trip: Open brings up an empty broker, topics appear at runtime via
-// CreateTopic, and after a power failure Open (not RecoverSet) brings
+// CreateTopic, and after a power failure the same Open brings
 // the same broker back — topics, placements and payloads intact, no
 // matter that they were created across separate administrative calls.
 func TestOpenCreateRecoverRoundTrip(t *testing.T) {
@@ -41,10 +39,6 @@ func TestOpenCreateRecoverRoundTrip(t *testing.T) {
 	for i := uint64(0); i < 8; i++ {
 		b.Topic("events").Publish(0, U64(i))
 		b.Topic("jobs").Publish(0, blobPayload(100+i))
-	}
-	// A second Open-create over the live set must refuse.
-	if _, err := NewSet(hs, Config{Topics: twoTopics(), Threads: 2}); err == nil {
-		t.Fatal("NewSet over a live broker's set should fail")
 	}
 	hs.CrashNow()
 	hs.FinalizeCrash(rand.New(rand.NewSource(81)))
@@ -396,9 +390,9 @@ func TestCatalogLogFull(t *testing.T) {
 // without aliasing broker state, and TopicNames reports sorted names.
 func TestTopicsSnapshotCopy(t *testing.T) {
 	h := pmem.New(pmem.Config{Bytes: 64 << 20, MaxThreads: 2})
-	b, err := New(h, Config{Topics: []TopicConfig{
+	b, err := newBroker(pmem.NewSetOf(h), Options{Threads: 1}, []TopicConfig{
 		{Name: "zebra", Shards: 1}, {Name: "apple", Shards: 1},
-	}, Threads: 1})
+	}, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -411,271 +405,5 @@ func TestTopicsSnapshotCopy(t *testing.T) {
 	names := b.TopicNames()
 	if len(names) != 2 || names[0] != "apple" || names[1] != "zebra" {
 		t.Fatalf("TopicNames = %v, want sorted [apple zebra]", names)
-	}
-}
-
-// TestBrokerCrashFuzzDynamicTopics is the live-administration fuzz
-// tier: producers and a consumer group hammer the initial topics
-// while an administrator concurrently creates topics, publishes to
-// them and drains some of their messages — until a crash scheduled on
-// one member's access stream downs the whole set (sometimes landing
-// inside CreateTopic itself). The broker is recovered from the
-// catalog log alone and audited: every topic whose creation returned
-// exists; every acknowledged publish — to initial and dynamic topics
-// alike — is delivered or recovered exactly once, in per-shard order.
-func TestBrokerCrashFuzzDynamicTopics(t *testing.T) {
-	seeds := []int64{71, 72, 73}
-	if testing.Short() {
-		seeds = seeds[:1]
-	}
-	for _, seed := range seeds {
-		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) { dynamicTopicsRound(t, seed) })
-	}
-}
-
-func dynamicTopicsRound(t *testing.T, seed int64) {
-	const (
-		producers   = 2
-		consumers   = 2
-		perProducer = 2500
-		heaps       = 2
-		adminTid    = producers + consumers // tid 4
-		threads     = producers + consumers + 1
-		maxDyn      = 6
-	)
-	hs := pmem.NewSet(heaps, pmem.Config{Bytes: 64 << 20, Mode: pmem.ModeCrash, MaxThreads: threads})
-	b, err := Open(hs, Options{Threads: threads})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, tc := range twoTopics() {
-		if _, err := b.CreateTopic(0, tc); err != nil {
-			t.Fatal(err)
-		}
-	}
-	g, err := b.NewGroup([]string{"events", "jobs"}, consumers)
-	if err != nil {
-		t.Fatal(err)
-	}
-	crashRng := rand.New(rand.NewSource(seed))
-	hs.Heap(crashRng.Intn(heaps)).ScheduleCrashAtAccess((20_000 + int64(crashRng.Intn(120_000))) / int64(heaps))
-
-	acked := make([][]uint64, producers)
-	dynAcked := make(map[string][]uint64) // admin-published ids per dynamic topic
-	var dynCreated []string               // creations that returned success
-	delivered := make([]map[uint64]ShardRef, consumers)
-	adminDelivered := map[uint64]bool{}
-	var producersDone sync.WaitGroup
-	var wg sync.WaitGroup
-	var start sync.WaitGroup
-	start.Add(1)
-
-	for p := 0; p < producers; p++ {
-		wg.Add(1)
-		producersDone.Add(1)
-		go func(p int) {
-			defer wg.Done()
-			defer producersDone.Done()
-			start.Wait()
-			rng := rand.New(rand.NewSource(seed*733 + int64(p)))
-			events, jobs := b.Topic("events"), b.Topic("jobs")
-			for m := uint64(1); m <= perProducer; {
-				runtime.Gosched()
-				id := uint64(p+1)<<32 | m
-				switch rng.Intn(3) {
-				case 0:
-					if pmem.Protect(func() { events.Publish(p, U64(id)) }) {
-						return
-					}
-					acked[p] = append(acked[p], id)
-					m++
-				default:
-					var batch [][]byte
-					var ids []uint64
-					for len(batch) < 6 && m <= perProducer {
-						ids = append(ids, uint64(p+1)<<32|m)
-						batch = append(batch, blobPayload(ids[len(ids)-1]))
-						m++
-					}
-					if pmem.Protect(func() { jobs.PublishBatch(p, batch) }) {
-						return
-					}
-					acked[p] = append(acked[p], ids...)
-				}
-			}
-		}(p)
-	}
-
-	// The administrator: create a topic, publish into it, consume a
-	// little of it through a fresh single-member group — all while the
-	// producers and the main group run full tilt on other tids.
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		start.Wait()
-		rng := rand.New(rand.NewSource(seed * 919))
-		for d := 0; d < maxDyn; d++ {
-			runtime.Gosched()
-			name := fmt.Sprintf("dyn-%d", d)
-			tc := TopicConfig{Name: name, Shards: 1 + rng.Intn(3)}
-			if rng.Intn(2) == 0 {
-				tc.MaxPayload = 100 // fits every blobPayload
-			}
-			var cerr error
-			if pmem.Protect(func() { _, cerr = b.CreateTopic(adminTid, tc) }) {
-				return // crash inside the creation protocol
-			}
-			if cerr != nil {
-				t.Errorf("CreateTopic(%s): %v", name, cerr)
-				return
-			}
-			dynCreated = append(dynCreated, name)
-			topic := b.Topic(name)
-			n := 20 + rng.Intn(40)
-			for m := 1; m <= n; m++ {
-				id := uint64(200+d)<<32 | uint64(m)
-				var payload []byte
-				if tc.MaxPayload == 0 {
-					payload = U64(id)
-				} else {
-					payload = blobPayload(id)
-				}
-				if pmem.Protect(func() { topic.Publish(adminTid, payload) }) {
-					return
-				}
-				dynAcked[name] = append(dynAcked[name], id)
-			}
-			// Drain a prefix through a fresh group on the admin tid, so
-			// the audit sees both delivered and recovered populations.
-			dg, gerr := b.NewGroup([]string{name}, 1)
-			if gerr != nil {
-				t.Errorf("NewGroup(%s): %v", name, gerr)
-				return
-			}
-			var ms []Message
-			if pmem.Protect(func() { ms = dg.Consumer(0).PollBatch(adminTid, n/2) }) {
-				return
-			}
-			for _, m := range ms {
-				adminDelivered[AsU64(m.Payload[:8])] = true
-			}
-		}
-	}()
-
-	done := make(chan struct{})
-	go func() { producersDone.Wait(); close(done) }()
-	for c := 0; c < consumers; c++ {
-		wg.Add(1)
-		delivered[c] = map[uint64]ShardRef{}
-		go func(c int) {
-			defer wg.Done()
-			start.Wait()
-			tid := producers + c
-			cons := g.Consumer(c)
-			idle := false
-			for {
-				runtime.Gosched()
-				var ms []Message
-				if pmem.Protect(func() { ms = cons.PollBatch(tid, 8) }) {
-					return
-				}
-				if len(ms) > 0 {
-					for _, m := range ms {
-						delivered[c][AsU64(m.Payload[:8])] = ShardRef{Topic: m.Topic, Shard: m.Shard}
-					}
-					idle = false
-					continue
-				}
-				select {
-				case <-done:
-					if idle {
-						return
-					}
-					idle = true
-				default:
-				}
-			}
-		}(c)
-	}
-	start.Done()
-	wg.Wait()
-	if !hs.Crashed() {
-		hs.CrashNow()
-	}
-	hs.FinalizeCrash(rand.New(rand.NewSource(seed * 37)))
-	hs.Restart()
-
-	r, err := Open(hs, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Every creation that returned must have committed; creations cut
-	// off mid-call may or may not exist, but if they do they are empty.
-	for _, name := range dynCreated {
-		if r.Topic(name) == nil {
-			t.Fatalf("topic %q was created (call returned) but did not recover", name)
-		}
-	}
-	seen := map[uint64]string{}
-	for c := range delivered {
-		for id := range delivered[c] {
-			if prev, dup := seen[id]; dup {
-				t.Fatalf("message %#x delivered twice (%s)", id, prev)
-			}
-			seen[id] = "delivered"
-		}
-	}
-	for id := range adminDelivered {
-		if prev, dup := seen[id]; dup {
-			t.Fatalf("message %#x delivered twice (%s and admin)", id, prev)
-		}
-		seen[id] = "admin-delivered"
-	}
-	for _, topic := range r.Topics() {
-		for s := 0; s < topic.Shards(); s++ {
-			lastPerProducer := map[uint64]uint64{}
-			for {
-				p, ok := topic.DequeueShard(0, s)
-				if !ok {
-					break
-				}
-				id := AsU64(p[:8])
-				if len(p) > 8 && !bytes.Equal(p, blobPayload(id)) {
-					t.Fatalf("recovered payload for %#x corrupted", id)
-				}
-				if prev, dup := seen[id]; dup {
-					t.Fatalf("message %#x both %s and recovered", id, prev)
-				}
-				seen[id] = "recovered"
-				prod, m := id>>32, id&0xffffffff
-				if last := lastPerProducer[prod]; m <= last {
-					t.Fatalf("shard %s/%d: publisher %d out of order (%d after %d)",
-						topic.Name(), s, prod, m, last)
-				}
-				lastPerProducer[prod] = m
-			}
-		}
-	}
-	lost, totalAcked := 0, 0
-	audit := func(ids []uint64) {
-		totalAcked += len(ids)
-		for _, id := range ids {
-			if _, ok := seen[id]; !ok {
-				lost++
-			}
-		}
-	}
-	for p := range acked {
-		audit(acked[p])
-	}
-	for _, ids := range dynAcked {
-		audit(ids)
-	}
-	t.Logf("seed %d: acked %d (over %d initial + %d dynamic topics), audited %d, in-flight losses %d",
-		seed, totalAcked, 2, len(dynCreated), len(seen), lost)
-	// Allowance: one unacknowledged poll window per main consumer (8)
-	// plus the admin's one in-flight drain window (up to 30).
-	if allowance := consumers*8 + 30; lost > allowance {
-		t.Fatalf("%d acknowledged messages lost (allowance %d)", lost, allowance)
 	}
 }

@@ -31,9 +31,8 @@
 // free list that CreateTopic reuses, so churning workloads reach a
 // steady-state NVRAM footprint; CompactCatalog rewrites the live
 // records into a fresh log generation when tombstone debris
-// accumulates (and doubles as the log's resize path).
-// New/NewSet/Recover/RecoverSet remain as thin compatibility
-// wrappers.
+// accumulates (and doubles as the log's resize path). Open is the
+// only way a broker comes to exist, on a blank set or a used one.
 //
 // The broker is observable without being perturbed: Options.Observer
 // accepts an obs.Observer that receives per-op latency samples
@@ -214,34 +213,6 @@ func BlockPlacement(topic, shard, global, shards, heaps int) int {
 	return shard * heaps / shards
 }
 
-// Config parameterizes the legacy whole-broker constructors New and
-// NewSet, which remain as thin compatibility wrappers over the live
-// administration API: Open brings up the broker, then every topic and
-// ack group is created through CreateTopic/CreateAckGroup exactly as
-// a runtime creation would be.
-type Config struct {
-	// Topics lists the topics to create. Order is preserved in the
-	// durable catalog.
-	Topics []TopicConfig
-	// Threads bounds the thread ids that may call broker operations
-	// (producers, consumers and the recovery thread all share this
-	// space, as with the underlying queues).
-	Threads int
-	// Placement chooses each shard's member heap; nil means
-	// RoundRobinPlacement. Ignored on a 1-heap set (everything lands
-	// on heap 0) and by Recover (the catalog records placements).
-	Placement PlacementPolicy
-	// AckGroups allocates that many durable lease regions — one per
-	// consumer group that will use acknowledgments (NewGroupAcked) —
-	// each sized exactly to the config's shard total, mirroring the
-	// write-once catalog's semantics. More regions (and regions with
-	// growth headroom) can be created later with CreateAckGroup.
-	AckGroups int
-	// Observer, when non-nil, receives per-op latencies, topic/group
-	// gauges and trace events (see Options.Observer for the contract).
-	Observer *obs.Observer
-}
-
 // Broker is a sharded multi-topic durable message broker over a heap
 // set. Methods taking a tid are safe for concurrent use as long as
 // each tid is driven by at most one goroutine at a time.
@@ -269,9 +240,8 @@ type Broker struct {
 	// snap is the copy-on-write topic snapshot the data plane reads.
 	snap atomic.Pointer[topicSet]
 
-	// adminMu serializes administrative operations; cat is the v4
-	// catalog log, nil on a broker recovered from a legacy write-once
-	// catalog (v1/v2/v3) — such brokers refuse runtime creation.
+	// adminMu serializes administrative operations and guards cat, the
+	// catalog log they append to.
 	adminMu sync.Mutex
 	cat     *catalogLog
 
@@ -406,8 +376,8 @@ func U64(v uint64) []byte {
 // AsU64 decodes a fixed-topic payload.
 func AsU64(p []byte) uint64 { return binary.LittleEndian.Uint64(p) }
 
-// validateTopic checks one topic's configuration, shared by
-// CreateTopic and the legacy Config validation.
+// validateTopic checks one topic's configuration: CreateTopic holds a
+// request to it, catalog replay every recovered record.
 func validateTopic(tc TopicConfig) error {
 	if tc.Name == "" || len(tc.Name) > catNameBytes {
 		return fmt.Errorf("broker: topic name %q must be 1..%d bytes", tc.Name, catNameBytes)
@@ -434,29 +404,6 @@ func validateTopic(tc TopicConfig) error {
 	return nil
 }
 
-func validate(cfg Config) error {
-	if cfg.Threads <= 0 {
-		return fmt.Errorf("broker: Threads must be positive")
-	}
-	if len(cfg.Topics) == 0 {
-		return fmt.Errorf("broker: at least one topic required")
-	}
-	seen := map[string]bool{}
-	for _, tc := range cfg.Topics {
-		if err := validateTopic(tc); err != nil {
-			return err
-		}
-		if seen[tc.Name] {
-			return fmt.Errorf("broker: duplicate topic %q", tc.Name)
-		}
-		seen[tc.Name] = true
-	}
-	if cfg.AckGroups < 0 || cfg.AckGroups > maxCatAckGroups {
-		return fmt.Errorf("broker: AckGroups %d out of range [0,%d]", cfg.AckGroups, maxCatAckGroups)
-	}
-	return nil
-}
-
 // checkSet verifies the heap set can host a broker with the given
 // thread bound: every member must admit at least that many thread ids.
 func checkSet(hs *pmem.HeapSet, threads int) error {
@@ -469,17 +416,17 @@ func checkSet(hs *pmem.HeapSet, threads int) error {
 }
 
 // build constructs the volatile broker skeleton over a catalogued
-// layout and opens every shard through open (recoverShard when
-// recovering). This is the second phase of recovery.
-func build(hs *pmem.HeapSet, threads int, topics []TopicConfig, locs [][]shardLoc, bases []int, nextGlobal int, open func(t *Topic, si int, view *pmem.Heap) error) (*Broker, error) {
-	b := &Broker{hs: hs, threads: threads, placement: RoundRobinPlacement}
-	snap := &topicSet{byName: map[string]*Topic{}, shardTotal: nextGlobal}
-	for ti, tc := range topics {
-		t := b.newTopic(tc, bases[ti], locs[ti])
+// layout and replays every shard's own recovery. This is the second
+// phase of recovery.
+func build(hs *pmem.HeapSet, threads int, lay layoutInfo) (*Broker, error) {
+	b := &Broker{hs: hs, threads: threads, placement: RoundRobinPlacement, cat: lay.cat}
+	snap := &topicSet{byName: map[string]*Topic{}, shardTotal: lay.nextGlobal}
+	for ti, tc := range lay.topics {
+		t := b.newTopic(tc, lay.bases[ti], lay.locs[ti])
 		snap.list = append(snap.list, t)
 		snap.byName[tc.Name] = t
 	}
-	if err := b.openShards(snap.list, open); err != nil {
+	if err := b.openShards(snap.list, (*Topic).recoverShard); err != nil {
 		return nil, err
 	}
 	b.snap.Store(snap)
@@ -495,72 +442,6 @@ func (b *Broker) newTopic(tc TopicConfig, base int, locs []shardLoc) *Topic {
 		t.shards = make([]*shard, tc.Shards)
 	}
 	return t
-}
-
-// New creates a broker on a single empty heap (window) — the 1-heap
-// convenience form of NewSet.
-func New(h *pmem.Heap, cfg Config) (*Broker, error) {
-	return NewSet(pmem.NewSetOf(h), cfg)
-}
-
-// NewSet creates a broker spanning an empty heap set. It is a thin
-// compatibility wrapper over the live administration API: Open brings
-// up an empty broker (stamping every member and anchoring the catalog
-// log), then each topic and ack-group lease region is created through
-// the same CreateTopic/CreateAckGroup path a runtime creation takes.
-// Lease regions are sized exactly to the config's shard total,
-// mirroring the legacy write-once semantics.
-//
-// Every member's anchor slot must be empty: a member carrying a
-// catalog or membership stamp belongs to an existing broker (recover
-// that set instead) or is left over from a creation that crashed
-// before its anchor was written; either way NewSet refuses rather
-// than overwrite durable state it did not allocate. A crash inside
-// NewSet leaves the topics whose catalog records were committed and
-// no trace of the rest.
-func NewSet(hs *pmem.HeapSet, cfg Config) (*Broker, error) {
-	if err := validate(cfg); err != nil {
-		return nil, err
-	}
-	b, err := open(hs, Options{Threads: cfg.Threads, Placement: cfg.Placement, Observer: cfg.Observer}, openCreate)
-	if err != nil {
-		return nil, err
-	}
-	for _, tc := range cfg.Topics {
-		if _, err := b.CreateTopic(0, tc); err != nil {
-			return nil, err
-		}
-	}
-	for g := 0; g < cfg.AckGroups; g++ {
-		if _, err := b.CreateAckGroup(0, AckGroupConfig{Capacity: b.ShardTotal()}); err != nil {
-			return nil, err
-		}
-	}
-	return b, nil
-}
-
-// Recover re-discovers a broker living on a single heap (window) — the
-// 1-heap convenience form of RecoverSet.
-func Recover(h *pmem.Heap, threads int) (*Broker, error) {
-	return RecoverSet(pmem.NewSetOf(h), threads)
-}
-
-// RecoverSet re-discovers a broker after a crash of the whole heap
-// set — the compatibility wrapper over Open that requires a broker to
-// exist. Phase one reads the durable catalog on heap 0 (replaying the
-// v4 log record by record, or parsing a pinned legacy layout) and
-// verifies every other member's stamp against it — a set missing a
-// catalogued heap, containing a blank or foreign heap, or assembled
-// in the wrong order is an error, never a silent mis-scan. Phase two
-// replays the paper's per-queue recovery for every shard, heap by
-// heap, the per-heap phases in parallel. Call while no other thread
-// operates.
-//
-// threads must equal the bound the broker was created with (it sizes
-// the per-thread head-index regions recovery scans); pass 0 to adopt
-// the recorded bound. A mismatch is an error, never silent corruption.
-func RecoverSet(hs *pmem.HeapSet, threads int) (*Broker, error) {
-	return open(hs, Options{Threads: threads}, openRecover)
 }
 
 // set returns the current data-plane topic snapshot.
@@ -610,13 +491,10 @@ func (b *Broker) AckGroups() int {
 func (b *Broker) ShardTotal() int { return b.set().shardTotal }
 
 // CatalogGeneration reports the catalog log's generation — bumped by
-// every CompactCatalog. Zero on a legacy (write-once) catalog.
+// every CompactCatalog.
 func (b *Broker) CatalogGeneration() uint64 {
 	b.adminMu.Lock()
 	defer b.adminMu.Unlock()
-	if b.cat == nil {
-		return 0
-	}
 	return b.cat.gen
 }
 
@@ -626,13 +504,10 @@ func (b *Broker) CatalogGeneration() uint64 {
 // claimed for shard windows and lease regions — and free how many of
 // those currently sit on the free list awaiting reuse. A churning
 // workload whose deletes balance its creates holds used steady while
-// free oscillates. Zero on a legacy catalog (which cannot delete).
+// free oscillates.
 func (b *Broker) SlotFootprint() (used, free int) {
 	b.adminMu.Lock()
 	defer b.adminMu.Unlock()
-	if b.cat == nil {
-		return 0, 0
-	}
 	for _, m := range b.cat.marks {
 		used += m - 1 // slot 0 is the anchor, never allocator-owned
 	}

@@ -4,11 +4,8 @@ import (
 	"bytes"
 	"fmt"
 	"math/rand"
-	"runtime"
-	"sync"
 	"testing"
 
-	"repro/internal/batch"
 	"repro/internal/pmem"
 )
 
@@ -19,6 +16,27 @@ func twoTopics() []TopicConfig {
 		{Name: "events", Shards: 4},                // fixed 8-byte payloads
 		{Name: "jobs", Shards: 4, MaxPayload: 100}, // variable payloads
 	}
+}
+
+// newBroker is the tests' fixture for a populated broker: Open on the
+// blank set, one CreateTopic per topic, then ackGroups lease regions
+// each sized exactly to the shard total.
+func newBroker(hs *pmem.HeapSet, opts Options, topics []TopicConfig, ackGroups int) (*Broker, error) {
+	b, err := Open(hs, opts)
+	if err != nil {
+		return nil, err
+	}
+	for _, tc := range topics {
+		if _, err := b.CreateTopic(0, tc); err != nil {
+			return nil, err
+		}
+	}
+	for g := 0; g < ackGroups; g++ {
+		if _, err := b.CreateAckGroup(0, AckGroupConfig{Capacity: b.ShardTotal()}); err != nil {
+			return nil, err
+		}
+	}
+	return b, nil
 }
 
 // blobPayload embeds id in a deterministic variable-length payload so
@@ -35,7 +53,7 @@ func blobPayload(id uint64) []byte {
 
 func TestPublishConsumeMultiTopic(t *testing.T) {
 	h := pmem.New(pmem.Config{Bytes: 64 << 20, MaxThreads: 4})
-	b, err := New(h, Config{Topics: twoTopics(), Threads: 3})
+	b, err := newBroker(pmem.NewSetOf(h), Options{Threads: 3}, twoTopics(), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -107,7 +125,7 @@ func TestPublishConsumeMultiTopic(t *testing.T) {
 // low-numbered shards after any idle period).
 func TestPollFairnessAfterIdle(t *testing.T) {
 	h := pmem.New(pmem.Config{Bytes: 64 << 20, MaxThreads: 2})
-	b, err := New(h, Config{Topics: []TopicConfig{{Name: "events", Shards: 3}}, Threads: 1})
+	b, err := newBroker(pmem.NewSetOf(h), Options{Threads: 1}, []TopicConfig{{Name: "events", Shards: 3}}, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -146,7 +164,7 @@ func TestPollFairnessAfterIdle(t *testing.T) {
 // ceiling, so data-plane work can only lower it.
 func TestPublishPollBatchAllocs(t *testing.T) {
 	h := pmem.New(pmem.Config{Bytes: 64 << 20, MaxThreads: 2})
-	b, err := New(h, Config{Topics: []TopicConfig{{Name: "events", Shards: 4}}, Threads: 2})
+	b, err := newBroker(pmem.NewSetOf(h), Options{Threads: 2}, []TopicConfig{{Name: "events", Shards: 4}}, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -266,7 +284,7 @@ func TestSteadyFootprintSplitTids(t *testing.T) {
 // all-empty polls are persist-free.
 func TestPollBatchSingleFenceAcrossShards(t *testing.T) {
 	h := pmem.New(pmem.Config{Bytes: 64 << 20, MaxThreads: 2})
-	b, err := New(h, Config{Topics: []TopicConfig{{Name: "events", Shards: 4}}, Threads: 1})
+	b, err := newBroker(pmem.NewSetOf(h), Options{Threads: 1}, []TopicConfig{{Name: "events", Shards: 4}}, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -320,7 +338,7 @@ func TestPollBatchSingleFenceAcrossShards(t *testing.T) {
 // shard, so a continuously hot shard cannot starve its siblings.
 func TestPollBatchNoStarvation(t *testing.T) {
 	h := pmem.New(pmem.Config{Bytes: 64 << 20, MaxThreads: 2})
-	b, err := New(h, Config{Topics: []TopicConfig{{Name: "events", Shards: 2}}, Threads: 1})
+	b, err := newBroker(pmem.NewSetOf(h), Options{Threads: 1}, []TopicConfig{{Name: "events", Shards: 2}}, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -359,7 +377,7 @@ func TestPollBatchNoStarvation(t *testing.T) {
 // through one consumer's PollBatch and audits payload integrity.
 func TestPollBatchMixedTopics(t *testing.T) {
 	h := pmem.New(pmem.Config{Bytes: 64 << 20, MaxThreads: 2})
-	b, err := New(h, Config{Topics: twoTopics(), Threads: 2})
+	b, err := newBroker(pmem.NewSetOf(h), Options{Threads: 2}, twoTopics(), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -405,21 +423,28 @@ func TestPollBatchMixedTopics(t *testing.T) {
 
 func TestCatalogRecoverRoundTrip(t *testing.T) {
 	h := pmem.New(pmem.Config{Bytes: 64 << 20, Mode: pmem.ModeCrash, MaxThreads: 4})
-	b, err := New(h, Config{Topics: twoTopics(), Threads: 2})
+	b, err := newBroker(pmem.NewSetOf(h), Options{Threads: 2}, twoTopics(), 0)
 	if err != nil {
 		t.Fatal(err)
-	}
-	if _, err := New(h, Config{Topics: twoTopics(), Threads: 2}); err == nil {
-		t.Fatal("second New on the same window should fail")
 	}
 	b.Topic("events").Publish(0, U64(42))
 	b.Topic("jobs").Publish(0, blobPayload(7))
 	h.CrashNow()
 	h.FinalizeCrash(rand.New(rand.NewSource(2)))
 	h.Restart()
-	r, err := Recover(h, 2)
+	// The very call that created the broker: over a set that hosts a
+	// catalog it recovers — the topics and their payloads below, not an
+	// empty broker — and leaves the catalog where it was.
+	anchor := h.Load(0, h.RootAddr(slotAnchor))
+	r, err := Open(pmem.NewSetOf(h), Options{Threads: 2})
 	if err != nil {
 		t.Fatal(err)
+	}
+	if got := h.Load(0, h.RootAddr(slotAnchor)); got != anchor {
+		t.Fatalf("Open over an existing catalog moved the anchor %#x -> %#x", anchor, got)
+	}
+	if len(r.Topics()) != len(twoTopics()) {
+		t.Fatalf("Open over an existing catalog returned %d topics, want the %d recovered ones", len(r.Topics()), len(twoTopics()))
 	}
 	for i, tc := range twoTopics() {
 		got := r.Topics()[i]
@@ -447,7 +472,7 @@ func TestCatalogRecoverRoundTrip(t *testing.T) {
 
 func TestRecoverThreadBound(t *testing.T) {
 	h := pmem.New(pmem.Config{Bytes: 64 << 20, Mode: pmem.ModeCrash, MaxThreads: 4})
-	b, err := New(h, Config{Topics: twoTopics(), Threads: 3})
+	b, err := newBroker(pmem.NewSetOf(h), Options{Threads: 3}, twoTopics(), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -457,11 +482,11 @@ func TestRecoverThreadBound(t *testing.T) {
 	h.Restart()
 	// A mismatched bound would silently mis-scan the per-thread
 	// head-index regions; it must be rejected instead.
-	if _, err := Recover(h, 2); err == nil {
-		t.Fatal("Recover with a mismatched thread bound should fail")
+	if _, err := Open(pmem.NewSetOf(h), Options{Threads: 2}); err == nil {
+		t.Fatal("Open with a mismatched thread bound should fail")
 	}
 	// 0 adopts the recorded bound.
-	r, err := Recover(h, 0)
+	r, err := Open(pmem.NewSetOf(h), Options{Threads: 0})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -473,307 +498,16 @@ func TestRecoverThreadBound(t *testing.T) {
 	}
 }
 
+// TestRecoverWithoutBroker: Open with zero Options is "recover or
+// fail" — a blank set has nothing to recover and no thread bound to
+// create with.
 func TestRecoverWithoutBroker(t *testing.T) {
 	h := pmem.New(pmem.Config{Bytes: 64 << 20, Mode: pmem.ModeCrash, MaxThreads: 2})
-	if _, err := Recover(h, 1); err == nil {
-		t.Fatal("Recover on an empty heap should fail")
+	if _, err := Open(pmem.NewSetOf(h), Options{}); err == nil {
+		t.Fatal("Open(Options{}) on a blank heap should fail")
 	}
-}
-
-// TestBrokerCrashFuzz is the whole-broker durability audit: concurrent
-// producers (mixing per-message, batch and keyed publishes) and a
-// consumer group run until a crash at a random memory access; the
-// broker is recovered from its catalog alone and audited — every
-// acknowledged publish across all topics and shards is delivered or
-// recovered exactly once, and per-shard per-producer FIFO holds.
-func TestBrokerCrashFuzz(t *testing.T) {
-	seeds := []int64{1, 2, 3}
-	if testing.Short() {
-		seeds = seeds[:1]
-	}
-	for _, seed := range seeds {
-		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) { brokerCrashRound(t, seed, 1, 1) })
-	}
-}
-
-// TestBrokerCrashFuzzBatched is the same audit with batched consumers
-// (PollBatch): a batch is acknowledged as a whole when PollBatch
-// returns, so a crash mid-poll may redeliver — or, for a window whose
-// NTStore landed without its fence, consume — only messages of the
-// unacknowledged batch window; acknowledged deliveries never reappear
-// and the loss allowance grows from 1 to the poll batch size per
-// consumer.
-func TestBrokerCrashFuzzBatched(t *testing.T) {
-	seeds := []int64{4, 5, 6}
-	if testing.Short() {
-		seeds = seeds[:1]
-	}
-	for _, seed := range seeds {
-		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) { brokerCrashRound(t, seed, 8, 1) })
-	}
-}
-
-// TestBrokerCrashFuzzMultiHeap runs the same audit on a broker
-// spanning several heaps, with the crash scheduled on the accesses of
-// a single randomly chosen member (the set shares one power supply,
-// so one domain's failure downs them all): every acknowledged publish
-// must be delivered or recovered exactly once across the whole set.
-func TestBrokerCrashFuzzMultiHeap(t *testing.T) {
-	seeds := []int64{7, 8, 9}
-	if testing.Short() {
-		seeds = seeds[:1]
-	}
-	for _, seed := range seeds {
-		t.Run(fmt.Sprintf("heaps=2/seed=%d", seed), func(t *testing.T) { brokerCrashRound(t, seed, 8, 2) })
-	}
-	if !testing.Short() {
-		t.Run("heaps=3/seed=10", func(t *testing.T) { brokerCrashRound(t, 10, 1, 3) })
-	}
-}
-
-func brokerCrashRound(t *testing.T, seed int64, dequeueBatch, heaps int) {
-	const (
-		producers   = 3
-		consumers   = 2
-		perProducer = 3000
-		threads     = producers + consumers
-	)
-	hs := pmem.NewSet(heaps, pmem.Config{Bytes: 64 << 20, Mode: pmem.ModeCrash, MaxThreads: threads})
-	b, err := NewSet(hs, Config{Topics: twoTopics(), Threads: threads})
-	if err != nil {
-		t.Fatal(err)
-	}
-	g, err := b.NewGroup([]string{"events", "jobs"}, consumers)
-	if err != nil {
-		t.Fatal(err)
-	}
-	crashRng := rand.New(rand.NewSource(seed))
-	// Arm the crash on one member's access stream; when it fires, the
-	// whole set goes down together. The window is sized to the
-	// workload's actual per-heap access count (~100k/heaps for 9000
-	// messages) so the crash usually lands mid-traffic rather than at
-	// quiescence.
-	hs.Heap(crashRng.Intn(heaps)).ScheduleCrashAtAccess((20_000 + int64(crashRng.Intn(140_000))) / int64(heaps))
-
-	acked := make([][]uint64, producers)
-	delivered := make([]map[uint64]ShardRef, consumers)
-	redelivered := make([]int, consumers) // same id polled twice by one consumer
-	var producersDone sync.WaitGroup
-	var wg sync.WaitGroup
-	// Gate all workers on one signal so consumers race producers from
-	// the first access — without it the crash (which fires within tens
-	// of thousands of accesses) usually lands before the consumer
-	// goroutines are even scheduled and the delivered-side audit is
-	// vacuous.
-	var start sync.WaitGroup
-	start.Add(1)
-
-	for p := 0; p < producers; p++ {
-		wg.Add(1)
-		producersDone.Add(1)
-		go func(p int) {
-			defer wg.Done()
-			defer producersDone.Done()
-			start.Wait()
-			rng := rand.New(rand.NewSource(seed*997 + int64(p)))
-			events, jobs := b.Topic("events"), b.Topic("jobs")
-			// The pipelined arm: windows issue unfenced and acknowledge
-			// one flush late, so `issued` tracks ids whose covering fence
-			// is still owed. A crash discards them (they were never
-			// acknowledged; whatever landed durably is recovered, which
-			// the audit allows).
-			pub := events.NewPublisher(p, PublisherConfig{
-				Policy: batch.NewAIMD(1, 8), Pipeline: true,
-			})
-			var issued []uint64
-			ackN := func(n int) {
-				acked[p] = append(acked[p], issued[:n]...)
-				issued = issued[n:]
-			}
-			// Each iteration publishes ids in increasing order before
-			// minting the next, so every shard sees any one producer's
-			// messages with ascending ids — the FIFO the audit checks.
-			for m := uint64(1); m <= perProducer; {
-				// Yield between publishes so consumers interleave even
-				// on a single-P runtime; the crash window is far shorter
-				// than a preemption quantum.
-				runtime.Gosched()
-				id := uint64(p+1)<<32 | m
-				switch rng.Intn(5) {
-				case 0: // fixed-topic publish (after draining the pipeline:
-					// a buffered window holds earlier ids, and publishing id
-					// directly before they land would break per-shard FIFO)
-					n := 0
-					if pmem.Protect(func() { n = pub.Flush(); events.Publish(p, U64(id)) }) {
-						return
-					}
-					ackN(n)
-					acked[p] = append(acked[p], id)
-					m++
-				case 1: // keyed publish
-					if pmem.Protect(func() { jobs.PublishKey(p, U64(id%5), blobPayload(id)) }) {
-						return
-					}
-					acked[p] = append(acked[p], id)
-					m++
-				case 2: // pipelined adaptive burst, acked one window late
-					for burst := 0; burst < 8 && m <= perProducer; burst++ {
-						id := uint64(p+1)<<32 | m
-						n := 0
-						if pmem.Protect(func() { n = pub.Publish(U64(id)) }) {
-							return
-						}
-						issued = append(issued, id)
-						ackN(n)
-						m++
-					}
-				default: // batch of consecutive ids, acked as a whole
-					var batch [][]byte
-					var ids []uint64
-					for len(batch) < 8 && m <= perProducer {
-						ids = append(ids, uint64(p+1)<<32|m)
-						batch = append(batch, blobPayload(ids[len(ids)-1]))
-						m++
-					}
-					if pmem.Protect(func() { jobs.PublishBatch(p, batch) }) {
-						return
-					}
-					acked[p] = append(acked[p], ids...)
-				}
-			}
-			// Drain the pipeline: after Flush every issued id is durably
-			// acknowledged.
-			n := 0
-			if pmem.Protect(func() { n = pub.Flush() }) {
-				return
-			}
-			ackN(n)
-			if len(issued) != 0 {
-				panic(fmt.Sprintf("publisher Flush left %d ids unacknowledged", len(issued)))
-			}
-		}(p)
-	}
-
-	done := make(chan struct{})
-	go func() { producersDone.Wait(); close(done) }()
-	for c := 0; c < consumers; c++ {
-		wg.Add(1)
-		delivered[c] = map[uint64]ShardRef{}
-		go func(c int) {
-			defer wg.Done()
-			start.Wait()
-			tid := producers + c
-			cons := g.Consumer(c)
-			idle := false
-			for {
-				runtime.Gosched()
-				var ms []Message
-				if pmem.Protect(func() {
-					if dequeueBatch == 1 {
-						if m, ok := cons.Poll(tid); ok {
-							ms = []Message{m}
-						}
-					} else {
-						ms = cons.PollBatch(tid, dequeueBatch)
-					}
-				}) {
-					return // crash mid-poll: the whole window is unacknowledged
-				}
-				if len(ms) > 0 {
-					for _, m := range ms {
-						id := AsU64(m.Payload[:8])
-						if _, dup := delivered[c][id]; dup {
-							redelivered[c]++
-						}
-						delivered[c][id] = ShardRef{Topic: m.Topic, Shard: m.Shard}
-					}
-					idle = false
-					continue
-				}
-				select {
-				case <-done:
-					if idle {
-						return // producers finished and two empty sweeps
-					}
-					idle = true
-				default:
-				}
-			}
-		}(c)
-	}
-	start.Done()
-	wg.Wait()
-	if !hs.Crashed() {
-		hs.CrashNow() // traffic finished first; crash at quiescence
-	}
-	hs.FinalizeCrash(rand.New(rand.NewSource(seed * 31)))
-	hs.Restart()
-
-	r, err := RecoverSet(hs, threads)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	// Drain the recovered backlog per shard, checking per-producer
-	// FIFO and collecting ids.
-	seen := map[uint64]string{}
-	for c := range delivered {
-		if redelivered[c] > 0 {
-			t.Fatalf("consumer %d saw %d re-deliveries", c, redelivered[c])
-		}
-		for id := range delivered[c] {
-			if _, dup := seen[id]; dup {
-				t.Fatalf("message %#x delivered twice", id)
-			}
-			seen[id] = "delivered"
-		}
-	}
-	recoveredCount := 0
-	for _, topic := range r.Topics() {
-		for s := 0; s < topic.Shards(); s++ {
-			lastPerProducer := map[uint64]uint64{}
-			for {
-				p, ok := topic.DequeueShard(0, s)
-				if !ok {
-					break
-				}
-				id := AsU64(p[:8])
-				if topic.Name() == "jobs" && !bytes.Equal(p, blobPayload(id)) {
-					t.Fatalf("recovered payload for %#x corrupted", id)
-				}
-				if _, dup := seen[id]; dup {
-					t.Fatalf("message %#x both %s and recovered", id, seen[id])
-				}
-				seen[id] = "recovered"
-				prod, m := id>>32, id&0xffffffff
-				if last := lastPerProducer[prod]; m <= last {
-					t.Fatalf("shard %s/%d: producer %d out of order (%d after %d)",
-						topic.Name(), s, prod, m, last)
-				}
-				lastPerProducer[prod] = m
-				recoveredCount++
-			}
-		}
-	}
-	lost := 0
-	totalAcked := 0
-	for p := range acked {
-		totalAcked += len(acked[p])
-		for _, id := range acked[p] {
-			if _, ok := seen[id]; !ok {
-				lost++
-			}
-		}
-	}
-	t.Logf("seed %d: acked %d, delivered %d, recovered backlog %d, in-flight losses %d",
-		seed, totalAcked, len(seen)-recoveredCount, recoveredCount, lost)
-	// Each consumer may have one unacknowledged poll window whose
-	// persists completed just before the crash cut off the delivery
-	// record: 1 message on the Poll path, up to the poll batch size on
-	// the PollBatch path (the window's final NTStores can land without
-	// the batch's fence).
-	if allowance := consumers * dequeueBatch; lost > allowance {
-		t.Fatalf("%d acknowledged messages lost (allowance %d)", lost, allowance)
+	if h.Load(0, h.RootAddr(slotAnchor)) != 0 {
+		t.Fatal("the refused Open anchored something on the blank heap")
 	}
 }
 
@@ -783,7 +517,7 @@ func brokerCrashRound(t *testing.T, seed int64, dequeueBatch, heaps int) {
 func TestMultiHeapPlacementSpread(t *testing.T) {
 	mk := func(p PlacementPolicy) *Broker {
 		hs := pmem.NewSet(2, pmem.Config{Bytes: 64 << 20, MaxThreads: 2})
-		b, err := NewSet(hs, Config{Topics: twoTopics(), Threads: 1, Placement: p})
+		b, err := newBroker(hs, Options{Threads: 1, Placement: p}, twoTopics(), 0)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -814,7 +548,7 @@ func TestMultiHeapPlacementSpread(t *testing.T) {
 // and messages on both domains survive.
 func TestMultiHeapRecoverRoundTrip(t *testing.T) {
 	hs := pmem.NewSet(2, pmem.Config{Bytes: 64 << 20, Mode: pmem.ModeCrash, MaxThreads: 4})
-	b, err := NewSet(hs, Config{Topics: twoTopics(), Threads: 2})
+	b, err := newBroker(hs, Options{Threads: 2}, twoTopics(), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -827,7 +561,7 @@ func TestMultiHeapRecoverRoundTrip(t *testing.T) {
 	hs.CrashNow()
 	hs.FinalizeCrash(rand.New(rand.NewSource(5)))
 	hs.Restart()
-	r, err := RecoverSet(hs, 2)
+	r, err := Open(hs, Options{Threads: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -874,7 +608,7 @@ func TestRecoverHeapSetMismatch(t *testing.T) {
 	cfg := pmem.Config{Bytes: 64 << 20, Mode: pmem.ModeCrash, MaxThreads: 4}
 	h0, h1, h2 := pmem.New(cfg), pmem.New(cfg), pmem.New(cfg)
 	hs := pmem.NewSetOf(h0, h1, h2)
-	b, err := NewSet(hs, Config{Topics: twoTopics(), Threads: 2})
+	b, err := newBroker(hs, Options{Threads: 2}, twoTopics(), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -883,32 +617,32 @@ func TestRecoverHeapSetMismatch(t *testing.T) {
 	hs.FinalizeCrash(rand.New(rand.NewSource(6)))
 	hs.Restart()
 
-	if _, err := RecoverSet(pmem.NewSetOf(h0), 2); err == nil {
-		t.Fatal("Recover with 1 of 3 catalogued heaps should fail")
+	if _, err := Open(pmem.NewSetOf(h0), Options{Threads: 2}); err == nil {
+		t.Fatal("Open with 1 of 3 catalogued heaps should fail")
 	}
-	if _, err := RecoverSet(pmem.NewSetOf(h0, h1), 2); err == nil {
-		t.Fatal("Recover with 2 of 3 catalogued heaps should fail")
+	if _, err := Open(pmem.NewSetOf(h0, h1), Options{Threads: 2}); err == nil {
+		t.Fatal("Open with 2 of 3 catalogued heaps should fail")
 	}
 	blank := pmem.New(cfg)
-	if _, err := RecoverSet(pmem.NewSetOf(h0, h1, blank), 2); err == nil {
-		t.Fatal("Recover with a blank heap replacing a member should fail")
+	if _, err := Open(pmem.NewSetOf(h0, h1, blank), Options{Threads: 2}); err == nil {
+		t.Fatal("Open with a blank heap replacing a member should fail")
 	}
-	if _, err := RecoverSet(pmem.NewSetOf(h0, h2, h1), 2); err == nil {
-		t.Fatal("Recover with members out of order should fail")
+	if _, err := Open(pmem.NewSetOf(h0, h2, h1), Options{Threads: 2}); err == nil {
+		t.Fatal("Open with members out of order should fail")
 	}
 	// A foreign heap carrying another broker's stamp must be rejected.
 	foreign := pmem.NewSet(2, cfg)
-	if _, err := NewSet(foreign, Config{Topics: []TopicConfig{{Name: "x", Shards: 1}}, Threads: 1}); err != nil {
+	if _, err := newBroker(foreign, Options{Threads: 1}, []TopicConfig{{Name: "x", Shards: 1}}, 0); err != nil {
 		t.Fatal(err)
 	}
 	foreign.CrashNow()
 	foreign.FinalizeCrash(rand.New(rand.NewSource(7)))
 	foreign.Restart()
-	if _, err := RecoverSet(pmem.NewSetOf(h0, h1, foreign.Heap(1)), 2); err == nil {
-		t.Fatal("Recover with another broker's heap spliced in should fail")
+	if _, err := Open(pmem.NewSetOf(h0, h1, foreign.Heap(1)), Options{Threads: 2}); err == nil {
+		t.Fatal("Open with another broker's heap spliced in should fail")
 	}
 	// The correct set still recovers, with the message intact.
-	r, err := RecoverSet(pmem.NewSetOf(h0, h1, h2), 2)
+	r, err := Open(pmem.NewSetOf(h0, h1, h2), Options{Threads: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -917,15 +651,15 @@ func TestRecoverHeapSetMismatch(t *testing.T) {
 	}
 }
 
-// TestNewSetRejectsOccupiedMembers: NewSet must refuse any set whose
-// members carry durable broker state — in any position, not just heap
-// 0 — instead of silently overwriting another broker's catalog, stamp
-// or shards.
+// TestNewSetRejectsOccupiedMembers: Open must not create a broker over
+// a set whose members carry durable broker state — in any position,
+// not just heap 0 — instead of silently overwriting another broker's
+// catalog, stamp or shards.
 func TestNewSetRejectsOccupiedMembers(t *testing.T) {
 	cfg := pmem.Config{Bytes: 64 << 20, Mode: pmem.ModeCrash, MaxThreads: 4}
 	topics := []TopicConfig{{Name: "events", Shards: 2}}
 	old := pmem.NewSet(2, cfg)
-	if _, err := NewSet(old, Config{Topics: topics, Threads: 2}); err != nil {
+	if _, err := newBroker(old, Options{Threads: 2}, topics, 0); err != nil {
 		t.Fatal(err)
 	}
 	old.CrashNow()
@@ -935,19 +669,20 @@ func TestNewSetRejectsOccupiedMembers(t *testing.T) {
 	fresh := func() *pmem.Heap { return pmem.New(cfg) }
 	// A former anchor heap (full catalog) spliced into a non-anchor
 	// position of a new set.
-	if _, err := NewSet(pmem.NewSetOf(fresh(), old.Heap(0)), Config{Topics: topics, Threads: 2}); err == nil {
-		t.Fatal("NewSet over a heap hosting a catalog (non-anchor position) should fail")
+	if _, err := Open(pmem.NewSetOf(fresh(), old.Heap(0)), Options{Threads: 2}); err == nil {
+		t.Fatal("Open over a heap hosting a catalog (non-anchor position) should fail")
 	}
 	// A former member heap (stamp) likewise.
-	if _, err := NewSet(pmem.NewSetOf(fresh(), old.Heap(1)), Config{Topics: topics, Threads: 2}); err == nil {
-		t.Fatal("NewSet over a heap carrying a membership stamp should fail")
+	if _, err := Open(pmem.NewSetOf(fresh(), old.Heap(1)), Options{Threads: 2}); err == nil {
+		t.Fatal("Open over a heap carrying a membership stamp should fail")
 	}
-	// Anchor position still guarded too.
-	if _, err := NewSet(pmem.NewSetOf(old.Heap(0), fresh()), Config{Topics: topics, Threads: 2}); err == nil {
-		t.Fatal("NewSet over an anchor heap hosting a catalog should fail")
+	// Anchor position: the catalog there is recovered, not overwritten,
+	// and recovery refuses the blank heap spliced in beside it.
+	if _, err := Open(pmem.NewSetOf(old.Heap(0), fresh()), Options{Threads: 2}); err == nil {
+		t.Fatal("Open of an anchor heap beside a blank member should fail")
 	}
 	// The untouched old set remains recoverable.
-	if _, err := RecoverSet(pmem.NewSetOf(old.Heap(0), old.Heap(1)), 2); err != nil {
+	if _, err := Open(pmem.NewSetOf(old.Heap(0), old.Heap(1)), Options{Threads: 2}); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -957,11 +692,7 @@ func TestNewSetRejectsOccupiedMembers(t *testing.T) {
 // and a PollBatch draining several shards pays exactly one SFENCE.
 func TestAffineGroupFencesOneDomain(t *testing.T) {
 	hs := pmem.NewSet(2, pmem.Config{Bytes: 64 << 20, MaxThreads: 4})
-	b, err := NewSet(hs, Config{
-		Topics:    []TopicConfig{{Name: "events", Shards: 4}},
-		Threads:   2,
-		Placement: BlockPlacement,
-	})
+	b, err := newBroker(hs, Options{Threads: 2, Placement: BlockPlacement}, []TopicConfig{{Name: "events", Shards: 4}}, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -992,7 +723,7 @@ func TestAffineGroupFencesOneDomain(t *testing.T) {
 	// Contrast: a round-robin-assigned group over round-robin placement
 	// owns shards on both domains and pays one fence per domain.
 	hs2 := pmem.NewSet(2, pmem.Config{Bytes: 64 << 20, MaxThreads: 4})
-	b2, err := NewSet(hs2, Config{Topics: []TopicConfig{{Name: "events", Shards: 4}}, Threads: 2})
+	b2, err := newBroker(hs2, Options{Threads: 2}, []TopicConfig{{Name: "events", Shards: 4}}, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

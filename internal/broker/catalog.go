@@ -8,74 +8,41 @@ import (
 )
 
 // The durable catalog is what makes the broker recoverable as a
-// whole. Live brokers write the v4 append-only catalog *log* (see
-// cataloglog.go): an administrative record per creation, appended and
-// fenced before an anchor stamp makes it visible, so topics can be
-// created at runtime. This file keeps the shared plumbing — the
-// bounds-checked reader, placement validation, membership stamps —
-// and the pinned readers for the three legacy write-once layouts,
-// which recover forever:
-//
-// v3 layout ("Broker3", one cache line per row, so each row persists
-// with a single flush and rows never invalidate each other):
-//
-//	line 0 (header):  [magicV3, topicCount, threads, heapCount,
-//	                   setStamp, shardTotal, ackGroups, 0]
-//	line 1+i (topic): [shards, maxPayload | ackedBit, nameLen,
-//	                   placeStart, name word 0..3]  (name <= 32 bytes)
-//	placement lines:  one word per shard in creation order,
-//	                   heapID<<32 | baseSlot, 8 words per line —
-//	                   followed by one word per ack-group lease
-//	                   region, heapID<<32 | anchorSlot
-//
-// ackedBit (bit 62 of the maxPayload word) marks a topic whose shards
-// are ack-mode queues: consumption is leased and recovery redelivers
-// everything beyond the acknowledged frontier (see lease.go). The
-// ackGroups count and lease placements let recovery re-discover every
-// pre-allocated consumer-group lease region — a v3 catalog whose
-// lease region is missing or foreign errors instead of mis-scanning.
-//
-// The v2 layout ("Broker2") differs only in lacking the ackGroups
-// word, the acked bit and the lease placements; readCatalog still
-// accepts it (lease-free brokers recover as before).
+// whole: an append-only log of administrative records on heap 0,
+// anchored at root slot 0 (format, protocol and replay are in
+// cataloglog.go). This file keeps the plumbing around the log — the
+// bounds-checked reader, the anchor dispatch, and the membership
+// stamps.
 //
 // Every member heap other than heap 0 carries a membership stamp line
-// anchored at its own root slot 0 (all versions since v2):
+// anchored at its own root slot 0:
 //
 //	[stampMagic, setStamp, heapIndex, heapCount]
 //
-// setStamp is minted fresh per broker creation, so Recover on a heap
-// set that is missing a catalogued heap, has a blank or foreign heap
+// setStamp is minted fresh per broker creation, so Open on a heap set
+// that is missing a catalogued heap, has a blank or foreign heap
 // spliced in, or presents the heaps in the wrong order fails with an
 // error instead of mis-scanning another broker's (or nobody's) root
-// slots. threads is recorded because it sizes each shard's per-thread
-// head-index region: recovery must scan exactly that many lines.
-//
-// The v1 layout ("Broker1", single-heap) is still read: topic rows
-// were [slotBase, shards, maxPayload, nameLen, name 0..3] with the
-// deterministic sequential placement on one heap. readCatalog accepts
-// it only on a 1-heap set.
-//
-// Legacy catalogs are write-once, so a broker recovered from one
-// refuses CreateTopic/CreateAckGroup: its layout has no log to append
-// to. Everything else — data plane, groups, leases — works unchanged.
+// slots.
 
 const (
-	catMagic     = 0x42726f6b657231 // "Broker1": legacy single-heap layout
-	catMagicV2   = 0x42726f6b657232 // "Broker2": legacy heap-set layout
-	catMagicV3   = 0x42726f6b657233 // "Broker3": heap-set layout with acks + lease regions
 	stampMagic   = 0x48705374616d70 // "HpStamp"
 	catNameBytes = 32
 
-	// catAckedBit marks an acked topic in the maxPayload word of a v3
-	// topic row (payload capacities are far below 2^62).
+	// retiredMagicLo..Hi are the magics of the three write-once catalog
+	// layouts ("Broker1".."Broker3") that preceded the log. Nothing
+	// reads them any more; they are named only so that such an image is
+	// refused as an unsupported format rather than as garbage.
+	retiredMagicLo = 0x42726f6b657231
+	retiredMagicHi = 0x42726f6b657233
+
+	// catAckedBit marks an acked topic in the payload word of a topic
+	// record (payload capacities are far below 2^62).
 	catAckedBit = uint64(1) << 62
 
 	// catKindShift places the topic kind (2 bits) in the payload word
-	// of a v4 topic record, below the acked bit; validateTopic bounds
-	// MaxPayload under 2^60 so the fields never collide. Legacy v1–v3
-	// catalogs predate topic kinds: their payload words carry kind 0
-	// (KindFIFO), which is exactly what those brokers were.
+	// of a topic record, below the acked bit; validateTopic bounds
+	// MaxPayload under 2^60 so the fields never collide.
 	catKindShift = 60
 	catKindMask  = uint64(3) << catKindShift
 
@@ -103,7 +70,7 @@ type shardLoc struct {
 }
 
 // layoutInfo is everything readCatalog recovers about a broker's
-// durable shape, whichever catalog version recorded it.
+// durable shape.
 type layoutInfo struct {
 	topics    []TopicConfig
 	locs      [][]shardLoc // per topic, per shard
@@ -116,7 +83,7 @@ type layoutInfo struct {
 	// compacted away — ever held, so a retired topic's lease lines are
 	// never adopted by a new one.
 	nextGlobal int
-	cat        *catalogLog // non-nil for a v4 log: the broker stays administrable
+	cat        *catalogLog // positioned to continue appending
 }
 
 func packLoc(l shardLoc) uint64   { return uint64(l.heap)<<32 | uint64(l.base) }
@@ -143,63 +110,30 @@ func (r *catReader) word(a pmem.Addr) uint64 {
 	return r.h.Load(0, a)
 }
 
-func readName(r *catReader, row pmem.Addr, nameLen uint64) string {
-	name := make([]byte, catNameBytes)
-	for w := 0; w < catNameBytes/pmem.WordBytes; w++ {
-		word := r.word(row + pmem.Addr(32+w*8))
-		for b := 0; b < 8; b++ {
-			name[w*8+b] = byte(word >> (8 * b))
-		}
-	}
-	return string(name[:nameLen])
-}
-
-// readCatalog reads the durable catalog from heap 0 of the set,
-// accepting both layouts, and verifies the membership stamp of every
-// non-anchor heap. It returns an error — never panics — when the set
-// does not match the catalog: fewer or more heaps than recorded, a
-// blank heap where a stamped member should be, a stamp from another
-// broker, or heaps presented in the wrong order.
-func readCatalog(hs *pmem.HeapSet) (layoutInfo, error) {
-	h := hs.Heap(0)
-	r := &catReader{h: h}
-	reg := pmem.Addr(r.word(h.RootAddr(slotAnchor)))
-	if r.err != nil {
-		return layoutInfo{}, r.err
-	}
-	if reg == 0 {
-		return layoutInfo{}, fmt.Errorf("broker: no catalog anchored (heap 0 hosts no broker)")
-	}
+// readCatalog replays the catalog log that heap 0's anchor slot names
+// (reg, nonzero) and verifies the membership stamp of every non-anchor
+// heap. It returns an error — never panics — when the anchor names
+// anything but a catalog log, or when the set does not match the
+// catalog: fewer or more heaps than recorded, a blank heap where a
+// stamped member should be, a stamp from another broker, or heaps
+// presented in the wrong order. Placements need no second pass here:
+// replay's allocator simulation has already checked every window
+// against the set.
+func readCatalog(hs *pmem.HeapSet, reg pmem.Addr) (layoutInfo, error) {
+	r := &catReader{h: hs.Heap(0)}
 	magic := r.word(reg)
-	var (
-		lay       layoutInfo
-		heapCount int
-		stamp     uint64
-		err       error
-	)
-	switch magic {
-	case catMagic:
-		heapCount = 1
-		lay, err = readCatalogV1(r, reg)
-	case catMagicV2:
-		lay, heapCount, stamp, err = readCatalogV2(r, reg)
-	case catMagicV3:
-		lay, heapCount, stamp, err = readCatalogV3(r, reg)
-	case catMagicV4:
-		lay, lay.cat, heapCount, stamp, err = readCatalogV4(r, hs, reg)
-	default:
+	switch {
+	case r.err != nil:
+		return layoutInfo{}, r.err
+	case magic >= retiredMagicLo && magic <= retiredMagicHi:
+		return layoutInfo{}, fmt.Errorf("broker: catalog format \"Broker%d\" is unsupported (the write-once layouts are retired; only the \"Broker4\" log is read)",
+			1+magic-retiredMagicLo)
+	case magic != catMagicV4:
 		return layoutInfo{}, fmt.Errorf("broker: catalog magic %#x invalid", magic)
 	}
+	lay, heapCount, stamp, err := readCatalogV4(r, hs, reg)
 	if err != nil {
 		return layoutInfo{}, err
-	}
-	if magic != catMagicV4 {
-		// Legacy write-once catalogs assigned global shard ordinals
-		// sequentially in row order and never deleted a topic.
-		for _, tc := range lay.topics {
-			lay.bases = append(lay.bases, lay.nextGlobal)
-			lay.nextGlobal += tc.Shards
-		}
 	}
 	if heapCount != hs.Len() {
 		return layoutInfo{}, fmt.Errorf("broker: catalog records %d heaps, the given set has %d",
@@ -210,169 +144,7 @@ func readCatalog(hs *pmem.HeapSet) (layoutInfo, error) {
 			return layoutInfo{}, err
 		}
 	}
-	// Validate every placement against the actual set: in-range heap,
-	// in-range window, and no two windows — shard or lease region —
-	// sharing slots on one heap.
-	type window struct{ base, width int }
-	used := make([][]window, hs.Len())
-	claim := func(what string, loc shardLoc, width int) error {
-		if loc.heap < 0 || loc.heap >= hs.Len() {
-			return fmt.Errorf("broker: catalog places %s on heap %d of %d", what, loc.heap, hs.Len())
-		}
-		if loc.base < 1 || loc.base+width > hs.Heap(loc.heap).RootSlots() {
-			return fmt.Errorf("broker: catalog places %s at slots [%d,%d) outside heap %d's window [1,%d)",
-				what, loc.base, loc.base+width, loc.heap, hs.Heap(loc.heap).RootSlots())
-		}
-		for _, w := range used[loc.heap] {
-			if loc.base < w.base+w.width && w.base < loc.base+width {
-				return fmt.Errorf("broker: catalog windows overlap on heap %d (bases %d and %d)",
-					loc.heap, w.base, loc.base)
-			}
-		}
-		used[loc.heap] = append(used[loc.heap], window{loc.base, width})
-		return nil
-	}
-	for ti, tl := range lay.locs {
-		for si, loc := range tl {
-			if err := claim(fmt.Sprintf("topic %d shard %d", ti, si), loc, slotsForKind(lay.topics[ti].Kind)); err != nil {
-				return layoutInfo{}, err
-			}
-		}
-	}
-	for g, loc := range lay.leaseLocs {
-		if err := claim(fmt.Sprintf("lease region %d", g), loc, 1); err != nil {
-			return layoutInfo{}, err
-		}
-	}
 	return lay, nil
-}
-
-func readCatalogV1(r *catReader, reg pmem.Addr) (layoutInfo, error) {
-	n := r.word(reg + pmem.WordBytes)
-	threads := r.word(reg + 2*pmem.WordBytes)
-	if n == 0 || n > maxCatTopics {
-		return layoutInfo{}, fmt.Errorf("broker: v1 catalog topic count %d invalid", n)
-	}
-	lay := layoutInfo{threads: int(threads)}
-	next := uint64(1)
-	for i := uint64(0); i < n; i++ {
-		row := reg + pmem.Addr((1+i)*pmem.CacheLineBytes)
-		nameLen := r.word(row + 24)
-		if r.err != nil {
-			return layoutInfo{}, r.err
-		}
-		if nameLen == 0 || nameLen > catNameBytes {
-			return layoutInfo{}, fmt.Errorf("broker: catalog row %d has invalid name length %d", i, nameLen)
-		}
-		// The recorded slot base must match the deterministic v1
-		// layout; a mismatch means the catalog does not describe this
-		// heap.
-		if base := r.word(row); base != next {
-			return layoutInfo{}, fmt.Errorf("broker: catalog row %d records slot base %d, layout expects %d",
-				i, base, next)
-		}
-		shards := r.word(row + 8)
-		if shards == 0 || shards > maxCatShards {
-			return layoutInfo{}, fmt.Errorf("broker: catalog row %d has invalid shard count %d", i, shards)
-		}
-		locs := make([]shardLoc, shards)
-		for s := range locs {
-			locs[s] = shardLoc{heap: 0, base: int(next) + s*slotsPerShard}
-		}
-		lay.topics = append(lay.topics, TopicConfig{
-			Name:       readName(r, row, nameLen),
-			Shards:     int(shards),
-			MaxPayload: int(r.word(row + 16)),
-		})
-		lay.locs = append(lay.locs, locs)
-		next += shards * slotsPerShard
-	}
-	return lay, r.err
-}
-
-func readCatalogV2(r *catReader, reg pmem.Addr) (layoutInfo, int, uint64, error) {
-	return readCatalogV2V3(r, reg, false)
-}
-
-func readCatalogV3(r *catReader, reg pmem.Addr) (layoutInfo, int, uint64, error) {
-	return readCatalogV2V3(r, reg, true)
-}
-
-// readCatalogV2V3 reads the heap-set layouts; v3 adds the ackGroups
-// header word, the acked bit in each topic row's payload word, and the
-// lease-region placement words after the shard placements.
-func readCatalogV2V3(r *catReader, reg pmem.Addr, v3 bool) (layoutInfo, int, uint64, error) {
-	n := r.word(reg + 8)
-	threads := r.word(reg + 16)
-	heapCount := r.word(reg + 24)
-	stamp := r.word(reg + 32)
-	shardTotal := r.word(reg + 40)
-	ackGroups := uint64(0)
-	if v3 {
-		ackGroups = r.word(reg + 48)
-	}
-	if r.err != nil {
-		return layoutInfo{}, 0, 0, r.err
-	}
-	if n == 0 || n > maxCatTopics {
-		return layoutInfo{}, 0, 0, fmt.Errorf("broker: catalog topic count %d invalid", n)
-	}
-	if heapCount == 0 || heapCount > maxCatHeaps {
-		return layoutInfo{}, 0, 0, fmt.Errorf("broker: catalog heap count %d invalid", heapCount)
-	}
-	if shardTotal == 0 || shardTotal > maxCatShards {
-		return layoutInfo{}, 0, 0, fmt.Errorf("broker: catalog shard total %d invalid", shardTotal)
-	}
-	if ackGroups > maxCatAckGroups {
-		return layoutInfo{}, 0, 0, fmt.Errorf("broker: catalog ack-group count %d invalid", ackGroups)
-	}
-	lay := layoutInfo{threads: int(threads)}
-	placeBase := reg + pmem.Addr((1+n)*pmem.CacheLineBytes)
-	place := uint64(0)
-	for i := uint64(0); i < n; i++ {
-		row := reg + pmem.Addr((1+i)*pmem.CacheLineBytes)
-		shards := r.word(row)
-		payloadWord := r.word(row + 8)
-		nameLen := r.word(row + 16)
-		placeStart := r.word(row + 24)
-		if r.err != nil {
-			return layoutInfo{}, 0, 0, r.err
-		}
-		if nameLen == 0 || nameLen > catNameBytes {
-			return layoutInfo{}, 0, 0, fmt.Errorf("broker: catalog row %d has invalid name length %d", i, nameLen)
-		}
-		if shards == 0 || placeStart != place || placeStart+shards > shardTotal {
-			return layoutInfo{}, 0, 0, fmt.Errorf("broker: catalog row %d has inconsistent placement (%d shards at %d of %d)",
-				i, shards, placeStart, shardTotal)
-		}
-		locs := make([]shardLoc, shards)
-		for s := range locs {
-			locs[s] = unpackLoc(r.word(placeBase + pmem.Addr((placeStart+uint64(s))*pmem.WordBytes)))
-		}
-		tc := TopicConfig{
-			Name:       readName(r, row, nameLen),
-			Shards:     int(shards),
-			MaxPayload: int(payloadWord),
-		}
-		if v3 {
-			tc.Acked = payloadWord&catAckedBit != 0
-			tc.MaxPayload = int(payloadWord &^ catAckedBit)
-		}
-		lay.topics = append(lay.topics, tc)
-		lay.locs = append(lay.locs, locs)
-		place += shards
-	}
-	if place != shardTotal {
-		return layoutInfo{}, 0, 0, fmt.Errorf("broker: catalog shard total %d does not match topic rows (%d)",
-			shardTotal, place)
-	}
-	for g := uint64(0); g < ackGroups; g++ {
-		lay.leaseLocs = append(lay.leaseLocs,
-			unpackLoc(r.word(placeBase+pmem.Addr((shardTotal+g)*pmem.WordBytes))))
-		// v3 regions were sized to the write-once catalog's shard total.
-		lay.leaseCaps = append(lay.leaseCaps, int(shardTotal))
-	}
-	return lay, int(heapCount), stamp, r.err
 }
 
 // checkMemberEmpty rejects a heap whose anchor slot already names a
@@ -387,8 +159,8 @@ func checkMemberEmpty(h *pmem.Heap, i int) error {
 		return nil // nothing anchored (a dangling address is treated as debris below)
 	}
 	switch r.word(reg) {
-	case catMagic, catMagicV2, catMagicV3, catMagicV4:
-		return fmt.Errorf("broker: heap %d of the set already hosts a broker catalog (use Recover)", i)
+	case catMagicV4:
+		return fmt.Errorf("broker: heap %d of the set already hosts a broker catalog (Open that set to recover it)", i)
 	case stampMagic:
 		return fmt.Errorf("broker: heap %d of the set carries a membership stamp (member of another broker, or leftover from an interrupted creation)", i)
 	default:

@@ -6,9 +6,9 @@ import (
 	"repro/internal/pmem"
 )
 
-// The v4 catalog is no longer a write-once snapshot but an append-only
-// durable *log* of administrative records — the redesign that makes
-// topics and ack-group lease regions creatable on a live broker.
+// The catalog is an append-only durable *log* of administrative
+// records, which is what makes topics and ack-group lease regions
+// creatable on a live broker.
 // Every creation follows the second amendment's own ordered-persist
 // discipline, the same append → fence → anchor pattern the queues use
 // for nodes:
@@ -101,8 +101,8 @@ import (
 // body word, so a torn record — some lines landed, others not — fails
 // validation. A *committed* record that fails validation is a hard
 // recovery error (the catalog is corrupt); an uncommitted one is
-// expected debris. Membership stamps on heaps 1.. are unchanged from
-// v2/v3.
+// expected debris. Membership stamps on heaps 1.. are described in
+// catalog.go.
 
 const (
 	catMagicV4    = 0x42726f6b657234 // "Broker4": append-only catalog log
@@ -550,7 +550,7 @@ func (cl *catalogLog) compact(tid, threads, capacityLines int,
 // (checksum, bounds, field sanity) and anything beyond the commit
 // point — the torn tail of a creation that crashed before its anchor
 // stamp — is ignored and will be overwritten by the next append. The
-// returned catalogLog is positioned to continue appending.
+// returned layout's catalogLog is positioned to continue appending.
 //
 // Replay is also an allocator simulation: each creation record claims
 // its root-slot windows, each tombstone retires its topic's windows,
@@ -558,17 +558,17 @@ func (cl *catalogLog) compact(tid, threads, capacityLines int,
 // structure — or partially overlap a retired window instead of reusing
 // it exactly — is a hard recovery error. What is retired and never
 // reclaimed at the end of the log becomes the rebuilt free list.
-func readCatalogV4(r *catReader, hs *pmem.HeapSet, reg pmem.Addr) (layoutInfo, *catalogLog, int, uint64, error) {
+func readCatalogV4(r *catReader, hs *pmem.HeapSet, reg pmem.Addr) (layoutInfo, int, uint64, error) {
 	var hdr [7]uint64
 	for i := range hdr {
 		hdr[i] = r.word(reg + pmem.Addr(i*pmem.WordBytes))
 	}
 	gotSum := r.word(reg + 7*pmem.WordBytes)
 	if r.err != nil {
-		return layoutInfo{}, nil, 0, 0, r.err
+		return layoutInfo{}, 0, 0, r.err
 	}
 	if gotSum != catChecksum(hdr[:]) {
-		return layoutInfo{}, nil, 0, 0, fmt.Errorf("broker: catalog log header corrupt (checksum mismatch)")
+		return layoutInfo{}, 0, 0, fmt.Errorf("broker: catalog log header corrupt (checksum mismatch)")
 	}
 	threads := hdr[1]
 	heapCount := hdr[2]
@@ -577,17 +577,17 @@ func readCatalogV4(r *catReader, hs *pmem.HeapSet, reg pmem.Addr) (layoutInfo, *
 	allocLines := hdr[5]
 	gen := hdr[6]
 	if heapCount == 0 || heapCount > maxCatHeaps {
-		return layoutInfo{}, nil, 0, 0, fmt.Errorf("broker: catalog heap count %d invalid", heapCount)
+		return layoutInfo{}, 0, 0, fmt.Errorf("broker: catalog heap count %d invalid", heapCount)
 	}
 	if totalLines == 0 || totalLines > maxCatalogLines {
-		return layoutInfo{}, nil, 0, 0, fmt.Errorf("broker: catalog log capacity %d lines invalid", totalLines)
+		return layoutInfo{}, 0, 0, fmt.Errorf("broker: catalog log capacity %d lines invalid", totalLines)
 	}
 	if allocLines != uint64(allocLinesFor(int(heapCount))) {
-		return layoutInfo{}, nil, 0, 0, fmt.Errorf("broker: catalog log records %d allocator lines for %d heaps, want %d",
+		return layoutInfo{}, 0, 0, fmt.Errorf("broker: catalog log records %d allocator lines for %d heaps, want %d",
 			allocLines, heapCount, allocLinesFor(int(heapCount)))
 	}
 	if gen >= maxCatGenerations {
-		return layoutInfo{}, nil, 0, 0, fmt.Errorf("broker: catalog log generation %d invalid", gen)
+		return layoutInfo{}, 0, 0, fmt.Errorf("broker: catalog log generation %d invalid", gen)
 	}
 	cl := &catalogLog{
 		h:          r.h,
@@ -603,14 +603,14 @@ func readCatalogV4(r *catReader, hs *pmem.HeapSet, reg pmem.Addr) (layoutInfo, *
 	records := r.word(cl.lineAddr(1))
 	floor := r.word(cl.lineAddr(1) + pmem.WordBytes)
 	if records > uint64(cl.totalLines) { // each record spans >= 1 line
-		return layoutInfo{}, nil, 0, 0, fmt.Errorf("broker: catalog log commit count %d absurd (capacity %d lines)",
+		return layoutInfo{}, 0, 0, fmt.Errorf("broker: catalog log commit count %d absurd (capacity %d lines)",
 			records, cl.totalLines)
 	}
 	if floor > maxCatShards {
-		return layoutInfo{}, nil, 0, 0, fmt.Errorf("broker: catalog log ordinal floor %d invalid", floor)
+		return layoutInfo{}, 0, 0, fmt.Errorf("broker: catalog log ordinal floor %d invalid", floor)
 	}
 
-	lay := layoutInfo{threads: int(threads), nextGlobal: int(floor)}
+	lay := layoutInfo{threads: int(threads), nextGlobal: int(floor), cat: cl}
 	replayMarks := make([]int, heapCount)
 	for i := range replayMarks {
 		replayMarks[i] = 1
@@ -677,7 +677,7 @@ func readCatalogV4(r *catReader, hs *pmem.HeapSet, reg pmem.Addr) (layoutInfo, *
 	topics, ackGroups := 0, 0
 	for rec := 0; rec < int(records); rec++ {
 		if cursor >= cl.totalLines {
-			return layoutInfo{}, nil, 0, 0, fmt.Errorf("broker: catalog log record %d starts beyond capacity", rec)
+			return layoutInfo{}, 0, 0, fmt.Errorf("broker: catalog log record %d starts beyond capacity", rec)
 		}
 		hdrAddr := cl.lineAddr(cursor)
 		var rh [7]uint64
@@ -687,10 +687,10 @@ func readCatalogV4(r *catReader, hs *pmem.HeapSet, reg pmem.Addr) (layoutInfo, *
 		recSum := r.word(hdrAddr + 7*pmem.WordBytes)
 		bodyLines := rh[5]
 		if r.err != nil {
-			return layoutInfo{}, nil, 0, 0, r.err
+			return layoutInfo{}, 0, 0, r.err
 		}
 		if bodyLines > uint64(cl.totalLines) || cursor+1+int(bodyLines) > cl.totalLines {
-			return layoutInfo{}, nil, 0, 0, fmt.Errorf("broker: catalog log record %d overruns capacity", rec)
+			return layoutInfo{}, 0, 0, fmt.Errorf("broker: catalog log record %d overruns capacity", rec)
 		}
 		sum := make([]uint64, 0, 7+int(bodyLines)*8)
 		sum = append(sum, rh[:]...)
@@ -703,13 +703,13 @@ func readCatalogV4(r *catReader, hs *pmem.HeapSet, reg pmem.Addr) (layoutInfo, *
 			sum = append(sum, body[bi][:]...)
 		}
 		if r.err != nil {
-			return layoutInfo{}, nil, 0, 0, r.err
+			return layoutInfo{}, 0, 0, r.err
 		}
 		if recSum != catChecksum(sum) {
-			return layoutInfo{}, nil, 0, 0, fmt.Errorf("broker: catalog log record %d corrupt (checksum mismatch)", rec)
+			return layoutInfo{}, 0, 0, fmt.Errorf("broker: catalog log record %d corrupt (checksum mismatch)", rec)
 		}
 		if rh[1] != uint64(rec+1) {
-			return layoutInfo{}, nil, 0, 0, fmt.Errorf("broker: catalog log record %d carries sequence %d", rec, rh[1])
+			return layoutInfo{}, 0, 0, fmt.Errorf("broker: catalog log record %d carries sequence %d", rec, rh[1])
 		}
 		switch rh[0] {
 		case recTopicMagic:
@@ -718,20 +718,20 @@ func readCatalogV4(r *catReader, hs *pmem.HeapSet, reg pmem.Addr) (layoutInfo, *
 			nameLen := rh[4]
 			baseWord := rh[6]
 			if shards == 0 || shards > maxCatShards {
-				return layoutInfo{}, nil, 0, 0, fmt.Errorf("broker: catalog log record %d has invalid shard count %d", rec, shards)
+				return layoutInfo{}, 0, 0, fmt.Errorf("broker: catalog log record %d has invalid shard count %d", rec, shards)
 			}
 			if nameLen == 0 || nameLen > catNameBytes {
-				return layoutInfo{}, nil, 0, 0, fmt.Errorf("broker: catalog log record %d has invalid name length %d", rec, nameLen)
+				return layoutInfo{}, 0, 0, fmt.Errorf("broker: catalog log record %d has invalid name length %d", rec, nameLen)
 			}
 			if want := 1 + (int(shards)+pmem.WordsPerLine-1)/pmem.WordsPerLine; int(bodyLines) != want {
-				return layoutInfo{}, nil, 0, 0, fmt.Errorf("broker: catalog log record %d has %d body lines for %d shards, want %d",
+				return layoutInfo{}, 0, 0, fmt.Errorf("broker: catalog log record %d has %d body lines for %d shards, want %d",
 					rec, bodyLines, shards, want)
 			}
 			if baseWord > maxCatShards {
-				return layoutInfo{}, nil, 0, 0, fmt.Errorf("broker: catalog log record %d has invalid ordinal base %d", rec, baseWord)
+				return layoutInfo{}, 0, 0, fmt.Errorf("broker: catalog log record %d has invalid ordinal base %d", rec, baseWord)
 			}
 			if topics++; topics > maxCatTopics {
-				return layoutInfo{}, nil, 0, 0, fmt.Errorf("broker: catalog log exceeds %d topics", maxCatTopics)
+				return layoutInfo{}, 0, 0, fmt.Errorf("broker: catalog log exceeds %d topics", maxCatTopics)
 			}
 			nameBytes := make([]byte, catNameBytes)
 			for w := 0; w < catNameBytes/pmem.WordBytes; w++ {
@@ -741,7 +741,7 @@ func readCatalogV4(r *catReader, hs *pmem.HeapSet, reg pmem.Addr) (layoutInfo, *
 			}
 			name := string(nameBytes[:nameLen])
 			if byName[name] != nil {
-				return layoutInfo{}, nil, 0, 0, fmt.Errorf("broker: catalog log records topic %q twice", name)
+				return layoutInfo{}, 0, 0, fmt.Errorf("broker: catalog log records topic %q twice", name)
 			}
 			// Word 6 is 1+base for records written since topic retirement
 			// existed; 0 means sequential assignment, exactly what the
@@ -754,50 +754,51 @@ func readCatalogV4(r *catReader, hs *pmem.HeapSet, reg pmem.Addr) (layoutInfo, *
 				lay.nextGlobal = end
 			}
 			kind := TopicKind((payloadWord & catKindMask) >> catKindShift)
-			if kind > KindPriority {
-				return layoutInfo{}, nil, 0, 0, fmt.Errorf("broker: catalog log record %d has invalid topic kind %d", rec, int(kind))
+			tc := TopicConfig{
+				Name:       name,
+				Shards:     int(shards),
+				MaxPayload: int(payloadWord &^ (catAckedBit | catKindMask)),
+				Acked:      payloadWord&catAckedBit != 0,
+				Kind:       kind,
+			}
+			// The same standard CreateTopic held the config to before it
+			// wrote the record (kind range, heap kinds single-shard and
+			// unacked): a checksummed record that fails it was never
+			// written by this code.
+			if err := validateTopic(tc); err != nil {
+				return layoutInfo{}, 0, 0, fmt.Errorf("broker: catalog log record %d: %w", rec, err)
 			}
 			locs := make([]shardLoc, shards)
 			for s := range locs {
 				locs[s] = unpackLoc(body[1+s/pmem.WordsPerLine][s%pmem.WordsPerLine])
 				if err := claimWin(rec, fmt.Sprintf("topic %q shard %d", name, s), locs[s], slotsForKind(kind)); err != nil {
-					return layoutInfo{}, nil, 0, 0, err
+					return layoutInfo{}, 0, 0, err
 				}
 			}
-			rt := &repTopic{
-				tc: TopicConfig{
-					Name:       name,
-					Shards:     int(shards),
-					MaxPayload: int(payloadWord &^ (catAckedBit | catKindMask)),
-					Acked:      payloadWord&catAckedBit != 0,
-					Kind:       kind,
-				},
-				locs: locs,
-				base: base,
-			}
+			rt := &repTopic{tc: tc, locs: locs, base: base}
 			reps = append(reps, rt)
 			byName[name] = rt
 		case recAckMagic:
 			capacity := rh[2]
 			loc := unpackLoc(rh[3])
 			if capacity == 0 || capacity > maxCatShards {
-				return layoutInfo{}, nil, 0, 0, fmt.Errorf("broker: catalog log record %d has invalid lease capacity %d", rec, capacity)
+				return layoutInfo{}, 0, 0, fmt.Errorf("broker: catalog log record %d has invalid lease capacity %d", rec, capacity)
 			}
 			if ackGroups++; ackGroups > maxCatAckGroups {
-				return layoutInfo{}, nil, 0, 0, fmt.Errorf("broker: catalog log exceeds %d ack groups", maxCatAckGroups)
+				return layoutInfo{}, 0, 0, fmt.Errorf("broker: catalog log exceeds %d ack groups", maxCatAckGroups)
 			}
 			if err := claimWin(rec, fmt.Sprintf("lease region %d", ackGroups-1), loc, 1); err != nil {
-				return layoutInfo{}, nil, 0, 0, err
+				return layoutInfo{}, 0, 0, err
 			}
 			lay.leaseLocs = append(lay.leaseLocs, loc)
 			lay.leaseCaps = append(lay.leaseCaps, int(capacity))
 		case recTombMagic:
 			nameLen := rh[2]
 			if nameLen == 0 || nameLen > catNameBytes {
-				return layoutInfo{}, nil, 0, 0, fmt.Errorf("broker: catalog log record %d has invalid name length %d", rec, nameLen)
+				return layoutInfo{}, 0, 0, fmt.Errorf("broker: catalog log record %d has invalid name length %d", rec, nameLen)
 			}
 			if bodyLines != 1 {
-				return layoutInfo{}, nil, 0, 0, fmt.Errorf("broker: catalog log tombstone %d has %d body lines, want 1", rec, bodyLines)
+				return layoutInfo{}, 0, 0, fmt.Errorf("broker: catalog log tombstone %d has %d body lines, want 1", rec, bodyLines)
 			}
 			nameBytes := make([]byte, catNameBytes)
 			for w := 0; w < catNameBytes/pmem.WordBytes; w++ {
@@ -808,7 +809,7 @@ func readCatalogV4(r *catReader, hs *pmem.HeapSet, reg pmem.Addr) (layoutInfo, *
 			name := string(nameBytes[:nameLen])
 			rt := byName[name]
 			if rt == nil {
-				return layoutInfo{}, nil, 0, 0, fmt.Errorf("broker: catalog log tombstone %d names no live topic %q", rec, name)
+				return layoutInfo{}, 0, 0, fmt.Errorf("broker: catalog log tombstone %d names no live topic %q", rec, name)
 			}
 			rt.dead = true
 			delete(byName, name)
@@ -827,7 +828,7 @@ func readCatalogV4(r *catReader, hs *pmem.HeapSet, reg pmem.Addr) (layoutInfo, *
 			}
 			cl.deadLines += topicRecLines(len(rt.locs)) + tombstoneLines
 		default:
-			return layoutInfo{}, nil, 0, 0, fmt.Errorf("broker: catalog log record %d magic %#x invalid", rec, rh[0])
+			return layoutInfo{}, 0, 0, fmt.Errorf("broker: catalog log record %d magic %#x invalid", rec, rh[0])
 		}
 		cursor += 1 + int(bodyLines)
 	}
@@ -854,17 +855,17 @@ func readCatalogV4(r *catReader, hs *pmem.HeapSet, reg pmem.Addr) (layoutInfo, *
 	for i := 0; i < int(heapCount); i++ {
 		m := int(r.word(cl.markAddr(i)))
 		if r.err != nil {
-			return layoutInfo{}, nil, 0, 0, r.err
+			return layoutInfo{}, 0, 0, r.err
 		}
 		if m < replayMarks[i] {
-			return layoutInfo{}, nil, 0, 0, fmt.Errorf("broker: heap %d high-water mark %d lags committed windows (%d)",
+			return layoutInfo{}, 0, 0, fmt.Errorf("broker: heap %d high-water mark %d lags committed windows (%d)",
 				i, m, replayMarks[i])
 		}
 		if i < hs.Len() && m > hs.Heap(i).RootSlots() {
-			return layoutInfo{}, nil, 0, 0, fmt.Errorf("broker: heap %d high-water mark %d exceeds %d root slots",
+			return layoutInfo{}, 0, 0, fmt.Errorf("broker: heap %d high-water mark %d exceeds %d root slots",
 				i, m, hs.Heap(i).RootSlots())
 		}
 		cl.marks[i] = m
 	}
-	return lay, cl, int(heapCount), stamp, nil
+	return lay, int(heapCount), stamp, nil
 }

@@ -1,14 +1,10 @@
 package broker
 
 import (
-	"bytes"
 	"errors"
 	"fmt"
 	"math/rand"
-	"runtime"
 	"strings"
-	"sync"
-	"sync/atomic"
 	"testing"
 
 	"repro/internal/pmem"
@@ -503,383 +499,5 @@ func TestErrLeaseCapacity(t *testing.T) {
 	want := fmt.Sprintf("exceeds lease region %d's capacity 2", tight)
 	if !strings.Contains(bindErr.Error(), want) || !strings.Contains(subErr.Error(), want) {
 		t.Fatalf("inconsistent capacity diagnostics:\n  bind:      %v\n  subscribe: %v", bindErr, subErr)
-	}
-}
-
-// TestBrokerCrashFuzzTopicChurn is the topic-churn fuzz tier: while
-// producers and a consumer group hammer the static topics, an
-// administrator churns topics — create, publish, drain a little,
-// delete — through a deliberately small catalog log (so the storm runs
-// through compactions too), while another thread publishes into
-// whatever churn topic is currently alive, racing every delete. The
-// crash lands anywhere, including mid-delete and mid-compaction. The
-// audit: recovery succeeds (replay's allocator simulation rejects any
-// window overlap), no topic whose delete returned resurfaces, and
-// every acknowledged publish to a surviving topic is delivered or
-// recovered exactly once, in per-publisher order.
-func TestBrokerCrashFuzzTopicChurn(t *testing.T) {
-	seeds := []int64{51, 52, 53}
-	if testing.Short() {
-		seeds = seeds[:1]
-	}
-	for _, seed := range seeds {
-		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) { topicChurnRound(t, seed) })
-	}
-}
-
-func topicChurnRound(t *testing.T, seed int64) {
-	const (
-		producers   = 2
-		consumers   = 2
-		perProducer = 2000
-		heaps       = 2
-		churnTid    = producers + consumers     // tid 4: the administrator
-		raceTid     = producers + consumers + 1 // tid 5: publishes into live churn topics
-		threads     = producers + consumers + 2
-		maxCycles   = 10
-	)
-	hs := pmem.NewSet(heaps, pmem.Config{Bytes: 64 << 20, Mode: pmem.ModeCrash, MaxThreads: threads})
-	// Small log: ~4 churn cycles fill it, so the storm exercises the
-	// auto-compaction path under fire.
-	b, err := Open(hs, Options{Threads: threads, CatalogLines: 96})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, tc := range twoTopics() {
-		if _, err := b.CreateTopic(0, tc); err != nil {
-			t.Fatal(err)
-		}
-	}
-	g, err := b.NewGroup([]string{"events", "jobs"}, consumers)
-	if err != nil {
-		t.Fatal(err)
-	}
-	crashRng := rand.New(rand.NewSource(seed))
-	hs.Heap(crashRng.Intn(heaps)).ScheduleCrashAtAccess((20_000 + int64(crashRng.Intn(120_000))) / int64(heaps))
-
-	// Per churn cycle: lifecycle flags and the acknowledged ids, the
-	// raced publisher's under raceMu (it appends concurrently).
-	type churnCycle struct {
-		created        bool
-		deleteAttempt  bool
-		deleteReturned bool
-		acked          []uint64
-		raceAcked      []uint64
-	}
-	cycles := make([]*churnCycle, maxCycles)
-	for i := range cycles {
-		cycles[i] = &churnCycle{}
-	}
-	var raceMu sync.Mutex
-	var liveCycle atomic.Int64 // index of the currently alive churn topic, -1 when none
-	liveCycle.Store(-1)
-
-	acked := make([][]uint64, producers)
-	delivered := make([]map[uint64]ShardRef, consumers)
-	churnDelivered := map[uint64]bool{}
-	var producersDone sync.WaitGroup
-	var wg sync.WaitGroup
-	var start sync.WaitGroup
-	start.Add(1)
-
-	for p := 0; p < producers; p++ {
-		wg.Add(1)
-		producersDone.Add(1)
-		go func(p int) {
-			defer wg.Done()
-			defer producersDone.Done()
-			start.Wait()
-			rng := rand.New(rand.NewSource(seed*733 + int64(p)))
-			events, jobs := b.Topic("events"), b.Topic("jobs")
-			for m := uint64(1); m <= perProducer; {
-				runtime.Gosched()
-				id := uint64(p+1)<<32 | m
-				switch rng.Intn(3) {
-				case 0:
-					if pmem.Protect(func() { events.Publish(p, U64(id)) }) {
-						return
-					}
-					acked[p] = append(acked[p], id)
-					m++
-				default:
-					var batch [][]byte
-					var ids []uint64
-					for len(batch) < 6 && m <= perProducer {
-						ids = append(ids, uint64(p+1)<<32|m)
-						batch = append(batch, blobPayload(ids[len(ids)-1]))
-						m++
-					}
-					if pmem.Protect(func() { jobs.PublishBatch(p, batch) }) {
-						return
-					}
-					acked[p] = append(acked[p], ids...)
-				}
-			}
-		}(p)
-	}
-
-	// The administrator: one full lifecycle per cycle — create, publish,
-	// drain a prefix, occasionally compact, then (usually) delete.
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		defer liveCycle.Store(-1)
-		start.Wait()
-		rng := rand.New(rand.NewSource(seed * 919))
-		for d := 0; d < maxCycles; d++ {
-			runtime.Gosched()
-			st := cycles[d]
-			name := fmt.Sprintf("churn-%d", d)
-			tc := TopicConfig{Name: name, Shards: 1 + rng.Intn(2)}
-			if rng.Intn(2) == 0 {
-				tc.MaxPayload = 100
-			}
-			var cerr error
-			if pmem.Protect(func() { _, cerr = b.CreateTopic(churnTid, tc) }) {
-				return
-			}
-			if cerr != nil {
-				t.Errorf("CreateTopic(%s): %v", name, cerr)
-				return
-			}
-			st.created = true
-			liveCycle.Store(int64(d))
-			topic := b.Topic(name)
-			n := 15 + rng.Intn(30)
-			for m := 1; m <= n; m++ {
-				id := uint64(300+d)<<32 | uint64(m)
-				payload := U64(id)
-				if tc.MaxPayload != 0 {
-					payload = blobPayload(id)
-				}
-				if pmem.Protect(func() { topic.Publish(churnTid, payload) }) {
-					return
-				}
-				st.acked = append(st.acked, id)
-			}
-			// Drain a prefix so the audit sees delivered, dropped and
-			// recovered populations.
-			for s := 0; s < topic.Shards(); s++ {
-				for k := 0; k < 4; k++ {
-					var p []byte
-					var ok bool
-					if pmem.Protect(func() { p, ok = topic.DequeueShard(churnTid, s) }) {
-						return
-					}
-					if !ok {
-						break
-					}
-					churnDelivered[AsU64(p[:8])] = true
-				}
-			}
-			if rng.Intn(3) == 0 {
-				var kerr error
-				if pmem.Protect(func() { kerr = b.CompactCatalog(churnTid, 0) }) {
-					return
-				}
-				if kerr != nil {
-					t.Errorf("CompactCatalog: %v", kerr)
-					return
-				}
-			}
-			if rng.Intn(4) == 0 {
-				continue // let this one live
-			}
-			liveCycle.Store(-1)
-			st.deleteAttempt = true
-			var derr error
-			if pmem.Protect(func() { derr = b.DeleteTopic(churnTid, name) }) {
-				return // crash inside the delete protocol: existence is ambiguous
-			}
-			if derr != nil {
-				t.Errorf("DeleteTopic(%s): %v", name, derr)
-				return
-			}
-			st.deleteReturned = true
-		}
-	}()
-
-	// The racer: publish into whatever churn topic is alive right now,
-	// racing the administrator's deletes — a publish that loses the race
-	// observes ErrTopicDeleted and is simply not acknowledged.
-	wg.Add(1)
-	raceDone := make(chan struct{})
-	go func() {
-		defer wg.Done()
-		start.Wait()
-		seq := uint64(0)
-		for {
-			select {
-			case <-raceDone:
-				return
-			default:
-			}
-			runtime.Gosched()
-			d := liveCycle.Load()
-			if d < 0 {
-				continue
-			}
-			topic := b.Topic(fmt.Sprintf("churn-%d", d))
-			if topic == nil {
-				continue
-			}
-			seq++
-			id := uint64(500+d)<<32 | seq
-			var perr error
-			payload := U64(id)
-			if topic.MaxPayload() != 8 {
-				payload = blobPayload(id)
-			}
-			if pmem.Protect(func() { perr = topic.Publish(raceTid, payload) }) {
-				return
-			}
-			if perr == nil {
-				raceMu.Lock()
-				cycles[d].raceAcked = append(cycles[d].raceAcked, id)
-				raceMu.Unlock()
-			} else if !errors.Is(perr, ErrTopicDeleted) {
-				t.Errorf("racer Publish: %v", perr)
-				return
-			}
-		}
-	}()
-
-	done := make(chan struct{})
-	go func() { producersDone.Wait(); close(done) }()
-	for c := 0; c < consumers; c++ {
-		wg.Add(1)
-		delivered[c] = map[uint64]ShardRef{}
-		go func(c int) {
-			defer wg.Done()
-			start.Wait()
-			tid := producers + c
-			cons := g.Consumer(c)
-			idle := false
-			for {
-				runtime.Gosched()
-				var ms []Message
-				if pmem.Protect(func() { ms = cons.PollBatch(tid, 8) }) {
-					return
-				}
-				if len(ms) > 0 {
-					for _, m := range ms {
-						delivered[c][AsU64(m.Payload[:8])] = ShardRef{Topic: m.Topic, Shard: m.Shard}
-					}
-					idle = false
-					continue
-				}
-				select {
-				case <-done:
-					if idle {
-						return
-					}
-					idle = true
-				default:
-				}
-			}
-		}(c)
-	}
-	start.Done()
-	producersDone.Wait()
-	close(raceDone)
-	wg.Wait()
-	if !hs.Crashed() {
-		hs.CrashNow()
-	}
-	hs.FinalizeCrash(rand.New(rand.NewSource(seed * 37)))
-	hs.Restart()
-
-	// Recovery replays the catalog across whatever generations and
-	// tombstones the churn left; its allocator simulation is itself the
-	// no-window-overlap audit.
-	r, err := Open(hs, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ambiguous := 0
-	for d, st := range cycles {
-		name := fmt.Sprintf("churn-%d", d)
-		exists := r.Topic(name) != nil
-		switch {
-		case st.deleteReturned && exists:
-			t.Fatalf("topic %s resurrected: DeleteTopic returned, yet it recovered", name)
-		case st.created && !st.deleteAttempt && !exists:
-			t.Fatalf("topic %s lost: created and never deleted, yet it did not recover", name)
-		case st.deleteAttempt && !st.deleteReturned:
-			ambiguous++ // crash mid-delete: either outcome is legal
-		}
-	}
-
-	seen := map[uint64]string{}
-	for c := range delivered {
-		for id := range delivered[c] {
-			if prev, dup := seen[id]; dup {
-				t.Fatalf("message %#x delivered twice (%s)", id, prev)
-			}
-			seen[id] = "delivered"
-		}
-	}
-	for id := range churnDelivered {
-		if prev, dup := seen[id]; dup {
-			t.Fatalf("message %#x delivered twice (%s and churn drain)", id, prev)
-		}
-		seen[id] = "churn-delivered"
-	}
-	for _, topic := range r.Topics() {
-		for s := 0; s < topic.Shards(); s++ {
-			lastPerProducer := map[uint64]uint64{}
-			for {
-				p, ok := topic.DequeueShard(0, s)
-				if !ok {
-					break
-				}
-				id := AsU64(p[:8])
-				if len(p) > 8 && !bytes.Equal(p, blobPayload(id)) {
-					t.Fatalf("recovered payload for %#x corrupted", id)
-				}
-				if prev, dup := seen[id]; dup {
-					t.Fatalf("message %#x both %s and recovered", id, prev)
-				}
-				seen[id] = "recovered"
-				prod, m := id>>32, id&0xffffffff
-				if last := lastPerProducer[prod]; m <= last {
-					t.Fatalf("shard %s/%d: publisher %d out of order (%d after %d)",
-						topic.Name(), s, prod, m, last)
-				}
-				lastPerProducer[prod] = m
-			}
-		}
-	}
-	// Exactly-once is audited over the surviving topics: a deleted
-	// topic's messages were deliberately dropped with it, so its acked
-	// ids are exempt from the loss audit (their *deliveries* still went
-	// through the duplicate check above).
-	lost, totalAcked := 0, 0
-	audit := func(ids []uint64) {
-		totalAcked += len(ids)
-		for _, id := range ids {
-			if _, ok := seen[id]; !ok {
-				lost++
-			}
-		}
-	}
-	for p := range acked {
-		audit(acked[p])
-	}
-	churnAudited := 0
-	for d, st := range cycles {
-		if r.Topic(fmt.Sprintf("churn-%d", d)) == nil {
-			continue
-		}
-		churnAudited++
-		audit(st.acked)
-		audit(st.raceAcked)
-	}
-	t.Logf("seed %d: acked %d (auditing %d surviving churn topics, %d ambiguous deletes), audited %d, in-flight losses %d",
-		seed, totalAcked, churnAudited, ambiguous, len(seen), lost)
-	// Allowance: one unacknowledged poll window per main consumer (8)
-	// plus the churn drain's in-flight window.
-	if allowance := consumers*8 + 8; lost > allowance {
-		t.Fatalf("%d acknowledged messages lost (allowance %d)", lost, allowance)
 	}
 }

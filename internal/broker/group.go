@@ -193,10 +193,10 @@ func (b *Broker) NewGroupAffine(topicNames []string, n int) (*Group, error) {
 
 // LeaseConfig parameterizes an acked consumer group.
 type LeaseConfig struct {
-	// Region selects which lease region (CreateAckGroup, or the legacy
-	// Config.AckGroups) backs the group; a region serves one live
-	// group at a time, and covers only topics whose shards' global
-	// ordinals fall below its recorded capacity.
+	// Region selects which lease region (the index CreateAckGroup
+	// returned) backs the group; a region serves one live group at a
+	// time, and covers only topics whose shards' global ordinals fall
+	// below its recorded capacity.
 	Region int
 	// TTL is the lease duration in clock units; a member whose lease is
 	// older than TTL may have its shards adopted (Adopt). Default:

@@ -4,10 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
-	"runtime"
 	"strings"
-	"sync"
-	"sync/atomic"
 	"testing"
 
 	"repro/internal/dheap"
@@ -511,248 +508,5 @@ func TestHeapWindowSplitReuse(t *testing.T) {
 		if id, _ := decodeHeapPayload(t, p); id != uint64(i) {
 			t.Fatalf("heap topic %d delivered id %d", i, id)
 		}
-	}
-}
-
-// TestBrokerCrashFuzzDelayTopics is the heap-topic arm of the crash
-// audit: producers publish to a delay and a priority topic (singles
-// and batches) while consumers drain with an advancing logical clock,
-// a crash is scheduled on one member heap's access stream, and after
-// recovery every acknowledged message must be delivered or recovered
-// exactly once, never before its deadline, with losses bounded by the
-// consumers' in-flight dequeue windows.
-func TestBrokerCrashFuzzDelayTopics(t *testing.T) {
-	seeds := []int64{11, 12, 13}
-	if testing.Short() {
-		seeds = seeds[:1]
-	}
-	for _, seed := range seeds {
-		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) { heapCrashRound(t, seed) })
-	}
-}
-
-func heapCrashRound(t *testing.T, seed int64) {
-	const (
-		producers   = 2
-		consumers   = 2
-		perProducer = 1200
-		popBatch    = 8
-		heaps       = 2
-		threads     = producers + consumers
-	)
-	hs := pmem.NewSet(heaps, pmem.Config{Bytes: 64 << 20, Mode: pmem.ModeCrash, MaxThreads: threads})
-	b, err := Open(hs, Options{Threads: threads})
-	if err != nil {
-		t.Fatal(err)
-	}
-	topics := []TopicConfig{
-		{Name: "delay", Shards: 1, MaxPayload: 24, Kind: KindDelay},
-		{Name: "prio", Shards: 1, MaxPayload: 24, Kind: KindPriority},
-	}
-	for _, tc := range topics {
-		if _, err := b.CreateTopic(0, tc); err != nil {
-			t.Fatal(err)
-		}
-	}
-	crashRng := rand.New(rand.NewSource(seed))
-	hs.Heap(crashRng.Intn(heaps)).ScheduleCrashAtAccess(int64(4_000 + crashRng.Intn(30_000)))
-
-	var clock atomic.Uint64
-	clock.Store(1)
-
-	acked := make([][]uint64, producers) // ids whose publish returned
-	var wg, producersDone sync.WaitGroup
-	var start sync.WaitGroup
-	start.Add(1)
-
-	for p := 0; p < producers; p++ {
-		wg.Add(1)
-		producersDone.Add(1)
-		go func(p int) {
-			defer wg.Done()
-			defer producersDone.Done()
-			start.Wait()
-			rng := rand.New(rand.NewSource(seed*613 + int64(p)))
-			delay, prio := b.Topic("delay"), b.Topic("prio")
-			for m := uint64(1); m <= perProducer; {
-				runtime.Gosched()
-				id := uint64(p+1)<<32 | m
-				var err error
-				var ids []uint64
-				switch rng.Intn(4) {
-				case 0: // single delayed publish
-					key := clock.Load() + uint64(rng.Intn(64))
-					if pmem.Protect(func() { err = delay.PublishAt(p, heapPayload(id, key), key) }) {
-						return
-					}
-					ids = []uint64{id}
-				case 1: // delayed batch, one fence
-					var ps [][]byte
-					var keys []uint64
-					for len(ps) < 6 && m+uint64(len(ps)) <= perProducer {
-						bid := uint64(p+1)<<32 | (m + uint64(len(ps)))
-						key := clock.Load() + uint64(rng.Intn(64))
-						ps = append(ps, heapPayload(bid, key))
-						keys = append(keys, key)
-						ids = append(ids, bid)
-					}
-					if pmem.Protect(func() { err = delay.PublishAtBatch(p, ps, keys) }) {
-						return
-					}
-				case 2: // single priority publish
-					key := uint64(rng.Intn(1000))
-					if pmem.Protect(func() { err = prio.PublishPriority(p, heapPayload(id, key), key) }) {
-						return
-					}
-					ids = []uint64{id}
-				default: // priority batch
-					var ps [][]byte
-					var keys []uint64
-					for len(ps) < 6 && m+uint64(len(ps)) <= perProducer {
-						bid := uint64(p+1)<<32 | (m + uint64(len(ps)))
-						key := uint64(rng.Intn(1000))
-						ps = append(ps, heapPayload(bid, key))
-						keys = append(keys, key)
-						ids = append(ids, bid)
-					}
-					if pmem.Protect(func() { err = prio.PublishPriorityBatch(p, ps, keys) }) {
-						return
-					}
-				}
-				if err != nil {
-					if errors.Is(err, dheap.ErrFull) {
-						continue // backpressure: consumers are recycling slots
-					}
-					panic(err)
-				}
-				acked[p] = append(acked[p], ids...)
-				m += uint64(len(ids))
-			}
-		}(p)
-	}
-
-	done := make(chan struct{})
-	go func() { producersDone.Wait(); close(done) }()
-	delivered := make([]map[uint64]bool, consumers)
-	early := make([]int, consumers)
-	for c := 0; c < consumers; c++ {
-		wg.Add(1)
-		delivered[c] = map[uint64]bool{}
-		go func(c int) {
-			defer wg.Done()
-			start.Wait()
-			tid := producers + c
-			delay, prio := b.Topic("delay"), b.Topic("prio")
-			idle := false
-			for turn := 0; ; turn++ {
-				runtime.Gosched()
-				now := clock.Add(1)
-				tp := delay
-				if turn%2 == 1 {
-					tp = prio
-				}
-				var ps [][]byte
-				var err error
-				if pmem.Protect(func() { ps, err = tp.DequeueReadyBatch(tid, now, popBatch) }) {
-					return // crash mid-dequeue: the window counts against the allowance
-				}
-				if err != nil {
-					panic(err)
-				}
-				if len(ps) > 0 {
-					for _, p := range ps {
-						id, key := decodeHeapPayload(t, p)
-						if tp.Name() == "delay" && key > now {
-							early[c]++
-						}
-						if delivered[c][id] {
-							early[c] += 1 << 20 // impossible: flag loudly via the early counter
-						}
-						delivered[c][id] = true
-					}
-					idle = false
-					continue
-				}
-				select {
-				case <-done:
-					if idle {
-						return
-					}
-					idle = true
-				default:
-				}
-			}
-		}(c)
-	}
-	start.Done()
-	wg.Wait()
-	if !hs.Crashed() {
-		hs.CrashNow()
-	}
-	hs.FinalizeCrash(rand.New(rand.NewSource(seed * 37)))
-	hs.Restart()
-
-	r, err := Open(hs, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for c, n := range early {
-		if n > 0 {
-			t.Fatalf("consumer %d: %d early or duplicate deliveries", c, n)
-		}
-	}
-	seen := map[uint64]bool{}
-	for c := range delivered {
-		for id := range delivered[c] {
-			if seen[id] {
-				t.Fatalf("message %#x delivered twice across consumers", id)
-			}
-			seen[id] = true
-		}
-	}
-	// The recovered delay backlog still gates: nothing was published
-	// with a deadline below the clock's initial value.
-	if ps, err := r.Topic("delay").DequeueReadyBatch(0, 0, 1000); err != nil || len(ps) != 0 {
-		t.Fatalf("recovered delay topic delivered %d messages at now=0 (err %v)", len(ps), err)
-	}
-	recovered := 0
-	for _, name := range []string{"delay", "prio"} {
-		tp := r.Topic(name)
-		lastKey := uint64(0)
-		for {
-			p, ok, err := tp.DequeueReady(0, ^uint64(0))
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !ok {
-				break
-			}
-			id, key := decodeHeapPayload(t, p)
-			if key < lastKey {
-				t.Fatalf("%s recovered out of key order: %d after %d", name, key, lastKey)
-			}
-			lastKey = key
-			if seen[id] {
-				t.Fatalf("message %#x both delivered and recovered", id)
-			}
-			seen[id] = true
-			recovered++
-		}
-	}
-	lost, totalAcked := 0, 0
-	for p := range acked {
-		totalAcked += len(acked[p])
-		for _, id := range acked[p] {
-			if !seen[id] {
-				lost++
-			}
-		}
-	}
-	t.Logf("seed %d: acked %d, delivered %d, recovered %d, losses %d",
-		seed, totalAcked, len(seen)-recovered, recovered, lost)
-	// Each consumer may lose one unacknowledged in-flight dequeue batch
-	// whose consume NTStores landed without their covering return.
-	if allowance := consumers * popBatch; lost > allowance {
-		t.Fatalf("%d acknowledged messages lost (allowance %d)", lost, allowance)
 	}
 }

@@ -9,8 +9,7 @@ import (
 // Delivery state is transactional state (Gray, "Queues Are
 // Databases") and must be as durable as the payload. The lease region
 // is where the broker keeps it: one durable region per consumer-group
-// allocation (CreateAckGroup, or the legacy Config.AckGroups), placed
-// like a shard — the catalog records its (heapID, anchorSlot) and its
+// allocation (CreateAckGroup), placed like a shard — the catalog records its (heapID, anchorSlot) and its
 // capacity — and holding one cache line per global shard ordinal up
 // to that capacity. Capacity is fixed at region creation: groups may
 // only subscribe topics whose shards' global ordinals fall below it,

@@ -82,13 +82,13 @@ func TestLeaseLineTornWriteDetected(t *testing.T) {
 }
 
 // TestLeaseRegionErrors: a catalog whose lease region is missing,
-// foreign or truncated must fail RecoverSet with an error — never a
+// foreign or truncated must fail Open with an error — never a
 // panic, never a silent mis-scan of another group's leases.
 func TestLeaseRegionErrors(t *testing.T) {
 	newCrashed := func(t *testing.T) *pmem.Heap {
 		t.Helper()
 		h := pmem.New(pmem.Config{Bytes: 64 << 20, Mode: pmem.ModeCrash, MaxThreads: 4})
-		b, err := New(h, Config{Topics: twoAckedTopics(), Threads: 2, AckGroups: 2})
+		b, err := newBroker(pmem.NewSetOf(h), Options{Threads: 2}, twoAckedTopics(), 2)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -105,17 +105,17 @@ func TestLeaseRegionErrors(t *testing.T) {
 		t.Helper()
 		defer func() {
 			if r := recover(); r != nil {
-				t.Fatalf("%s: Recover panicked: %v", what, r)
+				t.Fatalf("%s: Open panicked: %v", what, r)
 			}
 		}()
-		if _, err := Recover(h, 2); err == nil {
-			t.Fatalf("%s: Recover succeeded", what)
+		if _, err := Open(pmem.NewSetOf(h), Options{Threads: 2}); err == nil {
+			t.Fatalf("%s: Open succeeded", what)
 		}
 	}
 
 	t.Run("intact baseline", func(t *testing.T) {
 		h := newCrashed(t)
-		r, err := Recover(h, 2)
+		r, err := Open(pmem.NewSetOf(h), Options{Threads: 2})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -179,7 +179,7 @@ func TestLeaseRegionErrors(t *testing.T) {
 // not the leases, decide what recovery redelivers.
 func TestTornLeaseLineToleratedAtBind(t *testing.T) {
 	h := pmem.New(pmem.Config{Bytes: 64 << 20, Mode: pmem.ModeCrash, MaxThreads: 2})
-	b, err := New(h, Config{Topics: twoAckedTopics(), Threads: 2, AckGroups: 1})
+	b, err := newBroker(pmem.NewSetOf(h), Options{Threads: 2}, twoAckedTopics(), 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -196,7 +196,7 @@ func TestTornLeaseLineToleratedAtBind(t *testing.T) {
 	h.FinalizeCrash(rand.New(rand.NewSource(52)))
 	h.Restart()
 
-	r, err := Recover(h, 2)
+	r, err := Open(pmem.NewSetOf(h), Options{Threads: 2})
 	if err != nil {
 		t.Fatal(err)
 	}

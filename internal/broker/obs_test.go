@@ -259,6 +259,58 @@ func TestObserverSurvivesRecovery(t *testing.T) {
 	}
 }
 
+// TestOpenRefusedObserverLeavesSetBlank: an observer that admits fewer
+// thread ids than the broker is refused before Open's first persist, so
+// the failed call leaves no durable broker behind — every member's
+// anchor slot is still zero and the corrected retry creates the broker
+// with the bound the caller now asks for. The same refusal on a used
+// set happens before shard recovery and leaves the broker recoverable.
+func TestOpenRefusedObserverLeavesSetBlank(t *testing.T) {
+	hs := pmem.NewSet(2, pmem.Config{Bytes: 4 << 20, MaxThreads: 8, Mode: pmem.ModeCrash})
+	small := obs.New(obs.Config{Threads: 2})
+	if _, err := Open(hs, Options{Threads: 8, Observer: small}); err == nil {
+		t.Fatal("Open with an observer admitting 2 of 8 thread ids should fail")
+	}
+	for i := 0; i < hs.Len(); i++ {
+		if a := hs.Heap(i).Load(0, hs.Heap(i).RootAddr(slotAnchor)); a != 0 {
+			t.Fatalf("the refused Open left heap %d's anchor slot at %#x", i, a)
+		}
+	}
+	b, err := Open(hs, Options{Threads: 4})
+	if err != nil {
+		t.Fatalf("retry after the refused Open: %v", err)
+	}
+	if _, err := b.CreateTopic(0, TopicConfig{Name: "t", Shards: 2}); err != nil {
+		t.Fatal(err)
+	}
+	b.Topic("t").Publish(0, U64(7))
+	hs.CrashNow()
+	hs.FinalizeCrash(nil)
+	hs.Restart()
+
+	var before pmem.Stats
+	for i := 0; i < hs.Len(); i++ {
+		before.Add(hs.Heap(i).TotalStats())
+	}
+	if _, err := Open(hs, Options{Observer: small}); err == nil {
+		t.Fatal("recovery with an observer admitting 2 of 4 thread ids should fail")
+	}
+	var after pmem.Stats
+	for i := 0; i < hs.Len(); i++ {
+		after.Add(hs.Heap(i).TotalStats())
+	}
+	if d := after.Sub(before); d.Stores+d.NTStores+d.CASes+d.DCASes != 0 {
+		t.Fatalf("the refused recovery wrote to the set: %+v", d)
+	}
+	r, err := Open(hs, Options{Observer: obs.New(obs.Config{Threads: 4})})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if p, ok := r.Topic("t").DequeueShard(0, 0); !ok || AsU64(p) != 7 {
+		t.Fatalf("recovered message = %v,%v", p, ok)
+	}
+}
+
 // TestAckedSubscribeWhilePolling exercises the hard half of the
 // Subscribe contract with the gauges watching: an acked group is
 // subscribed to a new topic while a member is actively polling and

@@ -19,7 +19,7 @@ import (
 // and the steady state is one fence per Max-sized window.
 func TestPublisherAdaptiveFenceRegimes(t *testing.T) {
 	h := pmem.New(pmem.Config{Bytes: 64 << 20, MaxThreads: 2})
-	b, err := New(h, Config{Topics: []TopicConfig{{Name: "events", Shards: 2}}, Threads: 1})
+	b, err := newBroker(pmem.NewSetOf(h), Options{Threads: 1}, []TopicConfig{{Name: "events", Shards: 2}}, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -79,7 +79,7 @@ func TestPublisherAdaptiveFenceRegimes(t *testing.T) {
 // whose policy has collapsed to Min pays zero persists per empty poll.
 func TestConsumerAdaptiveFenceRegimes(t *testing.T) {
 	h := pmem.New(pmem.Config{Bytes: 64 << 20, MaxThreads: 2})
-	b, err := New(h, Config{Topics: []TopicConfig{{Name: "events", Shards: 1}}, Threads: 2})
+	b, err := newBroker(pmem.NewSetOf(h), Options{Threads: 2}, []TopicConfig{{Name: "events", Shards: 1}}, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -155,8 +155,8 @@ func TestPublisherPipelineFenceParity(t *testing.T) {
 		// node-arena warmup; the comparison isolates the publish fences.
 		run := func(pipeline bool) (fences uint64, ackTrail []int) {
 			h := pmem.New(pmem.Config{Bytes: 64 << 20, MaxThreads: 2})
-			b, err := New(h, Config{Topics: []TopicConfig{
-				{Name: "events", Shards: 2, MaxPayload: payload}}, Threads: 1})
+			b, err := newBroker(pmem.NewSetOf(h), Options{Threads: 1}, []TopicConfig{
+				{Name: "events", Shards: 2, MaxPayload: payload}}, 0)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -312,7 +312,7 @@ func TestAckAsyncDeferredFence(t *testing.T) {
 // deterministic.
 func TestSubscribeNotQuiescent(t *testing.T) {
 	h := pmem.New(pmem.Config{Bytes: 64 << 20, MaxThreads: 2})
-	b, err := New(h, Config{Topics: twoTopics(), Threads: 2})
+	b, err := newBroker(pmem.NewSetOf(h), Options{Threads: 2}, twoTopics(), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -358,7 +358,7 @@ func TestSubscribeNotQuiescent(t *testing.T) {
 // on its backoff timer issuing zero persists.
 func TestPollerDrainsBacklogAndIdlesFree(t *testing.T) {
 	h := pmem.New(pmem.Config{Bytes: 64 << 20, MaxThreads: 2})
-	b, err := New(h, Config{Topics: []TopicConfig{{Name: "events", Shards: 4}}, Threads: 2})
+	b, err := newBroker(pmem.NewSetOf(h), Options{Threads: 2}, []TopicConfig{{Name: "events", Shards: 4}}, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,7 +1,9 @@
 // Package verify provides durable-linearizability testing machinery
 // for the queues: exhaustive single-thread crash-point enumeration,
 // randomized concurrent crash fuzzing with history checking, and
-// crash-during-recovery injection.
+// crash-during-recovery injection. It also holds the broker's crash
+// scenarios (BrokerScenarios, brokerfuzz.go), written against the
+// broker's exported API.
 //
 // The checks encode the obligations of durable linearizability
 // (Izraelevitz et al.) for FIFO queues:
