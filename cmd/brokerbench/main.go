@@ -17,7 +17,7 @@
 // attaches an obs.Observer (costing no persist instructions) and adds
 // p50/p99/p999 per-op latency columns — publish, poll (non-empty) and
 // ack — in microseconds; without the flag the latency columns are
-// zero in -csv/-json and omitted from the table.
+// zero in -csv and omitted from the table.
 //
 // The tail-latency dimensions sweep like -ack: -abatch swaps the fixed
 // publish/drain window sizes for AIMD policies adapting between 1 and
@@ -57,14 +57,20 @@
 //	brokerbench -nvm-fence-ns 500        # Optane-like fence cost
 //	brokerbench -latency                 # per-op p50/p99/p999 latency columns
 //	brokerbench -csv  > sweep.csv        # machine-readable, one row per cell
-//	brokerbench -shards 4 -heaps 2 -heaplat 120,480 -batch 8 -dbatch 8 -consumers 3 -ack 0,1 -abatch 0,1 -pipeline 0,1 -poller 0,1 -pgap 0,200000 -dyntopics 2 -deltopics 2 -duration 250ms -latency -json > BENCH_broker.json # refresh the repo baseline
+//
+// The sweep is informational: its timings are this machine's, and the
+// persist counts it prints are pinned exactly by the broker package's
+// *FenceAccounting / *FenceRegimes tests. CI archives the CSV; nothing
+// gates on it. Every workload flag is a sweep dimension taking a
+// comma-separated list (the dims table; the machine flags -heap-mb,
+// -nvm-fence-ns, -heaplat, -affine and -duration hold for the whole
+// sweep) and every output a column (the columns table).
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
-	"math"
+	"io"
 	"os"
 	"strconv"
 	"strings"
@@ -74,378 +80,114 @@ import (
 	"repro/internal/pmem"
 )
 
-// row is one sweep cell in the machine-readable outputs (-csv, -json).
-type row struct {
-	Topics            int     `json:"topics"`
-	Shards            int     `json:"shards"`
-	Heaps             int     `json:"heaps"`
-	Producers         int     `json:"producers"`
-	Consumers         int     `json:"consumers"`
-	Batch             int     `json:"batch"`
-	DequeueBatch      int     `json:"dbatch"`
-	Payload           int     `json:"payload"`
-	Ack               int     `json:"ack"`
-	AdaptiveBatch     int     `json:"abatch"`
-	Pipeline          int     `json:"pipeline"`
-	Poller            int     `json:"poller"`
-	ProduceGapNs      int64   `json:"pgap_ns"`
-	Kills             int     `json:"kills"`
-	Churn             int     `json:"churn"`
-	DynTopics         int     `json:"dyn_topics"`
-	DelTopics         int     `json:"del_topics"`
-	DelayTopics       int     `json:"delay_topics"`
-	PrioTopics        int     `json:"prio_topics"`
-	Published         uint64  `json:"published"`
-	Delivered         uint64  `json:"delivered"`
-	Mops              float64 `json:"mops"`
-	ProdFencesPerMsg  float64 `json:"prod_fences_per_msg"`
-	ConsFencesPerMsg  float64 `json:"cons_fences_per_msg"`
-	AckFencesPerMsg   float64 `json:"ack_fences_per_msg"`
-	RedeliveryRate    float64 `json:"redelivery_rate"`
-	FencedAcks        uint64  `json:"fenced_acks"`
-	Reassigned        uint64  `json:"reassigned_shards"`
-	Stolen            uint64  `json:"stolen_shards"`
-	Scans             uint64  `json:"scans"`
-	IdleFencesPerPoll float64 `json:"idle_fences_per_poll"`
-	HeapImbalance     float64 `json:"heap_imbalance"`
-	DynFencesPerNew   float64 `json:"dyn_fences_per_create"`
-	DelFencesPerDel   float64 `json:"del_fences_per_delete"`
-	HeapPublished     uint64  `json:"heap_published"`
-	HeapPopped        uint64  `json:"heap_popped"`
-	HeapFencesPerPub  float64 `json:"heap_fences_per_publish"`
-	HeapFencesPerPop  float64 `json:"heap_fences_per_pop"`
-	SlotsUsed         int     `json:"slots_used"`
-	SlotsFree         int     `json:"slots_free"`
-	PollerSleeps      uint64  `json:"poller_sleeps"`
-	PollerWakes       uint64  `json:"poller_wakes"`
+type config = harness.BrokerConfig
 
-	// Publish sojourn (arrival → durable acknowledgment) quantiles in
-	// microseconds — the tail a client of the topic experiences,
-	// including Publisher buffering and pipelined acknowledgment lag.
-	// Measured by the harness itself, so present without -latency.
-	SojP50Us  float64 `json:"soj_p50_us"`
-	SojP99Us  float64 `json:"soj_p99_us"`
-	SojP999Us float64 `json:"soj_p999_us"`
+// dim is one sweep dimension: an integer-list flag and how a value of
+// it lands in the cell's configuration. The sweep runs the cartesian
+// product of all dimensions, the first varying slowest, so adding a
+// dimension is one entry here plus the BrokerConfig field it sets.
+type dim struct {
+	name, def, help string
+	set             func(c *config, v int)
+}
 
-	// Per-op latency quantiles in microseconds, zero without -latency
-	// (the columns stay in the CSV/JSON shape either way, so baselines
-	// diff cleanly across the flag).
-	PubP50Us   float64 `json:"pub_p50_us"`
-	PubP99Us   float64 `json:"pub_p99_us"`
-	PubP999Us  float64 `json:"pub_p999_us"`
-	PollP50Us  float64 `json:"poll_p50_us"`
-	PollP99Us  float64 `json:"poll_p99_us"`
-	PollP999Us float64 `json:"poll_p999_us"`
-	AckP50Us   float64 `json:"ack_p50_us"`
-	AckP99Us   float64 `json:"ack_p99_us"`
-	AckP999Us  float64 `json:"ack_p999_us"`
+var dims = []dim{
+	{"topics", "2", "number of topics", func(c *config, v int) { c.Topics = v }},
+	{"producers", "4", "producer threads", func(c *config, v int) { c.Producers = v }},
+	{"consumers", "2", "consumer threads", func(c *config, v int) { c.Consumers = v }},
+	{"payload", "0", "payload bytes (0 = fixed 8-byte messages)", func(c *config, v int) { c.Payload = v }},
+	{"kills", "0", "consumers killed mid-run in ack cells (redeliveries via lease takeover)", func(c *config, v int) { c.Kills = v }},
+	{"churn", "0", "membership-churn cycles in ack cells (stall + forced split or work-stealing; needs >= 2 consumers)", func(c *config, v int) { c.Churn = v }},
+	{"dyntopics", "0", "topics created on the live broker mid-run (fences/create in the dyn column)", func(c *config, v int) { c.DynTopics = v }},
+	{"deltopics", "0", "create→delete cycles of a scratch topic mid-run (fences/delete + slot footprint columns)", func(c *config, v int) { c.DelTopics = v }},
+	{"delay", "0", "delay (deadline-ordered heap) topics driven by a dedicated thread (heap-f columns)", func(c *config, v int) { c.DelayTopics = v }},
+	{"prio", "0", "priority (rank-ordered heap) topics driven by a dedicated thread (heap-f columns)", func(c *config, v int) { c.PrioTopics = v }},
+	{"shards", "1,2,4,8", "comma-separated shard counts per topic to sweep", func(c *config, v int) { c.Shards = v }},
+	{"heaps", "1", "comma-separated heap-set sizes to sweep (NVRAM domains)", func(c *config, v int) { c.Heaps = v }},
+	{"batch", "1,16", "comma-separated publish batch sizes to sweep", func(c *config, v int) { c.Batch = v }},
+	{"dbatch", "1,8", "comma-separated dequeue (poll) batch sizes to sweep", func(c *config, v int) { c.DequeueBatch = v }},
+	{"ack", "0", "comma-separated ack modes to sweep (0 = at-least-once, 1 = acked/leased delivery)", func(c *config, v int) { c.Ack = v != 0 }},
+	{"abatch", "0", "comma-separated adaptive-batch modes to sweep (0 = fixed windows, 1 = AIMD)", func(c *config, v int) { c.AdaptiveBatch = v != 0 }},
+	{"pipeline", "0", "comma-separated pipeline modes to sweep (0 = fence per flush, 1 = fence deferred into next flush)", func(c *config, v int) { c.Pipeline = v != 0 }},
+	{"poller", "0", "comma-separated consumer modes to sweep (0 = busy poll loop, 1 = backoff event loop)", func(c *config, v int) { c.Poller = v != 0 }},
+	{"pgap", "0", "comma-separated ns between message arrivals per producer to sweep (0 = saturating; >0 models an idle topic)", func(c *config, v int) { c.ProduceGapNs = int64(v) }},
 }
 
 func main() {
-	var (
-		topics    = flag.Int("topics", 2, "number of topics")
-		shardsF   = flag.String("shards", "1,2,4,8", "comma-separated shard counts per topic to sweep")
-		heapsF    = flag.String("heaps", "1", "comma-separated heap-set sizes to sweep (NVRAM domains)")
-		affine    = flag.Bool("affine", false, "heap-affine deployment: block placement + affine consumer groups")
-		producers = flag.Int("producers", 4, "producer threads")
-		consumers = flag.Int("consumers", 2, "consumer threads")
-		batchF    = flag.String("batch", "1,16", "comma-separated publish batch sizes to sweep")
-		dbatchF   = flag.String("dbatch", "1,8", "comma-separated dequeue (poll) batch sizes to sweep")
-		ackF      = flag.String("ack", "0", "comma-separated ack modes to sweep (0 = at-least-once, 1 = acked/leased delivery)")
-		abatchF   = flag.String("abatch", "0", "comma-separated adaptive-batch modes to sweep (0 = fixed windows, 1 = AIMD)")
-		pipeF     = flag.String("pipeline", "0", "comma-separated pipeline modes to sweep (0 = fence per flush, 1 = fence deferred into next flush)")
-		pollerF   = flag.String("poller", "0", "comma-separated consumer modes to sweep (0 = busy poll loop, 1 = backoff event loop)")
-		pgapF     = flag.String("pgap", "0", "comma-separated ns between message arrivals per producer to sweep (0 = saturating; >0 models an idle topic)")
-		kills     = flag.Int("kills", 0, "consumers killed mid-run in ack cells (redeliveries via lease takeover)")
-		churn     = flag.Int("churn", 0, "membership-churn cycles in ack cells (stall + forced split or work-stealing; needs >= 2 consumers)")
-		dyn       = flag.Int("dyntopics", 0, "topics created on the live broker mid-run (fences/create in the dyn column)")
-		del       = flag.Int("deltopics", 0, "create→delete cycles of a scratch topic mid-run (fences/delete + slot footprint columns)")
-		delay     = flag.Int("delay", 0, "delay (deadline-ordered heap) topics driven by a dedicated thread (heap-f columns)")
-		prio      = flag.Int("prio", 0, "priority (rank-ordered heap) topics driven by a dedicated thread (heap-f columns)")
-		heaplatF  = flag.String("heaplat", "", "comma-separated per-heap SFENCE ns (asymmetric NUMA; heap i takes entry i mod len)")
-		payload   = flag.Int("payload", 0, "payload bytes (0 = fixed 8-byte messages)")
-		duration  = flag.Duration("duration", time.Second, "produce phase duration per cell")
-		heapMB    = flag.Int64("heap-mb", 512, "persistent heap size in MiB")
-		fenceNs   = flag.Int64("nvm-fence-ns", 120, "SFENCE latency")
-		latency   = flag.Bool("latency", false, "attach an observer and report per-op p50/p99/p999 latencies (µs)")
-		csvOut    = flag.Bool("csv", false, "emit CSV instead of a table")
-		jsonOut   = flag.Bool("json", false, "emit JSON (the BENCH_broker.json baseline shape)")
-	)
-	flag.Parse()
+	if err := sweep(os.Args[1:], os.Stdout); err != nil {
+		fmt.Fprintln(os.Stderr, "brokerbench:", err)
+		os.Exit(1)
+	}
+}
 
-	if *csvOut && *jsonOut {
-		fatal(fmt.Errorf("-csv and -json are mutually exclusive"))
+// sweep parses the flags, expands the dimensions into cells, runs
+// every cell and reports it on out as it finishes.
+func sweep(args []string, out io.Writer) error {
+	fs := flag.NewFlagSet("brokerbench", flag.ExitOnError)
+	lists := make([]*string, len(dims))
+	for i, d := range dims {
+		lists[i] = fs.String(d.name, d.def, d.help)
 	}
-	shardCounts, err := parseInts(*shardsF)
-	if err != nil {
-		fatal(err)
+	var (
+		affine   = fs.Bool("affine", false, "heap-affine deployment: block placement + affine consumer groups")
+		heaplat  = fs.String("heaplat", "", "comma-separated per-heap SFENCE ns (asymmetric NUMA; heap i takes entry i mod len)")
+		duration = fs.Duration("duration", time.Second, "produce phase duration per cell")
+		heapMB   = fs.Int64("heap-mb", 512, "persistent heap size in MiB")
+		fenceNs  = fs.Int64("nvm-fence-ns", 120, "SFENCE latency")
+		latency  = fs.Bool("latency", false, "attach an observer and report per-op p50/p99/p999 latencies (µs)")
+		csvOut   = fs.Bool("csv", false, "emit CSV instead of a table")
+	)
+	_ = fs.Parse(args) // ExitOnError: a bad flag exits inside Parse
+
+	base := config{
+		Affine: *affine, Duration: *duration, HeapBytes: *heapMB << 20,
+		Latency: pmem.DefaultLatency(), Observe: *latency,
 	}
-	heapCounts, err := parseInts(*heapsF)
-	if err != nil {
-		fatal(err)
-	}
-	batches, err := parseInts(*batchF)
-	if err != nil {
-		fatal(err)
-	}
-	dbatches, err := parseInts(*dbatchF)
-	if err != nil {
-		fatal(err)
-	}
-	ackModes, err := parseInts(*ackF)
-	if err != nil {
-		fatal(err)
-	}
-	abatchModes, err := parseInts(*abatchF)
-	if err != nil {
-		fatal(err)
-	}
-	pipeModes, err := parseInts(*pipeF)
-	if err != nil {
-		fatal(err)
-	}
-	pollerModes, err := parseInts(*pollerF)
-	if err != nil {
-		fatal(err)
-	}
-	pgaps, err := parseInts(*pgapF)
-	if err != nil {
-		fatal(err)
-	}
-	lat := pmem.DefaultLatency()
-	lat.FenceNs = *fenceNs
-	var heapLat []int64
-	if *heaplatF != "" {
-		ns, err := parseInts(*heaplatF)
+	base.Latency.FenceNs = *fenceNs
+	if *heaplat != "" {
+		ns, err := parseInts(*heaplat)
 		if err != nil {
-			fatal(err)
+			return fmt.Errorf("-heaplat: %w", err)
 		}
 		for _, n := range ns {
-			heapLat = append(heapLat, int64(n))
+			base.HeapFenceNs = append(base.HeapFenceNs, int64(n))
 		}
 	}
-
-	if *csvOut {
-		fmt.Println("topics,shards,heaps,producers,consumers,batch,dbatch,payload,ack,abatch,pipeline,poller,pgap_ns,kills,churn,dyn_topics,del_topics,delay_topics,prio_topics,published,delivered,mops,prod_fences_per_msg,cons_fences_per_msg,ack_fences_per_msg,redelivery_rate,fenced_acks,reassigned_shards,stolen_shards,scans,idle_fences_per_poll,heap_imbalance,dyn_fences_per_create,del_fences_per_delete,heap_published,heap_popped,heap_fences_per_publish,heap_fences_per_pop,slots_used,slots_free,poller_sleeps,poller_wakes,soj_p50_us,soj_p99_us,soj_p999_us,pub_p50_us,pub_p99_us,pub_p999_us,poll_p50_us,poll_p99_us,poll_p999_us,ack_p50_us,ack_p99_us,ack_p999_us")
-	} else if !*jsonOut {
-		fmt.Printf("broker sweep: topics=%d producers=%d consumers=%d payload=%dB affine=%v kills=%d churn=%d dyntopics=%d deltopics=%d delay=%d prio=%d heaplat=%q pgap=%q latency=%v duration=%v\n\n",
-			*topics, *producers, *consumers, *payload, *affine, *kills, *churn, *dyn, *del, *delay, *prio, *heaplatF, *pgapF, *latency, *duration)
-		fmt.Printf("%7s %6s %6s %7s %4s %8s %9s %12s %12s %10s %15s %15s %14s %9s %12s %10s %10s %12s %12s %16s %12s %20s",
-			"shards", "heaps", "batch", "dbatch", "ack", "ab/pl/po", "pgap-ns", "published", "delivered", "Mops",
-			"prod-fence/msg", "cons-fence/msg", "ack-fence/msg", "redeliv", "churn(f/r/s)", "idle-f/poll", "heap-imbal", "dyn-f/create", "del-f/delete", "heap-f(pub/pop)", "slots(u/f)", "soj-µs(50/99/999)")
-		if *latency {
-			fmt.Printf(" %20s %20s %20s", "pub-µs(50/99/999)", "poll-µs(50/99/999)", "ack-µs(50/99/999)")
+	cells := []config{base}
+	for i, d := range dims {
+		vals, err := parseInts(*lists[i])
+		if err != nil {
+			return fmt.Errorf("-%s: %w", d.name, err)
 		}
-		fmt.Println()
-	}
-	var rows []row
-	for _, shards := range shardCounts {
-		for _, heaps := range heapCounts {
-			for _, batch := range batches {
-				for _, dbatch := range dbatches {
-					for _, ack := range ackModes {
-						for _, abatch := range abatchModes {
-							for _, pipe := range pipeModes {
-								for _, poller := range pollerModes {
-									for _, pg := range pgaps {
-										cellKills, cellChurn := 0, 0
-										if ack != 0 && poller == 0 {
-											cellKills = *kills
-											cellChurn = *churn
-										}
-										r, err := harness.RunBroker(harness.BrokerConfig{
-											Topics:        *topics,
-											Shards:        shards,
-											Heaps:         heaps,
-											Affine:        *affine,
-											Producers:     *producers,
-											Consumers:     *consumers,
-											Batch:         batch,
-											DequeueBatch:  dbatch,
-											Payload:       *payload,
-											Ack:           ack != 0,
-											Kills:         cellKills,
-											Churn:         cellChurn,
-											AdaptiveBatch: abatch != 0,
-											Pipeline:      pipe != 0,
-											Poller:        poller != 0,
-											ProduceGapNs:  int64(pg),
-											DynTopics:     *dyn,
-											DelTopics:     *del,
-											DelayTopics:   *delay,
-											PrioTopics:    *prio,
-											Duration:      *duration,
-											HeapBytes:     *heapMB << 20,
-											Latency:       lat,
-											HeapFenceNs:   heapLat,
-											Observe:       *latency,
-										})
-										if err != nil {
-											fatal(err)
-										}
-										c := row{
-											Topics: r.Topics, Shards: r.Shards, Heaps: r.Heaps,
-											Producers: r.Producers, Consumers: r.Consumers,
-											Batch: r.Batch, DequeueBatch: r.DequeueBatch, Payload: r.Payload,
-											ProduceGapNs: r.ProduceGapNs,
-											Kills:        r.Kills, Churn: r.Churn,
-											DynTopics:   int(r.DynTopics),
-											DelTopics:   int(r.DelTopics),
-											DelayTopics: r.DelayTopics,
-											PrioTopics:  r.PrioTopics,
-											Published:   r.Published, Delivered: r.Delivered,
-											Mops:              round3(r.Mops()),
-											ProdFencesPerMsg:  round4(r.ProducerFencesPerMsg()),
-											ConsFencesPerMsg:  round4(r.ConsumerFencesPerMsg()),
-											AckFencesPerMsg:   round4(r.AckFencesPerMsg()),
-											RedeliveryRate:    round4(r.RedeliveryRate()),
-											FencedAcks:        r.FencedAcks,
-											Reassigned:        r.Reassigned,
-											Stolen:            r.Stolen,
-											Scans:             r.Scans,
-											IdleFencesPerPoll: round4(r.IdleFencesPerPoll()),
-											HeapImbalance:     round3(r.HeapImbalance()),
-											DynFencesPerNew:   round3(r.DynFencesPerCreate()),
-											DelFencesPerDel:   round3(r.DelFencesPerDelete()),
-											HeapPublished:     r.HeapPublished,
-											HeapPopped:        r.HeapPopped,
-											HeapFencesPerPub:  round4(r.HeapFencesPerPublish()),
-											HeapFencesPerPop:  round4(r.HeapFencesPerPop()),
-											SlotsUsed:         r.SlotsUsed,
-											SlotsFree:         r.SlotsFree,
-											PollerSleeps:      r.PollerSleeps,
-											PollerWakes:       r.PollerWakes,
-										}
-										if r.Ack {
-											c.Ack = 1
-										}
-										if r.AdaptiveBatch {
-											c.AdaptiveBatch = 1
-										}
-										if r.Pipeline {
-											c.Pipeline = 1
-										}
-										if r.Poller {
-											c.Poller = 1
-										}
-										c.SojP50Us, c.SojP99Us, c.SojP999Us = usQuantiles(
-											r.PubSojournP50Ns, r.PubSojournP99Ns, r.PubSojournP999Ns)
-										if *latency {
-											c.PubP50Us, c.PubP99Us, c.PubP999Us = usQuantiles(r.PublishQuantiles())
-											c.PollP50Us, c.PollP99Us, c.PollP999Us = usQuantiles(r.PollQuantiles())
-											c.AckP50Us, c.AckP99Us, c.AckP999Us = usQuantiles(r.AckQuantiles())
-										}
-										rows = append(rows, c)
-										if *csvOut {
-											fmt.Printf("%d,%d,%d,%d,%d,%d,%d,%d,%d,%d,%d,%d,%d,%d,%d,%d,%d,%d,%d,%d,%d,%.3f,%.4f,%.4f,%.4f,%.4f,%d,%d,%d,%d,%.4f,%.3f,%.3f,%.3f,%d,%d,%.4f,%.4f,%d,%d,%d,%d,%.3f,%.3f,%.3f,%.3f,%.3f,%.3f,%.3f,%.3f,%.3f,%.3f,%.3f,%.3f\n",
-												c.Topics, c.Shards, c.Heaps, c.Producers, c.Consumers, c.Batch, c.DequeueBatch, c.Payload,
-												c.Ack, c.AdaptiveBatch, c.Pipeline, c.Poller, c.ProduceGapNs,
-												c.Kills, c.Churn, c.DynTopics, c.DelTopics, c.DelayTopics, c.PrioTopics,
-												c.Published, c.Delivered, c.Mops,
-												c.ProdFencesPerMsg, c.ConsFencesPerMsg, c.AckFencesPerMsg, c.RedeliveryRate,
-												c.FencedAcks, c.Reassigned, c.Stolen, c.Scans,
-												c.IdleFencesPerPoll, c.HeapImbalance, c.DynFencesPerNew,
-												c.DelFencesPerDel, c.HeapPublished, c.HeapPopped,
-												c.HeapFencesPerPub, c.HeapFencesPerPop,
-												c.SlotsUsed, c.SlotsFree,
-												c.PollerSleeps, c.PollerWakes,
-												c.SojP50Us, c.SojP99Us, c.SojP999Us,
-												c.PubP50Us, c.PubP99Us, c.PubP999Us,
-												c.PollP50Us, c.PollP99Us, c.PollP999Us,
-												c.AckP50Us, c.AckP99Us, c.AckP999Us)
-										} else if !*jsonOut {
-											fmt.Printf("%7d %6d %6d %7d %4d %8s %9d %12d %12d %10.3f %15.4f %15.4f %14.4f %9.4f %12s %10.4f %10.3f %12.3f %12.3f %16s %12s %20s",
-												c.Shards, c.Heaps, c.Batch, c.DequeueBatch, c.Ack,
-												fmt.Sprintf("%d/%d/%d", c.AdaptiveBatch, c.Pipeline, c.Poller),
-												c.ProduceGapNs, c.Published, c.Delivered, c.Mops,
-												c.ProdFencesPerMsg, c.ConsFencesPerMsg, c.AckFencesPerMsg, c.RedeliveryRate,
-												fmt.Sprintf("%d/%d/%d", c.FencedAcks, c.Reassigned, c.Stolen),
-												c.IdleFencesPerPoll, c.HeapImbalance, c.DynFencesPerNew,
-												c.DelFencesPerDel,
-												fmt.Sprintf("%.4f/%.4f", c.HeapFencesPerPub, c.HeapFencesPerPop),
-												fmt.Sprintf("%d/%d", c.SlotsUsed, c.SlotsFree),
-												latCell(c.SojP50Us, c.SojP99Us, c.SojP999Us))
-											if *latency {
-												fmt.Printf(" %20s %20s %20s",
-													latCell(c.PubP50Us, c.PubP99Us, c.PubP999Us),
-													latCell(c.PollP50Us, c.PollP99Us, c.PollP999Us),
-													latCell(c.AckP50Us, c.AckP99Us, c.AckP999Us))
-											}
-											fmt.Println()
-										}
-									}
-								}
-							}
-						}
-					}
-				}
+		expanded := make([]config, 0, len(cells)*len(vals))
+		for _, c := range cells {
+			for _, v := range vals {
+				d.set(&c, v)
+				expanded = append(expanded, c)
 			}
 		}
+		cells = expanded
 	}
-	if *jsonOut {
-		enc := json.NewEncoder(os.Stdout)
-		enc.SetIndent("", "  ")
-		if err := enc.Encode(map[string]any{
-			"workload": "brokerbench",
-			"config": map[string]any{
-				"topics": *topics, "producers": *producers, "consumers": *consumers,
-				"payload": *payload, "affine": *affine, "kills": *kills,
-				"churn": *churn, "dyntopics": *dyn, "deltopics": *del,
-				"delay": *delay, "prio": *prio, "heaplat": *heaplatF,
-				"pgap":     *pgapF,
-				"duration": duration.String(), "nvm_fence_ns": *fenceNs,
-			},
-			"rows": rows,
-		}); err != nil {
-			fatal(err)
-		}
-	} else if !*csvOut {
-		fmt.Println("\n(prod-fence/msg: blocking persists per published message — ~1 per-message,")
-		fmt.Println(" ~1/batch on the batch-publish path. cons-fence/msg mirrors it on the")
-		fmt.Println(" consume side: ~1/dbatch with PollBatch, one fence per persistence domain")
-		fmt.Println(" a poll dequeued from; in ack cells it is the lease record's fence.")
-		fmt.Println(" ack-fence/msg: persists spent in Consumer.Ack per delivered message —")
-		fmt.Println(" ~1/dbatch when each poll window is acked as a whole. redeliv: fraction")
-		fmt.Println(" of deliveries that were redeliveries after -kills lease takeovers.")
-		fmt.Println(" churn(f/r/s): stale-epoch acks refused / shards force-reassigned /")
-		fmt.Println(" shards work-stolen across the -churn membership cycles.")
-		fmt.Println(" ab/pl/po: the tail-latency modes — adaptive batch / pipelined persists /")
-		fmt.Println(" event-loop poller. soj-µs: publish sojourn (arrival → durable ack)")
-		fmt.Println(" p50/p99/p999 — the idle-topic tail adaptive batching attacks.")
-		fmt.Println(" idle-f/poll: persists per all-empty poll — ~0 with empty-poll fence")
-		fmt.Println(" elision. heap-imbal: busiest heap's persist traffic over the per-heap")
-		fmt.Println(" mean — 1.0 is perfectly balanced placement. dyn-f/create: blocking")
-		fmt.Println(" persists per mid-run CreateTopic — the pinned 3-fence catalog append")
-		fmt.Println(" protocol plus per-shard queue initialization; 0 without -dyntopics.")
-		fmt.Println(" del-f/delete: blocking persists per mid-run DeleteTopic — the pinned")
-		fmt.Println(" tombstone protocol, ≤3; 0 without -deltopics. heap-f(pub/pop): blocking")
-		fmt.Println(" persists per message published to / popped from the -delay/-prio heap")
-		fmt.Println(" topics — ~1/batch and ~1/dbatch, heap maintenance persists nothing.")
-		fmt.Println(" slots(u/f): post-run slot")
-		fmt.Println(" footprint, high-water used / free-list population — steady used across")
-		if *latency {
-			fmt.Println(" -deltopics churn shows retired windows being recycled.")
-			fmt.Println(" latency cells are p50/p99/p999 in microseconds per op: publish is one")
-			fmt.Println(" Publish call, poll one non-empty Poll/PollBatch call, ack one")
-			fmt.Println(" Consumer.Ack that released at least one message.)")
-		} else {
-			fmt.Println(" -deltopics churn shows retired windows being recycled.)")
-		}
+
+	line := csvLine
+	if !*csvOut {
+		line = func(r *result) string { return tableLine(r, *latency) }
+		fmt.Fprint(out, "broker sweep:")
+		fs.VisitAll(func(f *flag.Flag) { fmt.Fprintf(out, " %s=%s", f.Name, f.Value) })
+		fmt.Fprint(out, "\n\n")
 	}
-}
-
-func round3(v float64) float64 { return math.Round(v*1e3) / 1e3 }
-func round4(v float64) float64 { return math.Round(v*1e4) / 1e4 }
-
-// usQuantiles converts a (p50, p99, p999) triple from nanoseconds (the
-// harness unit) to microseconds (the report unit).
-func usQuantiles(p50, p99, p999 float64) (float64, float64, float64) {
-	return round3(p50 / 1e3), round3(p99 / 1e3), round3(p999 / 1e3)
-}
-
-// latCell renders one compact p50/p99/p999 table cell in microseconds.
-func latCell(p50, p99, p999 float64) string {
-	return fmt.Sprintf("%.1f/%.1f/%.1f", p50, p99, p999)
+	fmt.Fprintln(out, line(nil))
+	for _, c := range cells {
+		r, err := harness.RunBroker(c)
+		if err != nil {
+			return err
+		}
+		fmt.Fprintln(out, line(&r))
+	}
+	if !*csvOut {
+		legend(out, *latency)
+	}
+	return nil
 }
 
 func parseInts(s string) ([]int, error) {
@@ -458,9 +200,4 @@ func parseInts(s string) ([]int, error) {
 		out = append(out, n)
 	}
 	return out, nil
-}
-
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "brokerbench:", err)
-	os.Exit(1)
 }

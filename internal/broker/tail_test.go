@@ -73,6 +73,58 @@ func TestPublisherAdaptiveFenceRegimes(t *testing.T) {
 	}
 }
 
+// TestPublisherAdaptiveSojournLogicalClock pins the headline idle-tail
+// claim — adaptive batching takes the window-fill wait out of an idle
+// topic's publish sojourn — in clock units, with no timing in it. One
+// scripted trace, arrivals 1000 units apart, far wider than the
+// adaptive deadline of 100, goes through both policies; a message's
+// sojourn is the clock at the Publish/Flush call that durably
+// acknowledged it minus the clock at its arrival. Fixed{8} makes every
+// message wait for its window to fill: the oldest of each window
+// sojourns seven arrival gaps, the median three and a half. AIMD(1,8)
+// behind the arrival-rate gate never leaves Min: every message is
+// acknowledged by the call that published it.
+func TestPublisherAdaptiveSojournLogicalClock(t *testing.T) {
+	const gap, n = 1000, 64
+	sojourns := func(pc PublisherConfig) []int64 {
+		h := pmem.New(pmem.Config{Bytes: 64 << 20, MaxThreads: 2})
+		b, err := newBroker(pmem.NewSetOf(h), Options{Threads: 1}, []TopicConfig{{Name: "events", Shards: 2}}, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		clk := int64(0)
+		pc.Now = func() int64 { return clk }
+		p := b.Topic("events").NewPublisher(0, pc)
+		var arrivals, out []int64 // acknowledgments are FIFO in publish order
+		acked := func(k int) {
+			for _, at := range arrivals[:k] {
+				out = append(out, clk-at)
+			}
+			arrivals = arrivals[k:]
+		}
+		for i := uint64(0); i < n; i++ {
+			clk += gap
+			arrivals = append(arrivals, clk)
+			acked(p.Publish(U64(i)))
+		}
+		acked(p.Flush())
+		if len(out) != n {
+			t.Fatalf("%d of %d messages acknowledged", len(out), n)
+		}
+		return out
+	}
+	fixed := sojourns(PublisherConfig{Policy: batch.Fixed{N: 8}})
+	adaptive := sojourns(PublisherConfig{Policy: batch.NewAIMD(1, 8), MaxDelayNs: 100})
+	for i := range fixed {
+		if want := int64(7-i%8) * gap; fixed[i] != want {
+			t.Fatalf("Fixed{8}: message %d sojourned %d clock units, want %d (held until its window's 8th arrival)", i, fixed[i], want)
+		}
+		if adaptive[i] != 0 {
+			t.Fatalf("AIMD(1,8): message %d sojourned %d clock units, want 0 (acknowledged by the call that published it)", i, adaptive[i])
+		}
+	}
+}
+
 // TestConsumerAdaptiveFenceRegimes pins the consumer half: a drain of
 // any adaptive size rides one fence, so under load the AIMD policy
 // reaches Max-sized drains (fences/msg -> 1/Max), and an idle consumer
