@@ -221,11 +221,7 @@ func openExisting(hs *pmem.HeapSet, opts Options, reg pmem.Addr) (*Broker, error
 func (b *Broker) CreateTopic(tid int, tc TopicConfig) (*Topic, error) {
 	b.adminMu.Lock()
 	defer b.adminMu.Unlock()
-	o := b.obs
-	var startNs int64
-	if o != nil {
-		startNs = obs.Now()
-	}
+	sp := b.span(tid)
 	if err := validateTopic(tc); err != nil {
 		return nil, err
 	}
@@ -324,11 +320,9 @@ func (b *Broker) CreateTopic(tid int, tc TopicConfig) (*Topic, error) {
 		unpop()
 		return nil, err
 	}
-	if o != nil {
-		// Registered before the snapshot swap publishes the topic, so
-		// the hot-path invariant (visible topic ⇒ ostats set) holds.
-		t.register(o)
-	}
+	// Registered before the snapshot swap publishes the topic, so the
+	// hot-path invariant (visible topic ⇒ ostats set) holds.
+	t.register(b.obs)
 
 	ns := &topicSet{
 		list:       append(append([]*Topic(nil), snap.list...), t),
@@ -340,10 +334,7 @@ func (b *Broker) CreateTopic(tid int, tc TopicConfig) (*Topic, error) {
 	}
 	ns.byName[tc.Name] = t
 	b.snap.Store(ns)
-	if o != nil {
-		o.Lat(tid, obs.OpAdmin, startNs)
-		o.Event(tid, obs.OpAdmin, t.ostats, -1)
-	}
+	sp.done(obs.OpAdmin, t.ostats)
 	return t, nil
 }
 
@@ -372,11 +363,7 @@ const defaultLeaseHeadroom = 256
 func (b *Broker) CreateAckGroup(tid int, cfg AckGroupConfig) (int, error) {
 	b.adminMu.Lock()
 	defer b.adminMu.Unlock()
-	o := b.obs
-	var startNs int64
-	if o != nil {
-		startNs = obs.Now()
-	}
+	sp := b.span(tid)
 	snap := b.set()
 	capacity := cfg.Capacity
 	if capacity == 0 {
@@ -413,10 +400,7 @@ func (b *Broker) CreateAckGroup(tid int, cfg AckGroupConfig) (int, error) {
 	b.regions = append(b.regions, lr)
 	b.bound = append(b.bound, false)
 	b.regionMu.Unlock()
-	if o != nil {
-		o.Lat(tid, obs.OpAdmin, startNs)
-		o.Event(tid, obs.OpAdmin, nil, -1)
-	}
+	sp.done(obs.OpAdmin, nil)
 	return group, nil
 }
 
@@ -447,11 +431,7 @@ func (b *Broker) CreateAckGroup(tid int, cfg AckGroupConfig) (int, error) {
 func (b *Broker) DeleteTopic(tid int, name string) error {
 	b.adminMu.Lock()
 	defer b.adminMu.Unlock()
-	o := b.obs
-	var startNs int64
-	if o != nil {
-		startNs = obs.Now()
-	}
+	sp := b.span(tid)
 	snap := b.set()
 	t := snap.byName[name]
 	if t == nil {
@@ -530,10 +510,7 @@ func (b *Broker) DeleteTopic(tid int, name string) error {
 			return fmt.Errorf("broker: topic %q deleted, but compaction failed: %w", name, err)
 		}
 	}
-	if o != nil {
-		o.Lat(tid, obs.OpAdmin, startNs)
-		o.Event(tid, obs.OpAdmin, nil, -1)
-	}
+	sp.done(obs.OpAdmin, nil)
 	return nil
 }
 
@@ -554,11 +531,7 @@ func (b *Broker) DeleteTopic(tid int, name string) error {
 func (b *Broker) CompactCatalog(tid, capacityLines int) error {
 	b.adminMu.Lock()
 	defer b.adminMu.Unlock()
-	o := b.obs
-	var startNs int64
-	if o != nil {
-		startNs = obs.Now()
-	}
+	sp := b.span(tid)
 	maxCap := maxCatalogLines - logHeaderLines - b.cat.allocLines
 	if capacityLines < 0 || capacityLines > maxCap {
 		return fmt.Errorf("broker: CatalogLines %d out of range [0,%d]", capacityLines, maxCap)
@@ -566,10 +539,7 @@ func (b *Broker) CompactCatalog(tid, capacityLines int) error {
 	if err := b.compactLocked(tid, capacityLines); err != nil {
 		return err
 	}
-	if o != nil {
-		o.Lat(tid, obs.OpAdmin, startNs)
-		o.Event(tid, obs.OpAdmin, nil, -1)
-	}
+	sp.done(obs.OpAdmin, nil)
 	return nil
 }
 

@@ -23,13 +23,27 @@ import (
 var ErrNotQuiescent = errors.New("broker: plain group not quiescent (member inside Poll/PollBatch)")
 
 // ErrLeaseCapacity reports a topic whose shards' global ordinals
-// exceed the lease region's recorded capacity. Both binding paths —
-// NewGroupAcked at construction and Subscribe afterwards — wrap this
-// sentinel with the same diagnostic (topic, shard, ordinal, region,
-// capacity), so callers test errors.Is(err, ErrLeaseCapacity) and
-// react by minting a roomier region (CreateAckGroup) regardless of
-// which path refused.
+// exceed the lease region's recorded capacity. Binding has one path —
+// NewGroupAcked subscribes its topics through Subscribe — so the
+// diagnostic (topic, shard, ordinal, region, capacity) is the same
+// whenever it is refused; callers test errors.Is(err, ErrLeaseCapacity)
+// and react by minting a roomier region (CreateAckGroup).
 var ErrLeaseCapacity = errors.New("broker: lease region capacity exceeded")
+
+// ErrPlainGroup reports an acknowledgment-path verb (Ack, AckAsync,
+// Nack, Renew, Heartbeat) or a membership verb (Reassign, Adopt, Scan,
+// Steal, StartJanitor) called on a group that keeps no delivery state
+// (NewGroup, NewGroupAffine). The refusal names the verb, takes no
+// lock and issues no persist instruction.
+var ErrPlainGroup = errors.New("broker: group has no acknowledgments (use NewGroupAcked)")
+
+// acked refuses verb on a plain group.
+func (g *Group) acked(verb string) error {
+	if !g.leased {
+		return fmt.Errorf("%w: %s", ErrPlainGroup, verb)
+	}
+	return nil
+}
 
 // Message is one delivered payload with its provenance.
 type Message struct {
@@ -123,23 +137,16 @@ func (b *Broker) collectRefs(topicNames []string) ([]*consumerShard, error) {
 	return refs, nil
 }
 
-func (b *Broker) newGroup(topicNames []string, refs []*consumerShard, n int, deal func(g *Group, refs []*consumerShard)) (*Group, error) {
+// newGroup makes a group of n members owning nothing: every
+// constructor subscribes its topics through Group.subscribe, the one
+// place shards are admitted, bound and dealt.
+func (b *Broker) newGroup(n int) (*Group, error) {
 	if n <= 0 {
 		return nil, fmt.Errorf("broker: group needs at least one consumer")
 	}
 	g := &Group{consumers: make([]*Consumer, n), b: b, topics: map[string]bool{}}
-	for _, name := range topicNames {
-		g.topics[name] = true
-	}
 	for i := range g.consumers {
 		g.consumers[i] = &Consumer{g: g, id: i}
-	}
-	deal(g, refs)
-	if o := b.obs; o != nil {
-		g.ostats = o.RegisterGroup()
-		for _, r := range refs {
-			r.cur = g.ostats.AddShard(r.t.ostats, r.shard)
-		}
 	}
 	return g, nil
 }
@@ -156,16 +163,14 @@ func (g *Group) Stats() *obs.GroupStats { return g.ostats }
 // the at-least-once contract but forfeits both ack amortization and
 // crash redelivery of in-flight messages.
 func (b *Broker) NewGroup(topicNames []string, n int) (*Group, error) {
-	refs, err := b.collectRefs(topicNames)
+	g, err := b.newGroup(n)
+	if err == nil {
+		err = g.Subscribe(0, topicNames...)
+	}
 	if err != nil {
 		return nil, err
 	}
-	return b.newGroup(topicNames, refs, n, func(g *Group, refs []*consumerShard) {
-		for i, r := range refs {
-			c := g.consumers[i%n]
-			c.refs = append(c.refs, r)
-		}
-	})
+	return g, nil
 }
 
 // NewGroupAffine subscribes n consumers to the named topics with
@@ -176,19 +181,21 @@ func (b *Broker) NewGroup(topicNames []string, n int) (*Group, error) {
 // (BlockPlacement) and consumers >= heaps, each member's fences stay
 // on a single domain.
 func (b *Broker) NewGroupAffine(topicNames []string, n int) (*Group, error) {
-	refs, err := b.collectRefs(topicNames)
+	g, err := b.newGroup(n)
+	if err == nil {
+		err = g.subscribe(0, topicNames, func(refs []*consumerShard) {
+			sort.SliceStable(refs, func(i, j int) bool {
+				return refs[i].t.locs[refs[i].shard].heap < refs[j].t.locs[refs[j].shard].heap
+			})
+			for i, c := range g.consumers {
+				c.refs = append(c.refs, refs[i*len(refs)/n:(i+1)*len(refs)/n]...)
+			}
+		})
+	}
 	if err != nil {
 		return nil, err
 	}
-	sort.SliceStable(refs, func(i, j int) bool {
-		return refs[i].t.locs[refs[i].shard].heap < refs[j].t.locs[refs[j].shard].heap
-	})
-	return b.newGroup(topicNames, refs, n, func(g *Group, refs []*consumerShard) {
-		for i := range g.consumers {
-			lo, hi := i*len(refs)/n, (i+1)*len(refs)/n
-			g.consumers[i].refs = append(g.consumers[i].refs, refs[lo:hi]...)
-		}
-	})
+	return g, nil
 }
 
 // LeaseConfig parameterizes an acked consumer group.
@@ -214,59 +221,33 @@ type LeaseConfig struct {
 // crashed member's shards (redelivering its unacked suffix) to a
 // survivor. Shards are dealt round-robin as in NewGroup.
 //
-// Binding inspects the region's durable lease lines: records left
-// active by a previous incarnation are returned by RecoveredLeases and
-// cleared (the messages they cover are unacknowledged and therefore
-// already back in their shards). Call while no other thread operates
-// on the broker; the bind writes with thread id 0.
+// The topics are bound exactly as Subscribe binds them — it is the
+// same code, run with thread id 0 — so records left active in the
+// region by a previous incarnation are returned by RecoveredLeases and
+// cleared. Call while no other thread operates on the broker.
 func (b *Broker) NewGroupAcked(topicNames []string, n int, lc LeaseConfig) (*Group, error) {
-	refs, err := b.collectRefs(topicNames)
+	g, err := b.newGroup(n)
 	if err != nil {
 		return nil, err
 	}
-	for _, r := range refs {
-		if !r.t.Acked() {
-			return nil, fmt.Errorf("broker: NewGroupAcked over topic %q, which is not Acked", r.t.Name())
-		}
-	}
+	// Claim the region before anything is bound, written or registered
+	// with the observer, so a refusal leaves no trace of the group.
 	b.regionMu.Lock()
-	if lc.Region < 0 || lc.Region >= len(b.regions) {
-		n := len(b.regions)
-		b.regionMu.Unlock()
-		return nil, fmt.Errorf("broker: lease region %d out of range (broker has %d; use CreateAckGroup)",
-			lc.Region, n)
+	switch {
+	case lc.Region < 0 || lc.Region >= len(b.regions):
+		err = fmt.Errorf("broker: lease region %d out of range (broker has %d; use CreateAckGroup)",
+			lc.Region, len(b.regions))
+	case b.bound[lc.Region]:
+		err = fmt.Errorf("broker: lease region %d already serves a group", lc.Region)
+	default:
+		b.bound[lc.Region] = true
+		g.region = b.regions[lc.Region]
 	}
-	region := b.regions[lc.Region]
 	b.regionMu.Unlock()
-	// The region covers global shard ordinals [0, cap): a topic created
-	// after the region may exceed it, in which case this group needs a
-	// region with more headroom (CreateAckGroup with a larger Capacity).
-	for _, r := range refs {
-		if r.global >= region.cap {
-			return nil, fmt.Errorf("%w: topic %q shard %d (global ordinal %d) exceeds lease region %d's capacity %d",
-				ErrLeaseCapacity, r.t.Name(), r.shard, r.global, lc.Region, region.cap)
-		}
-	}
-	g, err := b.newGroup(topicNames, refs, n, func(g *Group, refs []*consumerShard) {
-		for i, r := range refs {
-			g.consumers[i%n].refs = append(g.consumers[i%n].refs, r)
-		}
-	})
 	if err != nil {
 		return nil, err
 	}
-	// Claim the region only once the group is sure to exist, so a
-	// failed construction cannot leak the claim.
-	b.regionMu.Lock()
-	if b.bound[lc.Region] {
-		b.regionMu.Unlock()
-		return nil, fmt.Errorf("broker: lease region %d already serves a group", lc.Region)
-	}
-	b.bound[lc.Region] = true
-	b.regionMu.Unlock()
-	g.leased = true
-	g.region = region
-	g.regionIdx = lc.Region
+	g.leased, g.regionIdx = true, lc.Region
 	g.ttl = lc.TTL
 	if g.ttl == 0 {
 		g.ttl = uint64(time.Second)
@@ -276,47 +257,38 @@ func (b *Broker) NewGroupAcked(topicNames []string, n int, lc LeaseConfig) (*Gro
 		g.now = func() uint64 { return uint64(time.Now().UnixNano()) }
 	}
 	// Sized to the region's capacity, not the current shard total, so
-	// topics subscribed later (Subscribe) index it without growing.
-	g.cache = make([]leaseCache, region.cap)
-	g.epochs = make([]uint64, region.cap)
-
-	// Bind: seed each ref's frontier from the queue's durable acked
-	// index and its fencing token from the durable line (pre-epoch v<=4
-	// lines and virgin lines seed epoch 0), surface stale lease
-	// records, and clear them — preserving the epoch, so a cleared line
-	// still outranks any pre-crash owner. A fresh region (all lines
-	// virgin) writes nothing.
-	const tid = 0
-	w := leaseWriter{g: g, tid: tid}
-	for _, r := range refs {
-		s := r.t.shards[r.shard]
-		floor := s.AckedTo()
-		r.deliveredTo, r.leasedTo = floor, floor
-		l, ok := g.region.readLeaseLine(r.global)
-		if ok {
-			g.epochs[r.global] = l.Epoch
-		}
-		r.epoch = g.epochs[r.global]
-		if !ok || l.Active {
-			g.recovered = append(g.recovered,
-				RecoveredLease{Shard: ShardRef{Topic: r.t.Name(), Shard: r.shard}, Lease: l})
-			w.write(r.global, Lease{Epoch: l.Epoch})
-		}
+	// topics subscribed later index it without growing.
+	g.cache = make([]leaseCache, g.region.cap)
+	g.epochs = make([]uint64, g.region.cap)
+	if err := g.Subscribe(0, topicNames...); err != nil {
+		// Refused before its first write: the group never existed, so
+		// the claim must not outlive it.
+		b.regionMu.Lock()
+		b.bound[lc.Region] = false
+		b.regionMu.Unlock()
+		return nil, err
 	}
-	w.commit()
 	return g, nil
 }
 
 // Subscribe adds the named topics' shards to the group — the way a
-// group reaches topics created (CreateTopic) after the group was. New
-// shards are dealt one by one to the member owning the fewest, so
-// load stays balanced; existing assignments never move. On an acked
-// group the new shards' frontiers are seeded from the queues' durable
-// acked indices and any stale lease records in the region are
-// surfaced (appended to RecoveredLeases) and cleared, exactly as at
-// bind time; the region must have capacity for the topics' global
-// ordinals. Subscribing a topic the group already consumes is an
-// error, as is subscribing a non-Acked topic on an acked group.
+// group reaches topics created (CreateTopic) after the group was, and
+// the way every constructor gives a new group its first ones. New
+// shards are dealt one by one to the member owning the fewest (ties to
+// the lowest index — round-robin from an empty group), so load stays
+// balanced; existing assignments never move. Subscribing a topic the
+// group already consumes is an error, as is a non-Acked topic, or one
+// whose global ordinals exceed the region's capacity
+// (ErrLeaseCapacity), on an acked group. A refused Subscribe changed
+// nothing, durable or volatile.
+//
+// Binding a shard to an acked group seeds its frontier from the
+// queue's durable acked index and its fencing token from the durable
+// lease line (virgin and pre-epoch v<=4 lines seed epoch 0), surfaces
+// a record a previous incarnation left active — or torn — through
+// RecoveredLeases, and clears it preserving the epoch, so a cleared
+// line still outranks any pre-crash owner. The clears ride one fence;
+// a fresh region (all lines virgin) writes nothing.
 //
 // tid must be owned by the caller (it writes lease records on an
 // acked group).
@@ -338,12 +310,19 @@ func (b *Broker) NewGroupAcked(topicNames []string, n int, lc LeaseConfig) (*Gro
 // assignments. Nothing can make the plain half fully safe short of
 // locking the hot path.
 func (g *Group) Subscribe(tid int, topicNames ...string) error {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	for _, c := range g.consumers {
-		c.mu.Lock()
-		defer c.mu.Unlock()
-	}
+	return g.subscribe(tid, topicNames, func(refs []*consumerShard) {
+		for _, r := range refs {
+			c := leastLoaded(g.consumers)
+			c.refs = append(c.refs, r)
+		}
+	})
+}
+
+// subscribe admits, binds and registers the topics' shards, then hands
+// them to deal — the assignment policy, the only thing the
+// constructors vary.
+func (g *Group) subscribe(tid int, topicNames []string, deal func(refs []*consumerShard)) error {
+	defer g.lockAll()()
 	if !g.leased {
 		for _, c := range g.consumers {
 			if c.polling.Load() != 0 {
@@ -368,20 +347,23 @@ func (g *Group) Subscribe(tid int, topicNames ...string) error {
 	if g.leased {
 		for _, r := range refs {
 			if !r.t.Acked() {
-				return fmt.Errorf("broker: Subscribe over topic %q, which is not Acked", r.t.Name())
+				return fmt.Errorf("broker: acked group over topic %q, which is not Acked", r.t.Name())
 			}
+			// The region covers global shard ordinals [0, cap): a topic
+			// created after the region may exceed it, in which case this
+			// group needs a region with more headroom (CreateAckGroup with
+			// a larger Capacity).
 			if r.global >= g.region.cap {
 				return fmt.Errorf("%w: topic %q shard %d (global ordinal %d) exceeds lease region %d's capacity %d",
 					ErrLeaseCapacity, r.t.Name(), r.shard, r.global, g.regionIdx, g.region.cap)
 			}
 		}
 	}
-	var w leaseWriter
+	// Past the last refusal: from here on the call cannot fail.
+	w := leaseWriter{g: g, tid: tid}
 	if g.leased {
-		w = leaseWriter{g: g, tid: tid}
 		for _, r := range refs {
-			s := r.t.shards[r.shard]
-			floor := s.AckedTo()
+			floor := r.t.shards[r.shard].AckedTo()
 			r.deliveredTo, r.leasedTo = floor, floor
 			l, ok := g.region.readLeaseLine(r.global)
 			if ok {
@@ -395,25 +377,50 @@ func (g *Group) Subscribe(tid int, topicNames ...string) error {
 			}
 		}
 	}
-	for _, r := range refs {
-		if g.ostats != nil {
+	deal(refs)
+	// The group meets the observer here and not in its constructor, so
+	// one that was refused is never listed.
+	if o := g.b.obs; o != nil {
+		if g.ostats == nil {
+			g.ostats = o.RegisterGroup()
+		}
+		for _, r := range refs {
 			r.cur = g.ostats.AddShard(r.t.ostats, r.shard)
 		}
-		min := 0
-		for i := 1; i < len(g.consumers); i++ {
-			if len(g.consumers[i].refs) < len(g.consumers[min].refs) {
-				min = i
-			}
-		}
-		g.consumers[min].refs = append(g.consumers[min].refs, r)
 	}
-	if g.leased {
-		w.commit()
-	}
+	w.commit()
 	for _, name := range topicNames {
 		g.topics[name] = true
 	}
 	return nil
+}
+
+// lockAll takes the group's lock and then every member's, in member
+// order — the one order every whole-group operation (Subscribe,
+// Reassign, Scan, Steal) uses — and returns the matching unlock.
+func (g *Group) lockAll() (unlock func()) {
+	g.mu.Lock()
+	for _, c := range g.consumers {
+		c.mu.Lock()
+	}
+	return func() {
+		for _, c := range g.consumers {
+			c.mu.Unlock()
+		}
+		g.mu.Unlock()
+	}
+}
+
+// leastLoaded picks the member owning the fewest shards, ties to the
+// first: the one dealing rule of Subscribe, Reassign and Scan.
+func leastLoaded(cs []*Consumer) *Consumer {
+	min := cs[0]
+	for _, c := range cs[1:] {
+		if len(c.refs) < len(min.refs) {
+			min = c
+		}
+	}
+	return min
 }
 
 // RecoveredLeases lists the lease records an acked group found active
@@ -534,11 +541,7 @@ func (c *Consumer) Poll(tid int) (Message, bool) {
 	}
 	c.polling.Add(1)
 	defer c.polling.Add(-1)
-	o := c.g.b.obs
-	var start int64
-	if o != nil {
-		start = obs.Now()
-	}
+	sp := c.g.b.span(tid)
 	for i := 0; i < len(c.refs); i++ {
 		r := c.refs[(c.next+i)%len(c.refs)]
 		if !r.t.enter() {
@@ -548,12 +551,8 @@ func (c *Consumer) Poll(tid int) (Message, bool) {
 		r.t.exit()
 		if ok {
 			c.next = (c.next + i + 1) % len(c.refs)
-			if o != nil {
-				r.t.ostats.Delivered(1)
-				r.cur.Advance(1)
-				o.Lat(tid, obs.OpPoll, start)
-				o.Event(tid, obs.OpPoll, r.t.ostats, r.shard)
-			}
+			sp.delivered(r.t, r.shard, r.cur, 1)
+			sp.lat(obs.OpPoll)
 			return Message{Topic: r.t.Name(), Shard: r.shard, Payload: p}, true
 		}
 	}
@@ -604,11 +603,7 @@ func (c *Consumer) PollBatch(tid, max int) []Message {
 	if max <= 0 || len(c.refs) == 0 {
 		return nil
 	}
-	o := c.g.b.obs
-	var start int64
-	if o != nil {
-		start = obs.Now()
-	}
+	sp := c.g.b.span(tid)
 	var out []Message
 	var touched []*shard
 	// Topics entered below stay entered until after the covering fence:
@@ -636,11 +631,7 @@ func (c *Consumer) PollBatch(tid, max int) []Message {
 		if dirty {
 			touched = append(touched, s)
 		}
-		if o != nil && len(ps) > 0 {
-			r.t.ostats.Delivered(len(ps))
-			r.cur.Advance(len(ps))
-			o.Event(tid, obs.OpPoll, r.t.ostats, r.shard)
-		}
+		sp.delivered(r.t, r.shard, r.cur, len(ps))
 		for _, p := range ps {
 			out = append(out, Message{Topic: r.t.Name(), Shard: r.shard, Payload: p})
 		}
@@ -657,8 +648,8 @@ func (c *Consumer) PollBatch(tid, max int) []Message {
 			s.CompleteBatch(tid)
 		}
 	}
-	if o != nil && len(out) > 0 {
-		o.Lat(tid, obs.OpPoll, start)
+	if len(out) > 0 {
+		sp.lat(obs.OpPoll)
 	}
 	return out
 }
@@ -668,11 +659,7 @@ func (c *Consumer) pollLeased(tid, max int) []Message {
 		return nil
 	}
 	c.drainAcks(tid)
-	o := c.g.b.obs
-	var start int64
-	if o != nil {
-		start = obs.Now()
-	}
+	sp := c.g.b.span(tid)
 	var out []Message
 	// Redeliveries first: adopted or nacked messages are already
 	// covered by a durable lease, so serving them costs nothing.
@@ -689,12 +676,10 @@ func (c *Consumer) pollLeased(tid, max int) []Message {
 		p.r.deliveredTo = p.idx
 		p.r.pendingN--
 		p.r.unackedN++
-		if o != nil {
-			// A re-serve counts as delivered and redelivered; the lag
-			// frontier already passed this message, so it stays put.
-			p.r.t.ostats.Delivered(1)
-			p.r.t.ostats.Redelivered(1)
-		}
+		// A re-serve counts as delivered and redelivered; the lag
+		// frontier already passed this message, so it stays put.
+		bump(p.r.t.ostats, (*obs.TopicStats).Delivered, 1)
+		bump(p.r.t.ostats, (*obs.TopicStats).Redelivered, 1)
 	}
 	w := leaseWriter{g: c.g, tid: tid}
 	deadline := c.g.now() + c.g.ttl
@@ -718,25 +703,17 @@ func (c *Consumer) pollLeased(tid, max int) []Message {
 		for _, p := range ps {
 			out = append(out, Message{Topic: r.t.Name(), Shard: r.shard, Payload: p})
 		}
-		if o != nil {
-			r.t.ostats.Delivered(len(ps))
-			r.cur.Advance(len(ps))
-			o.Event(tid, obs.OpPoll, r.t.ostats, r.shard)
-		}
+		sp.delivered(r.t, r.shard, r.cur, len(ps))
 		r.deliveredTo = idxs[len(idxs)-1]
 		r.leasedTo = r.deliveredTo
 		r.unackedN += len(ps)
-		w.write(r.global, Lease{
-			Active: true, Owner: c.id, Epoch: r.epoch,
-			Lo: s.AckedTo() + 1, Hi: r.leasedTo,
-			Deadline: deadline,
-		})
+		w.hold(r, c.id, s.AckedTo(), deadline)
 	}
 	// The leases are durable before any message is exposed; a crash
 	// before this fence redelivers the whole window on recovery.
 	w.commit()
-	if o != nil && len(out) > 0 {
-		o.Lat(tid, obs.OpPoll, start)
+	if len(out) > 0 {
+		sp.lat(obs.OpPoll)
 	}
 	return out
 }
@@ -756,26 +733,62 @@ func (c *Consumer) pollLeased(tid, max int) []Message {
 // ErrFenced and acknowledges nothing: the member must treat its
 // outstanding window as lost (it will be redelivered elsewhere) and
 // re-poll. The refusal consumes the fencing record, so subsequent
-// calls proceed on the shards the member still owns.
-func (c *Consumer) Ack(tid int) (int, error) {
-	if !c.g.leased {
-		panic("broker: Ack on a group without acknowledgments (use NewGroupAcked)")
+// calls proceed on the shards the member still owns. On a plain group
+// Ack returns ErrPlainGroup.
+func (c *Consumer) Ack(tid int) (int, error) { return c.ack(tid, "Ack", true) }
+
+// AckAsync is the pipelined half of Ack: it issues the same ack
+// NTStores but defers the covering fence to this member's *next*
+// acknowledgment-path op (Ack, AckAsync, PollBatch, Nack, Renew) or
+// an explicit DrainAcks. The fence count per acknowledgment is
+// unchanged — each deferred fence is paid exactly once, at the start
+// of the next op — but the write-pending queue drains in the
+// background during the handler work between the two calls, so the
+// fence's blocking residual shrinks toward zero (see
+// pmem.LatencyModel.DrainNsPerLine). Returns the number of messages
+// newly counted acknowledged, or ErrFenced / ErrPlainGroup exactly as
+// Ack does.
+//
+// The deferral trades the exactly-once guarantee down to at-least-once
+// for its window: a crash — or a lease takeover that races the
+// deferral — between AckAsync and the covering fence can leave the
+// window both redelivered elsewhere and (if the stores land under a
+// later fence) marked acked. Callers that need the strict guarantee
+// use Ack; callers optimizing the tail call AckAsync from a single
+// processing loop where the next op follows promptly.
+func (c *Consumer) AckAsync(tid int) (int, error) { return c.ack(tid, "AckAsync", false) }
+
+// ackPath is the preamble every acknowledgment-path verb shares:
+// refuse a plain group, lock the member, pay the fence an AckAsync
+// left owing, and refuse (ErrFenced) a member that lost shards to a
+// takeover. On a nil return the caller holds c.mu; on a refusal
+// nothing is held and nothing was persisted on the verb's behalf.
+func (c *Consumer) ackPath(tid int, verb string) error {
+	if err := c.g.acked(verb); err != nil {
+		return err
 	}
 	c.mu.Lock()
-	defer c.mu.Unlock()
 	c.drainAcks(tid)
 	if err := c.takeFenced(tid); err != nil {
+		c.mu.Unlock()
+		return err
+	}
+	return nil
+}
+
+// ack is Ack and AckAsync: the two differ only in whether the fence
+// covering the walk's ack NTStores is paid before returning (fenceNow)
+// or left owing in c.asyncAcks for the next acknowledgment-path op.
+func (c *Consumer) ack(tid int, verb string, fenceNow bool) (int, error) {
+	if err := c.ackPath(tid, verb); err != nil {
 		return 0, err
 	}
-	o := c.g.b.obs
-	var start int64
-	if o != nil {
-		start = obs.Now()
-	}
+	defer c.mu.Unlock()
+	sp := c.g.b.span(tid)
 	n := 0
-	var touched []*shard
-	// Entered topics are exited only after the covering fence lands the
-	// ack NTStores, so DeleteTopic cannot reclaim a window under them.
+	// Entered topics are exited only on return — for Ack, after the
+	// covering fence landed the ack NTStores — so DeleteTopic cannot
+	// reclaim a window under them.
 	var entered []*Topic
 	defer func() {
 		for _, t := range entered {
@@ -791,92 +804,25 @@ func (c *Consumer) Ack(tid int) (int, error) {
 		}
 		entered = append(entered, r.t)
 		s := r.t.shards[r.shard]
-		floor := s.AckedTo()
-		if r.deliveredTo <= floor {
+		if r.deliveredTo <= s.AckedTo() {
 			continue
 		}
 		// Count delivered messages, not the index delta: the range may
 		// contain gaps where recovery discarded torn enqueues.
 		n += r.unackedN
-		if o != nil && r.unackedN > 0 {
-			r.t.ostats.Acked(r.unackedN)
-		}
-		r.unackedN = 0
-		if s.AckToUnfenced(tid, r.deliveredTo) {
-			touched = append(touched, s)
-		}
-	}
-	fenceShards(tid, touched)
-	for _, s := range touched {
-		s.CompleteAck(tid)
-	}
-	// Like an empty poll, an Ack with nothing new to acknowledge costs
-	// nothing and records no sample.
-	if o != nil && n > 0 {
-		o.Lat(tid, obs.OpAck, start)
-		o.Event(tid, obs.OpAck, nil, -1)
-	}
-	return n, nil
-}
-
-// AckAsync is the pipelined half of Ack: it issues the same ack
-// NTStores but defers the covering fence to this member's *next*
-// acknowledgment-path op (Ack, AckAsync, PollBatch, Nack, Renew) or
-// an explicit DrainAcks. The fence count per acknowledgment is
-// unchanged — each deferred fence is paid exactly once, at the start
-// of the next op — but the write-pending queue drains in the
-// background during the handler work between the two calls, so the
-// fence's blocking residual shrinks toward zero (see
-// pmem.LatencyModel.DrainNsPerLine). Returns the number of messages
-// newly counted acknowledged, or ErrFenced exactly as Ack does.
-//
-// The deferral trades the exactly-once guarantee down to at-least-once
-// for its window: a crash — or a lease takeover that races the
-// deferral — between AckAsync and the covering fence can leave the
-// window both redelivered elsewhere and (if the stores land under a
-// later fence) marked acked. Callers that need the strict guarantee
-// use Ack; callers optimizing the tail call AckAsync from a single
-// processing loop where the next op follows promptly.
-func (c *Consumer) AckAsync(tid int) (int, error) {
-	if !c.g.leased {
-		panic("broker: AckAsync on a group without acknowledgments (use NewGroupAcked)")
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.drainAcks(tid)
-	if err := c.takeFenced(tid); err != nil {
-		return 0, err
-	}
-	o := c.g.b.obs
-	var start int64
-	if o != nil {
-		start = obs.Now()
-	}
-	n := 0
-	for _, r := range c.refs {
-		if !r.t.enter() {
-			r.unackedN = 0 // dropped with the topic, see Ack
-			continue
-		}
-		s := r.t.shards[r.shard]
-		floor := s.AckedTo()
-		if r.deliveredTo <= floor {
-			r.t.exit()
-			continue
-		}
-		n += r.unackedN
-		if o != nil && r.unackedN > 0 {
-			r.t.ostats.Acked(r.unackedN)
-		}
+		bump(r.t.ostats, (*obs.TopicStats).Acked, r.unackedN)
 		r.unackedN = 0
 		if s.AckToUnfenced(tid, r.deliveredTo) {
 			c.asyncAcks = append(c.asyncAcks, s)
 		}
-		r.t.exit()
 	}
-	if o != nil && n > 0 {
-		o.Lat(tid, obs.OpAck, start)
-		o.Event(tid, obs.OpAck, nil, -1)
+	if fenceNow {
+		c.drainAcks(tid)
+	}
+	// Like an empty poll, an Ack with nothing new to acknowledge costs
+	// nothing and records no sample.
+	if n > 0 {
+		sp.done(obs.OpAck, nil)
 	}
 	return n, nil
 }
@@ -891,8 +837,9 @@ func (c *Consumer) DrainAcks(tid int) {
 	c.drainAcks(tid)
 }
 
-// drainAcks fences the domains holding deferred ack NTStores (one
-// fence per distinct heap) and promotes their durable ack frontiers.
+// drainAcks fences the domains holding staged ack NTStores (one fence
+// per distinct heap) and promotes their durable ack frontiers: the
+// tail of every Ack, and the head of whatever follows an AckAsync.
 // Caller holds c.mu.
 func (c *Consumer) drainAcks(tid int) {
 	if len(c.asyncAcks) == 0 {
@@ -913,17 +860,12 @@ func (c *Consumer) drainAcks(tid int) {
 // nack — so the rescission itself is durable delivery state. Returns
 // the number of messages queued for redelivery, or ErrFenced (and
 // queues nothing) when the member was fenced off shards since its
-// last acknowledgment-path op — see Ack.
+// last acknowledgment-path op, or ErrPlainGroup — see Ack.
 func (c *Consumer) Nack(tid int) (int, error) {
-	if !c.g.leased {
-		panic("broker: Nack on a group without acknowledgments (use NewGroupAcked)")
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.drainAcks(tid)
-	if err := c.takeFenced(tid); err != nil {
+	if err := c.ackPath(tid, "Nack"); err != nil {
 		return 0, err
 	}
+	defer c.mu.Unlock()
 	w := leaseWriter{g: c.g, tid: tid}
 	deadline := c.g.now() + c.g.ttl
 	var nacked []pendingMsg
@@ -949,11 +891,7 @@ func (c *Consumer) Nack(tid int) (int, error) {
 		}
 		r.deliveredTo = floor
 		r.unackedN = 0
-		w.write(r.global, Lease{
-			Active: true, Owner: c.id, Epoch: r.epoch,
-			Lo: floor + 1, Hi: r.leasedTo,
-			Deadline: deadline,
-		})
+		w.hold(r, c.id, floor, deadline)
 	}
 	// Prepending keeps per-shard index order: everything nacked
 	// precedes any still-queued redelivery of the same shard.
@@ -969,17 +907,13 @@ func (c *Consumer) Nack(tid int) (int, error) {
 // deadline actually needs moving; otherwise the rewritten lines ride
 // a single fence. A member fenced off shards since its last
 // acknowledgment-path op gets ErrFenced and renews nothing (0 fences):
-// a stale owner must not refresh deadlines on leases it lost.
+// a stale owner must not refresh deadlines on leases it lost. On a
+// plain group Renew returns ErrPlainGroup.
 func (c *Consumer) Renew(tid int, deadline uint64) error {
-	if !c.g.leased {
-		panic("broker: Renew on a group without acknowledgments (use NewGroupAcked)")
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.drainAcks(tid)
-	if err := c.takeFenced(tid); err != nil {
+	if err := c.ackPath(tid, "Renew"); err != nil {
 		return err
 	}
+	defer c.mu.Unlock()
 	w := leaseWriter{g: c.g, tid: tid}
 	for _, r := range c.refs {
 		if !r.t.enter() {
@@ -995,11 +929,7 @@ func (c *Consumer) Renew(tid int, deadline uint64) error {
 		if d.Active && d.Owner == c.id && d.Deadline >= deadline {
 			continue // already durably covered
 		}
-		w.write(r.global, Lease{
-			Active: true, Owner: c.id, Epoch: r.epoch,
-			Lo: floor + 1, Hi: r.leasedTo,
-			Deadline: deadline,
-		})
+		w.hold(r, c.id, floor, deadline)
 	}
 	w.commit()
 	return nil
@@ -1041,6 +971,16 @@ func (w *leaseWriter) write(global int, l Lease) {
 	w.g.region.writeLeaseLine(w.tid, global, l)
 	c.pending = l
 	w.staged = append(w.staged, global)
+}
+
+// hold stages r's active line: owner holds the unacknowledged range
+// (floor, r.leasedTo] under r's current epoch until deadline.
+func (w *leaseWriter) hold(r *consumerShard, owner int, floor, deadline uint64) {
+	w.write(r.global, Lease{
+		Active: true, Owner: owner, Epoch: r.epoch,
+		Lo: floor + 1, Hi: r.leasedTo,
+		Deadline: deadline,
+	})
 }
 
 func (w *leaseWriter) commit() {

@@ -108,8 +108,6 @@ func TestHeapTopicKindMismatch(t *testing.T) {
 	if !strings.Contains(err.Error(), "want a delay or priority topic") {
 		t.Fatalf("DequeueReadyBatch/fifo diagnostic %q does not name both heap kinds", err)
 	}
-	wantKindErr("Broker.PublishAt/fifo", b.PublishAt(0, "fifo", p, 1))
-	wantKindErr("Broker.PublishPriority/fifo", b.PublishPriority(0, "fifo", p, 1))
 
 	// Config validation: heap kinds are single-shard, never acked.
 	if _, err := b.CreateTopic(0, TopicConfig{Name: "bad", Kind: KindDelay, Shards: 2}); err == nil {

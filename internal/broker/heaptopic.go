@@ -26,16 +26,18 @@ import (
 // durable: it survives any crash and is redelivered — never before
 // its deadline — by the recovered topic. One blocking fence per call;
 // use PublishAtBatch to amortize. Returns ErrWrongTopicKind on
-// non-delay topics, ErrTopicDeleted once retired, and dheap.ErrFull
-// (wrapped) when the publisher's entry arena is out of slots.
+// non-delay topics, ErrBadPayload on a payload the topic cannot hold,
+// ErrTopicDeleted once retired, and dheap.ErrFull (wrapped) when the
+// publisher's entry arena is out of slots.
 func (t *Topic) PublishAt(tid int, payload []byte, deadline uint64) error {
 	return t.heapPublish(tid, "PublishAt", KindDelay, []uint64{deadline}, [][]byte{payload})
 }
 
 // PublishAtBatch enqueues the whole batch with a single blocking
 // fence: element i is delivered no earlier than deadlines[i]. The
-// batch is all-or-nothing against arena capacity — on dheap.ErrFull
-// nothing is published.
+// batch is all-or-nothing — on dheap.ErrFull, or ErrBadPayload for an
+// oversized payload or a deadline count that differs from the payload
+// count, nothing is published.
 func (t *Topic) PublishAtBatch(tid int, payloads [][]byte, deadlines []uint64) error {
 	return t.heapPublish(tid, "PublishAtBatch", KindDelay, deadlines, payloads)
 }
@@ -55,37 +57,25 @@ func (t *Topic) PublishPriorityBatch(tid int, payloads [][]byte, prios []uint64)
 }
 
 func (t *Topic) heapPublish(tid int, verb string, want TopicKind, keys []uint64, payloads [][]byte) error {
-	if t.cfg.Kind != want {
-		return t.kindErr(verb, want)
+	if err := t.admit(verb, want, payloads); err != nil {
+		return err
 	}
 	if len(payloads) != len(keys) {
-		panic(fmt.Sprintf("broker: %s on topic %q: %d payloads, %d keys",
-			verb, t.cfg.Name, len(payloads), len(keys)))
+		return fmt.Errorf("%w: %s on topic %q: %d payloads, %d keys",
+			ErrBadPayload, verb, t.cfg.Name, len(payloads), len(keys))
 	}
 	if len(payloads) == 0 {
 		return nil
-	}
-	for _, p := range payloads {
-		t.checkPayload(p)
 	}
 	if !t.enter() {
 		return ErrTopicDeleted
 	}
 	defer t.exit()
-	o := t.b.obs
-	if o == nil {
-		if err := t.heapq.PushBatch(tid, keys, payloads); err != nil {
-			return fmt.Errorf("broker: topic %q: %w", t.cfg.Name, err)
-		}
-		return nil
-	}
-	start := obs.Now()
+	sp := t.b.span(tid)
 	if err := t.heapq.PushBatch(tid, keys, payloads); err != nil {
 		return fmt.Errorf("broker: topic %q: %w", t.cfg.Name, err)
 	}
-	o.Lat(tid, obs.OpPublish, start)
-	t.ostats.Published(0, len(payloads))
-	o.Event(tid, obs.OpPublish, t.ostats, 0)
+	sp.published(t, 0, len(payloads))
 	return nil
 }
 
@@ -122,17 +112,11 @@ func (t *Topic) DequeueReadyBatch(tid int, now uint64, max int) ([][]byte, error
 	if t.cfg.Kind == KindPriority {
 		maxKey = ^uint64(0) // every rank is always ready
 	}
-	o := t.b.obs
-	if o == nil {
-		ps, _ := t.heapq.PopReadyBatch(tid, maxKey, max)
-		return ps, nil
-	}
-	start := obs.Now()
+	sp := t.b.span(tid)
 	ps, _ := t.heapq.PopReadyBatch(tid, maxKey, max)
 	if len(ps) > 0 {
-		o.Lat(tid, obs.OpPoll, start)
-		t.ostats.Delivered(len(ps))
-		o.Event(tid, obs.OpPoll, t.ostats, 0)
+		sp.lat(obs.OpPoll)
+		sp.delivered(t, 0, nil, len(ps))
 	}
 	return ps, nil
 }
@@ -188,24 +172,4 @@ func (t *Topic) MinKey() (uint64, bool) {
 	}
 	defer t.exit()
 	return t.heapq.MinKey()
-}
-
-// PublishAt is the broker-level convenience: resolve the named delay
-// topic and publish at deadline.
-func (b *Broker) PublishAt(tid int, topic string, payload []byte, deadline uint64) error {
-	t := b.Topic(topic)
-	if t == nil {
-		return fmt.Errorf("broker: unknown topic %q", topic)
-	}
-	return t.PublishAt(tid, payload, deadline)
-}
-
-// PublishPriority is the broker-level convenience: resolve the named
-// priority topic and publish at rank prio.
-func (b *Broker) PublishPriority(tid int, topic string, payload []byte, prio uint64) error {
-	t := b.Topic(topic)
-	if t == nil {
-		return fmt.Errorf("broker: unknown topic %q", topic)
-	}
-	return t.PublishPriority(tid, payload, prio)
 }

@@ -4,7 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
-	"sort"
+	"slices"
 	"sync"
 	"time"
 
@@ -28,10 +28,10 @@ import (
 // never mark a message processed that the new owner will also
 // process — the presumed-dead-resurfacing hole closes at the single
 // point where delivery state becomes durable. Ownership changes are
-// serialized under Group.mu plus the involved members' locks, so
+// serialized under Group.mu plus every member's lock (lockAll), so
 // epoch reads and bumps never race; the epoch in NVRAM exists so a
-// recovered broker re-seeds the authority (NewGroupAcked reads it at
-// bind) instead of restarting at zero behind a pre-crash line.
+// recovered broker re-seeds the authority (Subscribe reads it when it
+// binds the shard) instead of restarting at zero behind a pre-crash line.
 // Pre-epoch (v<=4) regions never wrote word 5; their lines decode as
 // epoch 0, which seeds the authority at 0 — valid, and bumped on the
 // first takeover like any other value.
@@ -74,10 +74,8 @@ func (c *Consumer) takeFenced(tid int) error {
 	}
 	f := c.fenced
 	c.fenced = nil
-	if o := c.g.b.obs; o != nil {
-		c.g.ostats.Fenced(1)
-		o.Event(tid, obs.OpScan, f[0].t.ostats, f[0].shard)
-	}
+	bump(c.g.ostats, (*obs.GroupStats).Fenced, 1)
+	c.g.b.span(tid).event(obs.OpScan, f[0].t.ostats, f[0].shard)
 	return fmt.Errorf("%w: member %d lost %d shard(s) to takeover (first %s/%d: held epoch %d, superseded by %d)",
 		ErrFenced, c.id, len(f), f[0].t.Name(), f[0].shard, f[0].stale, f[0].cur)
 }
@@ -88,8 +86,12 @@ func (c *Consumer) takeFenced(tid int) error {
 // often than the clock advances a TTL — it issues zero persist
 // instructions, so heartbeats are free until a deadline actually
 // needs moving. Returns ErrFenced (without renewing anything) when
-// the member was fenced off shards since its last op.
+// the member was fenced off shards since its last op, ErrPlainGroup
+// on a group that keeps no leases to renew.
 func (c *Consumer) Heartbeat(tid int) error {
+	if err := c.g.acked("Heartbeat"); err != nil {
+		return err
+	}
 	return c.Renew(tid, c.g.now()+c.g.ttl)
 }
 
@@ -113,8 +115,8 @@ func (c *Consumer) Heartbeat(tid int) error {
 // Returns the number of redeliveries queued. tid may be any thread id
 // owned by the caller.
 func (g *Group) Reassign(tid, from int, targets []int, force bool) (int, error) {
-	if !g.leased {
-		return 0, fmt.Errorf("broker: Reassign on a group without acknowledgments (use NewGroupAcked)")
+	if err := g.acked("Reassign"); err != nil {
+		return 0, err
 	}
 	if from < 0 || from >= len(g.consumers) {
 		return 0, fmt.Errorf("%w: Reassign from member %d of %d", ErrBadMember, from, len(g.consumers))
@@ -122,27 +124,20 @@ func (g *Group) Reassign(tid, from int, targets []int, force bool) (int, error) 
 	if len(targets) == 0 {
 		return 0, fmt.Errorf("%w: Reassign needs at least one target", ErrBadMember)
 	}
-	seen := make(map[int]bool, len(targets))
-	for _, t := range targets {
+	to := make([]*Consumer, len(targets))
+	for i, t := range targets {
 		if t < 0 || t >= len(g.consumers) {
 			return 0, fmt.Errorf("%w: Reassign target %d of %d", ErrBadMember, t, len(g.consumers))
 		}
 		if t == from {
 			return 0, fmt.Errorf("%w: Reassign(%d -> %d)", ErrSelfTransfer, from, t)
 		}
-		if seen[t] {
+		if slices.Contains(to[:i], g.consumers[t]) {
 			return 0, fmt.Errorf("%w: duplicate Reassign target %d", ErrBadMember, t)
 		}
-		seen[t] = true
+		to[i] = g.consumers[t]
 	}
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	ids := append([]int{from}, targets...)
-	sort.Ints(ids)
-	for _, id := range ids {
-		g.consumers[id].mu.Lock()
-		defer g.consumers[id].mu.Unlock()
-	}
+	defer g.lockAll()()
 	if !force {
 		now := g.now()
 		for _, r := range g.consumers[from].refs {
@@ -152,81 +147,91 @@ func (g *Group) Reassign(tid, from int, targets []int, force bool) (int, error) 
 			}
 		}
 	}
-	_, moved := g.reassignLocked(tid, from, targets)
+	_, moved := g.reassignLocked(tid, g.consumers[from], to)
 	return moved, nil
 }
 
-// reassignLocked moves every shard of `from` to the least-loaded of
-// `targets`, bumping epochs and rewriting lease lines under one
-// leaseWriter commit. Caller holds g.mu and the locks of `from` and
-// every target. Returns shards moved and redeliveries queued.
-func (g *Group) reassignLocked(tid, from int, targets []int) (shards, moved int) {
-	a := g.consumers[from]
-	if len(a.refs) == 0 {
-		return 0, 0
-	}
-	// The displaced member's own redelivery queue is rebuilt from the
-	// queues' unacked snapshots below; drop it to avoid duplicates.
-	a.pending = nil
+// reassignLocked deals every shard of `from` to the least-loaded of
+// `targets`, all transfers under one leaseWriter commit. Caller holds
+// lockAll. Returns shards moved and redeliveries queued.
+func (g *Group) reassignLocked(tid int, from *Consumer, targets []*Consumer) (shards, moved int) {
 	w := leaseWriter{g: g, tid: tid}
 	deadline := g.now() + g.ttl
-	for _, r := range a.refs {
-		to := targets[0]
-		for _, t := range targets[1:] {
-			if len(g.consumers[t].refs) < len(g.consumers[to].refs) {
-				to = t
-			}
-		}
-		b := g.consumers[to]
-		stale := g.epochs[r.global]
-		g.epochs[r.global]++
-		r.epoch = g.epochs[r.global]
-		a.fenced = append(a.fenced, fencedShard{t: r.t, shard: r.shard, stale: stale, cur: r.epoch})
-		if !r.t.enter() {
-			// Retired topic: its messages were dropped with it, so there
-			// is nothing to redeliver — retire any stale record at the
-			// new epoch and move the inert ref.
-			r.pendingN, r.unackedN = 0, 0
-			if d := g.cache[r.global].durable; d.Active {
-				w.write(r.global, Lease{Epoch: r.epoch})
-			}
-			b.refs = append(b.refs, r)
-			shards++
-			continue
-		}
+	for ; len(from.refs) > 0; shards++ {
+		moved += g.transfer(&w, deadline, from, 0, leastLoaded(targets))
+	}
+	w.commit()
+	bump(g.ostats, (*obs.GroupStats).Reassigned, shards)
+	return shards, moved
+}
+
+// transfer is the one takeover: it moves from.refs[ri] to member `to`
+// under a bumped fencing epoch and stages the shard's lease line in w
+// — rewritten to the new owner with the given deadline when the shard
+// holds unacknowledged messages, retired at the new epoch when it
+// holds none (or its topic is gone) and the durable record is still
+// active, left alone otherwise. The unacknowledged suffix is queued on
+// `to` for redelivery in index order, and `from` is marked fenced: its
+// next acknowledgment-path op gets ErrFenced. Caller holds lockAll and
+// commits w. Returns the redeliveries queued.
+func (g *Group) transfer(w *leaseWriter, deadline uint64, from *Consumer, ri int, to *Consumer) int {
+	r := from.refs[ri]
+	stale := g.epochs[r.global]
+	g.epochs[r.global]++
+	r.epoch = g.epochs[r.global]
+	from.fenced = append(from.fenced, fencedShard{t: r.t, shard: r.shard, stale: stale, cur: r.epoch})
+	// The displaced member's queued redeliveries of this shard are
+	// rebuilt from the queue's unacked snapshot below; drop them to
+	// avoid duplicates. Its other shards' stay.
+	if r.pendingN > 0 {
+		from.pending = slices.DeleteFunc(from.pending, func(p pendingMsg) bool { return p.r == r })
+	}
+	from.refs = slices.Delete(from.refs, ri, ri+1)
+	if len(from.refs) == 0 {
+		from.next = 0
+	} else {
+		from.next %= len(from.refs)
+	}
+	to.refs = append(to.refs, r)
+	r.pendingN, r.unackedN = 0, 0
+	// A retired topic's messages were dropped with it: nothing to
+	// redeliver, the inert ref just moves.
+	if r.t.enter() {
 		s := r.t.shards[r.shard]
 		floor := s.AckedTo()
 		ps, idxs := s.Unacked()
 		r.t.exit()
-		r.deliveredTo, r.pendingN, r.unackedN = floor, len(ps), 0
+		r.deliveredTo, r.leasedTo, r.pendingN = floor, floor, len(ps)
 		for i := range ps {
-			b.pending = append(b.pending, pendingMsg{r: r, idx: idxs[i], payload: ps[i]})
+			to.pending = append(to.pending, pendingMsg{r: r, idx: idxs[i], payload: ps[i]})
 		}
-		moved += len(ps)
 		if len(ps) > 0 {
-			r.leasedTo = idxs[len(idxs)-1]
-			w.write(r.global, Lease{
-				Active: true, Owner: to, Epoch: r.epoch,
-				Lo: floor + 1, Hi: r.leasedTo,
-				Deadline: deadline,
-			})
-		} else {
-			r.leasedTo = floor
-			if d := g.cache[r.global].durable; d.Active {
-				// Fully acked: retire the stale record, at the new epoch.
-				w.write(r.global, Lease{Epoch: r.epoch})
-			}
+			r.leasedTo = idxs[len(ps)-1]
 		}
-		b.refs = append(b.refs, r)
-		shards++
 	}
-	a.refs = nil
-	a.next = 0
-	w.commit()
-	if g.ostats != nil {
-		g.ostats.Reassigned(shards)
+	if r.pendingN > 0 {
+		w.hold(r, to.id, r.deliveredTo, deadline)
+	} else if g.cache[r.global].durable.Active {
+		// Nothing left to hold: retire the stale record, at the new epoch.
+		w.write(r.global, Lease{Epoch: r.epoch})
 	}
-	return shards, moved
+	return r.pendingN
+}
+
+// obliges reports whether r's durable lease still obliges member
+// owner to anything, and returns it: the record is active and owner's,
+// the topic is live (a retired topic's messages were dropped with it)
+// and the window is not fully acknowledged. Ack never rewrites lease
+// lines (that is what keeps an ack batch at one NTStore per shard), so
+// a fully acked window leaves an Active line behind with a deadline
+// nobody maintains; such a moot lease makes its member idle, not dead.
+func (g *Group) obliges(r *consumerShard, owner int) (Lease, bool) {
+	d := g.cache[r.global].durable
+	if !d.Active || d.Owner != owner || !r.t.enter() {
+		return d, false
+	}
+	defer r.t.exit()
+	return d, r.t.shards[r.shard].AckedTo() < r.leasedTo
 }
 
 // ScanReport summarizes one expiry scan.
@@ -259,42 +264,18 @@ type ScanReport struct {
 // likes. tid may be any thread id owned by the caller; Scan takes the
 // group and every member lock, so it is safe beside live traffic.
 func (g *Group) Scan(tid int, now uint64) (ScanReport, error) {
-	if !g.leased {
-		return ScanReport{}, fmt.Errorf("broker: Scan on a group without acknowledgments (use NewGroupAcked)")
+	if err := g.acked("Scan"); err != nil {
+		return ScanReport{}, err
 	}
-	o := g.b.obs
-	var start int64
-	if o != nil {
-		start = obs.Now()
-	}
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	for _, c := range g.consumers {
-		c.mu.Lock()
-		defer c.mu.Unlock()
-	}
+	sp := g.b.span(tid)
+	defer g.lockAll()()
 	rep := ScanReport{Now: now}
-	dead := make([]bool, len(g.consumers))
+	var survivors []*Consumer
 	for i, c := range g.consumers {
 		held, expired := 0, true
 		for _, r := range c.refs {
-			d := g.cache[r.global].durable
-			if !d.Active || d.Owner != i {
-				continue
-			}
-			// A retired topic's lease holds no obligation either way:
-			// its messages were dropped with the topic.
-			if !r.t.enter() {
-				continue
-			}
-			// Ack never rewrites lease lines (that is what keeps an ack
-			// batch at one NTStore per shard), so a fully acked window
-			// leaves an Active line behind with a deadline nobody
-			// maintains. Such a moot lease holds no obligation: the
-			// member is idle, not dead.
-			moot := r.t.shards[r.shard].AckedTo() >= r.leasedTo
-			r.t.exit()
-			if moot {
+			d, ok := g.obliges(r, i)
+			if !ok {
 				continue
 			}
 			held++
@@ -304,147 +285,55 @@ func (g *Group) Scan(tid int, now uint64) (ScanReport, error) {
 			}
 		}
 		if held > 0 && expired {
-			dead[i] = true
 			rep.Expired = append(rep.Expired, i)
+		} else {
+			survivors = append(survivors, c)
 		}
 	}
-	if len(rep.Expired) > 0 {
-		var survivors []int
-		for i := range g.consumers {
-			if !dead[i] {
-				survivors = append(survivors, i)
-			}
-		}
-		if len(survivors) > 0 {
-			for _, from := range rep.Expired {
-				s, m := g.reassignLocked(tid, from, survivors)
-				rep.Shards += s
-				rep.Moved += m
-			}
+	if len(survivors) > 0 {
+		for _, from := range rep.Expired {
+			s, m := g.reassignLocked(tid, g.consumers[from], survivors)
+			rep.Shards += s
+			rep.Moved += m
 		}
 	}
-	if o != nil {
-		g.ostats.Scanned(1)
-		o.Lat(tid, obs.OpScan, start)
-		o.Event(tid, obs.OpScan, nil, -1)
-	}
+	bump(g.ostats, (*obs.GroupStats).Scanned, 1)
+	sp.done(obs.OpScan, nil)
 	return rep, nil
 }
 
 // Steal is the work-stealing variant of takeover: an idle member
 // claims ONE shard whose durable lease has expired at the group
 // clock, from whichever member holds it, with the same epoch bump,
-// fencing and unacked-suffix redelivery as Reassign — one shard's
-// store+flush and one fence. It reports whether a shard was found
-// (false with no error means nothing is expired) and the
-// redeliveries queued. Unlike most Consumer methods it may be called
-// from any goroutine (it takes the group and every member lock); tid
-// must still be owned by the caller.
+// fencing and unacked-suffix redelivery as Reassign — it is the same
+// transfer — at one shard's store+flush and one fence. It reports
+// whether a shard was found (false with no error means nothing is
+// expired) and the redeliveries queued. Unlike most Consumer methods
+// it may be called from any goroutine (it takes the group and every
+// member lock); tid must still be owned by the caller.
 func (c *Consumer) Steal(tid int) (bool, int, error) {
 	g := c.g
-	if !g.leased {
-		return false, 0, fmt.Errorf("broker: Steal on a group without acknowledgments (use NewGroupAcked)")
+	if err := g.acked("Steal"); err != nil {
+		return false, 0, err
 	}
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	for _, m := range g.consumers {
-		m.mu.Lock()
-		defer m.mu.Unlock()
-	}
+	defer g.lockAll()()
 	now := g.now()
 	for vi, v := range g.consumers {
 		if v == c {
 			continue
 		}
 		for ri, r := range v.refs {
-			d := g.cache[r.global].durable
-			if !d.Active || d.Owner != vi || d.Deadline > now {
+			if d, ok := g.obliges(r, vi); !ok || d.Deadline > now {
 				continue
 			}
-			// A retired topic holds no stealable work, and a fully
-			// acked (moot) lease none either; see the matching checks
-			// in Scan.
-			if !r.t.enter() {
-				continue
-			}
-			moot := r.t.shards[r.shard].AckedTo() >= r.leasedTo
-			r.t.exit()
-			if moot {
-				continue
-			}
-			moved := g.stealShardLocked(tid, v, c, ri)
+			w := leaseWriter{g: g, tid: tid}
+			moved := g.transfer(&w, now+g.ttl, v, ri, c)
+			w.commit()
+			bump(g.ostats, (*obs.GroupStats).Stolen, 1)
 			return true, moved, nil
 		}
 	}
 	return false, 0, nil
-}
-
-// stealShardLocked moves v.refs[ri] to member `to`. Caller holds g.mu
-// and every member lock.
-func (g *Group) stealShardLocked(tid int, v, to *Consumer, ri int) int {
-	r := v.refs[ri]
-	stale := g.epochs[r.global]
-	g.epochs[r.global]++
-	r.epoch = g.epochs[r.global]
-	v.fenced = append(v.fenced, fencedShard{t: r.t, shard: r.shard, stale: stale, cur: r.epoch})
-	// Unlike a whole-member reassign, the victim keeps its other
-	// shards, so only this shard's queued redeliveries are dropped
-	// (they are rebuilt from the queue's unacked snapshot below).
-	if r.pendingN > 0 {
-		kept := v.pending[:0]
-		for _, p := range v.pending {
-			if p.r != r {
-				kept = append(kept, p)
-			}
-		}
-		v.pending = kept
-	}
-	v.refs = append(v.refs[:ri], v.refs[ri+1:]...)
-	if len(v.refs) == 0 {
-		v.next = 0
-	} else {
-		v.next %= len(v.refs)
-	}
-	w := leaseWriter{g: g, tid: tid}
-	deadline := g.now() + g.ttl
-	if !r.t.enter() {
-		// Retired between the caller's check and here: nothing to
-		// redeliver (see reassignLocked).
-		r.pendingN, r.unackedN = 0, 0
-		if d := g.cache[r.global].durable; d.Active {
-			w.write(r.global, Lease{Epoch: r.epoch})
-		}
-		to.refs = append(to.refs, r)
-		w.commit()
-		return 0
-	}
-	s := r.t.shards[r.shard]
-	floor := s.AckedTo()
-	ps, idxs := s.Unacked()
-	r.t.exit()
-	r.deliveredTo, r.pendingN, r.unackedN = floor, len(ps), 0
-	for i := range ps {
-		to.pending = append(to.pending, pendingMsg{r: r, idx: idxs[i], payload: ps[i]})
-	}
-	if len(ps) > 0 {
-		r.leasedTo = idxs[len(idxs)-1]
-		w.write(r.global, Lease{
-			Active: true, Owner: to.id, Epoch: r.epoch,
-			Lo: floor + 1, Hi: r.leasedTo,
-			Deadline: deadline,
-		})
-	} else {
-		r.leasedTo = floor
-		if d := g.cache[r.global].durable; d.Active {
-			w.write(r.global, Lease{Epoch: r.epoch})
-		}
-	}
-	to.refs = append(to.refs, r)
-	w.commit()
-	if g.ostats != nil {
-		g.ostats.Stolen(1)
-	}
-	return len(ps)
 }
 
 // Janitor is a background expiry scanner started by StartJanitor.
@@ -465,8 +354,8 @@ type Janitor struct {
 // so the crash signal never escapes the background goroutine, and Stop
 // still returns.
 func (g *Group) StartJanitor(tid int, period time.Duration) (*Janitor, error) {
-	if !g.leased {
-		return nil, fmt.Errorf("broker: StartJanitor on a group without acknowledgments (use NewGroupAcked)")
+	if err := g.acked("StartJanitor"); err != nil {
+		return nil, err
 	}
 	if period <= 0 {
 		return nil, fmt.Errorf("broker: StartJanitor period must be positive, got %v", period)

@@ -12,7 +12,8 @@ import (
 
 // TestReassignValidation pins the typed argument errors: out-of-range
 // or duplicate members, self-transfer, and takeover from a member
-// with live leases without force.
+// with live leases without force. (A plain group's refusal of every
+// membership verb is TestPlainGroupRefusals.)
 func TestReassignValidation(t *testing.T) {
 	_, b := newAckedBroker(t, 1, 3, pmem.ModePerf)
 	clk := &logicalClock{}
@@ -72,23 +73,6 @@ func TestReassignValidation(t *testing.T) {
 		t.Fatalf("Ack after the fencing record was consumed: %v", err)
 	}
 
-	// Membership ops require an acked group.
-	pg, err := b.NewGroup([]string{"jobs"}, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := pg.Reassign(0, 0, []int{1}, false); err == nil {
-		t.Error("Reassign on a plain group succeeded")
-	}
-	if _, err := pg.Scan(0, 0); err == nil {
-		t.Error("Scan on a plain group succeeded")
-	}
-	if _, _, err := pg.Consumer(0).Steal(0); err == nil {
-		t.Error("Steal on a plain group succeeded")
-	}
-	if _, err := pg.StartJanitor(0, time.Millisecond); err == nil {
-		t.Error("StartJanitor on a plain group succeeded")
-	}
 }
 
 // TestScanFencesAndSplits: the expiry scanner detects the one member

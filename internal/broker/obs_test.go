@@ -2,6 +2,7 @@ package broker
 
 import (
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/obs"
@@ -219,6 +220,71 @@ func TestObserverNackRedelivery(t *testing.T) {
 	}
 }
 
+// TestRefusedGroupLeavesNoGauges: a group constructor that refuses —
+// region already serving a group, unknown or non-Acked topic, capacity
+// exceeded — registers nothing with the observer. A phantom group's
+// cursors never advance, so its MaxLag would grow with every publish
+// for a group that does not exist.
+func TestRefusedGroupLeavesNoGauges(t *testing.T) {
+	o := obs.New(obs.Config{Threads: 2})
+	hs := pmem.NewSet(1, pmem.Config{Bytes: 64 << 20, MaxThreads: 2})
+	b, err := Open(hs, Options{Threads: 2, Observer: o})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := b.CreateTopic(0, TopicConfig{Name: "a", Shards: 2, Acked: true}); err != nil {
+		t.Fatal(err)
+	}
+	tight, err := b.CreateAckGroup(0, AckGroupConfig{Capacity: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := b.CreateTopic(0, TopicConfig{Name: "late", Shards: 1, Acked: true}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := b.CreateTopic(0, TopicConfig{Name: "plain", Shards: 1}); err != nil {
+		t.Fatal(err)
+	}
+	roomy, err := b.CreateAckGroup(0, AckGroupConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	g, err := b.NewGroupAcked([]string{"a"}, 1, LeaseConfig{Region: tight})
+	if err != nil {
+		t.Fatal(err)
+	}
+	refused := map[string]func() error{
+		"region already bound": func() error { _, err := b.NewGroupAcked([]string{"a"}, 1, LeaseConfig{Region: tight}); return err },
+		"unknown topic":        func() error { _, err := b.NewGroupAcked([]string{"nope"}, 1, LeaseConfig{Region: roomy}); return err },
+		"topic not Acked":      func() error { _, err := b.NewGroupAcked([]string{"plain"}, 1, LeaseConfig{Region: roomy}); return err },
+		"no members":           func() error { _, err := b.NewGroup([]string{"plain"}, 0); return err },
+		"plain, unknown topic": func() error { _, err := b.NewGroupAffine([]string{"plain", "nope"}, 1); return err },
+	}
+	for what, construct := range refused {
+		if construct() == nil {
+			t.Fatalf("%s: the constructor succeeded", what)
+		}
+	}
+	for i := uint64(0); i < 8; i++ {
+		b.Topic("a").Publish(0, U64(i))
+		b.Topic("late").Publish(0, U64(i))
+	}
+	for len(g.Consumer(0).PollBatch(1, 8)) > 0 {
+		g.Consumer(0).Ack(1)
+	}
+	s := o.Snapshot()
+	if len(s.Groups) != 1 {
+		t.Fatalf("snapshot lists %d groups after 1 successful and %d refused constructions: %+v", len(s.Groups), len(refused), s.Groups)
+	}
+	if s.Groups[0].MaxLag != 0 || g.Stats().MaxLag() != 0 {
+		t.Fatalf("the drained group reports lag: %+v", s.Groups[0])
+	}
+	// A refusal releases the region it had claimed.
+	if _, err := b.NewGroupAcked([]string{"late"}, 1, LeaseConfig{Region: roomy}); err != nil {
+		t.Fatalf("region %d stayed claimed by a refused group: %v", roomy, err)
+	}
+}
+
 // TestObserverSurvivesRecovery: an observer handed to the recovered
 // broker keeps counting into the same topic series.
 func TestObserverSurvivesRecovery(t *testing.T) {
@@ -347,21 +413,27 @@ func TestAckedSubscribeWhilePolling(t *testing.T) {
 	var wg sync.WaitGroup
 	var delivered int
 	wg.Add(1)
+	var subscribed atomic.Bool
 	go func() { // member polls and acks on tid 1 throughout
 		defer wg.Done()
-		idle := 0
-		for idle < 100 {
+		// Idle polls count toward giving up only once Subscribe is back:
+		// a hot poll loop can keep it off the member's lock for the whole
+		// drain of "a" (a mutex hands off to a starved waiter only after
+		// a millisecond), and quitting then would test nothing.
+		for idle := 0; idle < 100; {
 			ms := c.PollBatch(1, 7)
 			delivered += len(ms)
-			if len(ms) == 0 {
-				idle++
-			} else {
+			if len(ms) > 0 {
 				idle = 0
+			} else if subscribed.Load() {
+				idle++
 			}
 			c.Ack(1)
 		}
 	}()
-	if err := g.Subscribe(2, "b"); err != nil { // concurrent, own tid
+	err = g.Subscribe(2, "b") // concurrent, own tid
+	subscribed.Store(true)
+	if err != nil {
 		t.Fatal(err)
 	}
 	// Lag read mid-flight must never exceed what exists to consume.

@@ -11,6 +11,7 @@ package broker
 // one drain riding one fence per touched persistence domain.
 
 import (
+	"sync"
 	"sync/atomic"
 	"time"
 
@@ -70,6 +71,7 @@ type Poller struct {
 	wake chan struct{}
 	stop chan struct{}
 	done chan struct{}
+	once sync.Once
 
 	polls, emptyPolls, delivered atomic.Uint64
 	idleSleeps, wakes, ackErrs   atomic.Uint64
@@ -117,9 +119,11 @@ func (p *Poller) Wake() {
 }
 
 // Stop ends the loop after a final drain and blocks until Run has
-// returned. Safe to call once.
+// returned. Idempotent like Janitor.Stop, and for the same reason:
+// teardown paths race to stop the same loop, and every caller must
+// wait for the exit instead of panicking on a double close.
 func (p *Poller) Stop() {
-	close(p.stop)
+	p.once.Do(func() { close(p.stop) })
 	<-p.done
 }
 

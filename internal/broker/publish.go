@@ -49,7 +49,8 @@ type PublisherConfig struct {
 // returns, so retiring the topic under a live Publisher is a caller
 // bug: quiesce (Flush and stop) publishers before DeleteTopic, or a
 // flush whose window lands after the delete panics instead of racing
-// the reclaimed shard windows.
+// the reclaimed shard windows. For the same reason Publish panics on a
+// payload the topic refuses (ErrBadPayload everywhere else).
 type Publisher struct {
 	t        *Topic
 	tid      int
@@ -110,7 +111,9 @@ func (p *Publisher) Pending() int { return p.npending }
 // and an idle producer would ratchet its own batch size up — the exact
 // inversion of what the tail needs.
 func (p *Publisher) Publish(payload []byte) int {
-	p.t.checkPayload(payload)
+	if err := p.t.checkPayload(payload); err != nil {
+		panic(err.Error()) // no error slot: see the type comment
+	}
 	now := p.now()
 	// The very first publish counts as slow too: assume idle until the
 	// arrival rate proves otherwise, matching AIMD's start at Min.
@@ -145,38 +148,23 @@ func (p *Publisher) Flush() int {
 // One fence: the pending window's deferred one when pipelining (the
 // new window then becomes pending), the new window's own otherwise.
 func (p *Publisher) flush() int {
-	t := p.t
-	if !t.enter() {
-		panic("broker: Publisher flush on deleted topic " + t.cfg.Name +
-			" (quiesce publishers before DeleteTopic)")
-	}
-	defer t.exit()
 	if p.slow {
 		p.pol.Observe(0) // slow arrivals: shrink toward per-message windows
 	} else {
 		p.pol.Observe(len(p.buf))
 	}
 	p.slow = false
-	si := int(t.rr.Add(1)-1) % len(t.shards)
-	s := t.shards[si]
-	o := t.b.obs
-	var start int64
-	if o != nil {
-		start = obs.Now()
+	sp := p.t.b.span(p.tid) // the sample covers the fence this flush pays
+	acked := p.drain()
+	s, err := p.t.publishTo(sp, "Publisher flush", nil, p.buf, !p.pipeline)
+	if err != nil {
+		panic("broker: Publisher flush on topic " + p.t.cfg.Name + ": " + err.Error() +
+			" (quiesce publishers before DeleteTopic)")
 	}
-	acked := 0
 	if p.pipeline {
-		acked = p.drain()
-		s.EnqueueBatchUnfenced(p.tid, p.buf)
 		p.pending, p.npending = s, len(p.buf)
 	} else {
-		s.EnqueueBatch(p.tid, p.buf)
 		acked = len(p.buf)
-	}
-	if o != nil {
-		o.Lat(p.tid, obs.OpPublish, start)
-		t.ostats.Published(si, len(p.buf))
-		o.Event(p.tid, obs.OpPublish, t.ostats, si)
 	}
 	p.buf = p.buf[:0]
 	return acked

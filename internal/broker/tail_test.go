@@ -2,6 +2,7 @@ package broker
 
 import (
 	"errors"
+	"sync"
 	"testing"
 	"time"
 
@@ -447,6 +448,7 @@ func TestPollerDrainsBacklogAndIdlesFree(t *testing.T) {
 		time.Sleep(time.Millisecond)
 	}
 	p.Stop()
+	p.Stop() // idempotent: a second Stop waits for the same exit, no double close
 	if delivered != n || len(seen) != n {
 		t.Fatalf("handler saw %d deliveries of %d ids, want %d of %d", delivered, len(seen), n, n)
 	}
@@ -468,7 +470,15 @@ func TestPollerDrainsBacklogAndIdlesFree(t *testing.T) {
 	})
 	go p2.Run()
 	time.Sleep(20 * time.Millisecond)
-	p2.Stop()
+	var stops sync.WaitGroup
+	for i := 0; i < 4; i++ { // teardown paths race to stop the same loop
+		stops.Add(1)
+		go func() {
+			defer stops.Done()
+			p2.Stop()
+		}()
+	}
+	stops.Wait()
 	d := h.TotalStats().Sub(before)
 	if d.Fences != 0 || d.Flushes != 0 || d.NTStores != 0 {
 		t.Fatalf("idle poller = %d fences, %d flushes, %d NTStores; want 0/0/0",

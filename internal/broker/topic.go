@@ -67,8 +67,12 @@ type Topic struct {
 func (t *Topic) Name() string { return t.cfg.Name }
 
 // register creates (or, after recovery, re-binds) the topic's gauge
-// state in o and points its footprint gauges at the shards' pools.
+// state in o and points its footprint gauges at the shards' pools; a
+// no-op on an unobserved broker.
 func (t *Topic) register(o *obs.Observer) {
+	if o == nil {
+		return
+	}
 	t.ostats = o.RegisterTopic(t.Name(), t.Shards())
 	t.ostats.SetNVRAM(t.nvram)
 }
@@ -129,18 +133,42 @@ func (t *Topic) MaxPayload() int {
 	return t.cfg.MaxPayload
 }
 
-func (t *Topic) checkPayload(p []byte) {
+// ErrBadPayload reports a publish refused for the shape of its
+// arguments: a payload that is not exactly 8 bytes on a fixed-width
+// topic or exceeds MaxPayload on a variable one, or a heap-topic batch
+// whose payloads and keys differ in number. Nothing was published and
+// nothing persisted.
+var ErrBadPayload = errors.New("broker: payload refused")
+
+func (t *Topic) checkPayload(p []byte) error {
 	if t.cfg.MaxPayload == 0 {
 		if len(p) != 8 {
-			panic(fmt.Sprintf("broker: topic %q is fixed-width; payload must be exactly 8 bytes, got %d",
-				t.cfg.Name, len(p)))
+			return fmt.Errorf("%w: topic %q is fixed-width; payload must be exactly 8 bytes, got %d",
+				ErrBadPayload, t.cfg.Name, len(p))
 		}
-		return
+		return nil
 	}
 	if len(p) > t.cfg.MaxPayload {
-		panic(fmt.Sprintf("broker: topic %q payload %d exceeds capacity %d",
-			t.cfg.Name, len(p), t.cfg.MaxPayload))
+		return fmt.Errorf("%w: topic %q payload %d exceeds capacity %d",
+			ErrBadPayload, t.cfg.Name, len(p), t.cfg.MaxPayload)
 	}
+	return nil
+}
+
+// admit is the front door of every publish verb, FIFO or heap: the
+// topic must be of the kind the verb serves (ErrWrongTopicKind) and
+// must accept every payload (ErrBadPayload). It runs before the verb
+// enters the topic, so a refusal touches no shard.
+func (t *Topic) admit(verb string, want TopicKind, payloads [][]byte) error {
+	if t.cfg.Kind != want {
+		return t.kindErr(verb, want)
+	}
+	for _, p := range payloads {
+		if err := t.checkPayload(p); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // Publish routes payload to the next shard round-robin and enqueues
@@ -149,60 +177,22 @@ func (t *Topic) checkPayload(p []byte) {
 // on the shard's own heap. Returns ErrTopicDeleted (and publishes
 // nothing) once the topic is retired.
 func (t *Topic) Publish(tid int, payload []byte) error {
-	if t.cfg.Kind != KindFIFO {
-		return t.kindErr("Publish", KindFIFO)
-	}
-	t.checkPayload(payload)
-	if !t.enter() {
-		return ErrTopicDeleted
-	}
-	defer t.exit()
-	s := int(t.rr.Add(1)-1) % len(t.shards)
-	// The disabled-observer cost is exactly this one predictable branch:
-	// the fast path below is the whole unobserved operation.
-	o := t.b.obs
-	if o == nil {
-		t.shards[s].Enqueue(tid, payload)
-		return nil
-	}
-	start := obs.Now()
-	t.shards[s].Enqueue(tid, payload)
-	o.Lat(tid, obs.OpPublish, start)
-	t.ostats.Published(s, 1)
-	o.Event(tid, obs.OpPublish, t.ostats, s)
-	return nil
+	_, err := t.publishTo(t.b.span(tid), "Publish", nil, [][]byte{payload}, true)
+	return err
 }
 
 // PublishKey routes payload by FNV-1a hash of key, so all messages
 // with equal keys share a shard and are delivered in publish order.
 // Returns ErrTopicDeleted once the topic is retired.
 func (t *Topic) PublishKey(tid int, key, payload []byte) error {
-	if t.cfg.Kind != KindFIFO {
-		return t.kindErr("PublishKey", KindFIFO)
-	}
-	t.checkPayload(payload)
-	if !t.enter() {
-		return ErrTopicDeleted
-	}
-	defer t.exit()
 	// FNV-1a inlined: hash.Hash would heap-allocate per publish.
 	h := uint64(14695981039346656037)
 	for _, b := range key {
 		h ^= uint64(b)
 		h *= 1099511628211
 	}
-	s := int(h % uint64(len(t.shards)))
-	o := t.b.obs
-	if o == nil {
-		t.shards[s].Enqueue(tid, payload)
-		return nil
-	}
-	start := obs.Now()
-	t.shards[s].Enqueue(tid, payload)
-	o.Lat(tid, obs.OpPublish, start)
-	t.ostats.Published(s, 1)
-	o.Event(tid, obs.OpPublish, t.ostats, s)
-	return nil
+	_, err := t.publishTo(t.b.span(tid), "PublishKey", &h, [][]byte{payload}, true)
+	return err
 }
 
 // PublishBatch routes the whole batch to the next shard round-robin
@@ -215,31 +205,41 @@ func (t *Topic) PublishKey(tid int, key, payload []byte) error {
 // Returns ErrTopicDeleted (and publishes nothing) once the topic is
 // retired.
 func (t *Topic) PublishBatch(tid int, payloads [][]byte) error {
-	if t.cfg.Kind != KindFIFO {
-		return t.kindErr("PublishBatch", KindFIFO)
-	}
-	if len(payloads) == 0 {
-		return nil
-	}
-	for _, p := range payloads {
-		t.checkPayload(p)
+	_, err := t.publishTo(t.b.span(tid), "PublishBatch", nil, payloads, true)
+	return err
+}
+
+// publishTo is the one FIFO publish path; Publish, PublishKey,
+// PublishBatch and Publisher.flush differ only in what they hand it.
+// Past admission it enters the topic, picks the shard — the one
+// keyHash names, else the next of the round-robin cursor — enqueues
+// the batch in order, pays the one blocking persist that acknowledges
+// it (fence), and closes sp. A pipelining Publisher passes fence false
+// and pays on the returned shard's heap later; until then the batch is
+// linked but unacknowledged (see queues.Core.EnqueueBatchUnfenced).
+// Returns ErrTopicDeleted, having published nothing, once the topic is
+// retired.
+func (t *Topic) publishTo(sp span, verb string, keyHash *uint64, payloads [][]byte, fence bool) (*shard, error) {
+	if err := t.admit(verb, KindFIFO, payloads); err != nil || len(payloads) == 0 {
+		return nil, err
 	}
 	if !t.enter() {
-		return ErrTopicDeleted
+		return nil, ErrTopicDeleted
 	}
 	defer t.exit()
-	s := int(t.rr.Add(1)-1) % len(t.shards)
-	o := t.b.obs
-	if o == nil {
-		t.shards[s].EnqueueBatch(tid, payloads)
-		return nil
+	var si int
+	if keyHash != nil {
+		si = int(*keyHash % uint64(len(t.shards)))
+	} else {
+		si = int(t.rr.Add(1)-1) % len(t.shards)
 	}
-	start := obs.Now()
-	t.shards[s].EnqueueBatch(tid, payloads)
-	o.Lat(tid, obs.OpPublish, start)
-	t.ostats.Published(s, len(payloads))
-	o.Event(tid, obs.OpPublish, t.ostats, s)
-	return nil
+	s := t.shards[si]
+	s.EnqueueBatchUnfenced(sp.tid, payloads)
+	if fence {
+		s.h.Fence(sp.tid)
+	}
+	sp.published(t, si, len(payloads))
+	return s, nil
 }
 
 // Stats returns the topic's observability gauge state — message
