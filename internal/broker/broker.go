@@ -91,7 +91,6 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -276,33 +275,65 @@ type shard struct {
 
 // fenceShards fences tid once on each distinct heap the shards live on:
 // a fence is per-thread per-heap and covers every NTStore tid has
-// outstanding there, whichever shard's line it targets.
+// outstanding there, whichever shard's line it targets. A heap counts
+// as fenced when an earlier shard of ss names it — ss is a member's
+// touched shards, a handful — so the pass allocates nothing.
 func fenceShards(tid int, ss []*shard) {
-	var fenced []int
-	for _, s := range ss {
-		if !slices.Contains(fenced, s.heap) {
-			s.h.Fence(tid)
-			fenced = append(fenced, s.heap)
+next:
+	for i, s := range ss {
+		for _, prev := range ss[:i] {
+			if prev.heap == s.heap {
+				continue next
+			}
 		}
+		s.h.Fence(tid)
 	}
 }
+
+// wordChunkBytes is the size of one allocation a wordCodec carves its
+// payload copies from: 256 messages.
+const wordChunkBytes = 2048
 
 // wordCodec keeps a fixed topic's 8-byte payload as the item word of
 // the node line — the paper's own layout (queues.OptUnlinkedQ), a
 // payload of zero extra lines — so fixed and blob shards are one queue
 // type. It holds the broker's only conversions between payload bytes
-// and queue words.
-type wordCodec struct{}
-
-func (wordCodec) Write(h *pmem.Heap, tid int, pn, _ pmem.Addr, p []byte) []byte {
-	v := AsU64(p)
-	h.Store(tid, pn+queues.NodePayload, v)
-	return U64(v) // a copy: the caller keeps its buffer
+// and queue words. One per shard; free is indexed by tid and holds the
+// uncarved rest of that thread's current chunk, padded so that adjacent
+// threads' entries share no cache line.
+type wordCodec struct {
+	free []wordChunk
 }
 
-func (wordCodec) Check(*pmem.Heap, pmem.Addr) (pmem.Addr, bool) { return 0, true }
+type wordChunk struct {
+	b []byte
+	_ [pmem.CacheLineBytes - 24]byte
+}
 
-func (wordCodec) Read(h *pmem.Heap, pn pmem.Addr) []byte {
+func newWordCodec(threads int) *wordCodec { return &wordCodec{free: make([]wordChunk, threads)} }
+
+// Write returns a private copy of p — the caller keeps its buffer —
+// carved from tid's chunk rather than allocated: eight bytes whose
+// capacity is their length, so a consumer appending to one delivered
+// payload cannot reach its neighbour's. Like the queue's node chunks, a
+// byte chunk is never reused: the collector frees it when the last
+// payload in it is dropped.
+func (c *wordCodec) Write(h *pmem.Heap, tid int, pn, _ pmem.Addr, p []byte) []byte {
+	v := AsU64(p)
+	h.Store(tid, pn+queues.NodePayload, v)
+	f := &c.free[tid]
+	if len(f.b) < 8 {
+		f.b = make([]byte, wordChunkBytes)
+	}
+	out := f.b[:8:8]
+	f.b = f.b[8:]
+	binary.LittleEndian.PutUint64(out, v)
+	return out
+}
+
+func (*wordCodec) Check(*pmem.Heap, pmem.Addr) (pmem.Addr, bool) { return 0, true }
+
+func (*wordCodec) Read(h *pmem.Heap, pn pmem.Addr) []byte {
 	return U64(h.Load(0, pn+queues.NodePayload))
 }
 
@@ -319,7 +350,7 @@ func (t *Topic) createShard(si int, view *pmem.Heap, tid int) {
 	case tc.MaxPayload > 0:
 		q = blobq.New(view, blobq.Config{Threads: threads, MaxPayload: tc.MaxPayload, Acked: tc.Acked, InitTid: tid}).Core
 	default:
-		q = queues.NewCore[[]byte](view, threads, tid, tc.Acked, wordCodec{}, nil)
+		q = queues.NewCore[[]byte](view, threads, tid, tc.Acked, newWordCodec(threads), nil)
 	}
 	t.shards[si] = &shard{Core: q, heap: t.locs[si].heap, h: view}
 }
@@ -340,7 +371,7 @@ func (t *Topic) recoverShard(si int, view *pmem.Heap) error {
 	case tc.MaxPayload > 0:
 		q = blobq.Recover(view, blobq.Config{Threads: threads, MaxPayload: tc.MaxPayload, Acked: tc.Acked}).Core
 	default:
-		q = queues.RecoverCore[[]byte](view, threads, tc.Acked, wordCodec{}, nil)
+		q = queues.RecoverCore[[]byte](view, threads, tc.Acked, newWordCodec(threads), nil)
 	}
 	t.shards[si] = &shard{Core: q, heap: t.locs[si].heap, h: view}
 	return nil

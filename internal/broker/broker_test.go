@@ -158,10 +158,13 @@ func TestPollFairnessAfterIdle(t *testing.T) {
 
 // TestPublishPollBatchAllocs pins the Go allocations of one
 // PublishBatch(8) + PollBatch(8) round on a fixed topic beside the
-// fence pins: 27 — per message a volatile node and a payload copy, the
-// rest result-slice growth — where ssmem reallocating its limbo took
-// 28 and the tagged-union shard converting words per message 30. A
-// ceiling, so data-plane work can only lower it.
+// fence pins: 1, the []Message the poll returns. It was 27 — per
+// message a volatile node and a payload copy, the rest result-slice
+// growth and per-call bookkeeping — until nodes and payload copies were
+// carved from chunks (an allocation per 64 and per 256 messages, which
+// AllocsPerRun's whole-number average rounds away) and the Consumer
+// kept its scratch. A ceiling, so data-plane work can only lower it;
+// see TestPublishPollAllocs for the other verb rounds.
 func TestPublishPollBatchAllocs(t *testing.T) {
 	h := pmem.New(pmem.Config{Bytes: 64 << 20, MaxThreads: 2})
 	b, err := newBroker(pmem.NewSetOf(h), Options{Threads: 2}, []TopicConfig{{Name: "events", Shards: 4}}, 0)
@@ -184,8 +187,8 @@ func TestPublishPollBatchAllocs(t *testing.T) {
 	for i := 0; i < 2000; i++ { // past pool and slice growth
 		round()
 	}
-	if got := testing.AllocsPerRun(500, round); got > 27 {
-		t.Fatalf("PublishBatch(8)+PollBatch(8) = %v allocs, want <= 27", got)
+	if got := testing.AllocsPerRun(500, round); got > 1 {
+		t.Fatalf("PublishBatch(8)+PollBatch(8) = %v allocs, want <= 1", got)
 	}
 }
 

@@ -490,6 +490,70 @@ type Consumer struct {
 	// NTStores (AckAsync): the covering fence is owed and will be paid
 	// by the next acknowledgment-path op or DrainAcks.
 	asyncAcks []*shard
+
+	// Scratch of the poll and ack verbs, reused so that a verb allocates
+	// only the messages it returns: one shard's dequeued payloads and
+	// their indices, the shards owed a fence, the topics entered, the
+	// lease lines staged. The member's one goroutine (under c.mu on an
+	// acked group) is the only user. Every verb leaves the pointer-
+	// holding ones cleared, not just truncated (see reset) — between
+	// calls a member pins no payload, shard or topic.
+	ps      [][]byte
+	idxs    []uint64
+	touched []*shard
+	entered []*Topic
+	staged  []int
+}
+
+// pollRoom bounds the messages a poll makes room for ahead of its first
+// delivery (see room): a member polling with a large max on a nearly
+// idle topic pays for at most this many (3 KiB), not for what it asked.
+const pollRoom = 64
+
+// room makes space in out, in one step, for the messages a poll for max
+// may still deliver, up to pollRoom of them — the data plane's one
+// sizing rule (the queue below appends to the member's scratch). The
+// first delivery of a poll allocates the batch it returns; an empty
+// poll never gets here.
+func room(out []Message, max int) []Message {
+	n := min(max-len(out), pollRoom)
+	if cap(out)-len(out) >= n {
+		return out
+	}
+	return append(make([]Message, 0, len(out)+n), out...)
+}
+
+// deliver moves the payloads in the member's scratch to out as
+// messages of r, leaving the scratch cleared.
+func (c *Consumer) deliver(out []Message, max int, r *consumerShard) []Message {
+	if len(c.ps) == 0 {
+		return out
+	}
+	out = room(out, max)
+	name := r.t.Name()
+	for _, p := range c.ps {
+		out = append(out, Message{Topic: name, Shard: r.shard, Payload: p})
+	}
+	clear(c.ps)
+	return out
+}
+
+// reset empties a reused buffer of pointers: cleared before it is
+// truncated, because s[:0] alone leaves the old elements in the backing
+// array, where what one wide call put there stays reachable for as long
+// as later calls are narrower.
+func reset[T any](s []T) []T {
+	clear(s)
+	return s[:0]
+}
+
+// exitEntered leaves the topics a verb entered, once nothing of the
+// verb's is outstanding on their shards.
+func (c *Consumer) exitEntered() {
+	for _, t := range c.entered {
+		t.exit()
+	}
+	c.entered = reset(c.entered)
 }
 
 // Assigned lists the shards this member owns.
@@ -605,48 +669,42 @@ func (c *Consumer) PollBatch(tid, max int) []Message {
 	}
 	sp := c.g.b.span(tid)
 	var out []Message
-	var touched []*shard
 	// Topics entered below stay entered until after the covering fence:
 	// the dequeues' NTStores must land before DeleteTopic may reclaim
 	// (and CreateTopic reuse) the windows they target.
-	var entered []*Topic
-	defer func() {
-		for _, t := range entered {
-			t.exit()
-		}
-	}()
+	defer c.exitEntered()
 	for scanned := 0; scanned < len(c.refs) && len(out) < max; scanned++ {
 		r := c.refs[c.next]
 		if !r.t.enter() {
 			c.next = (c.next + 1) % len(c.refs)
 			continue // topic retired: its shards read as empty
 		}
-		entered = append(entered, r.t)
+		c.entered = append(c.entered, r.t)
 		s := r.t.shards[r.shard]
 		// One NTStore of the shard's new head index now; the fence (one
 		// per touched heap, below) and the retires wait. An acked shard
 		// instead leases and acknowledges under its own fence: amortized
 		// acked consumption goes through leased groups, not this path.
-		ps, dirty := s.DequeueBatchUnfenced(tid, max-len(out))
+		var dirty bool
+		c.ps, dirty = s.DequeueBatchAppend(tid, max-len(out), c.ps[:0])
 		if dirty {
-			touched = append(touched, s)
+			c.touched = append(c.touched, s)
 		}
-		sp.delivered(r.t, r.shard, r.cur, len(ps))
-		for _, p := range ps {
-			out = append(out, Message{Topic: r.t.Name(), Shard: r.shard, Payload: p})
-		}
+		sp.delivered(r.t, r.shard, r.cur, len(c.ps))
+		out = c.deliver(out, max, r)
 		// Advance past the shard even when it filled the batch: the
 		// next poll then starts at the following shard, so one
 		// continuously hot shard cannot starve the others.
 		c.next = (c.next + 1) % len(c.refs)
 	}
-	if len(touched) > 0 {
+	if len(c.touched) > 0 {
 		// One fence per distinct domain covers every touched shard's
 		// NTStores there.
-		fenceShards(tid, touched)
-		for _, s := range touched {
+		fenceShards(tid, c.touched)
+		for _, s := range c.touched {
 			s.CompleteBatch(tid)
 		}
+		c.touched = reset(c.touched)
 	}
 	if len(out) > 0 {
 		sp.lat(obs.OpPoll)
@@ -665,6 +723,7 @@ func (c *Consumer) pollLeased(tid, max int) []Message {
 	// covered by a durable lease, so serving them costs nothing.
 	for len(out) < max && len(c.pending) > 0 {
 		p := c.pending[0]
+		c.pending[0] = pendingMsg{} // the served prefix must not pin its payloads
 		c.pending = c.pending[1:]
 		if p.r.t.Deleted() {
 			// Retired with the topic: a deleted topic's messages are
@@ -672,7 +731,7 @@ func (c *Consumer) pollLeased(tid, max int) []Message {
 			p.r.pendingN--
 			continue
 		}
-		out = append(out, Message{Topic: p.r.t.Name(), Shard: p.r.shard, Payload: p.payload})
+		out = append(room(out, max), Message{Topic: p.r.t.Name(), Shard: p.r.shard, Payload: p.payload})
 		p.r.deliveredTo = p.idx
 		p.r.pendingN--
 		p.r.unackedN++
@@ -681,7 +740,7 @@ func (c *Consumer) pollLeased(tid, max int) []Message {
 		bump(p.r.t.ostats, (*obs.TopicStats).Delivered, 1)
 		bump(p.r.t.ostats, (*obs.TopicStats).Redelivered, 1)
 	}
-	w := leaseWriter{g: c.g, tid: tid}
+	w := leaseWriter{g: c.g, tid: tid, staged: c.staged}
 	deadline := c.g.now() + c.g.ttl
 	for scanned := 0; scanned < len(c.refs) && len(out) < max; scanned++ {
 		r := c.refs[c.next]
@@ -695,23 +754,23 @@ func (c *Consumer) pollLeased(tid, max int) []Message {
 			continue // topic retired: its shards read as empty
 		}
 		s := r.t.shards[r.shard]
-		ps, idxs := s.DequeueLeased(tid, max-len(out))
+		c.ps, c.idxs = s.DequeueLeasedAppend(tid, max-len(out), c.ps[:0], c.idxs[:0])
 		r.t.exit()
-		if len(ps) == 0 {
+		n := len(c.ps)
+		if n == 0 {
 			continue
 		}
-		for _, p := range ps {
-			out = append(out, Message{Topic: r.t.Name(), Shard: r.shard, Payload: p})
-		}
-		sp.delivered(r.t, r.shard, r.cur, len(ps))
-		r.deliveredTo = idxs[len(idxs)-1]
+		out = c.deliver(out, max, r)
+		sp.delivered(r.t, r.shard, r.cur, n)
+		r.deliveredTo = c.idxs[n-1]
 		r.leasedTo = r.deliveredTo
-		r.unackedN += len(ps)
+		r.unackedN += n
 		w.hold(r, c.id, s.AckedTo(), deadline)
 	}
 	// The leases are durable before any message is exposed; a crash
 	// before this fence redelivers the whole window on recovery.
 	w.commit()
+	c.staged = w.staged
 	if len(out) > 0 {
 		sp.lat(obs.OpPoll)
 	}
@@ -789,12 +848,7 @@ func (c *Consumer) ack(tid int, verb string, fenceNow bool) (int, error) {
 	// Entered topics are exited only on return — for Ack, after the
 	// covering fence landed the ack NTStores — so DeleteTopic cannot
 	// reclaim a window under them.
-	var entered []*Topic
-	defer func() {
-		for _, t := range entered {
-			t.exit()
-		}
-	}()
+	defer c.exitEntered()
 	for _, r := range c.refs {
 		if !r.t.enter() {
 			// Retired with the topic: nothing durable left to advance,
@@ -802,7 +856,7 @@ func (c *Consumer) ack(tid int, verb string, fenceNow bool) (int, error) {
 			r.unackedN = 0
 			continue
 		}
-		entered = append(entered, r.t)
+		c.entered = append(c.entered, r.t)
 		s := r.t.shards[r.shard]
 		if r.deliveredTo <= s.AckedTo() {
 			continue
@@ -849,7 +903,7 @@ func (c *Consumer) drainAcks(tid int) {
 	for _, s := range c.asyncAcks {
 		s.CompleteAck(tid)
 	}
-	c.asyncAcks = c.asyncAcks[:0]
+	c.asyncAcks = reset(c.asyncAcks)
 }
 
 // Nack rescinds every delivered-but-unacknowledged message of this

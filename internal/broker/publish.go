@@ -166,7 +166,7 @@ func (p *Publisher) flush() int {
 	} else {
 		acked = len(p.buf)
 	}
-	p.buf = p.buf[:0]
+	p.buf = reset(p.buf) // the window is copied; do not pin the caller's payloads
 	return acked
 }
 

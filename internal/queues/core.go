@@ -39,6 +39,7 @@ type Core[P any] struct {
 	// that thread's head index; recovery takes the maximum.
 	localBase pmem.Addr
 	per       []coreThread[P]
+	chunks    []nodeChunk[P]
 	// plainStoreLocal replaces the movnti write of the local head
 	// index with an ordinary store + flush (the pre-Section-6.3
 	// design); ablation only.
@@ -102,6 +103,35 @@ type node[P any] struct {
 	pline, auxLine uint32
 }
 
+// nodeChunkLen is the number of Volatile nodes carved from one
+// allocation: 2 KiB of word nodes, 3 KiB of byte-payload nodes per
+// (queue, enqueuing tid).
+const nodeChunkLen = 64
+
+// nodeChunk is one thread's supply of Volatile nodes: a
+// [nodeChunkLen]node allocation handed out front to back and replaced
+// when used up. A chunk is never recycled by hand — the garbage
+// collector frees it once no node in it is reachable, as it does
+// RecoverCore's slab — so a node's address is never reused while any
+// thread can still hold it and the head/tail CASes stay ABA-safe. The
+// padding keeps adjacent threads' entries on separate cache lines.
+type nodeChunk[P any] struct {
+	nodes []node[P]
+	used  int // nodes[:used] are carved
+	_     [pmem.CacheLineBytes - 32]byte
+}
+
+// newNode carves tid's next Volatile node.
+func (q *Core[P]) newNode(tid int) *node[P] {
+	c := &q.chunks[tid]
+	if c.used == len(c.nodes) {
+		c.nodes, c.used = make([]node[P], nodeChunkLen), 0
+	}
+	n := &c.nodes[c.used]
+	c.used++
+	return n
+}
+
 func lineOf(a pmem.Addr) uint32 { return uint32(a / pmem.CacheLineBytes) }
 
 func lineAddr(l uint32) pmem.Addr { return pmem.Addr(l) * pmem.CacheLineBytes }
@@ -116,7 +146,10 @@ type coreThread[P any] struct {
 	// dequeue; they are handed to the allocator only by CompleteBatch,
 	// after the caller's fence made the covering head index durable (a
 	// slot reused and overwritten before that fence could lose a message
-	// whose dequeue never became durable).
+	// whose dequeue never became durable). Ack mode retires nothing
+	// before CompleteAck and has the buffer free: there it carries a
+	// leased dequeue's taken nodes to the in-flight list, so ackMu is
+	// held for one append and not across the CAS loop.
 	pendingRetire []*node[P]
 	// lastPersisted is the head index this thread most recently made
 	// durable (NTStore + completed fence) in its local line. A failing
@@ -159,11 +192,12 @@ func NewCore[P any](h *pmem.Heap, threads, tid int, acked bool, codec Codec[P], 
 		panic("queues: heap too large for 32-bit node line numbers")
 	}
 	q := &Core[P]{
-		h:     h,
-		pool:  newNodePoolAs(h, threads, tid),
-		codec: codec,
-		per:   make([]coreThread[P], threads),
-		acked: acked,
+		h:      h,
+		pool:   newNodePoolAs(h, threads, tid),
+		codec:  codec,
+		per:    make([]coreThread[P], threads),
+		chunks: make([]nodeChunk[P], threads),
+		acked:  acked,
 	}
 	if aux != nil {
 		q.aux = ssmem.NewPool(h, *aux)
@@ -215,16 +249,24 @@ func (q *Core[P]) retire(tid int, n *node[P]) {
 // one-consumer-per-queue discipline); pass the last one to AckTo once
 // the items are processed. Ack mode only.
 func (q *Core[P]) DequeueLeased(tid, max int) (ps []P, idxs []uint64) {
+	n := batchRoom(max)
+	return q.DequeueLeasedAppend(tid, max, make([]P, 0, n), make([]uint64, 0, n))
+}
+
+// DequeueLeasedAppend is DequeueLeased appending to ps and idxs, which
+// it returns: a consumer that hands it the same two buffers every call
+// allocates nothing.
+func (q *Core[P]) DequeueLeasedAppend(tid, max int, ps []P, idxs []uint64) ([]P, []uint64) {
 	if !q.acked {
 		panic("queues: DequeueLeased on a queue without ack mode")
 	}
 	if max <= 0 {
-		return nil, nil
+		return ps, idxs
 	}
 	q.pool.Enter(tid)
 	defer q.pool.Exit(tid)
-	var takens []*node[P]
-	for len(ps) < max {
+	t := &q.per[tid]
+	for len(t.pendingRetire) < max {
 		taken, _, ok := q.dequeueOne(tid)
 		if !ok {
 			break
@@ -237,15 +279,23 @@ func (q *Core[P]) DequeueLeased(tid, max int) (ps []P, idxs []uint64) {
 		// index surviving a crash mid-reuse) be filtered by recovery.
 		ps = append(ps, taken.payload)
 		idxs = append(idxs, taken.index)
-		takens = append(takens, taken)
+		t.pendingRetire = append(t.pendingRetire, taken)
 	}
-	if len(takens) > 0 {
+	if len(t.pendingRetire) > 0 {
 		q.ackMu.Lock()
-		q.inflight = append(q.inflight, takens...)
+		q.inflight = append(q.inflight, t.pendingRetire...)
 		q.ackMu.Unlock()
+		clear(t.pendingRetire) // see CompleteBatch
+		t.pendingRetire = t.pendingRetire[:0]
 	}
 	return ps, idxs
 }
+
+// batchRoom is the capacity the allocating batch dequeues start from:
+// one allocation for a batch instead of the four an append-grown batch
+// of eight takes, bounded so that a caller asking for "everything" does
+// not pay for it on a nearly empty queue.
+func batchRoom(n int) int { return min(max(n, 0), 64) }
 
 // AckToUnfenced acknowledges every dequeued item with index <= idx:
 // one NTStore of idx into tid's ack line. dirty reports whether a
@@ -303,6 +353,7 @@ func (q *Core[P]) CompleteAck(tid int) {
 			live = append(live, n)
 		}
 	}
+	clear(q.inflight[len(live):]) // see CompleteBatch
 	q.inflight = live
 	q.ackMu.Unlock()
 }
@@ -367,7 +418,8 @@ func (q *Core[P]) enqueueOne(tid int, p P) (tail, vn *node[P]) {
 	// linked is cleared before the index is written (line 113): a reused
 	// slot's stale set flag must never vouch for the new index.
 	h.Store(tid, pn+nodeLinked, 0)
-	vn = &node[P]{payload: q.codec.Write(h, tid, pn, aux, p), pline: lineOf(pn), auxLine: lineOf(aux)} // line 112
+	vn = q.newNode(tid)
+	vn.payload, vn.pline, vn.auxLine = q.codec.Write(h, tid, pn, aux, p), lineOf(pn), lineOf(aux) // line 112
 	for {
 		tail = q.tail.Load()
 		if next := tail.next.Load(); next == nil {
@@ -447,6 +499,22 @@ func (q *Core[P]) EnqueueBatchUnfenced(tid int, ps []P) {
 // empty observation ok is false and taken is the observed head, whose
 // index the caller persists (or elides) to durably linearize the empty
 // response.
+//
+// The unlinked head's link is cut — pointed back at the node itself —
+// before the node is returned. Nodes are carved from chunks, and a
+// chunk lives as long as any node in it: without the cut, a chunk kept
+// alive by one node still queued, by a retirement cell, or by the
+// uncarved rest its producer holds for as long as it is idle, would
+// keep — through the links of the consumed nodes beside it — every node
+// enqueued since. With it, a live chunk holds itself and nothing else.
+// A self link is as good as the true one to the only threads that can
+// still read it: a dequeuer that loaded this node as head fails its CAS
+// either way, because the head has moved on and no node's address is
+// ever reused; and an enqueuer that loaded it as tail sees a non-nil
+// next and tries to swing the tail off it, which fails because the tail
+// was first helped past it here (a tail is never behind an unlinked
+// node: linking this node's successor took an enqueuer that saw the
+// tail on this node, and the tail only moves forward).
 func (q *Core[P]) dequeueOne(tid int) (taken, old *node[P], ok bool) {
 	for {
 		head := q.head.Load()
@@ -455,6 +523,10 @@ func (q *Core[P]) dequeueOne(tid int) (taken, old *node[P], ok bool) {
 			return head, nil, false
 		}
 		if q.head.CompareAndSwap(head, next) {
+			if q.tail.Load() == head {
+				q.tail.CompareAndSwap(head, next)
+			}
+			head.next.Store(head)
 			return next, head, true
 		}
 	}
@@ -473,10 +545,11 @@ func (q *Core[P]) retireAfterPersist(tid int, old *node[P]) {
 // Dequeue removes the oldest item (Figure 4, lines 90-106): the
 // one-element batch dequeue, so the fence accounting — one NTStore +
 // one fence on success, full elision on an already-durable empty
-// observation — lives in DequeueBatchUnfenced alone. One fence, zero
+// observation — lives in DequeueBatchAppend alone. One fence, zero
 // post-flush accesses: the payload is served from the Volatile copy.
 func (q *Core[P]) Dequeue(tid int) (p P, ok bool) {
-	ps := q.DequeueBatch(tid, 1)
+	var buf [1]P // the batch of one stays on this frame
+	ps := q.dequeueFenced(tid, 1, buf[:0])
 	if len(ps) == 0 {
 		return p, false
 	}
@@ -495,12 +568,16 @@ func (q *Core[P]) Dequeue(tid int) (p P, ok bool) {
 // land, consumes) only items of the unacknowledged window. An empty
 // result means the queue was observed empty.
 func (q *Core[P]) DequeueBatch(tid, max int) []P {
-	ps, dirty := q.DequeueBatchUnfenced(tid, max)
+	return q.dequeueFenced(tid, max, make([]P, 0, batchRoom(max)))
+}
+
+func (q *Core[P]) dequeueFenced(tid, max int, dst []P) []P {
+	dst, dirty := q.DequeueBatchAppend(tid, max, dst)
 	if dirty {
 		q.h.Fence(tid) // the batch's single blocking persist
 		q.CompleteBatch(tid)
 	}
-	return ps
+	return dst
 }
 
 // DequeueBatchUnfenced is DequeueBatch with the blocking persist left
@@ -521,21 +598,30 @@ func (q *Core[P]) DequeueBatch(tid, max int) []P {
 // An empty observation issues nothing — emptiness is durable exactly
 // when the dequeues that emptied the queue are acknowledged.
 func (q *Core[P]) DequeueBatchUnfenced(tid, max int) (ps []P, dirty bool) {
+	return q.DequeueBatchAppend(tid, max, make([]P, 0, batchRoom(max)))
+}
+
+// DequeueBatchAppend is DequeueBatchUnfenced appending to dst, which it
+// returns: the one body of every plain dequeue. A consumer that hands
+// it the same buffer every call allocates nothing.
+func (q *Core[P]) DequeueBatchAppend(tid, max int, dst []P) (out []P, dirty bool) {
 	if q.acked {
-		ps, idxs := q.DequeueLeased(tid, max)
-		if len(ps) > 0 {
+		// Cold: amortized acked consumption never comes this way, so the
+		// indices may allocate.
+		dst, idxs := q.DequeueLeasedAppend(tid, max, dst, nil)
+		if len(idxs) > 0 {
 			q.AckTo(tid, idxs[len(idxs)-1])
 		}
-		return ps, false
+		return dst, false
 	}
+	t := &q.per[tid]
 	if max <= 0 {
-		return nil, q.per[tid].pendingDirty
+		return dst, t.pendingDirty
 	}
 	q.pool.Enter(tid)
 	defer q.pool.Exit(tid)
-	t := &q.per[tid]
 	var last *node[P]
-	for len(ps) < max {
+	for n := 0; n < max; n++ {
 		taken, old, ok := q.dequeueOne(tid)
 		if !ok {
 			if last == nil {
@@ -546,18 +632,18 @@ func (q *Core[P]) DequeueBatchUnfenced(tid, max int) (ps []P, dirty bool) {
 					t.pendingIdx = taken.index
 					t.pendingDirty = true
 				}
-				return nil, t.pendingDirty
+				return dst, t.pendingDirty
 			}
 			break
 		}
-		ps = append(ps, taken.payload)
+		dst = append(dst, taken.payload)
 		t.pendingRetire = append(t.pendingRetire, old)
 		last = taken
 	}
 	q.writeLocalHeadIdx(tid, last.index) // one NTStore covers the batch
 	t.pendingIdx = last.index
 	t.pendingDirty = true
-	return ps, true
+	return dst, true
 }
 
 // CompleteBatch finishes an unfenced batch dequeue after the caller's
@@ -573,6 +659,10 @@ func (q *Core[P]) CompleteBatch(tid int) {
 	for _, old := range t.pendingRetire {
 		q.retireAfterPersist(tid, old)
 	}
+	// Cleared, not just truncated: a pointer left in the backing array
+	// by one wide batch would keep its node's chunk alive for as long
+	// as later batches are narrower.
+	clear(t.pendingRetire)
 	t.pendingRetire = t.pendingRetire[:0]
 }
 
@@ -598,6 +688,7 @@ func RecoverCore[P any](h *pmem.Heap, threads int, acked bool, codec Codec[P], a
 		codec:     codec,
 		localBase: pmem.Addr(h.Load(0, h.RootAddr(slotLocal))),
 		per:       make([]coreThread[P], threads),
+		chunks:    make([]nodeChunk[P], threads),
 		acked:     acked,
 		ackBase:   ackBase,
 	}
