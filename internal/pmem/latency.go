@@ -22,20 +22,36 @@ type LatencyModel struct {
 	FlushNs int64
 	// NTStoreNs is the issue cost of a movnti non-temporal store.
 	NTStoreNs int64
-	// DrainNsPerLine models write-pending-queue drain bandwidth: each
-	// line flushed or NT-stored becomes durable DrainNsPerLine after
-	// the previous queued line (or after its own issue, whichever is
-	// later). The drain proceeds in the background — a Fence pays only
-	// the residual wait for lines not yet drained, so work performed
-	// between the last store and the fence (issuing the next batch,
-	// application processing) genuinely overlaps the drain. Zero
-	// disables drain modelling; fences then cost FenceNs alone.
+	// DrainNsPerLine models write-pending-queue drain bandwidth. Every
+	// Flush and every NTStore queues one line — an NTStore is charged
+	// per word stored, not per distinct cache line, so eight NTStores
+	// filling one line queue eight. A thread's queue drains in the
+	// background, one line per DrainNsPerLine, from the issue of the
+	// first line queued since its last Fence: a window of n lines whose
+	// first was issued at instant first is durable at first + n·D, and
+	// the Fence that closes it at instant now pays
+	// FenceNs + max(0, first + n·D − now). Work performed between the
+	// stores and the fence (issuing the next batch, application
+	// processing) therefore genuinely overlaps the drain. The simulator
+	// reads the clock twice per window — at its first line and in its
+	// Fence — and nowhere else, so what a line costs is its price, not
+	// a clock reading that takes as long as the drain it would measure.
+	//
+	// This equals a per-line model (each line durable DrainNsPerLine
+	// after the previous one or after its own issue, whichever is
+	// later) whenever the queue does not run empty between a window's
+	// lines, which holds for stores issued back to back. A burst issued
+	// into a window that is already open after the queue has idled is
+	// under-charged, by at most that burst's own drain time.
+	//
+	// Zero disables drain modelling; fences then cost FenceNs alone and
+	// no clock is read.
 	DrainNsPerLine int64
 }
 
 // DefaultLatency returns the model used for the paper-shaped
 // benchmarks. The constants follow published Optane DC measurements
-// (random read ~300ns; persist ~100-200ns) — see EXPERIMENTS.md.
+// (random read ~300ns; persist ~100-200ns).
 func DefaultLatency() LatencyModel {
 	return LatencyModel{
 		NVMReadNs:      300,

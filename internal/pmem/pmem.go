@@ -118,14 +118,29 @@ type lineLog struct {
 type threadCtx struct {
 	stats   Stats
 	pending []pendingFlush // ModeCrash: flushes issued since last fence
-	// drainedBy is the wall-clock instant (nanoseconds on the package
-	// monotonic clock) at which this thread's write-pending queue will
-	// have drained every line flushed or NT-stored since the last
-	// fence. Lines drain in the background at one line per
-	// DrainNsPerLine from the moment they are issued; a Fence pays only
-	// the residual wait. Maintained only when DrainNsPerLine > 0.
-	drainedBy int64
-	_         [64]byte
+	// The thread's fence window, maintained only when DrainNsPerLine > 0
+	// (see LatencyModel.DrainNsPerLine). windowOpen says a line has been
+	// queued since the last Fence; drainedBy is then the instant
+	// (nanoseconds on the package monotonic clock) at which the
+	// write-pending queue will have drained every line of the window:
+	// the clock reading taken at the window's first line plus
+	// DrainNsPerLine for each line queued since. Fence pays the residual
+	// and closes the window.
+	windowOpen bool
+	drainedBy  int64
+	// clockReads counts this thread's clock readings and drainWaitNs
+	// sums the residual drain its fences were charged. They are kept out
+	// of Stats, whose whole-value comparisons must stay deterministic;
+	// the package's tests and BenchmarkNTStoreBurstFence read them.
+	clockReads  uint64
+	drainWaitNs int64
+	_           [64]byte
+}
+
+// now reads the package clock on behalf of the thread's drain model.
+func (ts *threadCtx) now() int64 {
+	ts.clockReads++
+	return monotonicNs()
 }
 
 // Heap is a simulated persistent memory arena.
@@ -466,19 +481,21 @@ func (h *Heap) Flush(tid int, a Addr) {
 }
 
 // queueLine models one cache line entering the calling thread's
-// write-pending queue: the line becomes durable DrainNsPerLine after
-// the queue's previous tail (drain bandwidth is one line at a time,
-// and begins at issue, not at the fence). Only the owning goroutine
-// touches drainedBy, so no synchronization is needed.
+// write-pending queue. The window's first line reads the clock; each
+// later one only moves the drain deadline DrainNsPerLine further (drain
+// bandwidth is one line at a time, and begins at the first line's
+// issue, not at the fence). Only the owning goroutine touches the
+// window, so no synchronization is needed.
 func (ts *threadCtx) queueLine(h *heapState) {
-	if h.lat.DrainNsPerLine == 0 {
+	d := h.lat.DrainNsPerLine
+	if d == 0 {
 		return
 	}
-	now := monotonicNs()
-	if ts.drainedBy < now {
-		ts.drainedBy = now
+	if !ts.windowOpen {
+		ts.windowOpen = true
+		ts.drainedBy = ts.now()
 	}
-	ts.drainedBy += h.lat.DrainNsPerLine
+	ts.drainedBy += d
 }
 
 // Fence is a store fence (SFENCE): it blocks until every Flush and
@@ -486,12 +503,12 @@ func (ts *threadCtx) queueLine(h *heapState) {
 // image.
 //
 // Latency: the write-pending queue drains in the background from the
-// moment each line is issued (see LatencyModel.DrainNsPerLine), so the
-// fence pays FenceNs plus only the *residual* drain — zero if enough
-// wall time has passed since the last flushed line. This is what makes
-// pipelined persists (issue the next window before fencing the
-// previous one) pay off in wall-clock time while the fence *count*
-// stays exactly the same.
+// issue of the window's first line (see LatencyModel.DrainNsPerLine),
+// so the fence pays FenceNs plus only the *residual* drain — zero if
+// enough wall time has passed since then. This is what makes pipelined
+// persists (issue the next window before fencing the previous one) pay
+// off in wall-clock time while the fence *count* stays exactly the
+// same. A fence with nothing queued reads no clock.
 func (h *Heap) Fence(tid int) {
 	if h.cfg.Mode == ModeCrash {
 		h.crashCheck()
@@ -522,11 +539,12 @@ func (h *Heap) Fence(tid int) {
 		ts.pending = ts.pending[:0]
 	}
 	d := h.lat.FenceNs
-	if h.lat.DrainNsPerLine > 0 {
-		if resid := ts.drainedBy - monotonicNs(); resid > 0 {
+	if ts.windowOpen {
+		if resid := ts.drainedBy - ts.now(); resid > 0 {
 			d += resid
+			ts.drainWaitNs += resid
 		}
-		ts.drainedBy = 0
+		ts.windowOpen = false
 	}
 	h.delay(d)
 }

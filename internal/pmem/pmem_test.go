@@ -2,6 +2,7 @@ package pmem
 
 import (
 	"math/rand"
+	"strconv"
 	"testing"
 	"testing/quick"
 	"time"
@@ -549,6 +550,150 @@ func TestLatencyModelInjectsDelay(t *testing.T) {
 	}
 }
 
+// --- The write-pending-queue drain model (LatencyModel.DrainNsPerLine) ---
+
+// A burst of burstLines lines at burstDrainNs each drains in burstNs:
+// long enough that the bounds below hold on a loaded box.
+const (
+	burstLines   = 20
+	burstDrainNs = 250_000
+	burstNs      = burstLines * burstDrainNs
+)
+
+// lineIssuers are the two ways a thread queues a line.
+var lineIssuers = []struct {
+	name  string
+	issue func(h *Heap, a Addr)
+}{
+	{"NTStore", func(h *Heap, a Addr) { h.NTStore(0, a, 1) }},
+	{"Flush", func(h *Heap, a Addr) { h.Flush(0, a) }},
+}
+
+// issueBurst queues burstLines lines back to back on a fresh heap whose
+// only prices are DrainNsPerLine and fenceNs, and returns the heap and
+// the instant just before the first line.
+func issueBurst(mode Mode, fenceNs int64, issue func(h *Heap, a Addr)) (*Heap, time.Time) {
+	h := New(Config{Bytes: 1 << 20, Mode: mode,
+		Latency: LatencyModel{FenceNs: fenceNs, DrainNsPerLine: burstDrainNs}})
+	base := h.AllocRaw(0, burstLines*CacheLineBytes, CacheLineBytes)
+	start := time.Now()
+	for i := 0; i < burstLines; i++ {
+		issue(h, base+Addr(i*CacheLineBytes))
+	}
+	return h, start
+}
+
+// fenceWithin fails the test if an attempt's Fence is charged any
+// residual drain, or unless some attempt's Fence returns within bound;
+// a fence the scheduler preempted says nothing about the model, so a
+// slow attempt is retried.
+func fenceWithin(t *testing.T, bound time.Duration, attempt func() *Heap) {
+	t.Helper()
+	var el time.Duration
+	for try := 0; try < 3; try++ {
+		h := attempt()
+		before := h.threads[0].drainWaitNs
+		t0 := time.Now()
+		h.Fence(0)
+		el = time.Since(t0)
+		if w := h.threads[0].drainWaitNs - before; w != 0 {
+			t.Fatalf("Fence was charged %dns of residual drain, want 0", w)
+		}
+		if el <= bound {
+			return
+		}
+	}
+	t.Fatalf("Fence took %v, want at most %v", el, bound)
+}
+
+// TestFenceWaitsForBurstDrain: a Fence issued right behind a burst
+// blocks until the burst has drained — burstNs from its first line.
+func TestFenceWaitsForBurstDrain(t *testing.T) {
+	for _, li := range lineIssuers {
+		t.Run(li.name, func(t *testing.T) {
+			h, start := issueBurst(ModePerf, 0, li.issue)
+			h.Fence(0)
+			if el := time.Since(start); el < burstNs/2 {
+				t.Fatalf("burst + Fence returned after %v, want about %v", el, time.Duration(burstNs))
+			}
+		})
+	}
+}
+
+// TestDrainOverlapsWorkBeforeFence: the drain runs while the thread
+// does something else, so a Fence issued once burstNs have passed pays
+// its own price and no residual.
+func TestDrainOverlapsWorkBeforeFence(t *testing.T) {
+	const fenceNs = burstNs / 16
+	for _, li := range lineIssuers {
+		t.Run(li.name, func(t *testing.T) {
+			fenceWithin(t, 4*fenceNs, func() *Heap {
+				h, start := issueBurst(ModePerf, fenceNs, li.issue)
+				for time.Since(start) < burstNs+burstNs/8 {
+				}
+				return h
+			})
+		})
+	}
+}
+
+// TestRestartClearsBurstDrain: the write-pending queue is volatile, so
+// a window left open by a crash charges nothing to the first fence
+// after Restart.
+func TestRestartClearsBurstDrain(t *testing.T) {
+	fenceWithin(t, burstNs/4, func() *Heap {
+		h, _ := issueBurst(ModeCrash, 0, lineIssuers[0].issue)
+		h.CrashNow()
+		h.FinalizeCrash(rand.New(zeroSource{}))
+		h.Restart()
+		return h
+	})
+}
+
+// TestClockReadingsPerFenceWindow pins what the drain model costs the
+// simulator itself: a fence window reads the clock at its first line
+// and in its Fence, however many lines it holds, and a thread with
+// nothing queued — or a model without DrainNsPerLine — reads none.
+func TestClockReadingsPerFenceWindow(t *testing.T) {
+	for _, mode := range []Mode{ModePerf, ModeCrash} {
+		h := New(Config{Bytes: 1 << 20, Mode: mode, Latency: LatencyModel{DrainNsPerLine: 1}})
+		base := h.AllocRaw(0, 56*CacheLineBytes, CacheLineBytes)
+		ts := &h.threads[0]
+		// window issues n lines, Flush and NTStore alternating, and the
+		// Fence; it returns the readings that took.
+		window := func(n int) uint64 {
+			before := ts.clockReads
+			for i := 0; i < n; i++ {
+				if a := base + Addr(i*CacheLineBytes); i%2 == 0 {
+					h.NTStore(0, a, uint64(i))
+				} else {
+					h.Flush(0, a)
+				}
+			}
+			h.Fence(0)
+			return ts.clockReads - before
+		}
+		// Back to back: every window starts a fresh count.
+		for _, n := range []int{1, 7, 56} {
+			if got := window(n); got != 2 {
+				t.Errorf("mode %v: %d lines + Fence read the clock %d times, want 2", mode, n, got)
+			}
+		}
+		if got := window(0); got != 0 {
+			t.Errorf("mode %v: Fence with nothing queued read the clock %d times, want 0", mode, got)
+		}
+		h.NTStore(0, base, 1) // left open across the restart
+		h.Restart()
+		if got := window(1); got != 2 {
+			t.Errorf("mode %v: first window after Restart read the clock %d times, want 2", mode, got)
+		}
+		h.SetLatency(LatencyModel{FenceNs: 1, FlushNs: 1, NTStoreNs: 1})
+		if got := window(7); got != 0 {
+			t.Errorf("mode %v: DrainNsPerLine == 0 read the clock %d times, want 0", mode, got)
+		}
+	}
+}
+
 func BenchmarkStoreFlushFence(b *testing.B) {
 	h := New(Config{Bytes: 1 << 20, Latency: DefaultLatency()})
 	a := h.AllocRaw(0, 64, 64)
@@ -566,5 +711,30 @@ func BenchmarkLoadCached(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		_ = h.Load(0, a)
+	}
+}
+
+// BenchmarkNTStoreBurstFence is one fence window of n word NTStores
+// under the default prices: 1 is the window paper-pairs opens, 56 the
+// one a heap-delay PublishAtBatch(8) opens. Beside ns/op it reports what
+// the drain model cost (clock-reads/op) and what it charged
+// (drain-wait-ns/op, the residual the Fence waited out).
+func BenchmarkNTStoreBurstFence(b *testing.B) {
+	for _, n := range []int{1, 56} {
+		b.Run(strconv.Itoa(n), func(b *testing.B) {
+			h := New(Config{Bytes: 1 << 20, Latency: DefaultLatency()})
+			a := h.AllocRaw(0, int64(n)*WordBytes, CacheLineBytes)
+			ts := &h.threads[0]
+			reads, wait := ts.clockReads, ts.drainWaitNs
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				for w := 0; w < n; w++ {
+					h.NTStore(0, a+Addr(w*WordBytes), uint64(i))
+				}
+				h.Fence(0)
+			}
+			b.ReportMetric(float64(ts.clockReads-reads)/float64(b.N), "clock-reads/op")
+			b.ReportMetric(float64(ts.drainWaitNs-wait)/float64(b.N), "drain-wait-ns/op")
+		})
 	}
 }
