@@ -508,3 +508,70 @@ func TestHeapWindowSplitReuse(t *testing.T) {
 		}
 	}
 }
+
+// delayRound builds a delay topic holding 512 resident 8-byte messages
+// (the benchmark's heap-delay shape) and returns one steady-state
+// round: PublishAtBatch(8) on tid 0 at the next eight deadlines, then
+// DequeueReadyBatch(8) on tid 1 of the eight oldest.
+func delayRound(tb testing.TB, lat pmem.LatencyModel) func() {
+	tb.Helper()
+	const batch, resident = 8, 512
+	hs := pmem.NewSet(1, pmem.Config{Bytes: 64 << 20, MaxThreads: 2, Latency: lat})
+	b, err := Open(hs, Options{Threads: 2})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	delay, err := b.CreateTopic(0, TopicConfig{Name: "delay", Shards: 1, Kind: KindDelay})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	payloads, deadlines := make([][]byte, batch), make([]uint64, batch)
+	for i := range payloads {
+		payloads[i] = U64(uint64(i))
+	}
+	var next uint64
+	publish := func() {
+		for i := range deadlines {
+			deadlines[i] = next
+			next++
+		}
+		if err := delay.PublishAtBatch(0, payloads, deadlines); err != nil {
+			tb.Fatal(err)
+		}
+	}
+	for next < resident {
+		publish()
+	}
+	return func() {
+		publish()
+		if ps, err := delay.DequeueReadyBatch(1, next-resident-1, batch); err != nil || len(ps) != batch {
+			tb.Fatalf("DequeueReadyBatch delivered %d of %d due messages: %v", len(ps), batch, err)
+		}
+	}
+}
+
+// TestHeapTopicBatchAllocs pins the Go allocations of one
+// PublishAtBatch(8) + DequeueReadyBatch(8) round on a delay topic: 3,
+// all of them what the dequeue hands its caller (one payload buffer
+// for the batch, the payload and key slices). It was 24 — a payload
+// copy and a word buffer per message, three staging slices per call —
+// until dheap kept a slot-indexed payload mirror and per-tid scratch.
+func TestHeapTopicBatchAllocs(t *testing.T) {
+	round := delayRound(t, pmem.ZeroLatency())
+	for i := 0; i < 200; i++ { // past slice growth
+		round()
+	}
+	if got := testing.AllocsPerRun(500, round); got > 3 {
+		t.Fatalf("PublishAtBatch(8)+DequeueReadyBatch(8) = %v allocs, want <= 3", got)
+	}
+}
+
+// BenchmarkHeapTopicPublishDequeue is the same round under the default
+// latency model, for -benchmem and profiles of the heap-topic path.
+func BenchmarkHeapTopicPublishDequeue(b *testing.B) {
+	round := delayRound(b, pmem.DefaultLatency())
+	b.ReportAllocs()
+	for b.Loop() {
+		round()
+	}
+}

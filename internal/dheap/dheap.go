@@ -11,10 +11,12 @@
 // batched, exactly like the queues' EnqueueBatch. A pop-min marks the
 // entry consumed with one NTStore of the entry's own seq into the
 // entry's state word and covers a whole ready batch with one fence.
-// The comparator order — the min-heap on (key, seq) — lives purely in
-// DRAM and is rebuilt at recovery by replaying live entries, so
-// sift-up/sift-down cost zero persist instructions and pop-min stays
-// O(1) fences.
+// The comparator order lives purely in DRAM — a flat 4-ary min-heap of
+// pointer-free {key, seq, slot, len} items beside a slot-indexed mirror
+// of the payload bytes, both rebuilt at recovery from the live entries
+// (one O(n) heapify) — so sifts cost zero persist instructions and
+// pop-min stays O(1) fences. A pop copies payloads out of the mirror:
+// a consumer never reads content that was written around the cache.
 //
 // Soundness of the intent-log scheme:
 //
@@ -47,6 +49,7 @@
 package dheap
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"sync"
@@ -55,29 +58,30 @@ import (
 	"repro/internal/pmem"
 )
 
-// dheapMagic brands the region header and salts entry checksums.
-const dheapMagic uint64 = 0x4448656170_31 // "DHeap1"
-
 const (
-	inlinePayload = 3 * pmem.WordBytes // payload bytes carried in the entry's header line
-	slotRegion    = 0                  // root slot anchoring the region base address
+	dheapMagic    uint64 = 0x4448656170_31    // "DHeap1": brands the region header, salts entry checksums
+	inlinePayload        = 3 * pmem.WordBytes // payload bytes carried in the entry's header line
+	slotRegion           = 0                  // root slot anchoring the region base address
 )
 
 // ErrFull reports that the publishing thread's entry arena has no
 // free slot: the caller must drain (pop) or retry — backpressure,
-// not data loss.
-var ErrFull = errors.New("dheap: thread entry arena full")
+// not data loss. ErrPayloadTooLarge and ErrBatchShape refuse a batch
+// with a payload over MaxPayload or with keys and payloads differing
+// in number, before any slot is taken or word stored.
+var (
+	ErrFull            = errors.New("dheap: thread entry arena full")
+	ErrPayloadTooLarge = errors.New("dheap: payload exceeds MaxPayload")
+	ErrBatchShape      = errors.New("dheap: keys and payloads differ in length")
+)
 
 // Config sizes a new durable heap.
 type Config struct {
-	// Threads is the number of worker threads (tids) that may touch
-	// the heap. Each gets its own entry arena.
+	// Threads is the number of worker tids; each gets its own arena.
 	Threads int
-	// MaxPayload is the largest payload in bytes. 0 means 8 (one
-	// word), matching the fixed-size queues.
+	// MaxPayload is the largest payload in bytes. 0 means 8 (one word).
 	MaxPayload int
-	// Capacity is the number of entry slots per thread arena.
-	// Defaults to 1024.
+	// Capacity is the entry slots per thread arena. 0 means 1024.
 	Capacity int
 	// InitTid is the thread id used for initialization persists.
 	InitTid int
@@ -95,11 +99,20 @@ func (c *Config) norm() {
 	}
 }
 
-// item is one live entry mirrored in the volatile min-heap.
+// item is one live entry in the volatile min-heap: 24 bytes and no
+// pointer, so the GC never scans the index. slot = tid*cap + idx names
+// the durable entry and the payload's maxPayload bytes in the mirror.
 type item struct {
 	key, seq uint64
-	tid, idx int32
-	payload  []byte
+	slot     uint32
+	len      uint32
+}
+
+// scratch is one tid's reusable buffers, touched by that tid only.
+type scratch struct {
+	words  []uint64 // one entry's checksummed payload words
+	staged []item   // a publish batch between its stores and its insert
+	popped []item   // a pop batch between its removal and its recycling
 }
 
 // Q is a durable priority queue. All methods are safe for concurrent
@@ -114,25 +127,19 @@ type Q struct {
 	stride     int // lines per entry
 	maxPayload int
 
-	seq atomic.Uint64 // last issued seq; next = Add(1)
+	seq     atomic.Uint64 // last issued seq; next = Add(1)
+	mirror  []byte        // DRAM payload copy, maxPayload bytes per slot
+	scratch []scratch     // per tid
 
 	mu   sync.Mutex
-	heap []item    // volatile min-heap on (key, seq)
-	free [][]int32 // per-tid free slot indices
+	heap []item     // volatile 4-ary min-heap on (key, seq)
+	free [][]uint32 // per-tid free slots
 }
 
 // strideFor returns the number of cache lines one entry occupies.
 func strideFor(maxPayload int) int {
-	extra := maxPayload - inlinePayload
-	if extra < 0 {
-		extra = 0
-	}
+	extra := max(maxPayload-inlinePayload, 0)
 	return 1 + (extra+pmem.CacheLineBytes-1)/pmem.CacheLineBytes
-}
-
-// payloadWords is the number of checksummed payload words per entry.
-func (q *Q) payloadWords() int {
-	return 3 + pmem.WordsPerLine*(q.stride-1)
 }
 
 // New formats a durable heap in view's region and anchors it at root
@@ -163,16 +170,23 @@ func New(view *pmem.Heap, cfg Config) *Q {
 	view.Store(tid, view.RootAddr(slotRegion), uint64(q.region))
 	view.Persist(tid, view.RootAddr(slotRegion))
 
+	// Fresh format: every slot of every arena sits on its thread's
+	// LIFO free list, appended in reverse so slot 0 pops first.
 	q.initVolatile()
+	for t := range q.free {
+		for idx := q.cap - 1; idx >= 0; idx-- {
+			q.free[t] = append(q.free[t], uint32(t*q.cap+idx))
+		}
+	}
 	return q
 }
 
 // Recover rebuilds a durable heap from view's region after a crash:
 // it replays every entry slot, classifies each as live (checksum
 // valid, state != seq), consumed (checksum valid, state == seq) or
-// dead (torn or virgin — truncated from the log), re-inserts live
-// entries into a fresh volatile min-heap, and resumes the seq counter
-// past every seq and state word ever observed.
+// dead (torn or virgin — truncated from the log), copies live
+// payloads into a fresh mirror, heapifies the live items once, and
+// resumes the seq counter past every seq and state word ever observed.
 func Recover(view *pmem.Heap, threads int) (*Q, error) {
 	const tid = 0
 	region := pmem.Addr(view.Load(tid, view.RootAddr(slotRegion)))
@@ -201,92 +215,67 @@ func Recover(view *pmem.Heap, threads int) (*Q, error) {
 		return nil, fmt.Errorf("dheap: recover: region sized for %d threads, need %d", q.threads, threads)
 	}
 	// Free lists start EMPTY: only slots the scan below classifies as
-	// dead or consumed are freed. Pre-filling (initVolatile) would
-	// leave live entries' slots claimable and a later Push could
-	// silently overwrite a durably-published message.
-	q.emptyFreeLists()
+	// dead or consumed are freed. Pre-filling (as New does) would let a
+	// later Push silently overwrite a durably-published live entry.
+	q.initVolatile()
 
 	var maxSeq uint64
-	pw := q.payloadWords()
-	words := make([]uint64, pw)
-	for t := 0; t < q.threads; t++ {
-		// Live entries per arena, in slot order; consumed/dead slots
-		// go back to the free list.
-		for idx := 0; idx < q.cap; idx++ {
-			base := q.entryAddr(int32(t), int32(idx))
-			seq := view.Load(tid, base)
-			key := view.Load(tid, base+1*pmem.WordBytes)
-			length := view.Load(tid, base+2*pmem.WordBytes)
-			state := view.Load(tid, base+3*pmem.WordBytes)
-			sum := view.Load(tid, base+7*pmem.WordBytes)
-			if seq > maxSeq {
-				maxSeq = seq
-			}
-			if state > maxSeq {
-				maxSeq = state
-			}
-			q.loadPayloadWords(tid, base, words)
-			valid := seq != 0 && length <= uint64(q.maxPayload) &&
-				sum == entrySum(seq, key, length, words)
-			if !valid || state == seq {
-				// Torn (crash between NTStore and fence), virgin, or
-				// durably consumed: the slot is free.
-				q.free[t] = append(q.free[t], int32(idx))
-				continue
-			}
-			q.heapPush(item{key: key, seq: seq, tid: int32(t), idx: int32(idx),
-				payload: wordsToBytes(words, int(length))})
+	words := q.scratch[tid].words
+	// Arena by arena in slot order: live entries join the index.
+	for slot := 0; slot < q.threads*q.cap; slot++ {
+		base := q.entryAddr(uint32(slot))
+		seq := view.Load(tid, base)
+		key := view.Load(tid, base+1*pmem.WordBytes)
+		length := view.Load(tid, base+2*pmem.WordBytes)
+		state := view.Load(tid, base+3*pmem.WordBytes)
+		sum := view.Load(tid, base+7*pmem.WordBytes)
+		maxSeq = max(maxSeq, seq, state)
+		for i := range words {
+			words[i] = view.Load(tid, base+payloadOff(i))
 		}
+		valid := seq != 0 && length <= uint64(q.maxPayload) &&
+			sum == entrySum(seq, key, length, words)
+		if !valid || state == seq {
+			// Torn, virgin or durably consumed: the slot is free.
+			q.free[slot/q.cap] = append(q.free[slot/q.cap], uint32(slot))
+			continue
+		}
+		wordsToBytes(words, q.mirror[slot*q.maxPayload:][:length])
+		q.heap = append(q.heap, item{key: key, seq: seq, slot: uint32(slot), len: uint32(length)})
+	}
+	// Heapify once, O(n): (key, seq) is total, so order equals n pushes'.
+	for i := (len(q.heap) - 2) / heapArity; i >= 0 && len(q.heap) > 1; i-- {
+		q.siftDown(i, q.heap[i])
 	}
 	q.seq.Store(maxSeq)
 	return q, nil
 }
 
-// initVolatile builds the fresh-format volatile state: every slot of
-// every arena sits on its thread's free list.
+// initVolatile allocates the DRAM side: payload mirror, per-tid
+// scratch (one entry's checksummed words) and empty free lists.
 func (q *Q) initVolatile() {
-	q.emptyFreeLists()
+	q.mirror = make([]byte, q.threads*q.cap*q.maxPayload)
+	q.scratch = make([]scratch, q.threads)
+	q.free = make([][]uint32, q.threads)
 	for t := range q.free {
-		// LIFO free list: append in reverse so slot 0 pops first.
-		for idx := q.cap - 1; idx >= 0; idx-- {
-			q.free[t] = append(q.free[t], int32(idx))
-		}
+		q.scratch[t].words = make([]uint64, 3+pmem.WordsPerLine*(q.stride-1))
+		q.free[t] = make([]uint32, 0, q.cap)
 	}
 }
 
-// emptyFreeLists allocates empty per-thread free lists.
-func (q *Q) emptyFreeLists() {
-	q.free = make([][]int32, q.threads)
-	for t := range q.free {
-		q.free[t] = make([]int32, 0, q.cap)
+// entryAddr returns the address of slot's header line.
+func (q *Q) entryAddr(slot uint32) pmem.Addr {
+	return q.region + pmem.Addr((1+int(slot)*q.stride)*pmem.CacheLineBytes)
+}
+
+// payloadOff is the entry-relative offset of payload word i: words
+// 4..6 of the header line, then (past the checksum) the overflow lines.
+func payloadOff(i int) pmem.Addr {
+	if i >= 3 {
+		i++
 	}
+	return pmem.Addr((4 + i) * pmem.WordBytes)
 }
-
-// entryAddr returns the address of entry (tid, idx)'s header line.
-func (q *Q) entryAddr(tid, idx int32) pmem.Addr {
-	line := 1 + (int(tid)*q.cap+int(idx))*q.stride
-	return q.region + pmem.Addr(line*pmem.CacheLineBytes)
-}
-
-// loadPayloadWords reads the entry's checksummed payload words
-// (inline words 4..6 of the header line, then every word of the
-// overflow lines) into dst, which must have length payloadWords().
-func (q *Q) loadPayloadWords(tid int, base pmem.Addr, dst []uint64) {
-	dst[0] = q.h.Load(tid, base+4*pmem.WordBytes)
-	dst[1] = q.h.Load(tid, base+5*pmem.WordBytes)
-	dst[2] = q.h.Load(tid, base+6*pmem.WordBytes)
-	for i := 3; i < len(dst); i++ {
-		// Overflow words start at the second line of the entry.
-		off := pmem.Addr((pmem.WordsPerLine + (i - 3)) * pmem.WordBytes)
-		dst[i] = q.h.Load(tid, base+off)
-	}
-}
-
-// Capacity returns the per-thread arena capacity in entries.
-func (q *Q) Capacity() int { return q.cap }
-
-// MaxPayload returns the largest payload the heap accepts.
-func (q *Q) MaxPayload() int { return q.maxPayload }
 
 // Push publishes one entry. One fence.
 func (q *Q) Push(tid int, key uint64, payload []byte) error {
@@ -295,53 +284,61 @@ func (q *Q) Push(tid int, key uint64, payload []byte) error {
 
 // PushBatch publishes len(keys) entries under a single fence
 // (durability amortized like EnqueueBatch). The batch is
-// all-or-nothing with respect to ErrFull: either every entry gets a
-// slot or none is published. Entries become visible to PopReady only
-// after the fence, so anything observable is durable.
+// all-or-nothing: on ErrFull, ErrBatchShape or ErrPayloadTooLarge
+// nothing is published. Entries become visible to PopReady only after
+// the fence, so anything observable is durable. Payloads are copied;
+// the caller may reuse its buffers as soon as PushBatch returns.
 func (q *Q) PushBatch(tid int, keys []uint64, payloads [][]byte) error {
 	if len(keys) != len(payloads) {
-		panic("dheap: PushBatch keys/payloads length mismatch")
+		return fmt.Errorf("%w: %d keys, %d payloads", ErrBatchShape, len(keys), len(payloads))
+	}
+	for _, p := range payloads {
+		if len(p) > q.maxPayload {
+			return fmt.Errorf("%w: %d bytes, MaxPayload %d", ErrPayloadTooLarge, len(p), q.maxPayload)
+		}
 	}
 	if len(keys) == 0 {
 		return nil
 	}
-	for _, p := range payloads {
-		if len(p) > q.maxPayload {
-			panic(fmt.Sprintf("dheap: payload %d bytes exceeds MaxPayload %d", len(p), q.maxPayload))
-		}
-	}
-	slots, err := q.takeSlots(tid, len(keys))
-	if err != nil {
+	if err := q.takeSlots(tid, len(keys)); err != nil {
 		return err
 	}
-	staged := make([]item, len(keys))
-	for i, key := range keys {
-		seq := q.seq.Add(1)
-		q.writeEntry(tid, slots[i], seq, key, payloads[i])
-		staged[i] = item{key: key, seq: seq, tid: int32(tid), idx: slots[i],
-			payload: append([]byte(nil), payloads[i]...)}
+	sc := &q.scratch[tid]
+	for i := range sc.staged {
+		it, p := &sc.staged[i], payloads[i]
+		it.key = keys[i]
+		it.seq = q.seq.Add(1)
+		it.len = uint32(len(p))
+		// The slot is this tid's alone until the insert under mu below.
+		copy(q.mirror[int(it.slot)*q.maxPayload:], p)
+		q.writeEntry(tid, sc.words, it, p)
 	}
 	q.h.Fence(tid) // one blocking persist for the whole batch
 	q.mu.Lock()
 	defer q.mu.Unlock()
-	for _, it := range staged {
-		q.heapPush(it)
+	for _, it := range sc.staged {
+		q.heap = append(q.heap, it)
+		q.siftUp(len(q.heap)-1, it)
 	}
 	return nil
 }
 
-// takeSlots claims n free slots from tid's arena, all-or-nothing.
-func (q *Q) takeSlots(tid, n int) ([]int32, error) {
+// takeSlots stages n free slots of tid's arena, all-or-nothing.
+func (q *Q) takeSlots(tid, n int) error {
 	q.mu.Lock()
 	defer q.mu.Unlock()
 	fl := q.free[tid]
 	if len(fl) < n {
-		return nil, fmt.Errorf("%w: tid %d needs %d slots, %d free (capacity %d)",
+		return fmt.Errorf("%w: tid %d needs %d slots, %d free (capacity %d)",
 			ErrFull, tid, n, len(fl), q.cap)
 	}
-	slots := append([]int32(nil), fl[len(fl)-n:]...)
+	sc := &q.scratch[tid]
+	sc.staged = sc.staged[:0]
+	for _, slot := range fl[len(fl)-n:] {
+		sc.staged = append(sc.staged, item{slot: slot})
+	}
 	q.free[tid] = fl[:len(fl)-n]
-	return slots, nil
+	return nil
 }
 
 // writeEntry NTStores one entry without fencing. The full payload
@@ -349,35 +346,32 @@ func (q *Q) takeSlots(tid, n int) ([]int32, error) {
 // deterministic word set; the state word (w3) is skipped — it belongs
 // to pop, and excluding it from both write and checksum is what lets
 // a consume mark survive independently of the entry body.
-func (q *Q) writeEntry(tid int, idx int32, seq, key uint64, payload []byte) {
-	base := q.entryAddr(int32(tid), idx)
-	words := make([]uint64, q.payloadWords())
+func (q *Q) writeEntry(tid int, words []uint64, it *item, payload []byte) {
+	base := q.entryAddr(it.slot)
 	bytesToWords(payload, words)
 	// Overflow payload lines first, then the header line with the
 	// checksum as its last word: within each cache line the simulator
 	// crash-truncates to a prefix of the stores issued, so a header
 	// line whose checksum landed implies the whole header landed.
 	for i := 3; i < len(words); i++ {
-		off := pmem.Addr((pmem.WordsPerLine + (i - 3)) * pmem.WordBytes)
-		q.h.NTStore(tid, base+off, words[i])
+		q.h.NTStore(tid, base+payloadOff(i), words[i])
 	}
-	q.h.NTStore(tid, base, seq)
-	q.h.NTStore(tid, base+1*pmem.WordBytes, key)
-	q.h.NTStore(tid, base+2*pmem.WordBytes, uint64(len(payload)))
-	q.h.NTStore(tid, base+4*pmem.WordBytes, words[0])
-	q.h.NTStore(tid, base+5*pmem.WordBytes, words[1])
-	q.h.NTStore(tid, base+6*pmem.WordBytes, words[2])
-	q.h.NTStore(tid, base+7*pmem.WordBytes, entrySum(seq, key, uint64(len(payload)), words))
+	q.h.NTStore(tid, base, it.seq)
+	q.h.NTStore(tid, base+1*pmem.WordBytes, it.key)
+	q.h.NTStore(tid, base+2*pmem.WordBytes, uint64(it.len))
+	for i, w := range words[:3] {
+		q.h.NTStore(tid, base+payloadOff(i), w)
+	}
+	q.h.NTStore(tid, base+7*pmem.WordBytes, entrySum(it.seq, it.key, uint64(it.len), words))
 }
 
 // PopReady pops the minimum entry with key <= maxKey. One fence when
 // a message is delivered; zero persists when nothing is ready.
 func (q *Q) PopReady(tid int, maxKey uint64) (payload []byte, key uint64, ok bool) {
-	ps, ks := q.PopReadyBatch(tid, maxKey, 1)
-	if len(ps) == 0 {
-		return nil, 0, false
+	if ps, ks := q.PopReadyBatch(tid, maxKey, 1); len(ps) > 0 {
+		return ps[0], ks[0], true
 	}
-	return ps[0], ks[0], true
+	return nil, 0, false
 }
 
 // PopReadyBatch pops up to max entries in (key, seq) order, all with
@@ -386,36 +380,43 @@ func (q *Q) PopReady(tid int, maxKey uint64) (payload []byte, key uint64, ok boo
 // after that fence — a returned message is durably consumed — and
 // slots are recycled only after it too, so a torn consume can lose at
 // most one in-flight batch, never duplicate it. An empty pop performs
-// zero persist instructions.
+// zero persist instructions. The payloads are the caller's: capped
+// views of one buffer per batch, copied out of the mirror before the
+// slots can be reused.
 func (q *Q) PopReadyBatch(tid int, maxKey uint64, max int) (payloads [][]byte, keys []uint64) {
-	if max <= 0 {
-		return nil, nil
-	}
+	sc := &q.scratch[tid]
+	popped := sc.popped[:0]
 	q.mu.Lock()
-	var popped []item
 	for len(popped) < max && len(q.heap) > 0 && q.heap[0].key <= maxKey {
 		popped = append(popped, q.heapPop())
 	}
 	q.mu.Unlock()
+	sc.popped = popped
 	if len(popped) == 0 {
 		return nil, nil
 	}
+	size := 0
 	for _, it := range popped {
 		// Consume mark: the entry's own seq into its state word.
-		q.h.NTStore(tid, q.entryAddr(it.tid, it.idx)+3*pmem.WordBytes, it.seq)
+		q.h.NTStore(tid, q.entryAddr(it.slot)+3*pmem.WordBytes, it.seq)
+		size += int(it.len)
 	}
 	q.h.Fence(tid) // one blocking persist for the whole ready batch
-	q.mu.Lock()
-	for _, it := range popped {
-		q.free[it.tid] = append(q.free[it.tid], it.idx)
-	}
-	q.mu.Unlock()
+	buf := make([]byte, size)
 	payloads = make([][]byte, len(popped))
 	keys = make([]uint64, len(popped))
 	for i, it := range popped {
-		payloads[i] = it.payload
+		n := copy(buf, q.mirror[int(it.slot)*q.maxPayload:][:it.len])
+		payloads[i] = buf[:n:n]
+		buf = buf[n:]
 		keys[i] = it.key
 	}
+	q.mu.Lock()
+	for _, it := range popped {
+		t := int(it.slot) / q.cap
+		q.free[t] = append(q.free[t], it.slot)
+	}
+	q.mu.Unlock()
 	return payloads, keys
 }
 
@@ -451,7 +452,11 @@ func (q *Q) MinKey() (uint64, bool) {
 	return q.heap[0].key, true
 }
 
-// --- volatile min-heap on (key, seq); zero persists by construction ---
+// --- volatile 4-ary min-heap on (key, seq); zero persists by
+// construction. Half a binary heap's levels, and both sifts move a
+// hole instead of swapping: one item written per level. ---
+
+const heapArity = 4
 
 func itemLess(a, b item) bool {
 	if a.key != b.key {
@@ -460,39 +465,46 @@ func itemLess(a, b item) bool {
 	return a.seq < b.seq
 }
 
-func (q *Q) heapPush(it item) {
-	q.heap = append(q.heap, it)
-	i := len(q.heap) - 1
+// siftUp places it at or above the hole at i.
+func (q *Q) siftUp(i int, it item) {
+	h := q.heap
 	for i > 0 {
-		parent := (i - 1) / 2
-		if !itemLess(q.heap[i], q.heap[parent]) {
+		parent := (i - 1) / heapArity
+		if !itemLess(it, h[parent]) {
 			break
 		}
-		q.heap[i], q.heap[parent] = q.heap[parent], q.heap[i]
+		h[i] = h[parent]
 		i = parent
 	}
+	h[i] = it
+}
+
+// siftDown places it at or below the hole at i.
+func (q *Q) siftDown(i int, it item) {
+	h := q.heap
+	for first := heapArity*i + 1; first < len(h); first = heapArity*i + 1 {
+		small := first
+		for c := first + 1; c < min(first+heapArity, len(h)); c++ {
+			if itemLess(h[c], h[small]) {
+				small = c
+			}
+		}
+		if !itemLess(h[small], it) {
+			break
+		}
+		h[i] = h[small]
+		i = small
+	}
+	h[i] = it
 }
 
 func (q *Q) heapPop() item {
 	top := q.heap[0]
 	last := len(q.heap) - 1
-	q.heap[0] = q.heap[last]
+	it := q.heap[last]
 	q.heap = q.heap[:last]
-	i := 0
-	for {
-		l, r := 2*i+1, 2*i+2
-		small := i
-		if l < last && itemLess(q.heap[l], q.heap[small]) {
-			small = l
-		}
-		if r < last && itemLess(q.heap[r], q.heap[small]) {
-			small = r
-		}
-		if small == i {
-			break
-		}
-		q.heap[i], q.heap[small] = q.heap[small], q.heap[i]
-		i = small
+	if last > 0 {
+		q.siftDown(0, it)
 	}
 	return top
 }
@@ -506,9 +518,9 @@ func mix(s, w uint64) uint64 {
 	return s
 }
 
-func headerSum(hw [8]uint64) uint64 {
-	s := dheapMagic
-	for _, w := range hw[:7] {
+// fold mixes words into s; the result is never 0, a virgin word's value.
+func fold(s uint64, words []uint64) uint64 {
+	for _, w := range words {
 		s = mix(s, w)
 	}
 	if s == 0 {
@@ -516,33 +528,34 @@ func headerSum(hw [8]uint64) uint64 {
 	}
 	return s
 }
+
+func headerSum(hw [8]uint64) uint64 { return fold(dheapMagic, hw[:7]) }
 
 // entrySum covers seq, key, len and every payload word — but not the
 // state word, which pop owns.
 func entrySum(seq, key, length uint64, payload []uint64) uint64 {
-	s := mix(mix(mix(dheapMagic, seq), key), length)
-	for _, w := range payload {
-		s = mix(s, w)
-	}
-	if s == 0 {
-		s = dheapMagic
-	}
-	return s
+	return fold(mix(mix(mix(dheapMagic, seq), key), length), payload)
 }
 
+// bytesToWords packs b little-endian into dst, zero-padded.
 func bytesToWords(b []byte, dst []uint64) {
-	for i := range dst {
-		dst[i] = 0
+	clear(dst)
+	i := 0
+	for ; len(b) >= pmem.WordBytes; i, b = i+1, b[pmem.WordBytes:] {
+		dst[i] = binary.LittleEndian.Uint64(b)
 	}
-	for i, c := range b {
-		dst[i/8] |= uint64(c) << (8 * (i % 8))
+	for j, c := range b {
+		dst[i] |= uint64(c) << (8 * j)
 	}
 }
 
-func wordsToBytes(words []uint64, n int) []byte {
-	b := make([]byte, n)
-	for i := range b {
-		b[i] = byte(words[i/8] >> (8 * (i % 8)))
+// wordsToBytes is the inverse: it fills dst from the packed words.
+func wordsToBytes(words []uint64, dst []byte) {
+	i := 0
+	for ; len(dst) >= pmem.WordBytes; i, dst = i+1, dst[pmem.WordBytes:] {
+		binary.LittleEndian.PutUint64(dst, words[i])
 	}
-	return b
+	for j := range dst {
+		dst[j] = byte(words[i] >> (8 * j))
+	}
 }
