@@ -1,306 +1,22 @@
 package repro
 
 import (
-	"math/rand"
-	"sync"
 	"testing"
 
 	"repro/internal/harness"
 	"repro/internal/pmem"
-	"repro/internal/queues"
 )
 
-// The queue set benchmarked for every Figure 2 panel, ordered as in
-// the paper's legend.
+// The five Figure-2 panels and the three ablations have one driver,
+// harness.Run behind cmd/durbench (-workload, -queues, -ablations,
+// -no-invalidate). What is left here is the one timing nothing else
+// has: recovery, per baseline queue, ordered as in the paper's legend.
 var benchQueues = []string{
 	"opt-unlinked", "opt-linked", "unlinked", "linked",
 	"durable-msq", "izraelevitz", "nvtraverse", "onefile", "redoopt",
 }
 
 const benchHeap = 192 << 20
-
-func newBenchQueue(b *testing.B, name string, threads int, retain bool) (*pmem.Heap, queues.Queue) {
-	b.Helper()
-	in, ok := harness.LookupQueue(name)
-	if !ok {
-		b.Fatalf("unknown queue %s", name)
-	}
-	h := pmem.New(pmem.Config{
-		Bytes:            benchHeap,
-		Mode:             pmem.ModePerf,
-		MaxThreads:       threads + 1,
-		Latency:          pmem.DefaultLatency(),
-		FlushRetainsLine: retain,
-	})
-	return h, in.New(h, threads)
-}
-
-// runSplit executes b.N iterations split across threads; fn performs
-// iteration i for the given tid.
-func runSplit(b *testing.B, threads int, fn func(tid, i int, rng *rand.Rand)) {
-	var wg sync.WaitGroup
-	per := b.N / threads
-	for tid := 0; tid < threads; tid++ {
-		n := per
-		if tid == threads-1 {
-			n = b.N - per*(threads-1)
-		}
-		wg.Add(1)
-		go func(tid, n int) {
-			defer wg.Done()
-			rng := rand.New(rand.NewSource(int64(tid) + 42))
-			for i := 0; i < n; i++ {
-				fn(tid, i, rng)
-			}
-		}(tid, n)
-	}
-	wg.Wait()
-}
-
-func reportPersists(b *testing.B, h *pmem.Heap) {
-	reportTimedPersists(b, h.TotalStats())
-}
-
-func reportTimedPersists(b *testing.B, s pmem.Stats) {
-	b.ReportMetric(float64(s.Fences)/float64(b.N), "fences/op")
-	b.ReportMetric(float64(s.PostFlushAccesses)/float64(b.N), "pflush/op")
-}
-
-// benchBounded measures workloads whose queue size stays bounded
-// (random, pairs, prodcons): one benchmark iteration is one queue
-// operation.
-func benchBounded(b *testing.B, name string, threads int, retain bool, op func(q queues.Queue, tid, i int, rng *rand.Rand)) {
-	h, q := newBenchQueue(b, name, threads, retain)
-	for i := 0; i < 10; i++ {
-		q.Enqueue(0, uint64(i)+1)
-	}
-	h.ResetStats()
-	b.ResetTimer()
-	runSplit(b, threads, func(tid, i int, rng *rand.Rand) { op(q, tid, i, rng) })
-	b.StopTimer()
-	reportPersists(b, h)
-}
-
-// BenchmarkFig2aRandom reproduces panel 1: uniformly random
-// enqueue/dequeue on an initial queue of size 10.
-func BenchmarkFig2aRandom(b *testing.B) {
-	for _, name := range benchQueues {
-		for _, threads := range []int{1, 2} {
-			b.Run(name+"/T"+itoa(threads), func(b *testing.B) {
-				benchBounded(b, name, threads, false, func(q queues.Queue, tid, i int, rng *rand.Rand) {
-					if rng.Intn(2) == 0 {
-						q.Enqueue(tid, uint64(i)|1<<40)
-					} else {
-						q.Dequeue(tid)
-					}
-				})
-			})
-		}
-	}
-}
-
-// BenchmarkFig2bPairs reproduces panel 2: enqueue-dequeue pairs on an
-// initial queue of size 10.
-func BenchmarkFig2bPairs(b *testing.B) {
-	for _, name := range benchQueues {
-		for _, threads := range []int{1, 2} {
-			b.Run(name+"/T"+itoa(threads), func(b *testing.B) {
-				benchBounded(b, name, threads, false, func(q queues.Queue, tid, i int, rng *rand.Rand) {
-					if i%2 == 0 {
-						q.Enqueue(tid, uint64(i)|1<<40)
-					} else {
-						q.Dequeue(tid)
-					}
-				})
-			})
-		}
-	}
-}
-
-// BenchmarkFig2eProdCons reproduces panel 5: a quarter of the threads
-// dequeue then enqueue; the rest enqueue then dequeue.
-func BenchmarkFig2eProdCons(b *testing.B) {
-	const threads = 2
-	for _, name := range benchQueues {
-		b.Run(name+"/T"+itoa(threads), func(b *testing.B) {
-			benchBounded(b, name, threads, false, func(q queues.Queue, tid, i int, rng *rand.Rand) {
-				deqFirst := tid < threads/4 || tid == 0 && threads < 4
-				firstPhase := i%2 == 0 // interleave phases across b.N
-				enq := deqFirst != firstPhase
-				if enq {
-					q.Enqueue(tid, uint64(i)|1<<40)
-				} else {
-					q.Dequeue(tid)
-				}
-			})
-		})
-	}
-}
-
-// BenchmarkFig2cEnqOnly reproduces panel 3: producers only on an
-// initially empty queue. Enqueue batches are timed; the draining that
-// keeps the heap bounded is not.
-func BenchmarkFig2cEnqOnly(b *testing.B) {
-	const threads = 2
-	const batch = 1 << 20
-	for _, name := range benchQueues {
-		b.Run(name+"/T"+itoa(threads), func(b *testing.B) {
-			h, q := newBenchQueue(b, name, threads, false)
-			var timed pmem.Stats // persists of the timed phases only
-			remaining := b.N
-			b.ResetTimer()
-			for remaining > 0 {
-				n := min(batch, remaining)
-				s0 := h.TotalStats()
-				var wg sync.WaitGroup
-				per := n / threads
-				for tid := 0; tid < threads; tid++ {
-					cnt := per
-					if tid == threads-1 {
-						cnt = n - per*(threads-1)
-					}
-					wg.Add(1)
-					go func(tid, cnt int) {
-						defer wg.Done()
-						for i := 0; i < cnt; i++ {
-							q.Enqueue(tid, uint64(i)|1<<40)
-						}
-					}(tid, cnt)
-				}
-				wg.Wait()
-				timed.Add(h.TotalStats().Sub(s0))
-				remaining -= n
-				if remaining > 0 {
-					b.StopTimer()
-					h.SetLatency(pmem.ZeroLatency())
-					// Drain with alternating tids so retired nodes
-					// land on every thread's free list (the timed
-					// phase allocates from all of them).
-					for i := 0; ; i++ {
-						if _, ok := q.Dequeue(i % threads); !ok {
-							break
-						}
-					}
-					h.SetLatency(pmem.DefaultLatency())
-					b.StartTimer()
-				}
-			}
-			b.StopTimer()
-			reportTimedPersists(b, timed)
-		})
-	}
-}
-
-// BenchmarkFig2dDeqOnly reproduces panel 4: consumers only on a
-// prefilled queue. Refills are untimed.
-func BenchmarkFig2dDeqOnly(b *testing.B) {
-	const threads = 2
-	const batch = 1 << 20
-	for _, name := range benchQueues {
-		b.Run(name+"/T"+itoa(threads), func(b *testing.B) {
-			h, q := newBenchQueue(b, name, threads, false)
-			var timed pmem.Stats
-			remaining := b.N
-			b.ResetTimer()
-			for remaining > 0 {
-				n := min(batch, remaining)
-				b.StopTimer()
-				h.SetLatency(pmem.ZeroLatency())
-				// Refill with alternating tids: the dequeue phase
-				// retires nodes onto every thread's free list, and a
-				// single-tid refill would exhaust the heap bumping
-				// fresh areas instead of recycling them.
-				for i := 0; i < n+threads; i++ {
-					q.Enqueue(i%threads, uint64(i)|1<<40)
-				}
-				h.SetLatency(pmem.DefaultLatency())
-				s0 := h.TotalStats()
-				b.StartTimer()
-				var wg sync.WaitGroup
-				per := n / threads
-				for tid := 0; tid < threads; tid++ {
-					cnt := per
-					if tid == threads-1 {
-						cnt = n - per*(threads-1)
-					}
-					wg.Add(1)
-					go func(tid, cnt int) {
-						defer wg.Done()
-						for i := 0; i < cnt; i++ {
-							q.Dequeue(tid)
-						}
-					}(tid, cnt)
-				}
-				wg.Wait()
-				remaining -= n
-				b.StopTimer()
-				timed.Add(h.TotalStats().Sub(s0))
-				h.SetLatency(pmem.ZeroLatency())
-				for i := 0; ; i++ {
-					if _, ok := q.Dequeue(i % threads); !ok {
-						break
-					}
-				}
-				h.SetLatency(pmem.DefaultLatency())
-				b.StartTimer()
-			}
-			b.StopTimer()
-			reportTimedPersists(b, timed)
-		})
-	}
-}
-
-// BenchmarkAblationNoInvalidate re-runs the pairs workload on a
-// platform whose flushes retain cache lines (the Ice Lake-like future
-// hardware of Section 6's closing discussion). On such hardware the
-// first-amendment queues close most of the gap to the optimized ones.
-func BenchmarkAblationNoInvalidate(b *testing.B) {
-	for _, name := range []string{"opt-unlinked", "opt-linked", "unlinked", "linked", "durable-msq"} {
-		b.Run(name+"/T2", func(b *testing.B) {
-			benchBounded(b, name, 2, true, func(q queues.Queue, tid, i int, rng *rand.Rand) {
-				if i%2 == 0 {
-					q.Enqueue(tid, uint64(i)|1<<40)
-				} else {
-					q.Dequeue(tid)
-				}
-			})
-		})
-	}
-}
-
-// BenchmarkAblationNoNTStore isolates Section 6.3: OptUnlinkedQ with
-// plain stores + flushes for the per-thread head indices instead of
-// movnti, reintroducing writes to flushed lines.
-func BenchmarkAblationNoNTStore(b *testing.B) {
-	for _, name := range []string{"opt-unlinked", "opt-unlinked-plainstore"} {
-		b.Run(name+"/T2", func(b *testing.B) {
-			benchBounded(b, name, 2, false, func(q queues.Queue, tid, i int, rng *rand.Rand) {
-				if i%2 == 0 {
-					q.Enqueue(tid, uint64(i)|1<<40)
-				} else {
-					q.Dequeue(tid)
-				}
-			})
-		})
-	}
-}
-
-// BenchmarkAblationLinkedNaive isolates Appendix A's backward-link
-// optimisation: LinkedQ that flushes the whole list prefix on every
-// enqueue versus the suffix walk.
-func BenchmarkAblationLinkedNaive(b *testing.B) {
-	for _, name := range []string{"linked", "linked-naive"} {
-		b.Run(name+"/T2", func(b *testing.B) {
-			benchBounded(b, name, 2, false, func(q queues.Queue, tid, i int, rng *rand.Rand) {
-				if i%2 == 0 {
-					q.Enqueue(tid, uint64(i)|1<<40)
-				} else {
-					q.Dequeue(tid)
-				}
-			})
-		})
-	}
-}
 
 // BenchmarkRecovery measures post-crash recovery of a queue holding
 // 50k items (after 100k enqueues and 50k dequeues).
@@ -328,11 +44,4 @@ func BenchmarkRecovery(b *testing.B) {
 			}
 		})
 	}
-}
-
-func itoa(n int) string {
-	if n < 10 {
-		return string(rune('0' + n))
-	}
-	return string(rune('0'+n/10)) + string(rune('0'+n%10))
 }

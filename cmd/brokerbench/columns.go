@@ -70,12 +70,6 @@ var columns = slices.Concat([]column{
 	{name: "pipeline", verb: "%d", val: func(r result) any { return flag01(r.Pipeline) }, head: "/"},
 	{name: "poller", verb: "%d", val: func(r result) any { return flag01(r.Poller) }, head: "/"},
 	{name: "pgap_ns", verb: "%d", val: func(r result) any { return r.ProduceGapNs }, head: "pgap-ns"},
-	{name: "kills", verb: "%d", val: func(r result) any { return r.Kills }},
-	{name: "churn", verb: "%d", val: func(r result) any { return r.Churn }},
-	{name: "dyn_topics", verb: "%d", val: func(r result) any { return r.DynTopics }},
-	{name: "del_topics", verb: "%d", val: func(r result) any { return r.DelTopics }},
-	{name: "delay_topics", verb: "%d", val: func(r result) any { return r.DelayTopics }},
-	{name: "prio_topics", verb: "%d", val: func(r result) any { return r.PrioTopics }},
 	{name: "published", verb: "%d", val: func(r result) any { return r.Published }, head: "published"},
 	{name: "delivered", verb: "%d", val: func(r result) any { return r.Delivered }, head: "delivered"},
 	{name: "mops", verb: "%.3f", val: of(result.Mops), head: "Mops"},
@@ -85,29 +79,10 @@ var columns = slices.Concat([]column{
 		doc: "the consume-side mirror — ~1/dbatch with PollBatch, one fence per persistence domain a poll dequeued from; in ack cells it is the lease record's fence"},
 	{name: "ack_fences_per_msg", verb: "%.4f", val: of(result.AckFencesPerMsg), head: "ack-fence/msg",
 		doc: "persists spent in Consumer.Ack per delivered message — ~1/dbatch when each poll window is acked as a whole"},
-	{name: "redelivery_rate", verb: "%.4f", val: of(result.RedeliveryRate), head: "redeliv",
-		doc: "fraction of deliveries that were redeliveries after -kills lease takeovers"},
-	{name: "fenced_acks", verb: "%d", val: func(r result) any { return r.FencedAcks }, head: "churn(f/r/s)",
-		doc: "stale-epoch acks refused / shards force-reassigned / shards work-stolen across the -churn membership cycles"},
-	{name: "reassigned_shards", verb: "%d", val: func(r result) any { return r.Reassigned }, head: "/"},
-	{name: "stolen_shards", verb: "%d", val: func(r result) any { return r.Stolen }, head: "/"},
-	{name: "scans", verb: "%d", val: func(r result) any { return r.Scans }},
 	{name: "idle_fences_per_poll", verb: "%.4f", val: of(result.IdleFencesPerPoll), head: "idle-f/poll",
 		doc: "persists per all-empty poll — ~0 with empty-poll fence elision"},
 	{name: "heap_imbalance", verb: "%.3f", val: of(result.HeapImbalance), head: "heap-imbal",
 		doc: "busiest heap's persist traffic over the per-heap mean — 1.0 is perfectly balanced placement"},
-	{name: "dyn_fences_per_create", verb: "%.3f", val: of(result.DynFencesPerCreate), head: "dyn-f/create",
-		doc: "blocking persists per mid-run CreateTopic — the pinned 3-fence catalog append protocol plus per-shard queue initialization; 0 without -dyntopics"},
-	{name: "del_fences_per_delete", verb: "%.3f", val: of(result.DelFencesPerDelete), head: "del-f/delete",
-		doc: "blocking persists per mid-run DeleteTopic — the pinned tombstone protocol, ≤3; 0 without -deltopics"},
-	{name: "heap_published", verb: "%d", val: func(r result) any { return r.HeapPublished }},
-	{name: "heap_popped", verb: "%d", val: func(r result) any { return r.HeapPopped }},
-	{name: "heap_fences_per_publish", verb: "%.4f", val: of(result.HeapFencesPerPublish), head: "heap-f(pub/pop)",
-		doc: "blocking persists per message published to / popped from the -delay/-prio heap topics — ~1/batch and ~1/dbatch, heap maintenance persists nothing"},
-	{name: "heap_fences_per_pop", verb: "%.4f", val: of(result.HeapFencesPerPop), head: "/"},
-	{name: "slots_used", verb: "%d", val: func(r result) any { return r.SlotsUsed }, head: "slots(u/f)",
-		doc: "post-run slot footprint, high-water used / free-list population — steady used across -deltopics churn shows retired windows being recycled"},
-	{name: "slots_free", verb: "%d", val: func(r result) any { return r.SlotsFree }, head: "/"},
 	{name: "poller_sleeps", verb: "%d", val: func(r result) any { return r.PollerSleeps }},
 	{name: "poller_wakes", verb: "%d", val: func(r result) any { return r.PollerWakes }},
 },

@@ -30,29 +30,20 @@
 // its durable acknowledgment, reported regardless of -latency — show
 // what batching policy does to an idle topic's tail.
 //
-// -delay and -prio add heap-backed topics beside the FIFO sweep: a
-// dedicated thread durably publishes batch-sized windows (deadlines /
-// ranks off a logical clock) and pops the ready backlog in dbatch-sized
-// batches, and the heap-f(pub/pop) column shows the two pinned
-// amortization ratios — one fence per publish window (~1/batch per
-// message) and one per non-empty pop-min batch (~1/dbatch), with heap
-// maintenance persisting nothing.
+// A cell is traffic only. What perturbs a broker beside the traffic —
+// kills, membership churn, live topic creation and retirement, heap
+// topics — is a scenario of verify.BrokerScenarios (`crashfuzz -smoke`).
 //
 // Examples:
 //
 //	brokerbench -shards 1,2,4,8 -batch 1,16 -dbatch 1,8
-//	brokerbench -delay 2 -prio 2 -batch 8 -dbatch 8  # heap topics: fences per publish/pop
 //	brokerbench -batch 8 -dbatch 8 -abatch 0,1 -pgap 200000  # idle tail: fixed vs adaptive
 //	brokerbench -batch 8 -pipeline 0,1           # pipelined persists
 //	brokerbench -ack 1 -poller 1 -pipeline 1     # event-loop consumers, async acks
 //	brokerbench -heaps 1,2,4              # sweep NVRAM domains
 //	brokerbench -heaps 2 -affine          # heap-affine consumers
 //	brokerbench -heaps 2 -heaplat 100,300  # asymmetric NUMA: per-heap fence ns
-//	brokerbench -dyntopics 4              # create topics mid-run, measure fences/create
-//	brokerbench -deltopics 4              # churn create→delete cycles, measure fences/delete + footprint
 //	brokerbench -ack 0,1                  # acked/leased delivery vs at-least-once
-//	brokerbench -ack 1 -kills 1 -consumers 3  # consumer crash + lease takeover
-//	brokerbench -ack 1 -churn 2 -consumers 3  # membership churn: stalls, splits, steals
 //	brokerbench -topics 4 -producers 8 -consumers 4 -payload 64
 //	brokerbench -nvm-fence-ns 500        # Optane-like fence cost
 //	brokerbench -latency                 # per-op p50/p99/p999 latency columns
@@ -96,12 +87,6 @@ var dims = []dim{
 	{"producers", "4", "producer threads", func(c *config, v int) { c.Producers = v }},
 	{"consumers", "2", "consumer threads", func(c *config, v int) { c.Consumers = v }},
 	{"payload", "0", "payload bytes (0 = fixed 8-byte messages)", func(c *config, v int) { c.Payload = v }},
-	{"kills", "0", "consumers killed mid-run in ack cells (redeliveries via lease takeover)", func(c *config, v int) { c.Kills = v }},
-	{"churn", "0", "membership-churn cycles in ack cells (stall + forced split or work-stealing; needs >= 2 consumers)", func(c *config, v int) { c.Churn = v }},
-	{"dyntopics", "0", "topics created on the live broker mid-run (fences/create in the dyn column)", func(c *config, v int) { c.DynTopics = v }},
-	{"deltopics", "0", "create→delete cycles of a scratch topic mid-run (fences/delete + slot footprint columns)", func(c *config, v int) { c.DelTopics = v }},
-	{"delay", "0", "delay (deadline-ordered heap) topics driven by a dedicated thread (heap-f columns)", func(c *config, v int) { c.DelayTopics = v }},
-	{"prio", "0", "priority (rank-ordered heap) topics driven by a dedicated thread (heap-f columns)", func(c *config, v int) { c.PrioTopics = v }},
 	{"shards", "1,2,4,8", "comma-separated shard counts per topic to sweep", func(c *config, v int) { c.Shards = v }},
 	{"heaps", "1", "comma-separated heap-set sizes to sweep (NVRAM domains)", func(c *config, v int) { c.Heaps = v }},
 	{"batch", "1,16", "comma-separated publish batch sizes to sweep", func(c *config, v int) { c.Batch = v }},

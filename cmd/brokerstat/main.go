@@ -1,11 +1,15 @@
-// Command brokerstat runs one short canned broker workload with the
-// observability layer enabled and dumps the resulting snapshot — per-op
-// latency summaries, per-topic counters, depth and allocator footprint
-// (nvram_areas, nvram_free_slots), per-group shard lag and per-heap
-// persist statistics — in a machine-readable format.
+// Command brokerstat runs one scenario of verify.BrokerScenarios —
+// broker-membership-churn, at a fixed seed — with the observability
+// layer attached and dumps the resulting snapshot: per-op latency
+// summaries, per-topic counters, depth and allocator footprint
+// (nvram_areas, nvram_free_slots), per-group shard lag and membership
+// counters, and per-heap persist statistics, in a machine-readable
+// format. The scenario's crashed broker and the one recovered from it
+// report to the same observer, so the snapshot spans a power loss and
+// a recovery.
 //
 // It is the one-shot companion to cmd/brokerbench: where brokerbench
-// sweeps configurations and reports derived per-message rates,
+// sweeps traffic cells and reports derived per-message rates,
 // brokerstat exposes the raw obs.Snapshot so export pipelines
 // (Prometheus scrapers, JSON collectors) can be developed and smoke-
 // tested against real output.
@@ -16,8 +20,10 @@
 //
 // -selfcheck renders the snapshot in both formats into memory, checks
 // the JSON round-trips through encoding/json and the Prometheus text
-// passes obs.ValidatePrometheus, and exits non-zero on any failure; CI
-// uses it as the export-format smoke test.
+// passes obs.ValidatePrometheus, and — because the scenario's prologue
+// deterministically fences one member — requires non-zero fenced-ack
+// and scan counters; it exits non-zero on any failure. CI uses it as
+// the export-format smoke test.
 package main
 
 import (
@@ -26,25 +32,24 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"time"
 
-	"repro/internal/harness"
 	"repro/internal/obs"
+	"repro/internal/verify"
+)
+
+// The scenario whose snapshot is exported: it registers every family
+// of series (acked topics, a leased group with its membership
+// counters, two heaps), and its seed is fixed so two runs arm the same
+// power loss.
+const (
+	scenario = "broker-membership-churn"
+	seed     = 1
 )
 
 func main() {
 	var (
 		format    = flag.String("format", "prom", "output format: prom (Prometheus text) or json")
 		selfcheck = flag.Bool("selfcheck", false, "validate both export formats instead of printing one")
-		duration  = flag.Duration("duration", 150*time.Millisecond, "workload duration")
-		topics    = flag.Int("topics", 2, "topics in the canned workload")
-		shards    = flag.Int("shards", 4, "shards per topic")
-		heaps     = flag.Int("heaps", 2, "member heaps the broker spans")
-		producers = flag.Int("producers", 2, "producer threads")
-		consumers = flag.Int("consumers", 2, "consumer threads")
-		ack       = flag.Bool("ack", true, "use acked topics and a leased group (exercises the ack op)")
-		churn     = flag.Int("churn", 1, "membership-churn cycles mid-run (fills the group fenced/reassigned/stolen/scan counters; needs -ack and >= 2 consumers)")
-		heapMB    = flag.Int("heapmb", 256, "per-heap arena size in MiB")
 	)
 	flag.Parse()
 	if *format != "prom" && *format != "json" {
@@ -52,43 +57,36 @@ func main() {
 		os.Exit(2)
 	}
 
-	res, err := harness.RunBroker(harness.BrokerConfig{
-		Topics: *topics, Shards: *shards, Heaps: *heaps,
-		Producers: *producers, Consumers: *consumers,
-		Batch: 4, DequeueBatch: 8, Ack: *ack, Churn: *churn,
-		Duration: *duration, HeapBytes: int64(*heapMB) << 20,
-		Observe: true,
-	})
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "brokerstat: workload failed: %v\n", err)
-		os.Exit(1)
-	}
-	snap := res.Latency
-	if snap == nil {
-		fmt.Fprintln(os.Stderr, "brokerstat: harness returned no snapshot")
-		os.Exit(1)
-	}
-
-	if *selfcheck {
-		if err := check(*snap); err != nil {
-			fmt.Fprintf(os.Stderr, "brokerstat: selfcheck failed: %v\n", err)
-			os.Exit(1)
+	snap, err := observe()
+	switch {
+	case err != nil:
+	case *selfcheck:
+		if err = check(snap); err == nil {
+			fmt.Printf("brokerstat: selfcheck ok (%d ops, %d topics, %d groups, %d heaps)\n",
+				len(snap.Ops), len(snap.Topics), len(snap.Groups), len(snap.Heaps))
 		}
-		fmt.Printf("brokerstat: selfcheck ok (%d ops, %d topics, %d groups, %d heaps)\n",
-			len(snap.Ops), len(snap.Topics), len(snap.Groups), len(snap.Heaps))
-		return
+	case *format == "json":
+		err = snap.WriteJSON(os.Stdout)
+	default:
+		err = snap.WritePrometheus(os.Stdout)
 	}
-
-	var werr error
-	if *format == "json" {
-		werr = snap.WriteJSON(os.Stdout)
-	} else {
-		werr = snap.WritePrometheus(os.Stdout)
-	}
-	if werr != nil {
-		fmt.Fprintf(os.Stderr, "brokerstat: %v\n", werr)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "brokerstat: %v\n", err)
 		os.Exit(1)
 	}
+}
+
+// observe runs the scenario with an observer attached and returns what
+// the observer saw; the scenario's own audit must pass.
+func observe() (obs.Snapshot, error) {
+	for _, sc := range verify.BrokerScenarios {
+		if sc.Name == scenario {
+			o := obs.New(obs.Config{Threads: sc.Threads})
+			_, err := sc.Run(seed, o)
+			return o.Snapshot(), err
+		}
+	}
+	return obs.Snapshot{}, fmt.Errorf("no scenario %q in verify.BrokerScenarios", scenario)
 }
 
 // check renders the snapshot in both export formats and validates each:
@@ -125,23 +123,30 @@ func check(snap obs.Snapshot) error {
 	if !bytes.Contains(jbuf.Bytes(), []byte(`"nvram_areas"`)) {
 		return fmt.Errorf("JSON missing the topic nvram_areas field")
 	}
-	// The membership counters must be present in both exports whenever
-	// a group was observed (zero-valued is fine — churn cycles can be
-	// skipped — missing is not).
-	if len(snap.Groups) > 0 {
-		for _, metric := range []string{
-			"broker_group_fenced_acks_total",
-			"broker_group_reassigned_shards_total",
-			"broker_group_stolen_shards_total",
-			"broker_group_scans_total",
-		} {
-			if !bytes.Contains(pbuf.Bytes(), []byte(metric)) {
-				return fmt.Errorf("Prometheus text missing %s", metric)
-			}
+	// The membership counters must be present in both exports, and the
+	// two the scenario's prologue drives — a scan that fences member 1,
+	// whose stale ack is then refused — must have counted.
+	for _, metric := range []string{
+		"broker_group_fenced_acks_total",
+		"broker_group_reassigned_shards_total",
+		"broker_group_stolen_shards_total",
+		"broker_group_scans_total",
+	} {
+		if !bytes.Contains(pbuf.Bytes(), []byte(metric)) {
+			return fmt.Errorf("Prometheus text missing %s", metric)
 		}
-		if !bytes.Contains(jbuf.Bytes(), []byte(`"fenced_acks"`)) {
-			return fmt.Errorf("JSON missing the group fenced_acks field")
-		}
+	}
+	if !bytes.Contains(jbuf.Bytes(), []byte(`"fenced_acks"`)) {
+		return fmt.Errorf("JSON missing the group fenced_acks field")
+	}
+	var fenced, scans uint64
+	for _, g := range snap.Groups {
+		fenced += g.FencedAcks
+		scans += g.Scans
+	}
+	if fenced == 0 || scans == 0 {
+		return fmt.Errorf("membership counters did not count across %d groups: broker_group_fenced_acks_total %d, broker_group_scans_total %d",
+			len(snap.Groups), fenced, scans)
 	}
 	return nil
 }

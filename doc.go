@@ -18,8 +18,9 @@
 //     at zero persist cost) beside it.
 //   - internal/harness, internal/verify, internal/qtest: measurement,
 //     durable-linearizability fuzzing, shared queue audits.
-//   - cmd/ and examples/: Figure-2 sweeps (durbench, bench_test.go),
-//     fence counts, crash fuzzing, broker sweeps and their CI gate.
+//   - cmd/ and examples/: Figure-2 sweeps (durbench), fence counts,
+//     crash fuzzing (every broker scenario once), broker throughput
+//     sweeps, the observability export.
 //
 // DESIGN.md has the inventory, the protocols and their soundness
 // arguments; benchmark/ is the repository's benchmark (its own module).

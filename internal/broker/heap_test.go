@@ -157,12 +157,6 @@ func TestHeapTopicDelayPriority(t *testing.T) {
 	if d := delay.HeapDepth(); d != 4 {
 		t.Fatalf("HeapDepth %d, want 4", d)
 	}
-	if r := delay.ReadyDepth(9); r != 0 {
-		t.Fatalf("ReadyDepth(9) %d, want 0", r)
-	}
-	if r := delay.ReadyDepth(30); r != 3 {
-		t.Fatalf("ReadyDepth(30) %d, want 3", r)
-	}
 	if k, ok := delay.MinKey(); !ok || k != 10 {
 		t.Fatalf("MinKey %d,%v, want 10,true", k, ok)
 	}
@@ -285,7 +279,6 @@ func TestHeapTopicFenceAccounting(t *testing.T) {
 	// Gauges and empty dequeues: zero persists.
 	d = hs.DeltaOf(1)
 	delay.HeapDepth()
-	delay.ReadyDepth(10)
 	delay.MinKey()
 	if _, err := delay.DequeueReadyBatch(1, 0, 16); err != nil {
 		t.Fatal(err)

@@ -149,20 +149,6 @@ func (t *Topic) HeapDepth() int {
 	return t.heapq.Depth()
 }
 
-// ReadyDepth reports how many messages are deliverable at now: all of
-// HeapDepth on a priority topic, the deadline<=now prefix on a delay
-// topic. Zero persists; FIFO topics report 0.
-func (t *Topic) ReadyDepth(now uint64) int {
-	if !t.cfg.Kind.heapKind() || !t.enter() {
-		return 0
-	}
-	defer t.exit()
-	if t.cfg.Kind == KindPriority {
-		now = ^uint64(0)
-	}
-	return t.heapq.ReadyDepth(now)
-}
-
 // MinKey reports the smallest undelivered key — the next deadline on
 // a delay topic, the best rank on a priority topic — and whether the
 // heap is non-empty. Zero persists.

@@ -427,20 +427,6 @@ func (q *Q) Depth() int {
 	return len(q.heap)
 }
 
-// ReadyDepth returns the number of live entries with key <= maxKey —
-// for delay topics, how many messages are deliverable right now.
-func (q *Q) ReadyDepth(maxKey uint64) int {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	n := 0
-	for _, it := range q.heap {
-		if it.key <= maxKey {
-			n++
-		}
-	}
-	return n
-}
-
 // MinKey returns the smallest live key (the next deadline for a delay
 // topic) and whether the heap is non-empty.
 func (q *Q) MinKey() (uint64, bool) {

@@ -88,9 +88,6 @@ func TestReadyGating(t *testing.T) {
 	if _, _, ok := q.PopReady(0, 9); ok {
 		t.Fatal("popped an entry before its key was ready")
 	}
-	if got := q.ReadyDepth(25); got != 2 {
-		t.Fatalf("ReadyDepth(25) = %d, want 2", got)
-	}
 	if min, ok := q.MinKey(); !ok || min != 10 {
 		t.Fatalf("MinKey = %d,%v, want 10,true", min, ok)
 	}
@@ -189,7 +186,6 @@ func TestFenceAccounting(t *testing.T) {
 	// Gauges and not-ready pops persist nothing.
 	d = h.DeltaOf(0)
 	q.Depth()
-	q.ReadyDepth(10)
 	q.MinKey()
 	if _, _, ok := q.PopReady(0, 0); ok {
 		t.Fatal("PopReady(0) delivered")

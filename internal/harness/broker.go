@@ -8,11 +8,14 @@ import (
 	"repro/internal/pmem"
 )
 
-// BrokerConfig parameterizes one broker measurement: a multi-topic
-// produce/consume sweep that joins the five Figure-2 panels as the
-// harness's system-level workload. Producers publish round-robin
-// across topics (and, inside each topic, round-robin across shards);
-// consumers form one group covering every topic.
+// BrokerConfig parameterizes one broker throughput cell: a multi-topic
+// producers × consumers measurement that joins the five Figure-2
+// panels as the harness's system-level workload. Producers publish
+// round-robin across topics (and, inside each topic, round-robin
+// across shards); consumers form one group covering every topic.
+// Nothing perturbs the broker beside the traffic: kills, membership
+// churn, live topic creation and retirement and heap-topic traffic are
+// scenarios, and a scenario's one home is verify.BrokerScenarios.
 type BrokerConfig struct {
 	// Topics is the number of topics (>= 1).
 	Topics int
@@ -49,20 +52,6 @@ type BrokerConfig struct {
 	// measurement shows the full exactly-once pipeline — lease fence
 	// per poll, ack fence per batch (AckFencesPerMsg ~ 1/DequeueBatch).
 	Ack bool
-	// Kills crashes that many consumers mid-run (cooperatively: the
-	// member abandons its unacked window), waits out their leases and
-	// adopts their shards into consumer 0 — the adopted redeliveries
-	// surface as Redelivered. Requires Ack; at most Consumers-1.
-	Kills int
-	// Churn runs that many membership-churn cycles spread across the
-	// produce phase: each cycle stalls one consumer mid-window (it
-	// keeps running but stops acking), then either force-splits its
-	// shards across the survivors (Reassign) or expires the leases on
-	// the logical clock and lets consumer 0 work-steal them shard by
-	// shard before a Scan sweeps up the rest. The stalled member's
-	// refused stale-epoch acks surface as FencedAcks. Requires Ack and
-	// at least two consumers.
-	Churn int
 	// AdaptiveBatch replaces the fixed window sizes with AIMD policies:
 	// producers publish through a Publisher whose window adapts between
 	// 1 and Batch (with an arrival-rate gate, see PublisherConfig), and
@@ -74,39 +63,13 @@ type BrokerConfig struct {
 	// so ack fences ride into the next wakeup.
 	Pipeline bool
 	// Poller runs each consumer as a broker.Poller event loop (backoff
-	// instead of spinning) rather than a busy poll loop. Incompatible
-	// with Kills/Churn (the cooperative stall/kill hooks live in the
-	// busy loop); norm() zeroes them.
+	// instead of spinning) rather than a busy poll loop.
 	Poller bool
 	// ProduceGapNs spaces message arrivals: each producer waits this
 	// long between minting messages, modelling an idle/low-rate topic.
 	// Any non-zero gap routes producers through the Publisher path so
 	// buffering delay is part of the measured publish sojourn.
 	ProduceGapNs int64
-	// DynTopics creates that many extra topics on the live broker,
-	// spread across the produce phase, from a dedicated administrator
-	// thread running beside the traffic — measuring what live
-	// administration costs (DynTopicFences) while the data plane runs.
-	DynTopics int
-	// DelTopics runs that many create→delete cycles of a scratch topic
-	// on the live broker, spread across the produce phase, from a
-	// dedicated retirement thread — measuring what topic retirement
-	// costs (DelTopicFences, a pinned ≤3-fence tombstone protocol) and,
-	// through the post-run SlotsUsed/SlotsFree footprint, that the
-	// churned windows are recycled through the free list instead of
-	// growing the heaps' high-water marks.
-	DelTopics int
-	// DelayTopics and PrioTopics create that many heap-backed topics
-	// (KindDelay / KindPriority) beside the FIFO ones, driven by a
-	// dedicated heap-traffic thread: each cycle durably publishes one
-	// Batch-sized window per heap topic (one fence, deadlines / ranks
-	// from a logical clock) and pops up to DequeueBatch ready messages
-	// per topic (one fence per non-empty batch). The fence deltas land
-	// in HeapPubFences/HeapPopFences, so HeapFencesPerPublish ~ 1/Batch
-	// and HeapFencesPerPop ~ 1/DequeueBatch are directly visible beside
-	// the FIFO columns.
-	DelayTopics int
-	PrioTopics  int
 	// Duration bounds the produce phase. Consumers drain afterwards.
 	Duration  time.Duration
 	HeapBytes int64
@@ -143,19 +106,7 @@ func (c *BrokerConfig) norm() {
 	if c.HeapBytes == 0 {
 		c.HeapBytes = 512 << 20
 	}
-	for _, p := range []*int{&c.Kills, &c.Churn, &c.DynTopics, &c.DelTopics, &c.DelayTopics, &c.PrioTopics} {
-		*p = max(*p, 0)
-	}
 	c.ProduceGapNs = max(c.ProduceGapNs, 0)
-	// The cooperative kill and stall hooks live in the busy acked
-	// consumer loop: no other cell can run them.
-	if !c.Ack || c.Poller {
-		c.Kills, c.Churn = 0, 0
-	}
-	c.Kills = min(c.Kills, c.Consumers-1)
-	if c.Consumers < 2 {
-		c.Churn = 0
-	}
 }
 
 // usePublisher reports whether producers go through the Publisher
@@ -169,18 +120,12 @@ func (c *BrokerConfig) usePublisher() bool {
 
 // BrokerResult is one broker measurement outcome. The embedded
 // BrokerConfig is the normalised configuration the cell actually ran
-// (defaults filled, Kills/Churn zeroed where the cell cannot run
-// them), so a report prints what was measured rather than what was
-// asked for. Producer and Consumer aggregate the persist statistics of
-// the two thread groups separately (summed across member heaps), so
-// the batch-publish fence amortization is directly visible as
-// Producer.Fences / Published; PerHeap splits all traffic by
+// (defaults filled), so a report prints what was measured rather than
+// what was asked for. Producer and Consumer aggregate the persist
+// statistics of the two thread groups separately (summed across member
+// heaps), so the batch-publish fence amortization is directly visible
+// as Producer.Fences / Published; PerHeap splits all traffic by
 // persistence domain instead, exposing placement imbalance.
-//
-// A run that returns no error completed every side activity it was
-// configured with: DynTopics topics were created and DelTopics
-// create→delete cycles retired, so those two configuration fields
-// double as the counts behind DynTopicFences and DelTopicFences.
 type BrokerResult struct {
 	BrokerConfig
 
@@ -190,44 +135,10 @@ type BrokerResult struct {
 	Producer  pmem.Stats
 	Consumer  pmem.Stats
 
-	// Ack-mode statistics: messages acknowledged, blocking persists
-	// spent inside Ack calls, and messages redelivered after a consumer
-	// kill + lease takeover.
-	Acked       uint64
-	AckFences   uint64
-	Redelivered uint64
-
-	// Membership-churn statistics: stale-epoch acks refused with
-	// ErrFenced, shards moved by forced Reassign splits, shards taken
-	// by work-stealing, and expiry scans run (only the churn
-	// controller's deliberate ones are counted).
-	FencedAcks uint64
-	Reassigned uint64
-	Stolen     uint64
-	Scans      uint64
-
-	// DynTopicFences is the blocking persists the mid-run CreateTopic
-	// calls cost (catalog protocol plus per-shard queue initialization).
-	DynTopicFences uint64
-
-	// Topic-retirement statistics: the blocking persists the mid-run
-	// DeleteTopic calls cost, and the slot footprint after the run —
-	// SlotsUsed is the high-water sum across heaps, SlotsFree the
-	// free-list population. A churn run whose SlotsUsed matches the
-	// churn-free baseline proves the retired windows were recycled.
-	DelTopicFences uint64
-	SlotsUsed      int
-	SlotsFree      int
-
-	// Heap-topic statistics: messages durably published to and popped
-	// from the delay/priority topics by the heap-traffic thread, and
-	// the blocking persists those calls cost: publishes amortize to
-	// ~1/Batch fences per message and pops to ~1/DequeueBatch, with
-	// zero persists spent on heap maintenance (sift) by construction.
-	HeapPublished uint64
-	HeapPopped    uint64
-	HeapPubFences uint64
-	HeapPopFences uint64
+	// Ack-mode statistics: messages acknowledged and blocking persists
+	// spent inside Ack calls.
+	Acked     uint64
+	AckFences uint64
 
 	// PerHeap is each member heap's total event counters for the
 	// measured phase (all threads).
@@ -332,37 +243,6 @@ func (r BrokerResult) ConsumerFencesPerMsg() float64 { return ratio(r.Consumer.F
 // delivered message — ~1/DequeueBatch when every batch is acked as a
 // whole, 0 outside ack mode.
 func (r BrokerResult) AckFencesPerMsg() float64 { return ratio(r.AckFences, r.Delivered) }
-
-// RedeliveryRate returns the fraction of deliveries that were
-// redeliveries of a killed consumer's unacked window — 0 without
-// kills.
-func (r BrokerResult) RedeliveryRate() float64 { return ratio(r.Redelivered, r.Delivered) }
-
-// DynFencesPerCreate returns the blocking persists one mid-run
-// CreateTopic cost on average — the pinned 3-fence catalog protocol
-// plus the per-shard queue initialization. 0 without DynTopics.
-func (r BrokerResult) DynFencesPerCreate() float64 {
-	return ratio(r.DynTopicFences, uint64(r.DynTopics))
-}
-
-// DelFencesPerDelete returns the blocking persists one mid-run
-// DeleteTopic cost on average — the tombstone append plus the commit
-// stamp, bounded at 3 even counting an amortized compaction share.
-// 0 without DelTopics.
-func (r BrokerResult) DelFencesPerDelete() float64 {
-	return ratio(r.DelTopicFences, uint64(r.DelTopics))
-}
-
-// HeapFencesPerPublish returns blocking persists per message durably
-// published to a delay/priority topic — ~1/Batch, since a whole
-// publish batch rides one fence. 0 without heap topics.
-func (r BrokerResult) HeapFencesPerPublish() float64 { return ratio(r.HeapPubFences, r.HeapPublished) }
-
-// HeapFencesPerPop returns blocking persists per message durably
-// consumed from a delay/priority topic — ~1/DequeueBatch, one fence
-// covering each non-empty pop-min batch; empty pops and all heap
-// maintenance persist nothing. 0 without heap topics.
-func (r BrokerResult) HeapFencesPerPop() float64 { return ratio(r.HeapPopFences, r.HeapPopped) }
 
 // IdleFencesPerPoll returns blocking persists per poll of an idle
 // consumer whose shards are all empty — ~0 with empty-poll fence

@@ -12,77 +12,39 @@ import (
 	"repro/internal/pmem"
 )
 
-// leaseTTL is the acked group's lease length on run.leaseClock, a
-// logical clock, so kills and churn expire leases instantly instead of
-// sleeping out wall-clock TTLs.
-const leaseTTL = 16
-
-// run is the state the drivers of one RunBroker measurement share:
-// the system under test, the phase signals, the first failure, and
-// the result under construction.
+// run is the state the goroutines of one RunBroker measurement share:
+// the system under test, the phase signals and the result under
+// construction.
 type run struct {
-	cfg        BrokerConfig
-	hs         *pmem.HeapSet
-	b          *broker.Broker
-	g          *broker.Group
-	obs        *obs.Observer
-	names      []string        // the FIFO topics the group covers
-	heapTopics []*broker.Topic // delay/priority topics, outside the group
-	leaseClock atomic.Uint64
+	cfg   BrokerConfig
+	hs    *pmem.HeapSet
+	b     *broker.Broker
+	g     *broker.Group
+	obs   *obs.Observer
+	names []string // the topics the group covers
 
-	// res is read by the conductor once every driver has returned. A
-	// driver that runs as several instances counts privately and merges
-	// through tally as it returns; a singleton driver is the only
-	// writer of its own fields and adds to them in place.
+	// res is read by the conductor once every goroutine has returned;
+	// each counts privately and merges through tally as it returns.
 	res      BrokerResult
 	mu       sync.Mutex
 	sojourns []int64 // every producer's arrival → durable-ack samples
 
-	start    chan struct{} // closed to release every driver at once
-	stop     atomic.Bool   // ends the produce phase: Duration is up, or a driver failed
-	feeding  atomic.Int32  // feeding drivers (driver.feeds) still running
-	quiet    chan struct{} // closed when the last of them has returned
-	failed   chan struct{} // closed by the first fail
-	failOnce sync.Once
-	err      error
-
-	// The cooperative hooks of the busy consumer loop, per consumer.
-	killFlag []atomic.Bool
-	stallOf  []atomic.Pointer[stallCtl]
-	consDone []chan struct{}
+	stop atomic.Bool // ends the produce phase: Duration is up
+	// quiet is closed when the last producer has returned. Consumers
+	// take an empty sweep for "drained" only after that: a member that
+	// left earlier would strand whatever is published afterwards.
+	quiet chan struct{}
 }
 
-// fail records the first error any driver raises and ends the produce
-// phase, so the run winds down at once instead of sleeping out
-// Duration on a measurement that is already invalid.
-func (r *run) fail(err error) {
-	r.failOnce.Do(func() {
-		r.err = err
-		r.stop.Store(true)
-		close(r.failed)
-	})
-}
-
-// tally merges a returning driver instance's private counts into res.
+// tally merges a returning goroutine's private counts into res.
 func (r *run) tally(add func(res *BrokerResult)) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	add(&r.res)
 }
 
-// pause sleeps a side driver through d of the produce phase; false
-// means the run failed meanwhile and the driver should return.
-func (r *run) pause(d time.Duration) bool {
-	select {
-	case <-time.After(d):
-		return true
-	case <-r.failed:
-		return false
-	}
-}
-
-// consumerTid is the thread id of group member c (see drivers: the
-// consumers' ids follow the producers').
+// consumerTid is the thread id of group member c: the consumers' ids
+// follow the producers'.
 func (r *run) consumerTid(c int) int { return r.cfg.Producers + c }
 
 func (r *run) payload(seq uint64) []byte {
@@ -94,30 +56,13 @@ func (r *run) payload(seq uint64) []byte {
 	return p
 }
 
-// RunBroker executes one broker measurement: it lays the enabled
-// drivers out over thread ids, builds the heap set and the broker,
-// releases the drivers together, stops the produce phase after
-// Duration (or at the first driver failure), waits for the drain and
+// RunBroker executes one broker measurement: it builds the heap set
+// and the broker, releases the producers and the consumers together,
+// stops the produce phase after Duration, waits for the drain and
 // collects the result.
 func RunBroker(cfg BrokerConfig) (BrokerResult, error) {
 	cfg.norm()
-	type task struct {
-		d   *driver
-		tid int
-	}
-	var tasks []task
-	threads := 0
-	for i := range drivers {
-		d := &drivers[i]
-		for n := d.n(&cfg); n > 0; n-- {
-			tid := -1
-			if d.ownTid {
-				tid = threads
-				threads++
-			}
-			tasks = append(tasks, task{d, tid})
-		}
-	}
+	threads := cfg.Producers + cfg.Consumers
 	r, err := newRun(cfg, threads)
 	if err != nil {
 		return BrokerResult{}, err
@@ -126,54 +71,46 @@ func RunBroker(cfg BrokerConfig) (BrokerResult, error) {
 		runtime.GOMAXPROCS(threads)
 		defer runtime.GOMAXPROCS(prev)
 	}
-	var wg sync.WaitGroup
-	for _, t := range tasks {
-		wg.Add(1)
-		if t.d.feeds {
-			r.feeding.Add(1)
-		}
+	consume := r.consume
+	if cfg.Poller {
+		consume = r.consumePoller
+	}
+	start := make(chan struct{})
+	var producing, wg sync.WaitGroup
+	producing.Add(cfg.Producers)
+	wg.Add(threads)
+	for tid := 0; tid < cfg.Producers; tid++ {
 		go func() {
 			defer wg.Done()
-			<-r.start
-			if err := t.d.run(r, t.tid); err != nil {
-				r.fail(fmt.Errorf("harness: %s: %w", t.d.name, err))
-			}
-			if t.d.feeds && r.feeding.Add(-1) == 0 {
-				close(r.quiet)
-			}
+			defer producing.Done()
+			<-start
+			r.produce(tid)
 		}()
 	}
+	for c := 0; c < cfg.Consumers; c++ {
+		go func() {
+			defer wg.Done()
+			<-start
+			consume(r.consumerTid(c))
+		}()
+	}
+	go func() { producing.Wait(); close(r.quiet) }()
 	begin := time.Now()
-	close(r.start)
+	close(start)
 	timer := time.AfterFunc(cfg.Duration, func() { r.stop.Store(true) })
 	defer timer.Stop()
 	wg.Wait()
 	r.res.Elapsed = time.Since(begin)
-	if r.err != nil {
-		return BrokerResult{}, r.err
-	}
 	r.collect()
 	return r.res, nil
 }
 
 // newRun builds the system under test for a normalised cfg: the heap
 // set, a broker opened empty with every topic created through the
-// live-administration path (exactly as the mid-run DynTopics creations
-// are), and the consumer group. Setup persists are charged to no one.
+// live-administration path, and the consumer group. Setup persists are
+// charged to no one.
 func newRun(cfg BrokerConfig, threads int) (*run, error) {
-	r := &run{
-		cfg:      cfg,
-		res:      BrokerResult{BrokerConfig: cfg},
-		start:    make(chan struct{}),
-		quiet:    make(chan struct{}),
-		failed:   make(chan struct{}),
-		killFlag: make([]atomic.Bool, cfg.Consumers),
-		stallOf:  make([]atomic.Pointer[stallCtl], cfg.Consumers),
-		consDone: make([]chan struct{}, cfg.Consumers),
-	}
-	for c := range r.consDone {
-		r.consDone[c] = make(chan struct{})
-	}
+	r := &run{cfg: cfg, res: BrokerResult{BrokerConfig: cfg}, quiet: make(chan struct{})}
 	pcfg := pmem.Config{Bytes: cfg.HeapBytes, Mode: pmem.ModePerf, MaxThreads: threads, Latency: cfg.Latency}
 	if len(cfg.HeapFenceNs) > 0 {
 		// Asymmetric NUMA: every member gets its own fence latency.
@@ -207,29 +144,12 @@ func newRun(cfg BrokerConfig, threads int) (*run, error) {
 		}
 		r.names = append(r.names, name)
 	}
-	// Heap-backed topics live beside the FIFO ones but outside the
-	// consumer group (heap delivery is its own durable protocol).
-	for _, k := range []struct {
-		n    int
-		name string
-		kind broker.TopicKind
-	}{{cfg.DelayTopics, "delay-%d", broker.KindDelay}, {cfg.PrioTopics, "prio-%d", broker.KindPriority}} {
-		for i := 0; i < k.n; i++ {
-			t, err := r.b.CreateTopic(0, broker.TopicConfig{
-				Name: fmt.Sprintf(k.name, i), Shards: 1, MaxPayload: cfg.Payload, Kind: k.kind,
-			})
-			if err != nil {
-				return nil, err
-			}
-			r.heapTopics = append(r.heapTopics, t)
-		}
-	}
 	switch {
 	case cfg.Ack:
 		if _, err = r.b.CreateAckGroup(0, broker.AckGroupConfig{}); err != nil {
 			return nil, err
 		}
-		r.g, err = r.b.NewGroupAcked(r.names, cfg.Consumers, broker.LeaseConfig{TTL: leaseTTL, Now: r.leaseClock.Load})
+		r.g, err = r.b.NewGroupAcked(r.names, cfg.Consumers, broker.LeaseConfig{})
 	case cfg.Affine:
 		r.g, err = r.b.NewGroupAffine(r.names, cfg.Consumers)
 	default:
@@ -242,15 +162,12 @@ func newRun(cfg BrokerConfig, threads int) (*run, error) {
 	return r, nil
 }
 
-// collect fills what only the finished run knows: footprint, sojourn
-// quantiles, per-group and per-heap persist statistics, the idle-poll
-// phase and the observer snapshot.
+// collect fills what only the finished run knows: sojourn quantiles,
+// per-group and per-heap persist statistics, the idle-poll phase and
+// the observer snapshot.
 func (r *run) collect() {
 	cfg, res := &r.cfg, &r.res
-	res.SlotsUsed, res.SlotsFree = r.b.SlotFootprint()
 	res.sojournQuantiles(r.sojourns)
-	// Side drivers' thread ids lie beyond the consumer range, so their
-	// persist traffic never skews either group's statistics.
 	for tid := 0; tid < cfg.Producers; tid++ {
 		res.Producer.Add(r.hs.StatsOf(tid))
 	}

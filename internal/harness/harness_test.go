@@ -46,6 +46,12 @@ func TestRunAllWorkloadsAllQueues(t *testing.T) {
 			}
 		}
 		for _, w := range Workloads() {
+			if in.Ablation && w != WorkloadRandom && w != WorkloadPairs {
+				// Sweeps skip the ablations where the queue grows or is
+				// prefilled (queues.Info.Ablation; cmd/durbench does):
+				// linked-naive is O(queue length) per enqueue by design.
+				continue
+			}
 			r := Run(quickCfg(w, in.Name, 2))
 			if r.Ops == 0 {
 				t.Errorf("%s/%s: zero ops", in.Name, w.Name())

@@ -21,12 +21,18 @@
 // already passed its grace period and is safe for any thread; the
 // depot is volatile, and RecoverPool rebuilds it from the liveness
 // scan; and moving an address persists nothing.
+//
+// What the depot cannot hand over is what sits in limbo behind a
+// thread stalled inside Enter/Exit, so a thread about to grow the pool
+// first waits, briefly and boundedly, for that thread to run
+// (awaitGrace): areas are for ever, a descheduled thread is not.
 package ssmem
 
 import (
 	"fmt"
 	"sync"
 	"sync/atomic"
+	"time"
 
 	"repro/internal/pmem"
 )
@@ -67,6 +73,10 @@ const (
 	// is drained two epochs after it was filled, so only the current
 	// and the previous epoch's are ever occupied together.
 	limboRing = 3
+	// graceWaits bounds the sleeps (each at least a microsecond, a timer
+	// tick in practice) an empty Alloc spends on a held-back epoch
+	// before it opens a new area regardless.
+	graceWaits = 20
 	// maxSpare bounds the emptied chunk buffers the depot keeps for the
 	// next donation; steady traffic needs one or two, and a recovered
 	// depot being drained should hand the rest to the collector.
@@ -91,7 +101,10 @@ type threadState struct {
 	// buckets' backing arrays are reused from epoch to epoch.
 	limbo   [limboRing]limboBucket
 	retires uint64
-	_       [48]byte
+	// gaveUp is the epoch (plus one) at which awaitGrace last waited in
+	// vain; while the epoch stands there it does not wait again.
+	gaveUp uint64
+	_      [40]byte
 }
 
 // depot holds the free slots that belong to no thread, in chunks of at
@@ -222,7 +235,9 @@ func (p *Pool) Exit(tid int) {
 // on real hardware.
 func (p *Pool) Alloc(tid int) pmem.Addr {
 	ts := &p.per[tid]
-	if len(ts.free) == 0 && !p.takeChunk(ts) {
+	if len(ts.free) == 0 && !p.takeChunk(ts) &&
+		// Out of area too: the depot gets a second look after a wait.
+		!(ts.areaNext == ts.areaEnd && p.awaitGrace(tid) && p.takeChunk(ts)) {
 		if ts.areaNext == ts.areaEnd {
 			p.newArea(tid)
 		}
@@ -330,15 +345,41 @@ func (p *Pool) drainLimbo(ts *threadState, e uint64) {
 	}
 }
 
-func (p *Pool) tryAdvance() {
+// tryAdvance moves the epoch on unless some thread is inside an
+// operation it announced at an older one; it returns that thread's id,
+// or -1.
+func (p *Pool) tryAdvance() int {
 	e := p.epoch.Load()
 	for i := range p.slots {
 		a := p.slots[i].announce.Load()
 		if a != ebrIdle && a != e {
-			return
+			return i
 		}
 	}
 	p.epoch.CompareAndSwap(e, e+1)
+	return -1
+}
+
+// awaitGrace is what tid does before it grows the pool: an area is
+// never given back, while slots that sit in limbo behind a thread
+// descheduled inside Enter/Exit come back as soon as it runs. So tid
+// helps the epoch on and, while another thread holds it back, sleeps —
+// which, unlike a yield, frees the processor for that thread — at most
+// graceWaits times per epoch: a thread that stays away longer costs
+// areas, as it did before, not time. It reports whether it waited,
+// that is whether the depot is worth a second look.
+func (p *Pool) awaitGrace(tid int) (waited bool) {
+	ts := &p.per[tid]
+	for i := 0; i < graceWaits; i++ {
+		// tid's own operation cannot end here, so it is nobody to wait for.
+		if by := p.tryAdvance(); by < 0 || by == tid || ts.gaveUp == p.epoch.Load()+1 {
+			return waited
+		}
+		time.Sleep(time.Microsecond)
+		waited = true
+	}
+	ts.gaveUp = p.epoch.Load() + 1
+	return waited
 }
 
 func (p *Pool) newArea(tid int) {

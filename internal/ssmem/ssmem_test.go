@@ -152,7 +152,9 @@ func TestConcurrentAllocNoDoubleHandout(t *testing.T) {
 // only allocate, the other half only retire what they are handed, so
 // every reused slot crossed the depot. No slot may be handed out while
 // its previous holder has not let go of it, and the pool must stop
-// growing although it serves many times its own size.
+// growing although it serves many times its own size — also when the
+// scheduler parks a tid inside Enter/Exit for milliseconds, which pins
+// the epoch and used to cost 20-40k slots a run (awaitGrace).
 func TestSplitTidsNoDoubleHandout(t *testing.T) {
 	h := pmem.New(pmem.Config{Bytes: 32 << 20, MaxThreads: 8})
 	const threads, per, slotsPerArea = 4, 40000, 128
