@@ -459,11 +459,11 @@ func TestAckedSubscribeWhilePolling(t *testing.T) {
 	}
 }
 
-// benchBroker builds a 1-heap, 2-topic broker for the ± observer
+// benchBroker builds a 1-heap, 2-topic broker for the publish/poll
 // benchmarks, returning the publish topic and a plain consumer.
-func benchBroker(b *testing.B, o *obs.Observer) (*Topic, *Consumer) {
+func benchBroker(b *testing.B, o *obs.Observer, lat pmem.LatencyModel) (*Topic, *Consumer) {
 	b.Helper()
-	hs := pmem.NewSet(1, pmem.Config{Bytes: 256 << 20, MaxThreads: 2})
+	hs := pmem.NewSet(1, pmem.Config{Bytes: 256 << 20, MaxThreads: 2, Latency: lat})
 	br, err := Open(hs, Options{Threads: 2, Observer: o})
 	if err != nil {
 		b.Fatal(err)
@@ -489,13 +489,29 @@ func BenchmarkPublishPollEnabled(b *testing.B) {
 }
 
 func benchPublishPoll(b *testing.B, o *obs.Observer) {
-	topic, c := benchBroker(b, o)
+	topic, c := benchBroker(b, o, pmem.ZeroLatency())
 	p := U64(7)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		topic.Publish(0, p)
 		if i%16 == 15 {
 			c.PollBatch(1, 16)
+		}
+	}
+}
+
+// BenchmarkPublishPollSingle is one Publish and one Poll under the
+// default prices: the fifo-single shape, two one-line fence windows a
+// message, and the profile target for what the per-message path pays
+// beside its persists.
+func BenchmarkPublishPollSingle(b *testing.B) {
+	topic, c := benchBroker(b, nil, pmem.DefaultLatency())
+	p := U64(7)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		topic.Publish(0, p)
+		if _, ok := c.Poll(1); !ok {
+			b.Fatal("Poll found nothing behind a Publish")
 		}
 	}
 }

@@ -120,7 +120,7 @@ func (h *Heap) Restart() {
 	}
 	for i := range h.threads {
 		h.threads[i].pending = h.threads[i].pending[:0]
-		h.threads[i].windowOpen = false
+		h.threads[i].window = drainWindow{}
 	}
 	if h.cfg.Mode == ModeCrash {
 		for line := range h.logs {

@@ -32,12 +32,36 @@ type LatencyModel struct {
 	// the Fence that closes it at instant now pays
 	// FenceNs + max(0, first + n·D − now). Work performed between the
 	// stores and the fence (issuing the next batch, application
-	// processing) therefore genuinely overlaps the drain. The simulator
-	// reads the clock twice per window — at its first line and in its
-	// Fence — and nowhere else, so what a line costs is its price, not
-	// a clock reading that takes as long as the drain it would measure.
+	// processing) therefore genuinely overlaps the drain.
 	//
-	// This equals a per-line model (each line durable DrainNsPerLine
+	// What a line costs is its price, not a clock reading that takes
+	// longer than the drain it would measure, so the window is kept in
+	// modelled time. Every price a thread is charged (issue, fence, read
+	// of flushed content, InitRange) advances its modelled clock, and
+	// n·D minus the modelled time since the window's first line bounds
+	// the residual from above, real time elapsed being never less than
+	// time spun. Fence charges by that bound, in one of three ways:
+	//
+	//   - bound ≤ 0: the prices already charged have drained the window;
+	//     Fence charges FenceNs and reads no clock.
+	//   - bound > 0 and never above D while the window filled (one line,
+	//     or lines whose issue prices nearly cover their drain): Fence
+	//     charges the bound itself and reads no clock. A lone Flush+Fence
+	//     is FlushNs + (D − FlushNs) + FenceNs, the model's price for a
+	//     line that must drain before the fence returns.
+	//   - bound above D at some line: that line takes the window's one
+	//     reading, back-dated by the modelled time since the window
+	//     opened (first = now − spun), and Fence takes a second to charge
+	//     first + n·D − now: two readings however long the window.
+	//
+	// A window that read no clock is over-charged by at most
+	// min(D, the Go time spent inside it): unmodelled time the thread
+	// spent between its lines and its fence, which the drain would have
+	// overlapped. A measured window is over-charged by at most the Go
+	// time between its first line and its reading, and only if it is
+	// fenced before it drains.
+	//
+	// The window equals a per-line model (each line durable DrainNsPerLine
 	// after the previous one or after its own issue, whichever is
 	// later) whenever the queue does not run empty between a window's
 	// lines, which holds for stores issued back to back. A burst issued
@@ -71,12 +95,6 @@ func ZeroLatency() LatencyModel { return LatencyModel{} }
 // heap is quiescent (harnesses use it to prefill queues at full speed
 // before switching the measured model on).
 func (h *Heap) SetLatency(m LatencyModel) { h.lat = m }
-
-func (h *Heap) delay(ns int64) {
-	if ns > 0 {
-		spinFor(ns)
-	}
-}
 
 // monotonicEpoch anchors the package clock used by the background
 // write-pending-queue drain model. time.Since on a fixed anchor reads

@@ -118,29 +118,58 @@ type lineLog struct {
 type threadCtx struct {
 	stats   Stats
 	pending []pendingFlush // ModeCrash: flushes issued since last fence
-	// The thread's fence window, maintained only when DrainNsPerLine > 0
-	// (see LatencyModel.DrainNsPerLine). windowOpen says a line has been
-	// queued since the last Fence; drainedBy is then the instant
-	// (nanoseconds on the package monotonic clock) at which the
-	// write-pending queue will have drained every line of the window:
-	// the clock reading taken at the window's first line plus
-	// DrainNsPerLine for each line queued since. Fence pays the residual
-	// and closes the window.
-	windowOpen bool
-	drainedBy  int64
+	// spun is the thread's modelled clock: the nanoseconds of price it
+	// has been charged (see charge). It only grows; the fence window
+	// reads it where it would otherwise read the real clock.
+	spun   int64
+	window drainWindow
 	// clockReads counts this thread's clock readings and drainWaitNs
 	// sums the residual drain its fences were charged. They are kept out
 	// of Stats, whose whole-value comparisons must stay deterministic;
-	// the package's tests and BenchmarkNTStoreBurstFence read them.
+	// the package's tests and benchmarks read them.
 	clockReads  uint64
 	drainWaitNs int64
 	_           [64]byte
+}
+
+// drainWindow is a thread's fence window: the lines it has queued since
+// its last Fence (see LatencyModel.DrainNsPerLine). The zero value is a
+// closed window; lines are counted only while DrainNsPerLine > 0. Only
+// the owning goroutine touches it, so no synchronization is needed.
+type drainWindow struct {
+	lines      int64 // lines queued since the last Fence
+	spunAtOpen int64 // the modelled clock when the first was queued
+	// measured says the window's drain bound exceeded one line's drain
+	// at some line, where the window took its one clock reading; first
+	// is that reading back-dated by the modelled time since the window
+	// opened, i.e. the latest instant its first line can have been issued.
+	measured bool
+	first    int64
+}
+
+// charge makes the thread pay a price: ns modelled nanoseconds on its
+// modelled clock, spent spinning. Every price the simulator injects goes
+// through here, or a spin the modelled clock missed would be charged a
+// second time as residual drain by the window open around it.
+func (ts *threadCtx) charge(ns int64) {
+	if ns > 0 {
+		ts.spun += ns
+		spinFor(ns)
+	}
 }
 
 // now reads the package clock on behalf of the thread's drain model.
 func (ts *threadCtx) now() int64 {
 	ts.clockReads++
 	return monotonicNs()
+}
+
+// drainBound is the most the open window can still have left to drain:
+// every line at d apiece, less the modelled time since the first was
+// queued. Real time elapsed is never less than time spun, so this is an
+// upper bound on the true residual, and it costs no clock reading.
+func (ts *threadCtx) drainBound(d int64) int64 {
+	return ts.window.lines*d - (ts.spun - ts.window.spunAtOpen)
 }
 
 // Heap is a simulated persistent memory arena.
@@ -356,7 +385,7 @@ func (h *Heap) touch(tid int, a Addr) {
 		if h.postFlushHook != nil {
 			h.postFlushHook(tid, a)
 		}
-		h.delay(h.lat.NVMReadNs)
+		h.threads[tid].charge(h.lat.NVMReadNs)
 	}
 }
 
@@ -476,26 +505,30 @@ func (h *Heap) Flush(tid int, a Addr) {
 		mu.Unlock()
 		ts.pending = append(ts.pending, pendingFlush{line: line, upTo: upTo, gen: gen})
 	}
-	ts.queueLine(h.heapState)
-	h.delay(h.lat.FlushNs)
+	ts.queueLine(h.lat.DrainNsPerLine)
+	ts.charge(h.lat.FlushNs)
 }
 
 // queueLine models one cache line entering the calling thread's
-// write-pending queue. The window's first line reads the clock; each
-// later one only moves the drain deadline DrainNsPerLine further (drain
-// bandwidth is one line at a time, and begins at the first line's
-// issue, not at the fence). Only the owning goroutine touches the
-// window, so no synchronization is needed.
-func (ts *threadCtx) queueLine(h *heapState) {
-	d := h.lat.DrainNsPerLine
+// write-pending queue, which drains one line per d nanoseconds from the
+// issue of the window's first line, not from the fence. While the issue
+// prices charged since then keep the drain bound within one line's
+// drain, Fence will charge the bound itself and no clock is read; the
+// line at which the bound first exceeds that takes the window's one
+// reading.
+func (ts *threadCtx) queueLine(d int64) {
 	if d == 0 {
 		return
 	}
-	if !ts.windowOpen {
-		ts.windowOpen = true
-		ts.drainedBy = ts.now()
+	w := &ts.window
+	if w.lines == 0 {
+		w.spunAtOpen = ts.spun
 	}
-	ts.drainedBy += d
+	w.lines++
+	if !w.measured && ts.drainBound(d) > d {
+		w.measured = true
+		w.first = ts.now() - (ts.spun - w.spunAtOpen)
+	}
 }
 
 // Fence is a store fence (SFENCE): it blocks until every Flush and
@@ -505,10 +538,13 @@ func (ts *threadCtx) queueLine(h *heapState) {
 // Latency: the write-pending queue drains in the background from the
 // issue of the window's first line (see LatencyModel.DrainNsPerLine),
 // so the fence pays FenceNs plus only the *residual* drain — zero if
-// enough wall time has passed since then. This is what makes pipelined
+// enough time has passed since then. This is what makes pipelined
 // persists (issue the next window before fencing the previous one) pay
 // off in wall-clock time while the fence *count* stays exactly the
-// same. A fence with nothing queued reads no clock.
+// same. Only a window that took a reading while it filled takes one
+// here; a window the prices already charged have drained, a short one
+// (which is charged its drain bound) and a fence with nothing queued
+// read no clock.
 func (h *Heap) Fence(tid int) {
 	if h.cfg.Mode == ModeCrash {
 		h.crashCheck()
@@ -538,15 +574,20 @@ func (h *Heap) Fence(tid int) {
 		}
 		ts.pending = ts.pending[:0]
 	}
-	d := h.lat.FenceNs
-	if ts.windowOpen {
-		if resid := ts.drainedBy - ts.now(); resid > 0 {
-			d += resid
+	price := h.lat.FenceNs
+	if w := &ts.window; w.lines > 0 {
+		d := h.lat.DrainNsPerLine
+		resid := ts.drainBound(d)
+		if resid > 0 && w.measured {
+			resid = w.first + w.lines*d - ts.now()
+		}
+		if resid > 0 {
+			price += resid
 			ts.drainWaitNs += resid
 		}
-		ts.windowOpen = false
+		*w = drainWindow{}
 	}
-	h.delay(d)
+	ts.charge(price)
 }
 
 // Persist is the convenience pairing of Flush and Fence used when a
@@ -580,8 +621,8 @@ func (h *Heap) NTStore(tid int, a Addr, v uint64) {
 	} else {
 		atomic.StoreUint64(&h.mem[w], v)
 	}
-	ts.queueLine(h.heapState)
-	h.delay(h.lat.NTStoreNs)
+	ts.queueLine(h.lat.DrainNsPerLine)
+	ts.charge(h.lat.NTStoreNs)
 }
 
 func (h *Heap) applyEntries(line int, entries []logEntry) {
@@ -645,7 +686,7 @@ func (h *Heap) InitRange(tid int, a Addr, size int64) {
 	}
 	ts.stats.Flushes += uint64(nLines)
 	ts.stats.Fences++
-	h.delay(h.lat.FenceNs + h.lat.DrainNsPerLine*int64(nLines))
+	ts.charge(h.lat.FenceNs + h.lat.DrainNsPerLine*int64(nLines))
 }
 
 func (h *Heap) zeroLine(line int) {

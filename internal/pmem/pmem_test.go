@@ -651,9 +651,12 @@ func TestRestartClearsBurstDrain(t *testing.T) {
 }
 
 // TestClockReadingsPerFenceWindow pins what the drain model costs the
-// simulator itself: a fence window reads the clock at its first line
-// and in its Fence, however many lines it holds, and a thread with
-// nothing queued — or a model without DrainNsPerLine — reads none.
+// simulator itself. A window the modelled clock can price — one line, or
+// any length whose issue prices cover its drain — reads no clock; a
+// longer one reads it at the line where its drain bound first exceeds
+// one line's drain and in its Fence, however many lines it holds; a
+// thread with nothing queued, or a model without DrainNsPerLine, reads
+// none.
 func TestClockReadingsPerFenceWindow(t *testing.T) {
 	for _, mode := range []Mode{ModePerf, ModeCrash} {
 		h := New(Config{Bytes: 1 << 20, Mode: mode, Latency: LatencyModel{DrainNsPerLine: 1}})
@@ -673,19 +676,29 @@ func TestClockReadingsPerFenceWindow(t *testing.T) {
 			h.Fence(0)
 			return ts.clockReads - before
 		}
-		// Back to back: every window starts a fresh count.
-		for _, n := range []int{1, 7, 56} {
-			if got := window(n); got != 2 {
-				t.Errorf("mode %v: %d lines + Fence read the clock %d times, want 2", mode, n, got)
+		// Back to back at zero issue price: every window starts afresh.
+		fresh := func(when string) {
+			t.Helper()
+			for _, c := range []struct {
+				lines int
+				want  uint64
+			}{{1, 0}, {7, 2}, {56, 2}, {0, 0}} {
+				if got := window(c.lines); got != c.want {
+					t.Errorf("mode %v, %s: %d lines + Fence read the clock %d times, want %d",
+						mode, when, c.lines, got, c.want)
+				}
 			}
 		}
-		if got := window(0); got != 0 {
-			t.Errorf("mode %v: Fence with nothing queued read the clock %d times, want 0", mode, got)
-		}
-		h.NTStore(0, base, 1) // left open across the restart
+		fresh("new heap")
+		h.NTStore(0, base, 1) // a measured window, left open across the restart
+		h.NTStore(0, base, 2)
 		h.Restart()
-		if got := window(1); got != 2 {
-			t.Errorf("mode %v: first window after Restart read the clock %d times, want 2", mode, got)
+		fresh("after Restart")
+		h.SetLatency(LatencyModel{FlushNs: 1, NTStoreNs: 1, DrainNsPerLine: 1})
+		for _, n := range []int{1, 7, 56} {
+			if got := window(n); got != 0 {
+				t.Errorf("mode %v: %d lines whose issue prices cover their drain read the clock %d times, want 0", mode, n, got)
+			}
 		}
 		h.SetLatency(LatencyModel{FenceNs: 1, FlushNs: 1, NTStoreNs: 1})
 		if got := window(7); got != 0 {
@@ -694,15 +707,137 @@ func TestClockReadingsPerFenceWindow(t *testing.T) {
 	}
 }
 
+// TestModelledClockIsExact: a charge with no clock reading in it is
+// arithmetic, so every price lands on the thread's modelled clock to the
+// nanosecond — the issue prices, a read of flushed content, InitRange —
+// and a lone line's Fence is charged exactly the drain its issue price
+// left over.
+func TestModelledClockIsExact(t *testing.T) {
+	lat := DefaultLatency()
+	for _, mode := range []Mode{ModePerf, ModeCrash} {
+		h := New(Config{Bytes: 1 << 20, Mode: mode, Latency: lat})
+		a := h.AllocRaw(0, 4*CacheLineBytes, CacheLineBytes)
+		ts := &h.threads[0]
+		for _, c := range []struct {
+			name        string
+			op          func()
+			spun, drain int64
+		}{
+			{"Fence, nothing queued", func() { h.Fence(0) }, lat.FenceNs, 0},
+			{"Flush+Fence", func() { h.Flush(0, a); h.Fence(0) }, lat.FlushNs + 5 + lat.FenceNs, 5},
+			{"Load of the flushed line", func() { h.Load(0, a) }, lat.NVMReadNs, 0},
+			{"NTStore+Fence", func() { h.NTStore(0, a, 1); h.Fence(0) }, lat.NTStoreNs + 15 + lat.FenceNs, 15},
+			{"InitRange inside an open window",
+				func() { h.NTStore(0, a, 1); h.InitRange(0, a, 4*CacheLineBytes); h.Fence(0) },
+				lat.NTStoreNs + lat.FenceNs + 4*lat.DrainNsPerLine + lat.FenceNs, 0},
+		} {
+			spun, drain, reads := ts.spun, ts.drainWaitNs, ts.clockReads
+			c.op()
+			if got := ts.spun - spun; got != c.spun {
+				t.Errorf("mode %v, %s: charged %dns, want %d", mode, c.name, got, c.spun)
+			}
+			if got := ts.drainWaitNs - drain; got != c.drain {
+				t.Errorf("mode %v, %s: %dns of it residual drain, want %d", mode, c.name, got, c.drain)
+			}
+			if got := ts.clockReads - reads; got != 0 {
+				t.Errorf("mode %v, %s: read the clock %d times, want 0", mode, c.name, got)
+			}
+		}
+	}
+}
+
+// TestDrainChargeBounds: whatever a window's lines and prices, one that
+// read no clock is charged at most one line's drain, and a measured one
+// at most the drain of all its lines.
+func TestDrainChargeBounds(t *testing.T) {
+	rng := newTestRand(22)
+	h := New(Config{Bytes: 1 << 20})
+	base := h.AllocRaw(0, 12*CacheLineBytes, CacheLineBytes)
+	ts := &h.threads[0]
+	var unmeasured, measured int
+	for i := 0; i < 400; i++ {
+		lat := LatencyModel{
+			FenceNs:        rng.Int63n(30),
+			FlushNs:        rng.Int63n(40),
+			NTStoreNs:      rng.Int63n(40),
+			DrainNsPerLine: 1 + rng.Int63n(40),
+		}
+		h.SetLatency(lat)
+		lines := 1 + rng.Int63n(12)
+		drain, reads := ts.drainWaitNs, ts.clockReads
+		for l := int64(0); l < lines; l++ {
+			lineIssuers[rng.Intn(len(lineIssuers))].issue(h, base+Addr(l*CacheLineBytes))
+		}
+		h.Fence(0)
+		charged, bound := ts.drainWaitNs-drain, lines*lat.DrainNsPerLine
+		if ts.clockReads == reads {
+			unmeasured++
+			bound = lat.DrainNsPerLine
+		} else {
+			measured++
+		}
+		if charged < 0 || charged > bound {
+			t.Fatalf("window %d (%d lines, %+v, %d clock readings) was charged %dns of drain, want at most %d",
+				i, lines, lat, ts.clockReads-reads, charged, bound)
+		}
+	}
+	if unmeasured < 50 || measured < 50 {
+		t.Fatalf("%d unmeasured and %d measured windows: the seed no longer covers both", unmeasured, measured)
+	}
+}
+
+// TestSetLatencyAcrossOpenWindow: the harness prefills at ZeroLatency
+// and then switches the measured model on, and back. A window open
+// across either switch charges no drain, and the next one is priced as
+// on a fresh heap.
+func TestSetLatencyAcrossOpenWindow(t *testing.T) {
+	h := New(Config{Bytes: 1 << 20, Latency: DefaultLatency()})
+	a := h.AllocRaw(0, CacheLineBytes, CacheLineBytes)
+	ts := &h.threads[0]
+	fence := func(when string, want int64) {
+		t.Helper()
+		drain := ts.drainWaitNs
+		h.Fence(0)
+		if got := ts.drainWaitNs - drain; got != want {
+			t.Errorf("%s: Fence was charged %dns of drain, want %d", when, got, want)
+		}
+	}
+	h.NTStore(0, a, 1)
+	h.SetLatency(ZeroLatency())
+	fence("one line, then ZeroLatency", 0)
+	h.NTStore(0, a, 1)
+	h.SetLatency(DefaultLatency())
+	fence("a line under ZeroLatency, then DefaultLatency", 0)
+	for i := 0; i < 3; i++ { // long enough to take its reading
+		h.NTStore(0, a, 1)
+	}
+	h.SetLatency(ZeroLatency())
+	fence("a measured window, then ZeroLatency", 0)
+	h.SetLatency(DefaultLatency())
+	h.NTStore(0, a, 1)
+	fence("the next window", 15)
+}
+
+// reportDrain adds to a benchmark's ns/op what the drain model cost
+// (clock-reads/op) and what it charged (drain-wait-ns/op, the residual
+// the fences waited out) since the two counters read reads and wait.
+func reportDrain(b *testing.B, ts *threadCtx, reads uint64, wait int64) {
+	b.ReportMetric(float64(ts.clockReads-reads)/float64(b.N), "clock-reads/op")
+	b.ReportMetric(float64(ts.drainWaitNs-wait)/float64(b.N), "drain-wait-ns/op")
+}
+
 func BenchmarkStoreFlushFence(b *testing.B) {
 	h := New(Config{Bytes: 1 << 20, Latency: DefaultLatency()})
 	a := h.AllocRaw(0, 64, 64)
+	ts := &h.threads[0]
+	reads, wait := ts.clockReads, ts.drainWaitNs
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		h.Store(0, a, uint64(i))
 		h.Flush(0, a)
 		h.Fence(0)
 	}
+	reportDrain(b, ts, reads, wait)
 }
 
 func BenchmarkLoadCached(b *testing.B) {
@@ -716,9 +851,7 @@ func BenchmarkLoadCached(b *testing.B) {
 
 // BenchmarkNTStoreBurstFence is one fence window of n word NTStores
 // under the default prices: 1 is the window paper-pairs opens, 56 the
-// one a heap-delay PublishAtBatch(8) opens. Beside ns/op it reports what
-// the drain model cost (clock-reads/op) and what it charged
-// (drain-wait-ns/op, the residual the Fence waited out).
+// one a heap-delay PublishAtBatch(8) opens.
 func BenchmarkNTStoreBurstFence(b *testing.B) {
 	for _, n := range []int{1, 56} {
 		b.Run(strconv.Itoa(n), func(b *testing.B) {
@@ -733,8 +866,7 @@ func BenchmarkNTStoreBurstFence(b *testing.B) {
 				}
 				h.Fence(0)
 			}
-			b.ReportMetric(float64(ts.clockReads-reads)/float64(b.N), "clock-reads/op")
-			b.ReportMetric(float64(ts.drainWaitNs-wait)/float64(b.N), "drain-wait-ns/op")
+			reportDrain(b, ts, reads, wait)
 		})
 	}
 }
