@@ -12,11 +12,16 @@
 // event-trace-enabled observer (internal/obs); when its audit fails,
 // the last trace events — the publishes, polls and acks leading up to
 // the bad state — are dumped to stderr alongside the error, which
-// names the scenario and the seed.
+// names the scenario, the seed and the armed crash point.
+//
+// -queue also takes a scenario name: that entry alone runs at -seed
+// (-rounds times when -rounds is given), which is the rerun command an
+// audit failure prints.
 //
 // Examples:
 //
 //	crashfuzz -queue opt-linked -rounds 200 -threads 4 -recovery-crashes 2
+//	crashfuzz -queue broker-membership-churn -seed 71
 //	crashfuzz -smoke
 package main
 
@@ -24,6 +29,7 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"slices"
 
 	"repro/internal/harness"
 	"repro/internal/obs"
@@ -37,7 +43,7 @@ const traceEvents = 512
 
 func main() {
 	var (
-		queue    = flag.String("queue", "all", "queue name or 'all'")
+		queue    = flag.String("queue", "all", "queue name, broker scenario name, or 'all'")
 		threads  = flag.Int("threads", 4, "worker threads")
 		ops      = flag.Int("ops", 500, "max operations per thread per round")
 		rounds   = flag.Int("rounds", 50, "crash/recover rounds")
@@ -56,8 +62,17 @@ func main() {
 		*rounds = 5
 	}
 
+	failed := false
 	var names []string
-	if *queue == "all" {
+	if i := slices.IndexFunc(verify.BrokerScenarios, func(sc verify.BrokerScenario) bool { return sc.Name == *queue }); i >= 0 {
+		// A scenario name: that entry alone, at -seed.
+		if !roundsSet {
+			*rounds = 1
+		}
+		for n := 0; n < *rounds; n++ {
+			failed = !runScenario(verify.BrokerScenarios[i], *seed) || failed
+		}
+	} else if *queue == "all" {
 		for _, in := range harness.AllQueues() {
 			if in.Durable {
 				names = append(names, in.Name)
@@ -68,11 +83,10 @@ func main() {
 		names = []string{*queue}
 	}
 
-	failed := false
 	for _, name := range names {
 		in, ok := harness.LookupQueue(name)
 		if !ok {
-			fmt.Fprintf(os.Stderr, "crashfuzz: unknown queue %q\n", name)
+			fmt.Fprintf(os.Stderr, "crashfuzz: unknown queue or scenario %q\n", name)
 			os.Exit(2)
 		}
 		if in.Recover == nil {
@@ -95,25 +109,32 @@ func main() {
 	}
 	if *smoke {
 		for _, sc := range verify.BrokerScenarios {
-			o := obs.New(obs.Config{Threads: sc.Threads, TraceEvents: traceEvents})
-			res, err := sc.Run(*seed, o)
-			if err != nil {
-				// A red CI run shows the broker operations that led up to
-				// the bad audit.
-				fmt.Fprintf(os.Stderr, "crashfuzz: %s failed — last trace events:\n", sc.Name)
-				o.DumpTrace(os.Stderr, 48)
-				fmt.Printf("%-24s FAIL: %v\n", sc.Name, err)
-				failed = true
-				continue
-			}
-			when := "at quiescence"
-			if res.MidTraffic {
-				when = "mid-traffic"
-			}
-			fmt.Printf("%-24s ok (%s) [power loss %s; %s]\n", sc.Name, sc.Summary, when, res.Tally)
+			failed = !runScenario(sc, *seed) || failed
 		}
 	}
 	if failed {
 		os.Exit(1)
 	}
+}
+
+// runScenario runs one broker crash scenario at seed, prints its line
+// and reports whether its audit passed.
+func runScenario(sc verify.BrokerScenario, seed int64) bool {
+	o := obs.New(obs.Config{Threads: sc.Threads, TraceEvents: traceEvents})
+	res, err := sc.Run(seed, o)
+	if err != nil {
+		// A red CI run shows the broker operations that led up to
+		// the bad audit.
+		fmt.Fprintf(os.Stderr, "crashfuzz: %s failed — last trace events:\n", sc.Name)
+		o.DumpTrace(os.Stderr, 48)
+		fmt.Printf("%-24s FAIL: %v\n", sc.Name, err)
+		return false
+	}
+	when := "at quiescence"
+	if res.MidTraffic {
+		when = "mid-traffic"
+	}
+	fmt.Printf("%-24s ok (%s) [power loss %s at heap %d access %d; %s]\n",
+		sc.Name, sc.Summary, when, res.ArmedHeap, res.ArmedAccess, res.Tally)
+	return true
 }

@@ -45,7 +45,7 @@ func fuzzTier(t *testing.T, scenario, sub string, seeds ...int64) {
 			if res.MidTraffic {
 				midTraffic++
 			}
-			t.Logf("midTraffic=%v: %s", res.MidTraffic, res.Tally)
+			t.Logf("midTraffic=%v, armed heap %d access %d: %s", res.MidTraffic, res.ArmedHeap, res.ArmedAccess, res.Tally)
 		})
 	}
 	t.Logf("%s: power loss landed mid-traffic in %d of %d seeds", s.Name, midTraffic, len(seeds))

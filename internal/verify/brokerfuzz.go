@@ -4,8 +4,8 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"math"
 	"math/rand"
-	"runtime"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -24,7 +24,9 @@ import (
 // all), recovers the broker with Open and audits what came back. The
 // broker package's TestBrokerCrashFuzz* tiers and `crashfuzz -smoke`
 // are both loops over BrokerScenarios, so a protocol change updates
-// one audit.
+// one audit. The frame — set-up, arming, start gate, join, power loss,
+// reopen, ledger — is round.go's; a scenario here is its constants, its
+// actors and its own post-recovery checks.
 
 // BrokerScenario is one seed-parameterised broker crash audit.
 type BrokerScenario struct {
@@ -34,7 +36,7 @@ type BrokerScenario struct {
 	// Threads is the scenario broker's thread-id bound: an observer
 	// handed to Run must admit at least that many.
 	Threads int
-	run     func(seed int64, o *obs.Observer) (BrokerFuzzResult, error)
+	run     func(r *round) error
 }
 
 // BrokerFuzzResult is what a scenario reports beside its verdict.
@@ -44,6 +46,11 @@ type BrokerFuzzResult struct {
 	// crashed at quiescence. Both are legal runs; a tier whose seeds
 	// all end at quiescence has stopped testing what it is named for.
 	MidTraffic bool
+	// ArmedHeap and ArmedAccess say where the seed put the power loss:
+	// the member heap, and how many further accesses of it from the
+	// moment of arming. Zero access: the run failed before arming.
+	ArmedHeap   int
+	ArmedAccess int64
 	// Tally is the audit's one-line count of what went where.
 	Tally string
 }
@@ -51,13 +58,19 @@ type BrokerFuzzResult struct {
 // Run executes the scenario once. o may be nil; when it is not, the
 // scenario's brokers — the one that crashes and the one recovered from
 // it — report to it, so its trace spans the power loss. An audit
-// failure names the scenario and the seed that reproduce it.
+// failure names the scenario, the seed and the armed crash point, and
+// the command that reruns that one scenario at that seed.
 func (s BrokerScenario) Run(seed int64, o *obs.Observer) (BrokerFuzzResult, error) {
-	res, err := s.run(seed, o)
+	r := &round{seed: seed, o: o, threads: s.Threads, start: make(chan struct{}), done: make(chan struct{})}
+	err := s.run(r)
 	if err != nil {
-		err = fmt.Errorf("%s seed %d: %w (rerun: go run ./cmd/crashfuzz -smoke -seed %d)", s.Name, seed, err, seed)
+		armed := "before the power loss was armed"
+		if r.res.ArmedAccess > 0 {
+			armed = fmt.Sprintf("armed heap %d at access %d", r.res.ArmedHeap, r.res.ArmedAccess)
+		}
+		err = fmt.Errorf("%s seed %d: %w (%s; rerun: go run ./cmd/crashfuzz -queue %s -seed %d)", s.Name, seed, err, armed, s.Name, seed)
 	}
-	return res, err
+	return r.res, err
 }
 
 // BrokerScenarios is the table. The first four are one round — mixed
@@ -67,55 +80,55 @@ var BrokerScenarios = []BrokerScenario{
 	{
 		Name:    "broker-single",
 		Summary: "1 heap, Poll one at a time: every acknowledged publish delivered or recovered exactly once, per-shard per-producer FIFO, at most one in-flight message lost per consumer",
-		Threads: plainThreads,
-		run:     func(seed int64, o *obs.Observer) (BrokerFuzzResult, error) { return plainGroupRound(seed, o, 1, 1) },
+		Threads: 3 + 2, // producers + consumers
+		run:     func(r *round) error { return plainGroupRound(r, 1, 1) },
 	},
 	{
 		Name:    "broker-batched",
 		Summary: "1 heap, PollBatch(8): a batch is acknowledged as a whole when the poll returns, so the loss allowance grows to one batch per consumer; acknowledged deliveries never reappear",
-		Threads: plainThreads,
-		run:     func(seed int64, o *obs.Observer) (BrokerFuzzResult, error) { return plainGroupRound(seed, o, 8, 1) },
+		Threads: 3 + 2, // producers + consumers
+		run:     func(r *round) error { return plainGroupRound(r, 8, 1) },
 	},
 	{
 		Name:    "broker-multiheap",
 		Summary: "2 heaps, crash armed on one member, whole-set recovery from heap 0's catalog and heap 1's stamp, exactly-once across the set",
-		Threads: plainThreads,
-		run:     func(seed int64, o *obs.Observer) (BrokerFuzzResult, error) { return plainGroupRound(seed, o, 8, 2) },
+		Threads: 3 + 2, // producers + consumers
+		run:     func(r *round) error { return plainGroupRound(r, 8, 2) },
 	},
 	{
 		Name:    "broker-multiheap-3",
 		Summary: "3 heaps, Poll one at a time, same audit",
-		Threads: plainThreads,
-		run:     func(seed int64, o *obs.Observer) (BrokerFuzzResult, error) { return plainGroupRound(seed, o, 1, 3) },
+		Threads: 3 + 2, // producers + consumers
+		run:     func(r *round) error { return plainGroupRound(r, 1, 3) },
 	},
 	{
 		Name:    "broker-consumer-crash",
 		Summary: "acked group, two consumers killed mid-batch, lease takeover redelivers at least the victim's window, then power loss: no message acknowledged twice, every publish processed exactly once",
-		Threads: consumerCrashThreads,
+		Threads: 2 + 3, // producers + consumers
 		run:     consumerCrashRound,
 	},
 	{
 		Name:    "broker-dynamic-topics",
 		Summary: "topics created mid-traffic on the live broker, power loss (sometimes inside CreateTopic), catalog-log recovery: every creation that returned exists, exactly-once over initial and dynamic topics",
-		Threads: dynamicTopicsThreads,
+		Threads: 2 + 2 + 1, // producers + consumers + the administrator
 		run:     dynamicTopicsRound,
 	},
 	{
 		Name:    "broker-membership-churn",
 		Summary: "members stall and are fenced by scans or robbed by work-stealing, one is killed and scanned away, then power loss: stale-epoch acks refused with ErrFenced, exactly-once processing",
-		Threads: membershipChurnThreads,
+		Threads: 2 + 3 + 1, // producers + consumers + the churn controller
 		run:     membershipChurnRound,
 	},
 	{
 		Name:    "broker-topic-churn",
 		Summary: "create, publish, drain, delete cycles through a small catalog log (tombstones, free-list reuse, compactions) with a publisher racing every delete: a returned delete never resurrects, a torn one lands either way, exactly-once over survivors",
-		Threads: topicChurnThreads,
+		Threads: 2 + 2 + 2, // producers + consumers + administrator + racer
 		run:     topicChurnRound,
 	},
 	{
 		Name:    "broker-delay-topics",
 		Summary: "delay and priority heaps under singles and batches, power loss anywhere in push or pop-min: kinds recover, nothing before its deadline, nothing twice, recovered backlog pops in key order, at most one pop window lost per consumer",
-		Threads: heapTopicsThreads,
+		Threads: 2 + 2, // producers + consumers
 		run:     heapTopicsRound,
 	},
 }
@@ -142,6 +155,15 @@ func checkPayload(p []byte) (uint64, error) {
 	return id, nil
 }
 
+// payloadFor is id's payload on topic: the bare 8 bytes on a fixed
+// topic, a blobPayload on one that takes variable payloads.
+func payloadFor(topic *broker.Topic, id uint64) []byte {
+	if topic.MaxPayload() == 8 {
+		return broker.U64(id)
+	}
+	return blobPayload(id)
+}
+
 func fifoTopics(acked bool) []broker.TopicConfig {
 	return []broker.TopicConfig{
 		{Name: "events", Shards: 4, Acked: acked},                // fixed 8-byte payloads
@@ -149,110 +171,55 @@ func fifoTopics(acked bool) []broker.TopicConfig {
 	}
 }
 
-// newBroker opens a broker on the blank set and populates it: one
-// CreateTopic per topic, then ackGroups lease regions each sized
-// exactly to the shard total.
-func newBroker(hs *pmem.HeapSet, opts broker.Options, topics []broker.TopicConfig, ackGroups int) (*broker.Broker, error) {
-	b, err := broker.Open(hs, opts)
-	if err != nil {
-		return nil, err
-	}
-	for _, tc := range topics {
-		if _, err := b.CreateTopic(0, tc); err != nil {
-			return nil, err
-		}
-	}
-	for g := 0; g < ackGroups; g++ {
-		if _, err := b.CreateAckGroup(0, broker.AckGroupConfig{Capacity: b.ShardTotal()}); err != nil {
-			return nil, err
-		}
-	}
-	return b, nil
-}
-
-// firstError keeps the first failure any worker goroutine reports; the
-// round returns it after the join.
-type firstError struct {
-	mu  sync.Mutex
-	err error
-}
-
-func (f *firstError) set(err error) {
-	f.mu.Lock()
-	if f.err == nil {
-		f.err = err
-	}
-	f.mu.Unlock()
-}
-
-func (f *firstError) get() error {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	return f.err
-}
-
-// powerLoss ends a round's traffic phase: when the armed crash has not
-// fired (traffic finished first) the set is crashed at quiescence; the
-// crash is then finalized from finalizeSeed and the set restarted. It
-// reports whether the armed crash fired.
-func powerLoss(hs *pmem.HeapSet, finalizeSeed int64) (midTraffic bool) {
-	midTraffic = hs.Crashed()
-	if !midTraffic {
-		hs.CrashNow()
-	}
-	hs.FinalizeCrash(rand.New(rand.NewSource(finalizeSeed)))
-	hs.Restart()
-	return midTraffic
-}
-
-// mixedProducer publishes ids (p+1)<<32|m for m in [first, first+n)
-// as thread p: one in three a single publish to events, the rest a
-// batch of up to six consecutive ids to jobs, acknowledged as a whole.
-// Ids ascend, so every shard sees one producer's messages in id order
-// — the FIFO the audits check. It returns the ids whose publish
-// returned, stopping at the power loss.
-func mixedProducer(b *broker.Broker, p int, rng *rand.Rand, first, n uint64) (acked []uint64) {
-	events, jobs := b.Topic("events"), b.Topic("jobs")
-	for m := first; m < first+n; {
-		// Yield between publishes so consumers interleave even on a
-		// single-P runtime; the crash window is far shorter than a
-		// preemption quantum.
-		runtime.Gosched()
-		if rng.Intn(3) == 0 {
-			id := uint64(p+1)<<32 | m
-			if pmem.Protect(func() { events.Publish(p, broker.U64(id)) }) {
+// mixedProducer is the body of producer p publishing ids (p+1)<<32|m
+// for m in [first, first+n), its choices seeded by seed*salt+p: one in
+// three a single publish to events, the rest a batch of up to six
+// consecutive ids to jobs, acknowledged as a whole. Ids ascend, so every
+// shard sees one producer's messages in id order — the FIFO the audits
+// check. It returns the ids whose publish returned, stopping at the
+// power loss.
+func mixedProducer(r *round, salt int64, first, n uint64) func(p int) []uint64 {
+	return func(p int) (acked []uint64) {
+		rng := rand.New(rand.NewSource(r.seed*salt + int64(p)))
+		events, jobs := r.b.Topic("events"), r.b.Topic("jobs")
+		for m := first; m < first+n; {
+			r.yield()
+			if rng.Intn(3) == 0 {
+				id := uint64(p+1)<<32 | m
+				if pmem.Protect(func() { events.Publish(p, broker.U64(id)) }) {
+					return acked
+				}
+				acked = append(acked, id)
+				m++
+				continue
+			}
+			var batch [][]byte
+			var ids []uint64
+			for len(batch) < 6 && m < first+n {
+				ids = append(ids, uint64(p+1)<<32|m)
+				batch = append(batch, blobPayload(ids[len(ids)-1]))
+				m++
+			}
+			if pmem.Protect(func() { jobs.PublishBatch(p, batch) }) {
 				return acked
 			}
-			acked = append(acked, id)
-			m++
-			continue
+			acked = append(acked, ids...)
 		}
-		var batch [][]byte
-		var ids []uint64
-		for len(batch) < 6 && m < first+n {
-			ids = append(ids, uint64(p+1)<<32|m)
-			batch = append(batch, blobPayload(ids[len(ids)-1]))
-			m++
-		}
-		if pmem.Protect(func() { jobs.PublishBatch(p, batch) }) {
-			return acked
-		}
-		acked = append(acked, ids...)
+		return acked
 	}
-	return acked
 }
 
 // plainConsumer polls a plain-group member on tid, window messages at
-// a time (Poll when window is 1), until done is closed and two sweeps
+// a time (Poll when window is 1), until traffic has ended and two sweeps
 // in a row came back empty, or the power loss. A poll cut off by the
 // crash returns nothing: its whole window is unacknowledged. It
 // returns the ids it was handed and how many of them it was handed
 // twice.
-func plainConsumer(cons *broker.Consumer, tid, window int, done <-chan struct{}) (delivered map[uint64]bool, redelivered int) {
+func plainConsumer(r *round, cons *broker.Consumer, tid, window int) (delivered map[uint64]bool, redelivered int) {
 	delivered = map[uint64]bool{}
 	idle := false
 	for {
-		runtime.Gosched()
+		r.yield()
 		var ms []broker.Message
 		if pmem.Protect(func() {
 			if window == 1 {
@@ -276,138 +243,32 @@ func plainConsumer(cons *broker.Consumer, tid, window int, done <-chan struct{})
 			idle = false
 			continue
 		}
-		select {
-		case <-done:
+		if r.trafficEnded() {
 			if idle {
 				return delivered, redelivered
 			}
 			idle = true
-		default:
 		}
 	}
 }
 
-// markSeen folds one population of pre-crash deliveries into seen,
-// refusing an id another population already holds.
-func markSeen(seen map[uint64]string, ids map[uint64]bool, how string) error {
-	for id := range ids {
-		if prev, dup := seen[id]; dup {
-			return fmt.Errorf("message %#x delivered twice (%s and %s)", id, prev, how)
-		}
-		seen[id] = how
-	}
-	return nil
-}
-
-// markDelivered folds what each plain-group member was handed before
-// the crash into seen: no member was handed an id twice, and no two
-// members the same id.
-func markDelivered(seen map[uint64]string, delivered []map[uint64]bool, redelivered []int) error {
-	for c := range delivered {
-		if redelivered[c] > 0 {
-			return fmt.Errorf("consumer %d saw %d re-deliveries", c, redelivered[c])
-		}
-		if err := markSeen(seen, delivered[c], "delivered"); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// drainRecovered empties every FIFO shard of the recovered broker into
-// seen: payloads intact, nothing already seen comes back, and within a
-// shard each publisher's ids ascend. It returns the backlog's size.
-func drainRecovered(r *broker.Broker, seen map[uint64]string) (int, error) {
-	n := 0
-	for _, topic := range r.Topics() {
-		for s := 0; s < topic.Shards(); s++ {
-			lastPerPublisher := map[uint64]uint64{}
-			for {
-				p, ok := topic.DequeueShard(0, s)
-				if !ok {
-					break
-				}
-				id, err := checkPayload(p)
-				if err != nil {
-					return n, fmt.Errorf("recovered %w", err)
-				}
-				if prev, dup := seen[id]; dup {
-					return n, fmt.Errorf("message %#x both %s and recovered", id, prev)
-				}
-				seen[id] = "recovered"
-				pub, m := id>>32, id&0xffffffff
-				if last := lastPerPublisher[pub]; m <= last {
-					return n, fmt.Errorf("shard %s/%d: publisher %d out of order (%d after %d)",
-						topic.Name(), s, pub, m, last)
-				}
-				lastPerPublisher[pub] = m
-				n++
-			}
-		}
-	}
-	return n, nil
-}
-
-// drainAcked binds a fresh one-member group to the recovered broker's
-// lease region and processes the backlog into seen — poll, audit, ack —
-// refusing anything a pre-crash consumer had already acknowledged. It
-// returns the number of messages drained.
-func drainAcked(r *broker.Broker, seen map[uint64]string) (int, error) {
-	g, err := r.NewGroupAcked([]string{"events", "jobs"}, 1, broker.LeaseConfig{TTL: 5, Now: func() uint64 { return 0 }})
+// plainConsumers subscribes a plain group of n members to the two FIFO
+// topics and starts one plainConsumer actor per member, member c on tid
+// firstTid+c. The slices it returns are filled by the time the round
+// has joined.
+func plainConsumers(r *round, n, firstTid, window int) (delivered []map[uint64]bool, redelivered []int, err error) {
+	g, err := r.b.NewGroup([]string{"events", "jobs"}, n)
 	if err != nil {
-		return 0, err
+		return nil, nil, err
 	}
-	c, n := g.Consumer(0), 0
-	for {
-		ms := c.PollBatch(0, 16)
-		if len(ms) == 0 {
-			return n, nil
-		}
-		for _, m := range ms {
-			id, err := checkPayload(m.Payload)
-			if err != nil {
-				return n, fmt.Errorf("recovered %w", err)
-			}
-			if prev, dup := seen[id]; dup {
-				return n, fmt.Errorf("message %#x both acknowledged by %s and redelivered after recovery", id, prev)
-			}
-			seen[id] = "post-crash drain"
-			n++
-		}
-		c.Ack(0)
+	delivered, redelivered = make([]map[uint64]bool, n), make([]int, n)
+	for c := 0; c < n; c++ {
+		r.actor(func() {
+			delivered[c], redelivered[c] = plainConsumer(r, g.Consumer(c), firstTid+c, window)
+		})
 	}
+	return delivered, redelivered, nil
 }
-
-// markProcessed folds the per-consumer acknowledged-and-recorded sets
-// into seen: "processed" means acknowledged, and nothing may be
-// acknowledged twice.
-func markProcessed(seen map[uint64]string, processed []map[uint64]bool) error {
-	for c := range processed {
-		for id := range processed[c] {
-			if prev, dup := seen[id]; dup {
-				return fmt.Errorf("message %#x acknowledged twice (%s and consumer %d)", id, prev, c)
-			}
-			seen[id] = fmt.Sprintf("consumer %d", c)
-		}
-	}
-	return nil
-}
-
-// countLost reports how many acknowledged publishes there were and how
-// many of them the audit never saw.
-func countLost(seen map[uint64]string, acked ...[]uint64) (total, lost int) {
-	for _, ids := range acked {
-		total += len(ids)
-		for _, id := range ids {
-			if _, ok := seen[id]; !ok {
-				lost++
-			}
-		}
-	}
-	return total, lost
-}
-
-const plainThreads = 3 + 2 // producers + consumers
 
 // plainGroupRound is the whole-broker durability audit: concurrent
 // producers (mixing per-message, keyed, batch and pipelined publishes)
@@ -415,349 +276,226 @@ const plainThreads = 3 + 2 // producers + consumers
 // recovered from its catalog alone and audited — every acknowledged
 // publish across all topics and shards is delivered or recovered
 // exactly once, and per-shard per-producer FIFO holds.
-func plainGroupRound(seed int64, o *obs.Observer, dequeueBatch, heaps int) (res BrokerFuzzResult, err error) {
+func plainGroupRound(r *round, dequeueBatch, heaps int) error {
 	const (
 		producers   = 3
 		consumers   = 2
 		perProducer = 3000
-		threads     = plainThreads
 	)
-	hs := pmem.NewSet(heaps, pmem.Config{Bytes: 64 << 20, Mode: pmem.ModeCrash, MaxThreads: threads})
-	b, err := newBroker(hs, broker.Options{Threads: threads, Observer: o}, fifoTopics(false), 0)
-	if err != nil {
-		return res, err
+	if err := r.open(heaps, broker.Options{}, fifoTopics(false), 0); err != nil {
+		return err
 	}
-	g, err := b.NewGroup([]string{"events", "jobs"}, consumers)
+	delivered, redelivered, err := plainConsumers(r, consumers, producers, dequeueBatch)
 	if err != nil {
-		return res, err
+		return err
 	}
-	crashRng := rand.New(rand.NewSource(seed))
 	// The window is sized to the workload's actual per-heap access count
 	// (~100k/heaps for 9000 messages) so the crash usually lands
 	// mid-traffic rather than at quiescence.
-	hs.Heap(crashRng.Intn(heaps)).ScheduleCrashAtAccess((20_000 + int64(crashRng.Intn(140_000))) / int64(heaps))
+	r.arm(20_000, 140_000)
 
-	acked := make([][]uint64, producers)
-	delivered := make([]map[uint64]bool, consumers)
-	redelivered := make([]int, consumers)
-	var fail firstError
-	var producersDone, wg sync.WaitGroup
-	// Gate all workers on one signal so consumers race producers from
-	// the first access — without it the crash (which fires within tens
-	// of thousands of accesses) usually lands before the consumer
-	// goroutines are even scheduled and the delivered-side audit is
-	// vacuous.
-	var start sync.WaitGroup
-	start.Add(1)
-
-	for p := 0; p < producers; p++ {
-		wg.Add(1)
-		producersDone.Add(1)
-		go func(p int) {
-			defer wg.Done()
-			defer producersDone.Done()
-			start.Wait()
-			rng := rand.New(rand.NewSource(seed*997 + int64(p)))
-			events, jobs := b.Topic("events"), b.Topic("jobs")
-			// The pipelined arm: windows issue unfenced and acknowledge
-			// one flush late, so `issued` tracks ids whose covering fence
-			// is still owed. A crash discards them (they were never
-			// acknowledged; whatever landed durably is recovered, which
-			// the audit allows).
-			pub := events.NewPublisher(p, broker.PublisherConfig{
-				Policy: batch.NewAIMD(1, 8), Pipeline: true,
-			})
-			var issued []uint64
-			ackN := func(n int) {
-				acked[p] = append(acked[p], issued[:n]...)
-				issued = issued[n:]
-			}
-			// Each iteration publishes ids in increasing order before
-			// minting the next, so every shard sees any one producer's
-			// messages with ascending ids.
-			for m := uint64(1); m <= perProducer; {
-				runtime.Gosched()
-				id := uint64(p+1)<<32 | m
-				switch rng.Intn(5) {
-				case 0: // fixed-topic publish (after draining the pipeline:
-					// a buffered window holds earlier ids, and publishing id
-					// directly before they land would break per-shard FIFO)
-					n := 0
-					if pmem.Protect(func() { n = pub.Flush(); events.Publish(p, broker.U64(id)) }) {
-						return
-					}
-					ackN(n)
-					acked[p] = append(acked[p], id)
-					m++
-				case 1: // keyed publish
-					if pmem.Protect(func() { jobs.PublishKey(p, broker.U64(id%5), blobPayload(id)) }) {
-						return
-					}
-					acked[p] = append(acked[p], id)
-					m++
-				case 2: // pipelined adaptive burst, acked one window late
-					for burst := 0; burst < 8 && m <= perProducer; burst++ {
-						id := uint64(p+1)<<32 | m
-						n := 0
-						if pmem.Protect(func() { n = pub.Publish(broker.U64(id)) }) {
-							return
-						}
-						issued = append(issued, id)
-						ackN(n)
-						m++
-					}
-				default: // batch of consecutive ids, acked as a whole
-					var batch [][]byte
-					var ids []uint64
-					for len(batch) < 8 && m <= perProducer {
-						ids = append(ids, uint64(p+1)<<32|m)
-						batch = append(batch, blobPayload(ids[len(ids)-1]))
-						m++
-					}
-					if pmem.Protect(func() { jobs.PublishBatch(p, batch) }) {
-						return
-					}
-					acked[p] = append(acked[p], ids...)
+	r.producers(producers, func(p int) (acked []uint64) {
+		rng := rand.New(rand.NewSource(r.seed*997 + int64(p)))
+		events, jobs := r.b.Topic("events"), r.b.Topic("jobs")
+		// The pipelined arm: windows issue unfenced and acknowledge
+		// one flush late, so `issued` tracks ids whose covering fence
+		// is still owed. A crash discards them (they were never
+		// acknowledged; whatever landed durably is recovered, which
+		// the audit allows).
+		pub := events.NewPublisher(p, broker.PublisherConfig{
+			Policy: batch.NewAIMD(1, 8), Pipeline: true,
+		})
+		var issued []uint64
+		ackN := func(n int) {
+			acked = append(acked, issued[:n]...)
+			issued = issued[n:]
+		}
+		// Each iteration publishes ids in increasing order before
+		// minting the next, so every shard sees any one producer's
+		// messages with ascending ids.
+		for m := uint64(1); m <= perProducer; {
+			r.yield()
+			id := uint64(p+1)<<32 | m
+			switch rng.Intn(5) {
+			case 0: // fixed-topic publish (after draining the pipeline:
+				// a buffered window holds earlier ids, and publishing id
+				// directly before they land would break per-shard FIFO)
+				n := 0
+				if pmem.Protect(func() { n = pub.Flush(); events.Publish(p, broker.U64(id)) }) {
+					return acked
 				}
+				ackN(n)
+				acked = append(acked, id)
+				m++
+			case 1: // keyed publish
+				if pmem.Protect(func() { jobs.PublishKey(p, broker.U64(id%5), blobPayload(id)) }) {
+					return acked
+				}
+				acked = append(acked, id)
+				m++
+			case 2: // pipelined adaptive burst, acked one window late
+				for burst := 0; burst < 8 && m <= perProducer; burst++ {
+					id := uint64(p+1)<<32 | m
+					n := 0
+					if pmem.Protect(func() { n = pub.Publish(broker.U64(id)) }) {
+						return acked
+					}
+					issued = append(issued, id)
+					ackN(n)
+					m++
+				}
+			default: // batch of consecutive ids, acked as a whole
+				var batch [][]byte
+				var ids []uint64
+				for len(batch) < 8 && m <= perProducer {
+					ids = append(ids, uint64(p+1)<<32|m)
+					batch = append(batch, blobPayload(ids[len(ids)-1]))
+					m++
+				}
+				if pmem.Protect(func() { jobs.PublishBatch(p, batch) }) {
+					return acked
+				}
+				acked = append(acked, ids...)
 			}
-			// Drain the pipeline: after Flush every issued id is durably
-			// acknowledged.
-			n := 0
-			if pmem.Protect(func() { n = pub.Flush() }) {
-				return
-			}
-			ackN(n)
-			if len(issued) != 0 {
-				fail.set(fmt.Errorf("producer %d: publisher Flush left %d ids unacknowledged", p, len(issued)))
-			}
-		}(p)
-	}
+		}
+		// Drain the pipeline: after Flush every issued id is durably
+		// acknowledged.
+		n := 0
+		if pmem.Protect(func() { n = pub.Flush() }) {
+			return acked
+		}
+		ackN(n)
+		if len(issued) != 0 {
+			r.failf("producer %d: publisher Flush left %d ids unacknowledged", p, len(issued))
+		}
+		return acked
+	})
 
-	done := make(chan struct{})
-	go func() { producersDone.Wait(); close(done) }()
-	for c := 0; c < consumers; c++ {
-		wg.Add(1)
-		go func(c int) {
-			defer wg.Done()
-			start.Wait()
-			delivered[c], redelivered[c] = plainConsumer(g.Consumer(c), producers+c, dequeueBatch, done)
-		}(c)
-	}
-	start.Done()
-	wg.Wait()
-	res.MidTraffic = powerLoss(hs, seed*31)
-	if err := fail.get(); err != nil {
-		return res, err
-	}
-
-	r, err := broker.Open(hs, broker.Options{Threads: threads, Observer: o})
+	rb, err := r.run(31, broker.Options{Threads: r.threads})
 	if err != nil {
-		return res, err
+		return err
 	}
-	seen := map[uint64]string{}
-	if err := markDelivered(seen, delivered, redelivered); err != nil {
-		return res, err
-	}
-	recovered, err := drainRecovered(r, seen)
-	if err != nil {
-		return res, err
-	}
-	total, lost := countLost(seen, acked...)
-	res.Tally = fmt.Sprintf("acked %d, delivered %d, recovered backlog %d, in-flight losses %d",
-		total, len(seen)-recovered, recovered, lost)
+	seen := newLedger()
+	seen.markDelivered(delivered, redelivered)
+	recovered := seen.drainRecovered(rb)
 	// Each consumer may have one unacknowledged poll window whose
 	// persists completed just before the crash cut off the delivery
 	// record: 1 message on the Poll path, up to the poll batch size on
 	// the PollBatch path (the window's final NTStores can land without
 	// the batch's fence).
-	if allowance := consumers * dequeueBatch; lost > allowance {
-		return res, fmt.Errorf("%d acknowledged messages lost (allowance %d)", lost, allowance)
-	}
-	return res, nil
+	total, lost, over := seen.settle(consumers*dequeueBatch, "messages lost", r.acked...)
+	r.res.Tally = fmt.Sprintf("acked %d, delivered %d, recovered backlog %d, in-flight losses %d",
+		total, len(seen.where)-recovered, recovered, lost)
+	return over
 }
 
-const consumerCrashThreads = 2 + 3 // producers + consumers
-
 // consumerCrashRound is the consumer-crash audit: concurrent producers
-// and an acked consumer group run while a killer repeatedly crashes a
-// consumer mid-batch (after delivery, before acknowledgment), waits
-// out its lease, and adopts its shards into a survivor; partway
-// through, the power loss downs the whole heap set. The broker is
-// recovered, a fresh group binds the lease region, and the audit
-// demands exactly-once processing: no message is ever acknowledged
-// twice (no acked message is redelivered, by takeover or by recovery),
-// and every acknowledged publish is processed exactly once, up to the
+// and an acked consumer group run while two consumers crash mid-batch
+// (after delivery, before acknowledgment) and a killer waits out each
+// one's lease and adopts its shards into a survivor; partway through,
+// the power loss downs the whole heap set. The broker is recovered, a
+// fresh group binds the lease region, and the audit demands
+// exactly-once processing: no message is ever acknowledged twice (no
+// acked message is redelivered, by takeover or by recovery), and every
+// acknowledged publish is processed exactly once, up to the
 // window-sized observer gap of acks whose fence completed just before
 // the crash cut off the record.
-func consumerCrashRound(seed int64, o *obs.Observer) (res BrokerFuzzResult, err error) {
+func consumerCrashRound(r *round) error {
 	const (
 		producers   = 2
 		consumers   = 3
 		perProducer = 2000
 		window      = 8
 		heaps       = 2
-		threads     = consumerCrashThreads
 	)
-	hs := pmem.NewSet(heaps, pmem.Config{Bytes: 64 << 20, Mode: pmem.ModeCrash, MaxThreads: threads})
-	b, err := newBroker(hs, broker.Options{Threads: threads, Observer: o}, fifoTopics(true), 1)
-	if err != nil {
-		return res, err
+	if err := r.open(heaps, broker.Options{}, fifoTopics(true), 1); err != nil {
+		return err
 	}
 	var clk atomic.Uint64
-	g, err := b.NewGroupAcked([]string{"events", "jobs"}, consumers, broker.LeaseConfig{TTL: 5, Now: clk.Load})
+	g, err := r.b.NewGroupAcked([]string{"events", "jobs"}, consumers, broker.LeaseConfig{TTL: 5, Now: clk.Load})
 	if err != nil {
-		return res, err
+		return err
 	}
 	// The window matches this workload's real access volume (~4000
 	// messages ≈ 90k accesses across the set, counting lease and ack
 	// traffic), so the crash usually lands mid-traffic — with kills and
 	// takeovers already behind it — rather than at quiescence.
-	crashRng := rand.New(rand.NewSource(seed))
-	hs.Heap(crashRng.Intn(heaps)).ScheduleCrashAtAccess((10_000 + int64(crashRng.Intn(60_000))) / int64(heaps))
+	r.arm(10_000, 60_000)
+	// Consumers 1 and 2 die holding the window that follows their
+	// killAfter-th acknowledged one. The kill point is progress, not
+	// wall time, so how much traffic precedes each kill is the seed's
+	// choice and not the box's speed; the second victim's point lies
+	// past the first's, and both inside the ~30 windows a member
+	// acknowledges before the earliest power loss arm can place.
+	killAfter := [consumers]int{0: math.MaxInt}
+	killAfter[1] = 2 + r.crashRng.Intn(6)
+	killAfter[2] = killAfter[1] + 2 + r.crashRng.Intn(6)
 
-	acked := make([][]uint64, producers)
 	processed := make([]map[uint64]bool, consumers) // acked-and-recorded, per consumer
-	var killFlag [consumers]atomic.Bool
 	var consumerDone [consumers]chan struct{}
 	var victimWindow [consumers]int // the unacknowledged window a killed consumer died holding
-	var fail firstError
-	var producersDone, wg sync.WaitGroup
-	var start sync.WaitGroup
-	start.Add(1)
+	takeovers := 0                  // takeover assertions that ran before the power loss
 
-	for p := 0; p < producers; p++ {
-		wg.Add(1)
-		producersDone.Add(1)
-		go func(p int) {
-			defer wg.Done()
-			defer producersDone.Done()
-			start.Wait()
-			acked[p] = mixedProducer(b, p, rand.New(rand.NewSource(seed*887+int64(p))), 1, perProducer)
-		}(p)
-	}
-
-	done := make(chan struct{})
-	go func() { producersDone.Wait(); close(done) }()
+	r.producers(producers, mixedProducer(r, 887, 1, perProducer))
 	for c := 0; c < consumers; c++ {
-		wg.Add(1)
-		processed[c] = map[uint64]bool{}
 		consumerDone[c] = make(chan struct{})
-		go func(c int) {
-			defer wg.Done()
+		r.actor(func() {
 			defer close(consumerDone[c])
-			start.Wait()
-			tid := producers + c
-			cons := g.Consumer(c)
-			idle := false
-			for {
-				runtime.Gosched()
-				var ms []broker.Message
-				if pmem.Protect(func() { ms = cons.PollBatch(tid, window) }) {
-					return // power loss mid-poll
-				}
-				if len(ms) > 0 {
-					idle = false
-					for _, m := range ms {
-						if _, err := checkPayload(m.Payload); err != nil {
-							fail.set(fmt.Errorf("consumer %d: %w", c, err))
-						}
+			processed[c] = ackedMember(r, c, g.Consumer(c), producers+c, window, memberHooks{
+				holding: func(windows, n int) bool {
+					if windows < killAfter[c] {
+						return false
 					}
-					// "Crash" mid-batch: delivered, never acknowledged —
-					// the window must be redelivered via takeover.
-					if killFlag[c].Load() {
-						victimWindow[c] = len(ms)
-						return
-					}
-					if pmem.Protect(func() { cons.Ack(tid) }) || hs.Crashed() {
-						// Crash mid-ack: the ack may or may not be durable. And
-						// once the set is down nothing is recorded: the crash
-						// signal is raised only at a pmem access, so an Ack
-						// that makes none — over redeliveries a crashed
-						// takeover queued without moving their shard — returns
-						// as if it had acknowledged.
-						return
-					}
-					// Only now is the batch processed for the audit.
-					for _, m := range ms {
-						processed[c][broker.AsU64(m.Payload[:8])] = true
-					}
-					continue
-				}
-				select {
-				case <-done:
-					if killFlag[c].Load() || idle {
-						return
-					}
-					idle = true
-				default:
-				}
-			}
-		}(c)
+					victimWindow[c] = n
+					return true
+				},
+			})
+		})
 	}
-
-	// The killer: crash consumers 1 and 2 mid-run, wait out their
-	// leases, adopt their shards into consumer 0.
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		start.Wait()
+	// The killer: as consumers 1 and 2 crash mid-run, wait out their
+	// leases and adopt their shards into consumer 0.
+	r.actor(func() {
 		for victim := 1; victim < consumers; victim++ {
-			time.Sleep(time.Duration(1+crashRng.Intn(3)) * time.Millisecond)
-			killFlag[victim].Store(true)
 			<-consumerDone[victim]
 			clk.Add(1000) // let the victim's leases expire
 			vTid := producers + victim
 			var moved int
 			var aerr error
-			if pmem.Protect(func() { moved, aerr = g.Adopt(vTid, victim, 0) }) || hs.Crashed() {
+			if pmem.Protect(func() { moved, aerr = g.Adopt(vTid, victim, 0) }) || r.hs.Crashed() {
 				return // power loss during takeover: a dead machine asserts nothing
 			}
 			if aerr != nil {
-				fail.set(fmt.Errorf("Adopt(%d -> 0): %w", victim, aerr))
+				r.failf("Adopt(%d -> 0): %w", victim, aerr)
 				return
 			}
 			if moved < victimWindow[victim] {
-				fail.set(fmt.Errorf("takeover of consumer %d moved %d redeliveries, want at least the victim's window %d",
-					victim, moved, victimWindow[victim]))
+				r.failf("takeover of consumer %d moved %d redeliveries, want at least the victim's window %d",
+					victim, moved, victimWindow[victim])
 				return
 			}
+			if victimWindow[victim] > 0 {
+				takeovers++
+			}
 		}
-	}()
+	})
 
-	start.Done()
-	wg.Wait()
-	res.MidTraffic = powerLoss(hs, seed*17)
-	if err := fail.get(); err != nil {
-		return res, err
-	}
-
-	r, err := broker.Open(hs, broker.Options{Threads: threads, Observer: o})
+	rb, err := r.run(17, broker.Options{Threads: r.threads})
 	if err != nil {
-		return res, err
+		return err
 	}
 	// Exactly-once audit. "Processed" = acknowledged: once pre-crash
 	// (recorded after Ack returned) or once in the post-crash drain.
-	seen := map[uint64]string{}
-	if err := markProcessed(seen, processed); err != nil {
-		return res, err
-	}
-	drained, err := drainAcked(r, seen)
-	if err != nil {
-		return res, err
-	}
-	total, lost := countLost(seen, acked...)
-	res.Tally = fmt.Sprintf("published %d, processed pre-crash %d, drained post-crash %d, observer-gap %d",
-		total, len(seen)-drained, drained, lost)
+	seen := newLedger()
+	seen.markProcessed(processed)
+	drained := seen.drainAcked(rb)
 	// The only permissible gap: a consumer whose Ack's fence completed
 	// right before the power loss killed it between the fence and the
 	// audit record — at most one poll window per consumer.
-	if allowance := consumers * window; lost > allowance {
-		return res, fmt.Errorf("%d acknowledged publishes never processed (allowance %d)", lost, allowance)
-	}
-	return res, nil
+	total, lost, over := seen.settle(consumers*window, "publishes never processed", r.acked...)
+	r.res.Tally = fmt.Sprintf("published %d, processed pre-crash %d, drained post-crash %d, takeovers asserted before the power loss %d, observer-gap %d",
+		total, len(seen.where)-drained, drained, takeovers, lost)
+	return over
 }
-
-const dynamicTopicsThreads = 2 + 2 + 1 // producers + consumers + the administrator
 
 // dynamicTopicsRound is the live-administration audit: producers and
 // a consumer group hammer the initial topics while an administrator
@@ -767,60 +505,37 @@ const dynamicTopicsThreads = 2 + 2 + 1 // producers + consumers + the administra
 // alone and audited: every topic whose creation returned exists; every
 // acknowledged publish — to initial and dynamic topics alike — is
 // delivered or recovered exactly once, in per-shard order.
-func dynamicTopicsRound(seed int64, o *obs.Observer) (res BrokerFuzzResult, err error) {
+func dynamicTopicsRound(r *round) error {
 	const (
 		producers   = 2
 		consumers   = 2
 		perProducer = 2500
 		heaps       = 2
 		adminTid    = producers + consumers
-		threads     = dynamicTopicsThreads
 		maxDyn      = 6
 	)
-	hs := pmem.NewSet(heaps, pmem.Config{Bytes: 64 << 20, Mode: pmem.ModeCrash, MaxThreads: threads})
-	b, err := newBroker(hs, broker.Options{Threads: threads, Observer: o}, fifoTopics(false), 0)
-	if err != nil {
-		return res, err
+	if err := r.open(heaps, broker.Options{}, fifoTopics(false), 0); err != nil {
+		return err
 	}
-	g, err := b.NewGroup([]string{"events", "jobs"}, consumers)
+	b := r.b
+	delivered, redelivered, err := plainConsumers(r, consumers, producers, 8)
 	if err != nil {
-		return res, err
+		return err
 	}
-	crashRng := rand.New(rand.NewSource(seed))
-	hs.Heap(crashRng.Intn(heaps)).ScheduleCrashAtAccess((20_000 + int64(crashRng.Intn(120_000))) / int64(heaps))
+	r.arm(20_000, 120_000)
 
-	acked := make([][]uint64, producers)
 	dynAcked := make(map[string][]uint64) // admin-published ids per dynamic topic
 	var dynCreated []string               // creations that returned success
-	delivered := make([]map[uint64]bool, consumers)
-	redelivered := make([]int, consumers)
 	adminDelivered := map[uint64]bool{}
-	var fail firstError
-	var producersDone, wg sync.WaitGroup
-	var start sync.WaitGroup
-	start.Add(1)
 
-	for p := 0; p < producers; p++ {
-		wg.Add(1)
-		producersDone.Add(1)
-		go func(p int) {
-			defer wg.Done()
-			defer producersDone.Done()
-			start.Wait()
-			acked[p] = mixedProducer(b, p, rand.New(rand.NewSource(seed*733+int64(p))), 1, perProducer)
-		}(p)
-	}
-
+	r.producers(producers, mixedProducer(r, 733, 1, perProducer))
 	// The administrator: create a topic, publish into it, consume a
 	// little of it through a fresh single-member group — all while the
 	// producers and the main group run full tilt on other tids.
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		start.Wait()
-		rng := rand.New(rand.NewSource(seed * 919))
+	r.actor(func() {
+		rng := rand.New(rand.NewSource(r.seed * 919))
 		for d := 0; d < maxDyn; d++ {
-			runtime.Gosched()
+			r.yield()
 			name := fmt.Sprintf("dyn-%d", d)
 			tc := broker.TopicConfig{Name: name, Shards: 1 + rng.Intn(3)}
 			if rng.Intn(2) == 0 {
@@ -831,7 +546,7 @@ func dynamicTopicsRound(seed int64, o *obs.Observer) (res BrokerFuzzResult, err 
 				return // crash inside the creation protocol
 			}
 			if cerr != nil {
-				fail.set(fmt.Errorf("CreateTopic(%s): %w", name, cerr))
+				r.failf("CreateTopic(%s): %w", name, cerr)
 				return
 			}
 			dynCreated = append(dynCreated, name)
@@ -839,11 +554,7 @@ func dynamicTopicsRound(seed int64, o *obs.Observer) (res BrokerFuzzResult, err 
 			n := 20 + rng.Intn(40)
 			for m := 1; m <= n; m++ {
 				id := uint64(200+d)<<32 | uint64(m)
-				payload := broker.U64(id)
-				if tc.MaxPayload != 0 {
-					payload = blobPayload(id)
-				}
-				if pmem.Protect(func() { topic.Publish(adminTid, payload) }) {
+				if pmem.Protect(func() { topic.Publish(adminTid, payloadFor(topic, id)) }) {
 					return
 				}
 				dynAcked[name] = append(dynAcked[name], id)
@@ -852,7 +563,7 @@ func dynamicTopicsRound(seed int64, o *obs.Observer) (res BrokerFuzzResult, err 
 			// the audit sees both delivered and recovered populations.
 			dg, gerr := b.NewGroup([]string{name}, 1)
 			if gerr != nil {
-				fail.set(fmt.Errorf("NewGroup(%s): %w", name, gerr))
+				r.failf("NewGroup(%s): %w", name, gerr)
 				return
 			}
 			var ms []broker.Message
@@ -863,63 +574,35 @@ func dynamicTopicsRound(seed int64, o *obs.Observer) (res BrokerFuzzResult, err 
 				adminDelivered[broker.AsU64(m.Payload[:8])] = true
 			}
 		}
-	}()
-
-	done := make(chan struct{})
-	go func() { producersDone.Wait(); close(done) }()
-	for c := 0; c < consumers; c++ {
-		wg.Add(1)
-		go func(c int) {
-			defer wg.Done()
-			start.Wait()
-			delivered[c], redelivered[c] = plainConsumer(g.Consumer(c), producers+c, 8, done)
-		}(c)
-	}
-	start.Done()
-	wg.Wait()
-	res.MidTraffic = powerLoss(hs, seed*37)
-	if err := fail.get(); err != nil {
-		return res, err
-	}
+	})
 
 	// Recovery adopts the recorded thread bound.
-	r, err := broker.Open(hs, broker.Options{Observer: o})
+	rb, err := r.run(37, broker.Options{})
 	if err != nil {
-		return res, err
+		return err
 	}
 	// Every creation that returned must have committed; creations cut
 	// off mid-call may or may not exist, but if they do they are empty.
 	for _, name := range dynCreated {
-		if r.Topic(name) == nil {
-			return res, fmt.Errorf("topic %q was created (call returned) but did not recover", name)
+		if rb.Topic(name) == nil {
+			return fmt.Errorf("topic %q was created (call returned) but did not recover", name)
 		}
 	}
-	seen := map[uint64]string{}
-	if err := markDelivered(seen, delivered, redelivered); err != nil {
-		return res, err
-	}
-	if err := markSeen(seen, adminDelivered, "admin-delivered"); err != nil {
-		return res, err
-	}
-	if _, err := drainRecovered(r, seen); err != nil {
-		return res, err
-	}
-	lists := acked
+	seen := newLedger()
+	seen.markDelivered(delivered, redelivered)
+	seen.markSeen(adminDelivered, "admin-delivered")
+	seen.drainRecovered(rb)
+	lists := r.acked
 	for _, ids := range dynAcked {
 		lists = append(lists, ids)
 	}
-	total, lost := countLost(seen, lists...)
-	res.Tally = fmt.Sprintf("acked %d (over 2 initial + %d dynamic topics), audited %d, in-flight losses %d",
-		total, len(dynCreated), len(seen), lost)
 	// Allowance: one unacknowledged poll window per main consumer (8)
 	// plus the admin's one in-flight drain window (up to 30).
-	if allowance := consumers*8 + 30; lost > allowance {
-		return res, fmt.Errorf("%d acknowledged messages lost (allowance %d)", lost, allowance)
-	}
-	return res, nil
+	total, lost, over := seen.settle(consumers*8+30, "messages lost", lists...)
+	r.res.Tally = fmt.Sprintf("acked %d (over 2 initial + %d dynamic topics), audited %d, in-flight losses %d",
+		total, len(dynCreated), len(seen.where), lost)
+	return over
 }
-
-const topicChurnThreads = 2 + 2 + 2 // producers + consumers + administrator + racer
 
 // topicChurnRound is the topic-churn audit: while producers and a
 // consumer group hammer the static topics, an administrator churns
@@ -932,7 +615,7 @@ const topicChurnThreads = 2 + 2 + 2 // producers + consumers + administrator + r
 // overlap), no topic whose delete returned resurfaces, and every
 // acknowledged publish to a surviving topic is delivered or recovered
 // exactly once, in per-publisher order.
-func topicChurnRound(seed int64, o *obs.Observer) (res BrokerFuzzResult, err error) {
+func topicChurnRound(r *round) error {
 	const (
 		producers   = 2
 		consumers   = 2
@@ -940,22 +623,19 @@ func topicChurnRound(seed int64, o *obs.Observer) (res BrokerFuzzResult, err err
 		heaps       = 2
 		churnTid    = producers + consumers     // the administrator
 		raceTid     = producers + consumers + 1 // publishes into live churn topics
-		threads     = topicChurnThreads
 		maxCycles   = 10
 	)
-	hs := pmem.NewSet(heaps, pmem.Config{Bytes: 64 << 20, Mode: pmem.ModeCrash, MaxThreads: threads})
 	// Small log: ~4 churn cycles fill it, so the storm exercises the
 	// auto-compaction path under fire.
-	b, err := newBroker(hs, broker.Options{Threads: threads, CatalogLines: 96, Observer: o}, fifoTopics(false), 0)
-	if err != nil {
-		return res, err
+	if err := r.open(heaps, broker.Options{CatalogLines: 96}, fifoTopics(false), 0); err != nil {
+		return err
 	}
-	g, err := b.NewGroup([]string{"events", "jobs"}, consumers)
+	b := r.b
+	delivered, redelivered, err := plainConsumers(r, consumers, producers, 8)
 	if err != nil {
-		return res, err
+		return err
 	}
-	crashRng := rand.New(rand.NewSource(seed))
-	hs.Heap(crashRng.Intn(heaps)).ScheduleCrashAtAccess((20_000 + int64(crashRng.Intn(120_000))) / int64(heaps))
+	r.arm(20_000, 120_000)
 
 	// Per churn cycle: lifecycle flags and the acknowledged ids, the
 	// raced publisher's under raceMu (it appends concurrently).
@@ -966,45 +646,21 @@ func topicChurnRound(seed int64, o *obs.Observer) (res BrokerFuzzResult, err err
 		acked          []uint64
 		raceAcked      []uint64
 	}
-	cycles := make([]*churnCycle, maxCycles)
-	for i := range cycles {
-		cycles[i] = &churnCycle{}
-	}
+	cycles := make([]churnCycle, maxCycles)
 	var raceMu sync.Mutex
 	var liveCycle atomic.Int64 // index of the currently alive churn topic, -1 when none
 	liveCycle.Store(-1)
-
-	acked := make([][]uint64, producers)
-	delivered := make([]map[uint64]bool, consumers)
-	redelivered := make([]int, consumers)
 	churnDelivered := map[uint64]bool{}
-	var fail firstError
-	var producersDone, wg sync.WaitGroup
-	var start sync.WaitGroup
-	start.Add(1)
 
-	for p := 0; p < producers; p++ {
-		wg.Add(1)
-		producersDone.Add(1)
-		go func(p int) {
-			defer wg.Done()
-			defer producersDone.Done()
-			start.Wait()
-			acked[p] = mixedProducer(b, p, rand.New(rand.NewSource(seed*733+int64(p))), 1, perProducer)
-		}(p)
-	}
-
+	r.producers(producers, mixedProducer(r, 733, 1, perProducer))
 	// The administrator: one full lifecycle per cycle — create, publish,
 	// drain a prefix, occasionally compact, then (usually) delete.
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
+	r.actor(func() {
 		defer liveCycle.Store(-1)
-		start.Wait()
-		rng := rand.New(rand.NewSource(seed * 919))
+		rng := rand.New(rand.NewSource(r.seed * 919))
 		for d := 0; d < maxCycles; d++ {
-			runtime.Gosched()
-			st := cycles[d]
+			r.yield()
+			st := &cycles[d]
 			name := fmt.Sprintf("churn-%d", d)
 			tc := broker.TopicConfig{Name: name, Shards: 1 + rng.Intn(2)}
 			if rng.Intn(2) == 0 {
@@ -1015,7 +671,7 @@ func topicChurnRound(seed int64, o *obs.Observer) (res BrokerFuzzResult, err err
 				return
 			}
 			if cerr != nil {
-				fail.set(fmt.Errorf("CreateTopic(%s): %w", name, cerr))
+				r.failf("CreateTopic(%s): %w", name, cerr)
 				return
 			}
 			st.created = true
@@ -1024,11 +680,7 @@ func topicChurnRound(seed int64, o *obs.Observer) (res BrokerFuzzResult, err err
 			n := 15 + rng.Intn(30)
 			for m := 1; m <= n; m++ {
 				id := uint64(300+d)<<32 | uint64(m)
-				payload := broker.U64(id)
-				if tc.MaxPayload != 0 {
-					payload = blobPayload(id)
-				}
-				if pmem.Protect(func() { topic.Publish(churnTid, payload) }) {
+				if pmem.Protect(func() { topic.Publish(churnTid, payloadFor(topic, id)) }) {
 					return
 				}
 				st.acked = append(st.acked, id)
@@ -1054,7 +706,7 @@ func topicChurnRound(seed int64, o *obs.Observer) (res BrokerFuzzResult, err err
 					return
 				}
 				if kerr != nil {
-					fail.set(fmt.Errorf("CompactCatalog: %w", kerr))
+					r.failf("CompactCatalog: %w", kerr)
 					return
 				}
 			}
@@ -1068,29 +720,20 @@ func topicChurnRound(seed int64, o *obs.Observer) (res BrokerFuzzResult, err err
 				return // crash inside the delete protocol: existence is ambiguous
 			}
 			if derr != nil {
-				fail.set(fmt.Errorf("DeleteTopic(%s): %w", name, derr))
+				r.failf("DeleteTopic(%s): %w", name, derr)
 				return
 			}
 			st.deleteReturned = true
 		}
-	}()
-
-	// The racer: publish into whatever churn topic is alive right now,
-	// racing the administrator's deletes — a publish that loses the race
-	// observes ErrTopicDeleted and is simply not acknowledged.
-	wg.Add(1)
-	raceDone := make(chan struct{})
-	go func() {
-		defer wg.Done()
-		start.Wait()
+	})
+	// The racer: until the producers finish, publish into whatever churn
+	// topic is alive right now, racing the administrator's deletes — a
+	// publish that loses the race observes ErrTopicDeleted and is simply
+	// not acknowledged.
+	r.actor(func() {
 		seq := uint64(0)
-		for {
-			select {
-			case <-raceDone:
-				return
-			default:
-			}
-			runtime.Gosched()
+		for !r.trafficEnded() {
+			r.yield()
 			d := liveCycle.Load()
 			if d < 0 {
 				continue
@@ -1102,11 +745,7 @@ func topicChurnRound(seed int64, o *obs.Observer) (res BrokerFuzzResult, err err
 			seq++
 			id := uint64(500+d)<<32 | seq
 			var perr error
-			payload := broker.U64(id)
-			if topic.MaxPayload() != 8 {
-				payload = blobPayload(id)
-			}
-			if pmem.Protect(func() { perr = topic.Publish(raceTid, payload) }) {
+			if pmem.Protect(func() { perr = topic.Publish(raceTid, payloadFor(topic, id)) }) {
 				return
 			}
 			if perr == nil {
@@ -1114,83 +753,55 @@ func topicChurnRound(seed int64, o *obs.Observer) (res BrokerFuzzResult, err err
 				cycles[d].raceAcked = append(cycles[d].raceAcked, id)
 				raceMu.Unlock()
 			} else if !errors.Is(perr, broker.ErrTopicDeleted) {
-				fail.set(fmt.Errorf("racer Publish: %w", perr))
+				r.failf("racer Publish: %w", perr)
 				return
 			}
 		}
-	}()
-
-	done := make(chan struct{})
-	go func() { producersDone.Wait(); close(done) }()
-	for c := 0; c < consumers; c++ {
-		wg.Add(1)
-		go func(c int) {
-			defer wg.Done()
-			start.Wait()
-			delivered[c], redelivered[c] = plainConsumer(g.Consumer(c), producers+c, 8, done)
-		}(c)
-	}
-	start.Done()
-	producersDone.Wait()
-	close(raceDone)
-	wg.Wait()
-	res.MidTraffic = powerLoss(hs, seed*37)
-	if err := fail.get(); err != nil {
-		return res, err
-	}
+	})
 
 	// Recovery replays the catalog across whatever generations and
 	// tombstones the churn left; its allocator simulation is itself the
 	// no-window-overlap audit.
-	r, err := broker.Open(hs, broker.Options{Observer: o})
+	rb, err := r.run(37, broker.Options{})
 	if err != nil {
-		return res, err
+		return err
 	}
 	ambiguous := 0
 	for d, st := range cycles {
 		name := fmt.Sprintf("churn-%d", d)
-		exists := r.Topic(name) != nil
+		exists := rb.Topic(name) != nil
 		switch {
 		case st.deleteReturned && exists:
-			return res, fmt.Errorf("topic %s resurrected: DeleteTopic returned, yet it recovered", name)
+			return fmt.Errorf("topic %s resurrected: DeleteTopic returned, yet it recovered", name)
 		case st.created && !st.deleteAttempt && !exists:
-			return res, fmt.Errorf("topic %s lost: created and never deleted, yet it did not recover", name)
+			return fmt.Errorf("topic %s lost: created and never deleted, yet it did not recover", name)
 		case st.deleteAttempt && !st.deleteReturned:
 			ambiguous++ // crash mid-delete: either outcome is legal
 		}
 	}
 
-	seen := map[uint64]string{}
-	if err := markDelivered(seen, delivered, redelivered); err != nil {
-		return res, err
-	}
-	if err := markSeen(seen, churnDelivered, "churn-delivered"); err != nil {
-		return res, err
-	}
-	if _, err := drainRecovered(r, seen); err != nil {
-		return res, err
-	}
+	seen := newLedger()
+	seen.markDelivered(delivered, redelivered)
+	seen.markSeen(churnDelivered, "churn-delivered")
+	seen.drainRecovered(rb)
 	// Exactly-once is audited over the surviving topics: a deleted
 	// topic's messages were deliberately dropped with it, so its acked
 	// ids are exempt from the loss audit (their *deliveries* still went
 	// through the duplicate check above).
-	lists := acked
+	lists := r.acked
 	churnAudited := 0
 	for d, st := range cycles {
-		if r.Topic(fmt.Sprintf("churn-%d", d)) != nil {
+		if rb.Topic(fmt.Sprintf("churn-%d", d)) != nil {
 			churnAudited++
 			lists = append(lists, st.acked, st.raceAcked)
 		}
 	}
-	total, lost := countLost(seen, lists...)
-	res.Tally = fmt.Sprintf("acked %d (auditing %d surviving churn topics, %d ambiguous deletes), audited %d, in-flight losses %d",
-		total, churnAudited, ambiguous, len(seen), lost)
 	// Allowance: one unacknowledged poll window per main consumer (8)
 	// plus the churn drain's in-flight window.
-	if allowance := consumers*8 + 8; lost > allowance {
-		return res, fmt.Errorf("%d acknowledged messages lost (allowance %d)", lost, allowance)
-	}
-	return res, nil
+	total, lost, over := seen.settle(consumers*8+8, "messages lost", lists...)
+	r.res.Tally = fmt.Sprintf("acked %d (auditing %d surviving churn topics, %d ambiguous deletes), audited %d, in-flight losses %d",
+		total, churnAudited, ambiguous, len(seen.where), lost)
+	return over
 }
 
 // heapPayload is the 24-byte payload of the heap-topic audit: id, key,
@@ -1215,8 +826,6 @@ func decodeHeapPayload(p []byte) (id, key uint64, err error) {
 	return id, key, nil
 }
 
-const heapTopicsThreads = 2 + 2 // producers + consumers
-
 // heapTopicsRound is the heap-topic audit: producers publish to a
 // delay and a priority topic (singles and batches) while consumers
 // drain with an advancing logical clock, and after the power loss and
@@ -1225,120 +834,98 @@ const heapTopicsThreads = 2 + 2 // producers + consumers
 // delivered or recovered exactly once and never before its deadline,
 // the recovered heaps pop in key order, and losses are bounded by the
 // consumers' in-flight dequeue windows.
-func heapTopicsRound(seed int64, o *obs.Observer) (res BrokerFuzzResult, err error) {
+func heapTopicsRound(r *round) error {
 	const (
 		producers   = 2
 		consumers   = 2
 		perProducer = 1200
 		popBatch    = 8
 		heaps       = 2
-		threads     = heapTopicsThreads
 	)
-	hs := pmem.NewSet(heaps, pmem.Config{Bytes: 64 << 20, Mode: pmem.ModeCrash, MaxThreads: threads})
-	b, err := newBroker(hs, broker.Options{Threads: threads, Observer: o}, []broker.TopicConfig{
+	if err := r.open(heaps, broker.Options{}, []broker.TopicConfig{
 		{Name: "delay", Shards: 1, MaxPayload: 24, Kind: broker.KindDelay},
 		{Name: "prio", Shards: 1, MaxPayload: 24, Kind: broker.KindPriority},
-	}, 0)
-	if err != nil {
-		return res, err
+	}, 0); err != nil {
+		return err
 	}
+	delay, prio := r.b.Topic("delay"), r.b.Topic("prio")
 	// The window matches this workload's real access volume (~2400
 	// messages ≈ 20k accesses across the set, ~10k on the armed heap:
 	// heap pushes and pop-mins touch far fewer lines than a FIFO lease
 	// and ack do), so the crash lands inside a push or a pop-min rather
 	// than at quiescence.
-	crashRng := rand.New(rand.NewSource(seed))
-	hs.Heap(crashRng.Intn(heaps)).ScheduleCrashAtAccess((2_000 + int64(crashRng.Intn(14_000))) / int64(heaps))
+	r.arm(2_000, 14_000)
 
 	var clock atomic.Uint64
 	clock.Store(1)
 
-	acked := make([][]uint64, producers) // ids whose publish returned
-	var fail firstError
-	var wg, producersDone sync.WaitGroup
-	var start sync.WaitGroup
-	start.Add(1)
-
-	for p := 0; p < producers; p++ {
-		wg.Add(1)
-		producersDone.Add(1)
-		go func(p int) {
-			defer wg.Done()
-			defer producersDone.Done()
-			start.Wait()
-			rng := rand.New(rand.NewSource(seed*613 + int64(p)))
-			delay, prio := b.Topic("delay"), b.Topic("prio")
-			// batchOf mints up to six consecutive ids from m, keyed by key().
-			batchOf := func(m uint64, key func() uint64) (ps [][]byte, keys, ids []uint64) {
-				for len(ps) < 6 && m+uint64(len(ps)) <= perProducer {
-					bid := uint64(p+1)<<32 | (m + uint64(len(ps)))
-					k := key()
-					ps = append(ps, heapPayload(bid, k))
-					keys = append(keys, k)
-					ids = append(ids, bid)
-				}
-				return ps, keys, ids
+	r.producers(producers, func(p int) (acked []uint64) { // ids whose publish returned
+		rng := rand.New(rand.NewSource(r.seed*613 + int64(p)))
+		// batchOf mints up to six consecutive ids from m, keyed by key().
+		batchOf := func(m uint64, key func() uint64) (ps [][]byte, keys, ids []uint64) {
+			for len(ps) < 6 && m+uint64(len(ps)) <= perProducer {
+				bid := uint64(p+1)<<32 | (m + uint64(len(ps)))
+				k := key()
+				ps = append(ps, heapPayload(bid, k))
+				keys = append(keys, k)
+				ids = append(ids, bid)
 			}
-			deadline := func() uint64 { return clock.Load() + uint64(rng.Intn(64)) }
-			rank := func() uint64 { return uint64(rng.Intn(1000)) }
-			for m := uint64(1); m <= perProducer; {
-				runtime.Gosched()
-				id := uint64(p+1)<<32 | m
-				var err error
-				var ids []uint64
-				switch rng.Intn(4) {
-				case 0: // single delayed publish
-					key := deadline()
-					if pmem.Protect(func() { err = delay.PublishAt(p, heapPayload(id, key), key) }) {
-						return
-					}
-					ids = []uint64{id}
-				case 1: // delayed batch, one fence
-					ps, keys, bids := batchOf(m, deadline)
-					if pmem.Protect(func() { err = delay.PublishAtBatch(p, ps, keys) }) {
-						return
-					}
-					ids = bids
-				case 2: // single priority publish
-					key := rank()
-					if pmem.Protect(func() { err = prio.PublishPriority(p, heapPayload(id, key), key) }) {
-						return
-					}
-					ids = []uint64{id}
-				default: // priority batch
-					ps, keys, bids := batchOf(m, rank)
-					if pmem.Protect(func() { err = prio.PublishPriorityBatch(p, ps, keys) }) {
-						return
-					}
-					ids = bids
+			return ps, keys, ids
+		}
+		deadline := func() uint64 { return clock.Load() + uint64(rng.Intn(64)) }
+		rank := func() uint64 { return uint64(rng.Intn(1000)) }
+		for m := uint64(1); m <= perProducer; {
+			r.yield()
+			id := uint64(p+1)<<32 | m
+			var err error
+			var ids []uint64
+			switch rng.Intn(4) {
+			case 0: // single delayed publish
+				key := deadline()
+				if pmem.Protect(func() { err = delay.PublishAt(p, heapPayload(id, key), key) }) {
+					return acked
 				}
-				if errors.Is(err, dheap.ErrFull) {
-					continue // backpressure: consumers are recycling slots
+				ids = []uint64{id}
+			case 1: // delayed batch, one fence
+				ps, keys, bids := batchOf(m, deadline)
+				if pmem.Protect(func() { err = delay.PublishAtBatch(p, ps, keys) }) {
+					return acked
 				}
-				if err != nil {
-					fail.set(fmt.Errorf("producer %d publish %#x: %w", p, id, err))
-					return
+				ids = bids
+			case 2: // single priority publish
+				key := rank()
+				if pmem.Protect(func() { err = prio.PublishPriority(p, heapPayload(id, key), key) }) {
+					return acked
 				}
-				acked[p] = append(acked[p], ids...)
-				m += uint64(len(ids))
+				ids = []uint64{id}
+			default: // priority batch
+				ps, keys, bids := batchOf(m, rank)
+				if pmem.Protect(func() { err = prio.PublishPriorityBatch(p, ps, keys) }) {
+					return acked
+				}
+				ids = bids
 			}
-		}(p)
-	}
+			if errors.Is(err, dheap.ErrFull) {
+				continue // backpressure: consumers are recycling slots
+			}
+			if err != nil {
+				r.failf("producer %d publish %#x: %w", p, id, err)
+				return acked
+			}
+			acked = append(acked, ids...)
+			m += uint64(len(ids))
+		}
+		return acked
+	})
 
-	done := make(chan struct{})
-	go func() { producersDone.Wait(); close(done) }()
 	delivered := make([]map[uint64]bool, consumers)
 	for c := 0; c < consumers; c++ {
-		wg.Add(1)
 		delivered[c] = map[uint64]bool{}
-		go func(c int) {
-			defer wg.Done()
-			start.Wait()
+		r.actor(func() {
 			tid := producers + c
-			delay, prio := b.Topic("delay"), b.Topic("prio")
 			idle := false
 			for turn := 0; ; turn++ {
-				runtime.Gosched()
+				r.yield()
 				now := clock.Add(1)
 				tp := delay
 				if turn%2 == 1 {
@@ -1350,7 +937,7 @@ func heapTopicsRound(seed int64, o *obs.Observer) (res BrokerFuzzResult, err err
 					return // crash mid-dequeue: the window counts against the allowance
 				}
 				if err != nil {
-					fail.set(fmt.Errorf("consumer %d dequeue: %w", c, err))
+					r.failf("consumer %d dequeue: %w", c, err)
 					return
 				}
 				if len(ps) > 0 {
@@ -1358,56 +945,46 @@ func heapTopicsRound(seed int64, o *obs.Observer) (res BrokerFuzzResult, err err
 						id, key, err := decodeHeapPayload(p)
 						switch {
 						case err != nil:
-							fail.set(fmt.Errorf("consumer %d: %w", c, err))
+							r.failf("consumer %d: %w", c, err)
 						case tp == delay && key > now:
-							fail.set(fmt.Errorf("consumer %d: message %#x delivered %d ticks before its deadline", c, id, key-now))
+							r.failf("consumer %d: message %#x delivered %d ticks before its deadline", c, id, key-now)
 						case delivered[c][id]:
-							fail.set(fmt.Errorf("consumer %d: message %#x delivered twice before the crash", c, id))
+							r.failf("consumer %d: message %#x delivered twice before the crash", c, id)
 						}
 						delivered[c][id] = true
 					}
 					idle = false
 					continue
 				}
-				select {
-				case <-done:
+				if r.trafficEnded() {
 					if idle {
 						return
 					}
 					idle = true
-				default:
 				}
 			}
-		}(c)
-	}
-	start.Done()
-	wg.Wait()
-	res.MidTraffic = powerLoss(hs, seed*37)
-	if err := fail.get(); err != nil {
-		return res, err
+		})
 	}
 
-	r, err := broker.Open(hs, broker.Options{Observer: o})
+	rb, err := r.run(37, broker.Options{})
 	if err != nil {
-		return res, err
+		return err
 	}
-	rd, rp := r.Topic("delay"), r.Topic("prio")
+	rd, rp := rb.Topic("delay"), rb.Topic("prio")
 	if rd == nil || rp == nil {
-		return res, fmt.Errorf("heap topics did not recover")
+		return fmt.Errorf("heap topics did not recover")
 	}
 	if rd.Kind() != broker.KindDelay || rp.Kind() != broker.KindPriority {
-		return res, fmt.Errorf("heap topics recovered with wrong kinds (%v, %v)", rd.Kind(), rp.Kind())
+		return fmt.Errorf("heap topics recovered with wrong kinds (%v, %v)", rd.Kind(), rp.Kind())
 	}
-	seen := map[uint64]string{}
+	seen := newLedger()
 	for c := range delivered {
-		if err := markSeen(seen, delivered[c], fmt.Sprintf("consumer %d", c)); err != nil {
-			return res, err
-		}
+		seen.markSeen(delivered[c], fmt.Sprintf("consumer %d", c))
 	}
 	// The recovered delay backlog still gates: nothing was published
 	// with a deadline below the clock's initial value.
 	if ps, err := rd.DequeueReadyBatch(0, 0, 1000); err != nil || len(ps) != 0 {
-		return res, fmt.Errorf("recovered delay topic delivered %d messages at now=0 (err %v)", len(ps), err)
+		return fmt.Errorf("recovered delay topic delivered %d messages at now=0 (err %v)", len(ps), err)
 	}
 	recovered := 0
 	for _, tp := range []*broker.Topic{rd, rp} {
@@ -1415,38 +992,32 @@ func heapTopicsRound(seed int64, o *obs.Observer) (res BrokerFuzzResult, err err
 		for {
 			p, ok, err := tp.DequeueReady(0, ^uint64(0))
 			if err != nil {
-				return res, err
+				return err
 			}
 			if !ok {
 				break
 			}
 			id, key, err := decodeHeapPayload(p)
 			if err != nil {
-				return res, fmt.Errorf("recovered %w", err)
+				return fmt.Errorf("recovered %w", err)
 			}
 			if key < lastKey {
-				return res, fmt.Errorf("%s recovered out of key order: %d after %d", tp.Name(), key, lastKey)
+				return fmt.Errorf("%s recovered out of key order: %d after %d", tp.Name(), key, lastKey)
 			}
 			lastKey = key
-			if prev, dup := seen[id]; dup {
-				return res, fmt.Errorf("message %#x both delivered (%s) and recovered", id, prev)
+			if !seen.claim(id, "recovered", "message %#x both delivered (%s) and recovered") {
+				return seen.err
 			}
-			seen[id] = "recovered"
 			recovered++
 		}
 	}
-	total, lost := countLost(seen, acked...)
-	res.Tally = fmt.Sprintf("acked %d, delivered %d, recovered %d, losses %d",
-		total, len(seen)-recovered, recovered, lost)
 	// Each consumer may lose one unacknowledged in-flight dequeue batch
 	// whose consume NTStores landed without their covering return.
-	if allowance := consumers * popBatch; lost > allowance {
-		return res, fmt.Errorf("%d acknowledged messages lost (allowance %d)", lost, allowance)
-	}
-	return res, nil
+	total, lost, over := seen.settle(consumers*popBatch, "messages lost", r.acked...)
+	r.res.Tally = fmt.Sprintf("acked %d, delivered %d, recovered %d, losses %d",
+		total, len(seen.where)-recovered, recovered, lost)
+	return over
 }
-
-const membershipChurnThreads = 2 + 3 + 1 // producers + consumers + the churn controller
 
 // stallCtl coordinates one stall cycle: the consumer closes stalled
 // when it parks holding a delivered-but-unacked window, and unparks
@@ -1464,29 +1035,23 @@ type stallCtl struct {
 // then the whole heap set loses power mid-traffic. The audit demands
 // exactly-once processing over every path and at least one provably
 // refused stale-epoch ack per run.
-func membershipChurnRound(seed int64, o *obs.Observer) (res BrokerFuzzResult, err error) {
+func membershipChurnRound(r *round) error {
 	const (
 		producers   = 2
 		consumers   = 3
 		perProducer = 2500
 		window      = 8
 		heaps       = 2
-		threads     = membershipChurnThreads
 		ctlTid      = producers + consumers
 	)
-	hs := pmem.NewSet(heaps, pmem.Config{Bytes: 64 << 20, Mode: pmem.ModeCrash, MaxThreads: threads})
-	b, err := newBroker(hs, broker.Options{Threads: threads, Observer: o}, fifoTopics(true), 1)
-	if err != nil {
-		return res, err
+	if err := r.open(heaps, broker.Options{}, fifoTopics(true), 1); err != nil {
+		return err
 	}
 	var clk atomic.Uint64
-	g, err := b.NewGroupAcked([]string{"events", "jobs"}, consumers, broker.LeaseConfig{TTL: 5, Now: clk.Load})
+	g, err := r.b.NewGroupAcked([]string{"events", "jobs"}, consumers, broker.LeaseConfig{TTL: 5, Now: clk.Load})
 	if err != nil {
-		return res, err
+		return err
 	}
-
-	acked := make([][]uint64, producers)
-	processed := make([]map[uint64]bool, consumers)
 	var staleRefused atomic.Uint64
 
 	// Deterministic prologue, before any goroutine starts: member 1
@@ -1497,74 +1062,43 @@ func membershipChurnRound(seed int64, o *obs.Observer) (res BrokerFuzzResult, er
 	var prologue []uint64
 	for m := uint64(1); m <= 16; m++ {
 		id := uint64(1)<<32 | m
-		b.Topic("events").Publish(0, broker.U64(id))
+		r.b.Topic("events").Publish(0, broker.U64(id))
 		prologue = append(prologue, id)
 	}
 	if ms := g.Consumer(1).PollBatch(producers+1, window); len(ms) == 0 {
-		return res, fmt.Errorf("prologue: member 1 polled nothing")
+		return fmt.Errorf("prologue: member 1 polled nothing")
 	}
 	clk.Add(1000)
 	rep, err := g.Scan(ctlTid, clk.Load())
 	if err != nil {
-		return res, err
+		return err
 	}
 	if len(rep.Expired) != 1 || rep.Expired[0] != 1 {
-		return res, fmt.Errorf("prologue scan expired %v, want [1]", rep.Expired)
+		return fmt.Errorf("prologue scan expired %v, want [1]", rep.Expired)
 	}
 	if _, err := g.Consumer(1).Ack(producers + 1); !errors.Is(err, broker.ErrFenced) {
-		return res, fmt.Errorf("prologue stale ack returned %v, want ErrFenced", err)
+		return fmt.Errorf("prologue stale ack returned %v, want ErrFenced", err)
 	}
 	staleRefused.Add(1)
 
 	// Now arm the mid-traffic power loss and let the storm loose.
-	crashRng := rand.New(rand.NewSource(seed))
-	hs.Heap(crashRng.Intn(heaps)).ScheduleCrashAtAccess((20_000 + int64(crashRng.Intn(80_000))) / int64(heaps))
+	r.arm(20_000, 80_000)
 
+	processed := make([]map[uint64]bool, consumers)
 	var killFlag [consumers]atomic.Bool
 	var consumerDone [consumers]chan struct{}
 	var ctlOf [consumers]atomic.Pointer[stallCtl]
-	var fail firstError
-	var producersDone, wg sync.WaitGroup
-	var start sync.WaitGroup
-	start.Add(1)
 
-	for p := 0; p < producers; p++ {
-		wg.Add(1)
-		producersDone.Add(1)
-		go func(p int) {
-			defer wg.Done()
-			defer producersDone.Done()
-			start.Wait()
-			// Ids start at 100: the prologue minted producer 0's 1..16.
-			acked[p] = mixedProducer(b, p, rand.New(rand.NewSource(seed*887+int64(p))), 100, perProducer)
-		}(p)
-	}
-
-	done := make(chan struct{})
-	go func() { producersDone.Wait(); close(done) }()
+	// Ids start at 100: the prologue minted producer 0's 1..16.
+	r.producers(producers, mixedProducer(r, 887, 100, perProducer))
 	for c := 0; c < consumers; c++ {
-		wg.Add(1)
-		processed[c] = map[uint64]bool{}
 		consumerDone[c] = make(chan struct{})
-		go func(c int) {
-			defer wg.Done()
+		r.actor(func() {
 			defer close(consumerDone[c])
-			start.Wait()
-			tid := producers + c
-			cons := g.Consumer(c)
-			idle := false
-			for {
-				runtime.Gosched()
-				var ms []broker.Message
-				if pmem.Protect(func() { ms = cons.PollBatch(tid, window) }) {
-					return
-				}
-				if len(ms) > 0 {
-					idle = false
-					for _, m := range ms {
-						if _, err := checkPayload(m.Payload); err != nil {
-							fail.set(fmt.Errorf("consumer %d: %w", c, err))
-						}
+			processed[c] = ackedMember(r, c, g.Consumer(c), producers+c, window, memberHooks{
+				holding: func(_, n int) bool {
+					if n == 0 {
+						return killFlag[c].Load()
 					}
 					if ctl := ctlOf[c].Swap(nil); ctl != nil {
 						// Stall: stop acking and heartbeating without
@@ -1572,59 +1106,20 @@ func membershipChurnRound(seed int64, o *obs.Observer) (res BrokerFuzzResult, er
 						close(ctl.stalled)
 						<-ctl.resume
 					}
-					if killFlag[c].Load() {
-						return
-					}
-					var aerr error
-					if pmem.Protect(func() { _, aerr = cons.Ack(tid) }) || hs.Crashed() {
-						return // a dead machine records nothing (see consumerCrashRound)
-					}
-					if errors.Is(aerr, broker.ErrFenced) {
-						// The window was taken while we were silent; it is
-						// someone else's now. Record nothing.
-						staleRefused.Add(1)
-						continue
-					}
-					for _, m := range ms {
-						processed[c][broker.AsU64(m.Payload[:8])] = true
-					}
-					continue
-				}
-				// Idle members work-steal expired shards one at a time.
-				var stole bool
-				var serr error
-				if pmem.Protect(func() { stole, _, serr = cons.Steal(tid) }) {
-					return
-				}
-				if serr != nil {
-					fail.set(fmt.Errorf("consumer %d steal: %w", c, serr))
-					return
-				}
-				if stole {
-					continue
-				}
-				select {
-				case <-done:
-					if killFlag[c].Load() || idle {
-						return
-					}
-					idle = true
-				default:
-				}
-			}
-		}(c)
+					return killFlag[c].Load()
+				},
+				fenced: func() { staleRefused.Add(1) },
+				steal:  true,
+			})
+		})
 	}
-
 	// The churn controller: stall-and-scan member 1, stall-and-steal
 	// member 2, then kill member 1 outright and scan its corpse away.
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		start.Wait()
+	r.actor(func() {
 		scan := func() {
 			var serr error
 			if !pmem.Protect(func() { _, serr = g.Scan(ctlTid, clk.Load()) }) && serr != nil {
-				fail.set(fmt.Errorf("scan: %w", serr))
+				r.failf("scan: %w", serr)
 			}
 		}
 		stallCycle := func(victim int, steal bool) {
@@ -1651,7 +1146,7 @@ func membershipChurnRound(seed int64, o *obs.Observer) (res BrokerFuzzResult, er
 						return
 					}
 					if serr != nil {
-						fail.set(fmt.Errorf("controller steal: %w", serr))
+						r.failf("controller steal: %w", serr)
 					}
 					if !stole {
 						return
@@ -1670,37 +1165,22 @@ func membershipChurnRound(seed int64, o *obs.Observer) (res BrokerFuzzResult, er
 		}
 		clk.Add(1000)
 		scan()
-	}()
+	})
 
-	start.Done()
-	wg.Wait()
-	res.MidTraffic = powerLoss(hs, seed*17)
-	if err := fail.get(); err != nil {
-		return res, err
-	}
-
-	r, err := broker.Open(hs, broker.Options{Threads: threads, Observer: o})
+	rb, err := r.run(17, broker.Options{Threads: r.threads})
 	if err != nil {
-		return res, err
+		return err
 	}
-	seen := map[uint64]string{}
-	if err := markProcessed(seen, processed); err != nil {
-		return res, err
-	}
-	drained, err := drainAcked(r, seen)
-	if err != nil {
-		return res, err
-	}
-	total, lost := countLost(seen, append(acked, prologue)...)
-	res.Tally = fmt.Sprintf("published %d, processed pre-crash %d, drained post-crash %d, stale acks refused %d, observer-gap %d",
-		total, len(seen)-drained, drained, staleRefused.Load(), lost)
-	if staleRefused.Load() == 0 {
-		return res, fmt.Errorf("no stale-epoch ack was exercised and refused")
-	}
+	seen := newLedger()
+	seen.markProcessed(processed)
+	drained := seen.drainAcked(rb)
 	// Same allowance as the consumer-crash audit: acks whose fence
 	// completed right before the power loss cut off the audit record.
-	if allowance := consumers * window; lost > allowance {
-		return res, fmt.Errorf("%d acknowledged publishes never processed (allowance %d)", lost, allowance)
+	total, lost, over := seen.settle(consumers*window, "publishes never processed", append(r.acked, prologue)...)
+	r.res.Tally = fmt.Sprintf("published %d, processed pre-crash %d, drained post-crash %d, stale acks refused %d, observer-gap %d",
+		total, len(seen.where)-drained, drained, staleRefused.Load(), lost)
+	if staleRefused.Load() == 0 {
+		return fmt.Errorf("no stale-epoch ack was exercised and refused")
 	}
-	return res, nil
+	return over
 }

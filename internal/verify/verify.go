@@ -24,6 +24,7 @@ package verify
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"sync"
 
 	"repro/internal/pmem"
@@ -148,7 +149,7 @@ func runOneCrashPoint(in queues.Info, script []ScriptOp, k, seed int64) (bool, e
 
 	// Allowed states: the completed prefix (A), or A with the pending
 	// operation applied (B).
-	if eq(got, model) {
+	if slices.Equal(got, model) {
 		check := postRecoverySanity(rq)
 		return crashed, check
 	}
@@ -159,7 +160,7 @@ func runOneCrashPoint(in queues.Info, script []ScriptOp, k, seed int64) (bool, e
 		} else if pendingDeq && len(b) > 0 {
 			b = b[1:]
 		}
-		if eq(got, b) {
+		if slices.Equal(got, b) {
 			return crashed, postRecoverySanity(rq)
 		}
 	}
@@ -186,18 +187,6 @@ func drain(q queues.Queue, tid int) []uint64 {
 		}
 		out = append(out, v)
 	}
-}
-
-func eq(a, b []uint64) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
 }
 
 // FuzzConfig parameterizes ConcurrentCrashFuzz.
