@@ -39,6 +39,11 @@ const (
 	sealOff  = pmem.Addr(lineData)
 )
 
+// MaxPayloadLimit is the largest MaxPayload a queue accepts: a seal's
+// line field is eight bits, so it names one (tag, line) pair only while
+// a blob has at most 255 lines.
+const MaxPayloadLimit = 255 * lineData
+
 // Codec words of the node line: [blob, tag, len].
 const (
 	pnBlob = queues.NodePayload
@@ -76,6 +81,9 @@ type Config struct {
 func (c *Config) norm() {
 	if c.MaxPayload == 0 {
 		c.MaxPayload = 240
+	}
+	if c.MaxPayload > MaxPayloadLimit {
+		panic(fmt.Sprintf("blobq: MaxPayload %d exceeds the seal's %d-byte bound", c.MaxPayload, MaxPayloadLimit))
 	}
 }
 
@@ -160,28 +168,30 @@ func (c *codec) Write(h *pmem.Heap, tid int, pn, blob pmem.Addr, payload []byte)
 	h.Store(tid, pn+pnBlob, uint64(blob))
 	h.Store(tid, pn+pnTag, tag)
 	h.Store(tid, pn+pnLen, uint64(len(payload)))
-	for l := 0; l < c.lines; l++ {
-		base := blob + pmem.Addr(l*pmem.CacheLineBytes)
-		chunk := l * lineData
-		for w := 0; w < lineData/pmem.WordBytes; w++ {
-			idx := chunk + w*8
-			var word uint64
-			switch {
-			case idx+8 <= len(payload):
-				word = binary.LittleEndian.Uint64(payload[idx:])
-			case idx < len(payload):
-				var tail [8]byte
-				copy(tail[:], payload[idx:])
-				word = binary.LittleEndian.Uint64(tail[:])
-			}
-			h.Store(tid, base+pmem.Addr(w*8), word)
+	// The blob is this thread's alone until the core links the node, so
+	// each line is staged on the stack and written as one StoreLine.
+	var line [pmem.WordsPerLine]uint64
+	for l, rest := 0, payload; l < c.lines; l++ {
+		src := rest
+		if len(rest) < lineData { // the last partial line, and any past the payload's end
+			var pad [lineData]byte
+			copy(pad[:], rest)
+			src = pad[:]
 		}
-		h.Store(tid, base+sealOff, seal(tag, l))
+		for w := range line[:lineData/pmem.WordBytes] {
+			line[w] = binary.LittleEndian.Uint64(src[w*pmem.WordBytes:])
+		}
+		line[sealOff/pmem.WordBytes] = seal(tag, l)
+		base := blob + pmem.Addr(l*pmem.CacheLineBytes)
+		h.StoreLine(tid, base, &line)
 		h.Flush(tid, base)
+		rest = rest[min(lineData, len(rest)):]
 	}
 	return append([]byte(nil), payload...)
 }
 
+// seal names one line of one blob: line < 255 (MaxPayloadLimit), so
+// line+1 fits the low byte and never carries into the tag.
 func seal(tag uint64, line int) uint64 { return tag<<8 | uint64(line) + 1 }
 
 // Check accepts a node only if its blob address is a real slot, its

@@ -54,6 +54,39 @@ func TestOversizePayloadPanics(t *testing.T) {
 	q.Enqueue(0, make([]byte, q.MaxPayload()+1))
 }
 
+// TestMaxPayloadBound: a seal's line field is eight bits, so a blob of
+// 256 lines or more is refused at construction, New and Recover alike;
+// and below the bound seal is injective over (tag, line), two
+// consecutive tags included (at 256 lines an odd tag's line 256 sealed
+// as its own line 0 does: tag 3, 769 both).
+func TestMaxPayloadBound(t *testing.T) {
+	New(newHeap(pmem.ModePerf), Config{Threads: 1, MaxPayload: MaxPayloadLimit})
+	for name, mk := range map[string]func(*pmem.Heap, Config) *Queue{"New": New, "Recover": Recover} {
+		func() {
+			defer func() {
+				if r := recover(); r == nil || !strings.Contains(fmt.Sprint(r), "MaxPayload") {
+					t.Fatalf("%s with MaxPayload %d: want the MaxPayload panic, got %v", name, MaxPayloadLimit+1, r)
+				}
+			}()
+			mk(newHeap(pmem.ModePerf), Config{Threads: 1, MaxPayload: MaxPayloadLimit + 1})
+		}()
+	}
+	rng := rand.New(rand.NewSource(24))
+	for i := 0; i < 200; i++ {
+		tag := rng.Uint64() >> 8
+		seen := map[uint64][2]uint64{}
+		for _, tg := range []uint64{tag, tag + 1} {
+			for l := 0; l < MaxPayloadLimit/lineData; l++ {
+				s := seal(tg, l)
+				if prev, dup := seen[s]; dup {
+					t.Fatalf("seal(%#x, %d) == seal(%#x, %d) == %#x", tg, l, prev[0], prev[1], s)
+				}
+				seen[s] = [2]uint64{tg, uint64(l)}
+			}
+		}
+	}
+}
+
 // wordQ drives a blob queue through the uint64 verbs of the word
 // queue, so the audits written for queues.Queue — and the persist pins
 // below — run on both payload instantiations of the core. Every value
@@ -295,12 +328,17 @@ func TestOneFenceZeroPostFlush(t *testing.T) {
 		name  string
 		acked bool
 		lines uint64 // cache lines flushed per enqueued item
-		mk    func(h *pmem.Heap) pinQ
+		// stores is the Stores counted per enqueued item, and no other
+		// verb stores: three by the core (linked cleared, index, linked
+		// set), then the word itself, or the codec's three node words and
+		// eight for each of a blob's three lines, however they are issued.
+		stores uint64
+		mk     func(h *pmem.Heap) pinQ
 	}{
-		{"word", false, 1, func(h *pmem.Heap) pinQ { return queues.NewOptUnlinkedQ(h, 1) }},
-		{"word-acked", true, 1, func(h *pmem.Heap) pinQ { return queues.NewOptUnlinkedQAcked(h, 1) }},
-		{"blob", false, 4, func(h *pmem.Heap) pinQ { return blobInfo(t, false).New(h, 1).(pinQ) }},
-		{"blob-acked", true, 4, func(h *pmem.Heap) pinQ { return blobInfo(t, true).New(h, 1).(pinQ) }},
+		{"word", false, 1, 4, func(h *pmem.Heap) pinQ { return queues.NewOptUnlinkedQ(h, 1) }},
+		{"word-acked", true, 1, 4, func(h *pmem.Heap) pinQ { return queues.NewOptUnlinkedQAcked(h, 1) }},
+		{"blob", false, 4, 6 + 8*3, func(h *pmem.Heap) pinQ { return blobInfo(t, false).New(h, 1).(pinQ) }},
+		{"blob-acked", true, 4, 6 + 8*3, func(h *pmem.Heap) pinQ { return blobInfo(t, true).New(h, 1).(pinQ) }},
 	} {
 		t.Run(inst.name, func(t *testing.T) {
 			h := pmem.New(pmem.Config{Bytes: 64 << 20, MaxThreads: 2})
@@ -325,6 +363,9 @@ func TestOneFenceZeroPostFlush(t *testing.T) {
 					if d.Fences != pin.fences || d.NTStores != pin.ntstores || d.Flushes != pin.items*inst.lines {
 						t.Errorf("issued fences=%d ntstores=%d flushes=%d, want %d/%d/%d",
 							d.Fences, d.NTStores, d.Flushes, pin.fences, pin.ntstores, pin.items*inst.lines)
+					}
+					if d.Stores != pin.items*inst.stores {
+						t.Errorf("stores = %d, want %d", d.Stores, pin.items*inst.stores)
 					}
 					if d.PostFlushAccesses != 0 {
 						t.Errorf("post-flush accesses = %d, want 0", d.PostFlushAccesses)
@@ -699,5 +740,38 @@ func TestBatchAllocs(t *testing.T) {
 	}
 	if got := testing.AllocsPerRun(500, round); got > 9 {
 		t.Fatalf("EnqueueBatch(8)+DequeueBatch(8) at 1 KiB = %v allocs, want <= 9", got)
+	}
+}
+
+// BenchmarkBlob1kBatch8 is one round of the blob1k-acked shape on the
+// queue alone — EnqueueBatch of eight 1 KiB payloads, DequeueLeased(8),
+// AckTo — under the default prices: 160 flushed lines and three fences
+// a round, the twin of the broker's BenchmarkPublishPollSingle and the
+// profile target for what a multi-line publish pays beside its
+// persists. What a profile of it leaves since blob lines are written by
+// pmem.StoreLine (1 M rounds, 11 µs a round against 22 with 152 Stores a
+// payload, which were 48 % of it): codec.Write 66 % cumulative, of which
+// Flush 30 % (13 % its own, the flag XCHG on a line just written; the
+// rest its 20 ns issue price), Write's own staging 11 %, StoreLine 10 %
+// and the volatile copy's memmove 9 %; the six Stores left per enqueue
+// 11 % (the first touch of a cold node line, not the exchange);
+// ssmem.clearSlotState 9 % — nineteen flag stores per recycled blob;
+// spinKernel, the model, 14 %.
+func BenchmarkBlob1kBatch8(b *testing.B) {
+	h := pmem.New(pmem.Config{Bytes: 256 << 20, MaxThreads: 1, Latency: pmem.DefaultLatency()})
+	q := New(h, Config{Threads: 1, MaxPayload: 1024, Acked: true})
+	batch := make([][]byte, 8)
+	for i := range batch {
+		batch[i] = payloadFor(uint64(i+1), 1024)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		q.EnqueueBatch(0, batch)
+		ps, idxs := q.DequeueLeased(0, 8)
+		if len(ps) != 8 {
+			b.Fatalf("leased %d of 8", len(ps))
+		}
+		q.AckTo(0, idxs[7])
 	}
 }

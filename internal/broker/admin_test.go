@@ -2,6 +2,7 @@ package broker
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"math/rand"
 	"testing"
@@ -35,6 +36,10 @@ func TestOpenCreateRecoverRoundTrip(t *testing.T) {
 	}
 	if _, err := b.CreateTopic(0, TopicConfig{Name: "jobs", Shards: 2, MaxPayload: 64}); err != nil {
 		t.Fatal(err)
+	}
+	// 358 blob lines: a seal's line field holds 255.
+	if _, err := b.CreateTopic(0, TopicConfig{Name: "huge", Shards: 1, MaxPayload: 20000}); !errors.Is(err, ErrMaxPayload) {
+		t.Fatalf("CreateTopic with MaxPayload 20000: want ErrMaxPayload, got %v", err)
 	}
 	for i := uint64(0); i < 8; i++ {
 		b.Topic("events").Publish(0, U64(i))

@@ -407,6 +407,10 @@ func U64(v uint64) []byte {
 // AsU64 decodes a fixed-topic payload.
 func AsU64(p []byte) uint64 { return binary.LittleEndian.Uint64(p) }
 
+// ErrMaxPayload is wrapped by the refusal of a topic whose MaxPayload
+// its catalog record or its payload codec cannot represent.
+var ErrMaxPayload = errors.New("broker: MaxPayload out of range")
+
 // validateTopic checks one topic's configuration: CreateTopic holds a
 // request to it, catalog replay every recovered record.
 func validateTopic(tc TopicConfig) error {
@@ -417,7 +421,7 @@ func validateTopic(tc TopicConfig) error {
 		return fmt.Errorf("broker: topic %q shard count %d out of range [1,%d]", tc.Name, tc.Shards, maxCatShards)
 	}
 	if tc.MaxPayload < 0 || uint64(tc.MaxPayload) >= uint64(1)<<catKindShift {
-		return fmt.Errorf("broker: topic %q has invalid MaxPayload %d", tc.Name, tc.MaxPayload)
+		return fmt.Errorf("%w: topic %q has invalid MaxPayload %d", ErrMaxPayload, tc.Name, tc.MaxPayload)
 	}
 	if tc.Kind < KindFIFO || tc.Kind > KindPriority {
 		return fmt.Errorf("broker: topic %q has invalid kind %d", tc.Name, int(tc.Kind))
@@ -431,6 +435,10 @@ func validateTopic(tc TopicConfig) error {
 			return fmt.Errorf("broker: %s topic %q cannot be acked (heap delivery is its own durable consume protocol)",
 				tc.Kind, tc.Name)
 		}
+	} else if tc.MaxPayload > blobq.MaxPayloadLimit {
+		// A blob line's seal has an 8-bit line field (see blobq.seal).
+		return fmt.Errorf("%w: topic %q MaxPayload %d exceeds the blob codec's %d bytes",
+			ErrMaxPayload, tc.Name, tc.MaxPayload, blobq.MaxPayloadLimit)
 	}
 	return nil
 }

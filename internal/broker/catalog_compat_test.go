@@ -125,6 +125,9 @@ func TestCatalogCorruptionErrors(t *testing.T) {
 		{"windows overlap", rec1, []edit{{2 * pmem.CacheLineBytes, packLoc(shardLoc{heap: 0, base: 1})}}, "overlapping live window"},
 		{"invalid topic kind", rec0, []edit{{3 * pmem.WordBytes, 3 << catKindShift}}, "invalid kind"},
 		{"heap kind with four shards", rec0, []edit{{3 * pmem.WordBytes, uint64(KindDelay) << catKindShift}}, "exactly 1 shard"},
+		// jobs (blob topic, 100 bytes) claiming 358 blob lines: a seal
+		// names a line only below 255.
+		{"payload past the seal's line field", rec1, []edit{{3 * pmem.WordBytes, 20000}}, "exceeds the blob codec"},
 		{"zero name length", rec0, []edit{{4 * pmem.WordBytes, 0}}, "name length"},
 		// jobs renamed "events": name length, first name word.
 		{"duplicate topic name", rec1, []edit{{4 * pmem.WordBytes, 6}, {pmem.CacheLineBytes, packName("events")[0]}}, "twice"},

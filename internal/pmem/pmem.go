@@ -422,6 +422,33 @@ func (h *Heap) Store(tid int, a Addr, v uint64) {
 	atomic.StoreUint64(&h.mem[w], v)
 }
 
+// StoreLine writes all eight words of the cache line at a, as ordinary
+// cached stores in word order, for a line the calling thread owns
+// privately: like InitRange's range it must not be concurrently
+// accessed, and ownership passes to other threads only by an atomic
+// publish after it (a queue's link CAS, an allocator's hand-off). That
+// is what lets ModePerf make it one touch of the line and a plain copy
+// where eight Stores are eight atomic exchanges; Store itself stays
+// atomic because the words it writes may be Loaded by others at any
+// time. In ModeCrash it is exactly eight Stores — eight access numbers,
+// eight crash points, eight journal entries — and in both modes every
+// statistic reads as eight Stores would.
+func (h *Heap) StoreLine(tid int, a Addr, v *[WordsPerLine]uint64) {
+	if a%CacheLineBytes != 0 {
+		panic("pmem: StoreLine address must be cache-line aligned")
+	}
+	if h.cfg.Mode == ModeCrash {
+		for w, x := range v {
+			h.Store(tid, a+Addr(w*WordBytes), x)
+		}
+		return
+	}
+	h.touch(tid, a)
+	h.threads[tid].stats.Stores += WordsPerLine
+	w := a / WordBytes
+	copy(h.mem[w:w+WordsPerLine], v[:])
+}
+
 // CAS atomically compares-and-swaps the word at a.
 func (h *Heap) CAS(tid int, a Addr, old, new uint64) bool {
 	h.touch(tid, a)
