@@ -32,15 +32,17 @@
 // "audit" topic with DeleteTopic (a checksummed tombstone, two
 // blocking persists, windows reclaimed only after the anchor stamp),
 // a stale handle is refused with ErrTopicDeleted, CompactCatalog
-// folds the tombstone debris into a next-generation log, and a
-// replacement topic reuses the retired shard windows off the free
-// list — the steady-footprint churn story.
+// folds the tombstone debris into a next-generation log, a clean
+// restart recovers the same slot footprint (the run exits non-zero
+// if it does not), and a replacement topic reuses the retired shard
+// windows — the steady-footprint churn story.
 package main
 
 import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"os"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -344,15 +346,15 @@ func main() {
 	}
 	if dup > 0 || lost > allowance {
 		fmt.Println("EXACTLY-ONCE AUDIT FAILED")
-		return
+		os.Exit(1)
 	}
 	fmt.Println("audit passed: every acknowledged publish processed exactly once")
 
 	// Epilogue: the lifecycle closes. The audit trail is drained, so the
 	// operator retires the topic — a checksummed tombstone appended under
 	// the same ordered-persist discipline as creation (two blocking
-	// persists; the shard windows join the free list only after the
-	// anchor stamp, so a torn delete recovers as "still exists"). A stale
+	// persists; the shard windows are free only after the anchor
+	// stamp, so a torn delete recovers as "still exists"). A stale
 	// handle held across the delete refuses further traffic with a typed
 	// error rather than writing into recycled windows.
 	stale := r.Topic("audit")
@@ -365,23 +367,40 @@ func main() {
 		"audit", hs.StatsOf(0).Fences-before, used, free)
 	if err := stale.Publish(0, broker.U64(1)); !errors.Is(err, broker.ErrTopicDeleted) {
 		fmt.Println("stale handle not refused:", err)
-		return
+		os.Exit(1)
 	}
 	fmt.Println("stale handle refused: " + broker.ErrTopicDeleted.Error())
 
 	// Compact the tombstone debris into a next-generation log region
 	// (one anchor flip, two fences regardless of how much debris there
-	// is), then recreate: the new topic's windows come off the free
-	// list, so the NVRAM footprint is steady under churn.
+	// is) and restart cleanly: the new generation drops the tombstone
+	// but carries the high-water marks, and free slots are whatever the
+	// live windows leave below them, so the recovered broker has the
+	// same free windows as the one that compacted.
 	if err := r.CompactCatalog(0, 0); err != nil {
 		panic(err)
 	}
+	hs.CrashNow() // at quiescence: a clean restart
+	hs.FinalizeCrash(rand.New(rand.NewSource(43)))
+	hs.Restart()
+	r, err = broker.Open(hs, broker.Options{})
+	if err != nil {
+		panic(err)
+	}
+	if u, f := r.SlotFootprint(); u != used || f != free {
+		fmt.Printf("RECOVERED FOOTPRINT %d used / %d free DIFFERS from the live %d used / %d free\n", u, f, used, free)
+		os.Exit(1)
+	}
+	fmt.Printf("compacted to catalog generation %d, restarted: %d used / %d free, as before\n",
+		r.CatalogGeneration(), used, free)
+
+	// Recreate: the new topic's windows are the retired ones, so the
+	// NVRAM footprint is steady under churn.
 	if _, err := r.CreateTopic(0, broker.TopicConfig{
 		Name: "audit-v2", Shards: 2, Acked: true,
 	}); err != nil {
 		panic(err)
 	}
 	used2, free2 := r.SlotFootprint()
-	fmt.Printf("compacted to catalog generation %d; %q reuses the retired windows: %d used / %d free\n",
-		r.CatalogGeneration(), "audit-v2", used2, free2)
+	fmt.Printf("%q reuses the retired windows: %d used / %d free\n", "audit-v2", used2, free2)
 }

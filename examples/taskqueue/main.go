@@ -13,6 +13,7 @@ package main
 import (
 	"fmt"
 	"math/rand"
+	"os"
 
 	"repro/internal/pmem"
 	"repro/internal/queues"
@@ -82,5 +83,6 @@ func main() {
 		fmt.Println("audit passed")
 	} else {
 		fmt.Println("AUDIT FAILED")
+		os.Exit(1)
 	}
 }

@@ -3,6 +3,7 @@ package broker
 import (
 	"fmt"
 	"runtime"
+	"slices"
 
 	"repro/internal/obs"
 	"repro/internal/pmem"
@@ -14,12 +15,12 @@ import (
 // runtime, so a production deployment never has to declare its whole
 // topic universe up front. DeleteTopic and CompactCatalog complete
 // the lifecycle: topics retire behind tombstone records, their shard
-// windows return through a free list, and the log itself is rewritten
-// into a fresh generation when debris accumulates. Every operation is
-// crash-atomic through the second amendment's ordered-persist
-// discipline (allocate → fence, initialize, append → fence, anchor;
-// see cataloglog.go): a crash at any point either recovers the
-// operation completely or as if it was never attempted.
+// windows become free slots for later creations, and the log itself is
+// rewritten into a fresh generation when debris accumulates. Every
+// operation is crash-atomic through the second amendment's
+// ordered-persist discipline (allocate → fence, initialize, append →
+// fence, anchor; see cataloglog.go): a crash at any point either
+// recovers the operation completely or as if it was never attempted.
 
 // Options parameterizes Open.
 type Options struct {
@@ -196,21 +197,21 @@ func openExisting(hs *pmem.HeapSet, opts Options, reg pmem.Addr) (*Broker, error
 	return b, nil
 }
 
-// CreateTopic creates a topic on a live broker, durably: the shard
-// windows are claimed in the catalog's high-water slot allocator and
-// the marks fenced (a window handed out before a crash is never
-// reused), the shard queues are initialized on the member heaps the
-// placement policy chose, a checksummed record is appended to the
-// catalog log and fenced, and only then does the commit stamp's
-// persist make the topic visible. A crash anywhere before that last
+// CreateTopic creates a topic on a live broker, durably: each shard
+// window is placed in the smallest free gap below its heap's
+// high-water mark, or at the mark, and any mark that moved is fenced
+// (no window is live twice across a crash), the shard queues are
+// initialized on the member heaps the placement policy chose, a
+// checksummed record is appended to the catalog log and fenced, and
+// only then does the commit stamp's persist make the topic visible. A crash anywhere before that last
 // persist recovers as if CreateTopic was never called; after it, the
 // topic recovers fully, empty or with whatever was published.
 //
 // The catalog-protocol cost is a pinned three blocking persists
 // (allocator marks, record, commit stamp) plus the per-shard queue
 // initialization — independent of how many topics the broker already
-// has. When every shard window is reused from the free list the marks
-// never move and their persist is skipped: two blocking persists.
+// has. When every shard window fits a free gap the marks never move
+// and their persist is skipped: two blocking persists.
 //
 // tid follows the usual rule: it must be owned by the calling
 // goroutine for the duration, and may be any id in [0, Threads).
@@ -233,75 +234,49 @@ func (b *Broker) CreateTopic(tid int, tc TopicConfig) (*Topic, error) {
 		return nil, fmt.Errorf("broker: broker already has %d topics (max %d)", len(snap.list), maxCatTopics)
 	}
 	// Reserve log space up front so a full log cannot leak windows.
-	recLines := topicRecLines(tc.Shards)
-	if b.cat.next+recLines > b.cat.totalLines {
-		return nil, fmt.Errorf("broker: catalog log full (%d of %d lines used; CompactCatalog reclaims tombstone debris and can resize)",
-			b.cat.next, b.cat.totalLines)
+	if err := b.cat.room(topicRecLines(tc.Shards)); err != nil {
+		return nil, err
 	}
 	if snap.shardTotal+tc.Shards > maxCatShards {
 		return nil, fmt.Errorf("broker: global shard ordinal space exhausted (%d of %d; ordinals of deleted topics are never reissued)",
 			snap.shardTotal, maxCatShards)
 	}
 
-	// 1. Allocate: run the placement policy against a scratch copy of
-	// the high-water marks, taking free-list windows (retired by
-	// earlier deletes) before bumping a mark, then claim the fresh
-	// windows and fence the marks. On error the popped free windows go
-	// back — nothing durable has happened yet.
+	// 1. Allocate: place every shard the policy chose a heap for (best
+	// fit below the marks, else at a mark), then store the marks that
+	// moved and fence them once. A refused placement hands every window
+	// back before anything durable has happened.
 	width := slotsForKind(tc.Kind)
-	tmp := append([]int(nil), b.cat.marks...)
-	locs := make([]shardLoc, tc.Shards)
-	reused := make([]bool, tc.Shards)
-	var popped []shardLoc
-	unpop := func() {
-		for _, loc := range popped {
-			b.cat.releaseSlots(loc.heap, loc.base, width)
-		}
-	}
-	for si := range locs {
+	old := slices.Clone(b.cat.marks)
+	locs := make([]shardLoc, 0, tc.Shards)
+	for si := 0; si < tc.Shards; si++ {
 		hi := b.placement(len(snap.list), si, snap.shardTotal+si, tc.Shards, b.hs.Len())
 		if hi < 0 || hi >= b.hs.Len() {
-			unpop()
+			b.cat.unplace(locs, width, old)
 			return nil, fmt.Errorf("broker: placement policy put topic %q shard %d on heap %d of %d",
 				tc.Name, si, hi, b.hs.Len())
 		}
-		if base, ok := b.cat.takeFree(hi, width); ok {
-			locs[si] = shardLoc{heap: hi, base: base}
-			reused[si] = true
-			popped = append(popped, locs[si])
-			continue
+		loc, err := b.cat.place(b.hs, hi, width, fmt.Sprintf("topic %q shard %d", tc.Name, si))
+		if err != nil {
+			b.cat.unplace(locs, width, old)
+			return nil, err
 		}
-		if tmp[hi]+width > b.hs.Heap(hi).RootSlots() {
-			unpop()
-			return nil, fmt.Errorf("broker: heap %d out of root slots (topic %q shard %d needs %d, %d left)",
-				hi, tc.Name, si, width, b.hs.Heap(hi).RootSlots()-tmp[hi])
-		}
-		locs[si] = shardLoc{heap: hi, base: tmp[hi]}
-		tmp[hi] += width
+		locs = append(locs, loc)
 	}
-	marksDirty := false
-	for hi := range tmp {
-		if tmp[hi] != b.cat.marks[hi] {
-			b.cat.marks[hi] = tmp[hi]
-			b.cat.h.Store(tid, b.cat.markAddr(hi), uint64(tmp[hi]))
-			marksDirty = true
-		}
-	}
-	if marksDirty {
-		b.cat.persistMarks(tid)
-	}
+	b.cat.storeMarks(tid, old)
 
 	// 2. Initialize the shard queues, heap by heap in parallel.
 	t := b.newTopic(tc, snap.shardTotal, locs)
 	b.openShards([]*Topic{t}, func(t *Topic, si int, view *pmem.Heap) error {
-		if reused[si] {
-			// Scrub a free-list window's root slots before building on
-			// it: the retired queue's slots (acked frontier, epoch...)
-			// would otherwise survive wherever the new queue kind does
-			// not overwrite them and mislead the recovery dispatch. The
-			// constructor's own persist on this heap orders the scrub
-			// durably before the record's anchor, so a crash never sees
-			// a committed topic on an unscrubbed window.
+		if loc := locs[si]; loc.base < old[loc.heap] {
+			// Scrub a window below the old mark before building on it: a
+			// retired queue's slots (acked frontier, epoch...), or those of
+			// a creation that crashed short of its anchor, would otherwise
+			// survive wherever the new queue kind does not overwrite them
+			// and mislead the recovery dispatch. Above the old mark no one
+			// ever wrote. The constructor's own persist on this heap orders
+			// the scrub durably before the record's anchor, so a crash
+			// never sees a committed topic on an unscrubbed window.
 			for slot := 0; slot < width; slot++ {
 				view.Store(tid, view.RootAddr(slot), 0)
 				view.Flush(tid, view.RootAddr(slot))
@@ -312,14 +287,9 @@ func (b *Broker) CreateTopic(tid int, tc TopicConfig) (*Topic, error) {
 	})
 
 	// 3 + 4. Append the record, fence, anchor. Visible only after the
-	// commit persist; a crash in between recovers as "never existed"
-	// (the popped free windows then come back through replay's
-	// allocator simulation, just as they come back here on error).
-	hdr, body := topicRecord(b.cat.records+1, tc, locs, snap.shardTotal)
-	if err := b.cat.appendRecord(tid, hdr, body); err != nil {
-		unpop()
-		return nil, err
-	}
+	// commit persist; a crash in between recovers as "never existed",
+	// and replay finds the windows free below the marks.
+	b.cat.appendRecord(tid, topicRecord(b.cat.records+1, tc, locs, snap.shardTotal))
 	// Registered before the snapshot swap publishes the topic, so the
 	// hot-path invariant (visible topic ⇒ ostats set) holds.
 	t.register(b.obs)
@@ -381,21 +351,19 @@ func (b *Broker) CreateAckGroup(tid int, cfg AckGroupConfig) (int, error) {
 	if group+1 > maxCatAckGroups {
 		return 0, fmt.Errorf("broker: broker already has %d ack groups (max %d)", group, maxCatAckGroups)
 	}
-	if b.cat.next+1 > b.cat.totalLines {
-		return 0, fmt.Errorf("broker: catalog log full (%d of %d lines used; reopen with a larger CatalogLines)",
-			b.cat.next, b.cat.totalLines)
+	if err := b.cat.room(1); err != nil {
+		return 0, err
 	}
 
 	hi := group % b.hs.Len()
-	loc, err := b.cat.allocSlots(tid, hi, 1, b.hs, fmt.Sprintf("lease region %d", group))
+	old := slices.Clone(b.cat.marks)
+	loc, err := b.cat.place(b.hs, hi, 1, fmt.Sprintf("lease region %d", group))
 	if err != nil {
 		return 0, err
 	}
-	b.cat.persistMarks(tid)
+	b.cat.storeMarks(tid, old)
 	lr := initLeaseRegion(b.hs.Heap(hi), tid, hi, loc.base, group, capacity)
-	if err := b.cat.appendRecord(tid, ackGroupRecord(b.cat.records+1, capacity, loc), nil); err != nil {
-		return 0, err
-	}
+	b.cat.appendRecord(tid, ackGroupRecord(b.cat.records+1, capacity, loc))
 	b.regionMu.Lock()
 	b.regions = append(b.regions, lr)
 	b.bound = append(b.bound, false)
@@ -409,7 +377,7 @@ func (b *Broker) CreateAckGroup(tid int, cfg AckGroupConfig) (int, error) {
 // turns into ErrTopicDeleted, in-flight operations are drained), a
 // checksummed tombstone record is appended to the catalog log and
 // anchored exactly like a creation, and only after that anchor persist
-// do the topic's shard windows return to the free-list allocator for
+// do the topic's shard windows leave the live slot table, free for
 // CreateTopic to reuse. A crash anywhere before the anchor recovers as
 // "the topic still exists" — with every message it held — and a crash
 // after it recovers the delete completely, so a window is never
@@ -449,10 +417,9 @@ func (b *Broker) DeleteTopic(tid int, name string) error {
 	// Reserve log space up front. A log too full for a tombstone but
 	// holding debris is compacted instead — the new generation simply
 	// omits the topic, which is the same atomic flip.
-	full := b.cat.next+tombstoneLines > b.cat.totalLines
-	if full && b.cat.deadLines == 0 {
-		return fmt.Errorf("broker: catalog log full (%d of %d lines used; CompactCatalog can resize it)",
-			b.cat.next, b.cat.totalLines)
+	roomErr := b.cat.room(tombstoneLines)
+	if roomErr != nil && b.cat.deadLines == 0 {
+		return roomErr
 	}
 
 	// 1. Unpublish: swap a snapshot without the topic, flip its deleted
@@ -477,7 +444,7 @@ func (b *Broker) DeleteTopic(tid int, name string) error {
 	// 2 + 3. Tombstone: append, fence, anchor. Visible (the topic gone)
 	// only after the commit persist; a crash in between recovers the
 	// topic.
-	if full {
+	if roomErr != nil {
 		if err := b.compactLocked(tid, 0); err != nil {
 			// Nothing durable changed; resurrect the volatile state.
 			t.deleted.Store(false)
@@ -485,22 +452,17 @@ func (b *Broker) DeleteTopic(tid int, name string) error {
 			return err
 		}
 	} else {
-		hdr, body := tombstoneRecord(b.cat.records+1, name)
-		if err := b.cat.appendRecord(tid, hdr, body); err != nil {
-			t.deleted.Store(false)
-			b.snap.Store(snap)
-			return err
-		}
+		b.cat.appendRecord(tid, tombstoneRecord(b.cat.records+1, name))
 		b.cat.deadLines += topicRecLines(len(t.locs)) + tombstoneLines
 	}
 
 	// 4. Reclaim: only now — the tombstone (or the generation that
-	// omits the topic) is anchored — do the windows return. The view
-	// claims go back to the member heaps so CreateTopic can re-view the
-	// same slots, and the windows join the free list.
+	// omits the topic) is anchored — do the windows leave the slot
+	// table. The view claims go back to the member heaps so CreateTopic
+	// can re-view the same slots.
 	for si, loc := range t.locs {
 		b.hs.Heap(loc.heap).ReleaseView(t.shards[si].h)
-		b.cat.releaseSlots(loc.heap, loc.base, slotsForKind(t.cfg.Kind))
+		b.cat.release(loc, slotsForKind(t.cfg.Kind))
 	}
 
 	// Debris past half the record space triggers reclamation of the log
@@ -543,22 +505,20 @@ func (b *Broker) CompactCatalog(tid, capacityLines int) error {
 	return nil
 }
 
-// compactLocked gathers the live catalog contents — the current
-// snapshot's topics with their ordinal bases, every lease region —
-// and hands them to the log's generation writer. Caller holds adminMu.
+// compactLocked gathers the live catalog records — the current
+// snapshot's topics with their ordinal bases, then every lease region
+// — and hands them to the log's generation writer. Caller holds
+// adminMu.
 func (b *Broker) compactLocked(tid, capacityLines int) error {
 	snap := b.set()
-	topics := make([]liveTopic, len(snap.list))
-	for i, t := range snap.list {
-		topics[i] = liveTopic{tc: t.cfg, locs: t.locs, base: t.base}
+	var recs []catRecord
+	for _, t := range snap.list {
+		recs = append(recs, topicRecord(len(recs)+1, t.cfg, t.locs, t.base))
 	}
 	b.regionMu.Lock()
-	leaseLocs := make([]shardLoc, len(b.regions))
-	leaseCaps := make([]int, len(b.regions))
-	for g, lr := range b.regions {
-		leaseLocs[g] = shardLoc{heap: lr.heap, base: lr.slot}
-		leaseCaps[g] = lr.cap
+	for _, lr := range b.regions {
+		recs = append(recs, ackGroupRecord(len(recs)+1, lr.cap, shardLoc{heap: lr.heap, base: lr.slot}))
 	}
 	b.regionMu.Unlock()
-	return b.cat.compact(tid, b.threads, capacityLines, topics, leaseLocs, leaseCaps, snap.shardTotal)
+	return b.cat.compact(tid, b.threads, capacityLines, recs, snap.shardTotal)
 }

@@ -132,6 +132,7 @@ func TestCreateTopicCrashBeforeAnchor(t *testing.T) {
 	if r.Topic("late") != nil {
 		t.Fatal("a create that crashed before its anchor stamp recovered as existing")
 	}
+	used, _ := r.SlotFootprint()
 	if p, ok := r.Topic("base").DequeueShard(0, 0); !ok || AsU64(p) != 11 {
 		t.Fatalf("pre-existing topic lost its message: %v,%v", p, ok)
 	}
@@ -139,6 +140,11 @@ func TestCreateTopicCrashBeforeAnchor(t *testing.T) {
 	// debris never resurfaces and the committed topic round-trips.
 	if _, err := r.CreateTopic(0, TopicConfig{Name: "late", Shards: 2}); err != nil {
 		t.Fatal(err)
+	}
+	// The crashed create's marks were fenced, so its windows lie below
+	// them owned by no record: the re-create reuses them.
+	if now, _ := r.SlotFootprint(); now != used {
+		t.Fatalf("re-create after the crashed create moved the slot footprint %d -> %d; the stranded windows were not reused", used, now)
 	}
 	r.Topic("late").Publish(0, U64(21))
 	r.Topic("late").Publish(0, U64(22))
@@ -357,8 +363,9 @@ func TestSubscribeLiveTopics(t *testing.T) {
 }
 
 // TestCatalogLogFull: a log sized to exactly one topic record takes
-// the first create and refuses the second with an error — no panic,
-// no partial state — and the broker (and its recovery) still works.
+// the first create and refuses the second with ErrCatalogFull — no
+// panic, no partial state — compacting into a larger log admits both
+// refused verbs, and the broker (and its recovery) still works.
 func TestCatalogLogFull(t *testing.T) {
 	hs := pmem.NewSetOf(pmem.New(pmem.Config{Bytes: 64 << 20, Mode: pmem.ModeCrash, MaxThreads: 2}))
 	// A 1-shard topic record spans 3 lines: header, name, placements.
@@ -369,11 +376,25 @@ func TestCatalogLogFull(t *testing.T) {
 	if _, err := b.CreateTopic(0, TopicConfig{Name: "only", Shards: 1}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := b.CreateTopic(0, TopicConfig{Name: "overflow", Shards: 1}); err == nil {
-		t.Fatal("CreateTopic on a full catalog log should fail")
+	used0, _ := b.SlotFootprint()
+	if _, err := b.CreateTopic(0, TopicConfig{Name: "overflow", Shards: 1}); !errors.Is(err, ErrCatalogFull) {
+		t.Fatalf("CreateTopic on a full catalog log: %v, want ErrCatalogFull", err)
 	}
-	if _, err := b.CreateAckGroup(0, AckGroupConfig{}); err == nil {
-		t.Fatal("CreateAckGroup on a full catalog log should fail")
+	if _, err := b.CreateAckGroup(0, AckGroupConfig{}); !errors.Is(err, ErrCatalogFull) {
+		t.Fatalf("CreateAckGroup on a full catalog log: %v, want ErrCatalogFull", err)
+	}
+	if used, free := b.SlotFootprint(); used != used0 || free != 0 {
+		t.Fatalf("refused creates left (used %d, free %d), want (used %d, free 0)", used, free, used0)
+	}
+	// The remedy the error names: compact into a larger log.
+	if err := b.CompactCatalog(0, 8); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := b.CreateTopic(0, TopicConfig{Name: "overflow", Shards: 1}); err != nil {
+		t.Fatalf("CreateTopic after CompactCatalog(0, 8): %v", err)
+	}
+	if _, err := b.CreateAckGroup(0, AckGroupConfig{}); err != nil {
+		t.Fatalf("CreateAckGroup after CompactCatalog(0, 8): %v", err)
 	}
 	b.Topic("only").Publish(0, U64(5))
 	hs.Heap(0).CrashNow()
@@ -383,8 +404,8 @@ func TestCatalogLogFull(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(r.Topics()) != 1 {
-		t.Fatalf("recovered %d topics, want 1", len(r.Topics()))
+	if len(r.Topics()) != 2 {
+		t.Fatalf("recovered %d topics, want 2", len(r.Topics()))
 	}
 	if p, ok := r.Topic("only").DequeueShard(0, 0); !ok || AsU64(p) != 5 {
 		t.Fatalf("recovered message = %v,%v", p, ok)

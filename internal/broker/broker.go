@@ -27,9 +27,9 @@
 // visible only by its anchor stamp's persist (see admin.go and
 // cataloglog.go). The lifecycle is complete: DeleteTopic retires a
 // topic with a tombstone record under the same ordered-persist
-// discipline and returns its root-slot windows to a size-bucketed
-// free list that CreateTopic reuses, so churning workloads reach a
-// steady-state NVRAM footprint; CompactCatalog rewrites the live
+// discipline and releases its root-slot windows, which CreateTopic
+// reuses by best fit below the high-water marks, so churning workloads
+// reach a steady-state NVRAM footprint; CompactCatalog rewrites the live
 // records into a fresh log generation when tombstone debris
 // accumulates (and doubles as the log's resize path). Open is the
 // only way a broker comes to exist, on a blank set or a used one.
@@ -111,7 +111,7 @@ const slotsPerShard = 8
 // 0 anchors the dheap region, slot 1 is reserved for the per-group
 // heap-cursor follow-on. Heap topics are the first window kind
 // narrower than slotsPerShard, so re-creating one over a retired FIFO
-// window exercises the free list's split-bucket path.
+// window fits it into part of the gap and leaves the rest free.
 const heapTopicSlots = 2
 
 // slotsForKind maps a topic kind to its shard-window width.
@@ -541,7 +541,7 @@ func (b *Broker) CatalogGeneration() uint64 {
 // total number of slots below the per-heap high-water marks (the
 // anchor slots excluded) — the durable NVRAM the broker has ever
 // claimed for shard windows and lease regions — and free how many of
-// those currently sit on the free list awaiting reuse. A churning
+// those no live window holds, awaiting reuse. A churning
 // workload whose deletes balance its creates holds used steady while
 // free oscillates.
 func (b *Broker) SlotFootprint() (used, free int) {

@@ -117,8 +117,8 @@ func (r *catReader) word(a pmem.Addr) uint64 {
 // catalog: fewer or more heaps than recorded, a blank heap where a
 // stamped member should be, a stamp from another broker, or heaps
 // presented in the wrong order. Placements need no second pass here:
-// replay's allocator simulation has already checked every window
-// against the set.
+// replay's claims have already checked every window against the set's
+// marks and against each other.
 func readCatalog(hs *pmem.HeapSet, reg pmem.Addr) (layoutInfo, error) {
 	r := &catReader{h: hs.Heap(0)}
 	magic := r.word(reg)

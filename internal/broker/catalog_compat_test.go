@@ -129,6 +129,8 @@ func TestCatalogCorruptionErrors(t *testing.T) {
 		// names a line only below 255.
 		{"payload past the seal's line field", rec1, []edit{{3 * pmem.WordBytes, 20000}}, "exceeds the blob codec"},
 		{"zero name length", rec0, []edit{{4 * pmem.WordBytes, 0}}, "name length"},
+		// Word 6 is 1+base; no writer ever stored 0 there.
+		{"ordinal base word zero", rec0, []edit{{6 * pmem.WordBytes, 0}}, "ordinal base"},
 		// jobs renamed "events": name length, first name word.
 		{"duplicate topic name", rec1, []edit{{4 * pmem.WordBytes, 6}, {pmem.CacheLineBytes, packName("events")[0]}}, "twice"},
 	} {

@@ -1,7 +1,11 @@
 package broker
 
 import (
+	"cmp"
+	"encoding/binary"
+	"errors"
 	"fmt"
+	"slices"
 
 	"repro/internal/pmem"
 )
@@ -13,9 +17,11 @@ import (
 // discipline, the same append → fence → anchor pattern the queues use
 // for nodes:
 //
-//  1. allocate — the shard windows are claimed in the durable per-heap
-//     high-water slot allocator and the marks fenced, so a window
-//     handed out before a crash is never handed out again;
+//  1. allocate — the shard windows are placed in the gaps the live
+//     windows leave below the per-heap high-water marks, or at a mark;
+//     a mark that moved is stored and fenced before anything is built
+//     above it, so a window handed out before a crash is never live
+//     twice;
 //  2. initialize — the shard queues (or the lease region) are built on
 //     their member heaps, each persisting its own state;
 //  3. append — a checksummed record describing the creation is written
@@ -35,17 +41,23 @@ import (
 // Retirement rides the same discipline in reverse. DeleteTopic
 // appends a checksummed *tombstone* record naming the topic and
 // anchors it exactly like a creation; only after the anchor persist
-// completes are the topic's shard windows handed to the volatile
-// free-list allocator (and their pmem view claims released), so a
-// crash anywhere mid-delete recovers as "the topic still exists" and
-// a window is never reusable before its tombstone is durable. The
-// free list is durable *by derivation*: replay simulates the
-// allocator record by record — a creation claims its windows, a
-// tombstone frees them — so recovery rebuilds the identical free list
-// from the log alone, and a committed creation whose windows overlap
-// a still-live structure is a hard recovery error instead of silent
-// aliasing. The high-water marks never move backward; freed windows
-// live below them and are handed out again by exact width.
+// completes are the topic's shard windows released from the live
+// table (and their pmem view claims dropped), so a crash anywhere
+// mid-delete recovers as "the topic still exists" and a window is
+// never reusable before its tombstone is durable.
+//
+// Free space is never stored. The volatile slot table holds, per heap,
+// the live windows of every committed topic shard and lease region;
+// a heap's free slots are whatever those leave below its high-water
+// mark. Replay rebuilds the table with the same claim and release the
+// live verbs use — a creation claims its windows, a tombstone releases
+// them — so live and recovered free space are one function of the
+// same inputs: the committed records and the marks, which compaction
+// carries verbatim. A committed creation whose windows overlap a
+// still-live structure is a hard recovery error instead of silent
+// aliasing. The marks never move backward; windows a creation placed
+// before crashing short of its anchor lie below them, owned by no
+// record, and are free again.
 //
 // Tombstone debris is reclaimed by compaction (CompactCatalog): the
 // live records are rewritten, re-sequenced, into a freshly allocated
@@ -82,9 +94,7 @@ import (
 //	line 1: name words 0..3, 0...
 //	line 2+: one placement word per shard, heapID<<32 | baseSlot
 //
-// (word 6 = 0 in records written before topic retirement existed:
-// replay then assigns the global base sequentially, which is exactly
-// what those brokers did.)
+// (word 6 is never 0: replay refuses it as corrupt.)
 //
 // Ack-group record (header line only):
 //
@@ -127,6 +137,13 @@ const (
 	maxCatalogLines = 1 << 20
 )
 
+// ErrCatalogFull reports a catalog log without room for the record an
+// administrative verb must append. The capacity is chosen when the
+// broker is created (Options.CatalogLines, which recovery ignores);
+// only CompactCatalog changes it, reclaiming tombstone debris on the
+// way.
+var ErrCatalogFull = errors.New("broker: catalog log full")
+
 // catChecksum mixes an arbitrary word sequence into a guard word; it
 // only needs to catch torn records and random corruption, not
 // adversaries (the same contract as leaseChecksum).
@@ -144,9 +161,9 @@ func catChecksum(ws []uint64) uint64 {
 // recover as "the create never happened". Tests only.
 var testHookAfterAppend func()
 
-// testHookBeforeFlip, when non-nil, runs between a compaction's
-// generation fence and its anchor flip — the window in which a crash
-// must recover the *old* generation intact. Tests only.
+// testHookBeforeFlip, when non-nil, runs between a log generation's
+// fence and its anchor flip — the window in which a crash during a
+// compaction must recover the *old* generation intact. Tests only.
 var testHookBeforeFlip func()
 
 // catalogLog is the volatile handle of the durable v4 catalog log.
@@ -164,12 +181,10 @@ type catalogLog struct {
 	next    int   // next free line (replayed cursor / append position)
 	marks   []int // per-heap high-water root-slot marks (volatile mirror)
 
-	// free is the size-bucketed free-list allocator layered under the
-	// high-water marks: per heap, window width -> LIFO of window base
-	// slots retired by committed tombstones. It is volatile but durable
-	// by derivation — replay rebuilds it from the record sequence — so
-	// it is only ever fed *after* a tombstone's anchor persist.
-	free []map[int][]int
+	// live is the slot table: per heap, the windows of every committed
+	// topic shard and lease region, sorted by base. The free slots are
+	// the complement below marks, derived on demand and never stored.
+	live [][]window
 
 	// deadLines counts record lines that replay would skip over:
 	// tombstoned topic records plus the tombstones themselves. It is
@@ -185,6 +200,11 @@ type catalogLog struct {
 	spareLines int
 }
 
+// window is a root-slot range [base, base+width) on one member heap.
+type window struct{ base, width int }
+
+func (w window) end() int { return w.base + w.width }
+
 func (cl *catalogLog) lineAddr(i int) pmem.Addr {
 	return cl.base + pmem.Addr(i)*pmem.CacheLineBytes
 }
@@ -195,11 +215,18 @@ func allocLinesFor(heaps int) int {
 	return (heaps + pmem.WordsPerLine - 1) / pmem.WordsPerLine
 }
 
+// markAddr is the address of heap's high-water mark word in the log
+// generation whose region starts at base.
+func markAddr(base pmem.Addr, heap int) pmem.Addr {
+	return base + pmem.Addr(logHeaderLines+heap/pmem.WordsPerLine)*pmem.CacheLineBytes +
+		pmem.Addr((heap%pmem.WordsPerLine)*pmem.WordBytes)
+}
+
 // createCatalogLog stamps every non-anchor member, then writes and
-// anchors an empty catalog log on heap 0: header, commit line at zero
-// records, and every heap's high-water mark at slot 1 (slot 0 is the
-// anchor). The anchor is persisted last, so a crash inside leaves no
-// broker. capacityLines is the record space to reserve.
+// anchors an empty catalog log generation on heap 0 with every heap's
+// high-water mark at slot 1 (slot 0 is the anchor). The anchor is
+// persisted last, so a crash inside leaves no broker. capacityLines is
+// the record space to reserve.
 func createCatalogLog(hs *pmem.HeapSet, tid, threads, capacityLines int) *catalogLog {
 	stamp := nextSetStamp()
 	for i := 1; i < hs.Len(); i++ {
@@ -222,166 +249,178 @@ func createCatalogLog(hs *pmem.HeapSet, tid, threads, capacityLines int) *catalo
 		allocLines: allocLinesFor(hs.Len()),
 		stamp:      stamp,
 		marks:      make([]int, hs.Len()),
-		free:       make([]map[int][]int, hs.Len()),
+		live:       make([][]window, hs.Len()),
 	}
-	cl.totalLines = logHeaderLines + cl.allocLines + capacityLines
-	cl.next = cl.recStart()
-	bytes := int64(cl.totalLines) * pmem.CacheLineBytes
-	cl.base = h.AllocRaw(tid, bytes, pmem.CacheLineBytes)
-	h.InitRange(tid, cl.base, bytes)
-
-	hdr := []uint64{catMagicV4, uint64(threads), uint64(hs.Len()), stamp,
-		uint64(cl.totalLines), uint64(cl.allocLines), cl.gen}
-	for i, w := range hdr {
-		h.Store(tid, cl.base+pmem.Addr(i*pmem.WordBytes), w)
-	}
-	h.Store(tid, cl.base+7*pmem.WordBytes, catChecksum(hdr))
-	h.Flush(tid, cl.base)
 	for i := range cl.marks {
 		cl.marks[i] = 1 // slot 0 is the anchor
-		h.Store(tid, cl.markAddr(i), 1)
 	}
-	for l := 0; l < cl.allocLines; l++ {
-		h.Flush(tid, cl.lineAddr(logHeaderLines+l))
-	}
-	h.Fence(tid) // header, marks and the zero commit line durable first
-
-	h.Store(tid, h.RootAddr(slotAnchor), uint64(cl.base))
-	h.Persist(tid, h.RootAddr(slotAnchor))
+	total := logHeaderLines + cl.allocLines + capacityLines
+	bytes := int64(total) * pmem.CacheLineBytes
+	base := h.AllocRaw(tid, bytes, pmem.CacheLineBytes)
+	h.InitRange(tid, base, bytes)
+	cl.writeGeneration(tid, threads, base, total, 0, 0, nil)
 	return cl
 }
 
-func (cl *catalogLog) markAddr(heap int) pmem.Addr {
-	return cl.lineAddr(logHeaderLines+heap/pmem.WordsPerLine) +
-		pmem.Addr((heap%pmem.WordsPerLine)*pmem.WordBytes)
-}
-
-// takeFree pops a width-wide window from the heap's free list, if one
-// is there. Exact-fit buckets are preferred; otherwise the smallest
-// wider bucket with stock is split — the request takes the window's
-// head and the remainder goes back as a smaller free window (heap
-// topics, whose windows are narrower than FIFO shards', are the first
-// to split retired FIFO windows this way). No durable write happens:
-// the high-water mark already covers every freed window, and the
-// tombstone that freed it is already anchored, so reuse is purely a
-// volatile pop (replay reaches the same window by simulating the same
-// records, splits included).
-func (cl *catalogLog) takeFree(heap, width int) (int, bool) {
-	fl := cl.free[heap]
-	if bases := fl[width]; len(bases) > 0 {
-		base := bases[len(bases)-1]
-		fl[width] = bases[:len(bases)-1]
-		return base, true
-	}
-	best := 0
-	for w, bases := range fl {
-		if w > width && len(bases) > 0 && (best == 0 || w < best) {
-			best = w
+// fit returns the base at which a width-slot window goes on heap: the
+// smallest gap between live windows below the high-water mark that
+// holds it (the lowest base on ties), otherwise the mark itself.
+func (cl *catalogLog) fit(heap, width int) int {
+	best, bestWidth := cl.marks[heap], 0
+	gap := func(lo, hi int) {
+		if g := hi - lo; g >= width && (bestWidth == 0 || g < bestWidth) {
+			best, bestWidth = lo, g
 		}
 	}
-	if best == 0 {
-		return 0, false
+	prev := 1 // slot 0 is the anchor
+	for _, w := range cl.live[heap] {
+		gap(prev, w.base)
+		prev = w.end()
 	}
-	bases := fl[best]
-	base := bases[len(bases)-1]
-	fl[best] = bases[:len(bases)-1]
-	cl.releaseSlots(heap, base+width, best-width)
-	return base, true
+	gap(prev, cl.marks[heap])
+	return best
 }
 
-// releaseSlots returns a window to the free list. Callers must have
-// persisted the tombstone that retires the window first — a window on
-// the free list is reusable immediately.
-func (cl *catalogLog) releaseSlots(heap, base, width int) {
-	if cl.free[heap] == nil {
-		cl.free[heap] = make(map[int][]int)
-	}
-	cl.free[heap][width] = append(cl.free[heap][width], base)
+// search finds the index of the first live window on heap based at or
+// after base, and whether one starts exactly there.
+func (cl *catalogLog) search(heap, base int) (int, bool) {
+	return slices.BinarySearchFunc(cl.live[heap], base, func(w window, b int) int { return cmp.Compare(w.base, b) })
 }
 
-// freeSlots reports the total number of root slots sitting on free
-// lists across the set — the reclaimed-but-unreused footprint.
+// claim adds a width-slot window at loc to the live table, or returns
+// the live window it would overlap (ok false) and changes nothing.
+func (cl *catalogLog) claim(loc shardLoc, width int) (clash window, ok bool) {
+	w := window{loc.base, width}
+	ws := cl.live[loc.heap]
+	i, _ := cl.search(loc.heap, loc.base)
+	if i > 0 && ws[i-1].end() > w.base {
+		return ws[i-1], false
+	}
+	if i < len(ws) && ws[i].base < w.end() {
+		return ws[i], false
+	}
+	cl.live[loc.heap] = slices.Insert(ws, i, w)
+	return window{}, true
+}
+
+// release drops the window at loc from the live table: its slots are
+// free from here on. Callers must have anchored whatever retires it.
+func (cl *catalogLog) release(loc shardLoc, width int) {
+	if i, ok := cl.search(loc.heap, loc.base); ok && cl.live[loc.heap][i].width == width {
+		cl.live[loc.heap] = slices.Delete(cl.live[loc.heap], i, i+1)
+	}
+}
+
+// freeSlots reports the reclaimed-but-unused footprint: the slots
+// below the marks (anchor slots excluded) that no live window holds.
 func (cl *catalogLog) freeSlots() int {
-	total := 0
-	for _, fl := range cl.free {
-		for width, bases := range fl {
-			total += width * len(bases)
+	n := 0
+	for hi, m := range cl.marks {
+		n += m - 1
+		for _, w := range cl.live[hi] {
+			n -= w.width
 		}
 	}
-	return total
+	return n
 }
 
-// allocSlots claims a width-slot root-slot window on the given member
-// heap: first from the free list (windows retired by tombstones, no
-// durable write needed — the mark already covers them), else from the
-// durable high-water allocator, where the new mark is stored, flushed
-// and fenced before the caller initializes anything inside the window,
-// so a window handed out before a crash is never handed out again —
-// exactly AllocRaw's contract, lifted to root slots.
-func (cl *catalogLog) allocSlots(tid, heap, width int, hs *pmem.HeapSet, what string) (shardLoc, error) {
-	if base, ok := cl.takeFree(heap, width); ok {
-		return shardLoc{heap: heap, base: base}, nil
-	}
-	base := cl.marks[heap]
-	if base+width > hs.Heap(heap).RootSlots() {
+// place fits a width-slot window on heap and claims it, raising the
+// volatile mark when the window lands there. Nothing durable happens:
+// the caller stores the marks (storeMarks) before building inside any
+// window, and on refusal hands its places back (unplace).
+func (cl *catalogLog) place(hs *pmem.HeapSet, heap, width int, what string) (shardLoc, error) {
+	loc := shardLoc{heap: heap, base: cl.fit(heap, width)}
+	if slots := hs.Heap(heap).RootSlots(); loc.base+width > slots {
 		return shardLoc{}, fmt.Errorf("broker: heap %d out of root slots (%s needs %d, %d left)",
-			heap, what, width, hs.Heap(heap).RootSlots()-base)
+			heap, what, width, slots-cl.marks[heap])
 	}
-	cl.marks[heap] = base + width
-	cl.h.Store(tid, cl.markAddr(heap), uint64(cl.marks[heap]))
-	return shardLoc{heap: heap, base: base}, nil
+	cl.claim(loc, width)
+	cl.marks[heap] = max(cl.marks[heap], loc.base+width)
+	return loc, nil
 }
 
-// persistMarks flushes every high-water line and fences: one blocking
-// persist covers all the windows one creation claimed.
-func (cl *catalogLog) persistMarks(tid int) {
+// unplace undoes the places of a creation refused before it stored the
+// marks: the windows leave the table and the marks return to old.
+func (cl *catalogLog) unplace(locs []shardLoc, width int, old []int) {
+	for _, loc := range locs {
+		cl.release(loc, width)
+	}
+	copy(cl.marks, old)
+}
+
+// storeMarks stores every mark that moved past old and, if any did,
+// flushes the mark lines and fences: one blocking persist covers every
+// window one creation placed at a mark, and a creation that fit into
+// gaps alone pays none.
+func (cl *catalogLog) storeMarks(tid int, old []int) {
+	moved := false
+	for hi, m := range cl.marks {
+		if m != old[hi] {
+			cl.h.Store(tid, markAddr(cl.base, hi), uint64(m))
+			moved = true
+		}
+	}
+	if !moved {
+		return
+	}
 	for l := 0; l < cl.allocLines; l++ {
 		cl.h.Flush(tid, cl.lineAddr(logHeaderLines+l))
 	}
 	cl.h.Fence(tid)
 }
 
+// room checks that the log's free tail holds a record of lines lines.
+func (cl *catalogLog) room(lines int) error {
+	if cl.next+lines > cl.totalLines {
+		return fmt.Errorf("%w (%d of %d lines used, %d needed; CompactCatalog(tid, lines) reclaims tombstone debris and resizes the log)",
+			ErrCatalogFull, cl.next, cl.totalLines, lines)
+	}
+	return nil
+}
+
+// catRecord is one catalog record: header words 0..6 (the checksum is
+// computed as it is written) and its body lines.
+type catRecord struct {
+	hdr  [7]uint64
+	body [][8]uint64
+}
+
+func (rec catRecord) lines() int { return 1 + len(rec.body) }
+
 // writeRecordAt stores one record — header words 0..6, the checksum,
 // and the body lines — at line `at` of the region based at `base`, and
 // flushes every line it wrote. No fence: callers order their own (one
-// fence per append, one per whole compaction). Returns the record's
-// line count.
-func (cl *catalogLog) writeRecordAt(tid int, base pmem.Addr, at int, hdr [7]uint64, body [][8]uint64) int {
+// fence per append, one per whole generation).
+func (cl *catalogLog) writeRecordAt(tid int, base pmem.Addr, at int, rec catRecord) {
 	h := cl.h
-	sum := make([]uint64, 0, 7+len(body)*8)
-	sum = append(sum, hdr[:]...)
-	for _, line := range body {
+	sum := make([]uint64, 0, 7+len(rec.body)*8)
+	sum = append(sum, rec.hdr[:]...)
+	for _, line := range rec.body {
 		sum = append(sum, line[:]...)
 	}
 	hdrAddr := base + pmem.Addr(at)*pmem.CacheLineBytes
-	for bi, line := range body {
+	for bi, line := range rec.body {
 		a := base + pmem.Addr(at+1+bi)*pmem.CacheLineBytes
 		for w, x := range line {
 			h.Store(tid, a+pmem.Addr(w*pmem.WordBytes), x)
 		}
 		h.Flush(tid, a)
 	}
-	for w, x := range hdr {
+	for w, x := range rec.hdr {
 		h.Store(tid, hdrAddr+pmem.Addr(w*pmem.WordBytes), x)
 	}
 	h.Store(tid, hdrAddr+7*pmem.WordBytes, catChecksum(sum))
 	h.Flush(tid, hdrAddr)
-	return 1 + len(body)
 }
 
-// appendRecord writes a record — header words 0..6 plus body lines —
-// at the log's free tail, fences it, then stamps and persists the
-// commit word. The record is visible (replayed by recovery) only after
-// the commit persist completes; a crash in between leaves debris that
-// the next append overwrites.
-func (cl *catalogLog) appendRecord(tid int, hdr [7]uint64, body [][8]uint64) error {
-	recLines := 1 + len(body)
-	if cl.next+recLines > cl.totalLines {
-		return fmt.Errorf("broker: catalog log full (%d of %d lines used; reopen with a larger CatalogLines)",
-			cl.next, cl.totalLines)
-	}
+// appendRecord writes a record at the log's free tail, fences it, then
+// stamps and persists the commit word. The record is visible (replayed
+// by recovery) only after the commit persist completes; a crash in
+// between leaves debris that the next append overwrites. The caller
+// has checked room before doing anything durable.
+func (cl *catalogLog) appendRecord(tid int, rec catRecord) {
 	h := cl.h
-	cl.writeRecordAt(tid, cl.base, cl.next, hdr, body)
+	cl.writeRecordAt(tid, cl.base, cl.next, rec)
 	h.Fence(tid) // the record is durable, but not yet visible
 
 	if testHookAfterAppend != nil {
@@ -389,10 +428,51 @@ func (cl *catalogLog) appendRecord(tid int, hdr [7]uint64, body [][8]uint64) err
 	}
 
 	cl.records++
-	cl.next += recLines
+	cl.next += rec.lines()
 	h.Store(tid, cl.lineAddr(1), uint64(cl.records))
 	h.Persist(tid, cl.lineAddr(1)) // the anchor stamp: now it exists
-	return nil
+}
+
+// writeGeneration writes a complete log generation into the region at
+// base — header, commit line (record count, ordinal floor), the
+// high-water marks, the records — fences it once, and only then names
+// it in heap 0's anchor slot with a single-word persist, so a crash on
+// either side of the anchor store recovers exactly one complete
+// generation. The handle then adopts the region.
+func (cl *catalogLog) writeGeneration(tid, threads int, base pmem.Addr, totalLines int, gen uint64, floor int, recs []catRecord) {
+	h := cl.h
+	line := func(i int) pmem.Addr { return base + pmem.Addr(i)*pmem.CacheLineBytes }
+	hdr := []uint64{catMagicV4, uint64(threads), uint64(cl.heaps), cl.stamp,
+		uint64(totalLines), uint64(cl.allocLines), gen}
+	for i, w := range hdr {
+		h.Store(tid, line(0)+pmem.Addr(i*pmem.WordBytes), w)
+	}
+	h.Store(tid, line(0)+7*pmem.WordBytes, catChecksum(hdr))
+	h.Flush(tid, line(0))
+	h.Store(tid, line(1), uint64(len(recs)))
+	h.Store(tid, line(1)+pmem.WordBytes, uint64(floor))
+	h.Flush(tid, line(1))
+	for i, m := range cl.marks {
+		h.Store(tid, markAddr(base, i), uint64(m))
+	}
+	for l := 0; l < cl.allocLines; l++ {
+		h.Flush(tid, line(logHeaderLines+l))
+	}
+	next := logHeaderLines + cl.allocLines
+	for _, rec := range recs {
+		cl.writeRecordAt(tid, base, next, rec)
+		next += rec.lines()
+	}
+	h.Fence(tid) // the whole generation is durable, but not yet visible
+
+	if testHookBeforeFlip != nil {
+		testHookBeforeFlip()
+	}
+
+	h.Store(tid, h.RootAddr(slotAnchor), uint64(base))
+	h.Persist(tid, h.RootAddr(slotAnchor)) // the flip: now this is the catalog
+	cl.base, cl.totalLines, cl.gen = base, totalLines, gen
+	cl.records, cl.next = len(recs), next
 }
 
 // packName packs a topic name into one body line, catNameBytes packed
@@ -402,38 +482,51 @@ func packName(s string) [8]uint64 {
 	name := make([]byte, catNameBytes)
 	copy(name, s)
 	for w := 0; w < catNameBytes/pmem.WordBytes; w++ {
-		var word uint64
-		for b := 0; b < 8; b++ {
-			word |= uint64(name[w*8+b]) << (8 * b)
-		}
-		line[w] = word
+		line[w] = binary.LittleEndian.Uint64(name[w*8:])
 	}
 	return line
 }
 
-func topicRecord(seq int, tc TopicConfig, locs []shardLoc, base int) ([7]uint64, [][8]uint64) {
+// unpackName decodes the name line of a topic or tombstone record
+// whose header gives the name's length as n.
+func unpackName(rec int, line [8]uint64, n uint64) (string, error) {
+	if n == 0 || n > catNameBytes {
+		return "", fmt.Errorf("broker: catalog log record %d has invalid name length %d", rec, n)
+	}
+	name := make([]byte, catNameBytes)
+	for w := 0; w < catNameBytes/pmem.WordBytes; w++ {
+		binary.LittleEndian.PutUint64(name[w*8:], line[w])
+	}
+	return string(name[:n]), nil
+}
+
+func topicRecord(seq int, tc TopicConfig, locs []shardLoc, base int) catRecord {
 	placeLines := (len(locs) + pmem.WordsPerLine - 1) / pmem.WordsPerLine
 	payloadWord := uint64(tc.MaxPayload) | uint64(tc.Kind)<<catKindShift
 	if tc.Acked {
 		payloadWord |= catAckedBit
 	}
-	hdr := [7]uint64{recTopicMagic, uint64(seq), uint64(tc.Shards), payloadWord,
-		uint64(len(tc.Name)), uint64(1 + placeLines), uint64(1 + base)}
-	body := make([][8]uint64, 1+placeLines)
-	body[0] = packName(tc.Name)
-	for i, loc := range locs {
-		body[1+i/pmem.WordsPerLine][i%pmem.WordsPerLine] = packLoc(loc)
+	rec := catRecord{
+		hdr: [7]uint64{recTopicMagic, uint64(seq), uint64(tc.Shards), payloadWord,
+			uint64(len(tc.Name)), uint64(1 + placeLines), uint64(1 + base)},
+		body: make([][8]uint64, 1+placeLines),
 	}
-	return hdr, body
+	rec.body[0] = packName(tc.Name)
+	for i, loc := range locs {
+		rec.body[1+i/pmem.WordsPerLine][i%pmem.WordsPerLine] = packLoc(loc)
+	}
+	return rec
 }
 
-func ackGroupRecord(seq, capacity int, loc shardLoc) [7]uint64 {
-	return [7]uint64{recAckMagic, uint64(seq), uint64(capacity), packLoc(loc), 0, 0, 0}
+func ackGroupRecord(seq, capacity int, loc shardLoc) catRecord {
+	return catRecord{hdr: [7]uint64{recAckMagic, uint64(seq), uint64(capacity), packLoc(loc), 0, 0, 0}}
 }
 
-func tombstoneRecord(seq int, name string) ([7]uint64, [][8]uint64) {
-	hdr := [7]uint64{recTombMagic, uint64(seq), uint64(len(name)), 0, 0, 1, 0}
-	return hdr, [][8]uint64{packName(name)}
+func tombstoneRecord(seq int, name string) catRecord {
+	return catRecord{
+		hdr:  [7]uint64{recTombMagic, uint64(seq), uint64(len(name)), 0, 0, 1, 0},
+		body: [][8]uint64{packName(name)},
+	}
 }
 
 // topicRecLines is the log footprint of a topic-creation record:
@@ -442,38 +535,23 @@ func topicRecLines(shards int) int {
 	return 2 + (shards+pmem.WordsPerLine-1)/pmem.WordsPerLine
 }
 
-// liveTopic is one surviving topic handed to compact: its config, its
-// shard placements, and the global shard-ordinal base its lease lines
-// live at (which compaction must preserve verbatim — re-basing would
-// repoint every durable lease at the wrong topic).
-type liveTopic struct {
-	tc   TopicConfig
-	locs []shardLoc
-	base int
-}
-
 // compact rewrites the live records into a next-generation log region
 // and flips the root-slot anchor to it: the debris-reclamation and
 // resize path. capacityLines is the new record capacity (0 keeps the
 // current capacity); floor is the global shard ordinal the new
 // generation starts issuing at, recorded in its commit line so the
-// ordinals of compacted-away topics are never reissued.
-//
-// The whole new generation — header, commit line at the live record
-// count, high-water marks, records — is written and fenced before the
-// anchor flips, so recovery on either side of the flip reads exactly
-// one complete generation. Cost: one fence plus one anchor persist,
-// regardless of how many dead records are dropped.
-func (cl *catalogLog) compact(tid, threads, capacityLines int,
-	topics []liveTopic, leaseLocs []shardLoc, leaseCaps []int, floor int) error {
+// ordinals of compacted-away topics are never reissued. The marks go
+// along verbatim, so the new generation leaves the same free slots as
+// the old. Cost: one fence plus one anchor persist, regardless of how
+// many dead records are dropped.
+func (cl *catalogLog) compact(tid, threads, capacityLines int, recs []catRecord, floor int) error {
 	if capacityLines == 0 {
 		capacityLines = cl.totalLines - cl.recStart()
 	}
 	need := 0
-	for _, t := range topics {
-		need += topicRecLines(len(t.locs))
+	for _, rec := range recs {
+		need += rec.lines()
 	}
-	need += len(leaseLocs)
 	if need > capacityLines {
 		return fmt.Errorf("broker: catalog capacity %d lines cannot hold %d live record lines",
 			capacityLines, need)
@@ -482,7 +560,6 @@ func (cl *catalogLog) compact(tid, threads, capacityLines int,
 		return fmt.Errorf("broker: catalog generation limit reached")
 	}
 
-	h := cl.h
 	newTotal := logHeaderLines + cl.allocLines + capacityLines
 	var newBase pmem.Addr
 	if cl.spareBase != 0 && cl.spareLines >= newTotal {
@@ -492,55 +569,12 @@ func (cl *catalogLog) compact(tid, threads, capacityLines int,
 		newBase, cl.spareBase, cl.spareLines = cl.spareBase, 0, 0
 	} else {
 		bytes := int64(newTotal) * pmem.CacheLineBytes
-		newBase = h.AllocRaw(tid, bytes, pmem.CacheLineBytes)
-		h.InitRange(tid, newBase, bytes)
+		newBase = cl.h.AllocRaw(tid, bytes, pmem.CacheLineBytes)
+		cl.h.InitRange(tid, newBase, bytes)
 	}
-	la := func(i int) pmem.Addr { return newBase + pmem.Addr(i)*pmem.CacheLineBytes }
-
-	hdr := []uint64{catMagicV4, uint64(threads), uint64(cl.heaps), cl.stamp,
-		uint64(newTotal), uint64(cl.allocLines), cl.gen + 1}
-	for i, w := range hdr {
-		h.Store(tid, la(0)+pmem.Addr(i*pmem.WordBytes), w)
-	}
-	h.Store(tid, la(0)+7*pmem.WordBytes, catChecksum(hdr))
-	h.Flush(tid, la(0))
-	h.Store(tid, la(1), uint64(len(topics)+len(leaseLocs)))
-	h.Store(tid, la(1)+pmem.WordBytes, uint64(floor))
-	h.Flush(tid, la(1))
-	for i, m := range cl.marks {
-		h.Store(tid, la(logHeaderLines+i/pmem.WordsPerLine)+
-			pmem.Addr((i%pmem.WordsPerLine)*pmem.WordBytes), uint64(m))
-	}
-	for l := 0; l < cl.allocLines; l++ {
-		h.Flush(tid, la(logHeaderLines+l))
-	}
-	next := logHeaderLines + cl.allocLines
-	seq := 0
-	for _, t := range topics {
-		seq++
-		rh, body := topicRecord(seq, t.tc, t.locs, t.base)
-		next += cl.writeRecordAt(tid, newBase, next, rh, body)
-	}
-	for g, loc := range leaseLocs {
-		seq++
-		rh := ackGroupRecord(seq, leaseCaps[g], loc)
-		next += cl.writeRecordAt(tid, newBase, next, rh, nil)
-	}
-	h.Fence(tid) // the whole generation is durable, but not yet visible
-
-	if testHookBeforeFlip != nil {
-		testHookBeforeFlip()
-	}
-
-	h.Store(tid, h.RootAddr(slotAnchor), uint64(newBase))
-	h.Persist(tid, h.RootAddr(slotAnchor)) // the flip: now this is the catalog
-
-	cl.spareBase, cl.spareLines = cl.base, cl.totalLines
-	cl.base = newBase
-	cl.totalLines = newTotal
-	cl.records = seq
-	cl.next = next
-	cl.gen++
+	oldBase, oldLines := cl.base, cl.totalLines
+	cl.writeGeneration(tid, threads, newBase, newTotal, cl.gen+1, floor, recs)
+	cl.spareBase, cl.spareLines = oldBase, oldLines
 	cl.deadLines = 0
 	return nil
 }
@@ -552,12 +586,11 @@ func (cl *catalogLog) compact(tid, threads, capacityLines int,
 // stamp — is ignored and will be overwritten by the next append. The
 // returned layout's catalogLog is positioned to continue appending.
 //
-// Replay is also an allocator simulation: each creation record claims
-// its root-slot windows, each tombstone retires its topic's windows,
-// and a committed creation whose windows overlap a still-live
-// structure — or partially overlap a retired window instead of reusing
-// it exactly — is a hard recovery error. What is retired and never
-// reclaimed at the end of the log becomes the rebuilt free list.
+// Replay rebuilds the slot table with the live verbs' own claim and
+// release: each creation record claims its root-slot windows, each
+// tombstone releases its topic's. A committed window that overlaps a
+// live one, or reaches past its heap's durable mark (whose store was
+// fenced before the record was written), is a hard recovery error.
 func readCatalogV4(r *catReader, hs *pmem.HeapSet, reg pmem.Addr) (layoutInfo, int, uint64, error) {
 	var hdr [7]uint64
 	for i := range hdr {
@@ -598,7 +631,7 @@ func readCatalogV4(r *catReader, hs *pmem.HeapSet, reg pmem.Addr) (layoutInfo, i
 		stamp:      stamp,
 		gen:        gen,
 		marks:      make([]int, heapCount),
-		free:       make([]map[int][]int, heapCount),
+		live:       make([][]window, heapCount),
 	}
 	records := r.word(cl.lineAddr(1))
 	floor := r.word(cl.lineAddr(1) + pmem.WordBytes)
@@ -609,56 +642,36 @@ func readCatalogV4(r *catReader, hs *pmem.HeapSet, reg pmem.Addr) (layoutInfo, i
 	if floor > maxCatShards {
 		return layoutInfo{}, 0, 0, fmt.Errorf("broker: catalog log ordinal floor %d invalid", floor)
 	}
-
-	lay := layoutInfo{threads: int(threads), nextGlobal: int(floor), cat: cl}
-	replayMarks := make([]int, heapCount)
-	for i := range replayMarks {
-		replayMarks[i] = 1
+	// The marks are authoritative: they may run ahead of every committed
+	// window (windows a creation placed before crashing short of its
+	// anchor are free), but never lag one.
+	for i := range cl.marks {
+		m := int(r.word(markAddr(reg, i)))
+		if r.err != nil {
+			return layoutInfo{}, 0, 0, r.err
+		}
+		if m < 1 || i < hs.Len() && m > hs.Heap(i).RootSlots() {
+			return layoutInfo{}, 0, 0, fmt.Errorf("broker: heap %d high-water mark %d outside its root slots", i, m)
+		}
+		cl.marks[i] = m
 	}
 
-	// The allocator simulation: per heap, windows claimed by live
-	// structures and windows retired by tombstones.
-	type repWin struct{ base, width int }
-	liveWins := make([][]repWin, heapCount)
-	freedWins := make([][]repWin, heapCount)
-	claimWin := func(rec int, what string, loc shardLoc, width int) error {
-		if loc.heap < 0 || loc.heap >= int(heapCount) {
+	lay := layoutInfo{threads: int(threads), nextGlobal: int(floor), cat: cl}
+	claim := func(rec int, what string, loc shardLoc, width int) error {
+		switch {
+		case loc.heap >= int(heapCount):
 			return fmt.Errorf("broker: catalog log record %d places %s on heap %d of %d",
 				rec, what, loc.heap, heapCount)
+		case loc.base < 1:
+			return fmt.Errorf("broker: catalog log record %d places %s over heap %d's anchor slot",
+				rec, what, loc.heap)
+		case loc.base+width > cl.marks[loc.heap]:
+			return fmt.Errorf("broker: heap %d high-water mark %d lags committed windows (record %d places %s at slots [%d,%d))",
+				loc.heap, cl.marks[loc.heap], rec, what, loc.base, loc.base+width)
 		}
-		if loc.base < 1 || (loc.heap < hs.Len() && loc.base+width > hs.Heap(loc.heap).RootSlots()) {
-			return fmt.Errorf("broker: catalog log record %d places %s at slots [%d,%d) outside heap %d",
-				rec, what, loc.base, loc.base+width, loc.heap)
-		}
-		for _, w := range liveWins[loc.heap] {
-			if loc.base < w.base+w.width && w.base < loc.base+width {
-				return fmt.Errorf("broker: catalog log record %d claims slots [%d,%d) on heap %d overlapping live window [%d,%d)",
-					rec, loc.base, loc.base+width, loc.heap, w.base, w.base+w.width)
-			}
-		}
-		for i, w := range freedWins[loc.heap] {
-			if loc.base < w.base+w.width && w.base < loc.base+width {
-				if loc.base < w.base || loc.base+width > w.base+w.width {
-					return fmt.Errorf("broker: catalog log record %d claims slots [%d,%d) on heap %d straddling retired window [%d,%d)",
-						rec, loc.base, loc.base+width, loc.heap, w.base, w.base+w.width)
-				}
-				// Reuse of a retired window: exact, or a sub-range when a
-				// narrower creation split a wider window (takeFree's
-				// split-bucket path takes the head, so a committed claim
-				// always nests). The remainder fragments stay retired.
-				freedWins[loc.heap] = append(freedWins[loc.heap][:i], freedWins[loc.heap][i+1:]...)
-				if loc.base > w.base {
-					freedWins[loc.heap] = append(freedWins[loc.heap], repWin{w.base, loc.base - w.base})
-				}
-				if end, wend := loc.base+width, w.base+w.width; end < wend {
-					freedWins[loc.heap] = append(freedWins[loc.heap], repWin{end, wend - end})
-				}
-				break
-			}
-		}
-		liveWins[loc.heap] = append(liveWins[loc.heap], repWin{loc.base, width})
-		if end := loc.base + width; end > replayMarks[loc.heap] {
-			replayMarks[loc.heap] = end
+		if w, ok := cl.claim(loc, width); !ok {
+			return fmt.Errorf("broker: catalog log record %d claims slots [%d,%d) on heap %d overlapping live window [%d,%d)",
+				rec, loc.base, loc.base+width, loc.heap, w.base, w.end())
 		}
 		return nil
 	}
@@ -715,44 +728,30 @@ func readCatalogV4(r *catReader, hs *pmem.HeapSet, reg pmem.Addr) (layoutInfo, i
 		case recTopicMagic:
 			shards := rh[2]
 			payloadWord := rh[3]
-			nameLen := rh[4]
 			baseWord := rh[6]
 			if shards == 0 || shards > maxCatShards {
 				return layoutInfo{}, 0, 0, fmt.Errorf("broker: catalog log record %d has invalid shard count %d", rec, shards)
-			}
-			if nameLen == 0 || nameLen > catNameBytes {
-				return layoutInfo{}, 0, 0, fmt.Errorf("broker: catalog log record %d has invalid name length %d", rec, nameLen)
 			}
 			if want := 1 + (int(shards)+pmem.WordsPerLine-1)/pmem.WordsPerLine; int(bodyLines) != want {
 				return layoutInfo{}, 0, 0, fmt.Errorf("broker: catalog log record %d has %d body lines for %d shards, want %d",
 					rec, bodyLines, shards, want)
 			}
-			if baseWord > maxCatShards {
-				return layoutInfo{}, 0, 0, fmt.Errorf("broker: catalog log record %d has invalid ordinal base %d", rec, baseWord)
+			// Word 6 is 1+base: topicRecord never writes 0.
+			if baseWord == 0 || baseWord > maxCatShards {
+				return layoutInfo{}, 0, 0, fmt.Errorf("broker: catalog log record %d has invalid ordinal base word %d", rec, baseWord)
 			}
 			if topics++; topics > maxCatTopics {
 				return layoutInfo{}, 0, 0, fmt.Errorf("broker: catalog log exceeds %d topics", maxCatTopics)
 			}
-			nameBytes := make([]byte, catNameBytes)
-			for w := 0; w < catNameBytes/pmem.WordBytes; w++ {
-				for b := 0; b < 8; b++ {
-					nameBytes[w*8+b] = byte(body[0][w] >> (8 * b))
-				}
+			name, err := unpackName(rec, body[0], rh[4])
+			if err != nil {
+				return layoutInfo{}, 0, 0, err
 			}
-			name := string(nameBytes[:nameLen])
 			if byName[name] != nil {
 				return layoutInfo{}, 0, 0, fmt.Errorf("broker: catalog log records topic %q twice", name)
 			}
-			// Word 6 is 1+base for records written since topic retirement
-			// existed; 0 means sequential assignment, exactly what the
-			// broker that wrote the record did.
-			base := lay.nextGlobal
-			if baseWord > 0 {
-				base = int(baseWord) - 1
-			}
-			if end := base + int(shards); end > lay.nextGlobal {
-				lay.nextGlobal = end
-			}
+			base := int(baseWord) - 1
+			lay.nextGlobal = max(lay.nextGlobal, base+int(shards))
 			kind := TopicKind((payloadWord & catKindMask) >> catKindShift)
 			tc := TopicConfig{
 				Name:       name,
@@ -771,7 +770,7 @@ func readCatalogV4(r *catReader, hs *pmem.HeapSet, reg pmem.Addr) (layoutInfo, i
 			locs := make([]shardLoc, shards)
 			for s := range locs {
 				locs[s] = unpackLoc(body[1+s/pmem.WordsPerLine][s%pmem.WordsPerLine])
-				if err := claimWin(rec, fmt.Sprintf("topic %q shard %d", name, s), locs[s], slotsForKind(kind)); err != nil {
+				if err := claim(rec, fmt.Sprintf("topic %q shard %d", name, s), locs[s], slotsForKind(kind)); err != nil {
 					return layoutInfo{}, 0, 0, err
 				}
 			}
@@ -787,44 +786,27 @@ func readCatalogV4(r *catReader, hs *pmem.HeapSet, reg pmem.Addr) (layoutInfo, i
 			if ackGroups++; ackGroups > maxCatAckGroups {
 				return layoutInfo{}, 0, 0, fmt.Errorf("broker: catalog log exceeds %d ack groups", maxCatAckGroups)
 			}
-			if err := claimWin(rec, fmt.Sprintf("lease region %d", ackGroups-1), loc, 1); err != nil {
+			if err := claim(rec, fmt.Sprintf("lease region %d", ackGroups-1), loc, 1); err != nil {
 				return layoutInfo{}, 0, 0, err
 			}
 			lay.leaseLocs = append(lay.leaseLocs, loc)
 			lay.leaseCaps = append(lay.leaseCaps, int(capacity))
 		case recTombMagic:
-			nameLen := rh[2]
-			if nameLen == 0 || nameLen > catNameBytes {
-				return layoutInfo{}, 0, 0, fmt.Errorf("broker: catalog log record %d has invalid name length %d", rec, nameLen)
-			}
 			if bodyLines != 1 {
 				return layoutInfo{}, 0, 0, fmt.Errorf("broker: catalog log tombstone %d has %d body lines, want 1", rec, bodyLines)
 			}
-			nameBytes := make([]byte, catNameBytes)
-			for w := 0; w < catNameBytes/pmem.WordBytes; w++ {
-				for b := 0; b < 8; b++ {
-					nameBytes[w*8+b] = byte(body[0][w] >> (8 * b))
-				}
+			name, err := unpackName(rec, body[0], rh[2])
+			if err != nil {
+				return layoutInfo{}, 0, 0, err
 			}
-			name := string(nameBytes[:nameLen])
 			rt := byName[name]
 			if rt == nil {
 				return layoutInfo{}, 0, 0, fmt.Errorf("broker: catalog log tombstone %d names no live topic %q", rec, name)
 			}
 			rt.dead = true
 			delete(byName, name)
-			// Retire the topic's windows: out of the live set, onto the
-			// freed set, in shard order (matching the live broker's
-			// release order, so the rebuilt free list is identical).
-			width := slotsForKind(rt.tc.Kind)
 			for _, loc := range rt.locs {
-				for i, w := range liveWins[loc.heap] {
-					if w.base == loc.base && w.width == width {
-						liveWins[loc.heap] = append(liveWins[loc.heap][:i], liveWins[loc.heap][i+1:]...)
-						break
-					}
-				}
-				freedWins[loc.heap] = append(freedWins[loc.heap], repWin{loc.base, width})
+				cl.release(loc, slotsForKind(rt.tc.Kind))
 			}
 			cl.deadLines += topicRecLines(len(rt.locs)) + tombstoneLines
 		default:
@@ -840,32 +822,7 @@ func readCatalogV4(r *catReader, hs *pmem.HeapSet, reg pmem.Addr) (layoutInfo, i
 		lay.locs = append(lay.locs, rt.locs)
 		lay.bases = append(lay.bases, rt.base)
 	}
-	for heap, wins := range freedWins {
-		for _, w := range wins {
-			cl.releaseSlots(heap, w.base, w.width)
-		}
-	}
 	cl.records = int(records)
 	cl.next = cursor
-
-	// High-water marks: the durable line is authoritative (it may run
-	// ahead of the replayed maxima — windows claimed by a creation that
-	// crashed before its anchor stay retired forever), but it can never
-	// durably lag a committed record, whose claim was fenced first.
-	for i := 0; i < int(heapCount); i++ {
-		m := int(r.word(cl.markAddr(i)))
-		if r.err != nil {
-			return layoutInfo{}, 0, 0, r.err
-		}
-		if m < replayMarks[i] {
-			return layoutInfo{}, 0, 0, fmt.Errorf("broker: heap %d high-water mark %d lags committed windows (%d)",
-				i, m, replayMarks[i])
-		}
-		if i < hs.Len() && m > hs.Heap(i).RootSlots() {
-			return layoutInfo{}, 0, 0, fmt.Errorf("broker: heap %d high-water mark %d exceeds %d root slots",
-				i, m, hs.Heap(i).RootSlots())
-		}
-		cl.marks[i] = m
-	}
 	return lay, int(heapCount), stamp, nil
 }

@@ -166,8 +166,8 @@ func sweepVerb(t *testing.T, name string, v verbSweep) {
 }
 
 // sweepRecreate demands that tc, when the recovered broker does not
-// hold it, can be created again — out of the free list alone when its
-// windows were freed — and either way is empty and takes a publish.
+// hold it, can be created again — in free slots alone when its windows
+// were freed — and either way is empty and takes a publish.
 func sweepRecreate(t *testing.T, rb *Broker, tc TopicConfig, freed bool, what string) {
 	t.Helper()
 	if rb.Topic(tc.Name) == nil {
@@ -208,7 +208,7 @@ func TestCrashSweepDeleteTopic(t *testing.T) {
 	sweepVerb(t, "DeleteTopic", verbSweep{
 		verb: func(b *Broker) error { return b.DeleteTopic(1, victim.Name) },
 		// The victim is either whole with every message, or gone — and
-		// then its windows are back on the free list.
+		// then its windows are free slots again.
 		check: func(t *testing.T, rb *Broker, _ uint64, what string) {
 			if rb.Topic(victim.Name) != nil {
 				sweepAudit(t, rb, what, "fixed", victim.Name)
@@ -222,8 +222,8 @@ func TestCrashSweepDeleteTopic(t *testing.T) {
 
 func TestCrashSweepCompactCatalog(t *testing.T) {
 	sweepVerb(t, "CompactCatalog", verbSweep{
-		// Tombstone debris and free-listed windows for the new
-		// generation to drop and carry.
+		// Tombstone debris for the new generation to drop, and freed
+		// windows it must keep free.
 		prep: func(t *testing.T, b *Broker) {
 			if _, err := b.CreateTopic(0, sweepLate); err != nil {
 				t.Fatal(err)
@@ -234,11 +234,9 @@ func TestCrashSweepCompactCatalog(t *testing.T) {
 		},
 		verb: func(b *Broker) error { return b.CompactCatalog(1, 0) },
 		// Exactly one generation recovers, the old or the new, and in
-		// both the deleted topic stays deleted. Its windows stay on the
-		// free list only in the old one: the free list is derived from
-		// tombstones, the new generation has dropped them, and a
-		// recovery from it forgets the windows (ROADMAP 4(b) — the leak
-		// this row found; the live broker that compacted keeps them).
+		// both the deleted topic stays deleted and its windows are free:
+		// the new generation drops the tombstone but carries the marks,
+		// and free slots are what the live windows leave below them.
 		check: func(t *testing.T, rb *Broker, gen uint64, what string) {
 			got := rb.CatalogGeneration()
 			if got != gen && got != gen+1 {
@@ -247,7 +245,7 @@ func TestCrashSweepCompactCatalog(t *testing.T) {
 			if rb.Topic(sweepLate.Name) != nil {
 				t.Fatalf("%s: deleted topic %q resurrected", what, sweepLate.Name)
 			}
-			sweepRecreate(t, rb, sweepLate, got == gen, what)
+			sweepRecreate(t, rb, sweepLate, true, what)
 			sweepAudit(t, rb, what, "fixed", "blob")
 		},
 	})

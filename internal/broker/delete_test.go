@@ -61,7 +61,7 @@ func TestDeleteTopicRoundTrip(t *testing.T) {
 		t.Fatal("double DeleteTopic should fail")
 	}
 	// The name is free again, with a different shape; the old windows
-	// feed the free list.
+	// are free slots.
 	if _, err := b.CreateTopic(0, TopicConfig{Name: "gone", Shards: 1}); err != nil {
 		t.Fatal(err)
 	}
@@ -175,9 +175,10 @@ func TestDeleteTopicCrashBeforeAnchor(t *testing.T) {
 // create/delete storm over cycles of the same topic shape reaches a
 // steady-state high-water mark — the retired windows are provably
 // reused, the footprint stops growing after the first cycle, and the
-// rebuilt free list after a crash matches the live one exactly (the
-// free list is durable by derivation). The deliberately tiny log also
-// forces the storm through repeated compactions.
+// free slots after a crash match the live ones exactly (they are the
+// complement of the replayed live windows below the durable marks).
+// The deliberately tiny log also forces the storm through repeated
+// compactions.
 func TestDeleteTopicWindowReuse(t *testing.T) {
 	hs := pmem.NewSet(2, pmem.Config{Bytes: 64 << 20, Mode: pmem.ModeCrash, MaxThreads: 2})
 	b, err := Open(hs, Options{Threads: 1, CatalogLines: 24})
@@ -191,7 +192,7 @@ func TestDeleteTopicWindowReuse(t *testing.T) {
 
 	const cycles = 10
 	// Two shards over two heaps: the same shape claims the same windows
-	// every cycle once the free list is primed.
+	// every cycle once the first cycle has freed them.
 	shape := TopicConfig{Name: "churn", Shards: 2}
 	var used0, free0 int
 	for i := 0; i < cycles; i++ {
@@ -220,7 +221,7 @@ func TestDeleteTopicWindowReuse(t *testing.T) {
 	if gen := b.CatalogGeneration(); gen == 0 {
 		t.Fatal("a 10-cycle storm on a 24-line log never compacted")
 	}
-	// A same-shape create consumes the free list completely: no fresh
+	// A same-shape create consumes the free slots completely: no fresh
 	// windows, no mark movement.
 	if _, err := b.CreateTopic(0, shape); err != nil {
 		t.Fatal(err)
@@ -232,8 +233,8 @@ func TestDeleteTopicWindowReuse(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// The free list is durable by derivation: recovery's allocator
-	// simulation rebuilds the same footprint.
+	// Free slots are derived, not stored: replay's claims and releases
+	// rebuild the same footprint.
 	hs.CrashNow()
 	hs.FinalizeCrash(rand.New(rand.NewSource(94)))
 	hs.Restart()
@@ -247,13 +248,85 @@ func TestDeleteTopicWindowReuse(t *testing.T) {
 	if p, ok := r.Topic("base").DequeueShard(0, 0); !ok || AsU64(p) != 7 {
 		t.Fatalf("base message lost in the storm: %v,%v", p, ok)
 	}
-	// And the recovered free list actually serves allocations.
+	// And the recovered free slots actually serve allocations.
 	if _, err := r.CreateTopic(0, shape); err != nil {
 		t.Fatal(err)
 	}
 	if used, free := r.SlotFootprint(); used != used0 || free != 0 {
 		t.Fatalf("post-recovery create left (used %d, free %d), want (used %d, free 0)", used, free, used0)
 	}
+}
+
+// TestCompactCatalogKeepsFreeWindows: a compaction writes only live
+// records, yet a broker recovered from the new generation has the same
+// free slots as the one that compacted — the marks travel with the
+// generation and free space is their complement. Compared white-box
+// too: the recovered slot table (live windows and marks) and every
+// topic's windows equal the live broker's.
+func TestCompactCatalogKeepsFreeWindows(t *testing.T) {
+	hs := pmem.NewSet(2, pmem.Config{Bytes: 64 << 20, Mode: pmem.ModeCrash, MaxThreads: 2})
+	b, err := Open(hs, Options{Threads: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, name := range []string{"a", "b", "c"} {
+		if _, err := b.CreateTopic(0, TopicConfig{Name: name, Shards: 2}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := b.DeleteTopic(0, "b"); err != nil {
+		t.Fatal(err)
+	}
+	if err := b.CompactCatalog(0, 0); err != nil {
+		t.Fatal(err)
+	}
+	used, free := b.SlotFootprint()
+	if used != 6*slotsPerShard || free != 2*slotsPerShard {
+		t.Fatalf("live footprint (used %d, free %d), want (used %d, free %d)", used, free, 6*slotsPerShard, 2*slotsPerShard)
+	}
+	table, locs := slotTable(b), topicWindows(b)
+
+	hs.CrashNow() // at quiescence: a clean restart
+	hs.FinalizeCrash(rand.New(rand.NewSource(98)))
+	hs.Restart()
+	r, err := Open(hs, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if u, f := r.SlotFootprint(); u != used || f != free {
+		t.Fatalf("recovered footprint (used %d, free %d), want the live (used %d, free %d)", u, f, used, free)
+	}
+	if got := slotTable(r); got != table {
+		t.Fatalf("recovered slot table %s, want the live %s", got, table)
+	}
+	if got := topicWindows(r); got != locs {
+		t.Fatalf("recovered topic windows %s, want the live %s", got, locs)
+	}
+	// The freed windows serve the next create: the marks stay put.
+	if _, err := r.CreateTopic(0, TopicConfig{Name: "d", Shards: 2}); err != nil {
+		t.Fatal(err)
+	}
+	if u, f := r.SlotFootprint(); u != used || f != 0 {
+		t.Fatalf("create after recovery left (used %d, free %d), want (used %d, free 0)", u, f, used)
+	}
+}
+
+// slotTable renders the catalog's slot table — per-heap marks and live
+// windows — for comparison across a restart.
+func slotTable(b *Broker) string {
+	b.adminMu.Lock()
+	defer b.adminMu.Unlock()
+	return fmt.Sprint(b.cat.marks, b.cat.live)
+}
+
+// topicWindows renders every topic's name and shard windows, in
+// catalog order.
+func topicWindows(b *Broker) string {
+	var s strings.Builder
+	for _, t := range b.set().list {
+		fmt.Fprint(&s, t.Name(), t.locs, " ")
+	}
+	return s.String()
 }
 
 // TestDeleteTopicFenceAccounting pins the retirement cost model: the

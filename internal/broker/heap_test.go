@@ -409,12 +409,11 @@ func TestHeapTopicRecovery(t *testing.T) {
 	}
 }
 
-// TestHeapWindowSplitReuse covers both free-list reuse paths of the
-// slot allocator: an exact-fit hit (a retired width-8 FIFO window
-// serving a new FIFO topic) and the split-bucket path (width-2 heap
-// windows carved out of a retired width-8 window), plus the replay
-// side — recovery re-simulates the same claims, including the nested
-// sub-range splits, and rebuilds the identical footprint.
+// TestHeapWindowSplitReuse covers both ways the slot allocator's best
+// fit reuses freed slots: a whole retired width-8 FIFO window serving
+// a new FIFO topic, and width-2 heap windows carved out of one, plus
+// the replay side — recovery claims the same windows and rebuilds the
+// identical footprint.
 func TestHeapWindowSplitReuse(t *testing.T) {
 	hs := pmem.NewSet(1, pmem.Config{Bytes: 64 << 20, Mode: pmem.ModeCrash, MaxThreads: 2})
 	b, err := Open(hs, Options{Threads: 2})

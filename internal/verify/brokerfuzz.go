@@ -121,7 +121,7 @@ var BrokerScenarios = []BrokerScenario{
 	},
 	{
 		Name:    "broker-topic-churn",
-		Summary: "create, publish, drain, delete cycles through a small catalog log (tombstones, free-list reuse, compactions) with a publisher racing every delete: a returned delete never resurrects, a torn one lands either way, exactly-once over survivors",
+		Summary: "create, publish, drain, delete cycles through a small catalog log (tombstones, window reuse, compactions) with a publisher racing every delete: a returned delete never resurrects, a torn one lands either way, exactly-once over survivors",
 		Threads: 2 + 2 + 2, // producers + consumers + administrator + racer
 		run:     topicChurnRound,
 	},
@@ -611,8 +611,8 @@ func dynamicTopicsRound(r *round) error {
 // compactions too), while another thread publishes into whatever
 // churn topic is currently alive, racing every delete. The power loss
 // lands anywhere, including mid-delete and mid-compaction. The audit:
-// recovery succeeds (replay's allocator simulation rejects any window
-// overlap), no topic whose delete returned resurfaces, and every
+// recovery succeeds (replay's window claims reject any overlap), no
+// topic whose delete returned resurfaces, and every
 // acknowledged publish to a surviving topic is delivered or recovered
 // exactly once, in per-publisher order.
 func topicChurnRound(r *round) error {
@@ -760,7 +760,7 @@ func topicChurnRound(r *round) error {
 	})
 
 	// Recovery replays the catalog across whatever generations and
-	// tombstones the churn left; its allocator simulation is itself the
+	// tombstones the churn left; its window claims are themselves the
 	// no-window-overlap audit.
 	rb, err := r.run(37, broker.Options{})
 	if err != nil {
