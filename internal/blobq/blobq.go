@@ -111,20 +111,23 @@ func (q *Queue) MaxPayload() int { return q.lines * lineData }
 type codec struct {
 	lines int
 	epoch uint64 // persistent boot incarnation, salts blob tags
-	// tagSeq counts the tags each thread minted this incarnation.
-	tagSeq []paddedSeq
+	per   []perTid
 	// areas bounds the blob addresses recovery may trust.
 	areas []ssmem.Area
 }
 
-// paddedSeq keeps each thread's counter on its own cache line.
-type paddedSeq struct {
-	n uint64
-	_ [56]byte
+// perTid is one thread's codec state, on a cache line of its own: the
+// tags it minted this incarnation, and the words of the blob it is
+// writing, staged before one pmem.WriteBack (allocated on its first
+// Write).
+type perTid struct {
+	tagSeq uint64
+	stage  []uint64
+	_      [32]byte
 }
 
 func newCodec(cfg Config, epoch uint64) *codec {
-	return &codec{lines: cfg.blobLines(), epoch: epoch, tagSeq: make([]paddedSeq, cfg.Threads)}
+	return &codec{lines: cfg.blobLines(), epoch: epoch, per: make([]perTid, cfg.Threads)}
 }
 
 // New creates an empty payload queue.
@@ -163,30 +166,38 @@ func (c *codec) Write(h *pmem.Heap, tid int, pn, blob pmem.Addr, payload []byte)
 	if len(payload) > c.lines*lineData {
 		panic(fmt.Sprintf("blobq: payload %d exceeds capacity %d", len(payload), c.lines*lineData))
 	}
-	c.tagSeq[tid].n++
-	tag := c.epoch<<40 | uint64(tid+1)<<32 | c.tagSeq[tid].n&0xffffffff
+	me := &c.per[tid]
+	me.tagSeq++
+	tag := c.epoch<<40 | uint64(tid+1)<<32 | me.tagSeq&0xffffffff
 	h.Store(tid, pn+pnBlob, uint64(blob))
 	h.Store(tid, pn+pnTag, tag)
 	h.Store(tid, pn+pnLen, uint64(len(payload)))
 	// The blob is this thread's alone until the core links the node, so
-	// each line is staged on the stack and written as one StoreLine.
-	var line [pmem.WordsPerLine]uint64
+	// it is staged whole and written back in one call.
+	if me.stage == nil {
+		me.stage = make([]uint64, c.lines*pmem.WordsPerLine)
+	}
 	for l, rest := 0, payload; l < c.lines; l++ {
-		src := rest
-		if len(rest) < lineData { // the last partial line, and any past the payload's end
-			var pad [lineData]byte
-			copy(pad[:], rest)
-			src = pad[:]
+		line := (*[pmem.WordsPerLine]uint64)(me.stage[l*pmem.WordsPerLine:])
+		var data *[lineData]byte
+		if len(rest) >= lineData {
+			data = (*[lineData]byte)(rest)
+		} else { // the last partial line, and any past the payload's end
+			data = new([lineData]byte)
+			copy(data[:], rest)
 		}
-		for w := range line[:lineData/pmem.WordBytes] {
-			line[w] = binary.LittleEndian.Uint64(src[w*pmem.WordBytes:])
-		}
+		// Unrolled: as a loop its counter is spilled on every word.
+		line[0] = binary.LittleEndian.Uint64(data[0:])
+		line[1] = binary.LittleEndian.Uint64(data[8:])
+		line[2] = binary.LittleEndian.Uint64(data[16:])
+		line[3] = binary.LittleEndian.Uint64(data[24:])
+		line[4] = binary.LittleEndian.Uint64(data[32:])
+		line[5] = binary.LittleEndian.Uint64(data[40:])
+		line[6] = binary.LittleEndian.Uint64(data[48:])
 		line[sealOff/pmem.WordBytes] = seal(tag, l)
-		base := blob + pmem.Addr(l*pmem.CacheLineBytes)
-		h.StoreLine(tid, base, &line)
-		h.Flush(tid, base)
 		rest = rest[min(lineData, len(rest)):]
 	}
+	h.WriteBack(tid, blob, me.stage)
 	return append([]byte(nil), payload...)
 }
 

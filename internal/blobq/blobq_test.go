@@ -376,6 +376,43 @@ func TestOneFenceZeroPostFlush(t *testing.T) {
 	}
 }
 
+// TestRecycledBlobRewriteZeroPostFlush: the blob1k-acked round run past
+// one area's 1024 slots, so most blobs written back land on a slot whose
+// lines the previous owner's write-back left flushed. The allocator's
+// ClearLineState makes that rewrite an allocation miss, not an access to
+// flushed content: zero post-flush accesses, whether or not a flush
+// invalidates the line. The first round, which creates the pools'
+// areas, is not counted.
+func TestRecycledBlobRewriteZeroPostFlush(t *testing.T) {
+	for _, retain := range []bool{false, true} {
+		h := pmem.New(pmem.Config{Bytes: 64 << 20, MaxThreads: 1, FlushRetainsLine: retain})
+		cfg := Config{Threads: 1, MaxPayload: 1024, Acked: true}
+		q := New(h, cfg)
+		batch := make([][]byte, 8)
+		const rounds = 300
+		for i := 0; i < rounds; i++ {
+			for j := range batch {
+				batch[j] = payloadFor(uint64(i*8+j), 1024)
+			}
+			before := h.TotalStats()
+			q.EnqueueBatch(0, batch)
+			ps, idxs := q.DequeueLeased(0, 8)
+			if len(ps) != 8 || !bytes.Equal(ps[7], batch[7]) {
+				t.Fatalf("retain=%v round %d: leased %d payloads, or the last is not the one published", retain, i, len(ps))
+			}
+			q.AckTo(0, idxs[7])
+			if d := h.TotalStats().Sub(before); i > 0 && (d.PostFlushAccesses != 0 || d.Flushes != 8*uint64(q.lines+1)) {
+				t.Fatalf("retain=%v round %d: %d post-flush accesses and %d flushes, want 0 and %d",
+					retain, i, d.PostFlushAccesses, d.Flushes, 8*(q.lines+1))
+			}
+		}
+		cfg.norm()
+		if areas := ssmem.Areas(h, *cfg.blobPool()); len(areas) != 1 || areas[0].Slots >= rounds*8 {
+			t.Fatalf("retain=%v: %d blob areas for %d messages: the rounds no longer recycle slots", retain, len(areas), rounds*8)
+		}
+	}
+}
+
 // TestDequeueBatchCrash: a crash mid-DequeueBatch may cost at most the
 // unacknowledged window; acknowledged payloads never reappear and
 // whatever recovery resurrects is an intact FIFO suffix. Kept beside
@@ -748,15 +785,13 @@ func TestBatchAllocs(t *testing.T) {
 // AckTo — under the default prices: 160 flushed lines and three fences
 // a round, the twin of the broker's BenchmarkPublishPollSingle and the
 // profile target for what a multi-line publish pays beside its
-// persists. What a profile of it leaves since blob lines are written by
-// pmem.StoreLine (1 M rounds, 11 µs a round against 22 with 152 Stores a
-// payload, which were 48 % of it): codec.Write 66 % cumulative, of which
-// Flush 30 % (13 % its own, the flag XCHG on a line just written; the
-// rest its 20 ns issue price), Write's own staging 11 %, StoreLine 10 %
-// and the volatile copy's memmove 9 %; the six Stores left per enqueue
-// 11 % (the first touch of a cold node line, not the exchange);
-// ssmem.clearSlotState 9 % — nineteen flag stores per recycled blob;
-// spinKernel, the model, 14 %.
+// persists. What a profile of it leaves since a blob is one
+// pmem.WriteBack (400 k rounds, 11.4 µs a round, 2 vCPUs): codec.Write
+// 61 % cumulative, of which WriteBack 35 % (24 % the one spin of its
+// nineteen FlushNs, 6 % its own flag loop, 3 % queueLine), the volatile
+// copy 28 % (growslice and memmove), the staging 5 % and the three node
+// Stores 2 %; ssmem.clearSlotState 3 %, nineteen plain flag stores per
+// recycled blob; spinKernel, the model, 26 % in all.
 func BenchmarkBlob1kBatch8(b *testing.B) {
 	h := pmem.New(pmem.Config{Bytes: 256 << 20, MaxThreads: 1, Latency: pmem.DefaultLatency()})
 	q := New(h, Config{Threads: 1, MaxPayload: 1024, Acked: true})

@@ -113,7 +113,7 @@ func (t *Topic) DequeueReadyBatch(tid int, now uint64, max int) ([][]byte, error
 		maxKey = ^uint64(0) // every rank is always ready
 	}
 	sp := t.b.span(tid)
-	ps, _ := t.heapq.PopReadyBatch(tid, maxKey, max)
+	ps := t.heapq.PopReadyBatchAppend(tid, maxKey, max, nil)
 	if len(ps) > 0 {
 		sp.lat(obs.OpPoll)
 		sp.delivered(t, 0, nil, len(ps))

@@ -368,22 +368,38 @@ func (q *Q) writeEntry(tid int, words []uint64, it *item, payload []byte) {
 // PopReady pops the minimum entry with key <= maxKey. One fence when
 // a message is delivered; zero persists when nothing is ready.
 func (q *Q) PopReady(tid int, maxKey uint64) (payload []byte, key uint64, ok bool) {
-	if ps, ks := q.PopReadyBatch(tid, maxKey, 1); len(ps) > 0 {
-		return ps[0], ks[0], true
+	var one [1][]byte
+	if ps := q.PopReadyBatchAppend(tid, maxKey, 1, one[:0]); len(ps) > 0 {
+		return ps[0], q.scratch[tid].popped[0].key, true
 	}
 	return nil, 0, false
 }
 
-// PopReadyBatch pops up to max entries in (key, seq) order, all with
-// key <= maxKey, marking each consumed with one NTStore and covering
-// the whole batch with a single fence. Payloads are returned only
-// after that fence — a returned message is durably consumed — and
-// slots are recycled only after it too, so a torn consume can lose at
-// most one in-flight batch, never duplicate it. An empty pop performs
-// zero persist instructions. The payloads are the caller's: capped
+// PopReadyBatch is PopReadyBatchAppend into a new slice, with the key of
+// each payload returned beside it.
+func (q *Q) PopReadyBatch(tid int, maxKey uint64, max int) (payloads [][]byte, keys []uint64) {
+	payloads = q.PopReadyBatchAppend(tid, maxKey, max, nil)
+	if len(payloads) == 0 {
+		return nil, nil
+	}
+	keys = make([]uint64, len(payloads))
+	for i, it := range q.scratch[tid].popped {
+		keys[i] = it.key
+	}
+	return payloads, keys
+}
+
+// PopReadyBatchAppend pops up to max entries in (key, seq) order, all
+// with key <= maxKey, marking each consumed with one NTStore and
+// covering the whole batch with a single fence, and appends their
+// payloads to dst. Payloads are returned only after that fence — a
+// returned message is durably consumed — and slots are recycled only
+// after it too, so a torn consume can lose at most one in-flight batch,
+// never duplicate it. An empty pop performs zero persist instructions
+// and returns dst as it was. The payloads are the caller's: capped
 // views of one buffer per batch, copied out of the mirror before the
 // slots can be reused.
-func (q *Q) PopReadyBatch(tid int, maxKey uint64, max int) (payloads [][]byte, keys []uint64) {
+func (q *Q) PopReadyBatchAppend(tid int, maxKey uint64, max int, dst [][]byte) [][]byte {
 	sc := &q.scratch[tid]
 	popped := sc.popped[:0]
 	q.mu.Lock()
@@ -393,7 +409,7 @@ func (q *Q) PopReadyBatch(tid int, maxKey uint64, max int) (payloads [][]byte, k
 	q.mu.Unlock()
 	sc.popped = popped
 	if len(popped) == 0 {
-		return nil, nil
+		return dst
 	}
 	size := 0
 	for _, it := range popped {
@@ -403,13 +419,14 @@ func (q *Q) PopReadyBatch(tid int, maxKey uint64, max int) (payloads [][]byte, k
 	}
 	q.h.Fence(tid) // one blocking persist for the whole ready batch
 	buf := make([]byte, size)
-	payloads = make([][]byte, len(popped))
-	keys = make([]uint64, len(popped))
-	for i, it := range popped {
+	if cap(dst)-len(dst) < len(popped) {
+		// Not slices.Grow: the race detector's build allocates twice in it.
+		dst = append(make([][]byte, 0, len(dst)+len(popped)), dst...)
+	}
+	for _, it := range popped {
 		n := copy(buf, q.mirror[int(it.slot)*q.maxPayload:][:it.len])
-		payloads[i] = buf[:n:n]
+		dst = append(dst, buf[:n:n])
 		buf = buf[n:]
-		keys[i] = it.key
 	}
 	q.mu.Lock()
 	for _, it := range popped {
@@ -417,7 +434,7 @@ func (q *Q) PopReadyBatch(tid int, maxKey uint64, max int) (payloads [][]byte, k
 		q.free[t] = append(q.free[t], it.slot)
 	}
 	q.mu.Unlock()
-	return payloads, keys
+	return dst
 }
 
 // Depth returns the number of live (published, unconsumed) entries.

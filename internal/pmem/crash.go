@@ -115,9 +115,7 @@ func (h *Heap) AccessCount() int64 { return h.accessNo.Load() }
 // restarts.
 func (h *Heap) Restart() {
 	copy(h.mem, h.img)
-	for i := range h.flags {
-		h.flags[i].Store(0)
-	}
+	clear(h.flags)
 	for i := range h.threads {
 		h.threads[i].pending = h.threads[i].pending[:0]
 		h.threads[i].window = drainWindow{}

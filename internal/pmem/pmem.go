@@ -150,7 +150,8 @@ type drainWindow struct {
 // charge makes the thread pay a price: ns modelled nanoseconds on its
 // modelled clock, spent spinning. Every price the simulator injects goes
 // through here, or a spin the modelled clock missed would be charged a
-// second time as residual drain by the window open around it.
+// second time as residual drain by the window open around it. WriteBack
+// alone adds its prices to the modelled clock itself and spins their sum.
 func (ts *threadCtx) charge(ns int64) {
 	if ns > 0 {
 		ts.spun += ns
@@ -193,11 +194,15 @@ type Heap struct {
 // headers. It is never copied after construction (it holds mutexes and
 // atomics); headers share it by pointer.
 type heapState struct {
-	cfg   Config
-	lat   LatencyModel
-	mem   []uint64
-	img   []uint64
-	flags []atomic.Uint32
+	cfg Config
+	lat LatencyModel
+	mem []uint64
+	img []uint64
+	// flags holds each line's cache state (lineValid). Shared paths use
+	// atomic.Load/StoreUint32 on it, as they do on mem; the paths that
+	// work on a line the calling thread owns privately (WriteBack,
+	// ClearLineState) use plain loads and stores.
+	flags []uint32
 	lines int
 
 	threads []threadCtx
@@ -257,7 +262,7 @@ func New(cfg Config) *Heap {
 			lat:     cfg.Latency,
 			mem:     make([]uint64, words),
 			img:     make([]uint64, words),
-			flags:   make([]atomic.Uint32, words/WordsPerLine),
+			flags:   make([]uint32, words/WordsPerLine),
 			lines:   words / WordsPerLine,
 			threads: make([]threadCtx, cfg.MaxThreads),
 		},
@@ -379,8 +384,8 @@ func (h *Heap) touch(tid int, a Addr) {
 		h.crashCheck()
 	}
 	line := int(a / CacheLineBytes)
-	if h.flags[line].Load()&lineValid != 0 {
-		h.flags[line].Store(0)
+	if atomic.LoadUint32(&h.flags[line])&lineValid != 0 {
+		atomic.StoreUint32(&h.flags[line], 0)
 		h.threads[tid].stats.PostFlushAccesses++
 		if h.postFlushHook != nil {
 			h.postFlushHook(tid, a)
@@ -420,33 +425,6 @@ func (h *Heap) Store(tid int, a Addr, v uint64) {
 		return
 	}
 	atomic.StoreUint64(&h.mem[w], v)
-}
-
-// StoreLine writes all eight words of the cache line at a, as ordinary
-// cached stores in word order, for a line the calling thread owns
-// privately: like InitRange's range it must not be concurrently
-// accessed, and ownership passes to other threads only by an atomic
-// publish after it (a queue's link CAS, an allocator's hand-off). That
-// is what lets ModePerf make it one touch of the line and a plain copy
-// where eight Stores are eight atomic exchanges; Store itself stays
-// atomic because the words it writes may be Loaded by others at any
-// time. In ModeCrash it is exactly eight Stores — eight access numbers,
-// eight crash points, eight journal entries — and in both modes every
-// statistic reads as eight Stores would.
-func (h *Heap) StoreLine(tid int, a Addr, v *[WordsPerLine]uint64) {
-	if a%CacheLineBytes != 0 {
-		panic("pmem: StoreLine address must be cache-line aligned")
-	}
-	if h.cfg.Mode == ModeCrash {
-		for w, x := range v {
-			h.Store(tid, a+Addr(w*WordBytes), x)
-		}
-		return
-	}
-	h.touch(tid, a)
-	h.threads[tid].stats.Stores += WordsPerLine
-	w := a / WordBytes
-	copy(h.mem[w:w+WordsPerLine], v[:])
 }
 
 // CAS atomically compares-and-swaps the word at a.
@@ -522,7 +500,7 @@ func (h *Heap) Flush(tid int, a Addr) {
 	ts := &h.threads[tid]
 	ts.stats.Flushes++
 	if !h.cfg.FlushRetainsLine {
-		h.flags[line].Store(lineValid)
+		atomic.StoreUint32(&h.flags[line], lineValid)
 	}
 	if h.cfg.Mode == ModeCrash {
 		mu := h.lock(line)
@@ -532,8 +510,70 @@ func (h *Heap) Flush(tid int, a Addr) {
 		mu.Unlock()
 		ts.pending = append(ts.pending, pendingFlush{line: line, upTo: upTo, gen: gen})
 	}
-	ts.queueLine(h.lat.DrainNsPerLine)
+	ts.queueLine(h.lat.DrainNsPerLine, ts.spun)
 	ts.charge(h.lat.FlushNs)
+}
+
+// WriteBack writes whole cache lines starting at the line-aligned a —
+// words holds eight words a line — and issues a Flush of each, for
+// lines the calling thread owns privately: like InitRange's range they
+// must not be concurrently accessed, and ownership passes to other
+// threads only by an atomic publish after it (a queue's link CAS, an
+// allocator's hand-off). In ModeCrash it is exactly eight Stores in
+// word order and then one Flush per line, line by line: the same access
+// numbers, crash points and journal entries. In ModePerf every
+// statistic, every hook call and every modelled nanosecond reads as
+// that sequence would, and the drain window takes its reading at the
+// same line; but the flags are plain loads and stores, the words are
+// one copy and the whole price is one spin, where the sequence pays an
+// atomic exchange a word, two a line and a spin a price. Store itself
+// stays atomic because the words it writes may be Loaded by others at
+// any time.
+func (h *Heap) WriteBack(tid int, a Addr, words []uint64) {
+	if a%CacheLineBytes != 0 || len(words)%WordsPerLine != 0 {
+		panic("pmem: WriteBack needs whole lines at a cache-line-aligned address")
+	}
+	n := len(words) / WordsPerLine
+	if h.cfg.Mode == ModeCrash {
+		for l := 0; l < n; l++ {
+			base := a + Addr(l*CacheLineBytes)
+			for w, x := range words[l*WordsPerLine : (l+1)*WordsPerLine] {
+				h.Store(tid, base+Addr(w*WordBytes), x)
+			}
+			h.Flush(tid, base)
+		}
+		return
+	}
+	ts := &h.threads[tid]
+	flag := lineValid
+	if h.cfg.FlushRetainsLine {
+		flag = 0
+	}
+	// The prices are added to the modelled clock line by line, as the
+	// sequence would charge them, and spun once at the end: until then
+	// the real clock stands where the modelled one stood at the start.
+	start := ts.spun
+	first := int(a / CacheLineBytes)
+	flags := h.flags[first : first+n : first+n]
+	for l := range flags {
+		if flags[l]&lineValid != 0 {
+			ts.stats.PostFlushAccesses++
+			if h.postFlushHook != nil {
+				h.postFlushHook(tid, a+Addr(l*CacheLineBytes))
+			}
+			ts.spun += h.lat.NVMReadNs
+		}
+		flags[l] = flag
+		ts.queueLine(h.lat.DrainNsPerLine, start)
+		ts.spun += h.lat.FlushNs
+	}
+	w := a / WordBytes
+	copy(h.mem[w:w+Addr(len(words))], words)
+	ts.stats.Stores += uint64(len(words))
+	ts.stats.Flushes += uint64(n)
+	if ns := ts.spun - start; ns > 0 {
+		spinFor(ns)
+	}
 }
 
 // queueLine models one cache line entering the calling thread's
@@ -542,8 +582,9 @@ func (h *Heap) Flush(tid int, a Addr) {
 // prices charged since then keep the drain bound within one line's
 // drain, Fence will charge the bound itself and no clock is read; the
 // line at which the bound first exceeds that takes the window's one
-// reading.
-func (ts *threadCtx) queueLine(d int64) {
+// reading. at is the modelled clock the real clock stands at: ts.spun,
+// unless the caller has added prices it has not spun yet.
+func (ts *threadCtx) queueLine(d, at int64) {
 	if d == 0 {
 		return
 	}
@@ -554,7 +595,7 @@ func (ts *threadCtx) queueLine(d int64) {
 	w.lines++
 	if !w.measured && ts.drainBound(d) > d {
 		w.measured = true
-		w.first = ts.now() - (ts.spun - w.spunAtOpen)
+		w.first = ts.now() - (at - w.spunAtOpen)
 	}
 }
 
@@ -648,7 +689,7 @@ func (h *Heap) NTStore(tid int, a Addr, v uint64) {
 	} else {
 		atomic.StoreUint64(&h.mem[w], v)
 	}
-	ts.queueLine(h.lat.DrainNsPerLine)
+	ts.queueLine(h.lat.DrainNsPerLine, ts.spun)
 	ts.charge(h.lat.NTStoreNs)
 }
 
@@ -709,7 +750,7 @@ func (h *Heap) InitRange(tid int, a Addr, size int64) {
 		} else {
 			h.zeroLine(line)
 		}
-		h.flags[line].Store(0)
+		atomic.StoreUint32(&h.flags[line], 0)
 	}
 	ts.stats.Flushes += uint64(nLines)
 	ts.stats.Fences++
@@ -730,8 +771,12 @@ func (h *Heap) zeroLine(line int) {
 // on real hardware is an ordinary cold miss that every algorithm pays
 // (including volatile ones), not an algorithmic access to flushed
 // content in the paper's sense.
+//
+// The slot it is called on has just been allocated, so the calling
+// thread owns the line privately and the flag is written with a plain
+// store (see WriteBack).
 func (h *Heap) ClearLineState(a Addr) {
-	h.flags[a/CacheLineBytes].Store(0)
+	h.flags[a/CacheLineBytes] = 0
 }
 
 // RawImg reads a word directly from the NVRAM image, bypassing the
