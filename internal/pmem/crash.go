@@ -28,11 +28,15 @@ func Protect(f func()) (crashed bool) {
 
 // ScheduleCrashAtAccess arms a crash that fires when n further
 // simulated memory accesses (counted across all threads) have
-// occurred. Only meaningful in ModeCrash. n <= 0 disarms.
+// occurred. n <= 0 disarms. Arming requires ModeCrash: a ModePerf heap
+// counts no accesses, so its crash would never fire.
 func (h *Heap) ScheduleCrashAtAccess(n int64) {
 	if n <= 0 {
 		h.crashAt.Store(0)
 		return
+	}
+	if h.cfg.Mode != ModeCrash {
+		panic("pmem: ScheduleCrashAtAccess requires ModeCrash")
 	}
 	h.crashAt.Store(h.accessNo.Load() + n)
 }
@@ -79,6 +83,12 @@ func (h *Heap) crashCheck() {
 // evictions under Assumption 1), and applied to the image. Must be
 // called after all worker goroutines have observed the crash and
 // stopped.
+//
+// Only lines with an open journal are visited (every other line's image
+// is already its content). They are visited in line order, so rng is
+// drawn from in the order a walk over every line would draw. Their
+// journals are emptied but stay open until Restart, which reloads
+// exactly those lines.
 func (h *Heap) FinalizeCrash(rng *rand.Rand) {
 	if h.cfg.Mode != ModeCrash {
 		panic("pmem: FinalizeCrash requires ModeCrash")
@@ -86,19 +96,14 @@ func (h *Heap) FinalizeCrash(rng *rand.Rand) {
 	if !h.crashed.Load() {
 		panic("pmem: FinalizeCrash called before a crash was triggered")
 	}
-	for line := range h.logs {
-		lg := &h.logs[line]
-		if len(lg.entries) == 0 {
-			continue
-		}
-		k := lg.persisted
-		if n := len(lg.entries) - k; n > 0 {
+	for _, j := range h.openJournals() {
+		k := j.persisted
+		if n := len(j.entries) - k; n > 0 {
 			k += rng.Intn(n + 1)
 		}
-		h.applyEntries(line, lg.entries[:k])
-		lg.entries = lg.entries[:0]
-		lg.persisted = 0
-		lg.gen++
+		h.applyEntries(j.line, j.entries[:k])
+		j.entries = j.entries[:0]
+		j.persisted = 0
 	}
 }
 
@@ -113,18 +118,23 @@ func (h *Heap) AccessCount() int64 { return h.accessNo.Load() }
 // the crash flag, and the root-slot windows claimed by View) is
 // discarded, and new threads may run. Statistics are preserved across
 // restarts.
+//
+// In ModeCrash only the lines with an open journal can differ between
+// the views, so only they are reloaded, and their journals are closed.
 func (h *Heap) Restart() {
-	copy(h.mem, h.img)
+	if h.cfg.Mode == ModeCrash {
+		for _, j := range h.openJournals() {
+			base := j.line * WordsPerLine
+			copy(h.mem[base:base+WordsPerLine], h.img[base:base+WordsPerLine])
+			h.closeJournal(h.shard(j.line), j)
+		}
+	} else {
+		copy(h.mem, h.img)
+	}
 	clear(h.flags)
 	for i := range h.threads {
 		h.threads[i].pending = h.threads[i].pending[:0]
 		h.threads[i].window = drainWindow{}
-	}
-	if h.cfg.Mode == ModeCrash {
-		for line := range h.logs {
-			h.logs[line].entries = h.logs[line].entries[:0]
-			h.logs[line].persisted = 0
-		}
 	}
 	h.viewMu.Lock()
 	h.views = nil

@@ -22,6 +22,12 @@
 // In ModeCrash every store is journalled per line; at crash time each
 // line's durable content is chosen as a random prefix that is at least
 // the prefix guaranteed by the last completed fence covering the line.
+// A line's journal is open only from its first store after its last
+// apply until a Fence applies it (or InitRange or Restart discards it),
+// and a line with no open journal holds the same words in both views.
+// Journals are pooled per lock shard and found through a pointer-free
+// per-line index, so the journal state a heap keeps is the lines a run
+// leaves unfenced, and FinalizeCrash and Restart visit only those.
 //
 // The simulator also implements the paper's central performance
 // observation: flushing a line invalidates it, so the next ordinary
@@ -31,7 +37,9 @@
 package pmem
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 )
@@ -107,10 +115,25 @@ type logEntry struct {
 	v   [2]uint64
 }
 
-type lineLog struct {
+// journal holds one line's stores since the line's image was last
+// brought up to date: applying all of them to img yields the line's mem.
+type journal struct {
 	entries   []logEntry
+	line      int    // the journalled line; -1 while the journal is pooled
 	persisted int    // prefix guaranteed durable by a completed fence
-	gen       uint64 // bumped whenever the journal is truncated
+	gen       uint64 // its shard's generation when the journal was opened
+}
+
+// shard is one of the lockShards line-lock stripes, a cache line wide.
+// In ModeCrash it also pools the journals of its lines: journals holds
+// every journal the shard has opened, free the indices of those not
+// open now, and gen is bumped on every open, so a pending flush names
+// one opening of a line's journal and never a later one.
+type shard struct {
+	mu       sync.Mutex
+	journals []journal
+	free     []uint32
+	gen      uint64
 }
 
 // threadCtx is per-thread simulator state. Each context is owned by a
@@ -208,8 +231,10 @@ type heapState struct {
 	threads []threadCtx
 	allocMu sync.Mutex
 
-	locks [lockShards]sync.Mutex
-	logs  []lineLog // ModeCrash only
+	shards [lockShards]shard
+	// jidx maps a line to its open journal in its shard (index+1; 0 is
+	// none). ModeCrash only; read and written under the line's shard lock.
+	jidx []uint32
 
 	crashed  atomic.Bool
 	accessNo atomic.Int64
@@ -269,7 +294,7 @@ func New(cfg Config) *Heap {
 		rootSlots: NumRootSlots,
 	}
 	if cfg.Mode == ModeCrash {
-		h.logs = make([]lineLog, h.lines)
+		h.jidx = make([]uint32, h.lines)
 	}
 	h.mem[0], h.img[0] = magicWord, magicWord
 	h.mem[1], h.img[1] = uint64(dataStart), uint64(dataStart)
@@ -373,8 +398,63 @@ func (h *Heap) ReleaseView(v *Heap) {
 		claim.base, claim.end, claim.parentBase, claim.parentEnd))
 }
 
-func (h *Heap) lock(line int) *sync.Mutex {
-	return &h.locks[line&(lockShards-1)]
+func (h *Heap) shard(line int) *shard {
+	return &h.shards[line&(lockShards-1)]
+}
+
+// journalOf returns line's open journal, or nil. The caller holds s, the
+// line's shard.
+func (h *heapState) journalOf(s *shard, line int) *journal {
+	if i := h.jidx[line]; i != 0 {
+		return &s.journals[i-1]
+	}
+	return nil
+}
+
+// record appends e to line's journal, opening one from s's pool if the
+// line has none. The caller holds s, the line's shard, and has just
+// written e to mem.
+func (h *heapState) record(s *shard, line int, e logEntry) *journal {
+	j := h.journalOf(s, line)
+	if j == nil {
+		var i uint32
+		if n := len(s.free); n > 0 {
+			i, s.free = s.free[n-1], s.free[:n-1]
+		} else {
+			s.journals = append(s.journals, journal{})
+			i = uint32(len(s.journals))
+		}
+		h.jidx[line] = i
+		s.gen++
+		j = &s.journals[i-1]
+		j.line, j.gen = line, s.gen
+	}
+	j.entries = append(j.entries, e)
+	return j
+}
+
+// closeJournal returns j, an open journal of s, to s's pool. The caller
+// holds s and has made the line's img equal to its mem.
+func (h *heapState) closeJournal(s *shard, j *journal) {
+	i := h.jidx[j.line]
+	h.jidx[j.line] = 0
+	j.entries, j.line, j.persisted = j.entries[:0], -1, 0
+	s.free = append(s.free, i)
+}
+
+// openJournals returns every open journal, in line order.
+func (h *heapState) openJournals() []*journal {
+	var open []*journal
+	for i := range h.shards {
+		s := &h.shards[i]
+		for k := range s.journals {
+			if s.journals[k].line >= 0 {
+				open = append(open, &s.journals[k])
+			}
+		}
+	}
+	slices.SortFunc(open, func(a, b *journal) int { return cmp.Compare(a.line, b.line) })
+	return open
 }
 
 // touch performs the crash check and the cache-miss accounting shared
@@ -416,12 +496,11 @@ func (h *Heap) Store(tid int, a Addr, v uint64) {
 	w := a / WordBytes
 	if h.cfg.Mode == ModeCrash {
 		line := int(a / CacheLineBytes)
-		mu := h.lock(line)
-		mu.Lock()
+		s := h.shard(line)
+		s.mu.Lock()
 		atomic.StoreUint64(&h.mem[w], v)
-		lg := &h.logs[line]
-		lg.entries = append(lg.entries, logEntry{off: uint8((a / WordBytes) % WordsPerLine), n: 1, v: [2]uint64{v}})
-		mu.Unlock()
+		h.record(s, line, logEntry{off: uint8((a / WordBytes) % WordsPerLine), n: 1, v: [2]uint64{v}})
+		s.mu.Unlock()
 		return
 	}
 	atomic.StoreUint64(&h.mem[w], v)
@@ -434,15 +513,14 @@ func (h *Heap) CAS(tid int, a Addr, old, new uint64) bool {
 	w := a / WordBytes
 	if h.cfg.Mode == ModeCrash {
 		line := int(a / CacheLineBytes)
-		mu := h.lock(line)
-		mu.Lock()
+		s := h.shard(line)
+		s.mu.Lock()
 		ok := atomic.LoadUint64(&h.mem[w]) == old
 		if ok {
 			atomic.StoreUint64(&h.mem[w], new)
-			lg := &h.logs[line]
-			lg.entries = append(lg.entries, logEntry{off: uint8((a / WordBytes) % WordsPerLine), n: 1, v: [2]uint64{new}})
+			h.record(s, line, logEntry{off: uint8((a / WordBytes) % WordsPerLine), n: 1, v: [2]uint64{new}})
 		}
-		mu.Unlock()
+		s.mu.Unlock()
 		return ok
 	}
 	return atomic.CompareAndSwapUint64(&h.mem[w], old, new)
@@ -462,18 +540,17 @@ func (h *Heap) DCAS(tid int, a Addr, old0, old1, new0, new1 uint64) bool {
 	h.threads[tid].stats.DCASes++
 	w := a / WordBytes
 	line := int(a / CacheLineBytes)
-	mu := h.lock(line)
-	mu.Lock()
+	s := h.shard(line)
+	s.mu.Lock()
 	ok := atomic.LoadUint64(&h.mem[w]) == old0 && atomic.LoadUint64(&h.mem[w+1]) == old1
 	if ok {
 		atomic.StoreUint64(&h.mem[w], new0)
 		atomic.StoreUint64(&h.mem[w+1], new1)
 		if h.cfg.Mode == ModeCrash {
-			lg := &h.logs[line]
-			lg.entries = append(lg.entries, logEntry{off: uint8((a / WordBytes) % WordsPerLine), n: 2, v: [2]uint64{new0, new1}})
+			h.record(s, line, logEntry{off: uint8((a / WordBytes) % WordsPerLine), n: 2, v: [2]uint64{new0, new1}})
 		}
 	}
-	mu.Unlock()
+	s.mu.Unlock()
 	return ok
 }
 
@@ -503,12 +580,14 @@ func (h *Heap) Flush(tid int, a Addr) {
 		atomic.StoreUint32(&h.flags[line], lineValid)
 	}
 	if h.cfg.Mode == ModeCrash {
-		mu := h.lock(line)
-		mu.Lock()
-		upTo := len(h.logs[line].entries)
-		gen := h.logs[line].gen
-		mu.Unlock()
-		ts.pending = append(ts.pending, pendingFlush{line: line, upTo: upTo, gen: gen})
+		// A line with no open journal is already durable as it stands:
+		// there is nothing for a later Fence to apply.
+		s := h.shard(line)
+		s.mu.Lock()
+		if j := h.journalOf(s, line); j != nil {
+			ts.pending = append(ts.pending, pendingFlush{line: line, upTo: len(j.entries), gen: j.gen})
+		}
+		s.mu.Unlock()
 	}
 	ts.queueLine(h.lat.DrainNsPerLine, ts.spun)
 	ts.charge(h.lat.FlushNs)
@@ -621,24 +700,21 @@ func (h *Heap) Fence(tid int) {
 	ts.stats.Fences++
 	if h.cfg.Mode == ModeCrash {
 		for _, p := range ts.pending {
-			mu := h.lock(p.line)
-			mu.Lock()
-			lg := &h.logs[p.line]
-			// A generation mismatch means another thread's fence
-			// already truncated the journal past this flush point;
-			// there is nothing left to guarantee.
-			if p.gen == lg.gen {
-				if p.upTo > lg.persisted {
-					lg.persisted = p.upTo
+			s := h.shard(p.line)
+			s.mu.Lock()
+			// No open journal of the flush's generation means another
+			// thread's fence (or InitRange) already applied the one
+			// this flush point was in; there is nothing left to guarantee.
+			if j := h.journalOf(s, p.line); j != nil && j.gen == p.gen {
+				if p.upTo > j.persisted {
+					j.persisted = p.upTo
 				}
-				if lg.persisted == len(lg.entries) && lg.persisted > 0 {
-					h.applyEntries(p.line, lg.entries)
-					lg.entries = lg.entries[:0]
-					lg.persisted = 0
-					lg.gen++
+				if j.persisted == len(j.entries) {
+					h.applyEntries(p.line, j.entries)
+					h.closeJournal(s, j)
 				}
 			}
-			mu.Unlock()
+			s.mu.Unlock()
 		}
 		ts.pending = ts.pending[:0]
 	}
@@ -679,13 +755,12 @@ func (h *Heap) NTStore(tid int, a Addr, v uint64) {
 	w := a / WordBytes
 	if h.cfg.Mode == ModeCrash {
 		line := int(a / CacheLineBytes)
-		mu := h.lock(line)
-		mu.Lock()
+		s := h.shard(line)
+		s.mu.Lock()
 		atomic.StoreUint64(&h.mem[w], v)
-		lg := &h.logs[line]
-		lg.entries = append(lg.entries, logEntry{off: uint8((a / WordBytes) % WordsPerLine), n: 1, v: [2]uint64{v}})
-		ts.pending = append(ts.pending, pendingFlush{line: line, upTo: len(lg.entries), gen: lg.gen})
-		mu.Unlock()
+		j := h.record(s, line, logEntry{off: uint8((a / WordBytes) % WordsPerLine), n: 1, v: [2]uint64{v}})
+		ts.pending = append(ts.pending, pendingFlush{line: line, upTo: len(j.entries), gen: j.gen})
+		s.mu.Unlock()
 	} else {
 		atomic.StoreUint64(&h.mem[w], v)
 	}
@@ -739,14 +814,13 @@ func (h *Heap) InitRange(tid int, a Addr, size int64) {
 	nLines := int(size / CacheLineBytes)
 	for line := firstLine; line < firstLine+nLines; line++ {
 		if h.cfg.Mode == ModeCrash {
-			mu := h.lock(line)
-			mu.Lock()
-			lg := &h.logs[line]
-			lg.entries = lg.entries[:0]
-			lg.persisted = 0
-			lg.gen++
+			s := h.shard(line)
+			s.mu.Lock()
+			if j := h.journalOf(s, line); j != nil {
+				h.closeJournal(s, j)
+			}
 			h.zeroLine(line)
-			mu.Unlock()
+			s.mu.Unlock()
 		} else {
 			h.zeroLine(line)
 		}
