@@ -169,9 +169,9 @@ func (c *codec) Write(h *pmem.Heap, tid int, pn, blob pmem.Addr, payload []byte)
 	me := &c.per[tid]
 	me.tagSeq++
 	tag := c.epoch<<40 | uint64(tid+1)<<32 | me.tagSeq&0xffffffff
-	h.Store(tid, pn+pnBlob, uint64(blob))
-	h.Store(tid, pn+pnTag, tag)
-	h.Store(tid, pn+pnLen, uint64(len(payload)))
+	h.StoreOwned(tid, pn+pnBlob, uint64(blob))
+	h.StoreOwned(tid, pn+pnTag, tag)
+	h.StoreOwned(tid, pn+pnLen, uint64(len(payload)))
 	// The blob is this thread's alone until the core links the node, so
 	// it is staged whole and written back in one call.
 	if me.stage == nil {

@@ -320,7 +320,7 @@ func newWordCodec(threads int) *wordCodec { return &wordCodec{free: make([]wordC
 // payload in it is dropped.
 func (c *wordCodec) Write(h *pmem.Heap, tid int, pn, _ pmem.Addr, p []byte) []byte {
 	v := AsU64(p)
-	h.Store(tid, pn+queues.NodePayload, v)
+	h.StoreOwned(tid, pn+queues.NodePayload, v)
 	f := &c.free[tid]
 	if len(f.b) < 8 {
 		f.b = make([]byte, wordChunkBytes)

@@ -224,7 +224,7 @@ type heapState struct {
 	// flags holds each line's cache state (lineValid). Shared paths use
 	// atomic.Load/StoreUint32 on it, as they do on mem; the paths that
 	// work on a line the calling thread owns privately (WriteBack,
-	// ClearLineState) use plain loads and stores.
+	// StoreOwned, ClearLineState) use plain loads and stores.
 	flags []uint32
 	lines int
 
@@ -463,15 +463,23 @@ func (h *Heap) touch(tid int, a Addr) {
 	if h.cfg.Mode == ModeCrash {
 		h.crashCheck()
 	}
-	line := int(a / CacheLineBytes)
-	if atomic.LoadUint32(&h.flags[line])&lineValid != 0 {
-		atomic.StoreUint32(&h.flags[line], 0)
-		h.threads[tid].stats.PostFlushAccesses++
-		if h.postFlushHook != nil {
-			h.postFlushHook(tid, a)
-		}
-		h.threads[tid].charge(h.lat.NVMReadNs)
+	f := &h.flags[a/CacheLineBytes]
+	if atomic.LoadUint32(f)&lineValid != 0 {
+		atomic.StoreUint32(f, 0)
+		h.postFlushAccess(tid, a)
 	}
+}
+
+// postFlushAccess accounts an access at a to a line that was flushed and
+// invalidated, once the caller has cleared the line's flag: the count,
+// the hook and the NVRAM read it pays.
+func (h *Heap) postFlushAccess(tid int, a Addr) {
+	ts := &h.threads[tid]
+	ts.stats.PostFlushAccesses++
+	if h.postFlushHook != nil {
+		h.postFlushHook(tid, a)
+	}
+	ts.charge(h.lat.NVMReadNs)
 }
 
 // SetPostFlushHook installs an observer invoked on every access to an
@@ -504,6 +512,26 @@ func (h *Heap) Store(tid int, a Addr, v uint64) {
 		return
 	}
 	atomic.StoreUint64(&h.mem[w], v)
+}
+
+// StoreOwned is Store for a word of a line the calling thread owns
+// privately (see WriteBack for the rule). In ModeCrash it is exactly
+// Store: the same access number, crash point and journal entry. In
+// ModePerf every statistic, hook call and modelled nanosecond reads as
+// Store's would, but the flag and the word are plain loads and stores
+// where Store pays atomic flag accesses and an atomic exchange for the
+// word.
+func (h *Heap) StoreOwned(tid int, a Addr, v uint64) {
+	if h.cfg.Mode == ModeCrash {
+		h.Store(tid, a, v)
+		return
+	}
+	if f := &h.flags[a/CacheLineBytes]; *f&lineValid != 0 {
+		*f = 0
+		h.postFlushAccess(tid, a)
+	}
+	h.threads[tid].stats.Stores++
+	h.mem[a/WordBytes] = v
 }
 
 // CAS atomically compares-and-swaps the word at a.
@@ -595,19 +623,20 @@ func (h *Heap) Flush(tid int, a Addr) {
 
 // WriteBack writes whole cache lines starting at the line-aligned a —
 // words holds eight words a line — and issues a Flush of each, for
-// lines the calling thread owns privately: like InitRange's range they
-// must not be concurrently accessed, and ownership passes to other
-// threads only by an atomic publish after it (a queue's link CAS, an
-// allocator's hand-off). In ModeCrash it is exactly eight Stores in
-// word order and then one Flush per line, line by line: the same access
-// numbers, crash points and journal entries. In ModePerf every
-// statistic, every hook call and every modelled nanosecond reads as
-// that sequence would, and the drain window takes its reading at the
-// same line; but the flags are plain loads and stores, the words are
-// one copy and the whole price is one spin, where the sequence pays an
-// atomic exchange a word, two a line and a spin a price. Store itself
-// stays atomic because the words it writes may be Loaded by others at
-// any time.
+// lines the calling thread owns privately. That is the rule WriteBack,
+// StoreOwned and ClearLineState share: no other thread accesses the
+// lines, and ownership passes to other threads only by an atomic
+// publish after it (a queue's link CAS, an allocator's hand-off). In
+// ModeCrash it is exactly eight Stores in word order and then one Flush
+// per line, line by line: the same access numbers, crash points and
+// journal entries. In ModePerf every statistic, every hook call and
+// every modelled nanosecond reads as that sequence would, and the drain
+// window takes its reading at the same line; but the flags are plain
+// loads and stores, the words are one copy and the whole price is one
+// spin, where the sequence pays an atomic exchange a word, two a line
+// and a spin a price. Store stays atomic for the lines another thread
+// may access at any time: roots, local and ack lines, lease lines, and
+// a comparison queue's node words once the node is published.
 func (h *Heap) WriteBack(tid int, a Addr, words []uint64) {
 	if a%CacheLineBytes != 0 || len(words)%WordsPerLine != 0 {
 		panic("pmem: WriteBack needs whole lines at a cache-line-aligned address")

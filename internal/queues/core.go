@@ -73,9 +73,11 @@ type Codec[P any] interface {
 	// pn (NodePayload and up; the core owns the index and linked words
 	// and flushes the line itself) and, when the queue has an aux pool,
 	// into the aux slot, issuing an asynchronous flush for every aux
-	// line. It must not fence — the operation's single fence covers
-	// these flushes — and must not load from NVRAM. It returns the
-	// volatile copy that serves every later read of the payload.
+	// line. Node-line words go through StoreOwned: the enqueuer owns the
+	// line, and only recovery ever loads it. It must not fence — the
+	// operation's single fence covers these flushes — and must not load
+	// from NVRAM. It returns the volatile copy that serves every later
+	// read of the payload.
 	Write(h *pmem.Heap, tid int, pn, aux pmem.Addr, p P) P
 	// Check runs only at recovery, once per linked node beyond the
 	// consumption frontier, in slot order. It validates the persistent
@@ -407,7 +409,10 @@ func (q *Core[P]) writeLocalHeadIdx(tid int, idx uint64) {
 // to but not including the blocking fence: allocate, write the payload
 // and index, link via CAS, set the linked flag and issue the
 // asynchronous flush. It returns the tail observed at link time and the
-// new node so the caller can order its fence and tail advance.
+// new node so the caller can order its fence and tail advance. Every
+// node-line word goes through StoreOwned, linked=1 after the CAS too:
+// no normal-path reader loads a node line, and the slot reaches another
+// tid only through ssmem's epochs, after this thread's pool.Exit.
 func (q *Core[P]) enqueueOne(tid int, p P) (tail, vn *node[P]) {
 	h := q.h
 	pn := q.pool.Alloc(tid)
@@ -417,18 +422,18 @@ func (q *Core[P]) enqueueOne(tid int, p P) (tail, vn *node[P]) {
 	}
 	// linked is cleared before the index is written (line 113): a reused
 	// slot's stale set flag must never vouch for the new index.
-	h.Store(tid, pn+nodeLinked, 0)
+	h.StoreOwned(tid, pn+nodeLinked, 0)
 	vn = q.newNode(tid)
 	vn.payload, vn.pline, vn.auxLine = q.codec.Write(h, tid, pn, aux, p), lineOf(pn), lineOf(aux) // line 112
 	for {
 		tail = q.tail.Load()
 		if next := tail.next.Load(); next == nil {
 			idx := tail.index + 1                  // volatile read (line 117)
-			h.Store(tid, pn+nodeIndex, idx)        // Persistent copy
+			h.StoreOwned(tid, pn+nodeIndex, idx)   // Persistent copy
 			vn.index = idx                         // Volatile copy (line 118)
 			if tail.next.CompareAndSwap(nil, vn) { // line 119
-				h.Store(tid, pn+nodeLinked, 1) // line 120
-				h.Flush(tid, pn)               // line 121
+				h.StoreOwned(tid, pn+nodeLinked, 1) // line 120
+				h.Flush(tid, pn)                    // line 121
 				return tail, vn
 			}
 		} else {

@@ -87,8 +87,8 @@ func (q *DurableMSQ) Enqueue(tid int, v uint64) {
 	q.pool.Enter(tid)
 	defer q.pool.Exit(tid)
 	n := q.pool.Alloc(tid)
-	h.Store(tid, n+offItem, v)
-	h.Store(tid, n+offNext, 0)
+	h.StoreOwned(tid, n+offItem, v)
+	h.StoreOwned(tid, n+offNext, 0)
 	h.Flush(tid, n)
 	h.Fence(tid) // fence 1: node durable before it can become reachable
 	for {

@@ -181,9 +181,9 @@ func (q *DurableMSQFull) Enqueue(tid int, v uint64) {
 	q.pool.Enter(tid)
 	defer q.pool.Exit(tid)
 	n := q.pool.Alloc(tid)
-	h.Store(tid, n+offItem, v)
-	h.Store(tid, n+offNext, 0)
-	h.Store(tid, n+fqClaim, 0)
+	h.StoreOwned(tid, n+offItem, v)
+	h.StoreOwned(tid, n+offNext, 0)
+	h.StoreOwned(tid, n+fqClaim, 0)
 	h.Flush(tid, n)
 	h.Fence(tid)
 	for {

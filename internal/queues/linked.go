@@ -103,13 +103,13 @@ func (q *LinkedQ) Enqueue(tid int, v uint64) {
 	q.pool.Enter(tid)
 	defer q.pool.Exit(tid)
 	n := q.pool.Alloc(tid) // allocated with initialized persistently unset
-	h.Store(tid, n+offItem, v)
-	h.Store(tid, n+offNext, 0)
-	h.Store(tid, n+lqInit, 1) // after the data; Assumption 1 orders them
+	h.StoreOwned(tid, n+offItem, v)
+	h.StoreOwned(tid, n+offNext, 0)
+	h.StoreOwned(tid, n+lqInit, 1) // after the data; Assumption 1 orders them
 	for {
 		tail := pmem.Addr(h.Load(tid, q.tailA))
 		if next := h.Load(tid, tail+offNext); next == 0 {
-			h.Store(tid, n+lqPred, uint64(tail))        // line 72
+			h.StoreOwned(tid, n+lqPred, uint64(tail))   // line 72
 			if h.CAS(tid, tail+offNext, 0, uint64(n)) { // line 73
 				if q.naiveFlush {
 					q.flushWholePrefix(tid, n)

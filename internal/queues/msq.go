@@ -46,8 +46,8 @@ func (q *MSQ) Enqueue(tid int, v uint64) {
 	q.pool.Enter(tid)
 	defer q.pool.Exit(tid)
 	n := q.pool.Alloc(tid)
-	h.Store(tid, n+offItem, v)
-	h.Store(tid, n+offNext, 0)
+	h.StoreOwned(tid, n+offItem, v)
+	h.StoreOwned(tid, n+offNext, 0)
 	for {
 		tail := pmem.Addr(h.Load(tid, q.tailA))
 		next := h.Load(tid, tail+offNext)

@@ -137,15 +137,15 @@ func (q *OptLinkedQ) Enqueue(tid int, v uint64) {
 	defer q.pool.Exit(tid)
 	pn := q.pool.Alloc(tid)
 	vn := &olNode{item: v, pnode: pn}
-	h.Store(tid, pn+olItem, v) // line 175
+	h.StoreOwned(tid, pn+olItem, v) // line 175
 	for {
 		tail := q.tail.Load()
 		if next := tail.next.Load(); next == nil {
-			vn.pred.Store(tail)                         // line 179
-			vn.index = tail.index + 1                   // line 180
-			h.Store(tid, pn+olPred, uint64(tail.pnode)) // line 181
-			h.Store(tid, pn+olIndex, vn.index)          // line 182: index last
-			if tail.next.CompareAndSwap(nil, vn) {      // line 183
+			vn.pred.Store(tail)                              // line 179
+			vn.index = tail.index + 1                        // line 180
+			h.StoreOwned(tid, pn+olPred, uint64(tail.pnode)) // line 181
+			h.StoreOwned(tid, pn+olIndex, vn.index)          // line 182: index last
+			if tail.next.CompareAndSwap(nil, vn) {           // line 183
 				q.tail.CompareAndSwap(tail, vn) // line 184
 				q.flushNotPersistedSuffix(tid, vn)
 				q.recordLastEnqueue(tid, vn)

@@ -13,7 +13,7 @@ type OptUnlinkedQ = Core[uint64]
 type wordCodec struct{}
 
 func (wordCodec) Write(h *pmem.Heap, tid int, pn, _ pmem.Addr, v uint64) uint64 {
-	h.Store(tid, pn+NodePayload, v)
+	h.StoreOwned(tid, pn+NodePayload, v)
 	return v
 }
 

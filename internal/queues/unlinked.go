@@ -60,20 +60,20 @@ func (q *UnlinkedQ) Enqueue(tid int, v uint64) {
 	q.pool.Enter(tid)
 	defer q.pool.Exit(tid)
 	n := q.pool.Alloc(tid) // line 21
-	h.Store(tid, n+offItem, v)
-	h.Store(tid, n+offNext, 0)
+	h.StoreOwned(tid, n+offItem, v)
+	h.StoreOwned(tid, n+offNext, 0)
 	// Unset linked before assigning the index: a reused node might
 	// still be marked linked, and a fresh index in that state could
 	// make recovery resurrect it prematurely (line 24 discussion).
-	h.Store(tid, n+uqLinked, 0)
+	h.StoreOwned(tid, n+uqLinked, 0)
 	for {
 		tail := pmem.Addr(h.Load(tid, q.tailA)) // line 26
 		if next := h.Load(tid, tail+offNext); next == 0 {
 			// Reading tail's index touches a line its enqueuer
 			// flushed: this is one of the post-flush accesses the
 			// second amendment removes.
-			h.Store(tid, n+uqIndex, h.Load(tid, tail+uqIndex)+1) // line 28
-			if h.CAS(tid, tail+offNext, 0, uint64(n)) {          // line 29
+			h.StoreOwned(tid, n+uqIndex, h.Load(tid, tail+uqIndex)+1) // line 28
+			if h.CAS(tid, tail+offNext, 0, uint64(n)) {               // line 29
 				h.Store(tid, n+uqLinked, 1) // line 30
 				h.Flush(tid, n)             // line 31
 				h.Fence(tid)

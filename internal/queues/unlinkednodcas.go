@@ -75,13 +75,13 @@ func (q *UnlinkedQNoDCAS) Enqueue(tid int, v uint64) {
 	q.pool.Enter(tid)
 	defer q.pool.Exit(tid)
 	n := q.pool.Alloc(tid)
-	h.Store(tid, n+offItem, v)
-	h.Store(tid, n+offNext, 0)
-	h.Store(tid, n+uqLinked, 0)
+	h.StoreOwned(tid, n+offItem, v)
+	h.StoreOwned(tid, n+offNext, 0)
+	h.StoreOwned(tid, n+uqLinked, 0)
 	for {
 		tail := pmem.Addr(h.Load(tid, q.tailA))
 		if next := h.Load(tid, tail+offNext); next == 0 {
-			h.Store(tid, n+uqIndex, h.Load(tid, tail+uqIndex)+1)
+			h.StoreOwned(tid, n+uqIndex, h.Load(tid, tail+uqIndex)+1)
 			if h.CAS(tid, tail+offNext, 0, uint64(n)) {
 				h.Store(tid, n+uqLinked, 1)
 				h.Flush(tid, n)
