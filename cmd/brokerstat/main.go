@@ -8,11 +8,9 @@
 // report to the same observer, so the snapshot spans a power loss and
 // a recovery.
 //
-// It is the one-shot companion to cmd/brokerbench: where brokerbench
-// sweeps traffic cells and reports derived per-message rates,
-// brokerstat exposes the raw obs.Snapshot so export pipelines
-// (Prometheus scrapers, JSON collectors) can be developed and smoke-
-// tested against real output.
+// It exposes the raw obs.Snapshot so export pipelines (Prometheus
+// scrapers, JSON collectors) can be developed and smoke-tested against
+// real output.
 //
 //	go run ./cmd/brokerstat                      # Prometheus text format
 //	go run ./cmd/brokerstat -format json         # indented JSON

@@ -19,8 +19,8 @@
 //   - internal/harness, internal/verify, internal/qtest: measurement,
 //     durable-linearizability fuzzing, shared queue audits.
 //   - cmd/ and examples/: Figure-2 sweeps (durbench), fence counts,
-//     crash fuzzing (every broker scenario once), broker throughput
-//     sweeps, the observability export.
+//     crash fuzzing (every broker scenario once), the observability
+//     export.
 //
 // DESIGN.md has the inventory, the protocols and their soundness
 // arguments; benchmark/ is the repository's benchmark (its own module).

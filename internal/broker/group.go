@@ -32,9 +32,9 @@ var ErrLeaseCapacity = errors.New("broker: lease region capacity exceeded")
 
 // ErrPlainGroup reports an acknowledgment-path verb (Ack, AckAsync,
 // Nack, Renew, Heartbeat) or a membership verb (Reassign, Adopt, Scan,
-// Steal, StartJanitor) called on a group that keeps no delivery state
-// (NewGroup, NewGroupAffine). The refusal names the verb, takes no
-// lock and issues no persist instruction.
+// Steal, StartJanitor), or a NewPoller that would ack, on a group that
+// keeps no delivery state (NewGroup, NewGroupAffine). The refusal
+// names the verb, takes no lock and issues no persist instruction.
 var ErrPlainGroup = errors.New("broker: group has no acknowledgments (use NewGroupAcked)")
 
 // acked refuses verb on a plain group.

@@ -11,6 +11,7 @@ package broker
 // one drain riding one fence per touched persistence domain.
 
 import (
+	"errors"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -77,18 +78,21 @@ type Poller struct {
 	idleSleeps, wakes, ackErrs   atomic.Uint64
 }
 
-// NewPoller returns a poller over cfg.Consumer. It panics on a nil
-// consumer or handler — a loop with nowhere to deliver is a
-// construction bug, not a runtime condition.
-func NewPoller(cfg PollerConfig) *Poller {
-	if cfg.Consumer == nil {
-		panic("broker: PollerConfig.Consumer is required")
+// ErrPollerConfig is NewPoller's refusal of a config without a
+// Consumer or a Handler: a loop with nothing to poll or nowhere to
+// deliver.
+var ErrPollerConfig = errors.New("broker: PollerConfig needs a Consumer and a Handler")
+
+// NewPoller returns a poller over cfg.Consumer. A nil Consumer or
+// Handler is ErrPollerConfig; Ack on a plain group is ErrPlainGroup.
+func NewPoller(cfg PollerConfig) (*Poller, error) {
+	if cfg.Consumer == nil || cfg.Handler == nil {
+		return nil, ErrPollerConfig
 	}
-	if cfg.Handler == nil {
-		panic("broker: PollerConfig.Handler is required")
-	}
-	if cfg.Ack && !cfg.Consumer.g.leased {
-		panic("broker: PollerConfig.Ack on a group without acknowledgments")
+	if cfg.Ack {
+		if err := cfg.Consumer.g.acked("NewPoller"); err != nil {
+			return nil, err
+		}
 	}
 	if cfg.Policy == nil {
 		cfg.Policy = batch.Fixed{N: 16}
@@ -105,7 +109,7 @@ func NewPoller(cfg PollerConfig) *Poller {
 		wake: make(chan struct{}, 1),
 		stop: make(chan struct{}),
 		done: make(chan struct{}),
-	}
+	}, nil
 }
 
 // Wake nudges the loop out of (or past) its idle sleep: call it when

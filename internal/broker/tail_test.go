@@ -426,7 +426,7 @@ func TestPollerDrainsBacklogAndIdlesFree(t *testing.T) {
 
 	seen := make(map[uint64]int, n)
 	var delivered int
-	p := NewPoller(PollerConfig{
+	p, err := NewPoller(PollerConfig{
 		Consumer: g.Consumer(0),
 		Tid:      1,
 		Policy:   batch.NewAIMD(1, 32),
@@ -439,6 +439,9 @@ func TestPollerDrainsBacklogAndIdlesFree(t *testing.T) {
 		MinBackoff: 100 * time.Microsecond,
 		MaxBackoff: time.Millisecond,
 	})
+	if err != nil {
+		t.Fatal(err)
+	}
 	go p.Run()
 	deadline := time.Now().Add(10 * time.Second)
 	for p.Stats().Delivered < n {
@@ -461,13 +464,16 @@ func TestPollerDrainsBacklogAndIdlesFree(t *testing.T) {
 	// Idle loop: a fresh poller over the drained group sleeps with
 	// exponential backoff and issues no persist instructions at all.
 	before := h.TotalStats()
-	p2 := NewPoller(PollerConfig{
+	p2, err := NewPoller(PollerConfig{
 		Consumer:   g.Consumer(0),
 		Tid:        1,
 		Handler:    func([]Message) {},
 		MinBackoff: 50 * time.Microsecond,
 		MaxBackoff: 500 * time.Microsecond,
 	})
+	if err != nil {
+		t.Fatal(err)
+	}
 	go p2.Run()
 	time.Sleep(20 * time.Millisecond)
 	var stops sync.WaitGroup
@@ -507,7 +513,7 @@ func TestPollerAckedPipeline(t *testing.T) {
 		t.Fatal(err)
 	}
 	var delivered int
-	p := NewPoller(PollerConfig{
+	p, err := NewPoller(PollerConfig{
 		Consumer: g.Consumer(0),
 		Tid:      1,
 		Policy:   batch.NewAIMD(1, 16),
@@ -515,6 +521,9 @@ func TestPollerAckedPipeline(t *testing.T) {
 		Ack:      true,
 		Pipeline: true,
 	})
+	if err != nil {
+		t.Fatal(err)
+	}
 	go p.Run()
 	const n = 300
 	for i := uint64(0); i < n; i++ {
@@ -542,5 +551,32 @@ func TestPollerAckedPipeline(t *testing.T) {
 	_ = hs
 	if ms := g.Consumer(0).PollBatch(1, n); len(ms) != 0 {
 		t.Fatalf("%d unacked messages after Stop, want 0", len(ms))
+	}
+}
+
+// TestNewPollerRefusals: a config the loop cannot serve is a typed
+// error from the constructor, never a panic. A missing Consumer or
+// Handler is ErrPollerConfig; Ack on a plain group is ErrPlainGroup,
+// naming the verb.
+func TestNewPollerRefusals(t *testing.T) {
+	_, b := newAckedBroker(t, 1, 2, pmem.ModePerf)
+	g, err := b.NewGroup([]string{"events"}, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	handler := func([]Message) {}
+	for _, c := range []struct {
+		name string
+		cfg  PollerConfig
+		want error
+	}{
+		{"nil Consumer", PollerConfig{Handler: handler}, ErrPollerConfig},
+		{"nil Handler", PollerConfig{Consumer: g.Consumer(0)}, ErrPollerConfig},
+		{"Ack on a plain group", PollerConfig{Consumer: g.Consumer(0), Handler: handler, Ack: true}, ErrPlainGroup},
+	} {
+		p, err := NewPoller(c.cfg)
+		if p != nil || !errors.Is(err, c.want) {
+			t.Errorf("%s: NewPoller = %v, %v; want nil, %v", c.name, p, err, c.want)
+		}
 	}
 }
