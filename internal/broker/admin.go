@@ -1,6 +1,7 @@
 package broker
 
 import (
+	"errors"
 	"fmt"
 	"runtime"
 	"slices"
@@ -29,10 +30,6 @@ type Options struct {
 	// recovery, 0 adopts the recorded bound and any other value must
 	// match it.
 	Threads int
-	// Placement chooses each shard's member heap at CreateTopic time;
-	// nil means RoundRobinPlacement. Never consulted for recovered
-	// topics (the catalog records their placements).
-	Placement PlacementPolicy
 	// CatalogLines is the record capacity of the catalog log in cache
 	// lines when Open creates a fresh broker (default 1024 — a few
 	// hundred typical topics; a topic record spans 2 + shards/8 lines).
@@ -119,10 +116,7 @@ func openFresh(hs *pmem.HeapSet, opts Options) (*Broker, error) {
 			return nil, err
 		}
 	}
-	b := &Broker{hs: hs, threads: opts.Threads, placement: opts.Placement}
-	if b.placement == nil {
-		b.placement = RoundRobinPlacement
-	}
+	b := &Broker{hs: hs, threads: opts.Threads}
 	b.cat = createCatalogLog(hs, 0, opts.Threads, opts.CatalogLines)
 	b.snap.Store(&topicSet{byName: map[string]*Topic{}})
 	b.observe(opts.Observer)
@@ -190,9 +184,6 @@ func openExisting(hs *pmem.HeapSet, opts Options, reg pmem.Addr) (*Broker, error
 		b.regions = append(b.regions, lr)
 	}
 	b.bound = make([]bool, len(b.regions))
-	if opts.Placement != nil {
-		b.placement = opts.Placement
-	}
 	b.observe(opts.Observer)
 	return b, nil
 }
@@ -201,11 +192,12 @@ func openExisting(hs *pmem.HeapSet, opts Options, reg pmem.Addr) (*Broker, error
 // window is placed in the smallest free gap below its heap's
 // high-water mark, or at the mark, and any mark that moved is fenced
 // (no window is live twice across a crash), the shard queues are
-// initialized on the member heaps the placement policy chose, a
-// checksummed record is appended to the catalog log and fenced, and
-// only then does the commit stamp's persist make the topic visible. A crash anywhere before that last
-// persist recovers as if CreateTopic was never called; after it, the
-// topic recovers fully, empty or with whatever was published.
+// initialized on their member heaps (dealt round-robin by global
+// ordinal), a checksummed record is appended to the catalog log and
+// fenced, and only then does the commit stamp's persist make the topic
+// visible. A crash anywhere before that last persist recovers as if
+// CreateTopic was never called; after it, the topic recovers fully,
+// empty or with whatever was published.
 //
 // The catalog-protocol cost is a pinned three blocking persists
 // (allocator marks, record, commit stamp) plus the per-shard queue
@@ -242,20 +234,16 @@ func (b *Broker) CreateTopic(tid int, tc TopicConfig) (*Topic, error) {
 			snap.shardTotal, maxCatShards)
 	}
 
-	// 1. Allocate: place every shard the policy chose a heap for (best
-	// fit below the marks, else at a mark), then store the marks that
-	// moved and fence them once. A refused placement hands every window
-	// back before anything durable has happened.
+	// 1. Allocate: place every shard on the heap its global ordinal deals
+	// it to, round-robin across the set (best fit below the marks, else
+	// at a mark), then store the marks that moved and fence them once. A
+	// refused placement hands every window back before anything durable
+	// has happened.
 	width := slotsForKind(tc.Kind)
 	old := slices.Clone(b.cat.marks)
 	locs := make([]shardLoc, 0, tc.Shards)
 	for si := 0; si < tc.Shards; si++ {
-		hi := b.placement(len(snap.list), si, snap.shardTotal+si, tc.Shards, b.hs.Len())
-		if hi < 0 || hi >= b.hs.Len() {
-			b.cat.unplace(locs, width, old)
-			return nil, fmt.Errorf("broker: placement policy put topic %q shard %d on heap %d of %d",
-				tc.Name, si, hi, b.hs.Len())
-		}
+		hi := (snap.shardTotal + si) % b.hs.Len()
 		loc, err := b.cat.place(b.hs, hi, width, fmt.Sprintf("topic %q shard %d", tc.Name, si))
 		if err != nil {
 			b.cat.unplace(locs, width, old)
@@ -411,8 +399,8 @@ func (b *Broker) DeleteTopic(tid int, name string) error {
 		// region and a re-created heap topic would leak one arena per
 		// churn cycle. Refused until dheap regions are recyclable (see
 		// the ROADMAP follow-on).
-		return fmt.Errorf("broker: DeleteTopic on %s topic %q not supported (heap-topic deletion is a ROADMAP follow-on)",
-			t.cfg.Kind, name)
+		return fmt.Errorf("broker: DeleteTopic on %s topic %q: %w (a heap topic's entry region cannot be recycled)",
+			t.cfg.Kind, name, errors.ErrUnsupported)
 	}
 	// Reserve log space up front. A log too full for a tombstone but
 	// holding debris is compacted instead — the new generation simply

@@ -11,15 +11,13 @@
 // sockets / DIMM sets). Every shard is an independent durable queue —
 // the one second-amendment core (queues.Core) under the payload codec
 // its topic selects — living in its own root-slot window of one member
-// heap (see pmem.View). Shard placement is pluggable: the
-// default round-robin policy spreads load evenly across domains, the
-// block policy keeps contiguous shard ranges on one domain so that a
-// consumer owning them fences a single domain per poll (heap-affine
-// consumption; pair with NewGroupAffine). Producers route messages to
-// shards round-robin or by key hash, and may amortize durability cost
-// with a batch-publish path that rides one SFENCE per batch. Consumers
-// form groups; each shard is owned by exactly one group member, so
-// per-shard FIFO order is preserved end-to-end.
+// heap (see pmem.View). Shards are dealt across the domains
+// round-robin in creation order, which spreads load evenly; a consumer
+// fences once per domain its poll dequeued from. Producers route
+// messages to shards round-robin or by key hash, and may amortize
+// durability cost with a batch-publish path that rides one SFENCE per
+// batch. Consumers form groups; each shard is owned by exactly one
+// group member, so per-shard FIFO order is preserved end-to-end.
 //
 // The broker is administered live: Open brings up an empty (or
 // recovered) broker and CreateTopic/CreateAckGroup append checksummed
@@ -54,27 +52,10 @@
 // member's leases alive at zero persist cost when its durable
 // deadlines still cover the TTL (see membership.go).
 //
-// The tail-latency layer rides on the same paths without changing
-// their contracts. Topic.NewPublisher buffers payloads into
-// batch.Policy-sized windows (Fixed, or AIMD adapting between
-// per-message and max-batch from arrival rate and fill), each window
-// one batch publish — one fence — and under PublisherConfig.Pipeline
-// the window's fence is deferred into the next flush so the
-// write-pending queue drains while the producer keeps working
-// (acknowledgment trails by one window; fence count is unchanged).
-// Consumer.AckAsync defers an acknowledgment's covering fence the same
-// way, traded against a documented at-least-once window on crash or
-// takeover during the deferral. Poller services a consumer as a
-// level-triggered event loop — drain everything ready, then park on an
-// exponentially backed-off timer — so idle consumers cost ~0 CPU and
-// ~0 persists instead of a spinning core (see poller.go).
-//
 // Durability contract: a publish is acknowledged when the call
 // returns; from that point the message survives any crash of any
 // subset of the heap set (the set shares one power supply, so a crash
-// on one domain downs them all). With a pipelined Publisher the
-// acknowledgment is the int returned by Publish/Flush — the same
-// guarantee, reported one window later. The durable catalog, anchored at
+// on one domain downs them all). The durable catalog, anchored at
 // heap 0's root slot 0, records every topic's name, shard count,
 // payload kind and every shard's (heapID, baseSlot) placement; every
 // other member heap carries a membership stamp so recovery can tell a
@@ -188,30 +169,6 @@ type TopicConfig struct {
 	Kind TopicKind
 }
 
-// PlacementPolicy chooses the member heap for one shard at topic
-// creation time. topic and shard identify the shard, global is its
-// ordinal in creation order across all topics, shards the topic's
-// shard count and heaps the set size; the returned index must be in
-// [0, heaps). The policy only runs inside CreateTopic — the catalog
-// records the resulting (heapID, baseSlot) per shard, so recovery
-// never needs the policy and custom policies are free to use any
-// volatile state.
-type PlacementPolicy func(topic, shard, global, shards, heaps int) int
-
-// RoundRobinPlacement (the default) deals shards across the heap set
-// in global creation order, balancing shard count per domain.
-func RoundRobinPlacement(topic, shard, global, shards, heaps int) int {
-	return global % heaps
-}
-
-// BlockPlacement keeps each topic's shards in contiguous runs per
-// heap: shard s of a topic with n shards lands on heap s*heaps/n.
-// Consumers that own contiguous shard ranges (see NewGroupAffine) then
-// touch — and fence — a single persistence domain per poll.
-func BlockPlacement(topic, shard, global, shards, heaps int) int {
-	return shard * heaps / shards
-}
-
 // Broker is a sharded multi-topic durable message broker over a heap
 // set. Methods taking a tid are safe for concurrent use as long as
 // each tid is driven by at most one goroutine at a time.
@@ -224,9 +181,8 @@ func BlockPlacement(topic, shard, global, shards, heaps int) int {
 // it may run concurrently with data-plane traffic as long as its tid
 // is owned by the calling goroutine, like any other operation.
 type Broker struct {
-	hs        *pmem.HeapSet
-	threads   int
-	placement PlacementPolicy
+	hs      *pmem.HeapSet
+	threads int
 
 	// obs is the optional observability sink (Options.Observer), fixed
 	// for the broker's lifetime at Open. Invariant: when obs is non-nil,
@@ -458,7 +414,7 @@ func checkSet(hs *pmem.HeapSet, threads int) error {
 // layout and replays every shard's own recovery. This is the second
 // phase of recovery.
 func build(hs *pmem.HeapSet, threads int, lay layoutInfo) (*Broker, error) {
-	b := &Broker{hs: hs, threads: threads, placement: RoundRobinPlacement, cat: lay.cat}
+	b := &Broker{hs: hs, threads: threads, cat: lay.cat}
 	snap := &topicSet{byName: map[string]*Topic{}, shardTotal: lay.nextGlobal}
 	for ti, tc := range lay.topics {
 		t := b.newTopic(tc, lay.bases[ti], lay.locs[ti])

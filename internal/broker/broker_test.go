@@ -514,20 +514,17 @@ func TestRecoverWithoutBroker(t *testing.T) {
 	}
 }
 
-// TestMultiHeapPlacementSpread pins the two built-in policies: global
-// round-robin deals consecutive shards across the set, block placement
-// keeps each topic's shards in contiguous per-heap runs.
+// TestMultiHeapPlacementSpread pins the one placement: global
+// round-robin deals consecutive shards across the set, so a member
+// owning a topic's shards fences once per domain its PollBatch
+// dequeued from.
 func TestMultiHeapPlacementSpread(t *testing.T) {
-	mk := func(p PlacementPolicy) *Broker {
-		hs := pmem.NewSet(2, pmem.Config{Bytes: 64 << 20, MaxThreads: 2})
-		b, err := newBroker(hs, Options{Threads: 1, Placement: p}, twoTopics(), 0)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return b
+	hs := pmem.NewSet(2, pmem.Config{Bytes: 64 << 20, MaxThreads: 2})
+	b, err := newBroker(hs, Options{Threads: 1}, twoTopics(), 0)
+	if err != nil {
+		t.Fatal(err)
 	}
-	rr := mk(nil) // default: round-robin
-	for _, topic := range rr.Topics() {
+	for _, topic := range b.Topics() {
 		for s := 0; s < topic.Shards(); s++ {
 			if want := s % 2; topic.HeapOf(s) != want {
 				t.Fatalf("round-robin: %s shard %d on heap %d, want %d",
@@ -535,13 +532,61 @@ func TestMultiHeapPlacementSpread(t *testing.T) {
 			}
 		}
 	}
-	bl := mk(BlockPlacement)
-	for _, topic := range bl.Topics() {
-		for s := 0; s < topic.Shards(); s++ {
-			if want := s * 2 / topic.Shards(); topic.HeapOf(s) != want {
-				t.Fatalf("block: %s shard %d on heap %d, want %d",
-					topic.Name(), s, topic.HeapOf(s), want)
+	g, err := b.NewGroup([]string{"events"}, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const n = 16
+	for i := uint64(0); i < n; i++ {
+		b.Topic("events").Publish(0, U64(i))
+	}
+	before := hs.TotalStats()
+	if ms := g.Consumer(0).PollBatch(0, n); len(ms) != n {
+		t.Fatalf("consumer drained %d messages, want %d", len(ms), n)
+	}
+	if d := hs.TotalStats().Sub(before); d.Fences != 2 {
+		t.Fatalf("consumer over both domains paid %d fences, want 2 (one per domain)", d.Fences)
+	}
+}
+
+// TestAffineGroupFencesOneDomain: over round-robin placement, a
+// two-member group is dealt the shards of one heap each (shard s sits
+// on heap s%2 and goes to member s%2), so a PollBatch draining several
+// shards pays exactly one SFENCE.
+func TestAffineGroupFencesOneDomain(t *testing.T) {
+	hs := pmem.NewSet(2, pmem.Config{Bytes: 64 << 20, MaxThreads: 4})
+	b, err := newBroker(hs, Options{Threads: 2}, []TopicConfig{{Name: "events", Shards: 4}}, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	g, err := b.NewGroup([]string{"events"}, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < g.Size(); i++ {
+		refs := g.Consumer(i).refs
+		if len(refs) != 2 {
+			t.Fatalf("consumer %d owns %d shards, want 2", i, len(refs))
+		}
+		for _, r := range refs {
+			if h := r.t.HeapOf(r.shard); h != i {
+				t.Fatalf("consumer %d owns shard %d on heap %d, want %d", i, r.shard, h, i)
 			}
+		}
+	}
+	const n = 16
+	for i := uint64(0); i < n; i++ {
+		b.Topic("events").Publish(0, U64(i)) // 4 per shard round-robin
+	}
+	for i := 0; i < g.Size(); i++ {
+		before := hs.TotalStats()
+		ms := g.Consumer(i).PollBatch(1, n)
+		d := hs.TotalStats().Sub(before)
+		if len(ms) != n/2 {
+			t.Fatalf("consumer %d drained %d messages, want %d", i, len(ms), n/2)
+		}
+		if d.Fences != 1 {
+			t.Fatalf("one-domain consumer %d paid %d fences for a multi-shard poll, want 1", i, d.Fences)
 		}
 	}
 }
@@ -687,64 +732,5 @@ func TestNewSetRejectsOccupiedMembers(t *testing.T) {
 	// The untouched old set remains recoverable.
 	if _, err := Open(pmem.NewSetOf(old.Heap(0), old.Heap(1)), Options{Threads: 2}); err != nil {
 		t.Fatal(err)
-	}
-}
-
-// TestAffineGroupFencesOneDomain: with block placement and an affine
-// group, each member's shards live on one heap, Domains reports it,
-// and a PollBatch draining several shards pays exactly one SFENCE.
-func TestAffineGroupFencesOneDomain(t *testing.T) {
-	hs := pmem.NewSet(2, pmem.Config{Bytes: 64 << 20, MaxThreads: 4})
-	b, err := newBroker(hs, Options{Threads: 2, Placement: BlockPlacement}, []TopicConfig{{Name: "events", Shards: 4}}, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	g, err := b.NewGroupAffine([]string{"events"}, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < g.Size(); i++ {
-		if d := g.Consumer(i).Domains(); len(d) != 1 || d[0] != i {
-			t.Fatalf("affine consumer %d spans domains %v, want [%d]", i, d, i)
-		}
-	}
-	const n = 16
-	for i := uint64(0); i < n; i++ {
-		b.Topic("events").Publish(0, U64(i)) // 4 per shard round-robin
-	}
-	for i := 0; i < g.Size(); i++ {
-		before := hs.TotalStats()
-		ms := g.Consumer(i).PollBatch(1, n)
-		d := hs.TotalStats().Sub(before)
-		if len(ms) != n/2 {
-			t.Fatalf("consumer %d drained %d messages, want %d", i, len(ms), n/2)
-		}
-		if d.Fences != 1 {
-			t.Fatalf("affine consumer %d paid %d fences for a multi-shard poll, want 1", i, d.Fences)
-		}
-	}
-	// Contrast: a round-robin-assigned group over round-robin placement
-	// owns shards on both domains and pays one fence per domain.
-	hs2 := pmem.NewSet(2, pmem.Config{Bytes: 64 << 20, MaxThreads: 4})
-	b2, err := newBroker(hs2, Options{Threads: 2}, []TopicConfig{{Name: "events", Shards: 4}}, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	g2, err := b2.NewGroup([]string{"events"}, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if d := g2.Consumer(0).Domains(); len(d) != 2 {
-		t.Fatalf("spread consumer spans domains %v, want both", d)
-	}
-	for i := uint64(0); i < n; i++ {
-		b2.Topic("events").Publish(0, U64(i))
-	}
-	before := hs2.TotalStats()
-	if ms := g2.Consumer(0).PollBatch(1, n); len(ms) != n {
-		t.Fatalf("spread consumer drained %d messages, want %d", len(ms), n)
-	}
-	if d := hs2.TotalStats().Sub(before); d.Fences != 2 {
-		t.Fatalf("spread consumer paid %d fences, want 2 (one per domain)", d.Fences)
 	}
 }

@@ -3,7 +3,6 @@ package broker
 import (
 	"errors"
 	"fmt"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -30,11 +29,11 @@ var ErrNotQuiescent = errors.New("broker: plain group not quiescent (member insi
 // and react by minting a roomier region (CreateAckGroup).
 var ErrLeaseCapacity = errors.New("broker: lease region capacity exceeded")
 
-// ErrPlainGroup reports an acknowledgment-path verb (Ack, AckAsync,
-// Nack, Renew, Heartbeat) or a membership verb (Reassign, Adopt, Scan,
-// Steal, StartJanitor), or a NewPoller that would ack, on a group that
-// keeps no delivery state (NewGroup, NewGroupAffine). The refusal
-// names the verb, takes no lock and issues no persist instruction.
+// ErrPlainGroup reports an acknowledgment-path verb (Ack, Nack, Renew,
+// Heartbeat) or a membership verb (Reassign, Adopt, Scan, Steal,
+// StartJanitor) on a group that keeps no delivery state (NewGroup).
+// The refusal names the verb, takes no lock and issues no persist
+// instruction.
 var ErrPlainGroup = errors.New("broker: group has no acknowledgments (use NewGroupAcked)")
 
 // acked refuses verb on a plain group.
@@ -63,15 +62,15 @@ type ShardRef struct {
 // group collectively consumes each message once. Shard ownership means
 // per-shard FIFO order is preserved end-to-end.
 //
-// Plain groups (NewGroup, NewGroupAffine) are at-least-once across
-// crashes: a delivery is durable when the poll returns, and a member
-// that crashed mid-poll leaves its window to be recovered. Acked
-// groups (NewGroupAcked) separate delivery from processing: a poll
-// writes a durable lease record before returning messages and the
-// messages are consumed only when Consumer.Ack covers them, giving
-// exactly-once *processing* across consumer crashes (lease takeover
-// redelivers the unacked suffix, see Adopt) and broker crashes
-// (recovery redelivers everything beyond the acked frontier).
+// Plain groups (NewGroup) are at-least-once across crashes: a
+// delivery is durable when the poll returns, and a member that crashed
+// mid-poll leaves its window to be recovered. Acked groups
+// (NewGroupAcked) separate delivery from processing: a poll writes a
+// durable lease record before returning messages and the messages are
+// consumed only when Consumer.Ack covers them, giving exactly-once
+// *processing* across consumer crashes (lease takeover redelivers the
+// unacked suffix, see Adopt) and broker crashes (recovery redelivers
+// everything beyond the acked frontier).
 type Group struct {
 	consumers []*Consumer
 	b         *Broker
@@ -138,7 +137,7 @@ func (b *Broker) collectRefs(topicNames []string) ([]*consumerShard, error) {
 }
 
 // newGroup makes a group of n members owning nothing: every
-// constructor subscribes its topics through Group.subscribe, the one
+// constructor subscribes its topics through Group.Subscribe, the one
 // place shards are admitted, bound and dealt.
 func (b *Broker) newGroup(n int) (*Group, error) {
 	if n <= 0 {
@@ -166,31 +165,6 @@ func (b *Broker) NewGroup(topicNames []string, n int) (*Group, error) {
 	g, err := b.newGroup(n)
 	if err == nil {
 		err = g.Subscribe(0, topicNames...)
-	}
-	if err != nil {
-		return nil, err
-	}
-	return g, nil
-}
-
-// NewGroupAffine subscribes n consumers to the named topics with
-// heap-affine assignment: the combined shard list is ordered by member
-// heap and dealt out in contiguous chunks, so each consumer's shards
-// concentrate on as few persistence domains as possible. A PollBatch
-// fences once per domain it dequeued from — with block placement
-// (BlockPlacement) and consumers >= heaps, each member's fences stay
-// on a single domain.
-func (b *Broker) NewGroupAffine(topicNames []string, n int) (*Group, error) {
-	g, err := b.newGroup(n)
-	if err == nil {
-		err = g.subscribe(0, topicNames, func(refs []*consumerShard) {
-			sort.SliceStable(refs, func(i, j int) bool {
-				return refs[i].t.locs[refs[i].shard].heap < refs[j].t.locs[refs[j].shard].heap
-			})
-			for i, c := range g.consumers {
-				c.refs = append(c.refs, refs[i*len(refs)/n:(i+1)*len(refs)/n]...)
-			}
-		})
 	}
 	if err != nil {
 		return nil, err
@@ -310,18 +284,6 @@ func (b *Broker) NewGroupAcked(topicNames []string, n int, lc LeaseConfig) (*Gro
 // assignments. Nothing can make the plain half fully safe short of
 // locking the hot path.
 func (g *Group) Subscribe(tid int, topicNames ...string) error {
-	return g.subscribe(tid, topicNames, func(refs []*consumerShard) {
-		for _, r := range refs {
-			c := leastLoaded(g.consumers)
-			c.refs = append(c.refs, r)
-		}
-	})
-}
-
-// subscribe admits, binds and registers the topics' shards, then hands
-// them to deal — the assignment policy, the only thing the
-// constructors vary.
-func (g *Group) subscribe(tid int, topicNames []string, deal func(refs []*consumerShard)) error {
 	defer g.lockAll()()
 	if !g.leased {
 		for _, c := range g.consumers {
@@ -377,7 +339,10 @@ func (g *Group) subscribe(tid int, topicNames []string, deal func(refs []*consum
 			}
 		}
 	}
-	deal(refs)
+	for _, r := range refs {
+		c := leastLoaded(g.consumers)
+		c.refs = append(c.refs, r)
+	}
 	// The group meets the observer here and not in its constructor, so
 	// one that was refused is never listed.
 	if o := g.b.obs; o != nil {
@@ -486,11 +451,6 @@ type Consumer struct {
 	// uncontended atomic add/sub on a line this member owns.
 	polling atomic.Int32
 
-	// asyncAcks lists the shards holding this member's unfenced ack
-	// NTStores (AckAsync): the covering fence is owed and will be paid
-	// by the next acknowledgment-path op or DrainAcks.
-	asyncAcks []*shard
-
 	// Scratch of the poll and ack verbs, reused so that a verb allocates
 	// only the messages it returns: one shard's dequeued payloads and
 	// their indices, the shards owed a fence, the topics entered, the
@@ -567,29 +527,6 @@ func (c *Consumer) Assigned() []ShardRef {
 	return out
 }
 
-// Domains lists the distinct member heaps this member's shards live
-// on — the number of SFENCEs a full PollBatch sweep pays at most.
-func (c *Consumer) Domains() []int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	var out []int
-	for _, r := range c.refs {
-		h := r.t.locs[r.shard].heap
-		seen := false
-		for _, d := range out {
-			if d == h {
-				seen = true
-				break
-			}
-		}
-		if !seen {
-			out = append(out, h)
-		}
-	}
-	sort.Ints(out)
-	return out
-}
-
 // Poll scans the member's shards round-robin and delivers the first
 // available message. ok is false when every owned shard was observed
 // empty. When Poll returns a message, the delivery is already durable
@@ -635,11 +572,10 @@ func (c *Consumer) Poll(tid int) (Message, bool) {
 // *per-heap* and covers all of that thread's outstanding NTStores on
 // that heap regardless of which shard's local line they target, one
 // SFENCE per touched heap at the end makes every shard's progress
-// durable together. With all of a member's shards on one domain (see
-// NewGroupAffine and BlockPlacement) that is a single fence per poll;
-// a poll that finds every owned shard empty at an already-persisted
-// head index issues no persist instructions at all, so idle consumers
-// poll for free.
+// durable together. With all of a member's shards on one domain that
+// is a single fence per poll; a poll that finds every owned shard
+// empty at an already-persisted head index issues no persist
+// instructions at all, so idle consumers poll for free.
 //
 // On a plain group the batch is acknowledged as a whole when PollBatch
 // returns: at that point every delivery in it is durable and will
@@ -716,7 +652,6 @@ func (c *Consumer) pollLeased(tid, max int) []Message {
 	if max <= 0 || len(c.refs) == 0 {
 		return nil
 	}
-	c.drainAcks(tid)
 	sp := c.g.b.span(tid)
 	var out []Message
 	// Redeliveries first: adopted or nacked messages are already
@@ -794,60 +729,16 @@ func (c *Consumer) pollLeased(tid, max int) []Message {
 // re-poll. The refusal consumes the fencing record, so subsequent
 // calls proceed on the shards the member still owns. On a plain group
 // Ack returns ErrPlainGroup.
-func (c *Consumer) Ack(tid int) (int, error) { return c.ack(tid, "Ack", true) }
-
-// AckAsync is the pipelined half of Ack: it issues the same ack
-// NTStores but defers the covering fence to this member's *next*
-// acknowledgment-path op (Ack, AckAsync, PollBatch, Nack, Renew) or
-// an explicit DrainAcks. The fence count per acknowledgment is
-// unchanged — each deferred fence is paid exactly once, at the start
-// of the next op — but the write-pending queue drains in the
-// background during the handler work between the two calls, so the
-// fence's blocking residual shrinks toward zero (see
-// pmem.LatencyModel.DrainNsPerLine). Returns the number of messages
-// newly counted acknowledged, or ErrFenced / ErrPlainGroup exactly as
-// Ack does.
-//
-// The deferral trades the exactly-once guarantee down to at-least-once
-// for its window: a crash — or a lease takeover that races the
-// deferral — between AckAsync and the covering fence can leave the
-// window both redelivered elsewhere and (if the stores land under a
-// later fence) marked acked. Callers that need the strict guarantee
-// use Ack; callers optimizing the tail call AckAsync from a single
-// processing loop where the next op follows promptly.
-func (c *Consumer) AckAsync(tid int) (int, error) { return c.ack(tid, "AckAsync", false) }
-
-// ackPath is the preamble every acknowledgment-path verb shares:
-// refuse a plain group, lock the member, pay the fence an AckAsync
-// left owing, and refuse (ErrFenced) a member that lost shards to a
-// takeover. On a nil return the caller holds c.mu; on a refusal
-// nothing is held and nothing was persisted on the verb's behalf.
-func (c *Consumer) ackPath(tid int, verb string) error {
-	if err := c.g.acked(verb); err != nil {
-		return err
-	}
-	c.mu.Lock()
-	c.drainAcks(tid)
-	if err := c.takeFenced(tid); err != nil {
-		c.mu.Unlock()
-		return err
-	}
-	return nil
-}
-
-// ack is Ack and AckAsync: the two differ only in whether the fence
-// covering the walk's ack NTStores is paid before returning (fenceNow)
-// or left owing in c.asyncAcks for the next acknowledgment-path op.
-func (c *Consumer) ack(tid int, verb string, fenceNow bool) (int, error) {
-	if err := c.ackPath(tid, verb); err != nil {
+func (c *Consumer) Ack(tid int) (int, error) {
+	if err := c.ackPath(tid, "Ack"); err != nil {
 		return 0, err
 	}
 	defer c.mu.Unlock()
 	sp := c.g.b.span(tid)
 	n := 0
-	// Entered topics are exited only on return — for Ack, after the
-	// covering fence landed the ack NTStores — so DeleteTopic cannot
-	// reclaim a window under them.
+	// Entered topics are exited only on return, after the covering
+	// fence landed the ack NTStores, so DeleteTopic cannot reclaim a
+	// window under them.
 	defer c.exitEntered()
 	for _, r := range c.refs {
 		if !r.t.enter() {
@@ -867,11 +758,17 @@ func (c *Consumer) ack(tid int, verb string, fenceNow bool) (int, error) {
 		bump(r.t.ostats, (*obs.TopicStats).Acked, r.unackedN)
 		r.unackedN = 0
 		if s.AckToUnfenced(tid, r.deliveredTo) {
-			c.asyncAcks = append(c.asyncAcks, s)
+			c.touched = append(c.touched, s)
 		}
 	}
-	if fenceNow {
-		c.drainAcks(tid)
+	if len(c.touched) > 0 {
+		// One fence per distinct domain covers every touched shard's ack
+		// NTStores there; only then are the durable frontiers promoted.
+		fenceShards(tid, c.touched)
+		for _, s := range c.touched {
+			s.CompleteAck(tid)
+		}
+		c.touched = reset(c.touched)
 	}
 	// Like an empty poll, an Ack with nothing new to acknowledge costs
 	// nothing and records no sample.
@@ -881,29 +778,21 @@ func (c *Consumer) ack(tid int, verb string, fenceNow bool) (int, error) {
 	return n, nil
 }
 
-// DrainAcks pays any fence deferred by AckAsync, making the staged
-// acknowledgments durable. Idempotent; costs nothing when no fence is
-// owed. An event-loop consumer calls it before sleeping so the
-// deferral window is bounded by the wakeup, not the next arrival.
-func (c *Consumer) DrainAcks(tid int) {
+// ackPath is the preamble every acknowledgment-path verb shares:
+// refuse a plain group, lock the member, and refuse (ErrFenced) a
+// member that lost shards to a takeover. On a nil return the caller
+// holds c.mu; on a refusal nothing is held and nothing was persisted
+// on the verb's behalf.
+func (c *Consumer) ackPath(tid int, verb string) error {
+	if err := c.g.acked(verb); err != nil {
+		return err
+	}
 	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.drainAcks(tid)
-}
-
-// drainAcks fences the domains holding staged ack NTStores (one fence
-// per distinct heap) and promotes their durable ack frontiers: the
-// tail of every Ack, and the head of whatever follows an AckAsync.
-// Caller holds c.mu.
-func (c *Consumer) drainAcks(tid int) {
-	if len(c.asyncAcks) == 0 {
-		return
+	if err := c.takeFenced(tid); err != nil {
+		c.mu.Unlock()
+		return err
 	}
-	fenceShards(tid, c.asyncAcks)
-	for _, s := range c.asyncAcks {
-		s.CompleteAck(tid)
-	}
-	c.asyncAcks = reset(c.asyncAcks)
+	return nil
 }
 
 // Nack rescinds every delivered-but-unacknowledged message of this

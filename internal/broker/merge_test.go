@@ -36,7 +36,6 @@ func TestPlainGroupRefusals(t *testing.T) {
 		call func() error
 	}{
 		{"Ack", func() error { _, err := c.Ack(1); return err }},
-		{"AckAsync", func() error { _, err := c.AckAsync(1); return err }},
 		{"Nack", func() error { _, err := c.Nack(1); return err }},
 		{"Renew", func() error { return c.Renew(1, 100) }},
 		{"Heartbeat", func() error { return c.Heartbeat(1) }},
@@ -281,56 +280,39 @@ func TestTakeoverOneSource(t *testing.T) {
 	}
 }
 
-// TestAckOneSource: Ack, and AckAsync followed by DrainAcks, end at the
-// same durable frontier on every shard for the same fence total.
+// TestAckOneSource: Ack pays its covering fences inside the call, one
+// per touched domain, and ends with every shard's durable frontier at
+// the last index it delivered.
 func TestAckOneSource(t *testing.T) {
-	type outcome struct {
-		acked    int
-		frontier []uint64
-		persists [3]uint64
+	hs, b := newAckedBroker(t, 2, 2, pmem.ModePerf)
+	g, err := b.NewGroupAcked([]string{"events", "jobs"}, 1, LeaseConfig{TTL: 100, Now: (&logicalClock{}).Now})
+	if err != nil {
+		t.Fatal(err)
 	}
-	ack := func(verb func(c *Consumer) (int, error)) outcome {
-		hs, b := newAckedBroker(t, 2, 2, pmem.ModePerf)
-		g, err := b.NewGroupAcked([]string{"events", "jobs"}, 1, LeaseConfig{TTL: 100, Now: (&logicalClock{}).Now})
-		if err != nil {
-			t.Fatal(err)
-		}
-		for i := uint64(0); i < 24; i++ {
-			b.Topic("events").Publish(0, U64(i))
-			b.Topic("jobs").PublishKey(0, U64(i%3), blobPayload(i))
-		}
-		c := g.Consumer(0)
-		if ms := c.PollBatch(1, 40); len(ms) != 40 {
-			t.Fatalf("delivered %d, want 40", len(ms))
-		}
-		before := hs.TotalStats()
-		n, err := verb(c)
-		if err != nil {
-			t.Fatal(err)
-		}
-		o := outcome{acked: n, persists: persists(hs.TotalStats().Sub(before))}
-		for _, name := range []string{"events", "jobs"} {
-			for _, s := range b.Topic(name).shards {
-				o.frontier = append(o.frontier, s.AckedTo())
-			}
-		}
-		return o
+	for i := uint64(0); i < 24; i++ {
+		b.Topic("events").Publish(0, U64(i))
+		b.Topic("jobs").PublishKey(0, U64(i%3), blobPayload(i))
 	}
-	now := ack(func(c *Consumer) (int, error) { return c.Ack(1) })
-	deferred := ack(func(c *Consumer) (int, error) {
-		n, err := c.AckAsync(1)
-		c.DrainAcks(1)
-		return n, err
-	})
-	if now.acked != 40 || now.persists[0] != 2 {
-		t.Fatalf("the fixture is vacuous: acked %d with %d fences, want 40 over both domains", now.acked, now.persists[0])
+	c := g.Consumer(0)
+	if ms := c.PollBatch(1, 40); len(ms) != 40 {
+		t.Fatalf("delivered %d, want 40", len(ms))
 	}
-	if !reflect.DeepEqual(now, deferred) {
-		t.Fatalf("Ack and AckAsync+DrainAcks differ:\n  Ack:      %+v\n  AckAsync: %+v", now, deferred)
+	before := hs.TotalStats()
+	n, err := c.Ack(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if d := hs.TotalStats().Sub(before); n != 40 || d.Fences != 2 {
+		t.Fatalf("Ack = %d with %d fences, want 40 over both domains", n, d.Fences)
+	}
+	for _, r := range c.refs {
+		if got := r.t.shards[r.shard].AckedTo(); got != r.deliveredTo {
+			t.Errorf("%s shard %d: acked frontier %d, want the delivered index %d", r.t.Name(), r.shard, got, r.deliveredTo)
+		}
 	}
 }
 
-// TestPublishOneSource: the four FIFO publish entry points are one
+// TestPublishOneSource: the three FIFO publish entry points are one
 // path — each charges its single fence to the calling tid and to no
 // other, watched or not, and lands its messages.
 func TestPublishOneSource(t *testing.T) {
@@ -344,7 +326,6 @@ func TestPublishOneSource(t *testing.T) {
 			t.Fatal(err)
 		}
 		topic := b.Topic("t")
-		pub := topic.NewPublisher(2, PublisherConfig{})
 		verbs := []struct {
 			name string
 			n    int
@@ -353,7 +334,6 @@ func TestPublishOneSource(t *testing.T) {
 			{"Publish", 1, func() { topic.Publish(2, U64(1)) }},
 			{"PublishKey", 1, func() { topic.PublishKey(2, U64(9), U64(2)) }},
 			{"PublishBatch", 3, func() { topic.PublishBatch(2, [][]byte{U64(3), U64(4), U64(5)}) }},
-			{"Publisher", 1, func() { pub.Publish(U64(6)) }},
 		}
 		topic.Publish(2, U64(0)) // warm both shards: the first publish opens a node area
 		topic.Publish(2, U64(0))

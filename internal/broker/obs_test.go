@@ -258,7 +258,7 @@ func TestRefusedGroupLeavesNoGauges(t *testing.T) {
 		"unknown topic":        func() error { _, err := b.NewGroupAcked([]string{"nope"}, 1, LeaseConfig{Region: roomy}); return err },
 		"topic not Acked":      func() error { _, err := b.NewGroupAcked([]string{"plain"}, 1, LeaseConfig{Region: roomy}); return err },
 		"no members":           func() error { _, err := b.NewGroup([]string{"plain"}, 0); return err },
-		"plain, unknown topic": func() error { _, err := b.NewGroupAffine([]string{"plain", "nope"}, 1); return err },
+		"plain, unknown topic": func() error { _, err := b.NewGroup([]string{"plain", "nope"}, 1); return err },
 	}
 	for what, construct := range refused {
 		if construct() == nil {

@@ -19,8 +19,8 @@ import (
 var ErrTopicDeleted = errors.New("broker: topic deleted")
 
 // ErrWrongTopicKind reports a verb applied to a topic of the wrong
-// kind: a FIFO verb (Publish/PublishKey/PublishBatch/NewPublisher,
-// group subscription) on a delay/priority topic, or a heap verb
+// kind: a FIFO verb (Publish/PublishKey/PublishBatch, group
+// subscription) on a delay/priority topic, or a heap verb
 // (PublishAt/PublishPriority/DequeueReady/NackDelayed) on a FIFO
 // topic. Every refusing path wraps this sentinel with the same
 // diagnostic shape (verb, topic, actual kind, wanted kind) — the
@@ -38,8 +38,8 @@ func (t *Topic) kindErr(verb string, want TopicKind) error {
 // safe from any number of producers (each with its own tid); ordering
 // is FIFO per shard, so two messages routed to the same shard are
 // delivered in publish order. A topic's shards may be spread over
-// several member heaps of the broker's set (see PlacementPolicy);
-// HeapOf reports each shard's domain.
+// several member heaps of the broker's set, dealt round-robin; HeapOf
+// reports each shard's domain.
 type Topic struct {
 	b      *Broker
 	cfg    TopicConfig
@@ -177,8 +177,7 @@ func (t *Topic) admit(verb string, want TopicKind, payloads [][]byte) error {
 // on the shard's own heap. Returns ErrTopicDeleted (and publishes
 // nothing) once the topic is retired.
 func (t *Topic) Publish(tid int, payload []byte) error {
-	_, err := t.publishTo(t.b.span(tid), "Publish", nil, [][]byte{payload}, true)
-	return err
+	return t.publishTo(t.b.span(tid), "Publish", nil, [][]byte{payload})
 }
 
 // PublishKey routes payload by FNV-1a hash of key, so all messages
@@ -191,8 +190,7 @@ func (t *Topic) PublishKey(tid int, key, payload []byte) error {
 		h ^= uint64(b)
 		h *= 1099511628211
 	}
-	_, err := t.publishTo(t.b.span(tid), "PublishKey", &h, [][]byte{payload}, true)
-	return err
+	return t.publishTo(t.b.span(tid), "PublishKey", &h, [][]byte{payload})
 }
 
 // PublishBatch routes the whole batch to the next shard round-robin
@@ -205,26 +203,22 @@ func (t *Topic) PublishKey(tid int, key, payload []byte) error {
 // Returns ErrTopicDeleted (and publishes nothing) once the topic is
 // retired.
 func (t *Topic) PublishBatch(tid int, payloads [][]byte) error {
-	_, err := t.publishTo(t.b.span(tid), "PublishBatch", nil, payloads, true)
-	return err
+	return t.publishTo(t.b.span(tid), "PublishBatch", nil, payloads)
 }
 
-// publishTo is the one FIFO publish path; Publish, PublishKey,
-// PublishBatch and Publisher.flush differ only in what they hand it.
-// Past admission it enters the topic, picks the shard — the one
-// keyHash names, else the next of the round-robin cursor — enqueues
-// the batch in order, pays the one blocking persist that acknowledges
-// it (fence), and closes sp. A pipelining Publisher passes fence false
-// and pays on the returned shard's heap later; until then the batch is
-// linked but unacknowledged (see queues.Core.EnqueueBatchUnfenced).
+// publishTo is the one FIFO publish path; Publish, PublishKey and
+// PublishBatch differ only in what they hand it. Past admission it
+// enters the topic, picks the shard — the one keyHash names, else the
+// next of the round-robin cursor — enqueues the batch in order, pays
+// the one blocking persist that acknowledges it, and closes sp.
 // Returns ErrTopicDeleted, having published nothing, once the topic is
 // retired.
-func (t *Topic) publishTo(sp span, verb string, keyHash *uint64, payloads [][]byte, fence bool) (*shard, error) {
+func (t *Topic) publishTo(sp span, verb string, keyHash *uint64, payloads [][]byte) error {
 	if err := t.admit(verb, KindFIFO, payloads); err != nil || len(payloads) == 0 {
-		return nil, err
+		return err
 	}
 	if !t.enter() {
-		return nil, ErrTopicDeleted
+		return ErrTopicDeleted
 	}
 	defer t.exit()
 	var si int
@@ -233,13 +227,9 @@ func (t *Topic) publishTo(sp span, verb string, keyHash *uint64, payloads [][]by
 	} else {
 		si = int(t.rr.Add(1)-1) % len(t.shards)
 	}
-	s := t.shards[si]
-	s.EnqueueBatchUnfenced(sp.tid, payloads)
-	if fence {
-		s.h.Fence(sp.tid)
-	}
+	t.shards[si].EnqueueBatch(sp.tid, payloads)
 	sp.published(t, si, len(payloads))
-	return s, nil
+	return nil
 }
 
 // Stats returns the topic's observability gauge state — message

@@ -476,6 +476,12 @@ func Areas(h *pmem.Heap, cfg Config) []Area {
 		return nil
 	}
 	count := h.Load(0, regAddr)
+	if count > maxAreas {
+		// newArea never registers more than maxAreas, so this count was
+		// not written by the pool: refuse it before make turns it into an
+		// allocation whose failure no recover can catch.
+		panic(fmt.Sprintf("ssmem: corrupt area registry at %#x: count %d exceeds %d areas", regAddr, count, maxAreas))
+	}
 	out := make([]Area, 0, count)
 	for i := uint64(0); i < count; i++ {
 		entry := regAddr + pmem.Addr((1+i*regEntryWords)*pmem.WordBytes)

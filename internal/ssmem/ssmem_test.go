@@ -2,6 +2,7 @@ package ssmem
 
 import (
 	"math/rand"
+	"strings"
 	"sync"
 	"testing"
 
@@ -317,6 +318,27 @@ func TestNewPoolPanicsOnUsedRootSlot(t *testing.T) {
 		}
 	}()
 	NewPool(h, cfg)
+}
+
+// TestAreasRefusesCorruptCount: a registry count no pool could have
+// written is a panic naming the registry, which a caller can recover
+// from, not a 1<<40-entry allocation, which kills the process.
+func TestAreasRefusesCorruptCount(t *testing.T) {
+	h := newHeap(t, pmem.ModePerf)
+	cfg := Config{SlotBytes: 64, SlotsPerArea: 16, Threads: 1, RootSlot: 0}
+	p := NewPool(h, cfg)
+	p.Alloc(0)
+	if n := len(Areas(h, cfg)); n != 1 {
+		t.Fatalf("Areas = %d areas, want 1", n)
+	}
+	h.Store(0, pmem.Addr(h.Load(0, h.RootAddr(cfg.RootSlot))), 1<<40)
+	defer func() {
+		r := recover()
+		if msg, _ := r.(string); !strings.Contains(msg, "corrupt area registry") {
+			t.Fatalf("Areas on a 1<<40 count: recovered %v, want the corrupt-registry panic", r)
+		}
+	}()
+	Areas(h, cfg)
 }
 
 func TestFreshSlotsArePersistentlyZero(t *testing.T) {

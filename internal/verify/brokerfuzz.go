@@ -10,7 +10,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"repro/internal/batch"
 	"repro/internal/broker"
 	"repro/internal/dheap"
 	"repro/internal/obs"
@@ -271,8 +270,8 @@ func plainConsumers(r *round, n, firstTid, window int) (delivered []map[uint64]b
 }
 
 // plainGroupRound is the whole-broker durability audit: concurrent
-// producers (mixing per-message, keyed, batch and pipelined publishes)
-// and a plain consumer group run until the power loss; the broker is
+// producers (mixing per-message, keyed and batch publishes) and a
+// plain consumer group run until the power loss; the broker is
 // recovered from its catalog alone and audited — every acknowledged
 // publish across all topics and shards is delivered or recovered
 // exactly once, and per-shard per-producer FIFO holds.
@@ -297,34 +296,34 @@ func plainGroupRound(r *round, dequeueBatch, heaps int) error {
 	r.producers(producers, func(p int) (acked []uint64) {
 		rng := rand.New(rand.NewSource(r.seed*997 + int64(p)))
 		events, jobs := r.b.Topic("events"), r.b.Topic("jobs")
-		// The pipelined arm: windows issue unfenced and acknowledge
-		// one flush late, so `issued` tracks ids whose covering fence
-		// is still owed. A crash discards them (they were never
-		// acknowledged; whatever landed durably is recovered, which
-		// the audit allows).
-		pub := events.NewPublisher(p, broker.PublisherConfig{
-			Policy: batch.NewAIMD(1, 8), Pipeline: true,
-		})
-		var issued []uint64
-		ackN := func(n int) {
-			acked = append(acked, issued[:n]...)
-			issued = issued[n:]
-		}
 		// Each iteration publishes ids in increasing order before
 		// minting the next, so every shard sees any one producer's
 		// messages with ascending ids.
-		for m := uint64(1); m <= perProducer; {
+		m := uint64(1)
+		// burst publishes the next (up to) 8 ids to t as one batch,
+		// acknowledged as a whole; true means the power loss hit it.
+		burst := func(t *broker.Topic, payload func(uint64) []byte) bool {
+			var batch [][]byte
+			var ids []uint64
+			for len(batch) < 8 && m <= perProducer {
+				ids = append(ids, uint64(p+1)<<32|m)
+				batch = append(batch, payload(ids[len(ids)-1]))
+				m++
+			}
+			if pmem.Protect(func() { t.PublishBatch(p, batch) }) {
+				return true
+			}
+			acked = append(acked, ids...)
+			return false
+		}
+		for m <= perProducer {
 			r.yield()
 			id := uint64(p+1)<<32 | m
 			switch rng.Intn(5) {
-			case 0: // fixed-topic publish (after draining the pipeline:
-				// a buffered window holds earlier ids, and publishing id
-				// directly before they land would break per-shard FIFO)
-				n := 0
-				if pmem.Protect(func() { n = pub.Flush(); events.Publish(p, broker.U64(id)) }) {
+			case 0: // fixed-topic publish
+				if pmem.Protect(func() { events.Publish(p, broker.U64(id)) }) {
 					return acked
 				}
-				ackN(n)
 				acked = append(acked, id)
 				m++
 			case 1: // keyed publish
@@ -333,40 +332,15 @@ func plainGroupRound(r *round, dequeueBatch, heaps int) error {
 				}
 				acked = append(acked, id)
 				m++
-			case 2: // pipelined adaptive burst, acked one window late
-				for burst := 0; burst < 8 && m <= perProducer; burst++ {
-					id := uint64(p+1)<<32 | m
-					n := 0
-					if pmem.Protect(func() { n = pub.Publish(broker.U64(id)) }) {
-						return acked
-					}
-					issued = append(issued, id)
-					ackN(n)
-					m++
-				}
-			default: // batch of consecutive ids, acked as a whole
-				var batch [][]byte
-				var ids []uint64
-				for len(batch) < 8 && m <= perProducer {
-					ids = append(ids, uint64(p+1)<<32|m)
-					batch = append(batch, blobPayload(ids[len(ids)-1]))
-					m++
-				}
-				if pmem.Protect(func() { jobs.PublishBatch(p, batch) }) {
+			case 2: // fixed-topic batch
+				if burst(events, broker.U64) {
 					return acked
 				}
-				acked = append(acked, ids...)
+			default: // blob-topic batch
+				if burst(jobs, blobPayload) {
+					return acked
+				}
 			}
-		}
-		// Drain the pipeline: after Flush every issued id is durably
-		// acknowledged.
-		n := 0
-		if pmem.Protect(func() { n = pub.Flush() }) {
-			return acked
-		}
-		ackN(n)
-		if len(issued) != 0 {
-			r.failf("producer %d: publisher Flush left %d ids unacknowledged", p, len(issued))
 		}
 		return acked
 	})
