@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"math/rand"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -118,11 +119,8 @@ func payloadsOf(vs []uint64) [][]byte {
 	return ps
 }
 
-func (w wordQ) Enqueue(tid int, v uint64)         { w.Queue.Enqueue(tid, encodedPayload(v)) }
-func (w wordQ) EnqueueBatch(tid int, vs []uint64) { w.Queue.EnqueueBatch(tid, payloadsOf(vs)) }
-func (w wordQ) EnqueueBatchUnfenced(tid int, vs []uint64) {
-	w.Queue.EnqueueBatchUnfenced(tid, payloadsOf(vs))
-}
+func (w wordQ) Enqueue(tid int, v uint64)          { w.Queue.Enqueue(tid, encodedPayload(v)) }
+func (w wordQ) EnqueueBatch(tid int, vs []uint64)  { w.Queue.EnqueueBatch(tid, payloadsOf(vs)) }
 func (w wordQ) DequeueBatch(tid, max int) []uint64 { return w.words(w.Queue.DequeueBatch(tid, max)) }
 func (w wordQ) Dequeue(tid int) (uint64, bool) {
 	vs := w.DequeueBatch(tid, 1)
@@ -204,7 +202,6 @@ func decodePayload(p []byte) (uint64, error) {
 type pinQ interface {
 	queues.Queue
 	EnqueueBatch(tid int, vs []uint64)
-	EnqueueBatchUnfenced(tid int, vs []uint64)
 	DequeueBatch(tid, max int) []uint64
 	DequeueLeased(tid, max int) (vs, idxs []uint64)
 	AckTo(tid int, idx uint64)
@@ -214,7 +211,6 @@ type pinQ interface {
 // takes the next value, every dequeue must return the next expected.
 type pinState struct {
 	t          *testing.T
-	h          *pmem.Heap
 	q          pinQ
 	next, want uint64
 	idxs       []uint64 // indices of the last leased batch
@@ -279,19 +275,7 @@ var persistPins = []struct {
 			s.got([]uint64{v}, 1)
 		}
 	}},
-	{verb: "EnqueueBatch", fences: 1, items: 16, op: func(s *pinState) { s.q.EnqueueBatch(0, s.fresh(16)) }},
-	// The issue phase alone costs no fence...
-	{verb: "EnqueueBatchUnfenced", items: 5, op: func(s *pinState) { s.q.EnqueueBatchUnfenced(0, s.fresh(5)) }},
-	// ...a later caller-side Fence acknowledges every window issued
-	// before it, and the issue/fence split never changes the total: six
-	// windows cost six fences however they interleave with the issues.
-	{verb: "Pipeline", fences: 6, items: 25, op: func(s *pinState) {
-		for w := 1; w < 6; w++ {
-			s.q.EnqueueBatchUnfenced(0, s.fresh(5))
-			s.h.Fence(0)
-		}
-		s.h.Fence(0)
-	}},
+	{verb: "EnqueueBatch", fences: 1, items: 46, op: func(s *pinState) { s.q.EnqueueBatch(0, s.fresh(46)) }},
 	{verb: "DequeueBatch", fences: 1, ntstores: 1, op: func(s *pinState) { s.got(s.q.DequeueBatch(0, 16), 16) }},
 	{verb: "DequeueBatchRest", fences: 1, ntstores: 1, op: func(s *pinState) { s.got(s.q.DequeueBatch(0, 64), 30) }},
 	// Once the emptying dequeue is durable, empty polls are elided whole.
@@ -342,7 +326,7 @@ func TestOneFenceZeroPostFlush(t *testing.T) {
 	} {
 		t.Run(inst.name, func(t *testing.T) {
 			h := pmem.New(pmem.Config{Bytes: 64 << 20, MaxThreads: 2})
-			s := &pinState{t: t, h: h, q: inst.mk(h)}
+			s := &pinState{t: t, q: inst.mk(h)}
 			for i := 0; i < 300; i++ { // warm the pools past area creation
 				s.q.Enqueue(0, s.fresh(1)[0])
 				v, _ := s.q.Dequeue(0)
@@ -757,10 +741,10 @@ func mustLookup(t *testing.T, name string) queues.Info {
 // TestBatchAllocs pins the Go allocations of one EnqueueBatch(8) +
 // DequeueBatch(8) round at 1 KiB: the payload copy of each enqueue and
 // the dequeue's result slice, made once at its final size — 9. It was
-// 20 while every volatile node was an allocation of its own (the core
-// now carves them from chunks, one allocation per 64) and the result
-// slice grew to 8 in four steps. A ceiling, so data-plane work can only
-// lower it.
+// 20 while every volatile node was an allocation of its own (each is
+// now its slot's entry in the core's node mirror) and the result slice
+// grew to 8 in four steps. A ceiling, so data-plane work can only lower
+// it.
 func TestBatchAllocs(t *testing.T) {
 	h := pmem.New(pmem.Config{Bytes: 64 << 20, MaxThreads: 2})
 	q := New(h, Config{Threads: 1, MaxPayload: 1024})
@@ -777,6 +761,47 @@ func TestBatchAllocs(t *testing.T) {
 	}
 	if got := testing.AllocsPerRun(500, round); got > 9 {
 		t.Fatalf("EnqueueBatch(8)+DequeueBatch(8) at 1 KiB = %v allocs, want <= 9", got)
+	}
+}
+
+// TestConsumedBlobRetainsNothing pins that a consumed payload leaves
+// the queue with its message: 3 000 1 KiB payloads enqueued and then
+// consumed — dequeued, or leased and acknowledged — leave the Go heap
+// where it was, though their slots, and the slots' entries in the
+// core's node mirror, wait unreused in the pools.
+func TestConsumedBlobRetainsNothing(t *testing.T) {
+	const n, batchN = 3000, 60
+	for _, acked := range []bool{false, true} {
+		h := pmem.New(pmem.Config{Bytes: 64 << 20, MaxThreads: 1})
+		q := New(h, Config{Threads: 1, MaxPayload: 1024, Acked: acked})
+		batch := make([][]byte, batchN)
+		for i := range batch {
+			batch[i] = payloadFor(uint64(i), 1024)
+		}
+		consume := func() {
+			if !acked {
+				q.DequeueBatch(0, batchN)
+			} else if _, idxs := q.DequeueLeased(0, batchN); len(idxs) > 0 {
+				q.AckTo(0, idxs[len(idxs)-1])
+			}
+		}
+		q.EnqueueBatch(0, batch[:1]) // the pools' first areas, the mirror's first array
+		consume()
+		var before, after runtime.MemStats
+		runtime.GC()
+		runtime.ReadMemStats(&before)
+		for i := 0; i < n; i += batchN {
+			q.EnqueueBatch(0, batch)
+		}
+		for i := 0; i < n; i += batchN {
+			consume()
+		}
+		runtime.GC()
+		runtime.ReadMemStats(&after)
+		runtime.KeepAlive(q)
+		if grew := int64(after.HeapAlloc) - int64(before.HeapAlloc); grew >= 1<<20 {
+			t.Fatalf("acked=%v: Go heap grew %d bytes over %d consumed 1 KiB payloads, want < 1 MiB", acked, grew, n)
+		}
 	}
 }
 

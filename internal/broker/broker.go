@@ -269,14 +269,28 @@ type wordChunk struct {
 func newWordCodec(threads int) *wordCodec { return &wordCodec{free: make([]wordChunk, threads)} }
 
 // Write returns a private copy of p — the caller keeps its buffer —
-// carved from tid's chunk rather than allocated: eight bytes whose
-// capacity is their length, so a consumer appending to one delivered
-// payload cannot reach its neighbour's. Like the queue's node chunks, a
-// byte chunk is never reused: the collector frees it when the last
-// payload in it is dropped.
+// carved from tid's chunk (see copyOf).
 func (c *wordCodec) Write(h *pmem.Heap, tid int, pn, _ pmem.Addr, p []byte) []byte {
 	v := AsU64(p)
 	h.StoreOwned(tid, pn+queues.NodePayload, v)
+	return c.copyOf(tid, v)
+}
+
+func (*wordCodec) Check(*pmem.Heap, pmem.Addr) (pmem.Addr, bool) { return 0, true }
+
+// Read carves from tid 0's chunk: recovery runs alone on tid 0 and
+// calls it in index order, so the copies lie in the order the drain
+// that follows reads them.
+func (c *wordCodec) Read(h *pmem.Heap, pn pmem.Addr) []byte {
+	return c.copyOf(0, h.Load(0, pn+queues.NodePayload))
+}
+
+// copyOf carves v's copy from tid's chunk rather than allocating it:
+// eight bytes whose capacity is their length, so a consumer appending
+// to one delivered payload cannot reach its neighbour's. A chunk is
+// never reused: the collector frees it when the last payload in it is
+// dropped.
+func (c *wordCodec) copyOf(tid int, v uint64) []byte {
 	f := &c.free[tid]
 	if len(f.b) < 8 {
 		f.b = make([]byte, wordChunkBytes)
@@ -285,12 +299,6 @@ func (c *wordCodec) Write(h *pmem.Heap, tid int, pn, _ pmem.Addr, p []byte) []by
 	f.b = f.b[8:]
 	binary.LittleEndian.PutUint64(out, v)
 	return out
-}
-
-func (*wordCodec) Check(*pmem.Heap, pmem.Addr) (pmem.Addr, bool) { return 0, true }
-
-func (*wordCodec) Read(h *pmem.Heap, pn pmem.Addr) []byte {
-	return U64(h.Load(0, pn+queues.NodePayload))
 }
 
 // createShard builds shard si's empty queue on view, charging the

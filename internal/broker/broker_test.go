@@ -160,12 +160,41 @@ func TestPollFairnessAfterIdle(t *testing.T) {
 // PublishBatch(8) + PollBatch(8) round on a fixed topic beside the
 // fence pins: 1, the []Message the poll returns. It was 27 — per
 // message a volatile node and a payload copy, the rest result-slice
-// growth and per-call bookkeeping — until nodes and payload copies were
-// carved from chunks (an allocation per 64 and per 256 messages, which
-// AllocsPerRun's whole-number average rounds away) and the Consumer
-// kept its scratch. A ceiling, so data-plane work can only lower it;
-// see TestPublishPollAllocs for the other verb rounds.
+// growth and per-call bookkeeping — until volatile nodes became their
+// slots' mirror entries, payload copies were carved from chunks (an
+// allocation per 256 messages, which AllocsPerRun's whole-number
+// average rounds away) and the Consumer kept its scratch. A ceiling, so
+// data-plane work can only lower it; see TestPublishPollAllocs for the
+// other verb rounds.
 func TestPublishPollBatchAllocs(t *testing.T) {
+	round := publishPollBatchRound(t)
+	if got := testing.AllocsPerRun(500, round); got > 1 {
+		t.Fatalf("PublishBatch(8)+PollBatch(8) = %v allocs, want <= 1", got)
+	}
+}
+
+// TestPublishPollBatchAllocsBytes pins the bytes of the same round,
+// which the count rounds away: 56 a message, the 48-byte Message the
+// poll returns and the 8-byte payload copy, plus less than one for
+// what arrives in whole chunks (a payload chunk straddling the window,
+// a depot buffer). Volatile nodes carved 64 to a chunk read 48 more.
+func TestPublishPollBatchAllocsBytes(t *testing.T) {
+	round := publishPollBatchRound(t)
+	const rounds = 20_000
+	got := allocBytesPer(8*rounds, func() {
+		for i := 0; i < rounds; i++ {
+			round()
+		}
+	})
+	if got >= 57 {
+		t.Fatalf("PublishBatch(8)+PollBatch(8) = %.2f B per message, want 56", got)
+	}
+}
+
+// publishPollBatchRound builds a fixed topic of four shards on one heap
+// and returns its PublishBatch(8) + PollBatch(8) round, warmed past
+// pool and slice growth.
+func publishPollBatchRound(t *testing.T) func() {
 	h := pmem.New(pmem.Config{Bytes: 64 << 20, MaxThreads: 2})
 	b, err := newBroker(pmem.NewSetOf(h), Options{Threads: 2}, []TopicConfig{{Name: "events", Shards: 4}}, 0)
 	if err != nil {
@@ -184,12 +213,10 @@ func TestPublishPollBatchAllocs(t *testing.T) {
 		events.PublishBatch(0, batch)
 		c.PollBatch(1, 8)
 	}
-	for i := 0; i < 2000; i++ { // past pool and slice growth
+	for i := 0; i < 2000; i++ {
 		round()
 	}
-	if got := testing.AllocsPerRun(500, round); got > 1 {
-		t.Fatalf("PublishBatch(8)+PollBatch(8) = %v allocs, want <= 1", got)
-	}
+	return round
 }
 
 // TestSteadyFootprintSplitTids runs the broker the way brokers run —

@@ -41,6 +41,16 @@ func heapGrowth(keep any, warm, steady func()) uint64 {
 	return after.HeapAlloc - before.HeapAlloc
 }
 
+// allocBytesPer runs f, which handles n messages, and reports the Go
+// heap bytes it allocated per message.
+func allocBytesPer(n int, f func()) float64 {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	f()
+	runtime.ReadMemStats(&after)
+	return float64(after.TotalAlloc-before.TotalAlloc) / float64(n)
+}
+
 // TestNarrowAfterWidePollRetainsNothing is the broker's reach into the
 // leak queues.TestNarrowAfterWidePollRetainsNothing pins — one wide
 // PollBatch, then narrow polls for ever after — and the same rule for
@@ -211,10 +221,11 @@ func TestDeliveredPayloadIsPrivate(t *testing.T) {
 
 // TestPublishPollAllocs pins the Go allocations of the data plane's
 // verb rounds beside their fence pins, next to
-// TestPublishPollBatchAllocs. Volatile nodes and fixed payload copies
-// are carved from chunks — one allocation per 64 and per 256 messages,
-// which AllocsPerRun's whole-number average rounds away — and a
-// Consumer reuses its scratch, so what is left is named row by row.
+// TestPublishPollBatchAllocs. Volatile nodes are their slots' mirror
+// entries, fixed payload copies are carved from chunks — one
+// allocation per 256 messages, which AllocsPerRun's whole-number
+// average rounds away — and a Consumer reuses its scratch, so what is
+// left is named row by row.
 // Ceilings, so data-plane work can only lower them.
 func TestPublishPollAllocs(t *testing.T) {
 	for _, tc := range []struct {

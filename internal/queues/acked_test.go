@@ -166,3 +166,49 @@ func TestAckedUnfencedMonotone(t *testing.T) {
 		t.Fatalf("acknowledged item %d resurrected after out-of-order unfenced ack", v)
 	}
 }
+
+// TestAckedHeadOutlivesItsAck builds the one order in which an
+// acknowledgment covers the queue's head before anything older: tid 0
+// has CASed 129 items off the head but not yet filed them in the
+// in-flight list when tid 1 leases the next item and files it first.
+// Acknowledging it retires 130 nodes in one CompleteAck, enough for
+// two epoch advances, so the first one's slot is back on tid 1's free
+// list before the loop ends, and the 64 enqueues that follow reach it.
+// That node is still the head: its mirror entry must not be reused
+// until a dequeue moves past it, or the enqueue that reuses it
+// overwrites the queue's dummy and the items behind it are lost.
+func TestAckedHeadOutlivesItsAck(t *testing.T) {
+	q := NewOptUnlinkedQAcked(perfHeap(t, 2), 2)
+	for i := uint64(1); i <= 130; i++ {
+		q.Enqueue(0, i)
+	}
+	q.pool.Enter(0)
+	var taken []*node[uint64]
+	for len(taken) < 129 {
+		n, _, ok := q.dequeueOne(0)
+		if !ok {
+			t.Fatal("queue ran dry")
+		}
+		taken = append(taken, n)
+	}
+	q.pool.Exit(0)
+	if vs, idxs := q.DequeueLeased(1, 1); len(vs) != 1 || vs[0] != 130 {
+		t.Fatalf("tid 1 leased %v, want [130]", vs)
+	} else {
+		q.inflight = append(q.inflight, taken...) // tid 0 files its batch
+		q.AckTo(1, idxs[0])
+	}
+	for i := uint64(131); i <= 194; i++ {
+		q.Enqueue(1, i)
+	}
+	for want := uint64(131); want <= 194; want++ {
+		vs, idxs := q.DequeueLeased(1, 1)
+		if len(vs) != 1 || vs[0] != want {
+			t.Fatalf("leased %v, want [%d]", vs, want)
+		}
+		q.AckTo(1, idxs[0])
+	}
+	if vs, _ := q.DequeueLeased(1, 1); len(vs) != 0 {
+		t.Fatalf("leased %v from a queue that should be empty", vs)
+	}
+}

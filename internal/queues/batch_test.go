@@ -42,62 +42,6 @@ func TestOptUnlinkedEnqueueBatchOneFence(t *testing.T) {
 	}
 }
 
-// TestOptUnlinkedEnqueueBatchUnfencedPipeline pins the pipelined
-// publish primitive: EnqueueBatchUnfenced issues the batch's stores
-// and flushes with zero fences, a later caller-side Fence acknowledges
-// every window issued before it, and the issue/fence split never
-// changes the total fence count — N windows cost N fences however the
-// fences are interleaved with the issues.
-func TestOptUnlinkedEnqueueBatchUnfencedPipeline(t *testing.T) {
-	h := pmem.New(pmem.Config{Bytes: 32 << 20, MaxThreads: 2})
-	q := NewOptUnlinkedQ(h, 1)
-	for i := 0; i < 100; i++ { // warm the pool past area creation
-		q.Enqueue(0, uint64(i))
-	}
-	for i := 0; i < 100; i++ {
-		q.Dequeue(0)
-	}
-	const windows, wsize = 8, 8
-	mk := func(w int) []uint64 {
-		vs := make([]uint64, wsize)
-		for i := range vs {
-			vs[i] = uint64(1000 + w*wsize + i)
-		}
-		return vs
-	}
-
-	before := h.TotalStats()
-	q.EnqueueBatchUnfenced(0, mk(0))
-	d := h.TotalStats().Sub(before)
-	if d.Fences != 0 {
-		t.Fatalf("EnqueueBatchUnfenced issued %d fences, want 0 (issue phase only)", d.Fences)
-	}
-	if d.Flushes != wsize {
-		t.Fatalf("EnqueueBatchUnfenced issued %d flushes, want %d", d.Flushes, wsize)
-	}
-	// Pipelined schedule: issue window w+1, then fence (covering w and
-	// w+1's already-issued lines per the per-thread ordering argument).
-	before = h.TotalStats()
-	for w := 1; w < windows; w++ {
-		q.EnqueueBatchUnfenced(0, mk(w))
-		h.Fence(0)
-	}
-	h.Fence(0) // covers the final window
-	d = h.TotalStats().Sub(before)
-	if d.Fences != windows {
-		t.Fatalf("pipelined schedule paid %d fences for %d windows, want equal (count parity)",
-			d.Fences, windows)
-	}
-	for i := 0; i < windows*wsize; i++ {
-		if v, ok := q.Dequeue(0); !ok || v != uint64(1000+i) {
-			t.Fatalf("dequeue %d = %d,%v, want %d", i, v, ok, 1000+i)
-		}
-	}
-	if _, ok := q.Dequeue(0); ok {
-		t.Fatal("queue not empty after draining all windows")
-	}
-}
-
 // TestOptUnlinkedDequeueBatchOneFence verifies the amortized consume
 // path: a whole dequeue batch rides exactly one blocking persist and
 // one NTStore (of the final head index), preserves FIFO, and keeps the
@@ -273,11 +217,9 @@ func TestOptUnlinkedEnqueueBatchDurable(t *testing.T) {
 }
 
 // TestOptUnlinkedPairAllocs pins the Go allocations of the Figure-2
-// pair beside its fence pins: none. The volatile node is carved from a
-// chunk (one allocation per nodeChunkLen enqueues, which AllocsPerRun's
-// whole-number average rounds away) and Dequeue's batch of one lives on
-// its frame; it was one node per enqueue and one result slice per
-// dequeue.
+// pair beside its fence pins: none. The volatile node is its slot's
+// mirror entry and Dequeue's batch of one lives on its frame; it was
+// one node per enqueue and one result slice per dequeue.
 func TestOptUnlinkedPairAllocs(t *testing.T) {
 	q := NewOptUnlinkedQ(perfHeap(t, 1), 1)
 	pair := func() {
@@ -289,5 +231,24 @@ func TestOptUnlinkedPairAllocs(t *testing.T) {
 	}
 	if got := testing.AllocsPerRun(2000, pair); got > 0 {
 		t.Fatalf("Enqueue+Dequeue = %v allocs, want 0", got)
+	}
+}
+
+// TestOptUnlinkedPairAllocsBytes pins the bytes beside the count:
+// AllocsPerRun rounds an allocation made once per 64 pairs down to
+// zero, and the 2 KiB node chunks the mirror replaced read 32 B a pair
+// here.
+func TestOptUnlinkedPairAllocsBytes(t *testing.T) {
+	q := NewOptUnlinkedQ(perfHeap(t, 1), 1)
+	const n = 100_000
+	pairs := func(n int) {
+		for i := 0; i < n; i++ {
+			q.Enqueue(0, 7)
+			q.Dequeue(0)
+		}
+	}
+	pairs(5000) // past pool and slice growth
+	if got := allocBytesPer(n, func() { pairs(n) }); got >= 1 {
+		t.Fatalf("Enqueue+Dequeue = %.2f B per pair, want 0", got)
 	}
 }

@@ -22,9 +22,15 @@ import (
 // line [index, linked, codec words...] plus, for multi-line payloads,
 // one slot of the aux pool — lives in simulated NVRAM, is flushed
 // exactly once by its enqueuer, and is never read again except by
-// recovery. The Volatile part (a Go object, standing in for the DRAM
-// copy) holds the payload, the duplicated index, the next link and the
-// addresses of the Persistent part, and serves all normal-path reads.
+// recovery. The Volatile part (the DRAM copy) holds the payload, the
+// duplicated index, the next link and the addresses of the Persistent
+// part, and serves all normal-path reads. As in the paper, both halves
+// come from ssmem: the Volatile part is its slot's entry in a mirror
+// kept per pool area, so it is reused exactly when ssmem reuses the
+// slot, after the epoch grace period that protects the slot. Every verb
+// that follows a node loaded from head or tail runs inside
+// pool.Enter/Exit, so no node is reused under a thread that can still
+// hold it, and the head/tail CASes stay ABA-safe with plain pointers.
 // The global head index of UnlinkedQ becomes a per-thread head index
 // written with non-temporal stores (Section 6.3), so dequeues never
 // touch a flushed line either.
@@ -39,7 +45,11 @@ type Core[P any] struct {
 	// that thread's head index; recovery takes the maximum.
 	localBase pmem.Addr
 	per       []coreThread[P]
-	chunks    []nodeChunk[P]
+	// mirror holds one Volatile node per node-pool slot, one array per
+	// area in ssmem.Pool.Locate's order. It only grows, and is replaced
+	// rather than written in place, so lookups take no lock.
+	mirror   atomic.Pointer[[]*[areaSlots]node[P]]
+	mirrorMu sync.Mutex
 	// plainStoreLocal replaces the movnti write of the local head
 	// index with an ordinary store + flush (the pre-Section-6.3
 	// design); ablation only.
@@ -105,44 +115,46 @@ type node[P any] struct {
 	pline, auxLine uint32
 }
 
-// nodeChunkLen is the number of Volatile nodes carved from one
-// allocation: 2 KiB of word nodes, 3 KiB of byte-payload nodes per
-// (queue, enqueuing tid).
-const nodeChunkLen = 64
-
-// nodeChunk is one thread's supply of Volatile nodes: a
-// [nodeChunkLen]node allocation handed out front to back and replaced
-// when used up. A chunk is never recycled by hand — the garbage
-// collector frees it once no node in it is reachable, as it does
-// RecoverCore's slab — so a node's address is never reused while any
-// thread can still hold it and the head/tail CASes stay ABA-safe. The
-// padding keeps adjacent threads' entries on separate cache lines.
-type nodeChunk[P any] struct {
-	nodes []node[P]
-	used  int // nodes[:used] are carved
-	_     [pmem.CacheLineBytes - 32]byte
+// nodeAt returns the Volatile node of the node slot at a. tid's last
+// area answers a steady run of allocations with one compare.
+func (q *Core[P]) nodeAt(tid int, a pmem.Addr) *node[P] {
+	t := &q.per[tid]
+	if off := a - t.areaBase; off < areaSlots*nodeSize && t.area != nil {
+		return &t.area[off/nodeSize]
+	}
+	area, slot := q.pool.Locate(a)
+	t.area, t.areaBase = q.mirrorArea(area), a-pmem.Addr(slot*nodeSize)
+	return &t.area[slot]
 }
 
-// newNode carves tid's next Volatile node.
-func (q *Core[P]) newNode(tid int) *node[P] {
-	c := &q.chunks[tid]
-	if c.used == len(c.nodes) {
-		c.nodes, c.used = make([]node[P], nodeChunkLen), 0
+// mirrorArea returns the mirror array of the pool's area'th area,
+// growing the mirror the first time an area is seen.
+func (q *Core[P]) mirrorArea(area int) *[areaSlots]node[P] {
+	if m := *q.mirror.Load(); area < len(m) {
+		return m[area]
 	}
-	n := &c.nodes[c.used]
-	c.used++
-	return n
+	q.mirrorMu.Lock()
+	defer q.mirrorMu.Unlock()
+	m := *q.mirror.Load()
+	for len(m) <= area {
+		m = append(m, new([areaSlots]node[P]))
+	}
+	q.mirror.Store(&m)
+	return m[area]
 }
 
 func lineOf(a pmem.Addr) uint32 { return uint32(a / pmem.CacheLineBytes) }
 
 func lineAddr(l uint32) pmem.Addr { return pmem.Addr(l) * pmem.CacheLineBytes }
 
-// coreThread keeps one thread's hot dequeue/ack state; the field order
-// (uint64s before the bools) plus the tail padding keep the struct at
-// exactly one cache line, so adjacent per-thread entries never share a
-// line (false sharing would skew the persist-cost measurements).
+// coreThread keeps one thread's hot state; the field order (uint64s
+// before the bools) plus the tail padding keep the struct at exactly
+// two cache lines, so adjacent per-thread entries never share a line
+// (false sharing would skew the persist-cost measurements).
 type coreThread[P any] struct {
+	// area caches the mirror array of the last area nodeAt looked up.
+	area         *[areaSlots]node[P]
+	areaBase     pmem.Addr
 	nodeToRetire *node[P]
 	// pendingRetire accumulates the nodes unlinked by an unfenced batch
 	// dequeue; they are handed to the allocator only by CompleteBatch,
@@ -169,7 +181,7 @@ type coreThread[P any] struct {
 	pendingAckIdx   uint64
 	pendingDirty    bool
 	pendingAckDirty bool
-	_               [6]byte
+	_               [54]byte
 }
 
 // Persistent node line layout: the core's two words, then the codec's.
@@ -194,13 +206,13 @@ func NewCore[P any](h *pmem.Heap, threads, tid int, acked bool, codec Codec[P], 
 		panic("queues: heap too large for 32-bit node line numbers")
 	}
 	q := &Core[P]{
-		h:      h,
-		pool:   newNodePoolAs(h, threads, tid),
-		codec:  codec,
-		per:    make([]coreThread[P], threads),
-		chunks: make([]nodeChunk[P], threads),
-		acked:  acked,
+		h:     h,
+		pool:  createNodePoolAs(h, threads, tid),
+		codec: codec,
+		per:   make([]coreThread[P], threads),
+		acked: acked,
 	}
+	q.mirror.Store(new([]*[areaSlots]node[P]))
 	if aux != nil {
 		q.aux = ssmem.NewPool(h, *aux)
 	}
@@ -216,7 +228,9 @@ func NewCore[P any](h *pmem.Heap, threads, tid int, acked bool, codec Codec[P], 
 		h.Persist(tid, h.RootAddr(slotAck))
 	}
 
-	dummy := &node[P]{pline: lineOf(q.pool.Alloc(tid))} // fresh slot: zero index, unset linked
+	pn := q.pool.Alloc(tid) // fresh slot: zero index, unset linked
+	dummy := q.nodeAt(tid, pn)
+	dummy.pline = lineOf(pn)
 	q.head.Store(dummy)
 	q.tail.Store(dummy)
 	return q
@@ -234,8 +248,8 @@ func (q *Core[P]) PoolStats() (nodes, aux ssmem.Stats) {
 	return q.pool.Stats(), aux
 }
 
-// retire hands n's Persistent part — node line and aux slot — back to
-// the allocators.
+// retire hands n — its node line, and with it its mirror entry, and its
+// aux slot — back to the allocators.
 func (q *Core[P]) retire(tid int, n *node[P]) {
 	q.pool.Retire(tid, lineAddr(n.pline))
 	if n.auxLine != 0 {
@@ -278,7 +292,8 @@ func (q *Core[P]) DequeueLeasedAppend(tid, max int, ps []P, idxs []uint64) ([]P,
 		// original dummy, which is simply abandoned). Retirement happens
 		// in CompleteAck, once a durable ack covers the node's index —
 		// only then can a reused slot's stale contents (linked flag and
-		// index surviving a crash mid-reuse) be filtered by recovery.
+		// index surviving a crash mid-reuse) be filtered by recovery —
+		// and the head has moved past it.
 		ps = append(ps, taken.payload)
 		idxs = append(idxs, taken.index)
 		t.pendingRetire = append(t.pendingRetire, taken)
@@ -347,9 +362,14 @@ func (q *Core[P]) CompleteAck(tid int) {
 	if t.pendingAckIdx > q.ackDurable {
 		q.ackDurable = t.pendingAckIdx
 	}
+	// The head stays: its mirror entry is the queue's dummy until a
+	// dequeue moves past it, and a later CompleteAck retires it.
+	head := q.head.Load()
 	live := q.inflight[:0]
 	for _, n := range q.inflight {
-		if n.index <= q.ackDurable {
+		if n.index <= q.ackDurable && n != head {
+			var zero P
+			n.payload = zero // the slot may wait a while for reuse
 			q.retire(tid, n)
 		} else {
 			live = append(live, n)
@@ -383,7 +403,12 @@ func (q *Core[P]) AckedTo() uint64 {
 func (q *Core[P]) Unacked() (ps []P, idxs []uint64) {
 	q.ackMu.Lock()
 	defer q.ackMu.Unlock()
-	ns := append([]*node[P](nil), q.inflight...)
+	var ns []*node[P]
+	for _, n := range q.inflight {
+		if n.index > q.ackDurable { // not the acknowledged head CompleteAck kept
+			ns = append(ns, n)
+		}
+	}
 	slices.SortFunc(ns, func(a, b *node[P]) int { return cmp.Compare(a.index, b.index) })
 	for _, n := range ns {
 		ps = append(ps, n.payload)
@@ -423,8 +448,10 @@ func (q *Core[P]) enqueueOne(tid int, p P) (tail, vn *node[P]) {
 	// linked is cleared before the index is written (line 113): a reused
 	// slot's stale set flag must never vouch for the new index.
 	h.StoreOwned(tid, pn+nodeLinked, 0)
-	vn = q.newNode(tid)
-	vn.payload, vn.pline, vn.auxLine = q.codec.Write(h, tid, pn, aux, p), lineOf(pn), lineOf(aux) // line 112
+	// The slot's mirror entry is overwritten whole, which also resets the
+	// link that the linking CAS below publishes.
+	vn = q.nodeAt(tid, pn)
+	*vn = node[P]{payload: q.codec.Write(h, tid, pn, aux, p), pline: lineOf(pn), auxLine: lineOf(aux)} // line 112
 	for {
 		tail = q.tail.Load()
 		if next := tail.next.Load(); next == nil {
@@ -464,36 +491,13 @@ func (q *Core[P]) EnqueueBatch(tid int, ps []P) {
 	if len(ps) == 0 {
 		return
 	}
-	q.EnqueueBatchUnfenced(tid, ps)
-	q.h.Fence(tid) // the batch's single blocking persist
-}
-
-// EnqueueBatchUnfenced is the issue phase of EnqueueBatch alone: every
-// node is written, linked and asynchronously flushed, but the blocking
-// SFENCE is left to the caller. It is the pipelined-persist primitive:
-// a producer may issue window N+1 while window N's flushed lines are
-// still draining, then pay one fence covering both the residue and the
-// new window's lines.
-//
-// Soundness is the same per-thread ordering argument as EnqueueBatch's:
-// a fence by this thread covers *all* its earlier flushes, so a later
-// Fence(tid) durably acknowledges every window issued before it, in
-// order. Until that fence, the window's nodes are linked but possibly
-// not durable — exactly the state any helper already tolerates, and
-// recovery drops such nodes as unacknowledged enqueues (it sorts by
-// index and accepts gaps). The caller must therefore not report the
-// batch as acknowledged until it has issued a covering Fence on this
-// queue's heap with the same tid.
-func (q *Core[P]) EnqueueBatchUnfenced(tid int, ps []P) {
-	if len(ps) == 0 {
-		return
-	}
 	q.pool.Enter(tid)
-	defer q.pool.Exit(tid)
 	for _, p := range ps {
 		tail, vn := q.enqueueOne(tid, p)
 		q.tail.CompareAndSwap(tail, vn)
 	}
+	q.pool.Exit(tid) // before the fence, which holds no node: reclamation need not wait on it
+	q.h.Fence(tid)   // the batch's single blocking persist
 }
 
 // dequeueOne runs the dequeue protocol of Figure 4 (lines 90-99) up to
@@ -505,21 +509,10 @@ func (q *Core[P]) EnqueueBatchUnfenced(tid int, ps []P) {
 // index the caller persists (or elides) to durably linearize the empty
 // response.
 //
-// The unlinked head's link is cut — pointed back at the node itself —
-// before the node is returned. Nodes are carved from chunks, and a
-// chunk lives as long as any node in it: without the cut, a chunk kept
-// alive by one node still queued, by a retirement cell, or by the
-// uncarved rest its producer holds for as long as it is idle, would
-// keep — through the links of the consumed nodes beside it — every node
-// enqueued since. With it, a live chunk holds itself and nothing else.
-// A self link is as good as the true one to the only threads that can
-// still read it: a dequeuer that loaded this node as head fails its CAS
-// either way, because the head has moved on and no node's address is
-// ever reused; and an enqueuer that loaded it as tail sees a non-nil
-// next and tries to swing the tail off it, which fails because the tail
-// was first helped past it here (a tail is never behind an unlinked
-// node: linking this node's successor took an enqueuer that saw the
-// tail on this node, and the tail only moves forward).
+// The tail is helped off the unlinked head before it is returned, so
+// once retired the node is reachable from neither end; threads inside
+// pool.Enter/Exit that loaded it earlier exit before ssmem reuses its
+// slot and, with the slot, its mirror entry.
 func (q *Core[P]) dequeueOne(tid int) (taken, old *node[P], ok bool) {
 	for {
 		head := q.head.Load()
@@ -531,7 +524,6 @@ func (q *Core[P]) dequeueOne(tid int) (taken, old *node[P], ok bool) {
 			if q.tail.Load() == head {
 				q.tail.CompareAndSwap(head, next)
 			}
-			head.next.Store(head)
 			return next, head, true
 		}
 	}
@@ -641,7 +633,10 @@ func (q *Core[P]) DequeueBatchAppend(tid, max int, dst []P) (out []P, dirty bool
 			}
 			break
 		}
-		dst = append(dst, taken.payload)
+		// Only the winner of the head CAS reads a payload, so it may drop
+		// it too: the node is the queue's dummy from here on.
+		var zero P
+		dst, taken.payload = append(dst, taken.payload), zero
 		t.pendingRetire = append(t.pendingRetire, old)
 		last = taken
 	}
@@ -677,8 +672,8 @@ func (q *Core[P]) CompleteBatch(tid int) {
 // were leased out and possibly delivered but never acknowledged are
 // resurrected for redelivery and acknowledged items never reappear.
 // Every Persistent object marked linked with a larger index whose
-// payload the codec validates is resurrected; matching Volatile objects
-// are materialized and chained in index order. acked must match the
+// payload the codec validates is resurrected: its slot's mirror entry is
+// filled in and chained in index order. acked must match the
 // mode the queue was created with: a mismatch is refused, not
 // mis-scanned (plain recovery of an acked queue would take the
 // never-written head lines as the frontier and resurrect acknowledged
@@ -693,10 +688,10 @@ func RecoverCore[P any](h *pmem.Heap, threads int, acked bool, codec Codec[P], a
 		codec:     codec,
 		localBase: pmem.Addr(h.Load(0, h.RootAddr(slotLocal))),
 		per:       make([]coreThread[P], threads),
-		chunks:    make([]nodeChunk[P], threads),
 		acked:     acked,
 		ackBase:   ackBase,
 	}
+	q.mirror.Store(new([]*[areaSlots]node[P]))
 	var frontier uint64
 	for t := 0; t < threads; t++ {
 		line := pmem.Addr(t) * pmem.CacheLineBytes
@@ -716,10 +711,10 @@ func RecoverCore[P any](h *pmem.Heap, threads int, acked bool, codec Codec[P], a
 	// until slots are recycled. It therefore collects one compact key
 	// per resurrected node — in fixed-size runs, so that collecting
 	// never copies — and the keys are sorted, unless the scan happened
-	// to be in order, before anything is materialized: Volatile nodes
-	// (one slab) and payload copies are then laid out in index order,
-	// and the drain that follows recovery walks memory forward instead
-	// of chasing the allocator's reuse pattern.
+	// to be in order, before anything is materialized: the codec then
+	// makes its payload copies in index order, so the drain that follows
+	// recovery reads them walking memory forward, whatever order the
+	// allocator left the slots, and with them the mirror entries, in.
 	type key struct {
 		index          uint64
 		pline, auxLine uint32
@@ -769,12 +764,12 @@ func RecoverCore[P any](h *pmem.Heap, threads int, acked bool, codec Codec[P], a
 	dummyPn := q.pool.Alloc(0)
 	h.Store(0, dummyPn+nodeLinked, 0)
 	h.Store(0, dummyPn+nodeIndex, frontier)
-	prev := &node[P]{index: frontier, pline: lineOf(dummyPn)}
+	prev := q.nodeAt(0, dummyPn)
+	*prev = node[P]{index: frontier, pline: lineOf(dummyPn)}
 	q.head.Store(prev)
-	live := make([]node[P], len(keys))
-	for i, k := range keys {
-		n := &live[i]
-		n.payload, n.index, n.pline, n.auxLine = codec.Read(h, lineAddr(k.pline)), k.index, k.pline, k.auxLine
+	for _, k := range keys {
+		n := q.nodeAt(0, lineAddr(k.pline))
+		*n = node[P]{payload: codec.Read(h, lineAddr(k.pline)), index: k.index, pline: k.pline, auxLine: k.auxLine}
 		prev.next.Store(n)
 		prev = n
 	}

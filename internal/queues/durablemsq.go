@@ -36,7 +36,7 @@ type DurableMSQ struct {
 func NewDurableMSQ(h *pmem.Heap, threads int) *DurableMSQ {
 	q := &DurableMSQ{
 		h:            h,
-		pool:         newNodePool(h, threads),
+		pool:         createNodePool(h, threads),
 		headA:        h.RootAddr(slotHead),
 		tailA:        h.RootAddr(slotTail),
 		nodeToRetire: make([]paddedAddr, threads),

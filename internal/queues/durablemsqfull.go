@@ -61,7 +61,7 @@ const (
 func NewDurableMSQFull(h *pmem.Heap, threads int) *DurableMSQFull {
 	q := &DurableMSQFull{
 		h:            h,
-		pool:         newNodePool(h, threads),
+		pool:         createNodePool(h, threads),
 		headA:        h.RootAddr(slotHead),
 		tailA:        h.RootAddr(slotTail),
 		deqSeq:       make([]uint64, threads),

@@ -44,7 +44,7 @@ const (
 func NewLinkedQ(h *pmem.Heap, threads int) *LinkedQ {
 	q := &LinkedQ{
 		h:                      h,
-		pool:                   newNodePool(h, threads),
+		pool:                   createNodePool(h, threads),
 		headA:                  h.RootAddr(slotHead),
 		tailA:                  h.RootAddr(slotTail),
 		nodeToPersistAndRetire: make([]paddedAddr, threads),
@@ -84,13 +84,13 @@ func (q *LinkedQ) flushNotPersistedSuffix(tid int, n pmem.Addr) {
 }
 
 // flushWholePrefix is the naive alternative: flush every node from the
-// current head to the new node.
-func (q *LinkedQ) flushWholePrefix(tid int, newNode pmem.Addr) {
+// current head to the new node n.
+func (q *LinkedQ) flushWholePrefix(tid int, n pmem.Addr) {
 	h := q.h
 	cur := pmem.Addr(h.Load(tid, q.headA))
 	for cur != 0 {
 		h.Flush(tid, cur)
-		if cur == newNode {
+		if cur == n {
 			return
 		}
 		cur = pmem.Addr(h.Load(tid, cur+offNext))

@@ -29,7 +29,7 @@ type MSQ struct {
 func NewMSQ(h *pmem.Heap, threads int) *MSQ {
 	q := &MSQ{
 		h:            h,
-		pool:         newNodePool(h, threads),
+		pool:         createNodePool(h, threads),
 		headA:        h.RootAddr(slotHead),
 		tailA:        h.RootAddr(slotTail),
 		nodeToRetire: make([]paddedAddr, threads),

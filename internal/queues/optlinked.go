@@ -69,7 +69,7 @@ const (
 func NewOptLinkedQ(h *pmem.Heap, threads int) *OptLinkedQ {
 	q := &OptLinkedQ{
 		h:    h,
-		pool: newNodePool(h, threads),
+		pool: createNodePool(h, threads),
 		per:  make([]olThread, threads),
 	}
 	size := int64(threads) * olLinesPerThread * pmem.CacheLineBytes

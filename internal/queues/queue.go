@@ -59,6 +59,9 @@ const (
 	offW2    = pmem.Addr(16) // linked / pred, depending on the queue
 	offW3    = pmem.Addr(24) // index / initialized, depending on the queue
 	nodeSize = pmem.CacheLineBytes
+	// areaSlots is the node pools' SlotsPerArea, and so the length of
+	// each of Core's mirror arrays.
+	areaSlots = 4096
 )
 
 // Info describes a queue implementation for harnesses and tools.
@@ -139,16 +142,16 @@ func Lookup(name string) (Info, bool) {
 	return Info{}, false
 }
 
-func newNodePool(h *pmem.Heap, threads int) *ssmem.Pool {
-	return newNodePoolAs(h, threads, 0)
+func createNodePool(h *pmem.Heap, threads int) *ssmem.Pool {
+	return createNodePoolAs(h, threads, 0)
 }
 
-// newNodePoolAs charges the pool's construction persists to tid, for
+// createNodePoolAs charges the pool's construction persists to tid, for
 // queues created while other threads are running (see NewCore).
-func newNodePoolAs(h *pmem.Heap, threads, tid int) *ssmem.Pool {
+func createNodePoolAs(h *pmem.Heap, threads, tid int) *ssmem.Pool {
 	return ssmem.NewPool(h, ssmem.Config{
 		SlotBytes:    nodeSize,
-		SlotsPerArea: 4096,
+		SlotsPerArea: areaSlots,
 		Threads:      threads,
 		RootSlot:     slotPool,
 		InitTid:      tid,
@@ -158,7 +161,7 @@ func newNodePoolAs(h *pmem.Heap, threads, tid int) *ssmem.Pool {
 func recoverNodePool(h *pmem.Heap, threads int, live func(pmem.Addr) bool) *ssmem.Pool {
 	return ssmem.RecoverPool(h, ssmem.Config{
 		SlotBytes:    nodeSize,
-		SlotsPerArea: 4096,
+		SlotsPerArea: areaSlots,
 		Threads:      threads,
 		RootSlot:     slotPool,
 	}, live)

@@ -45,7 +45,7 @@ func NewNVTraverseQ(h *pmem.Heap, threads int) *TransformQ {
 func newTransformQ(h *pmem.Heap, threads int, fenceAfterRead bool) *TransformQ {
 	q := &TransformQ{
 		h:              h,
-		pool:           newNodePool(h, threads),
+		pool:           createNodePool(h, threads),
 		headA:          h.RootAddr(slotHead),
 		tailA:          h.RootAddr(slotTail),
 		nodeToRetire:   make([]paddedAddr, threads),

@@ -40,7 +40,7 @@ const (
 func NewUnlinkedQ(h *pmem.Heap, threads int) *UnlinkedQ {
 	q := &UnlinkedQ{
 		h:            h,
-		pool:         newNodePool(h, threads),
+		pool:         createNodePool(h, threads),
 		headA:        h.RootAddr(slotHead),
 		tailA:        h.RootAddr(slotTail),
 		nodeToRetire: make([]paddedAddr, threads),

@@ -35,7 +35,7 @@ type UnlinkedQNoDCAS struct {
 func NewUnlinkedQNoDCAS(h *pmem.Heap, threads int) *UnlinkedQNoDCAS {
 	q := &UnlinkedQNoDCAS{
 		h:            h,
-		pool:         newNodePool(h, threads),
+		pool:         createNodePool(h, threads),
 		headA:        h.RootAddr(slotHead),
 		tailA:        h.RootAddr(slotTail),
 		nodeToRetire: make([]paddedAddr, threads),

@@ -26,6 +26,16 @@ func heapGrowth(keep any, warm, steady func()) uint64 {
 	return after.HeapAlloc - before.HeapAlloc
 }
 
+// allocBytesPer runs f, which performs n operations, and reports the
+// Go heap bytes it allocated per operation.
+func allocBytesPer(n int, f func()) float64 {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	f()
+	runtime.ReadMemStats(&after)
+	return float64(after.TotalAlloc-before.TotalAlloc) / float64(n)
+}
+
 // retainedPairs is the steady phase of the retention tests: at 32 bytes
 // a node, a queue that keeps them all grows by 32 MB (3 MB under the
 // race detector) against a budget of 1 MB.
@@ -82,16 +92,16 @@ func TestNarrowAfterWidePollRetainsNothing(t *testing.T) {
 	})
 }
 
-// TestIdleThreadRetainsNothing pins the cut of consumed links (see
-// dequeueOne): a chunk lives as long as any node in it, and two kinds
-// of thread keep one alive for as long as they stay idle — a producer
-// through the uncarved rest of its chunk, a consumer through its
-// retirement cell. Neither may keep the traffic that flows past it.
+// TestIdleThreadRetainsNothing pins that an idle thread keeps none of
+// the traffic that flows past it: a producer holds its cached mirror
+// area and a consumer a node in its retirement cell, and consumed nodes
+// still link forward, but the mirror is a fixed table that slot reuse
+// overwrites.
 func TestIdleThreadRetainsNothing(t *testing.T) {
 	q := NewOptUnlinkedQ(perfHeap(t, 3), 3)
 	n := retainedPairs()
 	grew := heapGrowth(q, func() {
-		q.Enqueue(0, 1) // tid 0: one node carved from its chunk, then idle
+		q.Enqueue(0, 1) // tid 0: one node, its mirror area cached, then idle
 		q.Dequeue(2)    // tid 2: one node in its retirement cell, then idle
 	}, func() {
 		for i := 0; i < n; i++ {
@@ -104,18 +114,18 @@ func TestIdleThreadRetainsNothing(t *testing.T) {
 	}
 }
 
-// TestChunkBoundariesConcurrentAlloc drives one queue from four
-// producer and four consumer tids for many chunks' worth of nodes each,
-// in batches that straddle chunk ends: every item is dequeued exactly
-// once and each consumer sees each producer's items in order. The
-// producers interleave, so nearly every link leaves its chunk and is
-// cut behind the head while enqueuers and dequeuers still hold the
-// nodes either side of it.
-func TestChunkBoundariesConcurrentAlloc(t *testing.T) {
+// TestNodeMirrorConcurrentReuse drives one queue from four producer
+// and four consumer tids, in batches of one to seven, for four areas'
+// worth of nodes per producer: every item is dequeued exactly once and
+// each consumer sees each producer's items in order. Slots, and with
+// them mirror entries, change tids through ssmem's limbo and depot and
+// are overwritten while other tids inside pool.Enter/Exit still hold
+// their neighbours, so the race detector sees every reuse edge.
+func TestNodeMirrorConcurrentReuse(t *testing.T) {
 	const producers, consumers = 4, 4
-	perProducer := 40 * nodeChunkLen
+	perProducer := 4 * areaSlots
 	if !raceEnabled {
-		perProducer *= 10
+		perProducer *= 4
 	}
 	q := NewOptUnlinkedQ(perfHeap(t, producers+consumers), producers+consumers)
 	var wg sync.WaitGroup

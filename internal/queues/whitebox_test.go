@@ -5,7 +5,6 @@ import (
 	"slices"
 	"testing"
 	"testing/quick"
-	"unsafe"
 
 	"repro/internal/pmem"
 )
@@ -302,8 +301,8 @@ func TestHeavyChurnReuse(t *testing.T) {
 // 1, and tid 0 refilled it from the depot chunk tid 1 donated, popping
 // addresses from the top down — and demands the state recovery builds
 // from a backlog with the same indices in never-recycled, ascending
-// slots: the same chain, materialized in index order, the same ack
-// frontier and redelivery set, the same seeded elision cache.
+// slots: the same chain, each node its line's mirror entry, the same
+// ack frontier and redelivery set, the same seeded elision cache.
 func TestRecoveryReversedSlotOrder(t *testing.T) {
 	const drained, backlog, leased = 700, 100, 5
 	type recovered struct {
@@ -360,13 +359,10 @@ func TestRecoveryReversedSlotOrder(t *testing.T) {
 
 		rq := RecoverCore[uint64](h, 2, acked, wordCodec{}, nil)
 		var r recovered
-		var prev uintptr
 		for n := rq.head.Load().next.Load(); n != nil; n = n.next.Load() {
 			r.idxs, r.vals = append(r.idxs, n.index), append(r.vals, n.payload)
-			if at := uintptr(unsafe.Pointer(n)); at <= prev {
-				t.Fatalf("recycle=%v: node with index %d lies below its predecessor in memory", recycle, n.index)
-			} else {
-				prev = at
+			if n != rq.nodeAt(0, lineAddr(n.pline)) {
+				t.Fatalf("recycle=%v: node with index %d is not its line's mirror entry", recycle, n.index)
 			}
 		}
 		for tid := range rq.per {

@@ -30,6 +30,7 @@ package ssmem
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -127,10 +128,13 @@ type Pool struct {
 	regAddr pmem.Addr
 	areaMu  sync.Mutex
 	areas   atomic.Int64 // volatile copy of the registry's count
-	epoch   atomic.Uint64
-	slots   []ebrSlot
-	per     []threadState
-	depot   depot
+	// bases holds every area's base in ascending order, for Locate; it
+	// is replaced, never written in place, so readers take no lock.
+	bases atomic.Pointer[[]pmem.Addr]
+	epoch atomic.Uint64
+	slots []ebrSlot
+	per   []threadState
+	depot depot
 }
 
 func validate(cfg *Config) {
@@ -183,7 +187,7 @@ func RecoverPool(h *pmem.Heap, cfg Config, live func(pmem.Addr) bool) *Pool {
 	p.areas.Store(int64(h.Load(0, p.regAddr)))
 	d := &p.depot
 	free := 0
-	p.forEachSlot(func(a pmem.Addr) {
+	bases := p.forEachSlot(func(a pmem.Addr) {
 		if live(a) {
 			return
 		}
@@ -194,6 +198,8 @@ func RecoverPool(h *pmem.Heap, cfg Config, live func(pmem.Addr) bool) *Pool {
 		*c = append(*c, a)
 		free++
 	})
+	slices.Sort(bases)
+	p.bases.Store(&bases)
 	d.free.Store(int64(free))
 	return p
 }
@@ -208,6 +214,7 @@ func newPoolCommon(h *pmem.Heap, cfg Config) *Pool {
 	for i := range p.slots {
 		p.slots[i].announce.Store(ebrIdle)
 	}
+	p.bases.Store(new([]pmem.Addr))
 	return p
 }
 
@@ -402,6 +409,10 @@ func (p *Pool) newArea(tid int) {
 	p.h.Store(tid, p.regAddr, count+1)
 	p.h.Persist(tid, p.regAddr)
 	p.areas.Store(int64(count + 1))
+	// The heap allocates upwards, so the new base is the largest. An
+	// append within capacity writes past every published length.
+	bases := append(*p.bases.Load(), base)
+	p.bases.Store(&bases)
 
 	ts := &p.per[tid]
 	ts.areaNext = base
@@ -413,16 +424,38 @@ func (p *Pool) newArea(tid int) {
 // recovery scans; call only while the pool's heap is quiescent.
 func (p *Pool) ForEachSlot(fn func(pmem.Addr)) { p.forEachSlot(fn) }
 
-func (p *Pool) forEachSlot(fn func(pmem.Addr)) {
+// forEachSlot also returns the area bases it read, in registry order.
+func (p *Pool) forEachSlot(fn func(pmem.Addr)) (bases []pmem.Addr) {
 	count := p.h.Load(0, p.regAddr)
 	for i := uint64(0); i < count; i++ {
 		entry := p.regAddr + pmem.Addr((1+i*regEntryWords)*pmem.WordBytes)
 		base := pmem.Addr(p.h.Load(0, entry))
+		bases = append(bases, base)
 		slots := p.h.Load(0, entry+pmem.WordBytes)
 		for s := uint64(0); s < slots; s++ {
 			fn(base + pmem.Addr(s*uint64(p.cfg.SlotBytes)))
 		}
 	}
+	return bases
+}
+
+// Locate maps the slot at a to its area's position in ascending base
+// order and its slot number there: a pair that stays the same for as
+// long as the pool lives, so a caller can keep volatile state per slot
+// in tables indexed by it. It touches no simulated memory and takes no
+// lock; a must be a slot some Alloc of this pool returned.
+func (p *Pool) Locate(a pmem.Addr) (area, slot int) {
+	bases := *p.bases.Load()
+	area, found := slices.BinarySearch(bases, a)
+	if !found {
+		area--
+	}
+	if area >= 0 {
+		if slot = int(a-bases[area]) / p.cfg.SlotBytes; slot < p.cfg.SlotsPerArea {
+			return area, slot
+		}
+	}
+	panic(fmt.Sprintf("ssmem: %#x is not a slot of this pool", a))
 }
 
 // AreaCount reports how many designated areas have been registered.
