@@ -191,6 +191,43 @@ func TestPublishPollBatchAllocsBytes(t *testing.T) {
 	}
 }
 
+// TestPollBatchWideMaxAllocsBytes pins that a poll pays for what it
+// delivers, not for what it asked: a Publish + PollBatch(64) round on a
+// four-shard topic that finds one message allocates that message's
+// 48-byte Message and 8-byte payload copy. Sizing the batch ahead of
+// the first delivery read 3 KiB, room for 64 Messages.
+func TestPollBatchWideMaxAllocsBytes(t *testing.T) {
+	h := pmem.New(pmem.Config{Bytes: 64 << 20, MaxThreads: 2})
+	b, err := newBroker(pmem.NewSetOf(h), Options{Threads: 2}, []TopicConfig{{Name: "events", Shards: 4}}, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	g, err := b.NewGroup([]string{"events"}, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	events, c := b.Topic("events"), g.Consumer(0)
+	payload := U64(7)
+	round := func() {
+		events.Publish(0, payload)
+		if ms := c.PollBatch(1, 64); len(ms) != 1 {
+			t.Fatalf("PollBatch(64) delivered %d messages, want 1", len(ms))
+		}
+	}
+	for i := 0; i < 2000; i++ {
+		round()
+	}
+	const rounds = 20_000
+	got := allocBytesPer(rounds, func() {
+		for i := 0; i < rounds; i++ {
+			round()
+		}
+	})
+	if got >= 64 {
+		t.Fatalf("Publish+PollBatch(64) delivering one message = %.2f B, want < 64", got)
+	}
+}
+
 // publishPollBatchRound builds a fixed topic of four shards on one heap
 // and returns its PublishBatch(8) + PollBatch(8) round, warmed past
 // pool and slice growth.

@@ -452,49 +452,42 @@ type Consumer struct {
 	polling atomic.Int32
 
 	// Scratch of the poll and ack verbs, reused so that a verb allocates
-	// only the messages it returns: one shard's dequeued payloads and
-	// their indices, the shards owed a fence, the topics entered, the
-	// lease lines staged. The member's one goroutine (under c.mu on an
-	// acked group) is the only user. Every verb leaves the pointer-
-	// holding ones cleared, not just truncated (see reset) — between
-	// calls a member pins no payload, shard or topic.
+	// only the messages it returns: a poll's payloads and the shard each
+	// came from, one shard's indices, the shards owed a fence, the topics
+	// entered, the lease lines staged. The member's one goroutine (under
+	// c.mu on an acked group) is the only user. Every verb leaves the
+	// pointer-holding ones cleared, not just truncated (see reset) —
+	// between calls a member pins no payload, shard or topic.
 	ps      [][]byte
+	from    []*consumerShard
 	idxs    []uint64
 	touched []*shard
 	entered []*Topic
 	staged  []int
 }
 
-// pollRoom bounds the messages a poll makes room for ahead of its first
-// delivery (see room): a member polling with a large max on a nearly
-// idle topic pays for at most this many (3 KiB), not for what it asked.
-const pollRoom = 64
-
-// room makes space in out, in one step, for the messages a poll for max
-// may still deliver, up to pollRoom of them — the data plane's one
-// sizing rule (the queue below appends to the member's scratch). The
-// first delivery of a poll allocates the batch it returns; an empty
-// poll never gets here.
-func room(out []Message, max int) []Message {
-	n := min(max-len(out), pollRoom)
-	if cap(out)-len(out) >= n {
-		return out
+// gathered records r as the shard of every payload in c.ps from index
+// from on.
+func (c *Consumer) gathered(from int, r *consumerShard) {
+	for range c.ps[from:] {
+		c.from = append(c.from, r)
 	}
-	return append(make([]Message, 0, len(out)+n), out...)
 }
 
-// deliver moves the payloads in the member's scratch to out as
-// messages of r, leaving the scratch cleared.
-func (c *Consumer) deliver(out []Message, max int, r *consumerShard) []Message {
+// messages returns the payloads a poll gathered in the member's scratch
+// as messages, in one allocation sized to what was dequeued (nil for
+// none), and leaves the scratch cleared: a poll for a large max that
+// finds one message pays for one.
+func (c *Consumer) messages() []Message {
 	if len(c.ps) == 0 {
-		return out
+		return nil
 	}
-	out = room(out, max)
-	name := r.t.Name()
-	for _, p := range c.ps {
-		out = append(out, Message{Topic: name, Shard: r.shard, Payload: p})
+	out := make([]Message, len(c.ps))
+	for i, p := range c.ps {
+		r := c.from[i]
+		out[i] = Message{Topic: r.t.Name(), Shard: r.shard, Payload: p}
 	}
-	clear(c.ps)
+	c.ps, c.from = reset(c.ps), reset(c.from)
 	return out
 }
 
@@ -604,12 +597,12 @@ func (c *Consumer) PollBatch(tid, max int) []Message {
 		return nil
 	}
 	sp := c.g.b.span(tid)
-	var out []Message
 	// Topics entered below stay entered until after the covering fence:
 	// the dequeues' NTStores must land before DeleteTopic may reclaim
 	// (and CreateTopic reuse) the windows they target.
 	defer c.exitEntered()
-	for scanned := 0; scanned < len(c.refs) && len(out) < max; scanned++ {
+	c.ps, c.from = c.ps[:0], c.from[:0]
+	for scanned := 0; scanned < len(c.refs) && len(c.ps) < max; scanned++ {
 		r := c.refs[c.next]
 		if !r.t.enter() {
 			c.next = (c.next + 1) % len(c.refs)
@@ -622,12 +615,13 @@ func (c *Consumer) PollBatch(tid, max int) []Message {
 		// instead leases and acknowledges under its own fence: amortized
 		// acked consumption goes through leased groups, not this path.
 		var dirty bool
-		c.ps, dirty = s.DequeueBatchAppend(tid, max-len(out), c.ps[:0])
+		from := len(c.ps)
+		c.ps, dirty = s.DequeueBatchAppend(tid, max-from, c.ps)
 		if dirty {
 			c.touched = append(c.touched, s)
 		}
-		sp.delivered(r.t, r.shard, r.cur, len(c.ps))
-		out = c.deliver(out, max, r)
+		sp.delivered(r.t, r.shard, r.cur, len(c.ps)-from)
+		c.gathered(from, r)
 		// Advance past the shard even when it filled the batch: the
 		// next poll then starts at the following shard, so one
 		// continuously hot shard cannot starve the others.
@@ -642,6 +636,7 @@ func (c *Consumer) PollBatch(tid, max int) []Message {
 		}
 		c.touched = reset(c.touched)
 	}
+	out := c.messages()
 	if len(out) > 0 {
 		sp.lat(obs.OpPoll)
 	}
@@ -653,10 +648,10 @@ func (c *Consumer) pollLeased(tid, max int) []Message {
 		return nil
 	}
 	sp := c.g.b.span(tid)
-	var out []Message
+	c.ps, c.from = c.ps[:0], c.from[:0]
 	// Redeliveries first: adopted or nacked messages are already
 	// covered by a durable lease, so serving them costs nothing.
-	for len(out) < max && len(c.pending) > 0 {
+	for len(c.ps) < max && len(c.pending) > 0 {
 		p := c.pending[0]
 		c.pending[0] = pendingMsg{} // the served prefix must not pin its payloads
 		c.pending = c.pending[1:]
@@ -666,7 +661,7 @@ func (c *Consumer) pollLeased(tid, max int) []Message {
 			p.r.pendingN--
 			continue
 		}
-		out = append(room(out, max), Message{Topic: p.r.t.Name(), Shard: p.r.shard, Payload: p.payload})
+		c.ps, c.from = append(c.ps, p.payload), append(c.from, p.r)
 		p.r.deliveredTo = p.idx
 		p.r.pendingN--
 		p.r.unackedN++
@@ -677,7 +672,7 @@ func (c *Consumer) pollLeased(tid, max int) []Message {
 	}
 	w := leaseWriter{g: c.g, tid: tid, staged: c.staged}
 	deadline := c.g.now() + c.g.ttl
-	for scanned := 0; scanned < len(c.refs) && len(out) < max; scanned++ {
+	for scanned := 0; scanned < len(c.refs) && len(c.ps) < max; scanned++ {
 		r := c.refs[c.next]
 		c.next = (c.next + 1) % len(c.refs)
 		if r.pendingN > 0 {
@@ -689,13 +684,14 @@ func (c *Consumer) pollLeased(tid, max int) []Message {
 			continue // topic retired: its shards read as empty
 		}
 		s := r.t.shards[r.shard]
-		c.ps, c.idxs = s.DequeueLeasedAppend(tid, max-len(out), c.ps[:0], c.idxs[:0])
+		from := len(c.ps)
+		c.ps, c.idxs = s.DequeueLeasedAppend(tid, max-from, c.ps, c.idxs[:0])
 		r.t.exit()
-		n := len(c.ps)
+		n := len(c.idxs)
 		if n == 0 {
 			continue
 		}
-		out = c.deliver(out, max, r)
+		c.gathered(from, r)
 		sp.delivered(r.t, r.shard, r.cur, n)
 		r.deliveredTo = c.idxs[n-1]
 		r.leasedTo = r.deliveredTo
@@ -706,6 +702,7 @@ func (c *Consumer) pollLeased(tid, max int) []Message {
 	// before this fence redelivers the whole window on recovery.
 	w.commit()
 	c.staged = w.staged
+	out := c.messages()
 	if len(out) > 0 {
 		sp.lat(obs.OpPoll)
 	}

@@ -121,6 +121,9 @@ func (h *Heap) AccessCount() int64 { return h.accessNo.Load() }
 //
 // In ModeCrash only the lines with an open journal can differ between
 // the views, so only they are reloaded, and their journals are closed.
+// A ModePerf heap never crashes, so its working view is what a clean
+// shutdown left durable: it is kept as it stands, and only the volatile
+// state is discarded.
 func (h *Heap) Restart() {
 	if h.cfg.Mode == ModeCrash {
 		for _, j := range h.openJournals() {
@@ -128,8 +131,6 @@ func (h *Heap) Restart() {
 			copy(h.mem[base:base+WordsPerLine], h.img[base:base+WordsPerLine])
 			h.closeJournal(h.shard(j.line), j)
 		}
-	} else {
-		copy(h.mem, h.img)
 	}
 	clear(h.flags)
 	for i := range h.threads {

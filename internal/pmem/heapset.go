@@ -139,8 +139,9 @@ func (s *HeapSet) FinalizeCrash(rng *rand.Rand) {
 	}
 }
 
-// Restart reboots every member: working views are reloaded from the
-// NVRAM images and all volatile simulator state is discarded.
+// Restart reboots every member (see Heap.Restart): ModeCrash working
+// views are reloaded from the NVRAM images and all volatile simulator
+// state is discarded.
 func (s *HeapSet) Restart() {
 	for _, h := range s.heaps {
 		h.Restart()

@@ -2,12 +2,14 @@
 // (NVRAM) with the persistence semantics assumed by "Durable Queues:
 // The Second Amendment" (Sela & Petrank, SPAA 2021).
 //
-// The simulator maintains two copies of memory:
+// In ModeCrash the simulator maintains two copies of memory:
 //
 //   - the working view ("mem"), which models the cache-coherent state
 //     that running threads observe, and
 //   - the NVRAM image ("img"), which models what survives a
 //     full-system crash.
+//
+// A ModePerf heap cannot crash, so it keeps the working view alone.
 //
 // Threads interact with the heap through Load/Store/CAS/DCAS (ordinary
 // cached accesses), Flush (an asynchronous cache-line write-back such
@@ -77,7 +79,7 @@ type Mode int
 
 const (
 	// ModePerf is the fast path used for benchmarking: no store
-	// journalling, crashes are not allowed.
+	// journalling and no NVRAM image, crashes are not allowed.
 	ModePerf Mode = iota
 	// ModeCrash journals every store per cache line so that a crash
 	// can be materialized with per-line prefix semantics. Slower.
@@ -220,7 +222,7 @@ type heapState struct {
 	cfg Config
 	lat LatencyModel
 	mem []uint64
-	img []uint64
+	img []uint64 // ModeCrash only: nothing reads a ModePerf heap's image
 	// flags holds each line's cache state (lineValid). Shared paths use
 	// atomic.Load/StoreUint32 on it, as they do on mem; the paths that
 	// work on a line the calling thread owns privately (WriteBack,
@@ -286,18 +288,18 @@ func New(cfg Config) *Heap {
 			cfg:     cfg,
 			lat:     cfg.Latency,
 			mem:     make([]uint64, words),
-			img:     make([]uint64, words),
 			flags:   make([]uint32, words/WordsPerLine),
 			lines:   words / WordsPerLine,
 			threads: make([]threadCtx, cfg.MaxThreads),
 		},
 		rootSlots: NumRootSlots,
 	}
+	h.mem[0], h.mem[1] = magicWord, uint64(dataStart)
 	if cfg.Mode == ModeCrash {
+		h.img = make([]uint64, words)
 		h.jidx = make([]uint32, h.lines)
+		h.img[0], h.img[1] = magicWord, uint64(dataStart)
 	}
-	h.mem[0], h.img[0] = magicWord, magicWord
-	h.mem[1], h.img[1] = uint64(dataStart), uint64(dataStart)
 	return h
 }
 
@@ -834,6 +836,13 @@ func (h *Heap) AllocRaw(tid int, size, align int64) Addr {
 // and the NVRAM image, modelling the paper's area initialization:
 // zero the area, issue asynchronous flushes for the whole area, and
 // one SFENCE. The range must not be concurrently accessed.
+//
+// The charge is the whole range's, but only content that is not zero
+// already is written: in ModeCrash a line's open journal is closed and
+// each view is zeroed where it holds a set word, in ModePerf the working
+// view alone, and a cache flag is cleared only when it is set. A line
+// nothing ever wrote is thus only read, and the kernel keeps backing it
+// with the shared zero page: a fresh range costs no resident memory.
 func (h *Heap) InitRange(tid int, a Addr, size int64) {
 	if a%CacheLineBytes != 0 || size%CacheLineBytes != 0 {
 		panic("pmem: InitRange range must be cache-line aligned")
@@ -842,29 +851,34 @@ func (h *Heap) InitRange(tid int, a Addr, size int64) {
 	firstLine := int(a / CacheLineBytes)
 	nLines := int(size / CacheLineBytes)
 	for line := firstLine; line < firstLine+nLines; line++ {
+		base := line * WordsPerLine
 		if h.cfg.Mode == ModeCrash {
 			s := h.shard(line)
 			s.mu.Lock()
 			if j := h.journalOf(s, line); j != nil {
 				h.closeJournal(s, j)
 			}
-			h.zeroLine(line)
+			zeroWords(h.mem[base : base+WordsPerLine])
+			zeroWords(h.img[base : base+WordsPerLine])
 			s.mu.Unlock()
 		} else {
-			h.zeroLine(line)
+			zeroWords(h.mem[base : base+WordsPerLine])
 		}
-		atomic.StoreUint32(&h.flags[line], 0)
+		if f := &h.flags[line]; atomic.LoadUint32(f) != 0 {
+			atomic.StoreUint32(f, 0)
+		}
 	}
 	ts.stats.Flushes += uint64(nLines)
 	ts.stats.Fences++
 	ts.charge(h.lat.FenceNs + h.lat.DrainNsPerLine*int64(nLines))
 }
 
-func (h *Heap) zeroLine(line int) {
-	base := line * WordsPerLine
-	for w := base; w < base+WordsPerLine; w++ {
-		atomic.StoreUint64(&h.mem[w], 0)
-		h.img[w] = 0
+// zeroWords zeroes the words of ws that are not zero already.
+func zeroWords(ws []uint64) {
+	for i := range ws {
+		if atomic.LoadUint64(&ws[i]) != 0 {
+			atomic.StoreUint64(&ws[i], 0)
+		}
 	}
 }
 
@@ -884,8 +898,13 @@ func (h *Heap) ClearLineState(a Addr) {
 
 // RawImg reads a word directly from the NVRAM image, bypassing the
 // simulation (no charges, no crash checks). Intended for tests and
-// debugging tools only.
-func (h *Heap) RawImg(a Addr) uint64 { return h.img[a/WordBytes] }
+// debugging tools only. Only a ModeCrash heap has an image.
+func (h *Heap) RawImg(a Addr) uint64 {
+	if h.cfg.Mode != ModeCrash {
+		panic("pmem: RawImg requires ModeCrash")
+	}
+	return h.img[a/WordBytes]
+}
 
 // RawMem reads a word directly from the working view, bypassing the
 // simulation. Intended for tests and debugging tools only.

@@ -1,7 +1,9 @@
 package pmem
 
 import (
+	"fmt"
 	"math/rand"
+	"runtime"
 	"strconv"
 	"testing"
 	"testing/quick"
@@ -476,21 +478,125 @@ func TestAllocRawAlignmentAndExhaustion(t *testing.T) {
 	h.AllocRaw(0, 64<<20, 64)
 }
 
+// TestInitRangeZeroesBothViews: InitRange writes only what is not zero
+// already, and what a line held before it, fenced or not, is content. A
+// line stored to between AllocRaw and InitRange ends up zero in both
+// views, with its journal closed, and a store after InitRange that no
+// fence covers starts its crash prefix from zero.
 func TestInitRangeZeroesBothViews(t *testing.T) {
-	h := newCrashHeap(t)
-	a := h.AllocRaw(0, 2*CacheLineBytes, CacheLineBytes)
-	h.Store(0, a, 9)
-	h.Persist(0, a)
-	h.InitRange(0, a, 2*CacheLineBytes)
-	if h.Load(0, a) != 0 || h.RawImg(a) != 0 {
-		t.Fatal("InitRange left nonzero content")
+	for _, fenced := range []bool{true, false} {
+		h := newCrashHeap(t)
+		a := h.AllocRaw(0, 2*CacheLineBytes, CacheLineBytes)
+		h.Store(0, a, 9)
+		if fenced {
+			h.Persist(0, a)
+		}
+		h.InitRange(0, a, 2*CacheLineBytes)
+		checkZeroLine(t, h, a, fmt.Sprintf("fenced=%v", fenced))
+		h.Store(0, a, 3)
+		h.CrashNow()
+		h.FinalizeCrash(rand.New(zeroSource{}))
+		if got := h.RawImg(a); got != 0 {
+			t.Fatalf("fenced=%v: img = %d, want 0 (store after InitRange unfenced)", fenced, got)
+		}
 	}
-	// Post-InitRange stores then crash: prefix starts from zeroed base.
-	h.Store(0, a, 3)
-	h.CrashNow()
-	h.FinalizeCrash(rand.New(zeroSource{}))
-	if got := h.RawImg(a); got != 0 {
-		t.Fatalf("img = %d, want 0 (store after InitRange unfenced)", got)
+}
+
+// TestInitRangeZeroesImageUnderZeroView: a line whose working view is
+// zero can still be set in the image. A fenced 7 then an unfenced 0
+// leave mem zero over a persisted 7 with the journal open; InitRange
+// must close the journal and zero the image as well.
+func TestInitRangeZeroesImageUnderZeroView(t *testing.T) {
+	h := newCrashHeap(t)
+	a := h.AllocRaw(0, CacheLineBytes, CacheLineBytes)
+	h.Store(0, a, 7)
+	h.Persist(0, a)
+	h.Store(0, a, 0)
+	if h.RawMem(a) != 0 || h.RawImg(a) != 7 || h.jidx[a/CacheLineBytes] == 0 {
+		t.Fatalf("setup: mem %d, img %d, journal open %v", h.RawMem(a), h.RawImg(a), h.jidx[a/CacheLineBytes] != 0)
+	}
+	h.InitRange(0, a, CacheLineBytes)
+	checkZeroLine(t, h, a, "mem 0 over a persisted 7")
+}
+
+// checkZeroLine fails unless the line at a is zero in both views and has
+// no open journal.
+func checkZeroLine(t *testing.T, h *Heap, a Addr, what string) {
+	t.Helper()
+	for w := a; w < a+CacheLineBytes; w += WordBytes {
+		if h.RawMem(w) != 0 || h.RawImg(w) != 0 {
+			t.Fatalf("%s: word %d: mem %d, img %d after InitRange", what, w, h.RawMem(w), h.RawImg(w))
+		}
+	}
+	if h.jidx[a/CacheLineBytes] != 0 || len(h.openJournals()) != 0 {
+		t.Fatalf("%s: a journal is still open after InitRange", what)
+	}
+}
+
+// TestPerfHeapKeepsNoImage: nothing reads a ModePerf heap's image, so
+// it has none. New allocates the working view and the cache flags (68
+// MiB for 64 MiB of heap; an image would add 64 more), and RawImg
+// refuses, as CrashNow does.
+func TestPerfHeapKeepsNoImage(t *testing.T) {
+	const size = 64 << 20
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	h := New(Config{Bytes: size, MaxThreads: 1})
+	runtime.ReadMemStats(&after)
+	if got := after.TotalAlloc - before.TotalAlloc; got > size+size/8 {
+		t.Fatalf("New of a %d MiB ModePerf heap allocated %d MiB", size>>20, got>>20)
+	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("RawImg on a ModePerf heap did not panic")
+		}
+	}()
+	h.RawImg(h.RootAddr(0))
+}
+
+// TestInitRangeChargesTheRangeNotItsContent: InitRange skips the lines
+// that are zero already, but what it counts and charges is the range's.
+// A clean range and one with set, flushed and unfenced lines read the
+// same Stats and modelled nanoseconds, in both modes.
+func TestInitRangeChargesTheRangeNotItsContent(t *testing.T) {
+	const lines = 16
+	for _, mode := range []Mode{ModePerf, ModeCrash} {
+		var stats [2]Stats
+		var spun [2]int64
+		for i, dirty := range []bool{false, true} {
+			h := New(Config{Bytes: 1 << 20, Mode: mode, MaxThreads: 2, Latency: DefaultLatency()})
+			a := h.AllocRaw(0, lines*CacheLineBytes, CacheLineBytes)
+			if dirty {
+				for l := Addr(0); l < lines; l += 3 {
+					h.Store(0, a+l*CacheLineBytes, uint64(l)+1)
+					h.Flush(0, a+l*CacheLineBytes)
+				}
+			}
+			h.Fence(0) // closes the drain window, so InitRange alone is measured
+			if dirty {
+				for l := Addr(1); l < lines; l += 5 { // unfenced: open journals in ModeCrash
+					h.Store(0, a+l*CacheLineBytes, uint64(l)+1)
+				}
+			}
+			d, at := h.TotalDelta(), h.threads[0].spun
+			h.InitRange(0, a, lines*CacheLineBytes)
+			stats[i] = d.Delta()
+			spun[i] = h.threads[0].spun - at
+			for w := a; w < a+lines*CacheLineBytes; w += WordBytes {
+				if h.Load(1, w) != 0 {
+					t.Fatalf("mode %d dirty=%v: word %d is %d", mode, dirty, w, h.RawMem(w))
+				}
+			}
+			if got := h.StatsOf(1).PostFlushAccesses; got != 0 {
+				t.Fatalf("mode %d dirty=%v: %d flushed lines survived InitRange", mode, dirty, got)
+			}
+		}
+		if stats[0] != stats[1] || spun[0] != spun[1] {
+			t.Fatalf("mode %d: clean range %+v and %d ns, dirty range %+v and %d ns", mode, stats[0], spun[0], stats[1], spun[1])
+		}
+		if want := DefaultLatency().FenceNs + lines*DefaultLatency().DrainNsPerLine; spun[0] != want {
+			t.Fatalf("mode %d: InitRange charged %d ns, want %d", mode, spun[0], want)
+		}
 	}
 }
 

@@ -26,11 +26,12 @@ import (
 // duplicated index, the next link and the addresses of the Persistent
 // part, and serves all normal-path reads. As in the paper, both halves
 // come from ssmem: the Volatile part is its slot's entry in a mirror
-// kept per pool area, so it is reused exactly when ssmem reuses the
-// slot, after the epoch grace period that protects the slot. Every verb
-// that follows a node loaded from head or tail runs inside
-// pool.Enter/Exit, so no node is reused under a thread that can still
-// hold it, and the head/tail CASes stay ABA-safe with plain pointers.
+// kept per pool area in pages of pageNodes nodes, so it is reused
+// exactly when ssmem reuses the slot, after the epoch grace period that
+// protects the slot. Every verb that follows a node loaded from head or
+// tail runs inside pool.Enter/Exit, so no node is reused under a thread
+// that can still hold it, and the head/tail CASes stay ABA-safe with
+// plain pointers.
 // The global head index of UnlinkedQ becomes a per-thread head index
 // written with non-temporal stores (Section 6.3), so dequeues never
 // touch a flushed line either.
@@ -45,10 +46,13 @@ type Core[P any] struct {
 	// that thread's head index; recovery takes the maximum.
 	localBase pmem.Addr
 	per       []coreThread[P]
-	// mirror holds one Volatile node per node-pool slot, one array per
-	// area in ssmem.Pool.Locate's order. It only grows, and is replaced
-	// rather than written in place, so lookups take no lock.
-	mirror   atomic.Pointer[[]*[areaSlots]node[P]]
+	// mirror holds one Volatile node per node-pool slot handed out, one
+	// page table per area in ssmem.Pool.Locate's order. The list only
+	// grows, and is replaced rather than written in place, and a page is
+	// published by a CAS into its table, so lookups take no lock. Pages
+	// never move and are never freed, so a node pointer stays valid for
+	// the queue's life.
+	mirror   atomic.Pointer[[]*pageTable[P]]
 	mirrorMu sync.Mutex
 	// plainStoreLocal replaces the movnti write of the local head
 	// index with an ordinary store + flush (the pre-Section-6.3
@@ -115,21 +119,45 @@ type node[P any] struct {
 	pline, auxLine uint32
 }
 
+// pageNodes is the number of Volatile nodes in a mirror page: about
+// 3 KB of []byte-payload nodes, allocated the first time one of its
+// slots is handed out, so a queue's mirror is bounded by its peak
+// backlog rather than by its areas.
+const pageNodes = 64
+
+// mirrorPage is pageNodes consecutive slots' Volatile nodes.
+type mirrorPage[P any] [pageNodes]node[P]
+
+// pageTable is one area's mirror: a page pointer per pageNodes slots.
+type pageTable[P any] [areaSlots / pageNodes]atomic.Pointer[mirrorPage[P]]
+
 // nodeAt returns the Volatile node of the node slot at a. tid's last
-// area answers a steady run of allocations with one compare.
+// page answers a steady run of allocations with one compare.
 func (q *Core[P]) nodeAt(tid int, a pmem.Addr) *node[P] {
 	t := &q.per[tid]
-	if off := a - t.areaBase; off < areaSlots*nodeSize && t.area != nil {
-		return &t.area[off/nodeSize]
+	if off := a - t.pageBase; off < pageNodes*nodeSize && t.page != nil {
+		return &t.page[off/nodeSize]
 	}
 	area, slot := q.pool.Locate(a)
-	t.area, t.areaBase = q.mirrorArea(area), a-pmem.Addr(slot*nodeSize)
-	return &t.area[slot]
+	t.page, t.pageBase = q.mirrorPage(area, slot/pageNodes), a-pmem.Addr(slot%pageNodes*nodeSize)
+	return &t.page[slot%pageNodes]
 }
 
-// mirrorArea returns the mirror array of the pool's area'th area,
-// growing the mirror the first time an area is seen.
-func (q *Core[P]) mirrorArea(area int) *[areaSlots]node[P] {
+// mirrorPage returns the page'th mirror page of the pool's area'th
+// area, allocating it the first time it is asked for. Two tids that
+// race to allocate it both return the page the CAS published.
+func (q *Core[P]) mirrorPage(area, page int) *mirrorPage[P] {
+	p := &q.mirrorArea(area)[page]
+	if pg := p.Load(); pg != nil {
+		return pg
+	}
+	p.CompareAndSwap(nil, new(mirrorPage[P]))
+	return p.Load()
+}
+
+// mirrorArea returns the page table of the pool's area'th area, growing
+// the mirror the first time an area is seen.
+func (q *Core[P]) mirrorArea(area int) *pageTable[P] {
 	if m := *q.mirror.Load(); area < len(m) {
 		return m[area]
 	}
@@ -137,7 +165,7 @@ func (q *Core[P]) mirrorArea(area int) *[areaSlots]node[P] {
 	defer q.mirrorMu.Unlock()
 	m := *q.mirror.Load()
 	for len(m) <= area {
-		m = append(m, new([areaSlots]node[P]))
+		m = append(m, new(pageTable[P]))
 	}
 	q.mirror.Store(&m)
 	return m[area]
@@ -152,9 +180,9 @@ func lineAddr(l uint32) pmem.Addr { return pmem.Addr(l) * pmem.CacheLineBytes }
 // two cache lines, so adjacent per-thread entries never share a line
 // (false sharing would skew the persist-cost measurements).
 type coreThread[P any] struct {
-	// area caches the mirror array of the last area nodeAt looked up.
-	area         *[areaSlots]node[P]
-	areaBase     pmem.Addr
+	// page caches the mirror page nodeAt looked up last.
+	page         *mirrorPage[P]
+	pageBase     pmem.Addr
 	nodeToRetire *node[P]
 	// pendingRetire accumulates the nodes unlinked by an unfenced batch
 	// dequeue; they are handed to the allocator only by CompleteBatch,
@@ -212,7 +240,7 @@ func NewCore[P any](h *pmem.Heap, threads, tid int, acked bool, codec Codec[P], 
 		per:   make([]coreThread[P], threads),
 		acked: acked,
 	}
-	q.mirror.Store(new([]*[areaSlots]node[P]))
+	q.mirror.Store(new([]*pageTable[P]))
 	if aux != nil {
 		q.aux = ssmem.NewPool(h, *aux)
 	}
@@ -673,7 +701,8 @@ func (q *Core[P]) CompleteBatch(tid int) {
 // resurrected for redelivery and acknowledged items never reappear.
 // Every Persistent object marked linked with a larger index whose
 // payload the codec validates is resurrected: its slot's mirror entry is
-// filled in and chained in index order. acked must match the
+// filled in and chained in index order, so only the pages of live slots
+// are allocated. acked must match the
 // mode the queue was created with: a mismatch is refused, not
 // mis-scanned (plain recovery of an acked queue would take the
 // never-written head lines as the frontier and resurrect acknowledged
@@ -691,7 +720,7 @@ func RecoverCore[P any](h *pmem.Heap, threads int, acked bool, codec Codec[P], a
 		acked:     acked,
 		ackBase:   ackBase,
 	}
-	q.mirror.Store(new([]*[areaSlots]node[P]))
+	q.mirror.Store(new([]*pageTable[P]))
 	var frontier uint64
 	for t := 0; t < threads; t++ {
 		line := pmem.Addr(t) * pmem.CacheLineBytes

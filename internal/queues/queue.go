@@ -59,8 +59,8 @@ const (
 	offW2    = pmem.Addr(16) // linked / pred, depending on the queue
 	offW3    = pmem.Addr(24) // index / initialized, depending on the queue
 	nodeSize = pmem.CacheLineBytes
-	// areaSlots is the node pools' SlotsPerArea, and so the length of
-	// each of Core's mirror arrays.
+	// areaSlots is the node pools' SlotsPerArea, and so the number of
+	// slots each of Core's mirror page tables covers.
 	areaSlots = 4096
 )
 

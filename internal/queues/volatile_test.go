@@ -120,14 +120,51 @@ func TestIdleThreadRetainsNothing(t *testing.T) {
 // each consumer sees each producer's items in order. Slots, and with
 // them mirror entries, change tids through ssmem's limbo and depot and
 // are overwritten while other tids inside pool.Enter/Exit still hold
-// their neighbours, so the race detector sees every reuse edge.
+// their neighbours, so the race detector sees every reuse edge. The
+// producers cross a mirror page boundary every 64 fresh slots while the
+// consumers retire; then the queue is restarted and recovered empty,
+// which leaves every slot in the depot and no page but the dummy's, and
+// the same traffic runs again, so pages are allocated and published by
+// whichever tid first takes one of their slots, concurrently with the
+// consumers' retires.
 func TestNodeMirrorConcurrentReuse(t *testing.T) {
 	const producers, consumers = 4, 4
 	perProducer := 4 * areaSlots
 	if !raceEnabled {
 		perProducer *= 4
 	}
-	q := NewOptUnlinkedQ(perfHeap(t, producers+consumers), producers+consumers)
+	h := perfHeap(t, producers+consumers)
+	q := NewOptUnlinkedQ(h, producers+consumers)
+	mirrorReuseRound(t, q, producers, consumers, perProducer)
+	h.Restart()
+	q = RecoverOptUnlinkedQ(h, producers+consumers)
+	if n := mirrorPages(q); n != 1 {
+		t.Fatalf("the recovered empty queue holds %d mirror pages, want the dummy's alone", n)
+	}
+	mirrorReuseRound(t, q, producers, consumers, perProducer)
+	// A depot chunk is two pages, and every producer drains several.
+	if n := mirrorPages(q); n <= 2*producers {
+		t.Fatalf("the second round allocated %d mirror pages: the producers never crossed a page", n)
+	}
+}
+
+// mirrorPages counts the mirror pages q has allocated.
+func mirrorPages[P any](q *Core[P]) (n int) {
+	for _, table := range *q.mirror.Load() {
+		for i := range table {
+			if table[i].Load() != nil {
+				n++
+			}
+		}
+	}
+	return n
+}
+
+// mirrorReuseRound is one round of TestNodeMirrorConcurrentReuse on q:
+// tids 0 to producers-1 enqueue perProducer items each and the next
+// consumers tids dequeue until all are taken.
+func mirrorReuseRound(t *testing.T, q *OptUnlinkedQ, producers, consumers, perProducer int) {
+	t.Helper()
 	var wg sync.WaitGroup
 	for p := 0; p < producers; p++ {
 		wg.Add(1)
@@ -173,7 +210,10 @@ func TestNodeMirrorConcurrentReuse(t *testing.T) {
 		seen[p] = make([]bool, perProducer)
 	}
 	for c, vs := range got {
-		last := [producers]int{-1, -1, -1, -1}
+		last := make([]int, producers)
+		for p := range last {
+			last[p] = -1
+		}
 		for _, v := range vs {
 			p, seq := int(v>>32), int(uint32(v))
 			if p >= producers || seq >= perProducer {
