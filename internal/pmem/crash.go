@@ -80,15 +80,16 @@ func (h *Heap) crashCheck() {
 // every journalled cache line, a durable prefix of its stores is
 // chosen uniformly at random between the prefix guaranteed by fences
 // and the full store sequence (modelling unpredictable implicit cache
-// evictions under Assumption 1), and applied to the image. Must be
-// called after all worker goroutines have observed the crash and
-// stopped.
+// evictions under Assumption 1), and applied to the journal's base,
+// which is the line's image. Must be called after all worker goroutines
+// have observed the crash and stopped.
 //
 // Only lines with an open journal are visited (every other line's image
-// is already its content). They are visited in line order, so rng is
-// drawn from in the order a walk over every line would draw. Their
-// journals are emptied but stay open until Restart, which reloads
-// exactly those lines.
+// is its working view). They are visited in line order, so rng is drawn
+// from in the order a walk over every line would draw. Their journals
+// are emptied but stay open until Restart, which reloads exactly those
+// lines from their bases; until then the working view still holds what
+// ran before the crash.
 func (h *Heap) FinalizeCrash(rng *rand.Rand) {
 	if h.cfg.Mode != ModeCrash {
 		panic("pmem: FinalizeCrash requires ModeCrash")
@@ -101,7 +102,9 @@ func (h *Heap) FinalizeCrash(rng *rand.Rand) {
 		if n := len(j.entries) - k; n > 0 {
 			k += rng.Intn(n + 1)
 		}
-		h.applyEntries(j.line, j.entries[:k])
+		for _, e := range j.entries[:k] {
+			copy(j.base[e.off:], e.v[:e.n])
+		}
 		j.entries = j.entries[:0]
 		j.persisted = 0
 	}
@@ -119,16 +122,16 @@ func (h *Heap) AccessCount() int64 { return h.accessNo.Load() }
 // discarded, and new threads may run. Statistics are preserved across
 // restarts.
 //
-// In ModeCrash only the lines with an open journal can differ between
-// the views, so only they are reloaded, and their journals are closed.
+// In ModeCrash only the lines with an open journal have an image other
+// than their working view, so only they are reloaded, each from its
+// journal's base, and their journals are closed.
 // A ModePerf heap never crashes, so its working view is what a clean
 // shutdown left durable: it is kept as it stands, and only the volatile
 // state is discarded.
 func (h *Heap) Restart() {
 	if h.cfg.Mode == ModeCrash {
 		for _, j := range h.openJournals() {
-			base := j.line * WordsPerLine
-			copy(h.mem[base:base+WordsPerLine], h.img[base:base+WordsPerLine])
+			copy(h.mem[j.line*WordsPerLine:], j.base[:])
 			h.closeJournal(h.shard(j.line), j)
 		}
 	}

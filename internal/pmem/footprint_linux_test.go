@@ -48,3 +48,28 @@ func TestInitRangeFootprint(t *testing.T) {
 		t.Fatalf("InitRange of a fresh %d MiB range grew VmRSS by %.1f MB, want < 4", size>>20, float64(grew)/1e6)
 	}
 }
+
+// TestCrashHeapFootprint pins that a ModeCrash heap keeps one copy of
+// memory: a line's image is its working view once a fence has persisted
+// it, so writing and fencing 32 MiB of lines makes 32 MiB of the working
+// view resident, with the cache flags and journal index of those lines,
+// and nothing more. A second, image copy of memory would add 32 MiB.
+func TestCrashHeapFootprint(t *testing.T) {
+	const size, chunk = 32 << 20, 64 * CacheLineBytes
+	h := New(Config{Bytes: 256 << 20, Mode: ModeCrash, MaxThreads: 1})
+	a := h.AllocRaw(0, size, CacheLineBytes)
+	words := make([]uint64, chunk/WordBytes)
+	for i := range words {
+		words[i] = uint64(i + 1)
+	}
+	before := vmRSS(t)
+	for off := Addr(0); off < size; off += chunk {
+		h.WriteBack(0, a+off, words)
+		h.Fence(0)
+	}
+	grew := vmRSS(t) - before
+	runtime.KeepAlive(h)
+	if grew > 42e6 {
+		t.Fatalf("writing and fencing %d MiB of a ModeCrash heap grew VmRSS by %.1f MB, want at most 42", size>>20, float64(grew)/1e6)
+	}
+}

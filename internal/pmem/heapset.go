@@ -77,30 +77,40 @@ func (s *HeapSet) Heaps() []*Heap { return append([]*Heap(nil), s.heaps...) }
 // Parallel runs f once per member heap, concurrently, and returns when
 // every call has: members are independent simulators with their own
 // per-thread state, so the same tid may operate on each at once. A
-// simulated crash panics on whichever goroutine touches a heap next —
-// on a child goroutine that would be a panic no caller's Protect can
-// catch — so Parallel Protects every child and re-raises the crash
-// signal on the calling goroutine after the join. A one-member set
-// runs f inline.
+// panic on a child goroutine is one no caller can recover, so every
+// child recovers whatever it raises, and after the join the caller
+// re-raises the first panic in member order that is not the crash
+// signal, unchanged; if every child that panicked was stopped by the
+// simulated crash, the caller raises the crash signal, for its Protect.
+// A one-member set runs f inline.
 func (s *HeapSet) Parallel(f func(i int, h *Heap)) {
 	if len(s.heaps) == 1 {
 		f(0, s.heaps[0])
 		return
 	}
-	crashed := make([]bool, len(s.heaps))
+	panics := make([]any, len(s.heaps))
 	var wg sync.WaitGroup
 	for i, h := range s.heaps {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			crashed[i] = Protect(func() { f(i, h) })
+			defer func() { panics[i] = recover() }()
+			f(i, h)
 		}()
 	}
 	wg.Wait()
-	for _, c := range crashed {
-		if c {
-			panic(crashSignal{})
+	crashed := false
+	for _, p := range panics {
+		switch p.(type) {
+		case nil:
+		case crashSignal:
+			crashed = true
+		default:
+			panic(p)
 		}
+	}
+	if crashed {
+		panic(crashSignal{})
 	}
 }
 
@@ -139,9 +149,9 @@ func (s *HeapSet) FinalizeCrash(rng *rand.Rand) {
 	}
 }
 
-// Restart reboots every member (see Heap.Restart): ModeCrash working
-// views are reloaded from the NVRAM images and all volatile simulator
-// state is discarded.
+// Restart reboots every member (see Heap.Restart): each ModeCrash
+// member reloads the lines its open journals hold from their bases, the
+// lines' NVRAM image, and all volatile simulator state is discarded.
 func (s *HeapSet) Restart() {
 	for _, h := range s.heaps {
 		h.Restart()

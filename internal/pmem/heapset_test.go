@@ -173,3 +173,50 @@ func TestHeapSetParallel(t *testing.T) {
 		}
 	}
 }
+
+// TestParallelCarriesChildPanic: a panic on a fan-out goroutine other
+// than the crash signal reaches the caller unchanged, after the join,
+// even when a sibling was stopped by a crash; a set whose children only
+// crash still reports the crash through the caller's Protect.
+func TestParallelCarriesChildPanic(t *testing.T) {
+	type sentinel struct{ member int }
+	recovered := func(f func()) (r any) {
+		defer func() { r = recover() }()
+		f()
+		return nil
+	}
+	crash := func(h *Heap) {
+		h.CrashNow()
+		h.Load(0, h.RootAddr(0))
+	}
+
+	s := newCrashSet(t, 2)
+	r := recovered(func() {
+		s.Parallel(func(i int, h *Heap) {
+			if i == 1 {
+				panic(sentinel{1})
+			}
+		})
+	})
+	if r != (sentinel{1}) {
+		t.Fatalf("a child's panic reached the caller as %v, want sentinel{1}", r)
+	}
+
+	r = recovered(func() {
+		s.Parallel(func(i int, h *Heap) {
+			if i == 0 {
+				crash(h)
+			}
+			panic(sentinel{i})
+		})
+	})
+	if r != (sentinel{1}) {
+		t.Fatalf("with member 0 crashed and member 1 panicking, the caller recovered %v, want sentinel{1}", r)
+	}
+	s.FinalizeCrash(rand.New(zeroSource{}))
+	s.Restart()
+
+	if !Protect(func() { s.Parallel(func(_ int, h *Heap) { crash(h) }) }) {
+		t.Fatal("a set whose children only crash did not report the crash through Protect")
+	}
+}

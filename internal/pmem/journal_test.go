@@ -28,7 +28,7 @@ type refLine struct {
 func newRefHeap(h *Heap, cut int64) *refHeap {
 	return &refHeap{
 		mem:     slices.Clone(h.mem),
-		img:     slices.Clone(h.img),
+		img:     image(h),
 		lines:   make([]refLine, h.lines),
 		pending: make([][]pendingFlush, h.cfg.MaxThreads),
 		left:    cut,
@@ -195,14 +195,25 @@ func TestJournalMatchesReference(t *testing.T) {
 		}
 		h.FinalizeCrash(rand.New(rand.NewSource(seed)))
 		r.finalize(rand.New(rand.NewSource(seed)))
-		if w := firstDiff(h.img, r.img); w >= 0 {
-			t.Fatalf("seed %d: image word %d (line %d) is %#x, reference %#x", seed, w, w/WordsPerLine, h.img[w], r.img[w])
+		img := image(h)
+		if w := firstDiff(img, r.img); w >= 0 {
+			t.Fatalf("seed %d: image word %d (line %d) is %#x, reference %#x", seed, w, w/WordsPerLine, img[w], r.img[w])
 		}
 		h.Restart()
-		if w := firstDiff(h.mem, h.img); w >= 0 {
-			t.Fatalf("seed %d: after Restart word %d (line %d) reads %#x, image %#x", seed, w, w/WordsPerLine, h.mem[w], h.img[w])
+		if w := firstDiff(h.mem, img); w >= 0 {
+			t.Fatalf("seed %d: after Restart word %d (line %d) reads %#x, image %#x", seed, w, w/WordsPerLine, h.mem[w], img[w])
 		}
 	}
+}
+
+// image returns h's NVRAM image: its working view with every open
+// journal's base laid over the journal's line.
+func image(h *Heap) []uint64 {
+	img := slices.Clone(h.mem)
+	for _, j := range h.openJournals() {
+		copy(img[j.line*WordsPerLine:], j.base[:])
+	}
+	return img
 }
 
 // firstDiff returns the first index at which a and b differ, or -1.
@@ -295,6 +306,87 @@ func TestCrashJournalsFollowUnfencedLines(t *testing.T) {
 	}
 	if h.RawMem(unfenced[1]) != 0 || h.RawImg(unfenced[1]) != 0 {
 		t.Fatal("InitRange did not zero both views")
+	}
+}
+
+// TestImageIsJournalBase pins where a ModeCrash heap keeps its image: a
+// line's image is the content it held when its journal opened, for as
+// long as the journal stays open, and its working view once a fence has
+// persisted the journal whole. Every journalling verb opens the journal
+// over the line as it stood before the verb's write, whole: the line's
+// other words, persisted earlier, keep their values in the image.
+func TestImageIsJournalBase(t *testing.T) {
+	type view struct {
+		mem, img uint64
+		open     bool
+	}
+	// setup gives a fresh heap a line whose words 0 and 1 hold 1 and 2,
+	// persisted, so that every case opens a journal over set content.
+	setup := func() (*Heap, Addr) {
+		h := newCrashHeap(t)
+		a := h.AllocRaw(0, CacheLineBytes, CacheLineBytes)
+		h.Store(0, a, 1)
+		h.Store(0, a+8, 2)
+		h.Persist(0, a)
+		return h, a
+	}
+	at := func(h *Heap, a Addr) view {
+		return view{h.RawMem(a), h.RawImg(a), h.jidx[a/CacheLineBytes] != 0}
+	}
+	for _, c := range []struct {
+		name   string
+		run    func(h *Heap, a Addr)
+		w0, w1 view // words 0 and 1 of the line afterwards
+	}{
+		{"unfenced Store", func(h *Heap, a Addr) { h.Store(0, a, 5) },
+			view{5, 1, true}, view{2, 2, true}},
+		{"Store+Flush+Fence", func(h *Heap, a Addr) { h.Store(0, a, 5); h.Persist(0, a) },
+			view{5, 5, false}, view{2, 2, false}},
+		{"Store, Flush, Store, Fence", func(h *Heap, a Addr) {
+			h.Store(0, a, 5)
+			h.Flush(0, a)
+			h.Store(0, a+8, 6)
+			h.Fence(0)
+		}, view{5, 1, true}, view{6, 2, true}},
+		{"CAS", func(h *Heap, a Addr) { h.CAS(0, a, 1, 5) },
+			view{5, 1, true}, view{2, 2, true}},
+		{"failed CAS", func(h *Heap, a Addr) { h.CAS(0, a, 4, 5) },
+			view{1, 1, false}, view{2, 2, false}},
+		{"DCAS", func(h *Heap, a Addr) { h.DCAS(0, a, 1, 2, 5, 6) },
+			view{5, 1, true}, view{6, 2, true}},
+		{"NTStore", func(h *Heap, a Addr) { h.NTStore(0, a+8, 6) },
+			view{1, 1, true}, view{6, 2, true}},
+		{"NTStore+Fence", func(h *Heap, a Addr) { h.NTStore(0, a+8, 6); h.Fence(0) },
+			view{1, 1, false}, view{6, 6, false}},
+	} {
+		h, a := setup()
+		c.run(h, a)
+		if w0, w1 := at(h, a), at(h, a+8); w0 != c.w0 || w1 != c.w1 {
+			t.Errorf("%s: words 0 and 1 read %+v, %+v, want %+v, %+v", c.name, w0, w1, c.w0, c.w1)
+		}
+	}
+
+	// A crash: the journal holds 5 at word 0 (fenced), 6 at word 1 and 7
+	// at word 2, and the minimal prefix keeps the fenced entry alone.
+	h, a := setup()
+	h.Store(0, a, 5)
+	h.Flush(0, a)
+	h.Store(0, a+8, 6)
+	h.Fence(0)
+	h.Store(0, a+16, 7)
+	h.CrashNow()
+	h.FinalizeCrash(rand.New(zeroSource{}))
+	want := []view{{5, 5, true}, {6, 2, true}, {7, 0, true}}
+	for w, v := range want {
+		if got := at(h, a+Addr(w*WordBytes)); got != v {
+			t.Fatalf("after FinalizeCrash word %d reads %+v, want %+v", w, got, v)
+		}
+	}
+	h.Restart()
+	for w, v := range want {
+		if got := at(h, a+Addr(w*WordBytes)); got != (view{v.img, v.img, false}) {
+			t.Fatalf("after Restart word %d reads %+v, want mem and img %d, no journal", w, got, v.img)
+		}
 	}
 }
 

@@ -2,14 +2,15 @@
 // (NVRAM) with the persistence semantics assumed by "Durable Queues:
 // The Second Amendment" (Sela & Petrank, SPAA 2021).
 //
-// In ModeCrash the simulator maintains two copies of memory:
-//
-//   - the working view ("mem"), which models the cache-coherent state
-//     that running threads observe, and
-//   - the NVRAM image ("img"), which models what survives a
-//     full-system crash.
-//
-// A ModePerf heap cannot crash, so it keeps the working view alone.
+// The simulator keeps one copy of memory, the working view ("mem"),
+// which models the cache-coherent state that running threads observe.
+// In ModeCrash it also keeps a journal for every line written since its
+// last persist: the journal's base is the line's content when it opened,
+// and its entries are the stores since. The NVRAM image, which models
+// what survives a full-system crash, is therefore no second copy: a
+// line's image is its open journal's base, or its working view when it
+// has no open journal. A ModePerf heap cannot crash, so it keeps the
+// working view alone.
 //
 // Threads interact with the heap through Load/Store/CAS/DCAS (ordinary
 // cached accesses), Flush (an asynchronous cache-line write-back such
@@ -22,14 +23,14 @@
 // evicted to memory atomically, so after a crash the NVRAM content of
 // each line reflects a prefix of the stores performed on that line.
 // In ModeCrash every store is journalled per line; at crash time each
-// line's durable content is chosen as a random prefix that is at least
-// the prefix guaranteed by the last completed fence covering the line.
-// A line's journal is open only from its first store after its last
-// apply until a Fence applies it (or InitRange or Restart discards it),
-// and a line with no open journal holds the same words in both views.
-// Journals are pooled per lock shard and found through a pointer-free
-// per-line index, so the journal state a heap keeps is the lines a run
-// leaves unfenced, and FinalizeCrash and Restart visit only those.
+// line's durable content is its base with a random prefix of its
+// entries applied, at least the prefix guaranteed by the last completed
+// fence covering the line. A line's journal is open only from its first
+// store after its last persist until a Fence persists all of it (or
+// InitRange or Restart discards it). Journals are pooled per lock shard
+// and found through a pointer-free per-line index, so the journal state
+// a heap keeps is the lines a run leaves unfenced, and FinalizeCrash and
+// Restart visit only those.
 //
 // The simulator also implements the paper's central performance
 // observation: flushing a line invalidates it, so the next ordinary
@@ -117,13 +118,16 @@ type logEntry struct {
 	v   [2]uint64
 }
 
-// journal holds one line's stores since the line's image was last
-// brought up to date: applying all of them to img yields the line's mem.
+// journal holds one line's stores since the line was last persisted
+// whole. base is the line's content when the journal opened, which is
+// the line's image for as long as the journal stays open; applying all
+// the entries to base yields the line's mem.
 type journal struct {
 	entries   []logEntry
 	line      int    // the journalled line; -1 while the journal is pooled
 	persisted int    // prefix guaranteed durable by a completed fence
 	gen       uint64 // its shard's generation when the journal was opened
+	base      [WordsPerLine]uint64
 }
 
 // shard is one of the lockShards line-lock stripes, a cache line wide.
@@ -222,7 +226,6 @@ type heapState struct {
 	cfg Config
 	lat LatencyModel
 	mem []uint64
-	img []uint64 // ModeCrash only: nothing reads a ModePerf heap's image
 	// flags holds each line's cache state (lineValid). Shared paths use
 	// atomic.Load/StoreUint32 on it, as they do on mem; the paths that
 	// work on a line the calling thread owns privately (WriteBack,
@@ -296,9 +299,7 @@ func New(cfg Config) *Heap {
 	}
 	h.mem[0], h.mem[1] = magicWord, uint64(dataStart)
 	if cfg.Mode == ModeCrash {
-		h.img = make([]uint64, words)
 		h.jidx = make([]uint32, h.lines)
-		h.img[0], h.img[1] = magicWord, uint64(dataStart)
 	}
 	return h
 }
@@ -413,30 +414,36 @@ func (h *heapState) journalOf(s *shard, line int) *journal {
 	return nil
 }
 
-// record appends e to line's journal, opening one from s's pool if the
-// line has none. The caller holds s, the line's shard, and has just
-// written e to mem.
-func (h *heapState) record(s *shard, line int, e logEntry) *journal {
-	j := h.journalOf(s, line)
-	if j == nil {
-		var i uint32
-		if n := len(s.free); n > 0 {
-			i, s.free = s.free[n-1], s.free[:n-1]
-		} else {
-			s.journals = append(s.journals, journal{})
-			i = uint32(len(s.journals))
-		}
-		h.jidx[line] = i
-		s.gen++
-		j = &s.journals[i-1]
-		j.line, j.gen = line, s.gen
+// open returns line's journal, opening one from s's pool if the line has
+// none; a journal opens with the line's content as its base. The caller
+// holds s, the line's shard, and is about to write the line's mem: it
+// appends the entry once it has.
+func (h *heapState) open(s *shard, line int) *journal {
+	if j := h.journalOf(s, line); j != nil {
+		return j
 	}
-	j.entries = append(j.entries, e)
+	var i uint32
+	if n := len(s.free); n > 0 {
+		i, s.free = s.free[n-1], s.free[:n-1]
+	} else {
+		s.journals = append(s.journals, journal{})
+		i = uint32(len(s.journals))
+	}
+	h.jidx[line] = i
+	s.gen++
+	j := &s.journals[i-1]
+	j.line, j.gen = line, s.gen
+	copy(j.base[:], h.mem[line*WordsPerLine:])
 	return j
 }
 
+// entry is the journal entry of n words written at word w.
+func entry(w Addr, v0, v1 uint64, n uint8) logEntry {
+	return logEntry{off: uint8(w % WordsPerLine), n: n, v: [2]uint64{v0, v1}}
+}
+
 // closeJournal returns j, an open journal of s, to s's pool. The caller
-// holds s and has made the line's img equal to its mem.
+// holds s, and the line's durable content is now its mem.
 func (h *heapState) closeJournal(s *shard, j *journal) {
 	i := h.jidx[j.line]
 	h.jidx[j.line] = 0
@@ -508,8 +515,9 @@ func (h *Heap) Store(tid int, a Addr, v uint64) {
 		line := int(a / CacheLineBytes)
 		s := h.shard(line)
 		s.mu.Lock()
+		j := h.open(s, line)
 		atomic.StoreUint64(&h.mem[w], v)
-		h.record(s, line, logEntry{off: uint8((a / WordBytes) % WordsPerLine), n: 1, v: [2]uint64{v}})
+		j.entries = append(j.entries, entry(w, v, 0, 1))
 		s.mu.Unlock()
 		return
 	}
@@ -547,8 +555,9 @@ func (h *Heap) CAS(tid int, a Addr, old, new uint64) bool {
 		s.mu.Lock()
 		ok := atomic.LoadUint64(&h.mem[w]) == old
 		if ok {
+			j := h.open(s, line)
 			atomic.StoreUint64(&h.mem[w], new)
-			h.record(s, line, logEntry{off: uint8((a / WordBytes) % WordsPerLine), n: 1, v: [2]uint64{new}})
+			j.entries = append(j.entries, entry(w, new, 0, 1))
 		}
 		s.mu.Unlock()
 		return ok
@@ -574,10 +583,14 @@ func (h *Heap) DCAS(tid int, a Addr, old0, old1, new0, new1 uint64) bool {
 	s.mu.Lock()
 	ok := atomic.LoadUint64(&h.mem[w]) == old0 && atomic.LoadUint64(&h.mem[w+1]) == old1
 	if ok {
+		var j *journal
+		if h.cfg.Mode == ModeCrash {
+			j = h.open(s, line)
+		}
 		atomic.StoreUint64(&h.mem[w], new0)
 		atomic.StoreUint64(&h.mem[w+1], new1)
-		if h.cfg.Mode == ModeCrash {
-			h.record(s, line, logEntry{off: uint8((a / WordBytes) % WordsPerLine), n: 2, v: [2]uint64{new0, new1}})
+		if j != nil {
+			j.entries = append(j.entries, entry(w, new0, new1, 2))
 		}
 	}
 	s.mu.Unlock()
@@ -734,14 +747,15 @@ func (h *Heap) Fence(tid int) {
 			s := h.shard(p.line)
 			s.mu.Lock()
 			// No open journal of the flush's generation means another
-			// thread's fence (or InitRange) already applied the one
-			// this flush point was in; there is nothing left to guarantee.
+			// thread's fence (or InitRange) already closed the one this
+			// flush point was in; there is nothing left to guarantee. A
+			// journal persisted whole closes, applying nothing: mem is
+			// already its base with every entry applied.
 			if j := h.journalOf(s, p.line); j != nil && j.gen == p.gen {
 				if p.upTo > j.persisted {
 					j.persisted = p.upTo
 				}
 				if j.persisted == len(j.entries) {
-					h.applyEntries(p.line, j.entries)
 					h.closeJournal(s, j)
 				}
 			}
@@ -788,8 +802,9 @@ func (h *Heap) NTStore(tid int, a Addr, v uint64) {
 		line := int(a / CacheLineBytes)
 		s := h.shard(line)
 		s.mu.Lock()
+		j := h.open(s, line)
 		atomic.StoreUint64(&h.mem[w], v)
-		j := h.record(s, line, logEntry{off: uint8((a / WordBytes) % WordsPerLine), n: 1, v: [2]uint64{v}})
+		j.entries = append(j.entries, entry(w, v, 0, 1))
 		ts.pending = append(ts.pending, pendingFlush{line: line, upTo: len(j.entries), gen: j.gen})
 		s.mu.Unlock()
 	} else {
@@ -797,16 +812,6 @@ func (h *Heap) NTStore(tid int, a Addr, v uint64) {
 	}
 	ts.queueLine(h.lat.DrainNsPerLine, ts.spun)
 	ts.charge(h.lat.NTStoreNs)
-}
-
-func (h *Heap) applyEntries(line int, entries []logEntry) {
-	base := line * WordsPerLine
-	for _, e := range entries {
-		h.img[base+int(e.off)] = e.v[0]
-		if e.n == 2 {
-			h.img[base+int(e.off)+1] = e.v[1]
-		}
-	}
 }
 
 // AllocRaw carves size bytes (aligned to align, a power of two ≥ 8)
@@ -838,11 +843,12 @@ func (h *Heap) AllocRaw(tid int, size, align int64) Addr {
 // one SFENCE. The range must not be concurrently accessed.
 //
 // The charge is the whole range's, but only content that is not zero
-// already is written: in ModeCrash a line's open journal is closed and
-// each view is zeroed where it holds a set word, in ModePerf the working
-// view alone, and a cache flag is cleared only when it is set. A line
-// nothing ever wrote is thus only read, and the kernel keeps backing it
-// with the shared zero page: a fresh range costs no resident memory.
+// already is written: in ModeCrash a line's open journal is closed, so
+// its image is its working view again, and the working view is zeroed
+// where it holds a set word; a cache flag is cleared only when it is
+// set. A line nothing ever wrote is thus only read, and the kernel keeps
+// backing it with the shared zero page: a fresh range costs no resident
+// memory.
 func (h *Heap) InitRange(tid int, a Addr, size int64) {
 	if a%CacheLineBytes != 0 || size%CacheLineBytes != 0 {
 		panic("pmem: InitRange range must be cache-line aligned")
@@ -858,12 +864,9 @@ func (h *Heap) InitRange(tid int, a Addr, size int64) {
 			if j := h.journalOf(s, line); j != nil {
 				h.closeJournal(s, j)
 			}
-			zeroWords(h.mem[base : base+WordsPerLine])
-			zeroWords(h.img[base : base+WordsPerLine])
 			s.mu.Unlock()
-		} else {
-			zeroWords(h.mem[base : base+WordsPerLine])
 		}
+		zeroWords(h.mem[base : base+WordsPerLine])
 		if f := &h.flags[line]; atomic.LoadUint32(f) != 0 {
 			atomic.StoreUint32(f, 0)
 		}
@@ -897,13 +900,21 @@ func (h *Heap) ClearLineState(a Addr) {
 }
 
 // RawImg reads a word directly from the NVRAM image, bypassing the
-// simulation (no charges, no crash checks). Intended for tests and
-// debugging tools only. Only a ModeCrash heap has an image.
+// simulation (no charges, no crash checks): the word of the line's open
+// journal's base, or of the working view if the line has none. Intended
+// for tests and debugging tools only. Only a ModeCrash heap has an image.
 func (h *Heap) RawImg(a Addr) uint64 {
 	if h.cfg.Mode != ModeCrash {
 		panic("pmem: RawImg requires ModeCrash")
 	}
-	return h.img[a/WordBytes]
+	line := int(a / CacheLineBytes)
+	s := h.shard(line)
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if j := h.journalOf(s, line); j != nil {
+		return j.base[a/WordBytes%WordsPerLine]
+	}
+	return atomic.LoadUint64(&h.mem[a/WordBytes])
 }
 
 // RawMem reads a word directly from the working view, bypassing the
