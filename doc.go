@@ -17,7 +17,7 @@
 //     internal/batch (window policies) and internal/obs (observability
 //     at zero persist cost) beside it.
 //   - internal/harness, internal/verify, internal/qtest: measurement,
-//     durable-linearizability fuzzing, shared queue audits.
+//     durable-linearizability fuzzing, every single-queue audit.
 //   - cmd/ and examples/: Figure-2 sweeps (durbench), fence counts,
 //     crash fuzzing (every broker scenario once), the observability
 //     export.

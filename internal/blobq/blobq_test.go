@@ -144,14 +144,16 @@ func blobInfo(tb testing.TB, acked bool) queues.Info {
 		Recover: func(h *pmem.Heap, n int) queues.Queue { return wordQ{Recover(h, cfg(n)), tb} }}
 }
 
-// The generic audits of package queues, one body for every queue.
+// The single-queue audits of package qtest, one body for every queue.
 func TestFIFOAndModel(t *testing.T) { qtest.RunSemantics(t, blobInfo(t, false)) }
 func TestConcurrentPayloadIntegrity(t *testing.T) {
 	qtest.RunConcurrent(t, blobInfo(t, false), 4, 1500)
 }
-func TestQuiescentCrashRecovery(t *testing.T) {
-	qtest.RunCrashRecovery(t, blobInfo(t, false), 3)
-	qtest.RunCrashRecovery(t, blobInfo(t, true), 3)
+func TestQuiescentCrashRecovery(t *testing.T) { qtest.RunCrashRecovery(t, blobInfo(t, true), 5) }
+func TestEdgeCases(t *testing.T) {
+	for _, acked := range []bool{false, true} {
+		t.Run(fmt.Sprintf("acked=%v", acked), func(t *testing.T) { qtest.RunEdgeCases(t, blobInfo(t, acked)) })
+	}
 }
 
 // encodedPayload embeds v and a checksum into a variable-length body
@@ -436,23 +438,11 @@ func TestDequeueBatchCrash(t *testing.T) {
 		}
 		h.FinalizeCrash(rand.New(rand.NewSource(seed * 17)))
 		h.Restart()
-		rq := Recover(h, cfg)
-		var recovered []uint64
-		for {
-			p, ok := rq.Dequeue(0)
-			if !ok {
-				break
-			}
-			v, err := decodePayload(p)
-			if err != nil {
-				t.Fatalf("seed %d: recovered payload corrupt: %v", seed, err)
-			}
+		recovered := qtest.Drain(wordQ{Recover(h, cfg), t}, 0)
+		for i, v := range recovered {
 			if acked[v] {
 				t.Fatalf("seed %d: acknowledged payload %d recovered again", seed, v)
 			}
-			recovered = append(recovered, v)
-		}
-		for i, v := range recovered {
 			if want := n - len(recovered) + i + 1; v != uint64(want) {
 				t.Fatalf("seed %d: recovered[%d] = %d, want %d (suffix broken)", seed, i, v, want)
 			}
@@ -463,27 +453,16 @@ func TestDequeueBatchCrash(t *testing.T) {
 	}
 }
 
-// TestExhaustiveCrashPoints sweeps every memory access of a script
-// that recycles blobs across an earlier crash (exercising the
-// boot-epoch tag salting) and validates payload integrity of whatever
-// recovery resurrects.
+// TestExhaustiveCrashPoints cuts a short script at every other memory
+// access; the adapter checks the integrity of every payload recovery
+// resurrects.
 func TestExhaustiveCrashPoints(t *testing.T) {
-	script := []bool{true, true, false, false, true, true, false, true, false, false}
-	// First measure the access count.
-	{
-		h := newHeap(pmem.ModeCrash)
-		q := New(h, Config{Threads: 1})
-		h.ScheduleCrashAtAccess(1 << 60)
-		runScript(q, script, nil)
-		total := h.AccessCount()
-		stride := int64(2)
-		if testing.Short() {
-			stride = 9
-		}
-		for k := int64(1); k <= total; k += stride {
-			testOneCrashPoint(t, script, k)
-		}
+	stride := int64(2)
+	if testing.Short() {
+		stride = 9
 	}
+	script := []qtest.ScriptOp{{Enq: true, V: 1}, {Enq: true, V: 2}, {}, {}, {Enq: true, V: 3}, {Enq: true, V: 4}, {}, {Enq: true, V: 5}, {}, {}}
+	qtest.RunCrashSweep(t, blobInfo(t, false), script, stride, 1)
 }
 
 // TestCrashSweepRecycledSlots cuts enqueues that write into node and
@@ -501,140 +480,11 @@ func TestCrashSweepRecycledSlots(t *testing.T) {
 	}
 }
 
-func runScript(q *Queue, script []bool, model *[]uint64) {
-	next := uint64(1)
-	for _, enq := range script {
-		if enq {
-			q.Enqueue(0, encodedPayload(next))
-			if model != nil {
-				*model = append(*model, next)
-			}
-			next++
-		} else {
-			if _, ok := q.Dequeue(0); ok && model != nil {
-				*model = (*model)[1:]
-			}
-		}
-	}
-}
-
-func testOneCrashPoint(t *testing.T, script []bool, k int64) {
-	t.Helper()
-	h := newHeap(pmem.ModeCrash)
-	cfg := Config{Threads: 1}
-	q := New(h, cfg)
-	h.ScheduleCrashAtAccess(k)
-	var model []uint64
-	var pendingEnq *uint64
-	pendingDeq := false
-	next := uint64(1)
-	for _, enq := range script {
-		enq := enq
-		v := next
-		crashed := pmem.Protect(func() {
-			if enq {
-				q.Enqueue(0, encodedPayload(v))
-			} else {
-				q.Dequeue(0)
-			}
-		})
-		if crashed {
-			if enq {
-				pendingEnq = &v
-			} else {
-				pendingDeq = true
-			}
-			break
-		}
-		if enq {
-			model = append(model, v)
-			next++
-		} else if len(model) > 0 {
-			model = model[1:]
-		}
-	}
-	if !h.Crashed() {
-		h.CrashNow()
-		pendingEnq, pendingDeq = nil, false
-	}
-	h.FinalizeCrash(rand.New(rand.NewSource(k)))
-	h.Restart()
-	rq := Recover(h, cfg)
-	var got []uint64
-	for {
-		p, ok := rq.Dequeue(0)
-		if !ok {
-			break
-		}
-		v, err := decodePayload(p)
-		if err != nil {
-			t.Fatalf("crash %d: corrupt recovered payload: %v", k, err)
-		}
-		got = append(got, v)
-	}
-	if eq(got, model) {
-		return
-	}
-	alt := append([]uint64(nil), model...)
-	if pendingEnq != nil {
-		alt = append(alt, *pendingEnq)
-	} else if pendingDeq && len(alt) > 0 {
-		alt = alt[1:]
-	}
-	if (pendingEnq != nil || pendingDeq) && eq(got, alt) {
-		return
-	}
-	t.Fatalf("crash %d: recovered %v, want %v or %v", k, got, model, alt)
-}
-
-func eq(a, b []uint64) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
-}
-
 // TestMultiCrashWithBlobReuse drives several crash/recover cycles so
 // recovered free lists hand out blobs that were sealed in earlier
-// incarnations.
-func TestMultiCrashWithBlobReuse(t *testing.T) {
-	h := newHeap(pmem.ModeCrash)
-	cfg := Config{Threads: 2}
-	q := New(h, cfg)
-	var model []uint64
-	next := uint64(1)
-	rng := rand.New(rand.NewSource(8))
-	for cycle := 0; cycle < 5; cycle++ {
-		for op := 0; op < 150; op++ {
-			if rng.Intn(2) == 0 {
-				q.Enqueue(op%2, encodedPayload(next))
-				model = append(model, next)
-				next++
-			} else if _, ok := q.Dequeue(op % 2); ok {
-				model = model[1:]
-			}
-		}
-		h.CrashNow()
-		h.FinalizeCrash(rand.New(rand.NewSource(int64(cycle))))
-		h.Restart()
-		q = Recover(h, cfg)
-	}
-	for i, want := range model {
-		p, ok := q.Dequeue(0)
-		if !ok {
-			t.Fatalf("ended at %d of %d", i, len(model))
-		}
-		v, err := decodePayload(p)
-		if err != nil || v != want {
-			t.Fatalf("item %d: got %d (%v), want %d", i, v, err, want)
-		}
-	}
-}
+// incarnations; TestQuiescentCrashRecovery runs the same cycles on the
+// acked queue.
+func TestMultiCrashWithBlobReuse(t *testing.T) { qtest.RunCrashRecovery(t, blobInfo(t, false), 5) }
 
 // TestAckedLeaseRedelivery pins the ack-mode contract for byte
 // payloads: leased-but-unacknowledged payloads are redelivered by

@@ -11,6 +11,7 @@ import (
 func TestONLLSemantics(t *testing.T)    { qtest.RunSemantics(t, Info()) }
 func TestONLLConcurrent(t *testing.T)   { qtest.RunConcurrent(t, Info(), 4, 1500) }
 func TestONLLCrashRecover(t *testing.T) { qtest.RunCrashRecovery(t, Info(), 3) }
+func TestONLLEdgeCases(t *testing.T)    { qtest.RunEdgeCases(t, Info()) }
 
 // TestONLLOneFencePerUpdateZeroPostFlush verifies the Section 2.1
 // claim: one fence per update, zero fences per read-only operation,

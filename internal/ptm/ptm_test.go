@@ -26,6 +26,12 @@ func TestPTMCrashRecovery(t *testing.T) {
 	}
 }
 
+func TestPTMEdgeCases(t *testing.T) {
+	for _, in := range All() {
+		t.Run(in.Name, func(t *testing.T) { qtest.RunEdgeCases(t, in) })
+	}
+}
+
 // TestOneFileReplayIdempotent forces a crash between commit and
 // in-place apply and checks that recovery replays the committed
 // transaction exactly once.

@@ -50,31 +50,3 @@ func TestPostFlushAttribution(t *testing.T) {
 		t.Errorf("opt-unlinked: expected no post-flush events, got %v", ou)
 	}
 }
-
-// TestQtestRealTimeOrderViaRegistry exercises the strengthened
-// concurrent checker (incl. real-time dequeue ordering) on the core
-// queues.
-func TestQtestRealTimeOrderViaRegistry(t *testing.T) {
-	// qtest imports queues; calling it from here would be an import
-	// cycle in the other direction, so the core queues get the
-	// real-time check through the harness-level suites (ptm, onll,
-	// and TestConcurrentNoDupNoLoss). This test instead validates the
-	// stamp invariant directly on one queue: single-threaded, every
-	// dequeue is real-time ordered by construction.
-	in, _ := Lookup("opt-linked")
-	q := in.New(perfHeap(t, 1), 1)
-	for i := uint64(1); i <= 50; i++ {
-		q.Enqueue(0, i)
-	}
-	last := uint64(0)
-	for {
-		v, ok := q.Dequeue(0)
-		if !ok {
-			break
-		}
-		if v <= last {
-			t.Fatalf("out of order: %d after %d", v, last)
-		}
-		last = v
-	}
-}

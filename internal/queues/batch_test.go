@@ -134,66 +134,6 @@ func TestOptUnlinkedEmptyPollElision(t *testing.T) {
 	}
 }
 
-// TestOptUnlinkedDequeueBatchCrash fuzzes the crash window of the
-// amortized consume path: items returned by a completed DequeueBatch
-// are acknowledged (never recovered again); a crash mid-batch may cost
-// at most the unacknowledged window; recovery always yields a
-// contiguous FIFO suffix.
-func TestOptUnlinkedDequeueBatchCrash(t *testing.T) {
-	const n, window = 120, 8
-	seeds := []int64{1, 2, 3, 4, 5, 6, 7, 8}
-	if testing.Short() {
-		seeds = seeds[:2]
-	}
-	for _, seed := range seeds {
-		h := pmem.New(pmem.Config{Bytes: 32 << 20, Mode: pmem.ModeCrash, MaxThreads: 2})
-		q := NewOptUnlinkedQ(h, 1)
-		for i := 1; i <= n; i++ {
-			q.Enqueue(0, uint64(i))
-		}
-		rng := rand.New(rand.NewSource(seed))
-		h.ScheduleCrashAtAccess(h.AccessCount() + int64(rng.Intn(400)) + 1)
-		var acked []uint64
-		for {
-			var vs []uint64
-			if pmem.Protect(func() { vs = q.DequeueBatch(0, window) }) {
-				break // crash mid-batch: the window is unacknowledged
-			}
-			acked = append(acked, vs...)
-			if len(vs) == 0 {
-				h.CrashNow()
-				break
-			}
-		}
-		h.FinalizeCrash(rand.New(rand.NewSource(seed * 13)))
-		h.Restart()
-		r := RecoverOptUnlinkedQ(h, 1)
-		recovered := drain(r, 0)
-		// Acknowledged items must never reappear.
-		ackedSet := map[uint64]bool{}
-		for _, v := range acked {
-			ackedSet[v] = true
-		}
-		for _, v := range recovered {
-			if ackedSet[v] {
-				t.Fatalf("seed %d: acknowledged item %d recovered again", seed, v)
-			}
-		}
-		// Recovery yields a contiguous suffix 1..n minus a prefix.
-		for i, v := range recovered {
-			if want := n - len(recovered) + i + 1; v != uint64(want) {
-				t.Fatalf("seed %d: recovered[%d] = %d, want %d (suffix broken)", seed, i, v, want)
-			}
-		}
-		// At most one unacknowledged window may vanish (its final
-		// NTStore can land without the fence).
-		if lost := n - len(acked) - len(recovered); lost < 0 || lost > window {
-			t.Fatalf("seed %d: %d items lost, allowance %d (acked %d, recovered %d)",
-				seed, lost, window, len(acked), len(recovered))
-		}
-	}
-}
-
 // TestOptUnlinkedEnqueueBatchDurable crashes immediately after an
 // acknowledged batch and checks every batch element survives recovery
 // in order.

@@ -24,69 +24,6 @@ func TestDurableMSQFullFenceCounts(t *testing.T) {
 	}
 }
 
-// TestDurableMSQFullRecoversPendingResult: a dequeue cut by a crash
-// after its durable claim must be reported by recovery with the exact
-// value it obtained, and that value must not also reappear in the
-// queue.
-func TestDurableMSQFullRecoversPendingResult(t *testing.T) {
-	// Sweep crash points across a single dequeue; at every point the
-	// recovery outcome must be consistent: either the dequeue never
-	// claimed (value still queued, no result) or it claimed (value
-	// gone, result reported).
-	for crashAt := int64(1); crashAt < 60; crashAt++ {
-		h := pmem.New(pmem.Config{Bytes: 8 << 20, Mode: pmem.ModeCrash, MaxThreads: 3})
-		q := NewDurableMSQFull(h, 2)
-		q.Enqueue(0, 41)
-		q.Enqueue(0, 42)
-		h.ScheduleCrashAtAccess(crashAt)
-		var returned bool
-		crashed := pmem.Protect(func() {
-			if v, ok := q.Dequeue(1); !ok || v != 41 {
-				t.Fatalf("crashAt %d: dequeue returned (%d,%v)", crashAt, v, ok)
-			}
-			returned = true
-		})
-		if !crashed {
-			h.CrashNow()
-		}
-		h.FinalizeCrash(rand.New(rand.NewSource(crashAt)))
-		h.Restart()
-		rq, results := RecoverDurableMSQFull(h, 2)
-		rest := drain(rq, 0)
-
-		res := results[1]
-		if returned {
-			// Completed dequeue: 41 must be gone, and since the
-			// result cell is durable before completion the result
-			// must be reported.
-			if res.State != "value" || res.Value != 41 {
-				t.Fatalf("crashAt %d: completed dequeue result not recovered: %+v", crashAt, res)
-			}
-			if !sliceEq(rest, []uint64{42}) {
-				t.Fatalf("crashAt %d: queue after completed dequeue = %v", crashAt, rest)
-			}
-			continue
-		}
-		switch res.State {
-		case "value":
-			// The dequeue is linearized: value consumed exactly once.
-			if res.Value != 41 {
-				t.Fatalf("crashAt %d: recovered result = %d, want 41", crashAt, res.Value)
-			}
-			if !sliceEq(rest, []uint64{42}) {
-				t.Fatalf("crashAt %d: value both reported and queued: %v", crashAt, rest)
-			}
-		case "none", "pending-not-linearized":
-			// Not linearized: the value must still be in the queue.
-			if !sliceEq(rest, []uint64{41, 42}) {
-				t.Fatalf("crashAt %d: state %q but queue = %v", crashAt, res.State, rest)
-			}
-		default:
-			t.Fatalf("crashAt %d: unexpected outcome %+v (queue %v)", crashAt, res, rest)
-		}
-	}
-}
-
 // TestDurableMSQFullResultsPerThread: concurrent claimed dequeues cut
 // by a crash are attributed to the right threads.
 func TestDurableMSQFullResultsPerThread(t *testing.T) {

@@ -1,8 +1,6 @@
 package queues
 
 import (
-	"math/rand"
-	"sync"
 	"testing"
 
 	"repro/internal/pmem"
@@ -16,27 +14,6 @@ func perfHeap(tb testing.TB, threads int) *pmem.Heap {
 func crashHeap(tb testing.TB, threads int) *pmem.Heap {
 	tb.Helper()
 	return pmem.New(pmem.Config{Bytes: 32 << 20, Mode: pmem.ModeCrash, MaxThreads: threads + 1})
-}
-
-func drain(q Queue, tid int) []uint64 {
-	var out []uint64
-	for {
-		v, ok := q.Dequeue(tid)
-		if !ok {
-			return out
-		}
-		out = append(out, v)
-	}
-}
-
-func durableQueues() []Info {
-	var out []Info
-	for _, in := range All() {
-		if in.Durable {
-			out = append(out, in)
-		}
-	}
-	return out
 }
 
 func TestFIFOOrderSingleThread(t *testing.T) {
@@ -75,130 +52,6 @@ func TestEmptyDequeue(t *testing.T) {
 			}
 			if _, ok := q.Dequeue(0); ok {
 				t.Fatal("queue should be empty again")
-			}
-		})
-	}
-}
-
-func TestSequentialSemanticsVsModel(t *testing.T) {
-	for _, in := range All() {
-		t.Run(in.Name, func(t *testing.T) {
-			for seed := int64(0); seed < 4; seed++ {
-				rng := rand.New(rand.NewSource(seed))
-				q := in.New(perfHeap(t, 1), 1)
-				var model []uint64
-				next := uint64(1)
-				for op := 0; op < 3000; op++ {
-					if rng.Intn(2) == 0 {
-						q.Enqueue(0, next)
-						model = append(model, next)
-						next++
-					} else {
-						v, ok := q.Dequeue(0)
-						if len(model) == 0 {
-							if ok {
-								t.Fatalf("seed %d op %d: dequeue on empty returned %d", seed, op, v)
-							}
-						} else {
-							if !ok || v != model[0] {
-								t.Fatalf("seed %d op %d: got (%d,%v), want (%d,true)", seed, op, v, ok, model[0])
-							}
-							model = model[1:]
-						}
-					}
-				}
-				got := drain(q, 0)
-				if len(got) != len(model) {
-					t.Fatalf("seed %d: drained %d items, model has %d", seed, len(got), len(model))
-				}
-				for i := range got {
-					if got[i] != model[i] {
-						t.Fatalf("seed %d: drain[%d] = %d, want %d", seed, i, got[i], model[i])
-					}
-				}
-			}
-		})
-	}
-}
-
-// TestConcurrentNoDupNoLoss runs all queues under concurrency with
-// unique values and verifies exactness of the delivered multiset plus
-// per-enqueuer FIFO order.
-func TestConcurrentNoDupNoLoss(t *testing.T) {
-	const threads = 4
-	const opsPer = 3000
-	for _, in := range All() {
-		t.Run(in.Name, func(t *testing.T) {
-			h := pmem.New(pmem.Config{Bytes: 64 << 20, MaxThreads: threads + 1})
-			q := in.New(h, threads)
-			type result struct {
-				enqueued []uint64
-				dequeued []uint64
-			}
-			results := make([]result, threads)
-			var wg sync.WaitGroup
-			for tid := 0; tid < threads; tid++ {
-				wg.Add(1)
-				go func(tid int) {
-					defer wg.Done()
-					rng := rand.New(rand.NewSource(int64(tid)))
-					seq := uint64(1)
-					r := &results[tid]
-					for i := 0; i < opsPer; i++ {
-						if rng.Intn(2) == 0 {
-							v := uint64(tid)<<32 | seq
-							seq++
-							q.Enqueue(tid, v)
-							r.enqueued = append(r.enqueued, v)
-						} else if v, ok := q.Dequeue(tid); ok {
-							r.dequeued = append(r.dequeued, v)
-						}
-					}
-				}(tid)
-			}
-			wg.Wait()
-			remaining := drain(q, 0)
-
-			enq := map[uint64]bool{}
-			for _, r := range results {
-				for _, v := range r.enqueued {
-					if enq[v] {
-						t.Fatalf("duplicate enqueue bookkeeping for %d", v)
-					}
-					enq[v] = true
-				}
-			}
-			out := map[uint64]bool{}
-			record := func(v uint64) {
-				if !enq[v] {
-					t.Fatalf("phantom value dequeued: %d", v)
-				}
-				if out[v] {
-					t.Fatalf("value dequeued twice: %d", v)
-				}
-				out[v] = true
-			}
-			for _, r := range results {
-				for _, v := range r.dequeued {
-					record(v)
-				}
-			}
-			for _, v := range remaining {
-				record(v)
-			}
-			if len(out) != len(enq) {
-				t.Fatalf("lost values: enqueued %d, accounted %d", len(enq), len(out))
-			}
-			// Per-enqueuer FIFO: the remaining items of each enqueuer
-			// must be the strictly increasing suffix of its sequence.
-			lastSeq := make(map[uint64]uint64) // tid -> last seq seen in drain
-			for _, v := range remaining {
-				tid := v >> 32
-				seq := v & 0xffffffff
-				if seq <= lastSeq[tid] {
-					t.Fatalf("drain order violates enqueuer %d FIFO: seq %d after %d", tid, seq, lastSeq[tid])
-				}
-				lastSeq[tid] = seq
 			}
 		})
 	}
@@ -361,171 +214,5 @@ func TestVolatileMSQNoPersists(t *testing.T) {
 	total := enq.Fences + deq.Fences + empty.Fences + enq.Flushes + deq.Flushes + empty.Flushes
 	if total != 0 {
 		t.Errorf("volatile MSQ issued %d persist instructions", total)
-	}
-}
-
-// quiescentCrashRecoverDrain runs a workload, crashes at a quiescent
-// point, recovers, and returns the drained queue contents.
-func quiescentCrashRecoverDrain(t *testing.T, in Info, seed int64, pre func(q Queue)) []uint64 {
-	t.Helper()
-	h := crashHeap(t, 2)
-	q := in.New(h, 2)
-	pre(q)
-	h.CrashNow()
-	h.FinalizeCrash(rand.New(rand.NewSource(seed)))
-	h.Restart()
-	rq := in.Recover(h, 2)
-	return drain(rq, 0)
-}
-
-// TestRecoveryQuiescent: after a crash at a quiescent point, recovery
-// must restore exactly the completed state, for every durable queue
-// and several randomized eviction patterns.
-func TestRecoveryQuiescent(t *testing.T) {
-	for _, in := range durableQueues() {
-		t.Run(in.Name, func(t *testing.T) {
-			for seed := int64(0); seed < 8; seed++ {
-				var model []uint64
-				got := quiescentCrashRecoverDrain(t, in, seed, func(q Queue) {
-					rng := rand.New(rand.NewSource(seed * 77))
-					next := uint64(1)
-					for op := 0; op < 400; op++ {
-						if rng.Intn(3) < 2 {
-							q.Enqueue(op%2, next)
-							model = append(model, next)
-							next++
-						} else if _, ok := q.Dequeue(op % 2); ok {
-							model = model[1:]
-						}
-					}
-				})
-				if len(got) != len(model) {
-					t.Fatalf("seed %d: recovered %d items, want %d", seed, len(got), len(model))
-				}
-				for i := range got {
-					if got[i] != model[i] {
-						t.Fatalf("seed %d: item %d = %d, want %d", seed, i, got[i], model[i])
-					}
-				}
-			}
-		})
-	}
-}
-
-// TestRecoveryEmptyQueue: recovery of a never-used and of a fully
-// drained queue must produce an empty, usable queue.
-func TestRecoveryEmptyQueue(t *testing.T) {
-	for _, in := range durableQueues() {
-		t.Run(in.Name, func(t *testing.T) {
-			for _, prep := range []func(Queue){
-				func(Queue) {},
-				func(q Queue) {
-					for i := uint64(1); i <= 50; i++ {
-						q.Enqueue(0, i)
-					}
-					for i := 0; i < 50; i++ {
-						q.Dequeue(1)
-					}
-					q.Dequeue(0) // failing dequeue persists the emptiness
-				},
-			} {
-				h := crashHeap(t, 2)
-				q := in.New(h, 2)
-				prep(q)
-				h.CrashNow()
-				h.FinalizeCrash(rand.New(rand.NewSource(5)))
-				h.Restart()
-				rq := in.Recover(h, 2)
-				if v, ok := rq.Dequeue(0); ok {
-					t.Fatalf("recovered queue not empty: got %d", v)
-				}
-				rq.Enqueue(0, 99)
-				if v, ok := rq.Dequeue(1); !ok || v != 99 {
-					t.Fatalf("recovered queue unusable: got (%d,%v)", v, ok)
-				}
-			}
-		})
-	}
-}
-
-// TestRecoveryRepeatedCrashCycles exercises multiple crash/recover
-// rounds with continued operation between them, including node reuse
-// of recovered free lists.
-func TestRecoveryRepeatedCrashCycles(t *testing.T) {
-	for _, in := range durableQueues() {
-		t.Run(in.Name, func(t *testing.T) {
-			h := crashHeap(t, 2)
-			q := in.New(h, 2)
-			var model []uint64
-			next := uint64(1)
-			rng := rand.New(rand.NewSource(42))
-			for cycle := 0; cycle < 5; cycle++ {
-				for op := 0; op < 200; op++ {
-					if rng.Intn(3) < 2 {
-						q.Enqueue(op%2, next)
-						model = append(model, next)
-						next++
-					} else if _, ok := q.Dequeue(op % 2); ok {
-						model = model[1:]
-					}
-				}
-				h.CrashNow()
-				h.FinalizeCrash(rand.New(rand.NewSource(int64(cycle))))
-				h.Restart()
-				q = in.Recover(h, 2)
-				// Spot-check the head without draining.
-				if len(model) > 0 {
-					v, ok := q.Dequeue(0)
-					if !ok || v != model[0] {
-						t.Fatalf("cycle %d: head = (%d,%v), want (%d,true)", cycle, v, ok, model[0])
-					}
-					model = model[1:]
-				}
-			}
-			got := drain(q, 1)
-			if len(got) != len(model) {
-				t.Fatalf("final drain: %d items, want %d", len(got), len(model))
-			}
-			for i := range got {
-				if got[i] != model[i] {
-					t.Fatalf("final drain[%d] = %d, want %d", i, got[i], model[i])
-				}
-			}
-		})
-	}
-}
-
-// TestRecoveryWithLargeQueue stresses recovery's scan/sort path with a
-// queue big enough to span several allocator areas.
-func TestRecoveryWithLargeQueue(t *testing.T) {
-	for _, in := range durableQueues() {
-		t.Run(in.Name, func(t *testing.T) {
-			h := pmem.New(pmem.Config{Bytes: 64 << 20, Mode: pmem.ModeCrash, MaxThreads: 3})
-			q := in.New(h, 2)
-			n := uint64(10000)
-			if raceEnabled {
-				n = 2000
-			}
-			for i := uint64(1); i <= n; i++ {
-				q.Enqueue(0, i)
-			}
-			for i := uint64(1); i <= n/2; i++ {
-				if v, ok := q.Dequeue(1); !ok || v != i {
-					t.Fatalf("dequeue %d: (%d,%v)", i, v, ok)
-				}
-			}
-			h.CrashNow()
-			h.FinalizeCrash(rand.New(rand.NewSource(9)))
-			h.Restart()
-			rq := in.Recover(h, 2)
-			for i := uint64(n/2 + 1); i <= n; i++ {
-				if v, ok := rq.Dequeue(0); !ok || v != i {
-					t.Fatalf("post-recovery dequeue: got (%d,%v), want (%d,true)", v, ok, i)
-				}
-			}
-			if _, ok := rq.Dequeue(0); ok {
-				t.Fatal("queue should be empty after full drain")
-			}
-		})
 	}
 }

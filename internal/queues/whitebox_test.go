@@ -4,133 +4,9 @@ import (
 	"math/rand"
 	"slices"
 	"testing"
-	"testing/quick"
 
 	"repro/internal/pmem"
 )
-
-// TestRecoveryIdempotent: recovering, crashing again with no
-// intervening operations, and recovering again must yield the same
-// state (recovery must not damage its own durable input).
-func TestRecoveryIdempotent(t *testing.T) {
-	for _, in := range durableQueues() {
-		t.Run(in.Name, func(t *testing.T) {
-			h := crashHeap(t, 2)
-			q := in.New(h, 2)
-			for i := uint64(1); i <= 30; i++ {
-				q.Enqueue(0, i)
-			}
-			for i := 0; i < 10; i++ {
-				q.Dequeue(1)
-			}
-			for round := 0; round < 3; round++ {
-				h.CrashNow()
-				h.FinalizeCrash(rand.New(rand.NewSource(int64(round))))
-				h.Restart()
-				in.Recover(h, 2)
-				// No operations: the durable state must be stable
-				// across repeated crash/recover rounds.
-			}
-			h.CrashNow()
-			h.FinalizeCrash(rand.New(rand.NewSource(99)))
-			h.Restart()
-			rq := in.Recover(h, 2)
-			got := drain(rq, 0)
-			if len(got) != 20 {
-				t.Fatalf("recovered %d items, want 20", len(got))
-			}
-			for i, v := range got {
-				if v != uint64(i+11) {
-					t.Fatalf("item %d = %d, want %d", i, v, i+11)
-				}
-			}
-		})
-	}
-}
-
-// TestFailingDequeuePersistsEmptiness: the paper's Observation about
-// failing dequeues — after a completed failing dequeue, a crash must
-// recover an EMPTY queue even if the dequeues that emptied it were
-// pending at other threads... here single-threaded: dequeues that
-// emptied the queue complete, then only the failing dequeue's fence
-// may cover them.
-func TestFailingDequeuePersistsEmptiness(t *testing.T) {
-	for _, in := range durableQueues() {
-		t.Run(in.Name, func(t *testing.T) {
-			h := crashHeap(t, 2)
-			q := in.New(h, 2)
-			q.Enqueue(0, 1)
-			q.Enqueue(0, 2)
-			if _, ok := q.Dequeue(0); !ok {
-				t.Fatal("dequeue failed")
-			}
-			if _, ok := q.Dequeue(0); !ok {
-				t.Fatal("dequeue failed")
-			}
-			if _, ok := q.Dequeue(0); ok {
-				t.Fatal("queue should be empty")
-			}
-			h.CrashNow()
-			h.FinalizeCrash(rand.New(zeroSourceQ{})) // minimal eviction
-			h.Restart()
-			rq := in.Recover(h, 2)
-			if v, ok := rq.Dequeue(0); ok {
-				t.Fatalf("emptiness lost: recovered %d", v)
-			}
-		})
-	}
-}
-
-type zeroSourceQ struct{}
-
-func (zeroSourceQ) Int63() int64 { return 0 }
-func (zeroSourceQ) Seed(int64)   {}
-
-// TestSingleItemRecovery exercises the dummy-node boundary: recovery
-// of queues holding exactly one item.
-func TestSingleItemRecovery(t *testing.T) {
-	for _, in := range durableQueues() {
-		t.Run(in.Name, func(t *testing.T) {
-			for seed := int64(0); seed < 4; seed++ {
-				h := crashHeap(t, 2)
-				q := in.New(h, 2)
-				q.Enqueue(0, 7)
-				h.CrashNow()
-				h.FinalizeCrash(rand.New(rand.NewSource(seed)))
-				h.Restart()
-				rq := in.Recover(h, 2)
-				v, ok := rq.Dequeue(0)
-				if !ok || v != 7 {
-					t.Fatalf("seed %d: got (%d,%v), want (7,true)", seed, v, ok)
-				}
-				if _, ok := rq.Dequeue(0); ok {
-					t.Fatal("queue should be empty")
-				}
-			}
-		})
-	}
-}
-
-// TestZeroAndDuplicateValues: queues must carry the zero value and
-// repeated values faithfully.
-func TestZeroAndDuplicateValues(t *testing.T) {
-	for _, in := range All() {
-		t.Run(in.Name, func(t *testing.T) {
-			q := in.New(perfHeap(t, 1), 1)
-			q.Enqueue(0, 0)
-			q.Enqueue(0, 5)
-			q.Enqueue(0, 5)
-			q.Enqueue(0, 0)
-			want := []uint64{0, 5, 5, 0}
-			for i, w := range want {
-				v, ok := q.Dequeue(0)
-				if !ok || v != w {
-					t.Fatalf("dequeue %d: got (%d,%v), want (%d,true)", i, v, ok, w)
-				}
-			}
-		})
-	}
-}
 
 // TestCorrectnessWithFlushRetainsLine: the no-invalidation ablation
 // changes performance accounting only, never semantics.
@@ -182,99 +58,14 @@ func TestOptQueueNTStoreAccounting(t *testing.T) {
 	}
 }
 
-// TestQuickCrashRecoveryProperty is the randomized (testing/quick)
-// counterpart of the exhaustive crash-point tests: a random script,
-// crash point and eviction seed must always recover to the completed
-// prefix ± the pending operation.
-func TestQuickCrashRecoveryProperty(t *testing.T) {
-	for _, name := range []string{"unlinked", "linked", "opt-unlinked", "opt-linked"} {
-		in, _ := Lookup(name)
-		t.Run(name, func(t *testing.T) {
-			prop := func(scriptSeed int64, crashAt uint16, evictSeed int64) bool {
-				rng := rand.New(rand.NewSource(scriptSeed))
-				h := crashHeap(t, 2)
-				q := in.New(h, 1)
-				var model []uint64
-				var pendingEnq *uint64
-				pendingDeq := false
-				h.ScheduleCrashAtAccess(int64(crashAt%700) + 1)
-				next := uint64(1)
-				for op := 0; op < 40; op++ {
-					enq := rng.Intn(3) < 2
-					v := next
-					crashed := pmem.Protect(func() {
-						if enq {
-							q.Enqueue(0, v)
-						} else {
-							q.Dequeue(0)
-						}
-					})
-					if crashed {
-						if enq {
-							pendingEnq = &v
-						} else {
-							pendingDeq = true
-						}
-						break
-					}
-					if enq {
-						model = append(model, v)
-						next++
-					} else if len(model) > 0 {
-						model = model[1:]
-					}
-				}
-				if !h.Crashed() {
-					h.CrashNow()
-					pendingEnq, pendingDeq = nil, false
-				}
-				h.FinalizeCrash(rand.New(rand.NewSource(evictSeed)))
-				h.Restart()
-				rq := in.Recover(h, 1)
-				got := drain(rq, 0)
-				if sliceEq(got, model) {
-					return true
-				}
-				alt := append([]uint64(nil), model...)
-				if pendingEnq != nil {
-					alt = append(alt, *pendingEnq)
-				} else if pendingDeq && len(alt) > 0 {
-					alt = alt[1:]
-				}
-				if (pendingEnq != nil || pendingDeq) && sliceEq(got, alt) {
-					return true
-				}
-				t.Logf("script %d crash %d evict %d: got %v, want %v (or %v)", scriptSeed, crashAt, evictSeed, got, model, alt)
-				return false
-			}
-			count := 120
-			if raceEnabled {
-				count = 25
-			}
-			if err := quick.Check(prop, &quick.Config{MaxCount: count}); err != nil {
-				t.Fatal(err)
-			}
-		})
-	}
-}
-
-func sliceEq(a, b []uint64) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
-}
-
 // TestHeavyChurnReuse forces many node recycles through the EBR
 // allocator and re-checks FIFO integrity (guards the linked/unlinked
 // flag-reset invariants on reuse).
 func TestHeavyChurnReuse(t *testing.T) {
-	for _, in := range durableQueues() {
+	for _, in := range All() {
+		if !in.Durable {
+			continue
+		}
 		t.Run(in.Name, func(t *testing.T) {
 			h := pmem.New(pmem.Config{Bytes: 16 << 20, MaxThreads: 2})
 			q := in.New(h, 1)

@@ -175,7 +175,8 @@ func NewPool(h *pmem.Heap, cfg Config) *Pool {
 // crash and restart. live reports whether a slot is still owned by the
 // recovered data structure; every non-live slot goes to the depot,
 // where whichever thread allocates first finds it. live is invoked
-// exactly once per slot of the registry's areas.
+// exactly once per slot of the registry's areas, which Areas reads and
+// checks.
 func RecoverPool(h *pmem.Heap, cfg Config, live func(pmem.Addr) bool) *Pool {
 	validate(&cfg)
 	p := newPoolCommon(h, cfg)
@@ -184,20 +185,26 @@ func RecoverPool(h *pmem.Heap, cfg Config, live func(pmem.Addr) bool) *Pool {
 	if p.regAddr == 0 {
 		panic("ssmem: RecoverPool on an empty root slot")
 	}
-	p.areas.Store(int64(h.Load(0, p.regAddr)))
+	areas := Areas(h, cfg)
+	p.areas.Store(int64(len(areas)))
 	d := &p.depot
 	free := 0
-	bases := p.forEachSlot(func(a pmem.Addr) {
-		if live(a) {
-			return
+	bases := make([]pmem.Addr, 0, len(areas))
+	for _, ar := range areas {
+		bases = append(bases, ar.Base)
+		for s := 0; s < ar.Slots; s++ {
+			a := ar.Base + pmem.Addr(s*cfg.SlotBytes)
+			if live(a) {
+				continue
+			}
+			if free%chunkSlots == 0 {
+				d.full = append(d.full, make([]pmem.Addr, 0, chunkSlots))
+			}
+			c := &d.full[len(d.full)-1]
+			*c = append(*c, a)
+			free++
 		}
-		if free%chunkSlots == 0 {
-			d.full = append(d.full, make([]pmem.Addr, 0, chunkSlots))
-		}
-		c := &d.full[len(d.full)-1]
-		*c = append(*c, a)
-		free++
-	})
+	}
 	slices.Sort(bases)
 	p.bases.Store(&bases)
 	d.free.Store(int64(free))
@@ -419,26 +426,6 @@ func (p *Pool) newArea(tid int) {
 	ts.areaEnd = base + pmem.Addr(size)
 }
 
-// ForEachSlot invokes fn for every slot in every registered area,
-// reading the registry from the (restarted) heap. Intended for
-// recovery scans; call only while the pool's heap is quiescent.
-func (p *Pool) ForEachSlot(fn func(pmem.Addr)) { p.forEachSlot(fn) }
-
-// forEachSlot also returns the area bases it read, in registry order.
-func (p *Pool) forEachSlot(fn func(pmem.Addr)) (bases []pmem.Addr) {
-	count := p.h.Load(0, p.regAddr)
-	for i := uint64(0); i < count; i++ {
-		entry := p.regAddr + pmem.Addr((1+i*regEntryWords)*pmem.WordBytes)
-		base := pmem.Addr(p.h.Load(0, entry))
-		bases = append(bases, base)
-		slots := p.h.Load(0, entry+pmem.WordBytes)
-		for s := uint64(0); s < slots; s++ {
-			fn(base + pmem.Addr(s*uint64(p.cfg.SlotBytes)))
-		}
-	}
-	return bases
-}
-
 // Locate maps the slot at a to its area's position in ascending base
 // order and its slot number there: a pair that stays the same for as
 // long as the pool lives, so a caller can keep volatile state per slot
@@ -501,7 +488,9 @@ type Area struct {
 // Areas reads the persistent area registry anchored at cfg.RootSlot
 // without constructing a pool. Recovery procedures that must validate
 // untrusted node addresses before deciding slot liveness use this to
-// break the pool/liveness ordering cycle.
+// break the pool/liveness ordering cycle. A registry no pool could have
+// written — more than maxAreas areas, or an area whose slot count is
+// not cfg.SlotsPerArea — is a panic naming the registry.
 func Areas(h *pmem.Heap, cfg Config) []Area {
 	validate(&cfg)
 	regAddr := pmem.Addr(h.Load(0, h.RootAddr(cfg.RootSlot)))
@@ -518,10 +507,12 @@ func Areas(h *pmem.Heap, cfg Config) []Area {
 	out := make([]Area, 0, count)
 	for i := uint64(0); i < count; i++ {
 		entry := regAddr + pmem.Addr((1+i*regEntryWords)*pmem.WordBytes)
-		out = append(out, Area{
-			Base:  pmem.Addr(h.Load(0, entry)),
-			Slots: int(h.Load(0, entry+pmem.WordBytes)),
-		})
+		// newArea registers every area with SlotsPerArea slots; any other
+		// count would have a recovery scan walk slots nobody allocated.
+		if slots := h.Load(0, entry+pmem.WordBytes); slots != uint64(cfg.SlotsPerArea) {
+			panic(fmt.Sprintf("ssmem: corrupt area registry at %#x: area %d has %d slots, not %d", regAddr, i, slots, cfg.SlotsPerArea))
+		}
+		out = append(out, Area{Base: pmem.Addr(h.Load(0, entry)), Slots: cfg.SlotsPerArea})
 	}
 	return out
 }

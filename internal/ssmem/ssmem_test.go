@@ -1,6 +1,7 @@
 package ssmem
 
 import (
+	"fmt"
 	"math/rand"
 	"strings"
 	"sync"
@@ -320,25 +321,54 @@ func TestNewPoolPanicsOnUsedRootSlot(t *testing.T) {
 	NewPool(h, cfg)
 }
 
-// TestAreasRefusesCorruptCount: a registry count no pool could have
-// written is a panic naming the registry, which a caller can recover
-// from, not a 1<<40-entry allocation, which kills the process.
+// TestAreasRefusesCorruptCount: a registry count or an area's slot
+// count no pool could have written is a panic naming the registry,
+// which a caller can recover from — from Areas and from RecoverPool,
+// which reads the registry through it — not a 1<<40-entry allocation
+// or scan, which kills the process.
 func TestAreasRefusesCorruptCount(t *testing.T) {
-	h := newHeap(t, pmem.ModePerf)
 	cfg := Config{SlotBytes: 64, SlotsPerArea: 16, Threads: 1, RootSlot: 0}
-	p := NewPool(h, cfg)
-	p.Alloc(0)
-	if n := len(Areas(h, cfg)); n != 1 {
-		t.Fatalf("Areas = %d areas, want 1", n)
-	}
-	h.Store(0, pmem.Addr(h.Load(0, h.RootAddr(cfg.RootSlot))), 1<<40)
-	defer func() {
-		r := recover()
-		if msg, _ := r.(string); !strings.Contains(msg, "corrupt area registry") {
-			t.Fatalf("Areas on a 1<<40 count: recovered %v, want the corrupt-registry panic", r)
+	for _, c := range []struct {
+		word string
+		bad  uint64
+	}{
+		{"count", 1 << 40},
+		{"slots", 16 + 1},
+		{"slots", 1 << 40},
+	} {
+		for _, r := range []struct {
+			reader string
+			read   func(h *pmem.Heap)
+		}{
+			{"Areas", func(h *pmem.Heap) { Areas(h, cfg) }},
+			{"RecoverPool", func(h *pmem.Heap) { RecoverPool(h, cfg, func(pmem.Addr) bool { return false }) }},
+		} {
+			reader := r.reader
+			t.Run(fmt.Sprintf("%s=%d/%s", c.word, c.bad, reader), func(t *testing.T) {
+				h := newHeap(t, pmem.ModeCrash)
+				NewPool(h, cfg).Alloc(0)
+				h.CrashNow()
+				h.FinalizeCrash(rand.New(rand.NewSource(4)))
+				h.Restart()
+				if n := len(Areas(h, cfg)); n != 1 {
+					t.Fatalf("Areas = %d areas, want 1", n)
+				}
+				reg := pmem.Addr(h.Load(0, h.RootAddr(cfg.RootSlot)))
+				word := reg // the count; the first area's entry follows it
+				if c.word == "slots" {
+					word += 2 * pmem.WordBytes
+				}
+				h.Store(0, word, c.bad)
+				defer func() {
+					r := recover()
+					if msg, _ := r.(string); !strings.Contains(msg, "corrupt area registry") {
+						t.Fatalf("%s over %s %d: recovered %v, want the corrupt-registry panic", reader, c.word, c.bad, r)
+					}
+				}()
+				r.read(h)
+			})
 		}
-	}()
-	Areas(h, cfg)
+	}
 }
 
 func TestFreshSlotsArePersistentlyZero(t *testing.T) {

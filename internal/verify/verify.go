@@ -1,9 +1,9 @@
-// Package verify provides durable-linearizability testing machinery
-// for the queues: exhaustive single-thread crash-point enumeration,
-// randomized concurrent crash fuzzing with history checking, and
-// crash-during-recovery injection. It also holds the broker's crash
-// scenarios (BrokerScenarios, brokerfuzz.go), written against the
-// broker's exported API.
+// Package verify holds the crash audits cmd/crashfuzz runs: randomized
+// concurrent crash fuzzing of a queue with history checking and
+// crash-during-recovery injection, and the broker's crash scenarios
+// (BrokerScenarios, brokerfuzz.go), written against the broker's
+// exported API. The single-queue audits, exhaustive crash-point
+// enumeration among them, are package qtest's.
 //
 // The checks encode the obligations of durable linearizability
 // (Izraelevitz et al.) for FIFO queues:
@@ -24,170 +24,12 @@ package verify
 import (
 	"fmt"
 	"math/rand"
-	"slices"
 	"sync"
 
 	"repro/internal/pmem"
+	"repro/internal/qtest"
 	"repro/internal/queues"
 )
-
-// ScriptOp is one step of a deterministic single-thread script.
-type ScriptOp struct {
-	Enq bool
-	V   uint64
-}
-
-// Script builds a deterministic mixed script of n operations with
-// unique values.
-func Script(n int, seed int64) []ScriptOp {
-	rng := rand.New(rand.NewSource(seed))
-	ops := make([]ScriptOp, n)
-	v := uint64(1)
-	for i := range ops {
-		if rng.Intn(3) < 2 {
-			ops[i] = ScriptOp{Enq: true, V: v}
-			v++
-		} else {
-			ops[i] = ScriptOp{Enq: false}
-		}
-	}
-	return ops
-}
-
-func crashHeap() *pmem.Heap {
-	return pmem.New(pmem.Config{Bytes: 4 << 20, Mode: pmem.ModeCrash, MaxThreads: 4})
-}
-
-// CountScriptAccesses runs the script crash-free and reports how many
-// crash-checked accesses it performs (the number of distinct crash
-// points ExhaustiveCrashPoints can enumerate).
-func CountScriptAccesses(in queues.Info, script []ScriptOp) int64 {
-	h := crashHeap()
-	q := in.New(h, 1)
-	h.ScheduleCrashAtAccess(1 << 60)
-	for _, op := range script {
-		if op.Enq {
-			q.Enqueue(0, op.V)
-		} else {
-			q.Dequeue(0)
-		}
-	}
-	return h.AccessCount()
-}
-
-// ExhaustiveResult summarizes an ExhaustiveCrashPoints run.
-type ExhaustiveResult struct {
-	Points  int // crash points exercised
-	Crashed int // runs in which the crash actually fired
-}
-
-// ExhaustiveCrashPoints crashes a single-thread script at every
-// stride-th simulated memory access, with several randomized eviction
-// seeds per point, and checks that recovery yields exactly the state
-// of the completed prefix, with the single pending operation
-// optionally applied. It returns a summary or an error describing the
-// first violation.
-func ExhaustiveCrashPoints(in queues.Info, script []ScriptOp, stride int64, seeds int64) (ExhaustiveResult, error) {
-	total := CountScriptAccesses(in, script)
-	res := ExhaustiveResult{}
-	for k := int64(1); k <= total; k += stride {
-		for seed := int64(0); seed < seeds; seed++ {
-			res.Points++
-			crashed, err := runOneCrashPoint(in, script, k, seed)
-			if err != nil {
-				return res, fmt.Errorf("crash point %d seed %d: %w", k, seed, err)
-			}
-			if crashed {
-				res.Crashed++
-			}
-		}
-	}
-	return res, nil
-}
-
-func runOneCrashPoint(in queues.Info, script []ScriptOp, k, seed int64) (bool, error) {
-	h := crashHeap()
-	q := in.New(h, 1)
-	h.ScheduleCrashAtAccess(k)
-
-	var model []uint64 // state after completed ops
-	var pendingEnq *uint64
-	pendingDeq := false
-	crashed := false
-	for _, op := range script {
-		op := op
-		c := pmem.Protect(func() {
-			if op.Enq {
-				q.Enqueue(0, op.V)
-			} else {
-				q.Dequeue(0)
-			}
-		})
-		if c {
-			crashed = true
-			if op.Enq {
-				pendingEnq = &op.V
-			} else {
-				pendingDeq = true
-			}
-			break
-		}
-		if op.Enq {
-			model = append(model, op.V)
-		} else if len(model) > 0 {
-			model = model[1:]
-		}
-	}
-	if !crashed {
-		h.CrashNow() // quiescent crash: only state A is allowed
-	}
-	h.FinalizeCrash(rand.New(rand.NewSource(seed)))
-	h.Restart()
-
-	rq := in.Recover(h, 1)
-	got := drain(rq, 0)
-
-	// Allowed states: the completed prefix (A), or A with the pending
-	// operation applied (B).
-	if slices.Equal(got, model) {
-		check := postRecoverySanity(rq)
-		return crashed, check
-	}
-	if crashed {
-		b := append([]uint64(nil), model...)
-		if pendingEnq != nil {
-			b = append(b, *pendingEnq)
-		} else if pendingDeq && len(b) > 0 {
-			b = b[1:]
-		}
-		if slices.Equal(got, b) {
-			return crashed, postRecoverySanity(rq)
-		}
-	}
-	return crashed, fmt.Errorf("recovered %v; allowed completed-state %v (pendingEnq=%v pendingDeq=%v)",
-		got, model, pendingEnq != nil, pendingDeq)
-}
-
-// postRecoverySanity verifies a recovered queue remains usable.
-func postRecoverySanity(q queues.Queue) error {
-	q.Enqueue(0, 0xdead)
-	v, ok := q.Dequeue(0)
-	if !ok || v != 0xdead {
-		return fmt.Errorf("recovered queue unusable: got (%d,%v)", v, ok)
-	}
-	return nil
-}
-
-func drain(q queues.Queue, tid int) []uint64 {
-	var out []uint64
-	for {
-		v, ok := q.Dequeue(tid)
-		if !ok {
-			return out
-		}
-		out = append(out, v)
-	}
-}
 
 // FuzzConfig parameterizes ConcurrentCrashFuzz.
 type FuzzConfig struct {
@@ -282,7 +124,7 @@ func fuzzRound(in queues.Info, cfg FuzzConfig, rng *rand.Rand, round int) error 
 	}
 	h.ScheduleCrashAtAccess(0)
 	rq := in.Recover(h, cfg.Threads)
-	drained := drain(rq, 0)
+	drained := qtest.Drain(rq, 0)
 	return CheckHistory(logs, drained)
 }
 

@@ -9,6 +9,7 @@ import (
 	"repro/internal/onll"
 	"repro/internal/pmem"
 	"repro/internal/ptm"
+	"repro/internal/qtest"
 	"repro/internal/queues"
 )
 
@@ -44,50 +45,31 @@ func otherDurable(t *testing.T) []queues.Info {
 // point of a mixed script for the paper's four queues, with two
 // eviction randomizations each.
 func TestExhaustiveCrashPointsCore(t *testing.T) {
-	script := Script(12, 1)
 	stride := int64(1)
 	if testing.Short() {
 		stride = 5
 	}
 	for _, in := range coreQueues(t) {
-		t.Run(in.Name, func(t *testing.T) {
-			res, err := ExhaustiveCrashPoints(in, script, stride, 2)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if res.Crashed == 0 {
-				t.Fatal("no crash point actually fired")
-			}
-			t.Logf("%d crash points exercised (%d fired)", res.Points, res.Crashed)
-		})
+		t.Run(in.Name, func(t *testing.T) { qtest.RunCrashSweep(t, in, qtest.Script(12, 1), stride, 2) })
 	}
 }
 
 // TestExhaustiveCrashPointsOthers covers the baselines, ablations,
 // PTM queues and ONLL with a coarser stride.
 func TestExhaustiveCrashPointsOthers(t *testing.T) {
-	script := Script(12, 2)
 	stride := int64(3)
 	if testing.Short() {
 		stride = 11
 	}
 	for _, in := range otherDurable(t) {
-		t.Run(in.Name, func(t *testing.T) {
-			res, err := ExhaustiveCrashPoints(in, script, stride, 1)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if res.Crashed == 0 {
-				t.Fatal("no crash point actually fired")
-			}
-		})
+		t.Run(in.Name, func(t *testing.T) { qtest.RunCrashSweep(t, in, qtest.Script(12, 2), stride, 1) })
 	}
 }
 
 // TestExhaustiveCrashPointsDeqHeavy uses a dequeue-heavy script so
 // head persistence and node recycling are crossed by crashes.
 func TestExhaustiveCrashPointsDeqHeavy(t *testing.T) {
-	script := []ScriptOp{
+	script := []qtest.ScriptOp{
 		{Enq: true, V: 1}, {Enq: true, V: 2}, {Enq: true, V: 3}, {Enq: true, V: 4},
 		{}, {}, {}, {}, {}, // dequeues incl. one failing
 		{Enq: true, V: 5}, {}, {},
@@ -97,11 +79,7 @@ func TestExhaustiveCrashPointsDeqHeavy(t *testing.T) {
 		stride = 7
 	}
 	for _, in := range coreQueues(t) {
-		t.Run(in.Name, func(t *testing.T) {
-			if _, err := ExhaustiveCrashPoints(in, script, stride, 2); err != nil {
-				t.Fatal(err)
-			}
-		})
+		t.Run(in.Name, func(t *testing.T) { qtest.RunCrashSweep(t, in, script, stride, 2) })
 	}
 }
 
