@@ -360,16 +360,17 @@ func (b *Broker) CreateAckGroup(tid int, cfg AckGroupConfig) (int, error) {
 	return group, nil
 }
 
-// DeleteTopic retires the named topic durably and reclaims its NVRAM:
-// the topic is unpublished from the data plane (every *Topic handle
-// turns into ErrTopicDeleted, in-flight operations are drained), a
-// checksummed tombstone record is appended to the catalog log and
-// anchored exactly like a creation, and only after that anchor persist
-// do the topic's shard windows leave the live slot table, free for
-// CreateTopic to reuse. A crash anywhere before the anchor recovers as
-// "the topic still exists" — with every message it held — and a crash
-// after it recovers the delete completely, so a window is never
-// reusable in any execution where the topic could come back.
+// DeleteTopic retires the named topic durably and reclaims its
+// root-slot windows: the topic is unpublished from the data plane
+// (every *Topic handle turns into ErrTopicDeleted, in-flight
+// operations are drained), a checksummed tombstone record is appended
+// to the catalog log and anchored exactly like a creation, and only
+// after that anchor persist do the topic's shard windows leave the
+// live slot table, free for CreateTopic to reuse. A crash anywhere
+// before the anchor recovers as "the topic still exists" — with every
+// message it held — and a crash after it recovers the delete
+// completely, so a window is never reusable in any execution where the
+// topic could come back.
 //
 // Messages still in the topic are dropped with it: drain first (group
 // consumption or DequeueShard) if they matter. Consumer groups that
@@ -395,10 +396,10 @@ func (b *Broker) DeleteTopic(tid int, name string) error {
 	}
 	if t.cfg.Kind.heapKind() {
 		// The dheap's entry region is AllocRaw'd from the member heap,
-		// which has no free path, so retiring the window would strand the
-		// region and a re-created heap topic would leak one arena per
-		// churn cycle. Refused until dheap regions are recyclable (see
-		// the ROADMAP follow-on).
+		// which has no free path, so a re-created heap topic would strand
+		// a whole arena per churn cycle (a re-created FIFO shard strands
+		// less: its ssmem registry, areas and line regions). Refused
+		// until dheap regions are recyclable (see the ROADMAP follow-on).
 		return fmt.Errorf("broker: DeleteTopic on %s topic %q: %w (a heap topic's entry region cannot be recycled)",
 			t.cfg.Kind, name, errors.ErrUnsupported)
 	}

@@ -291,7 +291,7 @@ func TestCreateAckGroupDynamic(t *testing.T) {
 }
 
 // TestSubscribeLiveTopics: a group reaches topics created after it via
-// Subscribe — plain groups while quiescent, acked groups with lease
+// Subscribe — plain groups as they are, acked groups with lease
 // frontiers seeded and capacity enforced; duplicate or unknown
 // subscriptions are errors.
 func TestSubscribeLiveTopics(t *testing.T) {

@@ -26,11 +26,12 @@
 // cataloglog.go). The lifecycle is complete: DeleteTopic retires a
 // topic with a tombstone record under the same ordered-persist
 // discipline and releases its root-slot windows, which CreateTopic
-// reuses by best fit below the high-water marks, so churning workloads
-// reach a steady-state NVRAM footprint; CompactCatalog rewrites the live
-// records into a fresh log generation when tombstone debris
-// accumulates (and doubles as the log's resize path). Open is the
-// only way a broker comes to exist, on a blank set or a used one.
+// reuses by best fit below the high-water marks (only the windows are
+// steady under churn: the heap a shard allocates has no free path);
+// CompactCatalog rewrites the live records into a fresh log generation
+// when tombstone debris accumulates (and doubles as the log's resize
+// path). Open is the only way a broker comes to exist, on a blank set
+// or a used one.
 //
 // The broker is observable without being perturbed: Options.Observer
 // accepts an obs.Observer that receives per-op latency samples
@@ -38,10 +39,9 @@
 // per-shard lag, and trace events. Observation issues no persist
 // instructions — enabling it adds zero fences, zero NTStores and zero
 // flushes to every operation — and with no observer each
-// instrumentation site costs one predictable branch. Group.Subscribe's
-// concurrency rules are a hard contract: acked groups may be
-// subscribed while members poll; plain groups must be quiescent (see
-// Subscribe).
+// instrumentation site costs one predictable branch. Every consumer
+// verb holds its member's lock, on plain groups as on acked ones, so a
+// group may be subscribed while its members poll.
 //
 // Acked groups manage their own membership: lease lines carry fencing
 // epochs bumped on every takeover, so a member displaced by the expiry

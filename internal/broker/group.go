@@ -4,22 +4,10 @@ import (
 	"errors"
 	"fmt"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/obs"
 )
-
-// ErrNotQuiescent reports a plain-group Subscribe attempted while a
-// member was inside Poll or PollBatch. The plain poll path reads
-// member assignments without locks (that is what makes an idle plain
-// poll free), so Subscribe-while-polling would be a data race;
-// detection turns the race into this typed refusal. Detection is
-// best-effort in the way that matters: a poll *observed* in flight is
-// always refused, so a caller that retries until success and itself
-// guarantees no *new* polls start (the documented quiescence contract)
-// is safe.
-var ErrNotQuiescent = errors.New("broker: plain group not quiescent (member inside Poll/PollBatch)")
 
 // ErrLeaseCapacity reports a topic whose shards' global ordinals
 // exceed the lease region's recorded capacity. Binding has one path —
@@ -265,33 +253,11 @@ func (b *Broker) NewGroupAcked(topicNames []string, n int, lc LeaseConfig) (*Gro
 // a fresh region (all lines virgin) writes nothing.
 //
 // tid must be owned by the caller (it writes lease records on an
-// acked group).
-//
-// Concurrency is a hard contract, not advice. Acked groups may
-// Subscribe while members poll on their own tids: every member op
-// takes the consumer's lock, which Subscribe holds for all members.
-// Plain groups MUST be quiescent — no member may be inside Poll or
-// PollBatch — because the plain poll path deliberately reads member
-// assignments without locks (that is what makes an idle plain poll
-// free); Subscribe on a polling plain group is a data race with
-// undefined results, exactly like calling pmem stats readers on
-// running threads. Subscribe enforces the contract as far as it can
-// see: a plain-group Subscribe that observes any member inside
-// Poll/PollBatch refuses with ErrNotQuiescent instead of racing. The
-// detection is one-sided — it cannot stop a poll that *starts* after
-// the check — so the caller must still guarantee members stay
-// stopped, but a violation now fails loudly instead of corrupting
-// assignments. Nothing can make the plain half fully safe short of
-// locking the hot path.
+// acked group). Members may keep polling on their own tids meanwhile,
+// on either group kind: every member verb holds its consumer's lock,
+// and Subscribe holds them all.
 func (g *Group) Subscribe(tid int, topicNames ...string) error {
 	defer g.lockAll()()
-	if !g.leased {
-		for _, c := range g.consumers {
-			if c.polling.Load() != 0 {
-				return fmt.Errorf("%w: member %d", ErrNotQuiescent, c.id)
-			}
-		}
-	}
 	call := map[string]bool{}
 	for _, name := range topicNames {
 		if g.topics[name] {
@@ -432,7 +398,7 @@ type pendingMsg struct {
 type Consumer struct {
 	g       *Group
 	id      int
-	mu      sync.Mutex // serializes member ops against Adopt/Reassign/Scan (acked groups)
+	mu      sync.Mutex // held by every member verb, and by lockAll for all members at once
 	refs    []*consumerShard
 	next    int
 	pending []pendingMsg
@@ -445,19 +411,13 @@ type Consumer struct {
 	// durable frontier. See membership.go.
 	fenced []fencedShard
 
-	// polling counts in-flight plain Poll/PollBatch calls. It exists
-	// only so a plain-group Subscribe can detect a concurrent poll and
-	// refuse with ErrNotQuiescent; the cost on the hot path is one
-	// uncontended atomic add/sub on a line this member owns.
-	polling atomic.Int32
-
 	// Scratch of the poll and ack verbs, reused so that a verb allocates
 	// only the messages it returns: a poll's payloads and the shard each
 	// came from, one shard's indices, the shards owed a fence, the topics
-	// entered, the lease lines staged. The member's one goroutine (under
-	// c.mu on an acked group) is the only user. Every verb leaves the
-	// pointer-holding ones cleared, not just truncated (see reset) —
-	// between calls a member pins no payload, shard or topic.
+	// entered, the lease lines staged. Only a verb holding c.mu uses
+	// them, and every verb leaves the pointer-holding ones cleared, not
+	// just truncated (see reset) — between calls a member pins no
+	// payload, shard or topic.
 	ps      [][]byte
 	from    []*consumerShard
 	idxs    []uint64
@@ -474,6 +434,12 @@ func (c *Consumer) gathered(from int, r *consumerShard) {
 	}
 }
 
+// message returns the i-th payload a poll gathered as a Message.
+func (c *Consumer) message(i int) Message {
+	r := c.from[i]
+	return Message{Topic: r.t.Name(), Shard: r.shard, Payload: c.ps[i]}
+}
+
 // messages returns the payloads a poll gathered in the member's scratch
 // as messages, in one allocation sized to what was dequeued (nil for
 // none), and leaves the scratch cleared: a poll for a large max that
@@ -483,9 +449,8 @@ func (c *Consumer) messages() []Message {
 		return nil
 	}
 	out := make([]Message, len(c.ps))
-	for i, p := range c.ps {
-		r := c.from[i]
-		out[i] = Message{Topic: r.t.Name(), Shard: r.shard, Payload: p}
+	for i := range c.ps {
+		out[i] = c.message(i)
 	}
 	c.ps, c.from = reset(c.ps), reset(c.from)
 	return out
@@ -494,9 +459,14 @@ func (c *Consumer) messages() []Message {
 // reset empties a reused buffer of pointers: cleared before it is
 // truncated, because s[:0] alone leaves the old elements in the backing
 // array, where what one wide call put there stays reachable for as long
-// as later calls are narrower.
+// as later calls are narrower. A loop, not clear: a poll resets four
+// buffers of one element or so, and clear's runtime call cost a Poll
+// about 20 ns more than these stores.
 func reset[T any](s []T) []T {
-	clear(s)
+	var zero T
+	for i := range s {
+		s[i] = zero
+	}
 	return s[:0]
 }
 
@@ -520,42 +490,21 @@ func (c *Consumer) Assigned() []ShardRef {
 	return out
 }
 
-// Poll scans the member's shards round-robin and delivers the first
-// available message. ok is false when every owned shard was observed
-// empty. When Poll returns a message, the delivery is already durable
-// (the dequeue's persist covers it on a plain group; the lease record
-// on an acked one).
+// Poll delivers the first available message of the member's shards,
+// scanned round-robin: it is PollBatch with max 1, returning the one
+// message by value, so it allocates nothing. ok is false when every
+// owned shard was observed empty. When Poll returns a message, the
+// delivery is already durable (the dequeue's persist covers it on a
+// plain group; the lease record on an acked one).
 func (c *Consumer) Poll(tid int) (Message, bool) {
-	if c.g.leased {
-		ms := c.PollBatch(tid, 1)
-		if len(ms) == 0 {
-			return Message{}, false
-		}
-		return ms[0], true
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if !c.poll(tid, 1) {
+		return Message{}, false
 	}
-	c.polling.Add(1)
-	defer c.polling.Add(-1)
-	sp := c.g.b.span(tid)
-	for i := 0; i < len(c.refs); i++ {
-		r := c.refs[(c.next+i)%len(c.refs)]
-		if !r.t.enter() {
-			continue // topic retired: its shards read as empty
-		}
-		p, ok := r.t.shards[r.shard].Dequeue(tid)
-		r.t.exit()
-		if ok {
-			c.next = (c.next + i + 1) % len(c.refs)
-			sp.delivered(r.t, r.shard, r.cur, 1)
-			sp.lat(obs.OpPoll)
-			return Message{Topic: r.t.Name(), Shard: r.shard, Payload: p}, true
-		}
-	}
-	// The cursor stays where it was: resetting it on an all-empty scan
-	// would permanently bias delivery toward low-numbered shards after
-	// any idle period. Empty scans also record no latency sample: an
-	// idle poll is free by design, and a spin-polling consumer would
-	// otherwise drown the delivery distribution in empty-scan samples.
-	return Message{}, false
+	m := c.message(0)
+	c.ps, c.from = reset(c.ps), reset(c.from)
+	return m, true
 }
 
 // PollBatch drains up to max messages from the member's shards
@@ -586,22 +535,46 @@ func (c *Consumer) Poll(tid int) (Message, bool) {
 // shard; the batch stays redeliverable until Consumer.Ack covers it.
 // An empty result means every owned shard was observed empty.
 func (c *Consumer) PollBatch(tid, max int) []Message {
-	if c.g.leased {
-		c.mu.Lock()
-		defer c.mu.Unlock()
-		return c.pollLeased(tid, max)
-	}
-	c.polling.Add(1)
-	defer c.polling.Add(-1)
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	c.poll(tid, max)
+	return c.messages()
+}
+
+// poll gathers up to max messages into the member's scratch through
+// the group kind's body and reports whether it found any. The caller
+// holds c.mu.
+func (c *Consumer) poll(tid, max int) bool {
 	if max <= 0 || len(c.refs) == 0 {
-		return nil
+		return false
 	}
 	sp := c.g.b.span(tid)
+	c.ps, c.from = c.ps[:0], c.from[:0]
+	if c.g.leased {
+		c.gatherLeased(tid, max, sp)
+	} else {
+		c.gatherPlain(tid, max, sp)
+	}
+	if len(c.ps) == 0 {
+		// An all-empty scan moves the cursor once round the ring, back
+		// where it was: resetting it would bias delivery toward
+		// low-numbered shards after any idle period. It records no
+		// latency sample either: an idle poll is free by design, and a
+		// spin-polling consumer would otherwise drown the delivery
+		// distribution in empty-scan samples.
+		return false
+	}
+	sp.lat(obs.OpPoll)
+	return true
+}
+
+// gatherPlain is a plain group's poll body: one unfenced batch dequeue
+// per shard, then one fence per touched domain.
+func (c *Consumer) gatherPlain(tid, max int, sp span) {
 	// Topics entered below stay entered until after the covering fence:
 	// the dequeues' NTStores must land before DeleteTopic may reclaim
 	// (and CreateTopic reuse) the windows they target.
 	defer c.exitEntered()
-	c.ps, c.from = c.ps[:0], c.from[:0]
 	for scanned := 0; scanned < len(c.refs) && len(c.ps) < max; scanned++ {
 		r := c.refs[c.next]
 		if !r.t.enter() {
@@ -636,19 +609,11 @@ func (c *Consumer) PollBatch(tid, max int) []Message {
 		}
 		c.touched = reset(c.touched)
 	}
-	out := c.messages()
-	if len(out) > 0 {
-		sp.lat(obs.OpPoll)
-	}
-	return out
 }
 
-func (c *Consumer) pollLeased(tid, max int) []Message {
-	if max <= 0 || len(c.refs) == 0 {
-		return nil
-	}
-	sp := c.g.b.span(tid)
-	c.ps, c.from = c.ps[:0], c.from[:0]
+// gatherLeased is an acked group's poll body: redeliveries first, then
+// leased dequeues, then one fence for the lease lines written.
+func (c *Consumer) gatherLeased(tid, max int, sp span) {
 	// Redeliveries first: adopted or nacked messages are already
 	// covered by a durable lease, so serving them costs nothing.
 	for len(c.ps) < max && len(c.pending) > 0 {
@@ -702,11 +667,6 @@ func (c *Consumer) pollLeased(tid, max int) []Message {
 	// before this fence redelivers the whole window on recovery.
 	w.commit()
 	c.staged = w.staged
-	out := c.messages()
-	if len(out) > 0 {
-		sp.lat(obs.OpPoll)
-	}
-	return out
 }
 
 // Ack durably acknowledges every message this member has been handed

@@ -377,34 +377,47 @@ func TestOpenRefusedObserverLeavesSetBlank(t *testing.T) {
 	}
 }
 
-// TestAckedSubscribeWhilePolling exercises the hard half of the
-// Subscribe contract with the gauges watching: an acked group is
-// subscribed to a new topic while a member is actively polling and
-// acking on its own tid, and the lag read through the new gauges must
-// stay sane (bounded by what was actually published, draining to zero
-// once consumption catches up).
-func TestAckedSubscribeWhilePolling(t *testing.T) {
+// TestSubscribeWhilePolling exercises the one-lock rule with the gauges
+// watching, on both group kinds: the group is subscribed to a new topic
+// while a member is actively polling (Poll and PollBatch in turn, and
+// acking on an acked group) on its own tid, and the lag read through the
+// new gauges must stay sane (bounded by what was actually published,
+// draining to zero once consumption catches up).
+func TestSubscribeWhilePolling(t *testing.T) {
+	for _, acked := range []bool{false, true} {
+		name := "plain"
+		if acked {
+			name = "acked"
+		}
+		t.Run(name, func(t *testing.T) { testSubscribeWhilePolling(t, acked) })
+	}
+}
+
+func testSubscribeWhilePolling(t *testing.T, acked bool) {
 	o := obs.New(obs.Config{Threads: 3})
 	hs := pmem.NewSet(2, pmem.Config{Bytes: 64 << 20, MaxThreads: 3})
 	b, err := Open(hs, Options{Threads: 3, Observer: o})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := b.CreateTopic(0, TopicConfig{Name: "a", Shards: 2, Acked: true}); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := b.CreateTopic(0, TopicConfig{Name: "b", Shards: 2, Acked: true}); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := b.CreateAckGroup(0, AckGroupConfig{}); err != nil {
-		t.Fatal(err)
+	for _, name := range []string{"a", "b"} {
+		if _, err := b.CreateTopic(0, TopicConfig{Name: name, Shards: 2, Acked: acked}); err != nil {
+			t.Fatal(err)
+		}
 	}
 	const perTopic = 300
 	for i := uint64(0); i < perTopic; i++ {
 		b.Topic("a").Publish(0, U64(i))
 		b.Topic("b").Publish(0, U64(i))
 	}
-	g, err := b.NewGroupAcked([]string{"a"}, 1, LeaseConfig{})
+	var g *Group
+	if acked {
+		if _, err = b.CreateAckGroup(0, AckGroupConfig{}); err == nil {
+			g, err = b.NewGroupAcked([]string{"a"}, 1, LeaseConfig{})
+		}
+	} else {
+		g, err = b.NewGroup([]string{"a"}, 1)
+	}
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -414,21 +427,30 @@ func TestAckedSubscribeWhilePolling(t *testing.T) {
 	var delivered int
 	wg.Add(1)
 	var subscribed atomic.Bool
-	go func() { // member polls and acks on tid 1 throughout
+	go func() { // member polls (and acks) on tid 1 throughout
 		defer wg.Done()
 		// Idle polls count toward giving up only once Subscribe is back:
 		// a hot poll loop can keep it off the member's lock for the whole
 		// drain of "a" (a mutex hands off to a starved waiter only after
 		// a millisecond), and quitting then would test nothing.
-		for idle := 0; idle < 100; {
-			ms := c.PollBatch(1, 7)
-			delivered += len(ms)
-			if len(ms) > 0 {
+		for i, idle := 0, 0; idle < 100; i++ {
+			n := 0
+			if i%2 == 0 {
+				if _, ok := c.Poll(1); ok {
+					n = 1
+				}
+			} else {
+				n = len(c.PollBatch(1, 7))
+			}
+			delivered += n
+			if n > 0 {
 				idle = 0
 			} else if subscribed.Load() {
 				idle++
 			}
-			c.Ack(1)
+			if acked {
+				c.Ack(1)
+			}
 		}
 	}()
 	err = g.Subscribe(2, "b") // concurrent, own tid
@@ -453,7 +475,11 @@ func TestAckedSubscribeWhilePolling(t *testing.T) {
 	}
 	s := o.Snapshot()
 	for _, ts := range s.Topics {
-		if ts.Acked != perTopic || ts.Depth != 0 {
+		done := ts.Delivered
+		if acked {
+			done = ts.Acked
+		}
+		if done != perTopic || ts.Depth != 0 {
 			t.Fatalf("topic %s after drain: %+v", ts.Topic, ts)
 		}
 	}

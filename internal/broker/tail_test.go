@@ -1,8 +1,8 @@
 package broker
 
 import (
-	"errors"
 	"testing"
+	"time"
 
 	"repro/internal/batch"
 	"repro/internal/pmem"
@@ -71,50 +71,50 @@ func TestConsumerAdaptiveFenceRegimes(t *testing.T) {
 	}
 }
 
-// --- Subscribe quiescence detection --------------------------------
+// --- The member lock ----------------------------------------------
 
-// TestSubscribeNotQuiescent pins the typed refusal: a plain-group
-// Subscribe that observes a member inside Poll/PollBatch returns
-// ErrNotQuiescent instead of racing, and proceeds once the member
-// quiesces. The in-flight poll is simulated directly through the
-// counter the poll paths maintain, which makes the race window
-// deterministic.
-func TestSubscribeNotQuiescent(t *testing.T) {
-	h := pmem.New(pmem.Config{Bytes: 64 << 20, MaxThreads: 2})
-	b, err := newBroker(pmem.NewSetOf(h), Options{Threads: 2}, twoTopics(), 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	g, err := b.NewGroup([]string{"events"}, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	c := g.Consumer(1)
-	c.polling.Add(1) // a PollBatch in flight on member 1
-	if err := g.Subscribe(0, "jobs"); !errors.Is(err, ErrNotQuiescent) {
-		t.Fatalf("Subscribe during poll = %v, want ErrNotQuiescent", err)
-	}
-	c.polling.Add(-1)
-	if err := g.Subscribe(0, "jobs"); err != nil {
-		t.Fatalf("Subscribe on quiescent group = %v", err)
-	}
-	// The subscription took effect: jobs' shards are dealt out.
-	owned := 0
-	for i := 0; i < g.Size(); i++ {
-		owned += len(g.Consumer(i).Assigned())
-	}
-	if owned != 8 {
-		t.Fatalf("group owns %d shards after Subscribe, want 8", owned)
-	}
-	// Acked groups are exempt: their Subscribe locks members.
-	hs2, b2 := newAckedBroker(t, 1, 2, pmem.ModePerf)
-	_ = hs2
-	g2, err := b2.NewGroupAcked([]string{"events"}, 1, LeaseConfig{TTL: 100, Now: (&logicalClock{}).Now})
-	if err != nil {
-		t.Fatal(err)
-	}
-	g2.Consumer(0).polling.Add(1)
-	if err := g2.Subscribe(0, "jobs"); err != nil {
-		t.Fatalf("acked Subscribe = %v, want nil (quiescence not required)", err)
+// TestPollWaitsForSubscribe pins the one-lock rule from the poll side,
+// on both group kinds and both poll verbs: a poll holds its consumer's
+// lock, so while a whole-group operation holds every member's (as
+// Subscribe does, through lockAll) the poll waits instead of reading
+// the member's shards under it, and then delivers. The group operation
+// is the test holding lockAll, which makes the window deterministic.
+func TestPollWaitsForSubscribe(t *testing.T) {
+	for _, acked := range []bool{false, true} {
+		for _, batch := range []bool{false, true} {
+			_, b := newAckedBroker(t, 1, 2, pmem.ModePerf)
+			b.Topic("events").Publish(0, U64(7))
+			var g *Group
+			var err error
+			if acked {
+				g, err = b.NewGroupAcked([]string{"events"}, 1, LeaseConfig{TTL: 100, Now: (&logicalClock{}).Now})
+			} else {
+				g, err = b.NewGroup([]string{"events"}, 1)
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			c := g.Consumer(0)
+			unlock := g.lockAll()
+			done := make(chan int, 1)
+			go func() {
+				if batch {
+					done <- len(c.PollBatch(1, 8))
+				} else if _, ok := c.Poll(1); ok {
+					done <- 1
+				} else {
+					done <- 0
+				}
+			}()
+			select {
+			case n := <-done:
+				t.Fatalf("acked=%v batch=%v: poll returned %d messages under lockAll, want it to wait", acked, batch, n)
+			case <-time.After(20 * time.Millisecond):
+			}
+			unlock()
+			if n := <-done; n != 1 {
+				t.Fatalf("acked=%v batch=%v: poll after unlock delivered %d, want 1", acked, batch, n)
+			}
+		}
 	}
 }

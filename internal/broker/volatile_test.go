@@ -238,6 +238,9 @@ func TestPublishPollAllocs(t *testing.T) {
 	}{
 		// Nothing: Poll returns its one Message by value. (3 before.)
 		{name: "fixed Publish+Poll", topic: TopicConfig{Shards: 4}, payload: 8, max: 0},
+		// Nothing: a leased Poll returns its one Message by value too. (1
+		// before: the one-element []Message of PollBatch(tid, 1).)
+		{name: "fixed acked Publish+leased Poll+Ack", topic: TopicConfig{Shards: 4, Acked: true}, leased: true, payload: 8, max: 0},
 		// The returned []Message. (37 before.)
 		{name: "fixed acked PublishBatch(8)+leased PollBatch(8)+Ack", topic: TopicConfig{Shards: 4, Acked: true}, leased: true, batch: 8, payload: 8, max: 1},
 		// The returned []Message and blobq's one payload copy per message.
@@ -266,10 +269,10 @@ func TestPublishPollAllocs(t *testing.T) {
 				if tc.batch == 0 {
 					topic.Publish(0, batch[0])
 					c.Poll(1)
-					return
+				} else {
+					topic.PublishBatch(0, batch)
+					c.PollBatch(1, tc.batch)
 				}
-				topic.PublishBatch(0, batch)
-				c.PollBatch(1, tc.batch)
 				if tc.leased {
 					c.Ack(1)
 				}

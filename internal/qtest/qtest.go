@@ -524,10 +524,13 @@ func RunCrashSweep(t *testing.T, in queues.Info, script []ScriptOp, stride, seed
 // accesses (every stride-th, for stride > 1) in a queue whose threads
 // are split the way a broker's are: tid 0 only enqueues, tid 1 only
 // dequeues. The warm-up runs until the slots tid 1 retired have
-// crossed the allocator's depot, so every enqueue of the script writes
-// into a slot of tid 1's that still carries, on media, the set linked
-// flag and the index of its previous life. Recovery must resurrect
-// exactly the durable suffix, in index order, whatever the cut.
+// crossed the allocator's depot, and ends with a power loss at
+// quiescence and a recovery, which files every slot the backlog does
+// not hold in the depot. So every enqueue of the script writes into a
+// slot sealed before that power loss, which still carries, on media,
+// the set linked flag and the index of its previous life, and the
+// payload seals of an earlier boot. Recovery must resurrect exactly
+// the durable suffix, in index order, whatever the cut.
 func RunRecycledCrashSweep(t *testing.T, in queues.Info, stride int64) {
 	t.Helper()
 	if raceEnabled {
@@ -544,6 +547,9 @@ func RunRecycledCrashSweep(t *testing.T, in queues.Info, stride int64) {
 	sweep(t, stride, 1, func(k int64, evict *rand.Rand) (bool, int64, error) {
 		r := newRun(in, 2, shortHeapBytes)
 		warm(t, r)
+		if _, _, _, err := r.cut(nil, 0, seeded(0)); err != nil {
+			return false, 0, err
+		}
 		return r.crashCut(script, k, evict)
 	})
 }

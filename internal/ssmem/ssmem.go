@@ -175,8 +175,12 @@ func NewPool(h *pmem.Heap, cfg Config) *Pool {
 // crash and restart. live reports whether a slot is still owned by the
 // recovered data structure; every non-live slot goes to the depot,
 // where whichever thread allocates first finds it. live is invoked
-// exactly once per slot of the registry's areas, which Areas reads and
-// checks.
+// exactly once per slot of the registry's areas, in registry and slot
+// order, which Areas reads and checks.
+//
+// The depot hands the slots out in that order too, so the slots in use
+// before the crash are reused before the never-used tail of the newest
+// area.
 func RecoverPool(h *pmem.Heap, cfg Config, live func(pmem.Addr) bool) *Pool {
 	validate(&cfg)
 	p := newPoolCommon(h, cfg)
@@ -205,6 +209,11 @@ func RecoverPool(h *pmem.Heap, cfg Config, live func(pmem.Addr) bool) *Pool {
 			free++
 		}
 	}
+	// An allocation takes the depot's last chunk and a chunk's last slot.
+	slices.Reverse(d.full)
+	for _, c := range d.full {
+		slices.Reverse(c)
+	}
 	slices.Sort(bases)
 	p.bases.Store(&bases)
 	d.free.Store(int64(free))
@@ -224,12 +233,6 @@ func newPoolCommon(h *pmem.Heap, cfg Config) *Pool {
 	p.bases.Store(new([]pmem.Addr))
 	return p
 }
-
-// Heap returns the underlying persistent heap.
-func (p *Pool) Heap() *pmem.Heap { return p.h }
-
-// SlotBytes returns the configured node size.
-func (p *Pool) SlotBytes() int { return p.cfg.SlotBytes }
 
 // Enter begins an EBR-protected operation for tid. Every data
 // structure operation must be bracketed by Enter/Exit so reclaimed

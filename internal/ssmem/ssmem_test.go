@@ -272,18 +272,23 @@ func TestRecoverPoolRebuildsFreeLists(t *testing.T) {
 }
 
 // allocAllOnce checks that tid alone can allocate every one of the
-// pool's free slots exactly once, none of them live, before the pool
-// opens a new area.
+// recovered pool's free slots exactly once, none of them live, in
+// address order (the areas were carved in it, so the slots used before
+// the crash come first), before the pool opens a new area.
 func allocAllOnce(t testing.TB, p *Pool, tid, free int, live map[pmem.Addr]bool) {
 	t.Helper()
 	areas := p.AreaCount()
 	seen := map[pmem.Addr]bool{}
+	var prev pmem.Addr
 	for i := 0; i < free; i++ {
 		a := p.Alloc(tid)
 		if live[a] || seen[a] {
 			t.Fatalf("allocation %d handed out slot %d (live %v, already handed out %v)", i, a, live[a], seen[a])
 		}
-		seen[a] = true
+		if a < prev {
+			t.Fatalf("allocation %d handed out slot %d after slot %d, want address order", i, a, prev)
+		}
+		seen[a], prev = true, a
 	}
 	if st := p.Stats(); st != (Stats{Areas: areas}) {
 		t.Fatalf("after allocating every free slot: %+v, want nothing free in %d areas", st, areas)
