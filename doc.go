@@ -14,10 +14,11 @@
 //   - internal/broker: a sharded multi-topic durable message broker over
 //     the queues — live administration on a catalog log, acked groups
 //     with leases and fencing epochs, delay/priority topics — with
-//     internal/batch (window policies) and internal/obs (observability
-//     at zero persist cost) beside it.
+//     internal/obs (observability at zero persist cost) beside it.
 //   - internal/harness, internal/verify, internal/qtest: measurement,
 //     durable-linearizability fuzzing, every single-queue audit.
+//     internal/batch (window policies) and harness.RunBroker serve only
+//     benchmark/'s ladder rungs.
 //   - cmd/ and examples/: Figure-2 sweeps (durbench), fence counts,
 //     crash fuzzing (every broker scenario once), the observability
 //     export.

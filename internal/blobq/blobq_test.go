@@ -480,6 +480,68 @@ func TestCrashSweepRecycledSlots(t *testing.T) {
 	}
 }
 
+// TestRecycledSlotStaleSealsRefused builds the torn rewrite the boot
+// epoch in a blob's tag exists for, by construction rather than by an
+// eviction draw. A blob is written and consumed, and the heap loses
+// power at quiescence; after recovery the same tid's first enqueue —
+// the same tag sequence number — lands in the same slot. That slot's
+// payload lines are then put back to their previous-boot image, as if
+// only the node line had reached media before a crash. Only the epoch
+// tells those stale seals from the new tag's, and recovery must refuse
+// the node instead of delivering the old payload under it.
+func TestRecycledSlotStaleSealsRefused(t *testing.T) {
+	h := newHeap(pmem.ModeCrash)
+	cfg := Config{Threads: 1, MaxPayload: 112}
+	crash := func(seed int64) {
+		h.CrashNow()
+		h.FinalizeCrash(rand.New(rand.NewSource(seed)))
+		h.Restart()
+	}
+	q := New(h, cfg)
+	q.Enqueue(0, payloadFor(1, 100))
+	if _, ok := q.Dequeue(0); !ok {
+		t.Fatal("first boot delivered nothing")
+	}
+	crash(1)
+	cfg.norm()
+	area := ssmem.Areas(h, *cfg.blobPool())[0]
+	slotWords := cfg.blobLines() * pmem.WordsPerLine
+	image := func() []uint64 {
+		img := make([]uint64, area.Slots*slotWords)
+		for i := range img {
+			img[i] = h.RawImg(area.Base + pmem.Addr(i*pmem.WordBytes))
+		}
+		return img
+	}
+	prev := image()
+
+	q = Recover(h, cfg)
+	q.Enqueue(0, payloadFor(2, 100))
+	crash(2)
+	rewritten := -1
+	for i, w := range image() {
+		if w == prev[i] {
+			continue
+		}
+		if rewritten >= 0 && i/slotWords != rewritten {
+			t.Fatalf("the second boot's one enqueue rewrote blob slots %d and %d", rewritten, i/slotWords)
+		}
+		rewritten = i / slotWords
+		a := area.Base + pmem.Addr(i*pmem.WordBytes)
+		h.Store(0, a, prev[i])
+		h.Persist(0, a)
+	}
+	if rewritten < 0 || prev[rewritten*slotWords+int(sealOff/pmem.WordBytes)] == 0 {
+		t.Fatalf("the second boot's enqueue did not recycle a slot sealed in the first (slot %d)", rewritten)
+	}
+	crash(3)
+
+	q = Recover(h, cfg)
+	if p, ok := q.Dequeue(0); ok {
+		t.Fatalf("recovery delivered %d bytes from a blob whose seals are a previous boot's", len(p))
+	}
+}
+
 // TestMultiCrashWithBlobReuse drives several crash/recover cycles so
 // recovered free lists hand out blobs that were sealed in earlier
 // incarnations; TestQuiescentCrashRecovery runs the same cycles on the

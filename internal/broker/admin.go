@@ -197,7 +197,9 @@ func openExisting(hs *pmem.HeapSet, opts Options, reg pmem.Addr) (*Broker, error
 // fenced, and only then does the commit stamp's persist make the topic
 // visible. A crash anywhere before that last persist recovers as if
 // CreateTopic was never called; after it, the topic recovers fully,
-// empty or with whatever was published.
+// empty or with whatever was published. A member heap too full for a
+// shard's queue refuses the call with an error wrapping
+// pmem.ErrOutOfSpace, leaving the slot table as that crash would.
 //
 // The catalog-protocol cost is a pinned three blocking persists
 // (allocator marks, record, commit stamp) plus the per-shard queue
@@ -253,26 +255,42 @@ func (b *Broker) CreateTopic(tid int, tc TopicConfig) (*Topic, error) {
 	}
 	b.cat.storeMarks(tid, old)
 
-	// 2. Initialize the shard queues, heap by heap in parallel.
+	// 2. Initialize the shard queues, heap by heap in parallel. A heap
+	// out of space refuses the creation: the windows and their views go
+	// back, and the marks, already durable, stay monotone, as after a
+	// crash before the anchor.
 	t := b.newTopic(tc, snap.shardTotal, locs)
-	b.openShards([]*Topic{t}, func(t *Topic, si int, view *pmem.Heap) error {
-		if loc := locs[si]; loc.base < old[loc.heap] {
-			// Scrub a window below the old mark before building on it: a
-			// retired queue's slots (acked frontier, epoch...), or those of
-			// a creation that crashed short of its anchor, would otherwise
-			// survive wherever the new queue kind does not overwrite them
-			// and mislead the recovery dispatch. Above the old mark no one
-			// ever wrote. The constructor's own persist on this heap orders
-			// the scrub durably before the record's anchor, so a crash
-			// never sees a committed topic on an unscrubbed window.
-			for slot := 0; slot < width; slot++ {
-				view.Store(tid, view.RootAddr(slot), 0)
-				view.Flush(tid, view.RootAddr(slot))
+	views := make([]*pmem.Heap, len(locs))
+	if err := catchOutOfSpace(func() {
+		b.openShards([]*Topic{t}, func(t *Topic, si int, view *pmem.Heap) error {
+			views[si] = view
+			if loc := locs[si]; loc.base < old[loc.heap] {
+				// Scrub a window below the old mark before building on it:
+				// a retired queue's slots (acked frontier, epoch...), or
+				// those of a creation that crashed short of its anchor,
+				// would otherwise survive wherever the new queue kind does
+				// not overwrite them and mislead the recovery dispatch.
+				// Above the old mark no one ever wrote. The constructor's
+				// own persist on this heap orders the scrub durably before
+				// the record's anchor, so a crash never sees a committed
+				// topic on an unscrubbed window.
+				for slot := 0; slot < width; slot++ {
+					view.Store(tid, view.RootAddr(slot), 0)
+					view.Flush(tid, view.RootAddr(slot))
+				}
 			}
+			t.createShard(si, view, tid)
+			return nil
+		})
+	}); err != nil {
+		for si, loc := range locs {
+			if views[si] != nil {
+				b.hs.Heap(loc.heap).ReleaseView(views[si])
+			}
+			b.cat.release(loc, width)
 		}
-		t.createShard(si, view, tid)
-		return nil
-	})
+		return nil, fmt.Errorf("broker: topic %q: %w", tc.Name, err)
+	}
 
 	// 3 + 4. Append the record, fence, anchor. Visible only after the
 	// commit persist; a crash in between recovers as "never existed",
@@ -294,6 +312,22 @@ func (b *Broker) CreateTopic(tid int, tc TopicConfig) (*Topic, error) {
 	b.snap.Store(ns)
 	sp.done(obs.OpAdmin, t.ostats)
 	return t, nil
+}
+
+// catchOutOfSpace runs f and returns the error f panicked with when it
+// wraps pmem.ErrOutOfSpace. Every other panic, the crash signal
+// included, goes on up.
+func catchOutOfSpace(f func()) (err error) {
+	defer func() {
+		if r := recover(); r != nil {
+			if e, ok := r.(error); !ok || !errors.Is(e, pmem.ErrOutOfSpace) {
+				panic(r)
+			}
+			err = r.(error)
+		}
+	}()
+	f()
+	return nil
 }
 
 // AckGroupConfig parameterizes CreateAckGroup.

@@ -63,7 +63,7 @@ func TestOpenCreateRecoverRoundTrip(t *testing.T) {
 		t.Fatalf("recovered %d topics, want 2", got)
 	}
 	for s := 0; s < 4; s++ {
-		if got, want := r.Topic("events").HeapOf(s), b.Topic("events").HeapOf(s); got != want {
+		if got, want := r.Topic("events").locs[s].heap, b.Topic("events").locs[s].heap; got != want {
 			t.Fatalf("events shard %d recovered on heap %d, want %d", s, got, want)
 		}
 	}

@@ -44,13 +44,13 @@
 // group may be subscribed while its members poll.
 //
 // Acked groups manage their own membership: lease lines carry fencing
-// epochs bumped on every takeover, so a member displaced by the expiry
-// scanner (Group.Scan, or the background Janitor), by a partial
-// split (Group.Reassign) or by work-stealing (Consumer.Steal) has its
-// stale acknowledgments refused with ErrFenced instead of corrupting
-// the exactly-once frontier; Consumer.Heartbeat keeps a healthy
-// member's leases alive at zero persist cost when its durable
-// deadlines still cover the TTL (see membership.go).
+// epochs bumped on every takeover, so a member displaced by adoption
+// (Group.Adopt), by the expiry scanner (Group.Scan) or by
+// work-stealing (Consumer.Steal) has its stale acknowledgments
+// refused with ErrFenced instead of corrupting the exactly-once
+// frontier; Consumer.Renew keeps a healthy member's leases alive at
+// zero persist cost when its durable deadlines already cover the new
+// one (see membership.go).
 //
 // Durability contract: a publish is acknowledged when the call
 // returns; from that point the message survives any crash of any
@@ -229,16 +229,17 @@ type shard struct {
 	h    *pmem.Heap
 }
 
-// fenceShards fences tid once on each distinct heap the shards live on:
-// a fence is per-thread per-heap and covers every NTStore tid has
-// outstanding there, whichever shard's line it targets. A heap counts
-// as fenced when an earlier shard of ss names it — ss is a member's
-// touched shards, a handful — so the pass allocates nothing.
-func fenceShards(tid int, ss []*shard) {
+// fenceShards fences tid once on each distinct heap the refs' shards
+// live on: a fence is per-thread per-heap and covers every NTStore tid
+// has outstanding there, whichever shard's line it targets. A heap
+// counts as fenced when an earlier ref of rs names it — rs is a
+// member's touched shards, a handful — so the pass allocates nothing.
+func fenceShards(tid int, rs []*consumerShard) {
 next:
-	for i, s := range ss {
-		for _, prev := range ss[:i] {
-			if prev.heap == s.heap {
+	for i, r := range rs {
+		s := r.t.shards[r.shard]
+		for _, prev := range rs[:i] {
+			if prev.t.shards[prev.shard].heap == s.heap {
 				continue next
 			}
 		}
@@ -477,14 +478,6 @@ func (b *Broker) Threads() int { return b.threads }
 
 // Heaps reports the size of the heap set the broker spans.
 func (b *Broker) Heaps() int { return b.hs.Len() }
-
-// AckGroups reports the number of consumer-group lease regions (each
-// usable by one NewGroupAcked at a time).
-func (b *Broker) AckGroups() int {
-	b.regionMu.Lock()
-	defer b.regionMu.Unlock()
-	return len(b.regions)
-}
 
 // ShardTotal reports the global shard-ordinal frontier: one past the
 // highest ordinal any topic — live or deleted — ever held. Global

@@ -590,9 +590,9 @@ func TestMultiHeapPlacementSpread(t *testing.T) {
 	}
 	for _, topic := range b.Topics() {
 		for s := 0; s < topic.Shards(); s++ {
-			if want := s % 2; topic.HeapOf(s) != want {
+			if want := s % 2; topic.locs[s].heap != want {
 				t.Fatalf("round-robin: %s shard %d on heap %d, want %d",
-					topic.Name(), s, topic.HeapOf(s), want)
+					topic.Name(), s, topic.locs[s].heap, want)
 			}
 		}
 	}
@@ -633,7 +633,7 @@ func TestAffineGroupFencesOneDomain(t *testing.T) {
 			t.Fatalf("consumer %d owns %d shards, want 2", i, len(refs))
 		}
 		for _, r := range refs {
-			if h := r.t.HeapOf(r.shard); h != i {
+			if h := r.t.locs[r.shard].heap; h != i {
 				t.Fatalf("consumer %d owns shard %d on heap %d, want %d", i, r.shard, h, i)
 			}
 		}
@@ -682,7 +682,7 @@ func TestMultiHeapRecoverRoundTrip(t *testing.T) {
 	}
 	for ti, topic := range r.Topics() {
 		for s := 0; s < topic.Shards(); s++ {
-			if got, want := topic.HeapOf(s), b.Topics()[ti].HeapOf(s); got != want {
+			if got, want := topic.locs[s].heap, b.Topics()[ti].locs[s].heap; got != want {
 				t.Fatalf("recovered %s shard %d on heap %d, want %d", topic.Name(), s, got, want)
 			}
 		}

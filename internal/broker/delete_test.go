@@ -257,6 +257,63 @@ func TestDeleteTopicWindowReuse(t *testing.T) {
 	}
 }
 
+// TestCreateTopicOutOfSpace: create/publish/delete cycles on a small
+// heap grow its break until a CreateTopic finds no room for a shard's
+// queue. That call returns an error wrapping pmem.ErrOutOfSpace instead
+// of panicking, leaves the slot footprint as it found it and the topic
+// absent, and the image it leaves behind recovers.
+func TestCreateTopicOutOfSpace(t *testing.T) {
+	hs := pmem.NewSet(1, pmem.Config{Bytes: 16 << 20, Mode: pmem.ModeCrash, MaxThreads: 2})
+	b, err := Open(hs, Options{Threads: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := b.CreateTopic(0, TopicConfig{Name: "base", Shards: 1}); err != nil {
+		t.Fatal(err)
+	}
+	b.Topic("base").Publish(0, U64(7))
+	shape := TopicConfig{Name: "churn", Shards: 1}
+	for cycle := 0; ; cycle++ {
+		if cycle == 200 {
+			t.Fatal("200 create/publish/delete cycles never ran the heap out of space")
+		}
+		used, free := b.SlotFootprint()
+		_, err := b.CreateTopic(0, shape)
+		if err != nil {
+			if !errors.Is(err, pmem.ErrOutOfSpace) {
+				t.Fatalf("cycle %d: CreateTopic = %v, want pmem.ErrOutOfSpace", cycle, err)
+			}
+			if u, f := b.SlotFootprint(); u != used || f != free {
+				t.Fatalf("refused create moved the slot footprint (used %d, free %d) -> (used %d, free %d)", used, free, u, f)
+			}
+			if b.Topic("churn") != nil {
+				t.Fatal("refused create left its topic visible")
+			}
+			t.Logf("refused at cycle %d: %v", cycle, err)
+			break
+		}
+		for m := uint64(0); m < 16; m++ {
+			b.Topic("churn").Publish(0, U64(m))
+		}
+		if err := b.DeleteTopic(0, "churn"); err != nil {
+			t.Fatalf("cycle %d delete: %v", cycle, err)
+		}
+	}
+	hs.CrashNow()
+	hs.FinalizeCrash(rand.New(rand.NewSource(95)))
+	hs.Restart()
+	r, err := Open(hs, Options{})
+	if err != nil {
+		t.Fatalf("Open after the refused create: %v", err)
+	}
+	if r.Topic("churn") != nil {
+		t.Fatal("the refused create recovered as existing")
+	}
+	if p, ok := r.Topic("base").DequeueShard(0, 0); !ok || AsU64(p) != 7 {
+		t.Fatalf("base message lost: %v,%v", p, ok)
+	}
+}
+
 // TestCompactCatalogKeepsFreeWindows: a compaction writes only live
 // records, yet a broker recovered from the new generation has the same
 // free slots as the one that compacted — the marks travel with the

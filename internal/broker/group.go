@@ -17,11 +17,10 @@ import (
 // and react by minting a roomier region (CreateAckGroup).
 var ErrLeaseCapacity = errors.New("broker: lease region capacity exceeded")
 
-// ErrPlainGroup reports an acknowledgment-path verb (Ack, Nack, Renew,
-// Heartbeat) or a membership verb (Reassign, Adopt, Scan, Steal,
-// StartJanitor) on a group that keeps no delivery state (NewGroup).
-// The refusal names the verb, takes no lock and issues no persist
-// instruction.
+// ErrPlainGroup reports an acknowledgment-path verb (Ack, Nack, Renew)
+// or a membership verb (Adopt, Scan, Steal) on a group that keeps no
+// delivery state (NewGroup). The refusal names the verb, takes no lock
+// and issues no persist instruction.
 var ErrPlainGroup = errors.New("broker: group has no acknowledgments (use NewGroupAcked)")
 
 // acked refuses verb on a plain group.
@@ -76,7 +75,7 @@ type Group struct {
 	now       func() uint64
 	cache     []leaseCache // one per global shard ordinal, owner-accessed
 	recovered []RecoveredLease
-	mu        sync.Mutex // serializes Adopt/Reassign/Scan and Subscribe against each other
+	mu        sync.Mutex // serializes Adopt/Scan/Steal and Subscribe against each other
 
 	// epochs holds the current fencing token per global shard ordinal —
 	// the volatile authority mirrored into every lease line's epoch
@@ -328,7 +327,7 @@ func (g *Group) Subscribe(tid int, topicNames ...string) error {
 
 // lockAll takes the group's lock and then every member's, in member
 // order — the one order every whole-group operation (Subscribe,
-// Reassign, Scan, Steal) uses — and returns the matching unlock.
+// Adopt, Scan, Steal) uses — and returns the matching unlock.
 func (g *Group) lockAll() (unlock func()) {
 	g.mu.Lock()
 	for _, c := range g.consumers {
@@ -343,7 +342,7 @@ func (g *Group) lockAll() (unlock func()) {
 }
 
 // leastLoaded picks the member owning the fewest shards, ties to the
-// first: the one dealing rule of Subscribe, Reassign and Scan.
+// first: the one dealing rule of Subscribe, Adopt and Scan.
 func leastLoaded(cs []*Consumer) *Consumer {
 	min := cs[0]
 	for _, c := range cs[1:] {
@@ -377,7 +376,7 @@ type consumerShard struct {
 	cur *obs.ShardCursor
 
 	// Acked-group bookkeeping, accessed only by the owning member (or
-	// under the involved members' locks during Adopt/Reassign/Steal).
+	// under the involved members' locks during Adopt/Scan/Steal).
 	deliveredTo uint64 // last queue index returned to the application
 	leasedTo    uint64 // high end of the durable lease obligation
 	pendingN    int    // queued redeliveries not yet re-served
@@ -405,7 +404,7 @@ type Consumer struct {
 
 	// fenced records the shards taken from this member since its last
 	// acknowledgment-path op: the member held a now-stale epoch on
-	// them. The next Ack/Nack/Renew/Heartbeat is refused with ErrFenced
+	// them. The next Ack/Nack/Renew is refused with ErrFenced
 	// (consuming the record), so a presumed-dead member that resurfaces
 	// learns it lost ownership before any of its state reaches the
 	// durable frontier. See membership.go.
@@ -413,16 +412,15 @@ type Consumer struct {
 
 	// Scratch of the poll and ack verbs, reused so that a verb allocates
 	// only the messages it returns: a poll's payloads and the shard each
-	// came from, one shard's indices, the shards owed a fence, the topics
-	// entered, the lease lines staged. Only a verb holding c.mu uses
-	// them, and every verb leaves the pointer-holding ones cleared, not
-	// just truncated (see reset) — between calls a member pins no
-	// payload, shard or topic.
+	// came from, one shard's indices, the shards owed a fence (their
+	// topics still entered), the lease lines staged. Only a verb holding
+	// c.mu uses them, and every verb leaves the pointer-holding ones
+	// cleared, not just truncated (see reset) — between calls a member
+	// pins no payload, shard or topic.
 	ps      [][]byte
 	from    []*consumerShard
 	idxs    []uint64
-	touched []*shard
-	entered []*Topic
+	touched []*consumerShard
 	staged  []int
 }
 
@@ -470,13 +468,13 @@ func reset[T any](s []T) []T {
 	return s[:0]
 }
 
-// exitEntered leaves the topics a verb entered, once nothing of the
-// verb's is outstanding on their shards.
-func (c *Consumer) exitEntered() {
-	for _, t := range c.entered {
-		t.exit()
+// exitTouched leaves the topics of the shards a verb left owing a
+// fence, once the fence landed — or a crash signal ended the verb.
+func (c *Consumer) exitTouched() {
+	for _, r := range c.touched {
+		r.t.exit()
 	}
-	c.entered = reset(c.entered)
+	c.touched = reset(c.touched)
 }
 
 // Assigned lists the shards this member owns.
@@ -571,27 +569,28 @@ func (c *Consumer) poll(tid, max int) bool {
 // gatherPlain is a plain group's poll body: one unfenced batch dequeue
 // per shard, then one fence per touched domain.
 func (c *Consumer) gatherPlain(tid, max int, sp span) {
-	// Topics entered below stay entered until after the covering fence:
-	// the dequeues' NTStores must land before DeleteTopic may reclaim
-	// (and CreateTopic reuse) the windows they target.
-	defer c.exitEntered()
+	// A shard whose dequeue left an NTStore unfenced keeps its topic
+	// entered until after the covering fence: the NTStore must land
+	// before DeleteTopic may reclaim (and CreateTopic reuse) the window
+	// it targets. Any other shard's topic is left at once.
+	defer c.exitTouched()
 	for scanned := 0; scanned < len(c.refs) && len(c.ps) < max; scanned++ {
 		r := c.refs[c.next]
 		if !r.t.enter() {
 			c.next = (c.next + 1) % len(c.refs)
 			continue // topic retired: its shards read as empty
 		}
-		c.entered = append(c.entered, r.t)
-		s := r.t.shards[r.shard]
 		// One NTStore of the shard's new head index now; the fence (one
 		// per touched heap, below) and the retires wait. An acked shard
 		// instead leases and acknowledges under its own fence: amortized
 		// acked consumption goes through leased groups, not this path.
 		var dirty bool
 		from := len(c.ps)
-		c.ps, dirty = s.DequeueBatchAppend(tid, max-from, c.ps)
+		c.ps, dirty = r.t.shards[r.shard].DequeueBatchAppend(tid, max-from, c.ps)
 		if dirty {
-			c.touched = append(c.touched, s)
+			c.touched = append(c.touched, r)
+		} else {
+			r.t.exit()
 		}
 		sp.delivered(r.t, r.shard, r.cur, len(c.ps)-from)
 		c.gathered(from, r)
@@ -600,14 +599,11 @@ func (c *Consumer) gatherPlain(tid, max int, sp span) {
 		// continuously hot shard cannot starve the others.
 		c.next = (c.next + 1) % len(c.refs)
 	}
-	if len(c.touched) > 0 {
-		// One fence per distinct domain covers every touched shard's
-		// NTStores there.
-		fenceShards(tid, c.touched)
-		for _, s := range c.touched {
-			s.CompleteBatch(tid)
-		}
-		c.touched = reset(c.touched)
+	// One fence per distinct domain covers every touched shard's
+	// NTStores there.
+	fenceShards(tid, c.touched)
+	for _, r := range c.touched {
+		r.t.shards[r.shard].CompleteBatch(tid)
 	}
 }
 
@@ -679,7 +675,7 @@ func (c *Consumer) gatherLeased(tid, max int, sp span) {
 // for head indices. Returns the number of newly acknowledged messages.
 //
 // If this member was fenced off any of its shards since its last
-// acknowledgment-path op (Scan, Reassign or Steal took them — the
+// acknowledgment-path op (Adopt, Scan or Steal took them — the
 // member held a stale epoch), Ack refuses the whole call with
 // ErrFenced and acknowledges nothing: the member must treat its
 // outstanding window as lost (it will be redelivered elsewhere) and
@@ -693,10 +689,10 @@ func (c *Consumer) Ack(tid int) (int, error) {
 	defer c.mu.Unlock()
 	sp := c.g.b.span(tid)
 	n := 0
-	// Entered topics are exited only on return, after the covering
-	// fence landed the ack NTStores, so DeleteTopic cannot reclaim a
-	// window under them.
-	defer c.exitEntered()
+	// A shard with an ack NTStore unfenced keeps its topic entered
+	// until the covering fence landed, so DeleteTopic cannot reclaim
+	// the window under it; any other shard's topic is left at once.
+	defer c.exitTouched()
 	for _, r := range c.refs {
 		if !r.t.enter() {
 			// Retired with the topic: nothing durable left to advance,
@@ -704,9 +700,9 @@ func (c *Consumer) Ack(tid int) (int, error) {
 			r.unackedN = 0
 			continue
 		}
-		c.entered = append(c.entered, r.t)
 		s := r.t.shards[r.shard]
 		if r.deliveredTo <= s.AckedTo() {
+			r.t.exit()
 			continue
 		}
 		// Count delivered messages, not the index delta: the range may
@@ -715,17 +711,16 @@ func (c *Consumer) Ack(tid int) (int, error) {
 		bump(r.t.ostats, (*obs.TopicStats).Acked, r.unackedN)
 		r.unackedN = 0
 		if s.AckToUnfenced(tid, r.deliveredTo) {
-			c.touched = append(c.touched, s)
+			c.touched = append(c.touched, r)
+		} else {
+			r.t.exit()
 		}
 	}
-	if len(c.touched) > 0 {
-		// One fence per distinct domain covers every touched shard's ack
-		// NTStores there; only then are the durable frontiers promoted.
-		fenceShards(tid, c.touched)
-		for _, s := range c.touched {
-			s.CompleteAck(tid)
-		}
-		c.touched = reset(c.touched)
+	// One fence per distinct domain covers every touched shard's ack
+	// NTStores there; only then are the durable frontiers promoted.
+	fenceShards(tid, c.touched)
+	for _, r := range c.touched {
+		r.t.shards[r.shard].CompleteAck(tid)
 	}
 	// Like an empty poll, an Ack with nothing new to acknowledge costs
 	// nothing and records no sample.
@@ -803,7 +798,7 @@ func (c *Consumer) Nack(tid int) (int, error) {
 // Renew extends this member's lease deadlines to the given instant on
 // every shard it holds unacknowledged messages of. A renewal whose
 // deadline the durable record already covers writes nothing and costs
-// nothing — the heartbeat of a healthy consumer is free until the
+// nothing — renewing a healthy consumer at now+TTL is free until the
 // deadline actually needs moving; otherwise the rewritten lines ride
 // a single fence. A member fenced off shards since its last
 // acknowledgment-path op gets ErrFenced and renews nothing (0 fences):
@@ -833,26 +828,6 @@ func (c *Consumer) Renew(tid int, deadline uint64) error {
 	}
 	w.commit()
 	return nil
-}
-
-// Adopt transfers every shard of member `from` to member `to`,
-// redelivering the unacknowledged suffix: `from` crashed (or went
-// silent past its lease deadline), so everything it was handed but
-// never acknowledged is queued on `to` for redelivery, and each
-// affected lease record is rewritten to the new owner — with a
-// bumped fencing epoch, so a resurfacing `from` gets ErrFenced —
-// and a fresh deadline before Adopt returns (one fence). Messages
-// `from` had acknowledged are durably consumed and never reappear —
-// takeover preserves exactly-once processing.
-//
-// Adopt refuses while any of from's lease records is durably
-// unexpired at the group clock (ErrUnexpiredLease): a live member may
-// still be processing its window. Drive `from`'s goroutine to
-// completion first, or use Reassign with force; tid may be the dead
-// member's thread id. Returns the number of redeliveries moved.
-// Adopt is the single-target form of Reassign.
-func (g *Group) Adopt(tid, from, to int) (int, error) {
-	return g.Reassign(tid, from, []int{to}, false)
 }
 
 // leaseWriter batches lease-line writes that ride one fence on the

@@ -90,8 +90,6 @@ func TestHeapTopicKindMismatch(t *testing.T) {
 	wantKindErr("PublishAt/prio", prio.PublishAt(0, p, 1))
 	wantKindErr("PublishPriority/fifo", fifo.PublishPriority(0, p, 1))
 	wantKindErr("PublishPriority/delay", delay.PublishPriority(0, p, 1))
-	wantKindErr("NackDelayed/fifo", fifo.NackDelayed(0, p, 1, 1))
-	wantKindErr("NackDelayed/prio", prio.NackDelayed(0, p, 1, 1))
 	_, _, err = fifo.DequeueReady(0, 1)
 	wantKindErr("DequeueReady/fifo", err)
 	_, err = fifo.DequeueReadyBatch(0, 1, 8)
@@ -133,7 +131,8 @@ func TestHeapTopicKindMismatch(t *testing.T) {
 // TestHeapTopicDelayPriority pins the delivery semantics: a delay
 // topic gates on deadline <= now and delivers in deadline order
 // (equal deadlines in publish order); a priority topic is always
-// ready and delivers lowest rank first; NackDelayed reschedules.
+// ready and delivers lowest rank first; a re-publish at now+delay
+// reschedules.
 func TestHeapTopicDelayPriority(t *testing.T) {
 	_, b := heapTestBroker(t, 2)
 	delay, prio := b.Topic("delay"), b.Topic("prio")
@@ -145,8 +144,8 @@ func TestHeapTopicDelayPriority(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if d := delay.HeapDepth(); d != 4 {
-		t.Fatalf("HeapDepth %d, want 4", d)
+	if d := delay.heapq.Depth(); d != 4 {
+		t.Fatalf("heap depth %d, want 4", d)
 	}
 	if k, ok := delay.MinKey(); !ok || k != 10 {
 		t.Fatalf("MinKey %d,%v, want 10,true", k, ok)
@@ -173,35 +172,35 @@ func TestHeapTopicDelayPriority(t *testing.T) {
 		t.Fatal("drained delay topic still delivers")
 	}
 
-	// NackDelayed re-enqueues at now+delay.
+	// Retry with backoff: a consumed message re-published at now+delay
+	// waits out the delay.
 	if err := delay.PublishAt(0, heapPayload(9, 100), 100); err != nil {
 		t.Fatal(err)
 	}
 	p, _, _ := delay.DequeueReady(0, 100)
-	if err := delay.NackDelayed(0, p, 100, 40); err != nil {
+	if err := delay.PublishAt(0, p, 100+40); err != nil {
 		t.Fatal(err)
 	}
 	if _, ok, _ := delay.DequeueReady(0, 139); ok {
-		t.Fatal("nacked message redelivered before its backoff deadline")
+		t.Fatal("retried message redelivered before its backoff deadline")
 	}
 	if p, ok, _ := delay.DequeueReady(0, 140); !ok {
-		t.Fatal("nacked message never redelivered")
+		t.Fatal("retried message never redelivered")
 	} else if id, _ := decodeHeapPayload(t, p); id != 9 {
-		t.Fatalf("nack redelivered id %d, want 9", id)
+		t.Fatalf("retry redelivered id %d, want 9", id)
 	}
 
-	// A huge backoff saturates at the max deadline instead of wrapping
-	// uint64 to "ready now".
-	if err := delay.NackDelayed(0, heapPayload(11, 0), 100, ^uint64(0)); err != nil {
+	// The largest deadline is ready only at the largest instant.
+	if err := delay.PublishAt(0, heapPayload(11, 0), ^uint64(0)); err != nil {
 		t.Fatal(err)
 	}
 	if _, ok, _ := delay.DequeueReady(0, ^uint64(0)-1); ok {
-		t.Fatal("wrapped nack deadline delivered early")
+		t.Fatal("max-deadline message delivered early")
 	}
 	if p, ok, _ := delay.DequeueReady(0, ^uint64(0)); !ok {
-		t.Fatal("saturated nack never deliverable")
+		t.Fatal("max-deadline message never deliverable")
 	} else if id, _ := decodeHeapPayload(t, p); id != 11 {
-		t.Fatalf("saturated nack delivered id %d, want 11", id)
+		t.Fatalf("max-deadline message delivered id %d, want 11", id)
 	}
 
 	// Priority: shuffled ranks come out sorted, equal ranks FIFO.
@@ -269,7 +268,7 @@ func TestHeapTopicFenceAccounting(t *testing.T) {
 
 	// Gauges and empty dequeues: zero persists.
 	d = hs.DeltaOf(1)
-	delay.HeapDepth()
+	delay.heapq.Depth()
 	delay.MinKey()
 	if _, err := delay.DequeueReadyBatch(1, 0, 16); err != nil {
 		t.Fatal(err)

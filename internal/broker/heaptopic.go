@@ -121,34 +121,6 @@ func (t *Topic) DequeueReadyBatch(tid int, now uint64, max int) ([][]byte, error
 	return ps, nil
 }
 
-// NackDelayed returns a consumed message to a delay topic with a new
-// deadline of now+delay: the retry-with-backoff idiom. It is a plain
-// durable publish (one fence) of the payload the consumer already
-// holds — the broker does not track redelivery lineage, so the
-// message's new incarnation is indistinguishable from a fresh
-// publish. Delay topics only: on a priority topic the rank, not the
-// clock, orders delivery, so a backoff nack has no meaning there.
-func (t *Topic) NackDelayed(tid int, payload []byte, now, delay uint64) error {
-	if t.cfg.Kind != KindDelay {
-		return t.kindErr("NackDelayed", KindDelay)
-	}
-	deadline := now + delay
-	if deadline < now { // saturate: a huge backoff must not wrap to "ready now"
-		deadline = ^uint64(0)
-	}
-	return t.PublishAt(tid, payload, deadline)
-}
-
-// HeapDepth reports the heap topic's total undelivered messages
-// (ready or not). Zero persists; FIFO topics report 0.
-func (t *Topic) HeapDepth() int {
-	if !t.cfg.Kind.heapKind() || !t.enter() {
-		return 0
-	}
-	defer t.exit()
-	return t.heapq.Depth()
-}
-
 // MinKey reports the smallest undelivered key — the next deadline on
 // a delay topic, the best rank on a priority topic — and whether the
 // heap is non-empty. Zero persists.

@@ -63,7 +63,7 @@ type Lease struct {
 	// Seq increments on every rewrite of the line.
 	Seq uint64
 	// Epoch is the shard's fencing token: bumped on every takeover
-	// (Reassign, Scan, Steal), so a presumed-dead owner that resurfaces
+	// (Adopt, Scan, Steal), so a presumed-dead owner that resurfaces
 	// holds a stale epoch and its acknowledgments are refused
 	// (ErrFenced). Lines written before the epoch word existed (v<=4
 	// regions) decode as epoch 0, which is valid.

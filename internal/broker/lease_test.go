@@ -119,8 +119,8 @@ func TestLeaseRegionErrors(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if r.AckGroups() != 2 {
-			t.Fatalf("recovered %d lease regions, want 2", r.AckGroups())
+		if n := len(r.regions); n != 2 {
+			t.Fatalf("recovered %d lease regions, want 2", n)
 		}
 		if p, ok := r.Topic("events").DequeueShard(0, 0); !ok || AsU64(p) != 1 {
 			t.Fatalf("recovered event = %v,%v", p, ok)

@@ -3,25 +3,23 @@ package broker
 import (
 	"errors"
 	"fmt"
-	"math/rand"
 	"slices"
-	"sync"
-	"time"
 
 	"repro/internal/obs"
-	"repro/internal/pmem"
 )
 
-// Membership protocol for acked consumer groups: fencing tokens,
-// heartbeats, an expiry scanner, and partial adoption.
+// Membership protocol for acked consumer groups: fencing tokens and
+// three takeovers over one transfer — Adopt (one member's shards to a
+// named survivor), Scan (every expired member's, dealt least-loaded
+// across the survivors) and Steal (one expired shard to an idle member).
 //
 // The invariant everything hangs on: a shard's lease line carries an
-// epoch (Lease.Epoch, word 5), and every takeover — Reassign, Scan,
+// epoch (Lease.Epoch, word 5), and every takeover — Adopt, Scan,
 // Steal — bumps the group's volatile epoch authority (Group.epochs)
 // and writes the bumped value into the line under the same fence that
 // installs the new owner. A member that was fenced off a shard holds
 // the pre-bump epoch; its next acknowledgment-path op (Ack, Nack,
-// Renew, Heartbeat) is refused with ErrFenced before any persist
+// Renew) is refused with ErrFenced before any persist
 // instruction executes. That refusal at the ack line is sufficient
 // without any consensus round: the durable processed frontier only
 // advances through Ack, so a stale owner that is refused there can
@@ -43,15 +41,14 @@ var (
 	// more of its shards by a takeover and held a stale epoch; the
 	// refused op changed nothing durable.
 	ErrFenced = errors.New("broker: member fenced (stale lease epoch)")
-	// ErrBadMember reports an out-of-range, duplicate, or missing
-	// member argument.
+	// ErrBadMember reports an out-of-range member argument.
 	ErrBadMember = errors.New("broker: bad member")
-	// ErrSelfTransfer reports a reassignment naming the source member
-	// as a target.
-	ErrSelfTransfer = errors.New("broker: cannot reassign a member's shards to itself")
+	// ErrSelfTransfer reports an Adopt naming the source member as the
+	// target.
+	ErrSelfTransfer = errors.New("broker: cannot adopt a member's shards onto itself")
 	// ErrUnexpiredLease reports a takeover refused because the source
-	// member still holds a durably unexpired lease (and force was not
-	// set): it may be alive and mid-window.
+	// member still holds a durably unexpired lease: it may be alive and
+	// mid-window.
 	ErrUnexpiredLease = errors.New("broker: lease unexpired")
 )
 
@@ -80,74 +77,41 @@ func (c *Consumer) takeFenced(tid int) error {
 		ErrFenced, c.id, len(f), f[0].t.Name(), f[0].shard, f[0].stale, f[0].cur)
 }
 
-// Heartbeat renews this member's leases one TTL past the group clock.
-// It rides Renew's elision: while the durable deadlines already cover
-// now+TTL — the common case for a healthy member heartbeating more
-// often than the clock advances a TTL — it issues zero persist
-// instructions, so heartbeats are free until a deadline actually
-// needs moving. Returns ErrFenced (without renewing anything) when
-// the member was fenced off shards since its last op, ErrPlainGroup
-// on a group that keeps no leases to renew.
-func (c *Consumer) Heartbeat(tid int) error {
-	if err := c.g.acked("Heartbeat"); err != nil {
-		return err
-	}
-	return c.Renew(tid, c.g.now()+c.g.ttl)
-}
-
-// Reassign deals every shard of member `from` out across `targets`,
-// least-loaded-first: each shard goes to the target currently owning
-// the fewest shards (ties to the lowest index), so a dead member's
-// load splits evenly instead of doubling one survivor. Per shard the
-// unacknowledged suffix is queued on its new owner for redelivery in
-// index order (per-shard FIFO preserved), the fencing epoch is
-// bumped, and the lease line is rewritten to the new owner and epoch;
-// all rewrites ride one fence per touched persistence domain, so the
-// cost is O(shards moved) store+flush pairs plus the fences. `from`
-// is marked fenced: its next acknowledgment-path op gets ErrFenced.
+// Adopt transfers every shard of member `from` to member `to`,
+// redelivering the unacknowledged suffix: `from` crashed (or went
+// silent past its lease deadline), so everything it was handed but
+// never acknowledged is queued on `to` for redelivery in index order
+// (per-shard FIFO preserved), and each affected lease record is
+// rewritten to the new owner — with a bumped fencing epoch, so a
+// resurfacing `from` gets ErrFenced — and a fresh deadline before
+// Adopt returns (one fence per touched persistence domain). Messages
+// `from` had acknowledged are durably consumed and never reappear —
+// takeover preserves exactly-once processing.
 //
-// Unless force is set, Reassign refuses (ErrUnexpiredLease) while any
-// of from's leases is durably unexpired at the group clock — a live
-// member may be mid-window. force takes the shards regardless: the
-// fencing epoch makes that safe (the displaced member's acks are
-// refused), at the price of redelivering its in-flight window.
-//
-// Returns the number of redeliveries queued. tid may be any thread id
-// owned by the caller.
-func (g *Group) Reassign(tid, from int, targets []int, force bool) (int, error) {
-	if err := g.acked("Reassign"); err != nil {
+// Adopt refuses (ErrUnexpiredLease) while any of from's lease records
+// is durably unexpired at the group clock: a live member may still be
+// processing its window. Drive `from`'s goroutine to completion first,
+// or let Scan deal its shards once they expire; tid may be the dead
+// member's thread id. Returns the number of redeliveries moved.
+func (g *Group) Adopt(tid, from, to int) (int, error) {
+	if err := g.acked("Adopt"); err != nil {
 		return 0, err
 	}
-	if from < 0 || from >= len(g.consumers) {
-		return 0, fmt.Errorf("%w: Reassign from member %d of %d", ErrBadMember, from, len(g.consumers))
+	if n := len(g.consumers); from < 0 || from >= n || to < 0 || to >= n {
+		return 0, fmt.Errorf("%w: Adopt(%d -> %d) in a group of %d", ErrBadMember, from, to, n)
 	}
-	if len(targets) == 0 {
-		return 0, fmt.Errorf("%w: Reassign needs at least one target", ErrBadMember)
-	}
-	to := make([]*Consumer, len(targets))
-	for i, t := range targets {
-		if t < 0 || t >= len(g.consumers) {
-			return 0, fmt.Errorf("%w: Reassign target %d of %d", ErrBadMember, t, len(g.consumers))
-		}
-		if t == from {
-			return 0, fmt.Errorf("%w: Reassign(%d -> %d)", ErrSelfTransfer, from, t)
-		}
-		if slices.Contains(to[:i], g.consumers[t]) {
-			return 0, fmt.Errorf("%w: duplicate Reassign target %d", ErrBadMember, t)
-		}
-		to[i] = g.consumers[t]
+	if from == to {
+		return 0, fmt.Errorf("%w: Adopt(%d -> %d)", ErrSelfTransfer, from, to)
 	}
 	defer g.lockAll()()
-	if !force {
-		now := g.now()
-		for _, r := range g.consumers[from].refs {
-			if d := g.cache[r.global].durable; d.Active && d.Owner == from && d.Deadline > now {
-				return 0, fmt.Errorf("%w: member %d's lease on %s/%d (deadline %d > now %d)",
-					ErrUnexpiredLease, from, r.t.Name(), r.shard, d.Deadline, now)
-			}
+	now := g.now()
+	for _, r := range g.consumers[from].refs {
+		if d := g.cache[r.global].durable; d.Active && d.Owner == from && d.Deadline > now {
+			return 0, fmt.Errorf("%w: member %d's lease on %s/%d (deadline %d > now %d)",
+				ErrUnexpiredLease, from, r.t.Name(), r.shard, d.Deadline, now)
 		}
 	}
-	_, moved := g.reassignLocked(tid, g.consumers[from], to)
+	_, moved := g.reassignLocked(tid, g.consumers[from], []*Consumer{g.consumers[to]})
 	return moved, nil
 }
 
@@ -250,7 +214,7 @@ type ScanReport struct {
 
 // Scan is the group's expiry scanner: it detects members whose every
 // durable lease deadline has passed at `now` — they stopped
-// heartbeating long enough ago that their windows are forfeit — and
+// renewing long enough ago that their windows are forfeit — and
 // deals each one's shards across the surviving members
 // (reassignLocked semantics: least-loaded-first, unacked suffix
 // redelivered, epochs bumped, the member fenced). A member holding no
@@ -260,8 +224,8 @@ type ScanReport struct {
 // nothing moves.
 //
 // A scan that expires nobody reads only volatile state and issues
-// zero persist instructions, so a janitor may run it as often as it
-// likes. tid may be any thread id owned by the caller; Scan takes the
+// zero persist instructions, so a caller may run it on whatever
+// timer it likes. tid may be any thread id owned by the caller; Scan takes the
 // group and every member lock, so it is safe beside live traffic.
 func (g *Group) Scan(tid int, now uint64) (ScanReport, error) {
 	if err := g.acked("Scan"); err != nil {
@@ -305,7 +269,7 @@ func (g *Group) Scan(tid int, now uint64) (ScanReport, error) {
 // Steal is the work-stealing variant of takeover: an idle member
 // claims ONE shard whose durable lease has expired at the group
 // clock, from whichever member holds it, with the same epoch bump,
-// fencing and unacked-suffix redelivery as Reassign — it is the same
+// fencing and unacked-suffix redelivery as Adopt — it is the same
 // transfer — at one shard's store+flush and one fence. It reports
 // whether a shard was found (false with no error means nothing is
 // expired) and the redeliveries queued. Unlike most Consumer methods
@@ -334,56 +298,4 @@ func (c *Consumer) Steal(tid int) (bool, int, error) {
 		}
 	}
 	return false, 0, nil
-}
-
-// Janitor is a background expiry scanner started by StartJanitor.
-type Janitor struct {
-	stop chan struct{}
-	done chan struct{}
-	once sync.Once
-}
-
-// StartJanitor runs Scan in a background goroutine with a jittered
-// period (uniform in [period/2, 3*period/2), so a fleet of groups
-// never scans in lockstep), at the group clock. The jitter sequence is
-// seeded from the group's lease-region index (LeaseConfig.Region) and
-// tid — values the caller chose — so a run's scan schedule can be
-// replayed. tid must be a thread id reserved for the janitor — the
-// one-goroutine-per-tid rule applies to the scans it issues. A
-// simulated crash ends the janitor: its scans run under pmem.Protect,
-// so the crash signal never escapes the background goroutine, and Stop
-// still returns.
-func (g *Group) StartJanitor(tid int, period time.Duration) (*Janitor, error) {
-	if err := g.acked("StartJanitor"); err != nil {
-		return nil, err
-	}
-	if period <= 0 {
-		return nil, fmt.Errorf("broker: StartJanitor period must be positive, got %v", period)
-	}
-	j := &Janitor{stop: make(chan struct{}), done: make(chan struct{})}
-	rng := rand.New(rand.NewSource(int64(g.regionIdx)<<32 | int64(tid)))
-	go func() {
-		defer close(j.done)
-		for {
-			d := period/2 + time.Duration(rng.Int63n(int64(period)))
-			select {
-			case <-j.stop:
-				return
-			case <-time.After(d):
-			}
-			if pmem.Protect(func() { g.Scan(tid, g.now()) }) {
-				return
-			}
-		}
-	}()
-	return j, nil
-}
-
-// Stop halts the janitor and waits for its goroutine to exit. Stop is
-// idempotent: teardown paths (defer stacks, signal handlers, tests)
-// routinely race to stop the same janitor, and a second Stop must wait
-// for the exit like the first instead of panicking on a double close.
-func (j *Janitor) Stop() {
-	j.once.Do(func() { close(j.stop) })
-	<-j.done
 }

@@ -3,46 +3,24 @@ package broker
 import (
 	"errors"
 	"math/rand"
-	"sync"
 	"testing"
-	"time"
 
 	"repro/internal/pmem"
 )
 
-// TestReassignValidation pins the typed argument errors: out-of-range
-// or duplicate members, self-transfer, and takeover from a member
-// with live leases without force. (A plain group's refusal of every
-// membership verb is TestPlainGroupRefusals.)
+// TestReassignValidation pins the refusals of Adopt, the one
+// reassignment verb that names its members: out-of-range members,
+// self-transfer, and a takeover from a member with a live lease, each
+// typed and persisting nothing. Once the lease expires the same call
+// succeeds and the displaced member is fenced. (A plain group's
+// refusal of every membership verb is TestPlainGroupRefusals.)
 func TestReassignValidation(t *testing.T) {
-	_, b := newAckedBroker(t, 1, 3, pmem.ModePerf)
+	hs, b := newAckedBroker(t, 1, 3, pmem.ModePerf)
 	clk := &logicalClock{}
 	g, err := b.NewGroupAcked([]string{"events"}, 3, LeaseConfig{TTL: 10, Now: clk.Now})
 	if err != nil {
 		t.Fatal(err)
 	}
-	wantErr := func(what string, want error, got error) {
-		t.Helper()
-		if !errors.Is(got, want) {
-			t.Errorf("%s: got %v, want %v", what, got, want)
-		}
-	}
-	_, err = g.Reassign(0, 7, []int{0}, false)
-	wantErr("from out of range", ErrBadMember, err)
-	_, err = g.Reassign(0, -1, []int{0}, false)
-	wantErr("negative from", ErrBadMember, err)
-	_, err = g.Reassign(0, 1, nil, false)
-	wantErr("no targets", ErrBadMember, err)
-	_, err = g.Reassign(0, 1, []int{3}, false)
-	wantErr("target out of range", ErrBadMember, err)
-	_, err = g.Reassign(0, 1, []int{0, 1}, false)
-	wantErr("from among targets", ErrSelfTransfer, err)
-	_, err = g.Reassign(0, 1, []int{0, 2, 0}, false)
-	wantErr("duplicate target", ErrBadMember, err)
-	_, err = g.Adopt(0, 1, 1)
-	wantErr("Adopt onto itself", ErrSelfTransfer, err)
-
-	// A live (unexpired) lease refuses takeover without force.
 	for i := uint64(0); i < 16; i++ {
 		b.Topic("events").Publish(0, U64(i))
 	}
@@ -50,21 +28,42 @@ func TestReassignValidation(t *testing.T) {
 	if ms := victim.PollBatch(2, 4); len(ms) == 0 {
 		t.Fatal("victim polled nothing")
 	}
-	_, err = g.Reassign(0, 1, []int{0, 2}, false)
-	wantErr("unexpired lease without force", ErrUnexpiredLease, err)
-	_, err = g.Adopt(0, 1, 0)
-	wantErr("Adopt with unexpired lease", ErrUnexpiredLease, err)
-	// force takes the shards regardless; the victim's next ack is
-	// refused with the typed fencing error.
-	moved, err := g.Reassign(0, 1, []int{0, 2}, true)
+	for _, r := range []struct {
+		name     string
+		from, to int
+		want     error
+	}{
+		{"from out of range", 7, 0, ErrBadMember},
+		{"negative from", -1, 0, ErrBadMember},
+		{"target out of range", 1, 3, ErrBadMember},
+		{"negative target", 1, -1, ErrBadMember},
+		{"onto itself", 1, 1, ErrSelfTransfer},
+		{"unexpired lease", 1, 0, ErrUnexpiredLease},
+	} {
+		before := hs.TotalStats()
+		if _, err := g.Adopt(0, r.from, r.to); !errors.Is(err, r.want) {
+			t.Errorf("Adopt(%d -> %d), %s: got %v, want %v", r.from, r.to, r.name, err, r.want)
+		}
+		if d := hs.TotalStats().Sub(before); persists(d) != [3]uint64{} {
+			t.Errorf("refused Adopt, %s = %v fences/NTStores/flushes, want 0/0/0", r.name, persists(d))
+		}
+	}
+	if len(victim.Assigned()) == 0 {
+		t.Fatal("a refused Adopt moved the victim's shards")
+	}
+
+	// Past the deadline the same Adopt takes the shards; the victim's
+	// next ack is refused with the typed fencing error.
+	clk.Advance(11)
+	moved, err := g.Adopt(0, 1, 0)
 	if err != nil {
-		t.Fatalf("forced Reassign: %v", err)
+		t.Fatalf("Adopt after expiry: %v", err)
 	}
 	if moved == 0 {
-		t.Fatal("forced Reassign moved no redeliveries despite an in-flight window")
+		t.Fatal("Adopt moved no redeliveries despite an in-flight window")
 	}
 	if len(victim.Assigned()) != 0 {
-		t.Fatalf("victim still owns %d shards after forced Reassign", len(victim.Assigned()))
+		t.Fatalf("victim still owns %d shards after Adopt", len(victim.Assigned()))
 	}
 	if _, err := victim.Ack(2); !errors.Is(err, ErrFenced) {
 		t.Fatalf("displaced member's Ack returned %v, want ErrFenced", err)
@@ -72,7 +71,6 @@ func TestReassignValidation(t *testing.T) {
 	if _, err := victim.Ack(2); err != nil {
 		t.Fatalf("Ack after the fencing record was consumed: %v", err)
 	}
-
 }
 
 // TestScanFencesAndSplits: the expiry scanner detects the one member
@@ -182,14 +180,15 @@ func TestScanFencesAndSplits(t *testing.T) {
 }
 
 // TestMembershipFenceAccounting pins the protocol's persist costs on
-// one domain: a scan with no expiries and a heartbeat at a durable
-// deadline are free; fencing a dead member costs one fence plus one
+// one domain: a scan with no expiries and a renewal to now+TTL that
+// the durable deadline already covers are free; fencing a dead member costs one fence plus one
 // store+flush per moved shard holding work; a stale Renew is refused
 // without touching NVRAM; a steal is one line and one fence.
 func TestMembershipFenceAccounting(t *testing.T) {
 	hs, b := newAckedBroker(t, 1, 3, pmem.ModePerf)
 	clk := &logicalClock{}
-	g, err := b.NewGroupAcked([]string{"events"}, 2, LeaseConfig{TTL: 100, Now: clk.Now})
+	const ttl = 100
+	g, err := b.NewGroupAcked([]string{"events"}, 2, LeaseConfig{TTL: ttl, Now: clk.Now})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -218,25 +217,25 @@ func TestMembershipFenceAccounting(t *testing.T) {
 		t.Fatalf("no-expiry scan = %d fences, %d NTStores, %d flushes; want 0/0/0", d.Fences, d.NTStores, d.Flushes)
 	}
 
-	// Heartbeat at the durable deadline rides the renewal elision.
+	// Renewing to now+TTL at the durable deadline rides the elision.
 	before = hs.TotalStats()
-	if err := c1.Heartbeat(2); err != nil {
+	if err := c1.Renew(2, clk.Now()+ttl); err != nil {
 		t.Fatal(err)
 	}
 	d = hs.TotalStats().Sub(before)
 	if d.Fences != 0 || d.Flushes != 0 {
-		t.Fatalf("heartbeat at a durable deadline = %d fences, %d flushes; want 0/0", d.Fences, d.Flushes)
+		t.Fatalf("renewal at a durable deadline = %d fences, %d flushes; want 0/0", d.Fences, d.Flushes)
 	}
-	// Once the clock moved, the heartbeat rewrites its lines under one
+	// Once the clock moved, the renewal rewrites its lines under one
 	// fence — the fresh-epoch renewal keeps its pinned cost.
 	clk.Advance(50)
 	before = hs.TotalStats()
-	if err := c1.Heartbeat(2); err != nil {
+	if err := c1.Renew(2, clk.Now()+ttl); err != nil {
 		t.Fatal(err)
 	}
 	d = hs.TotalStats().Sub(before)
 	if d.Fences != 1 || d.Flushes != 2 {
-		t.Fatalf("deadline-moving heartbeat = %d fences, %d flushes; want 1 fence, 2 lease lines", d.Fences, d.Flushes)
+		t.Fatalf("deadline-moving renewal = %d fences, %d flushes; want 1 fence, 2 lease lines", d.Fences, d.Flushes)
 	}
 
 	// Member 1 goes silent; fencing it moves 2 shards with work: one
@@ -257,7 +256,7 @@ func TestMembershipFenceAccounting(t *testing.T) {
 
 	// The stale member's Renew is refused before any persist executes.
 	before = hs.TotalStats()
-	if err := c1.Renew(2, clk.Now()+100); !errors.Is(err, ErrFenced) {
+	if err := c1.Renew(2, clk.Now()+ttl); !errors.Is(err, ErrFenced) {
 		t.Fatalf("stale Renew returned %v, want ErrFenced", err)
 	}
 	d = hs.TotalStats().Sub(before)
@@ -351,78 +350,6 @@ func TestStealDrainsExpiredShards(t *testing.T) {
 	}
 }
 
-// TestJanitorFencesSilentMember: the background janitor notices an
-// expired member without any explicit Scan call and hands its shards
-// to the survivor.
-func TestJanitorFencesSilentMember(t *testing.T) {
-	_, b := newAckedBroker(t, 1, 4, pmem.ModePerf)
-	clk := &logicalClock{}
-	g, err := b.NewGroupAcked([]string{"events"}, 2, LeaseConfig{TTL: 10, Now: clk.Now})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := g.StartJanitor(0, 0); err == nil {
-		t.Fatal("StartJanitor accepted a non-positive period")
-	}
-	const n = 16
-	for i := uint64(0); i < n; i++ {
-		b.Topic("events").Publish(0, U64(i))
-	}
-	victim := g.Consumer(1)
-	if ms := victim.PollBatch(2, 8); len(ms) == 0 {
-		t.Fatal("victim polled nothing")
-	}
-	j, err := g.StartJanitor(3, time.Millisecond)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer j.Stop()
-	clk.Advance(100)
-	deadline := time.Now().Add(5 * time.Second)
-	for len(victim.Assigned()) != 0 {
-		if time.Now().After(deadline) {
-			t.Fatal("janitor never fenced the silent member")
-		}
-		time.Sleep(time.Millisecond)
-	}
-	if _, err := victim.Ack(2); !errors.Is(err, ErrFenced) {
-		t.Fatalf("janitor-fenced member's Ack returned %v, want ErrFenced", err)
-	}
-}
-
-// TestJanitorSurvivesCrash: a power failure that catches the janitor
-// inside a scan ends the janitor, not the process — its goroutine has
-// no caller to Protect it, so it must Protect its own scans — and Stop
-// still returns.
-func TestJanitorSurvivesCrash(t *testing.T) {
-	hs, b := newAckedBroker(t, 1, 4, pmem.ModeCrash)
-	clk := &logicalClock{}
-	g, err := b.NewGroupAcked([]string{"events"}, 2, LeaseConfig{TTL: 10, Now: clk.Now})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := uint64(0); i < 16; i++ {
-		b.Topic("events").Publish(0, U64(i))
-	}
-	if ms := g.Consumer(1).PollBatch(2, 8); len(ms) == 0 {
-		t.Fatal("victim polled nothing")
-	}
-	// The victim's lease has expired, so the janitor's next scan must
-	// rewrite lease lines — on a heap set that is already down.
-	clk.Advance(100)
-	hs.CrashNow()
-	j, err := g.StartJanitor(3, time.Millisecond)
-	if err != nil {
-		t.Fatal(err)
-	}
-	select {
-	case <-j.done:
-	case <-time.After(5 * time.Second):
-		t.Fatal("janitor kept running on a crashed heap set")
-	}
-	j.Stop()
-}
-
 // TestEpochDurability: takeovers bump the epoch in the durable lease
 // line, a recovered binding re-seeds its authority from it (so
 // post-crash epochs never fall behind a pre-crash owner), and the
@@ -506,37 +433,4 @@ func TestEpochDurability(t *testing.T) {
 	if past == 0 {
 		t.Fatal("no lease line reached epoch 2 after the post-crash takeover")
 	}
-}
-
-// TestJanitorDoubleStop: Stop is idempotent — calling it twice (even
-// concurrently) must neither panic on a double close nor hang, and
-// every call returns only after the janitor goroutine has exited.
-func TestJanitorDoubleStop(t *testing.T) {
-	_, b := newAckedBroker(t, 1, 4, pmem.ModePerf)
-	clk := &logicalClock{}
-	g, err := b.NewGroupAcked([]string{"events"}, 2, LeaseConfig{TTL: 10, Now: clk.Now})
-	if err != nil {
-		t.Fatal(err)
-	}
-	j, err := g.StartJanitor(3, time.Millisecond)
-	if err != nil {
-		t.Fatal(err)
-	}
-	j.Stop()
-	j.Stop() // regression: this used to panic on a double close
-
-	// And under contention: every racer must return, none may panic.
-	j2, err := g.StartJanitor(3, time.Millisecond)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var wg sync.WaitGroup
-	for i := 0; i < 4; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			j2.Stop()
-		}()
-	}
-	wg.Wait()
 }

@@ -5,7 +5,6 @@ import (
 	"math/rand"
 	"reflect"
 	"testing"
-	"time"
 
 	"repro/internal/obs"
 	"repro/internal/pmem"
@@ -38,12 +37,9 @@ func TestPlainGroupRefusals(t *testing.T) {
 		{"Ack", func() error { _, err := c.Ack(1); return err }},
 		{"Nack", func() error { _, err := c.Nack(1); return err }},
 		{"Renew", func() error { return c.Renew(1, 100) }},
-		{"Heartbeat", func() error { return c.Heartbeat(1) }},
-		{"Reassign", func() error { _, err := g.Reassign(0, 0, []int{1}, true); return err }},
 		{"Adopt", func() error { _, err := g.Adopt(0, 0, 1); return err }},
 		{"Scan", func() error { _, err := g.Scan(0, 0); return err }},
 		{"Steal", func() error { _, _, err := c.Steal(1); return err }},
-		{"StartJanitor", func() error { _, err := g.StartJanitor(2, time.Millisecond); return err }},
 	}
 	for _, v := range verbs {
 		before := hs.TotalStats()
@@ -87,7 +83,6 @@ func TestPublishRefusalsTyped(t *testing.T) {
 		{"PublishAt/oversize", func() error { return delay.PublishAt(0, huge, 1) }},
 		{"PublishAtBatch/lengths", func() error { return delay.PublishAtBatch(0, [][]byte{ok, ok}, []uint64{1}) }},
 		{"PublishPriorityBatch/lengths", func() error { return prio.PublishPriorityBatch(0, [][]byte{ok}, []uint64{1, 2}) }},
-		{"NackDelayed/oversize", func() error { return delay.NackDelayed(0, huge, 1, 1) }},
 	}
 	for _, r := range refusals {
 		before := hs.TotalStats()
@@ -106,8 +101,8 @@ func TestPublishRefusalsTyped(t *testing.T) {
 	if ms := g.Consumer(0).PollBatch(1, 8); len(ms) != 0 {
 		t.Fatalf("refused publishes delivered %d messages", len(ms))
 	}
-	if delay.HeapDepth() != 0 || prio.HeapDepth() != 0 {
-		t.Fatalf("refused heap publishes left depth %d/%d", delay.HeapDepth(), prio.HeapDepth())
+	if dd, pd := delay.heapq.Depth(), prio.heapq.Depth(); dd != 0 || pd != 0 {
+		t.Fatalf("refused heap publishes left depth %d/%d", dd, pd)
 	}
 }
 
@@ -203,9 +198,10 @@ func TestBindOneSource(t *testing.T) {
 	}
 }
 
-// TestTakeoverOneSource: a one-shard member loses its shard to Steal on
-// one twin and to a forced Reassign on the other; the lease line, the
-// redelivery order and the victim's refusal must not tell them apart.
+// TestTakeoverOneSource: a one-shard member whose lease expired loses
+// its shard to Steal on one twin and to Adopt on the other; the lease
+// line, the redelivery order and the victim's refusal must not tell
+// them apart.
 func TestTakeoverOneSource(t *testing.T) {
 	type outcome struct {
 		line        Lease
@@ -268,15 +264,15 @@ func TestTakeoverOneSource(t *testing.T) {
 		}
 		return moved, err
 	})
-	forced := takeover(func(g *Group) (int, error) { return g.Reassign(2, 0, []int{1}, true) })
+	adopted := takeover(func(g *Group) (int, error) { return g.Adopt(2, 0, 1) })
 	if !stolen.line.Active || stolen.line.Owner != 1 || stolen.line.Epoch != 1 || stolen.moved != 4 || len(stolen.redelivered) != 4 {
 		t.Fatalf("the fixture is vacuous: %+v", stolen)
 	}
 	if stolen.persists != [3]uint64{1, 0, 1} {
 		t.Fatalf("one-shard takeover = %v fences/NTStores/flushes, want 1/0/1", stolen.persists)
 	}
-	if !reflect.DeepEqual(stolen, forced) {
-		t.Fatalf("Steal and Reassign(force) differ:\n  Steal:    %+v\n  Reassign: %+v", stolen, forced)
+	if !reflect.DeepEqual(stolen, adopted) {
+		t.Fatalf("Steal and Adopt differ:\n  Steal: %+v\n  Adopt: %+v", stolen, adopted)
 	}
 }
 

@@ -21,7 +21,7 @@ var ErrTopicDeleted = errors.New("broker: topic deleted")
 // ErrWrongTopicKind reports a verb applied to a topic of the wrong
 // kind: a FIFO verb (Publish/PublishKey/PublishBatch, group
 // subscription) on a delay/priority topic, or a heap verb
-// (PublishAt/PublishPriority/DequeueReady/NackDelayed) on a FIFO
+// (PublishAt/PublishPriority/DequeueReady) on a FIFO
 // topic. Every refusing path wraps this sentinel with the same
 // diagnostic shape (verb, topic, actual kind, wanted kind) — the
 // ErrLeaseCapacity convention — so callers test
@@ -38,8 +38,7 @@ func (t *Topic) kindErr(verb string, want TopicKind) error {
 // safe from any number of producers (each with its own tid); ordering
 // is FIFO per shard, so two messages routed to the same shard are
 // delivered in publish order. A topic's shards may be spread over
-// several member heaps of the broker's set, dealt round-robin; HeapOf
-// reports each shard's domain.
+// several member heaps of the broker's set, dealt round-robin.
 type Topic struct {
 	b      *Broker
 	cfg    TopicConfig
@@ -119,10 +118,6 @@ func (t *Topic) enter() bool {
 }
 
 func (t *Topic) exit() { t.inflight.Add(-1) }
-
-// HeapOf reports the member heap (persistence domain) shard s lives
-// on.
-func (t *Topic) HeapOf(s int) int { return t.locs[s].heap }
 
 // MaxPayload reports the payload capacity in bytes (8 for fixed
 // topics).

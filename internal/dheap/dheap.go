@@ -44,7 +44,7 @@
 //     same loss window the broker's DequeueBatch already documents.
 //
 // Delay topics and priority topics are the same structure with
-// different keys: a deadline gates readiness (PopReady delivers only
+// different keys: a deadline gates readiness (a pop delivers only
 // key <= now), a priority is always ready (now = ^uint64(0)).
 package dheap
 
@@ -216,7 +216,7 @@ func Recover(view *pmem.Heap, threads int) (*Q, error) {
 	}
 	// Free lists start EMPTY: only slots the scan below classifies as
 	// dead or consumed are freed. Pre-filling (as New does) would let a
-	// later Push silently overwrite a durably-published live entry.
+	// later PushBatch silently overwrite a durably-published live entry.
 	q.initVolatile()
 
 	var maxSeq uint64
@@ -277,15 +277,10 @@ func payloadOff(i int) pmem.Addr {
 	return pmem.Addr((4 + i) * pmem.WordBytes)
 }
 
-// Push publishes one entry. One fence.
-func (q *Q) Push(tid int, key uint64, payload []byte) error {
-	return q.PushBatch(tid, []uint64{key}, [][]byte{payload})
-}
-
 // PushBatch publishes len(keys) entries under a single fence
 // (durability amortized like EnqueueBatch). The batch is
 // all-or-nothing: on ErrFull, ErrBatchShape or ErrPayloadTooLarge
-// nothing is published. Entries become visible to PopReady only after
+// nothing is published. Entries become visible to a pop only after
 // the fence, so anything observable is durable. Payloads are copied;
 // the caller may reuse its buffers as soon as PushBatch returns.
 func (q *Q) PushBatch(tid int, keys []uint64, payloads [][]byte) error {
@@ -363,16 +358,6 @@ func (q *Q) writeEntry(tid int, words []uint64, it *item, payload []byte) {
 		q.h.NTStore(tid, base+payloadOff(i), w)
 	}
 	q.h.NTStore(tid, base+7*pmem.WordBytes, entrySum(it.seq, it.key, uint64(it.len), words))
-}
-
-// PopReady pops the minimum entry with key <= maxKey. One fence when
-// a message is delivered; zero persists when nothing is ready.
-func (q *Q) PopReady(tid int, maxKey uint64) (payload []byte, key uint64, ok bool) {
-	var one [1][]byte
-	if ps := q.PopReadyBatchAppend(tid, maxKey, 1, one[:0]); len(ps) > 0 {
-		return ps[0], q.scratch[tid].popped[0].key, true
-	}
-	return nil, 0, false
 }
 
 // PopReadyBatch is PopReadyBatchAppend into a new slice, with the key of

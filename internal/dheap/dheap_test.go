@@ -42,7 +42,7 @@ func TestPushPopOrder(t *testing.T) {
 	for i := 0; i < 200; i++ {
 		key := uint64(rng.Intn(50))
 		want = append(want, key)
-		if err := q.Push(i%2, key, payloadFor(key, 8)); err != nil {
+		if err := q.PushBatch(i%2, []uint64{key}, [][]byte{payloadFor(key, 8)}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -65,7 +65,7 @@ func TestEqualKeysFIFO(t *testing.T) {
 	for i := 0; i < 20; i++ {
 		p := make([]byte, 16)
 		binary.LittleEndian.PutUint64(p, uint64(i))
-		if err := q.Push(0, 42, p); err != nil {
+		if err := q.PushBatch(0, []uint64{42}, [][]byte{p}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -81,22 +81,18 @@ func TestReadyGating(t *testing.T) {
 	h := newHeap(0, 1)
 	q := New(h, Config{Threads: 1, Capacity: 64})
 	for _, key := range []uint64{30, 10, 20} {
-		if err := q.Push(0, key, payloadFor(key, 8)); err != nil {
+		if err := q.PushBatch(0, []uint64{key}, [][]byte{payloadFor(key, 8)}); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if _, _, ok := q.PopReady(0, 9); ok {
+	if ps, _ := q.PopReadyBatch(0, 9, 1); len(ps) > 0 {
 		t.Fatal("popped an entry before its key was ready")
 	}
 	if min, ok := q.MinKey(); !ok || min != 10 {
 		t.Fatalf("MinKey = %d,%v, want 10,true", min, ok)
 	}
-	_, key, ok := q.PopReady(0, 15)
-	if !ok || key != 10 {
-		t.Fatalf("PopReady(15) = %d,%v, want 10,true", key, ok)
-	}
-	if _, key, ok = q.PopReady(0, 15); ok {
-		t.Fatalf("PopReady(15) delivered key %d past the gate", key)
+	if _, keys := q.PopReadyBatch(0, 15, 2); len(keys) != 1 || keys[0] != 10 {
+		t.Fatalf("PopReadyBatch(15, 2) keys = %v, want [10]", keys)
 	}
 	ps, ks := q.PopReadyBatch(0, ^uint64(0), 8)
 	if len(ps) != 2 || ks[0] != 20 || ks[1] != 30 {
@@ -187,8 +183,8 @@ func TestFenceAccounting(t *testing.T) {
 	d = h.DeltaOf(0)
 	q.Depth()
 	q.MinKey()
-	if _, _, ok := q.PopReady(0, 0); ok {
-		t.Fatal("PopReady(0) delivered")
+	if ps, _ := q.PopReadyBatch(0, 0, 1); len(ps) > 0 {
+		t.Fatal("PopReadyBatch(0) delivered")
 	}
 	if s := d.Delta(); s.Fences != 0 || s.NTStores != 0 || s.Flushes != 0 {
 		t.Fatalf("gauges/empty pop persisted: %+v", s)
@@ -205,7 +201,7 @@ func TestRecover(t *testing.T) {
 	consumed := map[uint64]bool{}
 	for i := 0; i < 40; i++ {
 		key := uint64(i % 10)
-		if err := q.Push(i%2, key, payloadFor(uint64(i)+100, 40)); err != nil {
+		if err := q.PushBatch(i%2, []uint64{key}, [][]byte{payloadFor(uint64(i)+100, 40)}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -226,7 +222,7 @@ func TestRecover(t *testing.T) {
 	}
 	// New publishes after recovery must sort after recovered entries
 	// of the same key (seq continuity).
-	if err := r.Push(0, 0, payloadFor(999, 40)); err != nil {
+	if err := r.PushBatch(0, []uint64{0}, [][]byte{payloadFor(999, 40)}); err != nil {
 		t.Fatal(err)
 	}
 	rps, rks := drainAll(r, 1)
@@ -272,7 +268,7 @@ func TestRecoverFullArenaBackpressure(t *testing.T) {
 	h := newHeap(pmem.ModeCrash, 1)
 	q := New(h, Config{Threads: 1, MaxPayload: 8, Capacity: 4})
 	for i := uint64(1); i <= 4; i++ {
-		if err := q.Push(0, i, payloadFor(i, 8)); err != nil {
+		if err := q.PushBatch(0, []uint64{i}, [][]byte{payloadFor(i, 8)}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -286,7 +282,7 @@ func TestRecoverFullArenaBackpressure(t *testing.T) {
 	if r.Depth() != 4 {
 		t.Fatalf("recovered depth %d, want 4", r.Depth())
 	}
-	if err := r.Push(0, 9, payloadFor(9, 8)); !errorsIs(err, ErrFull) {
+	if err := r.PushBatch(0, []uint64{9}, [][]byte{payloadFor(9, 8)}); !errorsIs(err, ErrFull) {
 		t.Fatalf("Push into fully-live recovered arena = %v, want ErrFull", err)
 	}
 	// Second crash without consuming anything: all four live entries
@@ -315,11 +311,11 @@ func TestRecoverFullArenaBackpressure(t *testing.T) {
 	}
 	// Draining freed all four slots: exactly capacity pushes fit again.
 	for i := uint64(10); i < 14; i++ {
-		if err := r2.Push(0, i, payloadFor(i, 8)); err != nil {
+		if err := r2.PushBatch(0, []uint64{i}, [][]byte{payloadFor(i, 8)}); err != nil {
 			t.Fatalf("push %d after drain: %v", i, err)
 		}
 	}
-	if err := r2.Push(0, 14, payloadFor(14, 8)); !errorsIs(err, ErrFull) {
+	if err := r2.PushBatch(0, []uint64{14}, [][]byte{payloadFor(14, 8)}); !errorsIs(err, ErrFull) {
 		t.Fatalf("over-capacity push after drain = %v, want ErrFull", err)
 	}
 }
@@ -331,7 +327,7 @@ func TestRecoverPartialConsumeFreeList(t *testing.T) {
 	h := newHeap(pmem.ModeCrash, 1)
 	q := New(h, Config{Threads: 1, MaxPayload: 8, Capacity: 6})
 	for i := uint64(1); i <= 6; i++ {
-		if err := q.Push(0, i, payloadFor(i, 8)); err != nil {
+		if err := q.PushBatch(0, []uint64{i}, [][]byte{payloadFor(i, 8)}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -349,11 +345,11 @@ func TestRecoverPartialConsumeFreeList(t *testing.T) {
 		t.Fatalf("recovered depth %d, want 4", r.Depth())
 	}
 	for i := uint64(20); i < 22; i++ {
-		if err := r.Push(0, i, payloadFor(i, 8)); err != nil {
+		if err := r.PushBatch(0, []uint64{i}, [][]byte{payloadFor(i, 8)}); err != nil {
 			t.Fatalf("push into consumed slot: %v", err)
 		}
 	}
-	if err := r.Push(0, 22, payloadFor(22, 8)); !errorsIs(err, ErrFull) {
+	if err := r.PushBatch(0, []uint64{22}, [][]byte{payloadFor(22, 8)}); !errorsIs(err, ErrFull) {
 		t.Fatalf("push past consumed-slot budget = %v, want ErrFull", err)
 	}
 	// Nothing recovered was overwritten by the two reuse pushes.
@@ -384,13 +380,13 @@ func TestTornPublishTruncated(t *testing.T) {
 		h := newHeap(pmem.ModeCrash, 1)
 		q := New(h, Config{Threads: 1, MaxPayload: 40, Capacity: 16})
 		for i := uint64(1); i <= 3; i++ {
-			if err := q.Push(0, i, payloadFor(i, 40)); err != nil {
+			if err := q.PushBatch(0, []uint64{i}, [][]byte{payloadFor(i, 40)}); err != nil {
 				t.Fatal(err)
 			}
 		}
 		h.ScheduleCrashAtAccess(h.AccessCount() + off)
 		crashed := pmem.Protect(func() {
-			if err := q.Push(0, 7, payloadFor(7, 40)); err != nil {
+			if err := q.PushBatch(0, []uint64{7}, [][]byte{payloadFor(7, 40)}); err != nil {
 				t.Fatal(err)
 			}
 		})
@@ -449,15 +445,15 @@ func TestConsumedSlotNoResurrection(t *testing.T) {
 	for off := int64(1); ; off++ {
 		h := newHeap(pmem.ModeCrash, 1)
 		q := New(h, Config{Threads: 1, MaxPayload: 8, Capacity: 1})
-		if err := q.Push(0, 5, payloadFor(5, 8)); err != nil {
+		if err := q.PushBatch(0, []uint64{5}, [][]byte{payloadFor(5, 8)}); err != nil {
 			t.Fatal(err)
 		}
-		if _, _, ok := q.PopReady(0, ^uint64(0)); !ok {
+		if ps, _ := q.PopReadyBatch(0, ^uint64(0), 1); len(ps) == 0 {
 			t.Fatal("pop failed")
 		}
 		h.ScheduleCrashAtAccess(h.AccessCount() + off)
 		crashed := pmem.Protect(func() {
-			if err := q.Push(0, 9, payloadFor(9, 8)); err != nil {
+			if err := q.PushBatch(0, []uint64{9}, [][]byte{payloadFor(9, 8)}); err != nil {
 				t.Fatal(err)
 			}
 		})
@@ -525,7 +521,7 @@ func TestCrashFuzz(t *testing.T) {
 						binary.LittleEndian.PutUint64(payload[8:], uint64(i))
 						key := uint64(prng.Intn(64))
 						var err error
-						if pmem.Protect(func() { err = q.Push(p, key, payload) }) {
+						if pmem.Protect(func() { err = q.PushBatch(p, []uint64{key}, [][]byte{payload}) }) {
 							return
 						}
 						if err != nil {

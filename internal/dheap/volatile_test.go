@@ -38,7 +38,7 @@ func TestItemIsPointerFree(t *testing.T) {
 func TestTypedRefusals(t *testing.T) {
 	h := newHeap(0, 1)
 	q := New(h, Config{Threads: 1, MaxPayload: 8, Capacity: 8})
-	if err := q.Push(0, 1, payloadFor(1, 8)); err != nil {
+	if err := q.PushBatch(0, []uint64{1}, [][]byte{payloadFor(1, 8)}); err != nil {
 		t.Fatal(err)
 	}
 	ok8, big := payloadFor(2, 8), make([]byte, 9)
@@ -65,7 +65,7 @@ func TestTypedRefusals(t *testing.T) {
 			t.Fatalf("%s: a refused batch took slots (free %d -> %d, depth %d)", tc.name, free, len(q.free[0]), q.Depth())
 		}
 	}
-	if err := q.Push(0, 4, big); !errors.Is(err, ErrPayloadTooLarge) {
+	if err := q.PushBatch(0, []uint64{4}, [][]byte{big}); !errors.Is(err, ErrPayloadTooLarge) {
 		t.Fatalf("Push of 9 bytes = %v, want ErrPayloadTooLarge", err)
 	}
 }

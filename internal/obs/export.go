@@ -220,7 +220,7 @@ func (s Snapshot) WritePrometheus(w io.Writer) error {
 	}
 	groupCounter("broker_group_fenced_acks_total", "Member ops refused with a stale lease epoch per group.",
 		func(g GroupSnapshot) uint64 { return g.FencedAcks })
-	groupCounter("broker_group_reassigned_shards_total", "Shards dealt off fenced members per group (Reassign/Scan).",
+	groupCounter("broker_group_reassigned_shards_total", "Shards dealt off fenced members per group (Adopt/Scan).",
 		func(g GroupSnapshot) uint64 { return g.Reassigned })
 	groupCounter("broker_group_stolen_shards_total", "Expired shards claimed by work-stealing members per group.",
 		func(g GroupSnapshot) uint64 { return g.Stolen })

@@ -323,7 +323,7 @@ func (g *GroupStats) AddShard(t *TopicStats, shard int) *ShardCursor {
 func (g *GroupStats) Fenced(n int) { g.fencedN.Add(uint64(n)) }
 
 // Reassigned counts n shards dealt off a fenced member by
-// Reassign/Scan.
+// Adopt/Scan.
 func (g *GroupStats) Reassigned(n int) { g.reassignedN.Add(uint64(n)) }
 
 // Stolen counts n shards claimed one at a time by Consumer.Steal.

@@ -41,6 +41,7 @@ package pmem
 
 import (
 	"cmp"
+	"errors"
 	"fmt"
 	"slices"
 	"sync"
@@ -814,12 +815,18 @@ func (h *Heap) NTStore(tid int, a Addr, v uint64) {
 	ts.charge(h.lat.NTStoreNs)
 }
 
+// ErrOutOfSpace is what AllocRaw panics with, wrapped with the sizes,
+// when the bump region cannot hold the request: a caller that can
+// refuse its operation instead recovers exactly this value.
+var ErrOutOfSpace = errors.New("pmem: out of simulated persistent memory")
+
 // AllocRaw carves size bytes (aligned to align, a power of two ≥ 8)
 // out of the heap's bump region. The heap break itself is persisted so
 // that allocations made before a crash are never handed out again
 // after recovery. AllocRaw is intended for rare, large allocations
 // (allocator areas, registries, logs); per-node allocation goes
-// through package ssmem.
+// through package ssmem. A request past the heap's end panics with an
+// error wrapping ErrOutOfSpace and moves nothing.
 func (h *Heap) AllocRaw(tid int, size, align int64) Addr {
 	if align < WordBytes || align&(align-1) != 0 {
 		panic("pmem: AllocRaw alignment must be a power of two >= 8")
@@ -830,7 +837,7 @@ func (h *Heap) AllocRaw(tid int, size, align int64) Addr {
 	a := (brk + align - 1) &^ (align - 1)
 	end := a + size
 	if end > h.cfg.Bytes {
-		panic(fmt.Sprintf("pmem: out of simulated persistent memory (%d + %d > %d)", a, size, h.cfg.Bytes))
+		panic(fmt.Errorf("%w (%d + %d > %d)", ErrOutOfSpace, a, size, h.cfg.Bytes))
 	}
 	h.Store(tid, brkAddr, uint64(end))
 	h.Persist(tid, brkAddr)
