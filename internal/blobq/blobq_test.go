@@ -119,8 +119,10 @@ func payloadsOf(vs []uint64) [][]byte {
 	return ps
 }
 
-func (w wordQ) Enqueue(tid int, v uint64)          { w.Queue.Enqueue(tid, encodedPayload(v)) }
-func (w wordQ) EnqueueBatch(tid int, vs []uint64)  { w.Queue.EnqueueBatch(tid, payloadsOf(vs)) }
+func (w wordQ) Enqueue(tid int, v uint64) { w.Queue.Enqueue(tid, encodedPayload(v)) }
+func (w wordQ) EnqueueBatch(tid int, vs []uint64) error {
+	return w.Queue.EnqueueBatch(tid, payloadsOf(vs))
+}
 func (w wordQ) DequeueBatch(tid, max int) []uint64 { return w.words(w.Queue.DequeueBatch(tid, max)) }
 func (w wordQ) Dequeue(tid int) (uint64, bool) {
 	vs := w.DequeueBatch(tid, 1)
@@ -203,7 +205,7 @@ func decodePayload(p []byte) (uint64, error) {
 // queue through wordQ.
 type pinQ interface {
 	queues.Queue
-	EnqueueBatch(tid int, vs []uint64)
+	EnqueueBatch(tid int, vs []uint64) error
 	DequeueBatch(tid, max int) []uint64
 	DequeueLeased(tid, max int) (vs, idxs []uint64)
 	AckTo(tid int, idx uint64)

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 
@@ -272,32 +273,15 @@ func TestCreateTopicOutOfSpace(t *testing.T) {
 		t.Fatal(err)
 	}
 	b.Topic("base").Publish(0, U64(7))
-	shape := TopicConfig{Name: "churn", Shards: 1}
-	for cycle := 0; ; cycle++ {
-		if cycle == 200 {
-			t.Fatal("200 create/publish/delete cycles never ran the heap out of space")
-		}
-		used, free := b.SlotFootprint()
-		_, err := b.CreateTopic(0, shape)
-		if err != nil {
-			if !errors.Is(err, pmem.ErrOutOfSpace) {
-				t.Fatalf("cycle %d: CreateTopic = %v, want pmem.ErrOutOfSpace", cycle, err)
-			}
-			if u, f := b.SlotFootprint(); u != used || f != free {
-				t.Fatalf("refused create moved the slot footprint (used %d, free %d) -> (used %d, free %d)", used, free, u, f)
-			}
-			if b.Topic("churn") != nil {
-				t.Fatal("refused create left its topic visible")
-			}
-			t.Logf("refused at cycle %d: %v", cycle, err)
-			break
-		}
-		for m := uint64(0); m < 16; m++ {
-			b.Topic("churn").Publish(0, U64(m))
-		}
-		if err := b.DeleteTopic(0, "churn"); err != nil {
-			t.Fatalf("cycle %d delete: %v", cycle, err)
-		}
+	used, free, err := churnUntilFull(t, b)
+	if !errors.Is(err, pmem.ErrOutOfSpace) {
+		t.Fatalf("CreateTopic = %v, want pmem.ErrOutOfSpace", err)
+	}
+	if u, f := b.SlotFootprint(); u != used || f != free {
+		t.Fatalf("refused create moved the slot footprint (used %d, free %d) -> (used %d, free %d)", used, free, u, f)
+	}
+	if b.Topic("churn") != nil {
+		t.Fatal("refused create left its topic visible")
 	}
 	hs.CrashNow()
 	hs.FinalizeCrash(rand.New(rand.NewSource(95)))
@@ -311,6 +295,95 @@ func TestCreateTopicOutOfSpace(t *testing.T) {
 	}
 	if p, ok := r.Topic("base").DequeueShard(0, 0); !ok || AsU64(p) != 7 {
 		t.Fatalf("base message lost: %v,%v", p, ok)
+	}
+}
+
+// churnUntilFull runs create, 16-publish and delete cycles of a 1-shard
+// topic named churn on b until a CreateTopic refuses, and returns that
+// refusal with the slot footprint just before it. NVRAM has no free
+// path, so every cycle moves the heap's break for good.
+func churnUntilFull(t *testing.T, b *Broker) (used, free int, err error) {
+	t.Helper()
+	shape := TopicConfig{Name: "churn", Shards: 1}
+	for cycle := 0; cycle < 200; cycle++ {
+		used, free = b.SlotFootprint()
+		if _, err := b.CreateTopic(0, shape); err != nil {
+			t.Logf("refused at cycle %d: %v", cycle, err)
+			return used, free, err
+		}
+		for m := uint64(0); m < 16; m++ {
+			b.Topic("churn").Publish(0, U64(m))
+		}
+		if err := b.DeleteTopic(0, "churn"); err != nil {
+			t.Fatalf("cycle %d delete: %v", cycle, err)
+		}
+	}
+	t.Fatal("200 create/publish/delete cycles never ran the heap out of space")
+	return
+}
+
+// TestPublishOutOfSpace: on a heap churned full, batches of two go to a
+// 1-shard topic until its node pool must grow an area there is no room
+// for. That PublishBatch returns an error wrapping pmem.ErrOutOfSpace
+// having linked nothing: the slot it took goes back before the refusal,
+// so a single publish after it still fits, the image a power loss
+// leaves behind recovers, and its drain returns exactly the accepted
+// messages.
+func TestPublishOutOfSpace(t *testing.T) {
+	hs := pmem.NewSet(1, pmem.Config{Bytes: 16 << 20, Mode: pmem.ModeCrash, MaxThreads: 2})
+	b, err := Open(hs, Options{Threads: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := b.CreateTopic(0, TopicConfig{Name: "base", Shards: 1}); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := churnUntilFull(t, b); !errors.Is(err, pmem.ErrOutOfSpace) {
+		t.Fatalf("CreateTopic = %v, want pmem.ErrOutOfSpace", err)
+	}
+	base := b.Topic("base")
+	var accepted []uint64
+	for next := uint64(0); ; next += 2 {
+		if next == 1<<14 {
+			t.Fatal("8 192 batches never filled the shard's node area")
+		}
+		err := base.PublishBatch(0, [][]byte{U64(next), U64(next + 1)})
+		if err == nil {
+			accepted = append(accepted, next, next+1)
+			continue
+		}
+		if !errors.Is(err, pmem.ErrOutOfSpace) {
+			t.Fatalf("PublishBatch after %d messages = %v, want pmem.ErrOutOfSpace", len(accepted), err)
+		}
+		t.Logf("refused after %d messages: %v", len(accepted), err)
+		break
+	}
+	// The refused batch gave its one slot back: the same batch is
+	// refused again, and a single message takes that slot.
+	if err := base.PublishBatch(0, [][]byte{U64(1 << 20), U64(1<<20 + 1)}); !errors.Is(err, pmem.ErrOutOfSpace) {
+		t.Fatalf("PublishBatch after the refusal = %v, want pmem.ErrOutOfSpace", err)
+	}
+	if err := base.Publish(0, U64(1<<21)); err != nil {
+		t.Fatalf("Publish into the slot the refusal gave back = %v", err)
+	}
+	accepted = append(accepted, 1<<21)
+	hs.CrashNow()
+	hs.FinalizeCrash(rand.New(rand.NewSource(96)))
+	hs.Restart()
+	r, err := Open(hs, Options{})
+	if err != nil {
+		t.Fatalf("Open after the refused publishes: %v", err)
+	}
+	var got []uint64
+	for {
+		p, ok := r.Topic("base").DequeueShard(0, 0)
+		if !ok {
+			break
+		}
+		got = append(got, AsU64(p))
+	}
+	if !slices.Equal(got, accepted) {
+		t.Fatalf("recovered drain holds %d messages, want the %d accepted in order", len(got), len(accepted))
 	}
 }
 

@@ -542,6 +542,27 @@ func BenchmarkPublishPollSingle(b *testing.B) {
 	}
 }
 
+// BenchmarkPublishPollBatch8 is one PublishBatch of eight 8-byte
+// messages and one PollBatch of eight under the default prices: the
+// fifo-batch8 shape, one fence window a side for eight messages, and
+// the profile target for what a batch pays beside its persists.
+func BenchmarkPublishPollBatch8(b *testing.B) {
+	topic, c := benchBroker(b, nil, pmem.DefaultLatency())
+	batch := make([][]byte, 8)
+	for i := range batch {
+		batch[i] = U64(uint64(i))
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := topic.PublishBatch(0, batch); err != nil {
+			b.Fatal(err)
+		}
+		if ms := c.PollBatch(1, len(batch)); len(ms) != len(batch) {
+			b.Fatalf("PollBatch found %d of the %d messages behind a PublishBatch", len(ms), len(batch))
+		}
+	}
+}
+
 // TestPublishPathAllocFree pins that observation adds no allocations
 // to the fixed-payload publish hot path.
 func TestPublishPathAllocFree(t *testing.T) {

@@ -207,7 +207,8 @@ func (t *Topic) PublishBatch(tid int, payloads [][]byte) error {
 // next of the round-robin cursor — enqueues the batch in order, pays
 // the one blocking persist that acknowledges it, and closes sp.
 // Returns ErrTopicDeleted, having published nothing, once the topic is
-// retired.
+// retired, and an error wrapping pmem.ErrOutOfSpace, having linked
+// nothing, when the shard's pools must grow on a full heap.
 func (t *Topic) publishTo(sp span, verb string, keyHash *uint64, payloads [][]byte) error {
 	if err := t.admit(verb, KindFIFO, payloads); err != nil || len(payloads) == 0 {
 		return err
@@ -222,7 +223,9 @@ func (t *Topic) publishTo(sp span, verb string, keyHash *uint64, payloads [][]by
 	} else {
 		si = int(t.rr.Add(1)-1) % len(t.shards)
 	}
-	t.shards[si].EnqueueBatch(sp.tid, payloads)
+	if err := t.shards[si].EnqueueBatch(sp.tid, payloads); err != nil {
+		return err
+	}
 	sp.published(t, si, len(payloads))
 	return nil
 }

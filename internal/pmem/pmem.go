@@ -230,7 +230,7 @@ type heapState struct {
 	// flags holds each line's cache state (lineValid). Shared paths use
 	// atomic.Load/StoreUint32 on it, as they do on mem; the paths that
 	// work on a line the calling thread owns privately (WriteBack,
-	// StoreOwned, ClearLineState) use plain loads and stores.
+	// StoreOwned, FlushOwned, ClearLineState) use plain loads and stores.
 	flags []uint32
 	lines int
 
@@ -526,12 +526,12 @@ func (h *Heap) Store(tid int, a Addr, v uint64) {
 }
 
 // StoreOwned is Store for a word of a line the calling thread owns
-// privately (see WriteBack for the rule). In ModeCrash it is exactly
-// Store: the same access number, crash point and journal entry. In
-// ModePerf every statistic, hook call and modelled nanosecond reads as
-// Store's would, but the flag and the word are plain loads and stores
-// where Store pays atomic flag accesses and an atomic exchange for the
-// word.
+// privately (see WriteBack for the rule), as FlushOwned is Flush for
+// such a line. In ModeCrash it is exactly Store: the same access
+// number, crash point and journal entry. In ModePerf every statistic,
+// hook call and modelled nanosecond reads as Store's would, but the
+// flag and the word are plain loads and stores where Store pays atomic
+// flag accesses and an atomic exchange for the word.
 func (h *Heap) StoreOwned(tid int, a Addr, v uint64) {
 	if h.cfg.Mode == ModeCrash {
 		h.Store(tid, a, v)
@@ -637,15 +637,35 @@ func (h *Heap) Flush(tid int, a Addr) {
 	ts.charge(h.lat.FlushNs)
 }
 
+// FlushOwned is Flush for a line the calling thread owns privately (see
+// WriteBack for the rule). In ModeCrash it is exactly Flush. In ModePerf
+// every statistic, hook call and modelled nanosecond reads as Flush's
+// would, but the cache flag is written with a plain store where Flush
+// pays an atomic exchange.
+func (h *Heap) FlushOwned(tid int, a Addr) {
+	if h.cfg.Mode == ModeCrash {
+		h.Flush(tid, a)
+		return
+	}
+	ts := &h.threads[tid]
+	ts.stats.Flushes++
+	if !h.cfg.FlushRetainsLine {
+		h.flags[a/CacheLineBytes] = lineValid
+	}
+	ts.queueLine(h.lat.DrainNsPerLine, ts.spun)
+	ts.charge(h.lat.FlushNs)
+}
+
 // WriteBack writes whole cache lines starting at the line-aligned a —
 // words holds eight words a line — and issues a Flush of each, for
 // lines the calling thread owns privately. That is the rule WriteBack,
-// StoreOwned and ClearLineState share: no other thread accesses the
-// lines, and ownership passes to other threads only by an atomic
-// publish after it (a queue's link CAS, an allocator's hand-off). In
-// ModeCrash it is exactly eight Stores in word order and then one Flush
-// per line, line by line: the same access numbers, crash points and
-// journal entries. In ModePerf every statistic, every hook call and
+// StoreOwned, FlushOwned and ClearLineState share: no other thread
+// accesses the lines, and ownership passes to other threads only by an
+// atomic publish after it (a queue's link CAS, an allocator's hand-off;
+// a queue's node line stays its enqueuer's after the link too, because
+// no normal-path reader loads it). In ModeCrash it is exactly eight
+// Stores in word order and then one Flush per line, line by line: the
+// same access numbers, crash points and journal entries. In ModePerf every statistic, every hook call and
 // every modelled nanosecond reads as that sequence would, and the drain
 // window takes its reading at the same line; but the flags are plain
 // loads and stores, the words are one copy and the whole price is one

@@ -210,16 +210,20 @@ func TestWriteBackMatchesStoreFlush(t *testing.T) {
 
 // TestStoreOwnedMatchesStore: one seeded script of single-word stores,
 // flushes, fences and allocator recycling (ClearLineState) over 16
-// lines, played in lockstep through StoreOwned and through Store, leaves
-// the same statistics, post-flush hook calls, working view, image and
-// modelled clock (see lockstep.same). The script is single-threaded, so
-// every line is owned by the one thread that writes it.
+// lines, played in lockstep through StoreOwned and FlushOwned and
+// through Store and Flush, leaves the same statistics, post-flush hook
+// calls, working view, image and modelled clock (see lockstep.same).
+// Some of the script's flushes are plain Flushes on both sides, so the
+// owned and the shared paths also meet on one line. The script is
+// single-threaded, so every line is owned by the one thread that
+// writes it.
 func TestStoreOwnedMatchesStore(t *testing.T) {
 	const lines = 16
 	for _, c := range lockstepConfigs() {
 		t.Run(c.name, func(t *testing.T) {
-			l := newLockstep(c, lines, "StoreOwned", "Store")
+			l := newLockstep(c, lines, "StoreOwned+FlushOwned", "Store+Flush")
 			store := [2]func(h *Heap, tid int, a Addr, v uint64){(*Heap).StoreOwned, (*Heap).Store}
+			flush := [2]func(h *Heap, tid int, a Addr){(*Heap).FlushOwned, (*Heap).Flush}
 			rng := rand.New(rand.NewSource(31))
 			var measured, unmeasured int
 			for i := 0; i < 2000; i++ {
@@ -229,6 +233,10 @@ func TestStoreOwnedMatchesStore(t *testing.T) {
 					v := rng.Uint64()
 					for i, x := range l.both() {
 						store[i](x.h, 0, a, v)
+					}
+				case op < 15:
+					for i, x := range l.both() {
+						flush[i](x.h, 0, a)
 					}
 				case op < 17:
 					for _, x := range l.both() {

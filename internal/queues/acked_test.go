@@ -183,12 +183,13 @@ func TestAckedHeadOutlivesItsAck(t *testing.T) {
 		q.Enqueue(0, i)
 	}
 	q.pool.Enter(0)
+	head, _, k := q.take(129)
+	if k != 129 {
+		t.Fatalf("took %d nodes off the head, want 129", k)
+	}
 	var taken []*node[uint64]
-	for len(taken) < 129 {
-		n, _, ok := q.dequeueOne(0)
-		if !ok {
-			t.Fatal("queue ran dry")
-		}
+	for n := head; len(taken) < k; {
+		n = n.loadNext()
 		taken = append(taken, n)
 	}
 	q.pool.Exit(0)

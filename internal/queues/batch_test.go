@@ -2,6 +2,8 @@ package queues
 
 import (
 	"math/rand"
+	"runtime"
+	"sync"
 	"testing"
 
 	"repro/internal/pmem"
@@ -190,5 +192,59 @@ func TestOptUnlinkedPairAllocsBytes(t *testing.T) {
 	pairs(5000) // past pool and slice growth
 	if got := allocBytesPer(n, func() { pairs(n) }); got >= 1 {
 		t.Fatalf("Enqueue+Dequeue = %.2f B per pair, want 0", got)
+	}
+}
+
+// TestEnqueueBatchContiguous: four producers enqueue batches of one to
+// seven items each while one consumer drains. EnqueueBatch links a
+// whole batch with one CAS, so every batch comes out adjacent and in
+// order, whatever the interleaving of the producers.
+func TestEnqueueBatchContiguous(t *testing.T) {
+	const producers = 4
+	batches := 2000
+	if raceEnabled {
+		batches = 300
+	}
+	q := NewOptUnlinkedQ(perfHeap(t, producers+1), producers+1)
+	// An item is its producer, its batch, the batch's size and its
+	// position in the batch.
+	item := func(p, b, size, i int) uint64 { return uint64(p)<<48 | uint64(b)<<16 | uint64(size)<<8 | uint64(i) }
+	var wg sync.WaitGroup
+	total := 0
+	for b := 0; b < batches; b++ {
+		total += producers * (1 + b%7)
+	}
+	for p := 0; p < producers; p++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			batch := make([]uint64, 0, 7)
+			for b := 0; b < batches; b++ {
+				batch = batch[:0]
+				for i := 0; i < 1+b%7; i++ {
+					batch = append(batch, item(p, b, 1+b%7, i))
+				}
+				q.EnqueueBatch(p, batch)
+			}
+		}()
+	}
+	var got []uint64
+	for len(got) < total {
+		vs := q.DequeueBatch(producers, 16)
+		if len(vs) == 0 {
+			runtime.Gosched()
+		}
+		got = append(got, vs...)
+	}
+	wg.Wait()
+	for k := 0; k < len(got); {
+		v := got[k]
+		p, b, size := int(v>>48), int(v>>16&0xffffffff), int(v>>8&0xff)
+		for i := 0; i < size; i++ {
+			if k+i >= len(got) || got[k+i] != item(p, b, size, i) {
+				t.Fatalf("item %d of producer %d's batch %d (of %d) is not at position %d: the batch was split", i, p, b, size, k+i)
+			}
+		}
+		k += size
 	}
 }

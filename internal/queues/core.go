@@ -2,10 +2,12 @@ package queues
 
 import (
 	"cmp"
+	"errors"
 	"fmt"
 	"slices"
 	"sync"
 	"sync/atomic"
+	"unsafe"
 
 	"repro/internal/pmem"
 	"repro/internal/ssmem"
@@ -110,7 +112,11 @@ type Codec[P any] interface {
 type node[P any] struct {
 	payload P
 	index   uint64
-	next    atomic.Pointer[node[P]]
+	// next is the link. Its enqueuer sets it with a plain store while the
+	// node is still private — in its batch's chain, before the linking CAS
+	// publishes it; once published it is read by loadNext and written by
+	// casNext only.
+	next *node[P]
 	// pline and auxLine locate the Persistent part as cache-line
 	// numbers (auxLine 0: no aux slot). Line numbers rather than
 	// addresses keep the word instantiation's node at 32 bytes — the
@@ -171,6 +177,15 @@ func (q *Core[P]) mirrorArea(area int) *pageTable[P] {
 	return m[area]
 }
 
+// nextAddr is the link as the unsafe.Pointer the atomics take.
+func (n *node[P]) nextAddr() *unsafe.Pointer { return (*unsafe.Pointer)(unsafe.Pointer(&n.next)) }
+
+func (n *node[P]) loadNext() *node[P] { return (*node[P])(atomic.LoadPointer(n.nextAddr())) }
+
+func (n *node[P]) casNext(old, new *node[P]) bool {
+	return atomic.CompareAndSwapPointer(n.nextAddr(), unsafe.Pointer(old), unsafe.Pointer(new))
+}
+
 func lineOf(a pmem.Addr) uint32 { return uint32(a / pmem.CacheLineBytes) }
 
 func lineAddr(l uint32) pmem.Addr { return pmem.Addr(l) * pmem.CacheLineBytes }
@@ -188,11 +203,12 @@ type coreThread[P any] struct {
 	// dequeue; they are handed to the allocator only by CompleteBatch,
 	// after the caller's fence made the covering head index durable (a
 	// slot reused and overwritten before that fence could lose a message
-	// whose dequeue never became durable). Ack mode retires nothing
-	// before CompleteAck and has the buffer free: there it carries a
-	// leased dequeue's taken nodes to the in-flight list, so ackMu is
-	// held for one append and not across the CAS loop.
+	// whose dequeue never became durable). Ack mode files its taken
+	// nodes in the in-flight list instead.
 	pendingRetire []*node[P]
+	// chain is the scratch in which EnqueueBatch writes its nodes before
+	// it links them; reused, so a warm batch allocates nothing.
+	chain []*node[P]
 	// lastPersisted is the head index this thread most recently made
 	// durable (NTStore + completed fence) in its local line. A failing
 	// dequeue that observes the same index again elides its persist:
@@ -209,7 +225,7 @@ type coreThread[P any] struct {
 	pendingAckIdx   uint64
 	pendingDirty    bool
 	pendingAckDirty bool
-	_               [54]byte
+	_               [30]byte
 }
 
 // Persistent node line layout: the core's two words, then the codec's.
@@ -299,7 +315,14 @@ func (q *Core[P]) DequeueLeased(tid, max int) (ps []P, idxs []uint64) {
 
 // DequeueLeasedAppend is DequeueLeased appending to ps and idxs, which
 // it returns: a consumer that hands it the same two buffers every call
-// allocates nothing.
+// allocates nothing. The batch is taken with one head CAS (see take).
+//
+// The taken nodes go to the in-flight list, not to retirement: the
+// unlinked previous head entered that list when it was dequeued itself
+// (or it is the original dummy, which is simply abandoned). CompleteAck
+// retires a node once a durable ack covers its index — only then can a
+// reused slot's stale contents (linked flag and index surviving a crash
+// mid-reuse) be filtered by recovery — and the head has moved past it.
 func (q *Core[P]) DequeueLeasedAppend(tid, max int, ps []P, idxs []uint64) ([]P, []uint64) {
 	if !q.acked {
 		panic("queues: DequeueLeased on a queue without ack mode")
@@ -308,31 +331,20 @@ func (q *Core[P]) DequeueLeasedAppend(tid, max int, ps []P, idxs []uint64) ([]P,
 		return ps, idxs
 	}
 	q.pool.Enter(tid)
-	defer q.pool.Exit(tid)
-	t := &q.per[tid]
-	for len(t.pendingRetire) < max {
-		taken, _, ok := q.dequeueOne(tid)
-		if !ok {
-			break
-		}
-		// The unlinked previous head is not retired here: it entered the
-		// in-flight list when it was dequeued itself (or it is the
-		// original dummy, which is simply abandoned). Retirement happens
-		// in CompleteAck, once a durable ack covers the node's index —
-		// only then can a reused slot's stale contents (linked flag and
-		// index surviving a crash mid-reuse) be filtered by recovery —
-		// and the head has moved past it.
-		ps = append(ps, taken.payload)
-		idxs = append(idxs, taken.index)
-		t.pendingRetire = append(t.pendingRetire, taken)
-	}
-	if len(t.pendingRetire) > 0 {
+	n, _, k := q.take(max)
+	if k > 0 {
 		q.ackMu.Lock()
-		q.inflight = append(q.inflight, t.pendingRetire...)
+		for i := 0; i < k; i++ {
+			n = n.loadNext()
+			ps, idxs = append(ps, n.payload), append(idxs, n.index)
+			q.inflight = append(q.inflight, n)
+		}
 		q.ackMu.Unlock()
-		clear(t.pendingRetire) // see CompleteBatch
-		t.pendingRetire = t.pendingRetire[:0]
 	}
+	// The walk was the last read of a node loaded from the head; nobody
+	// but CompleteAck retires the nodes taken, so they need no
+	// protection until then.
+	q.pool.Exit(tid)
 	return ps, idxs
 }
 
@@ -458,102 +470,179 @@ func (q *Core[P]) writeLocalHeadIdx(tid int, idx uint64) {
 	}
 }
 
-// enqueueOne runs the enqueue protocol of Figure 4 (lines 107-121) up
-// to but not including the blocking fence: allocate, write the payload
-// and index, link via CAS, set the linked flag and issue the
-// asynchronous flush. It returns the tail observed at link time and the
-// new node so the caller can order its fence and tail advance. Every
-// node-line word goes through StoreOwned, linked=1 after the CAS too:
-// no normal-path reader loads a node line, and the slot reaches another
-// tid only through ssmem's epochs, after this thread's pool.Exit.
-func (q *Core[P]) enqueueOne(tid int, p P) (tail, vn *node[P]) {
-	h := q.h
-	pn := q.pool.Alloc(tid)
-	var aux pmem.Addr
-	if q.aux != nil {
-		aux = q.aux.Alloc(tid)
-	}
-	// linked is cleared before the index is written (line 113): a reused
-	// slot's stale set flag must never vouch for the new index.
-	h.StoreOwned(tid, pn+nodeLinked, 0)
-	// The slot's mirror entry is overwritten whole, which also resets the
-	// link that the linking CAS below publishes.
-	vn = q.nodeAt(tid, pn)
-	*vn = node[P]{payload: q.codec.Write(h, tid, pn, aux, p), pline: lineOf(pn), auxLine: lineOf(aux)} // line 112
-	for {
-		tail = q.tail.Load()
-		if next := tail.next.Load(); next == nil {
-			idx := tail.index + 1                  // volatile read (line 117)
-			h.StoreOwned(tid, pn+nodeIndex, idx)   // Persistent copy
-			vn.index = idx                         // Volatile copy (line 118)
-			if tail.next.CompareAndSwap(nil, vn) { // line 119
-				h.StoreOwned(tid, pn+nodeLinked, 1) // line 120
-				h.Flush(tid, pn)                    // line 121
-				return tail, vn
-			}
-		} else {
-			q.tail.CompareAndSwap(tail, next) // line 124
-		}
-	}
-}
-
 // Enqueue appends p (Figure 4, lines 107-124): the one-element batch.
 // One fence — covering the node line and any payload lines together —
 // and zero post-flush accesses: the tail's index is read from the
-// Volatile object, never from the flushed Persistent line.
+// Volatile object, never from the flushed Persistent line. A pool that
+// must grow on a full heap panics with EnqueueBatch's error.
 func (q *Core[P]) Enqueue(tid int, p P) {
-	q.EnqueueBatch(tid, []P{p})
+	if err := q.EnqueueBatch(tid, []P{p}); err != nil {
+		panic(err)
+	}
 }
 
 // EnqueueBatch appends ps in order, riding a single fence for the
-// whole batch: every node is written, linked and asynchronously
-// flushed exactly as in Enqueue, but the blocking SFENCE is issued
-// once at the end. This amortization is sound because the algorithm
-// already tolerates an enqueuer whose node is linked but not yet
-// durable — any helper may advance the tail past it and append (and
-// fence) later nodes; recovery sorts surviving nodes by index and
-// accepts gaps, dropping exactly the unacknowledged enqueues. The
-// batch is acknowledged as a whole when EnqueueBatch returns: at that
-// point all of its nodes are durable.
-func (q *Core[P]) EnqueueBatch(tid int, ps []P) {
+// whole batch, and links the whole batch with a single CAS: the nodes
+// are written and chained privately, numbered after the tail's index,
+// and published together by one CAS on the tail's link (Figure 4, lines
+// 107-119, for a chain instead of a node). Only then is each node's
+// linked flag set and its line flushed, and the tail swung once to the
+// last of them; the blocking SFENCE is issued once at the end. The
+// batch's items are therefore adjacent in the queue. This amortization
+// is sound because the algorithm already tolerates an enqueuer whose
+// nodes are linked but not yet durable — any helper may advance the
+// tail past them and append (and fence) later nodes; recovery sorts
+// surviving nodes by index and accepts gaps, dropping exactly the
+// unacknowledged enqueues. The batch is acknowledged as a whole when
+// EnqueueBatch returns: at that point all of its nodes are durable.
+//
+// Every node-line word goes through StoreOwned and the line's flush
+// through FlushOwned, linked=1 after the CAS too: no normal-path reader
+// loads a node line, and the slot reaches another tid only through
+// ssmem's epochs, after this thread's pool.Exit.
+//
+// When a pool must grow on a full heap, EnqueueBatch links nothing,
+// hands the slots the batch took back to tid's free lists and returns
+// the error wrapping pmem.ErrOutOfSpace, so a caller can refuse the
+// batch; it returns nil otherwise.
+func (q *Core[P]) EnqueueBatch(tid int, ps []P) error {
 	if len(ps) == 0 {
-		return
+		return nil
 	}
+	h := q.h
+	chain, err := q.writeChain(tid, ps)
+	if err != nil {
+		return err
+	}
+	first, last := chain[0], chain[len(chain)-1]
 	q.pool.Enter(tid)
-	for _, p := range ps {
-		tail, vn := q.enqueueOne(tid, p)
-		q.tail.CompareAndSwap(tail, vn)
+	var tail *node[P]
+	for {
+		tail = q.tail.Load()
+		if next := tail.loadNext(); next != nil {
+			q.tail.CompareAndSwap(tail, next) // line 124
+			continue
+		}
+		idx := tail.index // volatile read (line 117)
+		for _, vn := range chain {
+			idx++
+			h.StoreOwned(tid, lineAddr(vn.pline)+nodeIndex, idx) // Persistent copy
+			vn.index = idx                                       // Volatile copy (line 118)
+		}
+		if tail.casNext(nil, first) { // line 119
+			break
+		}
 	}
+	for _, vn := range chain {
+		pn := lineAddr(vn.pline)
+		h.StoreOwned(tid, pn+nodeLinked, 1) // line 120
+		h.FlushOwned(tid, pn)               // line 121
+	}
+	q.tail.CompareAndSwap(tail, last)
 	q.pool.Exit(tid) // before the fence, which holds no node: reclamation need not wait on it
-	q.h.Fence(tid)   // the batch's single blocking persist
+	h.Fence(tid)     // the batch's single blocking persist
+	return nil
 }
 
-// dequeueOne runs the dequeue protocol of Figure 4 (lines 90-99) up to
-// but not including the blocking persist: CAS the head past the oldest
-// node. On success it returns the node holding the dequeued item (now
-// the queue's dummy) and the unlinked previous head, whose retirement
-// the caller must defer until a covering head index is durable. On an
-// empty observation ok is false and taken is the observed head, whose
-// index the caller persists (or elides) to durably linearize the empty
-// response.
+// writeChain allocates and writes the nodes of a batch (Figure 4, lines
+// 108-113, node by node) and chains them privately through next, in
+// tid's scratch, which it returns. It follows no node loaded from head
+// or tail, so it runs outside pool.Enter/Exit. When a panic cuts it
+// short, it frees every slot it took: nothing of the batch is linked
+// yet, so nothing else can hold the slots. It returns the panic of a
+// pool that must grow on a full heap, which wraps pmem.ErrOutOfSpace,
+// as its error; any other panic, the crash signal included, goes on up.
+func (q *Core[P]) writeChain(tid int, ps []P) (chain []*node[P], err error) {
+	h, t := q.h, &q.per[tid]
+	chain = t.chain[:0]
+	var pn, aux pmem.Addr // taken, not yet in chain
+	defer func() {
+		r := recover()
+		if r == nil {
+			return
+		}
+		for _, vn := range chain {
+			q.freeSlots(tid, lineAddr(vn.pline), lineAddr(vn.auxLine))
+			*vn = node[P]{}
+		}
+		if pn != 0 {
+			q.freeSlots(tid, pn, aux)
+		}
+		if e, ok := r.(error); ok && errors.Is(e, pmem.ErrOutOfSpace) {
+			chain, err = nil, e
+			return
+		}
+		panic(r)
+	}()
+	for _, p := range ps {
+		pn = q.pool.Alloc(tid)
+		if q.aux != nil {
+			aux = q.aux.Alloc(tid)
+		}
+		// linked is cleared before the index is written (line 113): a
+		// reused slot's stale set flag must never vouch for the new index.
+		h.StoreOwned(tid, pn+nodeLinked, 0)
+		// The slot's mirror entry is overwritten whole, which also resets
+		// the link that the next node, or the linking CAS, sets.
+		vn := q.nodeAt(tid, pn)
+		*vn = node[P]{payload: q.codec.Write(h, tid, pn, aux, p), pline: lineOf(pn), auxLine: lineOf(aux)} // line 112
+		if n := len(chain); n > 0 {
+			chain[n-1].next = vn
+		}
+		chain = append(chain, vn)
+		pn, aux = 0, 0
+	}
+	t.chain = chain
+	return chain, nil
+}
+
+// freeSlots hands a node slot and its aux slot (0: none) straight back
+// to tid's free lists: only for slots no other thread can hold.
+func (q *Core[P]) freeSlots(tid int, pn, aux pmem.Addr) {
+	q.pool.FreeImmediate(tid, pn)
+	if aux != 0 {
+		q.aux.FreeImmediate(tid, aux)
+	}
+}
+
+// take moves the head past up to max nodes with one CAS (Figure 4,
+// lines 90-99, for a whole batch). It returns the head it moved from,
+// the node it moved to — the queue's dummy from here on, holding the
+// last item taken — and the number k of nodes taken, which are the k
+// nodes after head up to and including last. k is 0 on an empty
+// observation, and head is then the observed head, whose index the
+// caller persists (or elides) to durably linearize the empty response.
 //
-// The tail is helped off the unlinked head before it is returned, so
-// once retired the node is reachable from neither end; threads inside
+// Before it returns, the tail is helped to at least last: a batch
+// enqueue swings the tail only after its whole chain is linked, so the
+// tail may lag by more than one node, and a node the caller retires or
+// leases must be reachable from neither end. Threads inside
 // pool.Enter/Exit that loaded it earlier exit before ssmem reuses its
-// slot and, with the slot, its mirror entry.
-func (q *Core[P]) dequeueOne(tid int) (taken, old *node[P], ok bool) {
+// slot and, with the slot, its mirror entry. Run inside pool.Enter.
+func (q *Core[P]) take(max int) (head, last *node[P], k int) {
 	for {
-		head := q.head.Load()
-		next := head.next.Load()
-		if next == nil {
-			return head, nil, false
-		}
-		if q.head.CompareAndSwap(head, next) {
-			if q.tail.Load() == head {
-				q.tail.CompareAndSwap(head, next)
+		head = q.head.Load()
+		last, k = head, 0
+		for k < max {
+			next := last.loadNext()
+			if next == nil {
+				break
 			}
-			return next, head, true
+			last, k = next, k+1
 		}
+		if k == 0 {
+			return head, head, 0
+		}
+		if q.head.CompareAndSwap(head, last) {
+			break
+		}
+	}
+	for {
+		tail := q.tail.Load()
+		if tail.index >= last.index {
+			return head, last, k
+		}
+		q.tail.CompareAndSwap(tail, tail.loadNext())
 	}
 }
 
@@ -582,9 +671,9 @@ func (q *Core[P]) Dequeue(tid int) (p P, ok bool) {
 }
 
 // DequeueBatch removes up to max items in FIFO order, riding a single
-// blocking persist for the whole batch: every dequeue CASes the head
-// exactly as in Dequeue, but only the final head index is written to
-// this thread's local line (one NTStore) and fenced once. The
+// blocking persist for the whole batch: one CAS moves the head past
+// every item of the batch (see take), and only the final head index is
+// written to this thread's local line (one NTStore) and fenced once. The
 // amortization is sound because the per-thread head index is monotone
 // — recovery takes the maximum over all local lines, so persisting the
 // last index covers every earlier one. The batch is acknowledged as a
@@ -609,7 +698,7 @@ func (q *Core[P]) dequeueFenced(tid, max int, dst []P) []P {
 // to the caller, so several queues sharing one heap can ride a single
 // fence (package broker drains many shards per poll this way; a fence
 // is per-thread and covers all of that thread's outstanding NTStores
-// regardless of which line they target). It performs the CASes and the
+// regardless of which line they target). It performs the head CAS and the
 // one NTStore of the final head index, but neither fences nor retires.
 // dirty reports whether an NTStore is outstanding; if so the caller
 // must issue a Fence for tid on the same heap and then call
@@ -627,8 +716,11 @@ func (q *Core[P]) DequeueBatchUnfenced(tid, max int) (ps []P, dirty bool) {
 }
 
 // DequeueBatchAppend is DequeueBatchUnfenced appending to dst, which it
-// returns: the one body of every plain dequeue. A consumer that hands
-// it the same buffer every call allocates nothing.
+// returns. A consumer that hands it the same buffer every call
+// allocates nothing. It takes up to max items with one head CAS (see
+// take), NTStores the new head's index into tid's local line — one
+// NTStore covers the batch — and defers the unlinked nodes' retirement
+// to CompleteBatch.
 func (q *Core[P]) DequeueBatchAppend(tid, max int, dst []P) (out []P, dirty bool) {
 	if q.acked {
 		// Cold: amortized acked consumption never comes this way, so the
@@ -644,32 +736,28 @@ func (q *Core[P]) DequeueBatchAppend(tid, max int, dst []P) (out []P, dirty bool
 		return dst, t.pendingDirty
 	}
 	q.pool.Enter(tid)
-	defer q.pool.Exit(tid)
-	var last *node[P]
-	for n := 0; n < max; n++ {
-		taken, old, ok := q.dequeueOne(tid)
-		if !ok {
-			if last == nil {
-				// Pure empty observation: persist the observed index
-				// unless it is already durable or already NTStored.
-				if taken.index > t.lastPersisted && !(t.pendingDirty && taken.index <= t.pendingIdx) {
-					q.writeLocalHeadIdx(tid, taken.index)
-					t.pendingIdx = taken.index
-					t.pendingDirty = true
-				}
-				return dst, t.pendingDirty
-			}
-			break
-		}
+	n, last, k := q.take(max)
+	idx := last.index
+	for i := 0; i < k; i++ {
 		// Only the winner of the head CAS reads a payload, so it may drop
-		// it too: the node is the queue's dummy from here on.
+		// it too: the node is the queue's dummy or unlinked from here on.
+		next := n.loadNext()
 		var zero P
-		dst, taken.payload = append(dst, taken.payload), zero
-		t.pendingRetire = append(t.pendingRetire, old)
-		last = taken
+		dst, next.payload = append(dst, next.payload), zero
+		t.pendingRetire = append(t.pendingRetire, n)
+		n = next
 	}
-	q.writeLocalHeadIdx(tid, last.index) // one NTStore covers the batch
-	t.pendingIdx = last.index
+	// The walk was the last read of a node loaded from the head; nobody
+	// but CompleteBatch retires the nodes taken, so they need no
+	// protection until then.
+	q.pool.Exit(tid)
+	// A pure empty observation persists the observed index unless it is
+	// already durable or already NTStored.
+	if k == 0 && (idx <= t.lastPersisted || t.pendingDirty && idx <= t.pendingIdx) {
+		return dst, t.pendingDirty
+	}
+	q.writeLocalHeadIdx(tid, idx)
+	t.pendingIdx = idx
 	t.pendingDirty = true
 	return dst, true
 }
@@ -799,7 +887,7 @@ func RecoverCore[P any](h *pmem.Heap, threads int, acked bool, codec Codec[P], a
 	for _, k := range keys {
 		n := q.nodeAt(0, lineAddr(k.pline))
 		*n = node[P]{payload: codec.Read(h, lineAddr(k.pline)), index: k.index, pline: k.pline, auxLine: k.auxLine}
-		prev.next.Store(n)
+		prev.next = n
 		prev = n
 	}
 	q.tail.Store(prev)

@@ -130,7 +130,7 @@ func TestRecoveryReversedSlotOrder(t *testing.T) {
 		}
 		// Slot order of the backlog, along the chain.
 		var plines []uint32
-		for n := q.head.Load().next.Load(); n != nil; n = n.next.Load() {
+		for n := q.head.Load().loadNext(); n != nil; n = n.loadNext() {
 			plines = append(plines, n.pline)
 		}
 		if len(plines) != backlog || !slices.IsSortedFunc(plines, func(a, b uint32) int {
@@ -150,7 +150,7 @@ func TestRecoveryReversedSlotOrder(t *testing.T) {
 
 		rq := RecoverCore[uint64](h, 2, acked, wordCodec{}, nil)
 		var r recovered
-		for n := rq.head.Load().next.Load(); n != nil; n = n.next.Load() {
+		for n := rq.head.Load().loadNext(); n != nil; n = n.loadNext() {
 			r.idxs, r.vals = append(r.idxs, n.index), append(r.vals, n.payload)
 			if n != rq.nodeAt(0, lineAddr(n.pline)) {
 				t.Fatalf("recycle=%v: node with index %d is not its line's mirror entry", recycle, n.index)
@@ -178,6 +178,41 @@ func TestRecoveryReversedSlotOrder(t *testing.T) {
 			!slices.Equal(inOrder.lastPersisted, reversed.lastPersisted) || inOrder.ackedTo != reversed.ackedTo ||
 			!slices.Equal(inOrder.unackedVals, reversed.unackedVals) || !slices.Equal(inOrder.unackedIdxs, reversed.unackedIdxs) {
 			t.Fatalf("acked=%v: recovery from reversed slots differs from in-order recovery:\n%+v\n%+v", acked, reversed, inOrder)
+		}
+	}
+}
+
+// TestDequeueHelpsLaggingTail models an enqueuer stalled between its
+// link CAS and its tail swing: a batch of 300 is linked, and the tail
+// is set back to the node before it, where the stalled enqueuer left
+// it. One DequeueBatch takes everything and retires enough nodes for
+// the epoch to move twice, so the node the tail was left on goes back
+// to the free list. The dequeue must have helped the tail to its new
+// head first, or the enqueues that follow, through recycled slots,
+// walk the tail into a slot that is already their own and lose items.
+func TestDequeueHelpsLaggingTail(t *testing.T) {
+	q := NewOptUnlinkedQ(perfHeap(t, 1), 1)
+	q.Enqueue(0, 0)
+	stalled := q.tail.Load()
+	batch := make([]uint64, 300)
+	for i := range batch {
+		batch[i] = uint64(1 + i)
+	}
+	q.EnqueueBatch(0, batch)
+	q.tail.Store(stalled)
+	if vs := q.DequeueBatch(0, len(batch)+1); len(vs) != len(batch)+1 {
+		t.Fatalf("DequeueBatch took %d items, want %d", len(vs), len(batch)+1)
+	}
+	if tail, head := q.tail.Load(), q.head.Load(); tail.index < head.index {
+		t.Fatalf("the tail (index %d) lags the head (index %d) after the dequeue", tail.index, head.index)
+	}
+	for round := uint64(0); round < 50; round++ {
+		for i := range batch[:8] {
+			batch[i] = round<<8 | uint64(i)
+		}
+		q.EnqueueBatch(0, batch[:8])
+		if vs := q.DequeueBatch(0, 16); !slices.Equal(vs, batch[:8]) {
+			t.Fatalf("round %d: dequeued %v, want %v", round, vs, batch[:8])
 		}
 	}
 }
