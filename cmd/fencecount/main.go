@@ -11,69 +11,39 @@
 //   - OptUnlinkedQ additionally elides the persist of repeated failing
 //     dequeues (its column shows 0 fences: the observed head index was
 //     already made durable by the preceding successful dequeue);
+//   - its ack mode (opt-unlinked-acked) dequeues as a lease plus an
+//     immediate acknowledgment, one NTStore and one fence, and a failing
+//     dequeue issues nothing: emptiness is durable once the emptying
+//     dequeues are acknowledged;
 //   - OptUnlinkedQ, OptLinkedQ and ONLL additionally make 0 accesses
 //     to flushed content (the second amendment / Section 2.1 optimum);
 //   - DurableMSQ pays 2 fences per enqueue (3 per dequeue for the
 //     detectable durable-msq-full); the generic transforms pay
 //     several; all of them access flushed content.
+//
+// The output is deterministic; testdata/want.txt holds it, and the
+// package's test diffs the two. Each row is harness.MeasureOps's, which
+// the queue packages' persist pins also diff against their rows of
+// want.txt.
 package main
 
 import (
 	"fmt"
+	"io"
+	"os"
 
 	"repro/internal/harness"
-	"repro/internal/pmem"
-	"repro/internal/queues"
 )
 
-type perOp struct {
-	fences, flushes, ntstores, postflush float64
-}
+func main() { run(os.Stdout) }
 
-func measure(in queues.Info) (enq, deq, empty perOp) {
-	h := pmem.New(pmem.Config{Bytes: 64 << 20, MaxThreads: 2})
-	q := in.New(h, 1)
-	for i := 0; i < 300; i++ {
-		q.Enqueue(0, uint64(i))
-	}
-	for i := 0; i < 300; i++ {
-		q.Dequeue(0)
-	}
-	q.Dequeue(0)
-	const n = 1000
-	base := h.TotalStats()
-	for i := 0; i < n; i++ {
-		q.Enqueue(0, uint64(i))
-	}
-	s1 := h.TotalStats()
-	for i := 0; i < n; i++ {
-		q.Dequeue(0)
-	}
-	s2 := h.TotalStats()
-	for i := 0; i < n; i++ {
-		q.Dequeue(0)
-	}
-	s3 := h.TotalStats()
-	per := func(s pmem.Stats) perOp {
-		return perOp{
-			fences:    float64(s.Fences) / n,
-			flushes:   float64(s.Flushes) / n,
-			ntstores:  float64(s.NTStores) / n,
-			postflush: float64(s.PostFlushAccesses) / n,
-		}
-	}
-	return per(s1.Sub(base)), per(s2.Sub(s1)), per(s3.Sub(s2))
-}
-
-func main() {
-	fmt.Printf("%-26s %31s  %31s  %31s\n", "", "enqueue", "dequeue", "failing dequeue")
-	fmt.Printf("%-26s %31s  %31s  %31s\n", "queue",
+// run writes the table to w.
+func run(w io.Writer) {
+	fmt.Fprintf(w, "%-26s %31s  %31s  %31s\n", "", "enqueue", "dequeue", "failing dequeue")
+	fmt.Fprintf(w, "%-26s %31s  %31s  %31s\n", "queue",
 		"fence flush ntst pflush", "fence flush ntst pflush", "fence flush ntst pflush")
-	cell := func(s perOp) string {
-		return fmt.Sprintf("%5.2f %5.2f %4.2f %6.2f", s.fences, s.flushes, s.ntstores, s.postflush)
-	}
 	names := []string{
-		"opt-unlinked", "opt-linked", "unlinked", "unlinked-nodcas", "linked",
+		"opt-unlinked", "opt-linked", "opt-unlinked-acked", "unlinked", "unlinked-nodcas", "linked",
 		"durable-msq", "durable-msq-full", "izraelevitz", "nvtraverse",
 		"onefile", "redoopt", "onll", "msq",
 	}
@@ -82,9 +52,8 @@ func main() {
 		if !ok {
 			continue
 		}
-		e, d, f := measure(in)
-		fmt.Printf("%-26s %31s  %31s  %31s\n", name, cell(e), cell(d), cell(f))
+		fmt.Fprintln(w, harness.MeasureOps(in).Row(name))
 	}
-	fmt.Println("\n(pflush = accesses to explicitly flushed cache lines; the paper's")
-	fmt.Println(" second amendment drives this to zero while keeping fences at 1.)")
+	fmt.Fprintln(w, "\n(pflush = accesses to explicitly flushed cache lines; the paper's")
+	fmt.Fprintln(w, " second amendment drives this to zero while keeping fences at 1.)")
 }

@@ -98,114 +98,6 @@ func TestAckedDeliverAckRedeliver(t *testing.T) {
 	}
 }
 
-// TestAckFenceAccounting pins the tentpole cost model on one domain:
-// a leased poll batch across several shards = 1 fence (the lease
-// record's) and zero NTStores; an ack batch = 1 fence; a redundant ack
-// = 0; a lease renewal = 1 fence the first time and 0 once the
-// deadline is durable; a nack = 1 fence; redelivery and idle polls are
-// persist-free.
-func TestAckFenceAccounting(t *testing.T) {
-	hs, b := newAckedBroker(t, 1, 2, pmem.ModePerf)
-	clk := &logicalClock{}
-	g, err := b.NewGroupAcked([]string{"events"}, 1, LeaseConfig{TTL: 100, Now: clk.Now})
-	if err != nil {
-		t.Fatal(err)
-	}
-	c := g.Consumer(0)
-	const n = 16 // 4 per shard
-	for i := uint64(0); i < n; i++ {
-		b.Topic("events").Publish(0, U64(i))
-	}
-
-	before := hs.TotalStats()
-	ms := c.PollBatch(1, n)
-	d := hs.TotalStats().Sub(before)
-	if len(ms) != n {
-		t.Fatalf("delivered %d, want %d", len(ms), n)
-	}
-	if d.Fences != 1 {
-		t.Fatalf("leased poll across 4 shards = %d fences, want 1", d.Fences)
-	}
-	if d.NTStores != 0 {
-		t.Fatalf("leased poll issued %d NTStores, want 0 (dequeues persist nothing)", d.NTStores)
-	}
-	if d.Flushes != 4 {
-		t.Fatalf("leased poll issued %d flushes, want 4 (one lease line per shard)", d.Flushes)
-	}
-
-	before = hs.TotalStats()
-	if got, _ := c.Ack(1); got != n {
-		t.Fatalf("Ack acknowledged %d, want %d", got, n)
-	}
-	d = hs.TotalStats().Sub(before)
-	if d.Fences != 1 || d.NTStores != 4 {
-		t.Fatalf("ack batch = %d fences, %d NTStores; want 1 fence, 4 NTStores (one ack line per shard)",
-			d.Fences, d.NTStores)
-	}
-
-	before = hs.TotalStats()
-	c.Ack(1) // nothing new
-	d = hs.TotalStats().Sub(before)
-	if d.Fences != 0 || d.NTStores != 0 {
-		t.Fatalf("redundant ack = %d fences, %d NTStores; want 0, 0", d.Fences, d.NTStores)
-	}
-
-	// Renewal: with an unacked window, moving the deadline costs one
-	// fence; repeating it against the durable deadline costs nothing.
-	for i := uint64(0); i < 4; i++ {
-		b.Topic("events").Publish(0, U64(100+i))
-	}
-	c.PollBatch(1, 4) // leases with deadline now+100
-	clk.Advance(50)
-	deadline := clk.Now() + 100
-	before = hs.TotalStats()
-	c.Renew(1, deadline)
-	d = hs.TotalStats().Sub(before)
-	if d.Fences != 1 {
-		t.Fatalf("first renewal = %d fences, want 1", d.Fences)
-	}
-	before = hs.TotalStats()
-	c.Renew(1, deadline)
-	c.Renew(1, deadline-10)
-	d = hs.TotalStats().Sub(before)
-	if d.Fences != 0 || d.Flushes != 0 {
-		t.Fatalf("renewal at an already-durable deadline = %d fences, %d flushes; want 0, 0", d.Fences, d.Flushes)
-	}
-
-	before = hs.TotalStats()
-	if got, _ := c.Nack(1); got != 4 {
-		t.Fatalf("Nack requeued %d, want 4", got)
-	}
-	d = hs.TotalStats().Sub(before)
-	if d.Fences != 1 {
-		t.Fatalf("nack = %d fences, want 1", d.Fences)
-	}
-
-	// Redelivery of the nacked window is served from the pending queue:
-	// no new lease, no persists at all.
-	before = hs.TotalStats()
-	if ms := c.PollBatch(1, 4); len(ms) != 4 {
-		t.Fatal("nacked window not redelivered")
-	}
-	d = hs.TotalStats().Sub(before)
-	if d.Fences != 0 || d.NTStores != 0 || d.Flushes != 0 {
-		t.Fatalf("redelivery poll = %d fences, %d NTStores, %d flushes; want 0/0/0", d.Fences, d.NTStores, d.Flushes)
-	}
-	c.Ack(1)
-
-	// Idle acked polls are persist-free.
-	before = hs.TotalStats()
-	for i := 0; i < 100; i++ {
-		if ms := c.PollBatch(1, 8); len(ms) != 0 {
-			t.Fatal("queue should be empty")
-		}
-	}
-	d = hs.TotalStats().Sub(before)
-	if d.Fences != 0 || d.NTStores != 0 || d.Flushes != 0 {
-		t.Fatalf("100 idle polls = %d fences, %d NTStores, %d flushes; want 0/0/0", d.Fences, d.NTStores, d.Flushes)
-	}
-}
-
 // TestLeaseTakeover pins Adopt: refusal while the lease is unexpired,
 // exactly the unacked suffix redelivered to the adopter, acked
 // messages gone for good, shard ownership moved.

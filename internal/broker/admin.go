@@ -351,7 +351,9 @@ const defaultLeaseHeadroom = 256
 // allocate → initialize → append → anchor discipline as CreateTopic
 // (the same crash atomicity holds). Regions are dealt round-robin
 // across the heap set. Returns the region index to pass as
-// LeaseConfig.Region to NewGroupAcked.
+// LeaseConfig.Region to NewGroupAcked. A member heap too full for the
+// region refuses the call with an error wrapping pmem.ErrOutOfSpace,
+// leaving the slot table as a crash before the record would.
 func (b *Broker) CreateAckGroup(tid int, cfg AckGroupConfig) (int, error) {
 	b.adminMu.Lock()
 	defer b.adminMu.Unlock()
@@ -384,7 +386,16 @@ func (b *Broker) CreateAckGroup(tid int, cfg AckGroupConfig) (int, error) {
 		return 0, err
 	}
 	b.cat.storeMarks(tid, old)
-	lr := initLeaseRegion(b.hs.Heap(hi), tid, hi, loc.base, group, capacity)
+	// A heap too full for the region refuses the call: the window goes
+	// back, and the marks, already durable, stay monotone, as in
+	// CreateTopic's refusal.
+	var lr leaseRegion
+	if err := catchOutOfSpace(func() {
+		lr = initLeaseRegion(b.hs.Heap(hi), tid, hi, loc.base, group, capacity)
+	}); err != nil {
+		b.cat.release(loc, 1)
+		return 0, fmt.Errorf("broker: lease region %d: %w", group, err)
+	}
 	b.cat.appendRecord(tid, ackGroupRecord(b.cat.records+1, capacity, loc))
 	b.regionMu.Lock()
 	b.regions = append(b.regions, lr)
@@ -506,7 +517,9 @@ func (b *Broker) DeleteTopic(tid int, name string) error {
 // capacityLines resizes the log's record space (0 keeps the current
 // capacity), which makes compaction the log-full escape hatch: a
 // broker that outgrew Options.CatalogLines compacts into a larger
-// generation without restarting.
+// generation without restarting. A heap too full for a new region
+// refuses the call with an error wrapping pmem.ErrOutOfSpace and
+// leaves the log as it was.
 //
 // Cost: one fence covering the whole new generation plus the anchor
 // persist — independent of how many dead records are dropped.

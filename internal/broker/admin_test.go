@@ -3,12 +3,10 @@ package broker
 import (
 	"bytes"
 	"errors"
-	"fmt"
 	"math/rand"
 	"testing"
 
 	"repro/internal/pmem"
-	"repro/internal/queues"
 )
 
 // TestOpenCreateRecoverRoundTrip is the live-administration round
@@ -170,60 +168,6 @@ func TestCreateTopicCrashBeforeAnchor(t *testing.T) {
 	}
 	if !got[21] || !got[22] || len(got) != 2 {
 		t.Fatalf("recovered %v, want {21, 22}", got)
-	}
-}
-
-// TestCreateTopicFenceAccounting pins the administrative cost model:
-// the catalog protocol of one CreateTopic is exactly three blocking
-// persists (allocator marks, record append, anchor stamp) on top of
-// the per-shard queue initialization, and the total is independent of
-// how many topics the broker already has — the log appends, it never
-// rewrites.
-func TestCreateTopicFenceAccounting(t *testing.T) {
-	cfg := pmem.Config{Bytes: 256 << 20, MaxThreads: 2}
-	h := pmem.New(cfg)
-	b, err := Open(pmem.NewSetOf(h), Options{Threads: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	measure := func(tc TopicConfig) uint64 {
-		before := h.TotalStats().Fences
-		if _, err := b.CreateTopic(0, tc); err != nil {
-			t.Fatal(err)
-		}
-		return h.TotalStats().Fences - before
-	}
-	oneShard := measure(TopicConfig{Name: "t-first", Shards: 1})
-	twoShard := measure(TopicConfig{Name: "t-two", Shards: 2})
-	blobFirst := measure(TopicConfig{Name: "b-first", Shards: 1, MaxPayload: 64})
-	ackedFirst := measure(TopicConfig{Name: "a-first", Shards: 1, Acked: true})
-	for i := 0; i < 20; i++ {
-		measure(TopicConfig{Name: fmt.Sprintf("filler-%d", i), Shards: 1})
-	}
-	if again := measure(TopicConfig{Name: "t-late", Shards: 1}); again != oneShard {
-		t.Fatalf("CreateTopic cost grew with the topic count: %d fences on a 24-topic broker, %d on an empty one",
-			again, oneShard)
-	}
-	if again := measure(TopicConfig{Name: "b-late", Shards: 1, MaxPayload: 64}); again != blobFirst {
-		t.Fatalf("blob CreateTopic cost grew with the topic count: %d vs %d", again, blobFirst)
-	}
-	if again := measure(TopicConfig{Name: "a-late", Shards: 1, Acked: true}); again != ackedFirst {
-		t.Fatalf("acked CreateTopic cost grew with the topic count: %d vs %d", again, ackedFirst)
-	}
-
-	// Pin the admin overhead itself: a bare queue constructed on a
-	// fresh heap costs queueInit fences, so CreateTopic(1 shard) must
-	// cost exactly queueInit + 3 (marks, record, anchor), and each
-	// extra shard exactly queueInit more.
-	h2 := pmem.New(cfg)
-	before := h2.TotalStats().Fences
-	queues.NewOptUnlinkedQ(h2.View(1, slotsPerShard), 2)
-	queueInit := h2.TotalStats().Fences - before
-	if oneShard != queueInit+3 {
-		t.Fatalf("CreateTopic(1 shard) = %d fences, want queue init (%d) + 3 admin persists", oneShard, queueInit)
-	}
-	if twoShard != queueInit+oneShard {
-		t.Fatalf("CreateTopic(2 shards) = %d fences, want %d (+1 shard = +%d)", twoShard, queueInit+oneShard, queueInit)
 	}
 }
 

@@ -189,7 +189,8 @@ type Broker struct {
 	// every Topic carries its ostats and every group ref its cursor, so
 	// the hot paths test only this one pointer. Observation never
 	// touches pmem — an enabled observer adds zero fences, zero
-	// NTStores and zero flushes (pinned by TestObserverZeroPersistCost).
+	// NTStores and zero flushes (pinned by TestObserverZeroPersistCost,
+	// which measures every verb of the persist budget with one).
 	obs *obs.Observer
 
 	// snap is the copy-on-write topic snapshot the data plane reads.

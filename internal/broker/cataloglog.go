@@ -567,10 +567,14 @@ func (cl *catalogLog) compact(tid, threads, capacityLines int, recs []catRecord,
 		// initialized and nothing reads past the commit prefix we are
 		// about to write.
 		newBase, cl.spareBase, cl.spareLines = cl.spareBase, 0, 0
-	} else {
+	} else if err := catchOutOfSpace(func() {
+		// Nothing durable has changed yet: a heap too full for the new
+		// region refuses the compaction and leaves the log as it was.
 		bytes := int64(newTotal) * pmem.CacheLineBytes
 		newBase = cl.h.AllocRaw(tid, bytes, pmem.CacheLineBytes)
 		cl.h.InitRange(tid, newBase, bytes)
+	}); err != nil {
+		return fmt.Errorf("broker: catalog generation of %d lines: %w", newTotal, err)
 	}
 	oldBase, oldLines := cl.base, cl.totalLines
 	cl.writeGeneration(tid, threads, newBase, newTotal, cl.gen+1, floor, recs)

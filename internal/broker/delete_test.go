@@ -387,6 +387,96 @@ func TestPublishOutOfSpace(t *testing.T) {
 	}
 }
 
+// TestCompactCatalogOutOfSpace: on a heap churned full, a compaction
+// into a larger generation needs a region the heap has no room for. It
+// returns an error wrapping pmem.ErrOutOfSpace, leaves the catalog as it
+// was, and the image a power loss leaves behind recovers it.
+func TestCompactCatalogOutOfSpace(t *testing.T) {
+	hs := pmem.NewSet(1, pmem.Config{Bytes: 16 << 20, Mode: pmem.ModeCrash, MaxThreads: 2})
+	b, err := Open(hs, Options{Threads: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := b.CreateTopic(0, TopicConfig{Name: "base", Shards: 1}); err != nil {
+		t.Fatal(err)
+	}
+	b.Topic("base").Publish(0, U64(7))
+	if _, _, err := churnUntilFull(t, b); !errors.Is(err, pmem.ErrOutOfSpace) {
+		t.Fatalf("CreateTopic = %v, want pmem.ErrOutOfSpace", err)
+	}
+	gen, names := b.CatalogGeneration(), b.TopicNames()
+	// 8 192 record lines are 512 KiB, more than the refused CreateTopic
+	// needed.
+	if err := b.CompactCatalog(0, 1<<13); !errors.Is(err, pmem.ErrOutOfSpace) {
+		t.Fatalf("CompactCatalog on a full heap = %v, want pmem.ErrOutOfSpace", err)
+	}
+	if b.CatalogGeneration() != gen || !slices.Equal(b.TopicNames(), names) {
+		t.Fatalf("refused compaction moved the catalog: generation %d -> %d, topics %v -> %v",
+			gen, b.CatalogGeneration(), names, b.TopicNames())
+	}
+	hs.CrashNow()
+	hs.FinalizeCrash(rand.New(rand.NewSource(97)))
+	hs.Restart()
+	r, err := Open(hs, Options{})
+	if err != nil {
+		t.Fatalf("Open after the refused compaction: %v", err)
+	}
+	if r.CatalogGeneration() != gen || !slices.Equal(r.TopicNames(), names) {
+		t.Fatalf("recovered generation %d with topics %v, want %d with %v", r.CatalogGeneration(), r.TopicNames(), gen, names)
+	}
+	if p, ok := r.Topic("base").DequeueShard(0, 0); !ok || AsU64(p) != 7 {
+		t.Fatalf("base message lost: %v,%v", p, ok)
+	}
+}
+
+// TestCreateAckGroupOutOfSpace: a lease region larger than the heap is
+// refused with an error wrapping pmem.ErrOutOfSpace, and the root-slot
+// window it was placed in goes back. The window was cut from the gap a
+// deleted 1-shard topic left, so a 1-shard topic created afterwards fits
+// that gap only if the refusal released it. The image recovers without
+// the region.
+func TestCreateAckGroupOutOfSpace(t *testing.T) {
+	hs := pmem.NewSet(1, pmem.Config{Bytes: 16 << 20, Mode: pmem.ModeCrash, MaxThreads: 2})
+	b, err := Open(hs, Options{Threads: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	gone, err := b.CreateTopic(0, TopicConfig{Name: "gone", Shards: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := b.DeleteTopic(0, "gone"); err != nil {
+		t.Fatal(err)
+	}
+	used, free := b.SlotFootprint()
+	if _, err := b.CreateAckGroup(0, AckGroupConfig{Capacity: maxCatShards}); !errors.Is(err, pmem.ErrOutOfSpace) {
+		t.Fatalf("CreateAckGroup of %d lease lines on a 16 MiB heap = %v, want pmem.ErrOutOfSpace", maxCatShards, err)
+	}
+	if u, f := b.SlotFootprint(); u != used || f != free {
+		t.Fatalf("refused CreateAckGroup moved the slot footprint (used %d, free %d) -> (used %d, free %d)", used, free, u, f)
+	}
+	reuse, err := b.CreateTopic(0, TopicConfig{Name: "reuse", Shards: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if reuse.locs[0] != gone.locs[0] {
+		t.Fatalf("topic created after the refusal sits at %v, want the freed window %v", reuse.locs[0], gone.locs[0])
+	}
+	hs.CrashNow()
+	hs.FinalizeCrash(rand.New(rand.NewSource(98)))
+	hs.Restart()
+	r, err := Open(hs, Options{})
+	if err != nil {
+		t.Fatalf("Open after the refused CreateAckGroup: %v", err)
+	}
+	if r.Topic("reuse") == nil {
+		t.Fatal("the topic created after the refusal did not recover")
+	}
+	if g, err := r.CreateAckGroup(0, AckGroupConfig{}); err != nil || g != 0 {
+		t.Fatalf("CreateAckGroup after recovery = (%d, %v), want region 0: the refused one must not be recorded", g, err)
+	}
+}
+
 // TestCompactCatalogKeepsFreeWindows: a compaction writes only live
 // records, yet a broker recovered from the new generation has the same
 // free slots as the one that compacted — the marks travel with the
@@ -457,97 +547,6 @@ func topicWindows(b *Broker) string {
 		fmt.Fprint(&s, t.Name(), t.locs, " ")
 	}
 	return s.String()
-}
-
-// TestDeleteTopicFenceAccounting pins the retirement cost model: the
-// common DeleteTopic path is exactly two blocking persists (tombstone
-// append, commit stamp — under the documented bound of three), and the
-// cost is independent of the broker's topic count and of the victim's
-// shard count.
-func TestDeleteTopicFenceAccounting(t *testing.T) {
-	cfg := pmem.Config{Bytes: 256 << 20, MaxThreads: 2}
-	h := pmem.New(cfg)
-	b, err := Open(pmem.NewSetOf(h), Options{Threads: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	mk := func(name string, shards int) {
-		if _, err := b.CreateTopic(0, TopicConfig{Name: name, Shards: shards}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	measure := func(name string) uint64 {
-		before := h.TotalStats().Fences
-		if err := b.DeleteTopic(0, name); err != nil {
-			t.Fatal(err)
-		}
-		return h.TotalStats().Fences - before
-	}
-	mk("d-first", 1)
-	mk("d-wide", 4)
-	first := measure("d-first")
-	if first > 3 {
-		t.Fatalf("DeleteTopic = %d fences, documented bound is 3", first)
-	}
-	if first != 2 {
-		t.Fatalf("DeleteTopic common path = %d fences, want exactly 2 (tombstone, commit stamp)", first)
-	}
-	if wide := measure("d-wide"); wide != first {
-		t.Fatalf("DeleteTopic cost depends on shard count: %d fences for 4 shards, %d for 1", wide, first)
-	}
-	for i := 0; i < 20; i++ {
-		mk(fmt.Sprintf("filler-%d", i), 1)
-	}
-	mk("d-late", 1)
-	if late := measure("d-late"); late != first {
-		t.Fatalf("DeleteTopic cost grew with the topic count: %d fences on a 21-topic broker, %d on a 2-topic one",
-			late, first)
-	}
-}
-
-// TestCompactCatalogFenceAccounting pins the compaction cost model:
-// in steady state (the spare region already exists, so generations
-// ping-pong) one fence covers the whole new generation plus one anchor
-// persist — independent of how many dead records are dropped.
-func TestCompactCatalogFenceAccounting(t *testing.T) {
-	scenario := func(deleted int) uint64 {
-		h := pmem.New(pmem.Config{Bytes: 256 << 20, MaxThreads: 2})
-		b, err := Open(pmem.NewSetOf(h), Options{Threads: 2})
-		if err != nil {
-			t.Fatal(err)
-		}
-		for i := 0; i < 3; i++ {
-			if _, err := b.CreateTopic(0, TopicConfig{Name: fmt.Sprintf("live-%d", i), Shards: 1}); err != nil {
-				t.Fatal(err)
-			}
-		}
-		// Prime the spare region: the first compaction ever pays a
-		// one-time allocation; every later one ping-pongs.
-		if err := b.CompactCatalog(0, 0); err != nil {
-			t.Fatal(err)
-		}
-		for i := 0; i < deleted; i++ {
-			name := fmt.Sprintf("dead-%d", i)
-			if _, err := b.CreateTopic(0, TopicConfig{Name: name, Shards: 1}); err != nil {
-				t.Fatal(err)
-			}
-			if err := b.DeleteTopic(0, name); err != nil {
-				t.Fatal(err)
-			}
-		}
-		before := h.TotalStats().Fences
-		if err := b.CompactCatalog(0, 0); err != nil {
-			t.Fatal(err)
-		}
-		return h.TotalStats().Fences - before
-	}
-	few, many := scenario(2), scenario(8)
-	if few != many {
-		t.Fatalf("CompactCatalog cost depends on dead record count: %d fences dropping 2, %d dropping 8", few, many)
-	}
-	if few != 2 {
-		t.Fatalf("CompactCatalog = %d fences, want exactly 2 (generation fence, anchor flip)", few)
-	}
 }
 
 // TestCompactCatalogCrashBeforeFlip pins the generation flip's crash

@@ -233,61 +233,6 @@ func TestHeapTopicDelayPriority(t *testing.T) {
 	}
 }
 
-// TestHeapTopicFenceAccounting pins the heap-topic cost model at the
-// broker API: a publish batch of any size is exactly one fence (and
-// 7 NTStores per single-line entry), a non-empty dequeue batch is one
-// fence plus one NTStore per message, and gauges and empty dequeues
-// persist nothing.
-func TestHeapTopicFenceAccounting(t *testing.T) {
-	hs, b := heapTestBroker(t, 2)
-	delay := b.Topic("delay")
-	const n = 64
-
-	var payloads [][]byte
-	var deadlines []uint64
-	for i := uint64(0); i < n; i++ {
-		payloads = append(payloads, heapPayload(i, i+1))
-		deadlines = append(deadlines, i+1)
-	}
-	d := hs.DeltaOf(0)
-	if err := delay.PublishAtBatch(0, payloads, deadlines); err != nil {
-		t.Fatal(err)
-	}
-	if s := d.Delta(); s.Fences != 1 || s.NTStores != 7*n || s.Flushes != 0 {
-		t.Fatalf("publish batch of %d: %d fences, %d NTStores, %d flushes; want 1, %d, 0",
-			n, s.Fences, s.NTStores, s.Flushes, 7*n)
-	}
-
-	d = hs.DeltaOf(0)
-	if err := delay.PublishAt(0, heapPayload(99, 1), 1); err != nil {
-		t.Fatal(err)
-	}
-	if s := d.Delta(); s.Fences != 1 || s.NTStores != 7 {
-		t.Fatalf("single publish: %d fences, %d NTStores; want 1, 7", s.Fences, s.NTStores)
-	}
-
-	// Gauges and empty dequeues: zero persists.
-	d = hs.DeltaOf(1)
-	delay.heapq.Depth()
-	delay.MinKey()
-	if _, err := delay.DequeueReadyBatch(1, 0, 16); err != nil {
-		t.Fatal(err)
-	}
-	if s := d.Delta(); s.Fences != 0 || s.NTStores != 0 || s.Flushes != 0 {
-		t.Fatalf("gauges/empty dequeue persisted: %+v", s)
-	}
-
-	d = hs.DeltaOf(1)
-	got, err := delay.DequeueReadyBatch(1, ^uint64(0), n)
-	if err != nil || len(got) != n {
-		t.Fatalf("dequeue batch: %d messages, err %v", len(got), err)
-	}
-	if s := d.Delta(); s.Fences != 1 || s.NTStores != n {
-		t.Fatalf("dequeue batch of %d: %d fences, %d NTStores; want 1, %d",
-			n, s.Fences, s.NTStores, n)
-	}
-}
-
 // TestHeapTopicRecovery crashes a broker holding undelivered delay and
 // priority backlogs and checks the recovered topics: kinds and gating
 // intact, exactly the undelivered messages back, delivered ones gone,

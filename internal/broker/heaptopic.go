@@ -14,11 +14,11 @@ import (
 // lower rank delivered first); equal keys are delivered in publish
 // order via the heap's seq tiebreak.
 //
-// Fence budget (pinned by TestHeapTopicFenceAccounting and the dheap
-// package's own tests): a publish batch of any size costs exactly one
-// fence, a non-empty dequeue batch costs exactly one fence, and
-// sift/gauge/empty-dequeue paths persist nothing — heap maintenance
-// is volatile, so delivery order costs zero ordered persists.
+// Fence budget (pinned by the heap-topic rows of testdata/budget.txt):
+// a publish batch of any size costs exactly one fence, a non-empty
+// dequeue batch costs exactly one fence, and sift/gauge/empty-dequeue
+// paths persist nothing — heap maintenance is volatile, so delivery
+// order costs zero ordered persists.
 
 // PublishAt durably enqueues payload on a delay topic for delivery at
 // deadline (any monotonic uint64 scale the caller also uses for

@@ -179,111 +179,6 @@ func TestScanFencesAndSplits(t *testing.T) {
 	}
 }
 
-// TestMembershipFenceAccounting pins the protocol's persist costs on
-// one domain: a scan with no expiries and a renewal to now+TTL that
-// the durable deadline already covers are free; fencing a dead member costs one fence plus one
-// store+flush per moved shard holding work; a stale Renew is refused
-// without touching NVRAM; a steal is one line and one fence.
-func TestMembershipFenceAccounting(t *testing.T) {
-	hs, b := newAckedBroker(t, 1, 3, pmem.ModePerf)
-	clk := &logicalClock{}
-	const ttl = 100
-	g, err := b.NewGroupAcked([]string{"events"}, 2, LeaseConfig{TTL: ttl, Now: clk.Now})
-	if err != nil {
-		t.Fatal(err)
-	}
-	c0, c1 := g.Consumer(0), g.Consumer(1)
-	const n = 16 // 4 per shard; members own 2 shards each
-	for i := uint64(0); i < n; i++ {
-		b.Topic("events").Publish(0, U64(i))
-	}
-	if ms := c1.PollBatch(2, 8); len(ms) != 8 {
-		t.Fatalf("member 1 polled %d, want its 2 shards' 8", len(ms))
-	}
-	c0.PollBatch(1, 8)
-	c0.Ack(1) // member 0 idles behind moot leases
-
-	// Scan with no expiries: zero persist instructions.
-	before := hs.TotalStats()
-	rep, err := g.Scan(0, clk.Now())
-	if err != nil {
-		t.Fatal(err)
-	}
-	d := hs.TotalStats().Sub(before)
-	if len(rep.Expired) != 0 {
-		t.Fatalf("scan expired %v, want none", rep.Expired)
-	}
-	if d.Fences != 0 || d.NTStores != 0 || d.Flushes != 0 {
-		t.Fatalf("no-expiry scan = %d fences, %d NTStores, %d flushes; want 0/0/0", d.Fences, d.NTStores, d.Flushes)
-	}
-
-	// Renewing to now+TTL at the durable deadline rides the elision.
-	before = hs.TotalStats()
-	if err := c1.Renew(2, clk.Now()+ttl); err != nil {
-		t.Fatal(err)
-	}
-	d = hs.TotalStats().Sub(before)
-	if d.Fences != 0 || d.Flushes != 0 {
-		t.Fatalf("renewal at a durable deadline = %d fences, %d flushes; want 0/0", d.Fences, d.Flushes)
-	}
-	// Once the clock moved, the renewal rewrites its lines under one
-	// fence — the fresh-epoch renewal keeps its pinned cost.
-	clk.Advance(50)
-	before = hs.TotalStats()
-	if err := c1.Renew(2, clk.Now()+ttl); err != nil {
-		t.Fatal(err)
-	}
-	d = hs.TotalStats().Sub(before)
-	if d.Fences != 1 || d.Flushes != 2 {
-		t.Fatalf("deadline-moving renewal = %d fences, %d flushes; want 1 fence, 2 lease lines", d.Fences, d.Flushes)
-	}
-
-	// Member 1 goes silent; fencing it moves 2 shards with work: one
-	// store+flush per moved shard, zero NTStores, one fence.
-	clk.Advance(500)
-	before = hs.TotalStats()
-	rep, err = g.Scan(0, clk.Now())
-	if err != nil {
-		t.Fatal(err)
-	}
-	d = hs.TotalStats().Sub(before)
-	if len(rep.Expired) != 1 || rep.Expired[0] != 1 || rep.Shards != 2 {
-		t.Fatalf("scan = expired %v, %d shards; want member 1's 2 shards", rep.Expired, rep.Shards)
-	}
-	if d.Fences != 1 || d.NTStores != 0 || d.Flushes != 2 {
-		t.Fatalf("fencing takeover = %d fences, %d NTStores, %d flushes; want 1/0/2", d.Fences, d.NTStores, d.Flushes)
-	}
-
-	// The stale member's Renew is refused before any persist executes.
-	before = hs.TotalStats()
-	if err := c1.Renew(2, clk.Now()+ttl); !errors.Is(err, ErrFenced) {
-		t.Fatalf("stale Renew returned %v, want ErrFenced", err)
-	}
-	d = hs.TotalStats().Sub(before)
-	if d.Fences != 0 || d.NTStores != 0 || d.Flushes != 0 {
-		t.Fatalf("refused stale Renew = %d fences, %d NTStores, %d flushes; want 0/0/0", d.Fences, d.NTStores, d.Flushes)
-	}
-
-	// Work-stealing one expired shard: one lease line, one fence.
-	c0.PollBatch(1, 4) // member 0 takes a window on one shard...
-	clk.Advance(500)   // ...and goes silent past its deadline
-	before = hs.TotalStats()
-	stole, moved, err := c1.Steal(2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !stole || moved == 0 {
-		t.Fatalf("Steal = (%v, %d), want one expired shard with work", stole, moved)
-	}
-	d = hs.TotalStats().Sub(before)
-	if d.Fences != 1 || d.NTStores != 0 || d.Flushes != 1 {
-		t.Fatalf("steal = %d fences, %d NTStores, %d flushes; want 1/0/1", d.Fences, d.NTStores, d.Flushes)
-	}
-	if _, err := c0.Ack(1); !errors.Is(err, ErrFenced) {
-		t.Fatalf("stolen-from member's Ack returned %v, want ErrFenced", err)
-	}
-}
-
 // TestStealDrainsExpiredShards: an idle member steals a silent
 // member's expired shards one per call until none carry work, and the
 // stolen windows drain exactly once.

@@ -63,38 +63,6 @@ func obsWorkload(t *testing.T, b *Broker) {
 	}
 }
 
-// TestObserverZeroPersistCost pins the cost budget: the identical
-// deterministic workload run with and without an observer issues
-// exactly the same fences, NTStores and flushes. Observation lives
-// entirely outside simulated NVRAM.
-func TestObserverZeroPersistCost(t *testing.T) {
-	run := func(o *obs.Observer) pmem.Stats {
-		hs := pmem.NewSet(2, pmem.Config{Bytes: 64 << 20, MaxThreads: 2})
-		b, err := Open(hs, Options{Threads: 2, Observer: o})
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, tc := range twoTopics() {
-			if _, err := b.CreateTopic(0, tc); err != nil {
-				t.Fatal(err)
-			}
-		}
-		d := hs.TotalDelta()
-		obsWorkload(t, b)
-		return d.Delta()
-	}
-	plain := run(nil)
-	observed := run(obs.New(obs.Config{Threads: 2, TraceEvents: 256}))
-	if plain.Fences != observed.Fences || plain.NTStores != observed.NTStores || plain.Flushes != observed.Flushes {
-		t.Fatalf("observer changed persist behavior:\n  plain:    fences=%d ntstores=%d flushes=%d\n  observed: fences=%d ntstores=%d flushes=%d",
-			plain.Fences, plain.NTStores, plain.Flushes,
-			observed.Fences, observed.NTStores, observed.Flushes)
-	}
-	if plain.Fences == 0 || plain.NTStores == 0 {
-		t.Fatal("workload issued no persists; the comparison is vacuous")
-	}
-}
-
 // TestObserverGauges checks the counters and lag the workload should
 // produce: everything published is delivered and (on the acked topic)
 // acked, frontiers catch published heads, and the snapshot agrees.

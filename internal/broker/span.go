@@ -9,7 +9,8 @@ import "repro/internal/obs"
 // the only code that asks whether an observer is attached; with none,
 // each is one predictable not-taken branch. Nothing here touches pmem:
 // an attached observer adds zero fences, NTStores and flushes to any
-// verb (TestObserverZeroPersistCost).
+// verb (TestObserverZeroPersistCost measures every row of
+// testdata/budget.txt with an observer and requires the same table).
 type span struct {
 	o     *obs.Observer
 	tid   int

@@ -7,45 +7,6 @@ import (
 	"repro/internal/pmem"
 )
 
-// --- Drain windows: fence-accounting pins ------------------------
-
-// TestConsumerAdaptiveFenceRegimes pins PollBatch's cost over a fixed
-// sweep of drain sizes 1..16, the range an adaptive window policy moves
-// a consumer through: a loaded drain of any size rides exactly one
-// fence, and an empty poll of any size pays no persist instruction at
-// all. The policy itself is the caller's; none is needed to pin this.
-func TestConsumerAdaptiveFenceRegimes(t *testing.T) {
-	h := pmem.New(pmem.Config{Bytes: 64 << 20, MaxThreads: 2})
-	b, err := newBroker(pmem.NewSetOf(h), Options{Threads: 2}, []TopicConfig{{Name: "events", Shards: 1}}, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	const maxDrain = 16
-	for i := uint64(0); i < maxDrain*(maxDrain+1)/2; i++ {
-		b.Topic("events").Publish(0, U64(i))
-	}
-	g, err := b.NewGroup([]string{"events"}, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	c := g.Consumer(0)
-	for size := 1; size <= maxDrain; size++ {
-		before := h.TotalStats()
-		ms := c.PollBatch(1, size)
-		if d := h.TotalStats().Sub(before); len(ms) != size || d.Fences != 1 {
-			t.Fatalf("loaded PollBatch(%d) = %d messages with %d fences, want %d with 1", size, len(ms), d.Fences, size)
-		}
-	}
-	for size := 1; size <= maxDrain; size++ {
-		before := h.TotalStats()
-		ms := c.PollBatch(1, size)
-		if d := h.TotalStats().Sub(before); len(ms) != 0 || persists(d) != [3]uint64{} {
-			t.Fatalf("empty PollBatch(%d) = %d messages, %v fences/NTStores/flushes; want 0, 0/0/0",
-				size, len(ms), persists(d))
-		}
-	}
-}
-
 // --- The member lock ----------------------------------------------
 
 // TestPollWaitsForSubscribe pins the one-lock rule from the poll side,

@@ -118,8 +118,9 @@ func (r Result) PostFlushPerOp() float64 {
 
 // AllQueues returns every benchmarkable queue: the package queues
 // registry plus the PTM queues. ONLL is excluded (its log space grows
-// with every operation, which a timed run would exhaust); it is
-// covered by cmd/fencecount and its own tests.
+// with every operation, which a timed run would exhaust); its persist
+// counts are a row of cmd/fencecount's golden table, and its own tests
+// cover the rest.
 func AllQueues() []queues.Info {
 	out := append([]queues.Info{}, queues.All()...)
 	out = append(out, ptm.All()...)

@@ -8,7 +8,8 @@
 // performs no allocations, and — critically for this repository —
 // issues no persist instructions: an enabled observer adds zero
 // fences, zero NTStores and zero flushes to any broker operation
-// (pinned by internal/broker's TestObserverZeroPersistCost). With no
+// (pinned by internal/broker's TestObserverZeroPersistCost, which
+// measures every row of the broker's persist budget with one). With no
 // observer configured the cost is one predictable nil-check branch
 // per instrumentation site.
 //

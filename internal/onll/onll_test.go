@@ -13,47 +13,6 @@ func TestONLLConcurrent(t *testing.T)   { qtest.RunConcurrent(t, Info(), 4, 1500
 func TestONLLCrashRecover(t *testing.T) { qtest.RunCrashRecovery(t, Info(), 3) }
 func TestONLLEdgeCases(t *testing.T)    { qtest.RunEdgeCases(t, Info()) }
 
-// TestONLLOneFencePerUpdateZeroPostFlush verifies the Section 2.1
-// claim: one fence per update, zero fences per read-only operation,
-// zero accesses to flushed content — for the universal construction.
-func TestONLLOneFencePerUpdateZeroPostFlush(t *testing.T) {
-	h := pmem.New(pmem.Config{Bytes: 32 << 20, MaxThreads: 2})
-	q := NewQueue(h, 1)
-	for i := uint64(1); i <= 100; i++ { // warm
-		q.Enqueue(0, i)
-	}
-	base := h.TotalStats()
-	const n = 200
-	for i := uint64(1); i <= n; i++ {
-		q.Enqueue(0, i)
-	}
-	for i := 0; i < n; i++ {
-		if _, ok := q.Dequeue(0); !ok {
-			t.Fatal("unexpected empty")
-		}
-	}
-	s := h.TotalStats().Sub(base)
-	if s.Fences != 2*n {
-		t.Errorf("fences = %d for %d updates, want %d", s.Fences, 2*n, 2*n)
-	}
-	if s.PostFlushAccesses != 0 {
-		t.Errorf("post-flush accesses = %d, want 0", s.PostFlushAccesses)
-	}
-	// Drain to empty; failing dequeues are read-only: zero fences.
-	for i := 0; i < 100; i++ {
-		q.Dequeue(0)
-	}
-	mid := h.TotalStats()
-	for i := 0; i < 50; i++ {
-		if _, ok := q.Dequeue(0); ok {
-			t.Fatal("queue should be empty")
-		}
-	}
-	if d := h.TotalStats().Sub(mid); d.Fences != 0 {
-		t.Errorf("failing dequeues issued %d fences, want 0", d.Fences)
-	}
-}
-
 // TestONLLGenericObject applies the construction to a different
 // object (a counter with add/get) to back the "any object" claim.
 type counter struct{ v uint64 }

@@ -7,23 +7,6 @@ import (
 	"repro/internal/pmem"
 )
 
-// TestDurableMSQFullFenceCounts pins the cost of the detectable
-// version: two fences per enqueue and three per dequeue — the
-// "additional cost" Section 10 mentions.
-func TestDurableMSQFullFenceCounts(t *testing.T) {
-	in, _ := Lookup("durable-msq-full")
-	enq, deq, empty := opStats(t, in)
-	if enq.Fences != 200 {
-		t.Errorf("enqueue fences = %d per 100 ops, want 200", enq.Fences)
-	}
-	if deq.Fences != 300 {
-		t.Errorf("dequeue fences = %d per 100 ops, want 300", deq.Fences)
-	}
-	if empty.Fences != 200 {
-		t.Errorf("failing dequeue fences = %d per 100 ops, want 200", empty.Fences)
-	}
-}
-
 // TestDurableMSQFullResultsPerThread: concurrent claimed dequeues cut
 // by a crash are attributed to the right threads.
 func TestDurableMSQFullResultsPerThread(t *testing.T) {

@@ -31,33 +31,6 @@ func TestCorrectnessWithFlushRetainsLine(t *testing.T) {
 	}
 }
 
-// TestOptQueueNTStoreAccounting pins the Section 6.3 mechanics: the
-// optimized queues write their per-thread persistent locals only with
-// non-temporal stores.
-func TestOptQueueNTStoreAccounting(t *testing.T) {
-	ou, _ := Lookup("opt-unlinked")
-	_, deq, empty := opStats(t, ou)
-	// Failing dequeues issue zero NTStores: the empty-poll elision skips
-	// the local-index write entirely once the index is durable.
-	if deq.NTStores != 100 || empty.NTStores != 0 {
-		t.Errorf("opt-unlinked NTStores per 100 deq/empty = %d/%d, want 100/0", deq.NTStores, empty.NTStores)
-	}
-	ol, _ := Lookup("opt-linked")
-	enq, deq2, _ := opStats(t, ol)
-	if enq.NTStores != 200 { // lastEnqueues cell: pointer + index words
-		t.Errorf("opt-linked enqueue NTStores per 100 ops = %d, want 200", enq.NTStores)
-	}
-	if deq2.NTStores != 100 {
-		t.Errorf("opt-linked dequeue NTStores per 100 ops = %d, want 100", deq2.NTStores)
-	}
-	// The plain-store ablation pays post-flush accesses instead.
-	ps, _ := Lookup("opt-unlinked-plainstore")
-	_, deqPS, _ := opStats(t, ps)
-	if deqPS.PostFlushAccesses == 0 {
-		t.Error("plain-store ablation shows no post-flush accesses; expected some")
-	}
-}
-
 // TestHeavyChurnReuse forces many node recycles through the EBR
 // allocator and re-checks FIFO integrity (guards the linked/unlinked
 // flag-reset invariants on reuse).
