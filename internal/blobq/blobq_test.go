@@ -595,10 +595,10 @@ func TestAckedLeaseRedelivery(t *testing.T) {
 	}
 }
 
-// TestRecoverRefusesDuplicateIndex forges two live nodes with one index
-// — a state the protocol cannot produce (indices are assigned under the
-// link CAS) and recovery cannot order. The one recovery body refuses it
-// for both instantiations; blobq's own recovery used to chain both
+// TestRecoverRefusesDuplicateIndex forges live nodes that share one
+// index — a state the protocol cannot produce (indices are assigned under
+// the link CAS) and recovery cannot order. The one recovery body refuses
+// it for both instantiations; blobq's own recovery used to chain both
 // nodes silently.
 func TestRecoverRefusesDuplicateIndex(t *testing.T) {
 	const (
@@ -607,12 +607,22 @@ func TestRecoverRefusesDuplicateIndex(t *testing.T) {
 	)
 	for _, in := range []queues.Info{mustLookup(t, "opt-unlinked"), blobInfo(t, false)} {
 		t.Run(in.Name, func(t *testing.T) {
-			// The forged duplicate is refused where the scan meets the
-			// indices in order (item 3 takes the index of item 2: 1, 2,
-			// 2) and where it has to sort them first (item 1 takes the
-			// index of item 3: 3, 2, 3).
-			for _, forge := range []struct{ slot, index uint64 }{{3, 2}, {1, 3}} {
-				t.Run(fmt.Sprintf("slot%d=index%d", forge.slot, forge.index), func(t *testing.T) {
+			// Recovery places the nodes by index, and the forged
+			// duplicate is refused where the scan meets the indices in
+			// order (item 3 takes the index of item 2: 1, 2, 2) and out
+			// of order (item 1 takes the index of item 3: 3, 2, 3). A
+			// span of indices far wider than the nodes is sorted
+			// instead, and refused there (items 1 and 3 both take index
+			// 2^40: 2^40, 2, 2^40).
+			for _, forge := range []struct {
+				slots []uint64
+				index uint64
+			}{{[]uint64{3}, 2}, {[]uint64{1}, 3}, {[]uint64{1, 3}, 1 << 40}} {
+				name := ""
+				for _, s := range forge.slots {
+					name += fmt.Sprintf("slot%d=", s)
+				}
+				t.Run(fmt.Sprintf("%sindex%d", name, forge.index), func(t *testing.T) {
 					h := newHeap(pmem.ModeCrash)
 					q := in.New(h, 1)
 					for v := uint64(1); v <= 3; v++ {
@@ -624,12 +634,14 @@ func TestRecoverRefusesDuplicateIndex(t *testing.T) {
 					// Slot 0 of the first area is the dummy; slots 1..3
 					// hold the items at indices 1..3.
 					nodes := ssmem.Areas(h, ssmem.Config{SlotBytes: pmem.CacheLineBytes, Threads: 1, RootSlot: poolSlot})[0].Base
-					a := nodes + pmem.Addr(forge.slot)*pmem.CacheLineBytes + nodeIndex
-					if got := h.Load(0, a); got != forge.slot {
-						t.Fatalf("node layout moved: slot %d carries index %d", forge.slot, got)
+					for _, slot := range forge.slots {
+						a := nodes + pmem.Addr(slot)*pmem.CacheLineBytes + nodeIndex
+						if got := h.Load(0, a); got != slot {
+							t.Fatalf("node layout moved: slot %d carries index %d", slot, got)
+						}
+						h.Store(0, a, forge.index)
+						h.Persist(0, a)
 					}
-					h.Store(0, a, forge.index)
-					h.Persist(0, a)
 					want := fmt.Sprintf("two live nodes with index %d", forge.index)
 					defer func() {
 						if r := recover(); r == nil || !strings.Contains(fmt.Sprint(r), want) {

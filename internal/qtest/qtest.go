@@ -435,8 +435,8 @@ func RunFailingDequeuePersistsEmptiness(t *testing.T, in queues.Info) {
 	}
 }
 
-// RunRecoveryWithLargeQueue stresses recovery's scan and sort with a
-// backlog that spans several allocator areas.
+// RunRecoveryWithLargeQueue stresses recovery's scan and index
+// ordering with a backlog that spans several allocator areas.
 func RunRecoveryWithLargeQueue(t *testing.T, in queues.Info) {
 	t.Helper()
 	n := uint64(10000)

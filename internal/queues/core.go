@@ -491,7 +491,7 @@ func (q *Core[P]) Enqueue(tid int, p P) {
 // batch's items are therefore adjacent in the queue. This amortization
 // is sound because the algorithm already tolerates an enqueuer whose
 // nodes are linked but not yet durable — any helper may advance the
-// tail past them and append (and fence) later nodes; recovery sorts
+// tail past them and append (and fence) later nodes; recovery orders
 // surviving nodes by index and accepts gaps, dropping exactly the
 // unacknowledged enqueues. The batch is acknowledged as a whole when
 // EnqueueBatch returns: at that point all of its nodes are durable.
@@ -790,11 +790,15 @@ func (q *Core[P]) CompleteBatch(tid int) {
 // Every Persistent object marked linked with a larger index whose
 // payload the codec validates is resurrected: its slot's mirror entry is
 // filled in and chained in index order, so only the pages of live slots
-// are allocated. acked must match the
-// mode the queue was created with: a mismatch is refused, not
-// mis-scanned (plain recovery of an acked queue would take the
-// never-written head lines as the frontier and resurrect acknowledged
-// items). aux must be the NewCore aux configuration.
+// are allocated. Unless the scan met them strictly ascending, the
+// scan's keys are placed by index, in time linear in the nodes however
+// slot reuse ordered them; only a span of indices wider than twice the
+// nodes (a corrupt index) falls back to a sort. Two live nodes with one
+// index are refused on either path. acked must match the mode the queue
+// was created with: a mismatch is refused, not mis-scanned (plain
+// recovery of an acked queue would take the never-written head lines as
+// the frontier and resurrect acknowledged items). aux must be the
+// NewCore aux configuration.
 func RecoverCore[P any](h *pmem.Heap, threads int, acked bool, codec Codec[P], aux *ssmem.Config) *Core[P] {
 	ackBase := pmem.Addr(h.Load(0, h.RootAddr(slotAck)))
 	if acked != (ackBase != 0) {
@@ -827,19 +831,15 @@ func RecoverCore[P any](h *pmem.Heap, threads int, acked bool, codec Codec[P], a
 	// The scan meets nodes in slot order, which is index order only
 	// until slots are recycled. It therefore collects one compact key
 	// per resurrected node — in fixed-size runs, so that collecting
-	// never copies — and the keys are sorted, unless the scan happened
-	// to be in order, before anything is materialized: the codec then
-	// makes its payload copies in index order, so the drain that follows
-	// recovery reads them walking memory forward, whatever order the
-	// allocator left the slots, and with them the mirror entries, in.
-	type key struct {
-		index          uint64
-		pline, auxLine uint32
-	}
+	// never copies — and puts the keys in index order (inIndexOrder)
+	// before anything is materialized: the codec then makes its payload
+	// copies in index order, so the drain that follows recovery reads
+	// them walking memory forward, whatever order the allocator left the
+	// slots, and with them the mirror entries, in.
 	const runLen = 4096
-	var runs [][]key
-	var last uint64
-	sorted := true
+	var runs [][]liveKey
+	last, hi := uint64(0), frontier
+	ascending := true
 	q.pool = recoverNodePool(h, threads, func(a pmem.Addr) bool {
 		if h.Load(0, a+nodeLinked) != 1 {
 			return false
@@ -853,23 +853,15 @@ func RecoverCore[P any](h *pmem.Heap, threads int, acked bool, codec Codec[P], a
 			return false
 		}
 		if n := len(runs); n == 0 || len(runs[n-1]) == runLen {
-			runs = append(runs, make([]key, 0, runLen))
+			runs = append(runs, make([]liveKey, 0, runLen))
 		}
 		r := &runs[len(runs)-1]
-		*r = append(*r, key{idx, lineOf(a), lineOf(auxAddr)})
-		sorted = sorted && last <= idx
-		last = idx
+		*r = append(*r, liveKey{idx, lineOf(a), lineOf(auxAddr)})
+		ascending = ascending && last < idx
+		last, hi = idx, max(hi, idx)
 		return true
 	})
-	keys := slices.Concat(runs...)
-	if !sorted {
-		slices.SortFunc(keys, func(a, b key) int { return cmp.Compare(a.index, b.index) })
-	}
-	for i := 1; i < len(keys); i++ {
-		if keys[i].index == keys[i-1].index {
-			panic(fmt.Sprintf("queues: recovery found two live nodes with index %d", keys[i].index))
-		}
-	}
+	keys := inIndexOrder(runs, frontier, hi, ascending)
 	if aux != nil {
 		liveAux := make(map[uint32]bool, len(keys))
 		for _, k := range keys {
@@ -892,4 +884,63 @@ func RecoverCore[P any](h *pmem.Heap, threads int, acked bool, codec Codec[P], a
 	}
 	q.tail.Store(prev)
 	return q
+}
+
+// liveKey is what recovery's scan keeps of one resurrected node.
+type liveKey struct {
+	index          uint64
+	pline, auxLine uint32
+}
+
+// inIndexOrder returns the keys of runs in index order and refuses two
+// live nodes with one index. A scan that met the indices strictly
+// ascending (a queue whose slots were never recycled) is in order and
+// unique already: its runs are only concatenated. Otherwise the indices
+// lie in (frontier, hi] and are unique, with gaps only where a torn
+// enqueue was discarded, so each key is placed at entry
+// index−frontier−1 of one slice spanning them — an occupied entry is a
+// duplicate — and one forward pass drops the empty entries (line 0
+// never holds a node). That is linear whatever order slot reuse left
+// the scan in. A span wider than 2·len(keys)+64 means a corrupt index
+// or more gaps than nodes, and is not allocated: those keys are
+// concatenated, sorted and checked for adjacent duplicates.
+func inIndexOrder(runs [][]liveKey, frontier, hi uint64, ascending bool) []liveKey {
+	if ascending {
+		return slices.Concat(runs...)
+	}
+	n := 0
+	for _, r := range runs {
+		n += len(r)
+	}
+	refuse := func(index uint64) {
+		panic(fmt.Sprintf("queues: recovery found two live nodes with index %d", index))
+	}
+	if span := hi - frontier; span <= 2*uint64(n)+64 {
+		keys := make([]liveKey, span)
+		for _, r := range runs {
+			for _, k := range r {
+				e := &keys[k.index-frontier-1]
+				if e.pline != 0 {
+					refuse(k.index)
+				}
+				*e = k
+			}
+		}
+		w := 0
+		for _, k := range keys {
+			if k.pline != 0 {
+				keys[w] = k
+				w++
+			}
+		}
+		return keys[:w]
+	}
+	keys := slices.Concat(runs...)
+	slices.SortFunc(keys, func(a, b liveKey) int { return cmp.Compare(a.index, b.index) })
+	for i := 1; i < len(keys); i++ {
+		if keys[i].index == keys[i-1].index {
+			refuse(keys[i].index)
+		}
+	}
+	return keys
 }

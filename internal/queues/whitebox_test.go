@@ -1,7 +1,9 @@
 package queues
 
 import (
+	"cmp"
 	"math/rand"
+	"runtime"
 	"slices"
 	"testing"
 
@@ -155,6 +157,129 @@ func TestRecoveryReversedSlotOrder(t *testing.T) {
 	}
 }
 
+// backlogNode is what recycledBacklog reports of one backlog node.
+type backlogNode struct {
+	index, val uint64
+	pline      uint32
+}
+
+// recycledBacklog leaves backlog items in q on recycled, scrambled
+// slots and returns them in chain order. A seeded mix of EnqueueBatch
+// and DequeueBatch, each on tid 0 or 1, fills the queue, drains it and
+// fills it again: the drain frees every slot onto the list of the tid
+// that consumed it, and the refill pops from both lists, so the slots
+// follow the indices in neither direction (it fails tb if they do). A
+// reversed backlog would not do: pdqsort reverses a descending run in
+// linear time.
+func recycledBacklog(tb testing.TB, q *Core[uint64], backlog int, seed int64) []backlogNode {
+	tb.Helper()
+	r := rand.New(rand.NewSource(seed))
+	v, n := uint64(0), 0
+	batch := make([]uint64, 0, 16)
+	enqueue := func() {
+		batch = batch[:0]
+		for k := 1 + r.Intn(16); k > 0 && n < backlog; k-- {
+			v++
+			n++
+			batch = append(batch, v)
+		}
+		if err := q.EnqueueBatch(r.Intn(2), batch); err != nil {
+			tb.Fatal(err)
+		}
+	}
+	dequeue := func() { n -= len(q.DequeueBatch(r.Intn(2), 1+r.Intn(16))) }
+	for _, fill := range []bool{true, false, true} {
+		for fill && n < backlog || !fill && n > 0 {
+			if r.Intn(4) > 0 == fill {
+				enqueue()
+			} else {
+				dequeue()
+			}
+		}
+	}
+	var chain []backlogNode
+	for nd := q.head.Load().loadNext(); nd != nil; nd = nd.loadNext() {
+		chain = append(chain, backlogNode{nd.index, nd.payload, nd.pline})
+	}
+	byLine := func(a, b backlogNode) int { return cmp.Compare(a.pline, b.pline) }
+	if len(chain) != backlog || slices.IsSortedFunc(chain, byLine) ||
+		slices.IsSortedFunc(chain, func(a, b backlogNode) int { return byLine(b, a) }) {
+		tb.Fatalf("the backlog of %d nodes (want %d) does not sit on scrambled slots", len(chain), backlog)
+	}
+	return chain
+}
+
+// crashRestart loses power with everything fenced durable and restarts.
+func crashRestart(h *pmem.Heap) {
+	h.CrashNow()
+	h.FinalizeCrash(rand.New(rand.NewSource(1)))
+	h.Restart()
+}
+
+// TestRecoveryPlacesByIndex recovers a backlog on scrambled, recycled
+// slots whose middle node was torn (its linked flag cleared), and the
+// same with one more node's index forged to frontier+2^40. Recovery
+// must chain exactly the surviving nodes, strictly ascending, each its
+// line's mirror entry: the torn node leaves a gap, and the forged node
+// comes last. The forged span is not placed by index — that would
+// allocate 16 TiB — but sorted: recovery allocates under 64 MiB.
+func TestRecoveryPlacesByIndex(t *testing.T) {
+	backlog := 3000
+	if raceEnabled {
+		backlog = 600
+	}
+	for _, row := range []struct {
+		name  string
+		forge bool
+	}{{"torn", false}, {"torn+forged", true}} {
+		t.Run(row.name, func(t *testing.T) {
+			h := crashHeap(t, 2)
+			q := NewCore[uint64](h, 2, 0, false, wordCodec{}, nil)
+			chain := recycledBacklog(t, q, backlog, 1)
+			frontier := q.head.Load().index
+			crashRestart(h)
+
+			torn := len(chain) / 2
+			a := lineAddr(chain[torn].pline) + nodeLinked
+			h.Store(0, a, 0)
+			h.Persist(0, a)
+			want := slices.Delete(slices.Clone(chain), torn, torn+1)
+			if row.forge {
+				f := &want[len(want)/3]
+				f.index = frontier + 1<<40
+				a := lineAddr(f.pline) + nodeIndex
+				h.Store(0, a, f.index)
+				h.Persist(0, a)
+				slices.SortFunc(want, func(a, b backlogNode) int { return cmp.Compare(a.index, b.index) })
+			}
+
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			rq := RecoverCore[uint64](h, 2, false, wordCodec{}, nil)
+			runtime.ReadMemStats(&after)
+			if grew := after.TotalAlloc - before.TotalAlloc; grew >= 64<<20 {
+				t.Fatalf("recovery allocated %d MiB", grew>>20)
+			}
+			if got := rq.head.Load().index; got != frontier {
+				t.Fatalf("recovered frontier %d, want %d", got, frontier)
+			}
+			var got []backlogNode
+			for n := rq.head.Load().loadNext(); n != nil; n = n.loadNext() {
+				if n != rq.nodeAt(0, lineAddr(n.pline)) {
+					t.Fatalf("node with index %d is not its line's mirror entry", n.index)
+				}
+				if len(got) > 0 && n.index <= got[len(got)-1].index {
+					t.Fatalf("index %d chained after %d", n.index, got[len(got)-1].index)
+				}
+				got = append(got, backlogNode{n.index, n.payload, n.pline})
+			}
+			if !slices.Equal(got, want) {
+				t.Fatalf("recovered %d nodes, want %d:\n got %v\nwant %v", len(got), len(want), got, want)
+			}
+		})
+	}
+}
+
 // TestDequeueHelpsLaggingTail models an enqueuer stalled between its
 // link CAS and its tail swing: a batch of 300 is linked, and the tail
 // is set back to the node before it, where the stalled enqueuer left
@@ -187,5 +312,21 @@ func TestDequeueHelpsLaggingTail(t *testing.T) {
 		if vs := q.DequeueBatch(0, 16); !slices.Equal(vs, batch[:8]) {
 			t.Fatalf("round %d: dequeued %v, want %v", round, vs, batch[:8])
 		}
+	}
+}
+
+// BenchmarkRecoverRecycled times RecoverCore over a 100k backlog on
+// recycled, scrambled slots (recycledBacklog) — what recovery meets
+// after a queue has run for a while, and what the recover rungs of the
+// benchmark ladder, which recover freshly filled queues, never see.
+// Recovery is idempotent, so every iteration recovers the same image.
+func BenchmarkRecoverRecycled(b *testing.B) {
+	h := pmem.New(pmem.Config{Bytes: 64 << 20, Mode: pmem.ModeCrash, MaxThreads: 3})
+	q := NewCore[uint64](h, 2, 0, false, wordCodec{}, nil)
+	recycledBacklog(b, q, 100_000, 1)
+	crashRestart(h)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		RecoverCore[uint64](h, 2, false, wordCodec{}, nil)
 	}
 }
