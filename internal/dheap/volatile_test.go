@@ -7,6 +7,7 @@ import (
 	"math/rand"
 	"reflect"
 	"runtime"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -163,6 +164,60 @@ func TestOrderAgainstReference(t *testing.T) {
 		drive(t, q, &ref, rand.New(rand.NewSource(seed)), threads, maxPayload, 1400, 600)
 		ps, ks := drainAll(q, 0)
 		checkBatch(t, "final drain", ps, ks, ref.pop(^uint64(0), len(ref)))
+	}
+}
+
+// TestSiftFullKeyRange: keys drawn from both ends of the uint64 range
+// and either side of the top bit, each many times over, drain in the
+// stable (key, publish order) sort at every depth modulo 4 around each
+// level boundary, so a sift meets full and partial last groups of
+// children at every level — and so does Recover's heapify of the same
+// entries after a power loss. drive's keys stay below 64, where a
+// signed compare still orders them right.
+func TestSiftFullKeyRange(t *testing.T) {
+	edges := []uint64{0, 1, 1<<63 - 1, 1 << 63, ^uint64(1), ^uint64(0)}
+	for _, n := range []int{4, 5, 6, 20, 21, 22, 84, 85, 86, 340, 341, 342, 343, 344} {
+		rng := rand.New(rand.NewSource(int64(n)))
+		var ref reference
+		live, crashed := newHeap(0, 1), newHeap(pmem.ModeCrash, 1)
+		q := New(live, Config{Threads: 1, Capacity: n})
+		c := New(crashed, Config{Threads: 1, Capacity: n})
+		for published := 0; published < n; {
+			k := min(1+rng.Intn(8), n-published)
+			keys, ps := make([]uint64, k), make([][]byte, k)
+			for i := range keys {
+				keys[i] = edges[rng.Intn(len(edges))]
+				ps[i] = payloadFor(uint64(published+i), 8)
+			}
+			ref.push(keys, ps)
+			for _, dst := range []*Q{q, c} {
+				if err := dst.PushBatch(0, keys, ps); err != nil {
+					t.Fatal(err)
+				}
+			}
+			published += k
+		}
+		crashed.CrashNow()
+		crashed.FinalizeCrash(rng)
+		crashed.Restart()
+		r, err := Recover(crashed, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, tc := range []struct {
+			what string
+			q    *Q
+		}{{"pushed", q}, {"recovered", r}} {
+			want := slices.Clone(ref)
+			for step := 0; len(want) > 0; step++ {
+				k := 1 + rng.Intn(9)
+				ps, ks := tc.q.PopReadyBatch(0, ^uint64(0), k)
+				checkBatch(t, fmt.Sprintf("depth %d, %s, pop %d", n, tc.what, step), ps, ks, want.pop(^uint64(0), k))
+			}
+			if d := tc.q.Depth(); d != 0 {
+				t.Fatalf("depth %d, %s: %d entries left after the reference drained", n, tc.what, d)
+			}
+		}
 	}
 }
 
@@ -349,32 +404,43 @@ func TestSplitTidsMirrorHandoff(t *testing.T) {
 
 // BenchmarkPushPopBatch8 is one PushBatch(8) + PopReadyBatch(8) round
 // at a fixed resident set: the benchmark ladder's dheap rungs, for
-// -benchmem and profiles.
+// -benchmem and profiles. 1e3 and 1e5 draw uniform random keys;
+// delay512 is heap-delay's schedule, 512 resident deadlines, each push
+// landing behind nearly all of the rest: 512*(i/512+1) + perm[i%512]
+// for a seeded permutation.
 func BenchmarkPushPopBatch8(b *testing.B) {
-	for _, sz := range []struct {
+	perm := rand.New(rand.NewSource(1)).Perm(512)
+	random := func(rng *rand.Rand, _ uint64) uint64 { return rng.Uint64() >> 1 }
+	for _, row := range []struct {
 		name     string
 		resident int
-	}{{"1e3", 1e3}, {"1e5", 1e5}} {
-		resident := sz.resident
-		b.Run(sz.name, func(b *testing.B) {
+		key      func(rng *rand.Rand, i uint64) uint64
+	}{
+		{"1e3", 1e3, random},
+		{"1e5", 1e5, random},
+		{"delay512", 512, func(_ *rand.Rand, i uint64) uint64 { return 512*(i/512+1) + uint64(perm[i%512]) }},
+	} {
+		b.Run(row.name, func(b *testing.B) {
 			const batch = 8
 			h := pmem.New(pmem.Config{Bytes: 64 << 20, MaxThreads: 2, Latency: pmem.DefaultLatency()})
-			q := New(h, Config{Threads: 2, Capacity: resident + 2*batch})
+			q := New(h, Config{Threads: 2, Capacity: row.resident + 2*batch})
 			rng := rand.New(rand.NewSource(1))
 			keys, ps := make([]uint64, batch), make([][]byte, batch)
 			for i := range ps {
 				ps[i] = make([]byte, 8)
 			}
+			var pushed uint64
 			push := func() {
 				for i := range keys {
-					keys[i] = rng.Uint64() >> 1
+					keys[i] = row.key(rng, pushed)
+					pushed++
 				}
 				if err := q.PushBatch(0, keys, ps); err != nil {
 					b.Fatal(err)
 				}
 			}
 			h.SetLatency(pmem.ZeroLatency())
-			for q.Depth() < resident {
+			for q.Depth() < row.resident {
 				push()
 			}
 			h.SetLatency(pmem.DefaultLatency())
