@@ -2,6 +2,7 @@ package blobq
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"math/rand"
 	"runtime"
@@ -644,8 +645,9 @@ func TestRecoverRefusesDuplicateIndex(t *testing.T) {
 					}
 					want := fmt.Sprintf("two live nodes with index %d", forge.index)
 					defer func() {
-						if r := recover(); r == nil || !strings.Contains(fmt.Sprint(r), want) {
-							t.Fatalf("recovery over a duplicate index: got %v, want the refusal of %s", r, want)
+						r := recover()
+						if err, _ := r.(error); !errors.Is(err, pmem.ErrCorrupt) || !strings.Contains(err.Error(), want) {
+							t.Fatalf("recovery over a duplicate index: got %v, want an error wrapping pmem.ErrCorrupt that refuses %s", r, want)
 						}
 					}()
 					in.Recover(h, 1)

@@ -55,7 +55,11 @@ type Options struct {
 // assembled in the wrong order is an error, never a silent mis-scan.
 // Phase two replays the paper's per-queue recovery for every shard,
 // heap by heap, the per-heap phases in parallel, then re-binds the
-// lease regions. Options.Threads must equal the bound the broker was
+// lease regions. Every phase reads the image through a pmem.Reader,
+// so an image no broker could have left — a corrupt catalog, stamp,
+// lease region, area registry, queue root or heap-topic header, two
+// live nodes with one index — is an error wrapping pmem.ErrCorrupt,
+// never a panic. Options.Threads must equal the bound the broker was
 // created with (it sizes the per-thread head-index regions recovery
 // scans) or be 0 to adopt it.
 //
@@ -64,21 +68,20 @@ type Options struct {
 // Open(hs, Options{}) is "recover or fail". Every member's anchor slot
 // must be empty: a member carrying a catalog or membership stamp
 // belongs to an existing broker or is left over from a creation that
-// crashed before its anchor was written; either way Open refuses
-// rather than overwrite durable state it did not allocate. The anchor
-// stamp is the last persist of creation, so a crash inside Open leaves
-// no broker.
+// crashed before its anchor was written; either way Open refuses, with
+// an error wrapping pmem.ErrCorrupt, rather than overwrite durable
+// state it did not allocate. The anchor stamp is the last persist of
+// creation, so a crash inside Open leaves no broker.
 func Open(hs *pmem.HeapSet, opts Options) (*Broker, error) {
-	h := hs.Heap(0)
-	r := &catReader{h: h}
-	reg := pmem.Addr(r.word(h.RootAddr(slotAnchor)))
-	if r.err != nil {
-		return nil, r.err
-	}
-	if reg == 0 {
+	r := pmem.NewReader(hs.Heap(0))
+	reg := r.Ptr(hs.Heap(0).RootAddr(slotAnchor), pmem.CacheLineBytes)
+	switch {
+	case r.Err() != nil:
+		return nil, r.Err()
+	case reg == 0:
 		return openFresh(hs, opts)
 	}
-	return openExisting(hs, opts, reg)
+	return openExisting(hs, opts, r, reg)
 }
 
 // checkObserver refuses an observer that admits fewer thread ids than
@@ -147,11 +150,12 @@ func (b *Broker) observe(o *obs.Observer) {
 	}
 }
 
-// openExisting recovers the broker anchored at reg on heap 0: catalog
-// log replay, stamp verification, then the paper's per-queue recovery
-// heap by heap in parallel, then lease-region re-binding.
-func openExisting(hs *pmem.HeapSet, opts Options, reg pmem.Addr) (*Broker, error) {
-	lay, err := readCatalog(hs, reg)
+// openExisting recovers the broker anchored at reg on heap 0, which r
+// reads: catalog log replay, stamp verification, then the paper's
+// per-queue recovery heap by heap in parallel, then lease-region
+// re-binding.
+func openExisting(hs *pmem.HeapSet, opts Options, r *pmem.Reader, reg pmem.Addr) (*Broker, error) {
+	lay, err := readCatalog(r, hs, reg)
 	if err != nil {
 		return nil, err
 	}
@@ -163,7 +167,7 @@ func openExisting(hs *pmem.HeapSet, opts Options, reg pmem.Addr) (*Broker, error
 			threads, lay.threads)
 	}
 	if threads <= 0 {
-		return nil, fmt.Errorf("broker: catalog records non-positive thread bound %d", lay.threads)
+		return nil, r.Errorf("broker: catalog records non-positive thread bound %d", lay.threads)
 	}
 	if err := checkSet(hs, threads); err != nil {
 		return nil, err
@@ -261,7 +265,7 @@ func (b *Broker) CreateTopic(tid int, tc TopicConfig) (*Topic, error) {
 	// crash before the anchor.
 	t := b.newTopic(tc, snap.shardTotal, locs)
 	views := make([]*pmem.Heap, len(locs))
-	if err := catchOutOfSpace(func() {
+	if err := catch(pmem.ErrOutOfSpace, func() {
 		b.openShards([]*Topic{t}, func(t *Topic, si int, view *pmem.Heap) error {
 			views[si] = view
 			if loc := locs[si]; loc.base < old[loc.heap] {
@@ -314,13 +318,14 @@ func (b *Broker) CreateTopic(tid int, tc TopicConfig) (*Topic, error) {
 	return t, nil
 }
 
-// catchOutOfSpace runs f and returns the error f panicked with when it
-// wraps pmem.ErrOutOfSpace. Every other panic, the crash signal
-// included, goes on up.
-func catchOutOfSpace(f func()) (err error) {
+// catch runs f and returns the error f panicked with when it wraps
+// sentinel: pmem.ErrOutOfSpace, which AllocRaw raises, or
+// pmem.ErrCorrupt, which a recovery constructor without an error result
+// raises. Every other panic, the crash signal included, goes on up.
+func catch(sentinel error, f func()) (err error) {
 	defer func() {
 		if r := recover(); r != nil {
-			if e, ok := r.(error); !ok || !errors.Is(e, pmem.ErrOutOfSpace) {
+			if e, ok := r.(error); !ok || !errors.Is(e, sentinel) {
 				panic(r)
 			}
 			err = r.(error)
@@ -390,7 +395,7 @@ func (b *Broker) CreateAckGroup(tid int, cfg AckGroupConfig) (int, error) {
 	// back, and the marks, already durable, stay monotone, as in
 	// CreateTopic's refusal.
 	var lr leaseRegion
-	if err := catchOutOfSpace(func() {
+	if err := catch(pmem.ErrOutOfSpace, func() {
 		lr = initLeaseRegion(b.hs.Heap(hi), tid, hi, loc.base, group, capacity)
 	}); err != nil {
 		b.cat.release(loc, 1)

@@ -322,22 +322,28 @@ func (t *Topic) createShard(si int, view *pmem.Heap, tid int) {
 }
 
 // recoverShard replays shard si's own recovery on view: the paper's
-// per-queue recovery for FIFO shards, the entry-log scan for heaps.
+// per-queue recovery for FIFO shards, the entry-log scan for heaps. The
+// FIFO recoveries have no error result and raise a corrupt image as a
+// panic wrapping pmem.ErrCorrupt, which becomes the shard's error here.
 func (t *Topic) recoverShard(si int, view *pmem.Heap) error {
 	tc, threads := t.cfg, t.b.threads
-	var q *queues.Core[[]byte]
-	switch {
-	case tc.Kind.heapKind():
+	if tc.Kind.heapKind() {
 		hq, err := dheap.Recover(view, threads)
 		if err != nil {
 			return fmt.Errorf("broker: topic %q: %w", tc.Name, err)
 		}
 		t.heapq = hq
 		return nil
-	case tc.MaxPayload > 0:
-		q = blobq.Recover(view, blobq.Config{Threads: threads, MaxPayload: tc.MaxPayload, Acked: tc.Acked}).Core
-	default:
-		q = queues.RecoverCore[[]byte](view, threads, tc.Acked, newWordCodec(threads), nil)
+	}
+	var q *queues.Core[[]byte]
+	if err := catch(pmem.ErrCorrupt, func() {
+		if tc.MaxPayload > 0 {
+			q = blobq.Recover(view, blobq.Config{Threads: threads, MaxPayload: tc.MaxPayload, Acked: tc.Acked}).Core
+		} else {
+			q = queues.RecoverCore[[]byte](view, threads, tc.Acked, newWordCodec(threads), nil)
+		}
+	}); err != nil {
+		return fmt.Errorf("broker: topic %q: %w", tc.Name, err)
 	}
 	t.shards[si] = &shard{Core: q, heap: t.locs[si].heap, h: view}
 	return nil

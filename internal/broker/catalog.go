@@ -11,8 +11,9 @@ import (
 // whole: an append-only log of administrative records on heap 0,
 // anchored at root slot 0 (format, protocol and replay are in
 // cataloglog.go). This file keeps the plumbing around the log — the
-// bounds-checked reader, the anchor dispatch, and the membership
-// stamps.
+// anchor dispatch and the membership stamps. Every word recovery takes
+// from the image goes through a pmem.Reader, so a corrupt image is an
+// error wrapping pmem.ErrCorrupt.
 //
 // Every member heap other than heap 0 carries a membership stamp line
 // anchored at its own root slot 0:
@@ -89,47 +90,25 @@ type layoutInfo struct {
 func packLoc(l shardLoc) uint64   { return uint64(l.heap)<<32 | uint64(l.base) }
 func unpackLoc(w uint64) shardLoc { return shardLoc{heap: int(w >> 32), base: int(w & 0xffffffff)} }
 
-// catReader bounds-checks every word it reads against the heap size,
-// so a corrupted count or truncated region yields an error instead of
-// an out-of-range panic deep in the simulator.
-type catReader struct {
-	h   *pmem.Heap
-	err error
-}
-
-func (r *catReader) word(a pmem.Addr) uint64 {
-	if r.err != nil {
-		return 0
-	}
-	// Phrased to survive corrupt addresses near 2^64: a+WordBytes could
-	// wrap to a small value and dodge the check.
-	if bytes := pmem.Addr(r.h.Bytes()); a >= bytes || bytes-a < pmem.WordBytes {
-		r.err = fmt.Errorf("broker: catalog truncated: read at %d beyond heap of %d bytes", a, r.h.Bytes())
-		return 0
-	}
-	return r.h.Load(0, a)
-}
-
-// readCatalog replays the catalog log that heap 0's anchor slot names
-// (reg, nonzero) and verifies the membership stamp of every non-anchor
-// heap. It returns an error — never panics — when the anchor names
+// readCatalog replays, through r, the catalog log that heap 0's anchor
+// slot names (reg, nonzero) and verifies the membership stamp of every
+// non-anchor heap. It returns an error — never panics — when the anchor names
 // anything but a catalog log, or when the set does not match the
 // catalog: fewer or more heaps than recorded, a blank heap where a
 // stamped member should be, a stamp from another broker, or heaps
 // presented in the wrong order. Placements need no second pass here:
 // replay's claims have already checked every window against the set's
 // marks and against each other.
-func readCatalog(hs *pmem.HeapSet, reg pmem.Addr) (layoutInfo, error) {
-	r := &catReader{h: hs.Heap(0)}
-	magic := r.word(reg)
+func readCatalog(r *pmem.Reader, hs *pmem.HeapSet, reg pmem.Addr) (layoutInfo, error) {
+	magic := r.Word(reg)
 	switch {
-	case r.err != nil:
-		return layoutInfo{}, r.err
+	case r.Err() != nil:
+		return layoutInfo{}, r.Err()
 	case magic >= retiredMagicLo && magic <= retiredMagicHi:
 		return layoutInfo{}, fmt.Errorf("broker: catalog format \"Broker%d\" is unsupported (the write-once layouts are retired; only the \"Broker4\" log is read)",
 			1+magic-retiredMagicLo)
 	case magic != catMagicV4:
-		return layoutInfo{}, fmt.Errorf("broker: catalog magic %#x invalid", magic)
+		return layoutInfo{}, r.Errorf("broker: catalog magic %#x invalid", magic)
 	}
 	lay, heapCount, stamp, err := readCatalogV4(r, hs, reg)
 	if err != nil {
@@ -147,55 +126,57 @@ func readCatalog(hs *pmem.HeapSet, reg pmem.Addr) (layoutInfo, error) {
 	return lay, nil
 }
 
-// checkMemberEmpty rejects a heap whose anchor slot already names a
-// durable region: creating a broker over it would destroy another
-// broker's catalog, stamp or shard state. The error says what was
-// found so an operator can tell a live set (recover it) from debris of
-// a creation that crashed pre-anchor (clear the slot explicitly).
+// checkMemberEmpty rejects a heap whose anchor slot already names
+// durable state: creating a broker over it would destroy another
+// broker's catalog, stamp or shard state, and a set whose heap 0
+// anchors no catalog while a member holds state is no set a broker
+// left behind, so the refusal wraps pmem.ErrCorrupt. The error says
+// what was found so an operator can tell a live set (recover it) from
+// debris of a creation that crashed pre-anchor (clear the slot
+// explicitly).
 func checkMemberEmpty(h *pmem.Heap, i int) error {
-	r := &catReader{h: h}
-	reg := pmem.Addr(r.word(h.RootAddr(slotAnchor)))
-	if r.err != nil || reg == 0 {
-		return nil // nothing anchored (a dangling address is treated as debris below)
+	r := pmem.NewReader(h)
+	reg := r.Ptr(h.RootAddr(slotAnchor), pmem.CacheLineBytes)
+	if r.Err() == nil && reg == 0 {
+		return nil
 	}
-	switch r.word(reg) {
+	// A dangling anchor has failed r already; every refusal below then
+	// returns that first failure.
+	switch r.Word(reg) {
 	case catMagicV4:
-		return fmt.Errorf("broker: heap %d of the set already hosts a broker catalog (Open that set to recover it)", i)
+		return r.Errorf("broker: heap %d of the set already hosts a broker catalog (Open that set to recover it)", i)
 	case stampMagic:
-		return fmt.Errorf("broker: heap %d of the set carries a membership stamp (member of another broker, or leftover from an interrupted creation)", i)
+		return r.Errorf("broker: heap %d of the set carries a membership stamp (member of another broker, or leftover from an interrupted creation)", i)
 	default:
-		return fmt.Errorf("broker: heap %d of the set has a nonzero anchor slot (hosts unknown durable state)", i)
+		return r.Errorf("broker: heap %d of the set has a nonzero anchor slot (hosts unknown durable state)", i)
 	}
 }
 
 // checkStamp verifies heap i's membership stamp against the catalog's
 // expectation: present, from the same broker creation, and in the
-// right position of the set.
+// right position of the set. A set that fails it holds no broker, so
+// every refusal wraps pmem.ErrCorrupt.
 func checkStamp(h *pmem.Heap, i, heapCount int, stamp uint64) error {
-	r := &catReader{h: h}
-	reg := pmem.Addr(r.word(h.RootAddr(slotAnchor)))
-	if r.err != nil {
-		return r.err
+	r := pmem.NewReader(h)
+	reg := r.Ptr(h.RootAddr(slotAnchor), pmem.CacheLineBytes)
+	if r.Err() != nil {
+		return r.Err()
 	}
 	if reg == 0 {
-		return fmt.Errorf("broker: heap %d of the set carries no membership stamp (missing or blank heap)", i)
+		return r.Errorf("broker: heap %d of the set carries no membership stamp (missing or blank heap)", i)
 	}
-	magic := r.word(reg)
-	gotStamp := r.word(reg + 8)
-	gotIdx := r.word(reg + 16)
-	gotCount := r.word(reg + 24)
-	if r.err != nil {
-		return r.err
-	}
-	if magic != stampMagic {
-		return fmt.Errorf("broker: heap %d stamp magic %#x invalid", i, magic)
-	}
-	if gotStamp != stamp {
-		return fmt.Errorf("broker: heap %d carries stamp %#x, catalog expects %#x (heap from another broker?)",
+	magic := r.Word(reg)
+	gotStamp := r.Word(reg + 8)
+	gotIdx := r.Word(reg + 16)
+	gotCount := r.Word(reg + 24)
+	switch {
+	case magic != stampMagic:
+		return r.Errorf("broker: heap %d stamp magic %#x invalid", i, magic)
+	case gotStamp != stamp:
+		return r.Errorf("broker: heap %d carries stamp %#x, catalog expects %#x (heap from another broker?)",
 			i, gotStamp, stamp)
-	}
-	if gotIdx != uint64(i) || gotCount != uint64(heapCount) {
-		return fmt.Errorf("broker: heap %d stamped as member %d of %d (set order mismatch)",
+	case gotIdx != uint64(i) || gotCount != uint64(heapCount):
+		return r.Errorf("broker: heap %d stamped as member %d of %d (set order mismatch)",
 			i, gotIdx, gotCount)
 	}
 	return nil

@@ -1,6 +1,7 @@
 package broker
 
 import (
+	"errors"
 	"math/rand"
 	"strings"
 	"testing"
@@ -10,7 +11,8 @@ import (
 
 // TestCatalogCorruptionErrors: a corrupted or truncated catalog log,
 // or an anchor naming anything else, must surface as an error from
-// Open — never a panic deep in the simulator, never a fresh broker
+// Open wrapping pmem.ErrCorrupt (a retired format as an unsupported
+// one) — never a panic deep in the simulator, never a fresh broker
 // created over the image. Offsets target the log's layout (header
 // line, commit line, allocator line, records).
 func TestCatalogCorruptionErrors(t *testing.T) {
@@ -26,7 +28,7 @@ func TestCatalogCorruptionErrors(t *testing.T) {
 		h.Restart()
 		return h
 	}
-	expectErr := func(t *testing.T, h *pmem.Heap, what string) error {
+	refuse := func(t *testing.T, h *pmem.Heap, what string) error {
 		t.Helper()
 		defer func() {
 			if r := recover(); r != nil {
@@ -42,6 +44,24 @@ func TestCatalogCorruptionErrors(t *testing.T) {
 			t.Fatalf("%s: the refused Open moved the anchor %#x -> %#x", what, anchor, got)
 		}
 		return err
+	}
+	// expectErr is refuse for an image no run of the broker wrote: the
+	// error wraps pmem.ErrCorrupt.
+	expectErr := func(t *testing.T, h *pmem.Heap, what string) error {
+		t.Helper()
+		err := refuse(t, h, what)
+		if !errors.Is(err, pmem.ErrCorrupt) {
+			t.Fatalf("%s: want an error wrapping pmem.ErrCorrupt, got %v", what, err)
+		}
+		return err
+	}
+	// lastLine allocates the heap's bytes up to and including its last
+	// line and returns that line: allocated, so the reader may load it,
+	// with nothing of the heap past it.
+	lastLine := func(h *pmem.Heap) pmem.Addr {
+		brk := h.AllocRaw(0, 0, pmem.CacheLineBytes)
+		h.AllocRaw(0, h.Bytes()-pmem.CacheLineBytes-int64(brk), pmem.CacheLineBytes)
+		return h.AllocRaw(0, pmem.CacheLineBytes, pmem.CacheLineBytes)
 	}
 	// reseal recomputes the checksum of the record whose header line is
 	// at hdrA, so an edited record still validates and the layer that
@@ -155,8 +175,8 @@ func TestCatalogCorruptionErrors(t *testing.T) {
 		expectErr(t, h, "lagging mark")
 	})
 	t.Run("anchor near uint64 wraparound", func(t *testing.T) {
-		// A corrupt anchor in [2^64-8, 2^64) must hit the truncation
-		// error, not wrap past the bounds check into an index panic.
+		// A corrupt anchor in [2^64-8, 2^64) must fail the reader, not
+		// wrap past its bounds check into an index panic.
 		h := newCrashed(t)
 		h.Store(0, h.RootAddr(slotAnchor), ^uint64(0)-3)
 		expectErr(t, h, "wraparound anchor")
@@ -171,7 +191,7 @@ func TestCatalogCorruptionErrors(t *testing.T) {
 			h.InitRange(0, reg, pmem.CacheLineBytes)
 			h.Store(0, reg, magic)
 			h.Store(0, h.RootAddr(slotAnchor), uint64(reg))
-			err := expectErr(t, h, "retired format")
+			err := refuse(t, h, "retired format")
 			if want := "\"Broker" + string(rune('1'+v)) + "\" is unsupported"; !strings.Contains(err.Error(), want) {
 				t.Fatalf("want an error mentioning %s, got: %v", want, err)
 			}
@@ -190,25 +210,28 @@ func TestCatalogCorruptionErrors(t *testing.T) {
 		// A retired-format header on the last line of the heap, every row
 		// it would describe out of bounds: refused by its magic alone,
 		// nothing past the line is read.
-		tail := pmem.Addr(h.Bytes()) - pmem.CacheLineBytes
+		tail := lastLine(h)
 		h.Store(0, tail, 0x42726f6b657232)
 		h.Store(0, tail+8, 2) // what was its topic count
 		h.Store(0, h.RootAddr(slotAnchor), uint64(tail))
-		if err := expectErr(t, h, "short catalog"); !strings.Contains(err.Error(), "unsupported") {
+		if err := refuse(t, h, "short catalog"); !strings.Contains(err.Error(), "unsupported") {
 			t.Fatalf("want the unsupported-format refusal, got %v", err)
 		}
 	})
 	t.Run("short v4 log near heap end", func(t *testing.T) {
 		h := newCrashed(t)
-		// A validly checksummed v4 header whose body runs off the heap:
-		// the commit-line read must hit the truncation error.
-		tail := pmem.Addr(h.Bytes()) - pmem.CacheLineBytes
+		// A validly checksummed v4 header on the heap's last line, whose
+		// body runs off the heap: the commit-line read must hit the
+		// reader's bound.
+		tail := lastLine(h)
 		hdr := []uint64{catMagicV4, 2, 1, 1, 1024, 1, 0}
 		for i, w := range hdr {
 			h.Store(0, tail+pmem.Addr(i*8), w)
 		}
 		h.Store(0, tail+7*pmem.WordBytes, catChecksum(hdr))
 		h.Store(0, h.RootAddr(slotAnchor), uint64(tail))
-		expectErr(t, h, "short v4 log")
+		if err := expectErr(t, h, "short v4 log"); !strings.Contains(err.Error(), "beyond heap") {
+			t.Fatalf("want the reader's bound, got %v", err)
+		}
 	})
 }

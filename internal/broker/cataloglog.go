@@ -488,10 +488,11 @@ func packName(s string) [8]uint64 {
 }
 
 // unpackName decodes the name line of a topic or tombstone record
-// whose header gives the name's length as n.
-func unpackName(rec int, line [8]uint64, n uint64) (string, error) {
+// whose header gives the name's length as n; a length no record could
+// carry fails r.
+func unpackName(r *pmem.Reader, rec int, line [8]uint64, n uint64) (string, error) {
 	if n == 0 || n > catNameBytes {
-		return "", fmt.Errorf("broker: catalog log record %d has invalid name length %d", rec, n)
+		return "", r.Errorf("broker: catalog log record %d has invalid name length %d", rec, n)
 	}
 	name := make([]byte, catNameBytes)
 	for w := 0; w < catNameBytes/pmem.WordBytes; w++ {
@@ -567,7 +568,7 @@ func (cl *catalogLog) compact(tid, threads, capacityLines int, recs []catRecord,
 		// initialized and nothing reads past the commit prefix we are
 		// about to write.
 		newBase, cl.spareBase, cl.spareLines = cl.spareBase, 0, 0
-	} else if err := catchOutOfSpace(func() {
+	} else if err := catch(pmem.ErrOutOfSpace, func() {
 		// Nothing durable has changed yet: a heap too full for the new
 		// region refuses the compaction and leaves the log as it was.
 		bytes := int64(newTotal) * pmem.CacheLineBytes
@@ -595,17 +596,17 @@ func (cl *catalogLog) compact(tid, threads, capacityLines int, recs []catRecord,
 // tombstone releases its topic's. A committed window that overlaps a
 // live one, or reaches past its heap's durable mark (whose store was
 // fenced before the record was written), is a hard recovery error.
-func readCatalogV4(r *catReader, hs *pmem.HeapSet, reg pmem.Addr) (layoutInfo, int, uint64, error) {
+func readCatalogV4(r *pmem.Reader, hs *pmem.HeapSet, reg pmem.Addr) (layoutInfo, int, uint64, error) {
 	var hdr [7]uint64
 	for i := range hdr {
-		hdr[i] = r.word(reg + pmem.Addr(i*pmem.WordBytes))
+		hdr[i] = r.Word(reg + pmem.Addr(i*pmem.WordBytes))
 	}
-	gotSum := r.word(reg + 7*pmem.WordBytes)
-	if r.err != nil {
-		return layoutInfo{}, 0, 0, r.err
+	gotSum := r.Word(reg + 7*pmem.WordBytes)
+	if r.Err() != nil {
+		return layoutInfo{}, 0, 0, r.Err()
 	}
 	if gotSum != catChecksum(hdr[:]) {
-		return layoutInfo{}, 0, 0, fmt.Errorf("broker: catalog log header corrupt (checksum mismatch)")
+		return layoutInfo{}, 0, 0, r.Errorf("broker: catalog log header corrupt (checksum mismatch)")
 	}
 	threads := hdr[1]
 	heapCount := hdr[2]
@@ -614,20 +615,20 @@ func readCatalogV4(r *catReader, hs *pmem.HeapSet, reg pmem.Addr) (layoutInfo, i
 	allocLines := hdr[5]
 	gen := hdr[6]
 	if heapCount == 0 || heapCount > maxCatHeaps {
-		return layoutInfo{}, 0, 0, fmt.Errorf("broker: catalog heap count %d invalid", heapCount)
+		return layoutInfo{}, 0, 0, r.Errorf("broker: catalog heap count %d invalid", heapCount)
 	}
 	if totalLines == 0 || totalLines > maxCatalogLines {
-		return layoutInfo{}, 0, 0, fmt.Errorf("broker: catalog log capacity %d lines invalid", totalLines)
+		return layoutInfo{}, 0, 0, r.Errorf("broker: catalog log capacity %d lines invalid", totalLines)
 	}
 	if allocLines != uint64(allocLinesFor(int(heapCount))) {
-		return layoutInfo{}, 0, 0, fmt.Errorf("broker: catalog log records %d allocator lines for %d heaps, want %d",
+		return layoutInfo{}, 0, 0, r.Errorf("broker: catalog log records %d allocator lines for %d heaps, want %d",
 			allocLines, heapCount, allocLinesFor(int(heapCount)))
 	}
 	if gen >= maxCatGenerations {
-		return layoutInfo{}, 0, 0, fmt.Errorf("broker: catalog log generation %d invalid", gen)
+		return layoutInfo{}, 0, 0, r.Errorf("broker: catalog log generation %d invalid", gen)
 	}
 	cl := &catalogLog{
-		h:          r.h,
+		h:          hs.Heap(0),
 		heaps:      int(heapCount),
 		base:       reg,
 		totalLines: int(totalLines),
@@ -637,25 +638,25 @@ func readCatalogV4(r *catReader, hs *pmem.HeapSet, reg pmem.Addr) (layoutInfo, i
 		marks:      make([]int, heapCount),
 		live:       make([][]window, heapCount),
 	}
-	records := r.word(cl.lineAddr(1))
-	floor := r.word(cl.lineAddr(1) + pmem.WordBytes)
+	records := r.Word(cl.lineAddr(1))
+	floor := r.Word(cl.lineAddr(1) + pmem.WordBytes)
 	if records > uint64(cl.totalLines) { // each record spans >= 1 line
-		return layoutInfo{}, 0, 0, fmt.Errorf("broker: catalog log commit count %d absurd (capacity %d lines)",
+		return layoutInfo{}, 0, 0, r.Errorf("broker: catalog log commit count %d absurd (capacity %d lines)",
 			records, cl.totalLines)
 	}
 	if floor > maxCatShards {
-		return layoutInfo{}, 0, 0, fmt.Errorf("broker: catalog log ordinal floor %d invalid", floor)
+		return layoutInfo{}, 0, 0, r.Errorf("broker: catalog log ordinal floor %d invalid", floor)
 	}
 	// The marks are authoritative: they may run ahead of every committed
 	// window (windows a creation placed before crashing short of its
 	// anchor are free), but never lag one.
 	for i := range cl.marks {
-		m := int(r.word(markAddr(reg, i)))
-		if r.err != nil {
-			return layoutInfo{}, 0, 0, r.err
+		m := int(r.Word(markAddr(reg, i)))
+		if r.Err() != nil {
+			return layoutInfo{}, 0, 0, r.Err()
 		}
 		if m < 1 || i < hs.Len() && m > hs.Heap(i).RootSlots() {
-			return layoutInfo{}, 0, 0, fmt.Errorf("broker: heap %d high-water mark %d outside its root slots", i, m)
+			return layoutInfo{}, 0, 0, r.Errorf("broker: heap %d high-water mark %d outside its root slots", i, m)
 		}
 		cl.marks[i] = m
 	}
@@ -664,17 +665,17 @@ func readCatalogV4(r *catReader, hs *pmem.HeapSet, reg pmem.Addr) (layoutInfo, i
 	claim := func(rec int, what string, loc shardLoc, width int) error {
 		switch {
 		case loc.heap >= int(heapCount):
-			return fmt.Errorf("broker: catalog log record %d places %s on heap %d of %d",
+			return r.Errorf("broker: catalog log record %d places %s on heap %d of %d",
 				rec, what, loc.heap, heapCount)
 		case loc.base < 1:
-			return fmt.Errorf("broker: catalog log record %d places %s over heap %d's anchor slot",
+			return r.Errorf("broker: catalog log record %d places %s over heap %d's anchor slot",
 				rec, what, loc.heap)
 		case loc.base+width > cl.marks[loc.heap]:
-			return fmt.Errorf("broker: heap %d high-water mark %d lags committed windows (record %d places %s at slots [%d,%d))",
+			return r.Errorf("broker: heap %d high-water mark %d lags committed windows (record %d places %s at slots [%d,%d))",
 				loc.heap, cl.marks[loc.heap], rec, what, loc.base, loc.base+width)
 		}
 		if w, ok := cl.claim(loc, width); !ok {
-			return fmt.Errorf("broker: catalog log record %d claims slots [%d,%d) on heap %d overlapping live window [%d,%d)",
+			return r.Errorf("broker: catalog log record %d claims slots [%d,%d) on heap %d overlapping live window [%d,%d)",
 				rec, loc.base, loc.base+width, loc.heap, w.base, w.end())
 		}
 		return nil
@@ -694,20 +695,20 @@ func readCatalogV4(r *catReader, hs *pmem.HeapSet, reg pmem.Addr) (layoutInfo, i
 	topics, ackGroups := 0, 0
 	for rec := 0; rec < int(records); rec++ {
 		if cursor >= cl.totalLines {
-			return layoutInfo{}, 0, 0, fmt.Errorf("broker: catalog log record %d starts beyond capacity", rec)
+			return layoutInfo{}, 0, 0, r.Errorf("broker: catalog log record %d starts beyond capacity", rec)
 		}
 		hdrAddr := cl.lineAddr(cursor)
 		var rh [7]uint64
 		for i := range rh {
-			rh[i] = r.word(hdrAddr + pmem.Addr(i*pmem.WordBytes))
+			rh[i] = r.Word(hdrAddr + pmem.Addr(i*pmem.WordBytes))
 		}
-		recSum := r.word(hdrAddr + 7*pmem.WordBytes)
+		recSum := r.Word(hdrAddr + 7*pmem.WordBytes)
 		bodyLines := rh[5]
-		if r.err != nil {
-			return layoutInfo{}, 0, 0, r.err
+		if r.Err() != nil {
+			return layoutInfo{}, 0, 0, r.Err()
 		}
 		if bodyLines > uint64(cl.totalLines) || cursor+1+int(bodyLines) > cl.totalLines {
-			return layoutInfo{}, 0, 0, fmt.Errorf("broker: catalog log record %d overruns capacity", rec)
+			return layoutInfo{}, 0, 0, r.Errorf("broker: catalog log record %d overruns capacity", rec)
 		}
 		sum := make([]uint64, 0, 7+int(bodyLines)*8)
 		sum = append(sum, rh[:]...)
@@ -715,18 +716,18 @@ func readCatalogV4(r *catReader, hs *pmem.HeapSet, reg pmem.Addr) (layoutInfo, i
 		for bi := range body {
 			a := cl.lineAddr(cursor + 1 + bi)
 			for w := range body[bi] {
-				body[bi][w] = r.word(a + pmem.Addr(w*pmem.WordBytes))
+				body[bi][w] = r.Word(a + pmem.Addr(w*pmem.WordBytes))
 			}
 			sum = append(sum, body[bi][:]...)
 		}
-		if r.err != nil {
-			return layoutInfo{}, 0, 0, r.err
+		if r.Err() != nil {
+			return layoutInfo{}, 0, 0, r.Err()
 		}
 		if recSum != catChecksum(sum) {
-			return layoutInfo{}, 0, 0, fmt.Errorf("broker: catalog log record %d corrupt (checksum mismatch)", rec)
+			return layoutInfo{}, 0, 0, r.Errorf("broker: catalog log record %d corrupt (checksum mismatch)", rec)
 		}
 		if rh[1] != uint64(rec+1) {
-			return layoutInfo{}, 0, 0, fmt.Errorf("broker: catalog log record %d carries sequence %d", rec, rh[1])
+			return layoutInfo{}, 0, 0, r.Errorf("broker: catalog log record %d carries sequence %d", rec, rh[1])
 		}
 		switch rh[0] {
 		case recTopicMagic:
@@ -734,25 +735,25 @@ func readCatalogV4(r *catReader, hs *pmem.HeapSet, reg pmem.Addr) (layoutInfo, i
 			payloadWord := rh[3]
 			baseWord := rh[6]
 			if shards == 0 || shards > maxCatShards {
-				return layoutInfo{}, 0, 0, fmt.Errorf("broker: catalog log record %d has invalid shard count %d", rec, shards)
+				return layoutInfo{}, 0, 0, r.Errorf("broker: catalog log record %d has invalid shard count %d", rec, shards)
 			}
 			if want := 1 + (int(shards)+pmem.WordsPerLine-1)/pmem.WordsPerLine; int(bodyLines) != want {
-				return layoutInfo{}, 0, 0, fmt.Errorf("broker: catalog log record %d has %d body lines for %d shards, want %d",
+				return layoutInfo{}, 0, 0, r.Errorf("broker: catalog log record %d has %d body lines for %d shards, want %d",
 					rec, bodyLines, shards, want)
 			}
 			// Word 6 is 1+base: topicRecord never writes 0.
 			if baseWord == 0 || baseWord > maxCatShards {
-				return layoutInfo{}, 0, 0, fmt.Errorf("broker: catalog log record %d has invalid ordinal base word %d", rec, baseWord)
+				return layoutInfo{}, 0, 0, r.Errorf("broker: catalog log record %d has invalid ordinal base word %d", rec, baseWord)
 			}
 			if topics++; topics > maxCatTopics {
-				return layoutInfo{}, 0, 0, fmt.Errorf("broker: catalog log exceeds %d topics", maxCatTopics)
+				return layoutInfo{}, 0, 0, r.Errorf("broker: catalog log exceeds %d topics", maxCatTopics)
 			}
-			name, err := unpackName(rec, body[0], rh[4])
+			name, err := unpackName(r, rec, body[0], rh[4])
 			if err != nil {
 				return layoutInfo{}, 0, 0, err
 			}
 			if byName[name] != nil {
-				return layoutInfo{}, 0, 0, fmt.Errorf("broker: catalog log records topic %q twice", name)
+				return layoutInfo{}, 0, 0, r.Errorf("broker: catalog log records topic %q twice", name)
 			}
 			base := int(baseWord) - 1
 			lay.nextGlobal = max(lay.nextGlobal, base+int(shards))
@@ -769,7 +770,7 @@ func readCatalogV4(r *catReader, hs *pmem.HeapSet, reg pmem.Addr) (layoutInfo, i
 			// unacked): a checksummed record that fails it was never
 			// written by this code.
 			if err := validateTopic(tc); err != nil {
-				return layoutInfo{}, 0, 0, fmt.Errorf("broker: catalog log record %d: %w", rec, err)
+				return layoutInfo{}, 0, 0, r.Errorf("broker: catalog log record %d: %w", rec, err)
 			}
 			locs := make([]shardLoc, shards)
 			for s := range locs {
@@ -785,10 +786,10 @@ func readCatalogV4(r *catReader, hs *pmem.HeapSet, reg pmem.Addr) (layoutInfo, i
 			capacity := rh[2]
 			loc := unpackLoc(rh[3])
 			if capacity == 0 || capacity > maxCatShards {
-				return layoutInfo{}, 0, 0, fmt.Errorf("broker: catalog log record %d has invalid lease capacity %d", rec, capacity)
+				return layoutInfo{}, 0, 0, r.Errorf("broker: catalog log record %d has invalid lease capacity %d", rec, capacity)
 			}
 			if ackGroups++; ackGroups > maxCatAckGroups {
-				return layoutInfo{}, 0, 0, fmt.Errorf("broker: catalog log exceeds %d ack groups", maxCatAckGroups)
+				return layoutInfo{}, 0, 0, r.Errorf("broker: catalog log exceeds %d ack groups", maxCatAckGroups)
 			}
 			if err := claim(rec, fmt.Sprintf("lease region %d", ackGroups-1), loc, 1); err != nil {
 				return layoutInfo{}, 0, 0, err
@@ -797,15 +798,15 @@ func readCatalogV4(r *catReader, hs *pmem.HeapSet, reg pmem.Addr) (layoutInfo, i
 			lay.leaseCaps = append(lay.leaseCaps, int(capacity))
 		case recTombMagic:
 			if bodyLines != 1 {
-				return layoutInfo{}, 0, 0, fmt.Errorf("broker: catalog log tombstone %d has %d body lines, want 1", rec, bodyLines)
+				return layoutInfo{}, 0, 0, r.Errorf("broker: catalog log tombstone %d has %d body lines, want 1", rec, bodyLines)
 			}
-			name, err := unpackName(rec, body[0], rh[2])
+			name, err := unpackName(r, rec, body[0], rh[2])
 			if err != nil {
 				return layoutInfo{}, 0, 0, err
 			}
 			rt := byName[name]
 			if rt == nil {
-				return layoutInfo{}, 0, 0, fmt.Errorf("broker: catalog log tombstone %d names no live topic %q", rec, name)
+				return layoutInfo{}, 0, 0, r.Errorf("broker: catalog log tombstone %d names no live topic %q", rec, name)
 			}
 			rt.dead = true
 			delete(byName, name)
@@ -814,7 +815,7 @@ func readCatalogV4(r *catReader, hs *pmem.HeapSet, reg pmem.Addr) (layoutInfo, i
 			}
 			cl.deadLines += topicRecLines(len(rt.locs)) + tombstoneLines
 		default:
-			return layoutInfo{}, 0, 0, fmt.Errorf("broker: catalog log record %d magic %#x invalid", rec, rh[0])
+			return layoutInfo{}, 0, 0, r.Errorf("broker: catalog log record %d magic %#x invalid", rec, rh[0])
 		}
 		cursor += 1 + int(bodyLines)
 	}

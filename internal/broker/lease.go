@@ -1,10 +1,6 @@
 package broker
 
-import (
-	"fmt"
-
-	"repro/internal/pmem"
-)
+import "repro/internal/pmem"
 
 // Delivery state is transactional state (Gray, "Queues Are
 // Databases") and must be as durable as the payload. The lease region
@@ -184,35 +180,30 @@ func initLeaseRegion(h *pmem.Heap, tid, heapIdx, slot, group, capacity int) leas
 }
 
 // readLeaseRegion re-discovers group's lease region at (heap, slot)
-// and validates it against the catalog's expectation. Every read is
-// bounds-checked (catReader), so a truncated or absurd region yields
-// an error, never a panic; a missing or foreign region — blank anchor,
-// wrong magic, wrong capacity, wrong group — errors instead of
-// letting a consumer mis-scan another group's (or nobody's) leases.
+// and validates it against the catalog's expectation. The anchor is
+// read through a pmem.Reader, which checks the whole region's range
+// before a line of it is loaded, so a region that runs off the heap, a
+// missing or a foreign one — blank anchor, wrong magic, wrong capacity,
+// wrong group — is an error wrapping pmem.ErrCorrupt, never a panic and
+// never a consumer mis-scanning another group's (or nobody's) leases.
 func readLeaseRegion(h *pmem.Heap, heapIdx, slot, group, capacity int) (leaseRegion, error) {
-	r := &catReader{h: h}
-	base := pmem.Addr(r.word(h.RootAddr(slot)))
-	if r.err != nil {
-		return leaseRegion{}, r.err
+	r := pmem.NewReader(h)
+	base := r.Ptr(h.RootAddr(slot), int64(1+capacity)*pmem.CacheLineBytes)
+	if r.Err() != nil {
+		return leaseRegion{}, r.Err()
 	}
 	if base == 0 {
-		return leaseRegion{}, fmt.Errorf("broker: lease region %d missing (nothing anchored at heap %d slot %d)",
+		return leaseRegion{}, r.Errorf("broker: lease region %d missing (nothing anchored at heap %d slot %d)",
 			group, heapIdx, slot)
 	}
-	magic := r.word(base)
-	st := r.word(base + 8)
-	gi := r.word(base + 16)
-	// Touch the last line too, so a region whose body runs off the end
-	// of the heap is rejected up front.
-	r.word(base + pmem.Addr(capacity)*pmem.CacheLineBytes)
-	if r.err != nil {
-		return leaseRegion{}, r.err
-	}
+	magic := r.Word(base)
+	st := r.Word(base + 8)
+	gi := r.Word(base + 16)
 	if magic != leaseMagic {
-		return leaseRegion{}, fmt.Errorf("broker: lease region %d magic %#x invalid (foreign or corrupt region)", group, magic)
+		return leaseRegion{}, r.Errorf("broker: lease region %d magic %#x invalid (foreign or corrupt region)", group, magic)
 	}
 	if st != uint64(capacity) || gi != uint64(group) {
-		return leaseRegion{}, fmt.Errorf("broker: lease region at heap %d slot %d covers %d shards as group %d, catalog expects %d shards as group %d",
+		return leaseRegion{}, r.Errorf("broker: lease region at heap %d slot %d covers %d shards as group %d, catalog expects %d shards as group %d",
 			heapIdx, slot, st, gi, capacity, group)
 	}
 	return leaseRegion{h: h, heap: heapIdx, slot: slot, base: base, cap: capacity}, nil

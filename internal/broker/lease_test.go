@@ -1,6 +1,7 @@
 package broker
 
 import (
+	"errors"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -108,8 +109,8 @@ func TestLeaseRegionErrors(t *testing.T) {
 				t.Fatalf("%s: Open panicked: %v", what, r)
 			}
 		}()
-		if _, err := Open(pmem.NewSetOf(h), Options{Threads: 2}); err == nil {
-			t.Fatalf("%s: Open succeeded", what)
+		if _, err := Open(pmem.NewSetOf(h), Options{Threads: 2}); !errors.Is(err, pmem.ErrCorrupt) {
+			t.Fatalf("%s: Open returned %v, want an error wrapping pmem.ErrCorrupt", what, err)
 		}
 	}
 
@@ -152,7 +153,7 @@ func TestLeaseRegionErrors(t *testing.T) {
 	t.Run("region truncated at heap end", func(t *testing.T) {
 		h := newCrashed(t)
 		// Re-anchor the region to the last line: the body would run off
-		// the end of the heap; the bounds-checked reader must error.
+		// the end of the heap; the reader's range check must error.
 		tail := pmem.Addr(h.Bytes()) - pmem.CacheLineBytes
 		h.Store(0, tail, leaseMagic)
 		h.Store(0, tail+8, 8) // shardTotal

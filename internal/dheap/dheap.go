@@ -188,18 +188,25 @@ func New(view *pmem.Heap, cfg Config) *Q {
 // dead (torn or virgin — truncated from the log), copies live
 // payloads into a fresh mirror, heapifies the live items once, and
 // resumes the seq counter past every seq and state word ever observed.
+// The region's anchor and header are read through a pmem.Reader, so a
+// region that is missing, runs off the heap or carries a header New
+// did not write is an error wrapping pmem.ErrCorrupt.
 func Recover(view *pmem.Heap, threads int) (*Q, error) {
 	const tid = 0
-	region := pmem.Addr(view.Load(tid, view.RootAddr(slotRegion)))
+	r := pmem.NewReader(view)
+	region := r.Ptr(view.RootAddr(slotRegion), pmem.CacheLineBytes)
+	if r.Err() != nil {
+		return nil, r.Err()
+	}
 	if region == 0 {
-		return nil, errors.New("dheap: recover: no region anchored")
+		return nil, r.Errorf("dheap: recover: no region anchored")
 	}
 	var hw [8]uint64
 	for i := range hw {
-		hw[i] = view.Load(tid, region+pmem.Addr(i*pmem.WordBytes))
+		hw[i] = r.Word(region + pmem.Addr(i*pmem.WordBytes))
 	}
 	if hw[0] != dheapMagic || hw[7] != headerSum(hw) {
-		return nil, fmt.Errorf("dheap: recover: bad region header at %#x", uint64(region))
+		return nil, r.Errorf("dheap: recover: bad region header at %#x", uint64(region))
 	}
 	q := &Q{
 		h:          view,
@@ -209,8 +216,13 @@ func Recover(view *pmem.Heap, threads int) (*Q, error) {
 		stride:     int(hw[3]),
 		maxPayload: int(hw[4]),
 	}
-	if q.threads <= 0 || q.cap <= 0 || q.stride != strideFor(q.maxPayload) {
-		return nil, fmt.Errorf("dheap: recover: inconsistent region header at %#x", uint64(region))
+	// Divided, not multiplied, so no product of the three can wrap: the
+	// entries must fit the heap before Range checks where they lie.
+	maxLines := uint64(view.Bytes() / pmem.CacheLineBytes)
+	if q.threads <= 0 || q.cap <= 0 || q.maxPayload < 0 || q.stride != strideFor(q.maxPayload) ||
+		uint64(q.cap) > maxLines/uint64(q.threads)/uint64(q.stride) ||
+		!r.Range(region, int64(1+q.threads*q.cap*q.stride)*pmem.CacheLineBytes) {
+		return nil, r.Errorf("dheap: recover: inconsistent region header at %#x", uint64(region))
 	}
 	if q.threads < threads {
 		return nil, fmt.Errorf("dheap: recover: region sized for %d threads, need %d", q.threads, threads)

@@ -2,8 +2,10 @@ package dheap
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"math/rand"
+	"strings"
 	"sync"
 	"testing"
 
@@ -595,5 +597,52 @@ func TestCrashFuzz(t *testing.T) {
 				t.Fatalf("seed %d: lost %d acked messages, allowance %d", seed, lost, allow)
 			}
 		})
+	}
+}
+
+// TestRecoverRefusesCorruptRegion: a region Recover cannot trust is an
+// error wrapping pmem.ErrCorrupt, never a panic or an allocation sized
+// by a corrupt header. The resealed rows carry a valid checksum, so the
+// consistency check, not the checksum, must refuse them.
+func TestRecoverRefusesCorruptRegion(t *testing.T) {
+	for _, c := range []struct {
+		name string
+		edit func(h *pmem.Heap, region pmem.Addr) // nil: nothing anchored
+		want string
+	}{
+		{"no region", nil, "no region anchored"},
+		{"magic", func(h *pmem.Heap, region pmem.Addr) { h.Store(0, region, 1) }, "bad region header"},
+		{"stride", reseal(3, 2), "inconsistent region header"},
+		{"capacity past the heap", reseal(2, 1<<40), "inconsistent region header"},
+		{"capacity past the break", reseal(2, 1<<17), "outside the allocated bytes"},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			h := newHeap(pmem.ModeCrash, 1)
+			view := h.View(1, 1)
+			if c.edit != nil {
+				New(view, Config{Threads: 1, MaxPayload: 8, Capacity: 16})
+				c.edit(h, pmem.Addr(view.Load(0, view.RootAddr(slotRegion))))
+			}
+			_, err := Recover(view, 1)
+			if !errors.Is(err, pmem.ErrCorrupt) || !strings.Contains(err.Error(), c.want) {
+				t.Fatalf("Recover = %v, want an error wrapping pmem.ErrCorrupt mentioning %q", err, c.want)
+			}
+		})
+	}
+}
+
+// reseal returns an edit that sets header word i to v and recomputes
+// the header checksum.
+func reseal(i int, v uint64) func(h *pmem.Heap, region pmem.Addr) {
+	return func(h *pmem.Heap, region pmem.Addr) {
+		var hw [8]uint64
+		for w := range hw {
+			hw[w] = h.Load(0, region+pmem.Addr(w*pmem.WordBytes))
+		}
+		hw[i] = v
+		hw[7] = headerSum(hw)
+		for w, x := range hw {
+			h.Store(0, region+pmem.Addr(w*pmem.WordBytes), x)
+		}
 	}
 }

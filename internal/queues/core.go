@@ -3,7 +3,6 @@ package queues
 import (
 	"cmp"
 	"errors"
-	"fmt"
 	"slices"
 	"sync"
 	"sync/atomic"
@@ -798,16 +797,24 @@ func (q *Core[P]) CompleteBatch(tid int) {
 // was created with: a mismatch is refused, not mis-scanned (plain
 // recovery of an acked queue would take the never-written head lines as
 // the frontier and resurrect acknowledged items). aux must be the
-// NewCore aux configuration.
+// NewCore aux configuration. Every refusal — the mode, a root that
+// names no per-thread lines the heap allocated, a node registry
+// ssmem refuses, a duplicate index — is a panic with an error wrapping
+// pmem.ErrCorrupt, raised before recovery writes anything.
 func RecoverCore[P any](h *pmem.Heap, threads int, acked bool, codec Codec[P], aux *ssmem.Config) *Core[P] {
-	ackBase := pmem.Addr(h.Load(0, h.RootAddr(slotAck)))
-	if acked != (ackBase != 0) {
-		panic(fmt.Sprintf("queues: recovery with acked=%v, but the heap holds an acked=%v queue", acked, ackBase != 0))
+	r := pmem.NewReader(h)
+	lines := int64(threads) * pmem.CacheLineBytes
+	localBase := r.Ptr(h.RootAddr(slotLocal), lines)
+	ackBase := r.Ptr(h.RootAddr(slotAck), lines)
+	if localBase == 0 || acked != (ackBase != 0) {
+		r.Errorf("queues: recovery with acked=%v, but the heap holds local lines at %#x and ack lines at %#x",
+			acked, localBase, ackBase)
 	}
+	r.Raise()
 	q := &Core[P]{
 		h:         h,
 		codec:     codec,
-		localBase: pmem.Addr(h.Load(0, h.RootAddr(slotLocal))),
+		localBase: localBase,
 		per:       make([]coreThread[P], threads),
 		acked:     acked,
 		ackBase:   ackBase,
@@ -861,7 +868,8 @@ func RecoverCore[P any](h *pmem.Heap, threads int, acked bool, codec Codec[P], a
 		last, hi = idx, max(hi, idx)
 		return true
 	})
-	keys := inIndexOrder(runs, frontier, hi, ascending)
+	keys := inIndexOrder(r, runs, frontier, hi, ascending)
+	r.Raise()
 	if aux != nil {
 		liveAux := make(map[uint32]bool, len(keys))
 		for _, k := range keys {
@@ -903,8 +911,9 @@ type liveKey struct {
 // never holds a node). That is linear whatever order slot reuse left
 // the scan in. A span wider than 2·len(keys)+64 means a corrupt index
 // or more gaps than nodes, and is not allocated: those keys are
-// concatenated, sorted and checked for adjacent duplicates.
-func inIndexOrder(runs [][]liveKey, frontier, hi uint64, ascending bool) []liveKey {
+// concatenated, sorted and checked for adjacent duplicates. A
+// duplicate fails r.
+func inIndexOrder(r *pmem.Reader, runs [][]liveKey, frontier, hi uint64, ascending bool) []liveKey {
 	if ascending {
 		return slices.Concat(runs...)
 	}
@@ -912,8 +921,9 @@ func inIndexOrder(runs [][]liveKey, frontier, hi uint64, ascending bool) []liveK
 	for _, r := range runs {
 		n += len(r)
 	}
-	refuse := func(index uint64) {
-		panic(fmt.Sprintf("queues: recovery found two live nodes with index %d", index))
+	refuse := func(index uint64) []liveKey {
+		r.Errorf("queues: recovery found two live nodes with index %d", index)
+		return nil
 	}
 	if span := hi - frontier; span <= 2*uint64(n)+64 {
 		keys := make([]liveKey, span)
@@ -921,7 +931,7 @@ func inIndexOrder(runs [][]liveKey, frontier, hi uint64, ascending bool) []liveK
 			for _, k := range r {
 				e := &keys[k.index-frontier-1]
 				if e.pline != 0 {
-					refuse(k.index)
+					return refuse(k.index)
 				}
 				*e = k
 			}
@@ -939,7 +949,7 @@ func inIndexOrder(runs [][]liveKey, frontier, hi uint64, ascending bool) []liveK
 	slices.SortFunc(keys, func(a, b liveKey) int { return cmp.Compare(a.index, b.index) })
 	for i := 1; i < len(keys); i++ {
 		if keys[i].index == keys[i-1].index {
-			refuse(keys[i].index)
+			return refuse(keys[i].index)
 		}
 	}
 	return keys

@@ -14,8 +14,9 @@ import (
 //   - NVTraverseQ: the NVTraverse variant. MSQ has an empty traversal
 //     phase, so the only difference is that no blocking fence is
 //     issued after a flush that follows a read or a CAS; writes keep
-//     their fences, and a single fence before returning ensures the
-//     completed operation is durable.
+//     their fences, a link is fenced before the tail moves past it,
+//     and a single fence before returning ensures the completed
+//     operation is durable.
 //
 // Both flush the head, the tail's cache line and node lines on every
 // operation, so both suffer heavily from post-flush accesses — which
@@ -107,6 +108,14 @@ func (q *TransformQ) loadP(tid int, a pmem.Addr) uint64 {
 	return v
 }
 
+// persistRead fences what NVTraverse's reads and CASes only flushed;
+// IzraelevitzQ fenced it after the access already.
+func (q *TransformQ) persistRead(tid int) {
+	if !q.fenceAfterRead {
+		q.h.Fence(tid)
+	}
+}
+
 // storeP is the transformed shared-memory store.
 func (q *TransformQ) storeP(tid int, a pmem.Addr, v uint64) {
 	q.h.Store(tid, a, v)
@@ -136,6 +145,10 @@ func (q *TransformQ) Enqueue(tid int, v uint64) {
 		next := q.loadP(tid, tail+offNext)
 		if next == 0 {
 			if q.casP(tid, tail+offNext, 0, uint64(n)) {
+				// The link is durable before the tail names n: an enqueuer
+				// that reads the new tail links after n and may complete,
+				// and a crash that lost this link would lose both nodes.
+				q.persistRead(tid)
 				q.casP(tid, q.tailA, uint64(tail), uint64(n))
 				if !q.fenceAfterRead {
 					q.h.Fence(tid) // NVTraverse: persist before returning
@@ -143,6 +156,9 @@ func (q *TransformQ) Enqueue(tid int, v uint64) {
 				return
 			}
 		} else {
+			// The same for a helper: the link it read is durable before
+			// it swings the tail past it.
+			q.persistRead(tid)
 			q.casP(tid, q.tailA, uint64(tail), next)
 		}
 	}

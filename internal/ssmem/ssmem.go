@@ -62,8 +62,11 @@ type Config struct {
 }
 
 const (
-	maxAreas       = 4096
-	regEntryWords  = 2 // base, slots (slot size is in the pool config)
+	maxAreas      = 4096
+	regEntryWords = 2 // base, slots (slot size is in the pool config)
+	// regBytes is the registry's size: the count, then maxAreas entries,
+	// rounded up to whole lines.
+	regBytes       = ((1+maxAreas*regEntryWords)*pmem.WordBytes + pmem.CacheLineBytes - 1) &^ (pmem.CacheLineBytes - 1)
 	retireAdvanceN = 64
 	ebrIdle        = ^uint64(0)
 	// chunkSlots is the unit in which free slots cross threads. A
@@ -162,8 +165,6 @@ func NewPool(h *pmem.Heap, cfg Config) *Pool {
 	if h.Load(tid, root) != 0 {
 		panic("ssmem: NewPool on a non-empty root slot (did you mean RecoverPool?)")
 	}
-	regBytes := int64((1 + maxAreas*regEntryWords) * pmem.WordBytes)
-	regBytes = (regBytes + pmem.CacheLineBytes - 1) &^ (pmem.CacheLineBytes - 1)
 	p.regAddr = h.AllocRaw(tid, regBytes, pmem.CacheLineBytes)
 	h.InitRange(tid, p.regAddr, regBytes)
 	h.Store(tid, root, uint64(p.regAddr))
@@ -176,7 +177,9 @@ func NewPool(h *pmem.Heap, cfg Config) *Pool {
 // recovered data structure; every non-live slot goes to the depot,
 // where whichever thread allocates first finds it. live is invoked
 // exactly once per slot of the registry's areas, in registry and slot
-// order, which Areas reads and checks.
+// order, which Areas reads and checks. An empty root slot, or a
+// registry Areas refuses, is a panic with an error wrapping
+// pmem.ErrCorrupt.
 //
 // The depot hands the slots out in that order too, so the slots in use
 // before the crash are reused before the never-used tail of the newest
@@ -184,12 +187,13 @@ func NewPool(h *pmem.Heap, cfg Config) *Pool {
 func RecoverPool(h *pmem.Heap, cfg Config, live func(pmem.Addr) bool) *Pool {
 	validate(&cfg)
 	p := newPoolCommon(h, cfg)
-	root := h.RootAddr(cfg.RootSlot)
-	p.regAddr = pmem.Addr(h.Load(0, root))
+	r := pmem.NewReader(h)
+	var areas []Area
+	p.regAddr, areas = readAreas(r, h, cfg)
 	if p.regAddr == 0 {
-		panic("ssmem: RecoverPool on an empty root slot")
+		r.Errorf("ssmem: RecoverPool on an empty root slot")
 	}
-	areas := Areas(h, cfg)
+	r.Raise()
 	p.areas.Store(int64(len(areas)))
 	d := &p.depot
 	free := 0
@@ -492,32 +496,47 @@ type Area struct {
 // without constructing a pool. Recovery procedures that must validate
 // untrusted node addresses before deciding slot liveness use this to
 // break the pool/liveness ordering cycle. A registry no pool could have
-// written — more than maxAreas areas, or an area whose slot count is
-// not cfg.SlotsPerArea — is a panic naming the registry.
+// written — a registry or an area outside the heap's allocated bytes,
+// more than maxAreas areas, an area whose slot count is not
+// cfg.SlotsPerArea — is a panic with an error wrapping pmem.ErrCorrupt.
 func Areas(h *pmem.Heap, cfg Config) []Area {
 	validate(&cfg)
-	regAddr := pmem.Addr(h.Load(0, h.RootAddr(cfg.RootSlot)))
+	r := pmem.NewReader(h)
+	_, areas := readAreas(r, h, cfg)
+	r.Raise()
+	return areas
+}
+
+// readAreas reads the registry anchored at cfg.RootSlot through r: its
+// address (0 if nothing is anchored) and its areas, checked once per
+// registry and once per area. It stops at r's first failure.
+func readAreas(r *pmem.Reader, h *pmem.Heap, cfg Config) (pmem.Addr, []Area) {
+	regAddr := r.Ptr(h.RootAddr(cfg.RootSlot), regBytes)
 	if regAddr == 0 {
-		return nil
+		return 0, nil
 	}
-	count := h.Load(0, regAddr)
-	if count > maxAreas {
-		// newArea never registers more than maxAreas, so this count was
-		// not written by the pool: refuse it before make turns it into an
-		// allocation whose failure no recover can catch.
-		panic(fmt.Sprintf("ssmem: corrupt area registry at %#x: count %d exceeds %d areas", regAddr, count, maxAreas))
-	}
+	// newArea never registers more than maxAreas, so a larger count was
+	// not written by the pool: refused before make turns it into an
+	// allocation whose failure no recover can catch.
+	count := r.Count(regAddr, maxAreas)
+	areaBytes := int64(cfg.SlotBytes) * int64(cfg.SlotsPerArea)
 	out := make([]Area, 0, count)
 	for i := uint64(0); i < count; i++ {
 		entry := regAddr + pmem.Addr((1+i*regEntryWords)*pmem.WordBytes)
-		// newArea registers every area with SlotsPerArea slots; any other
-		// count would have a recovery scan walk slots nobody allocated.
-		if slots := h.Load(0, entry+pmem.WordBytes); slots != uint64(cfg.SlotsPerArea) {
-			panic(fmt.Sprintf("ssmem: corrupt area registry at %#x: area %d has %d slots, not %d", regAddr, i, slots, cfg.SlotsPerArea))
+		base := r.Ptr(entry, areaBytes)
+		// newArea registers every area, at a nonzero base, with
+		// SlotsPerArea slots; any other count would have a recovery scan
+		// walk slots nobody allocated.
+		if slots := r.Word(entry + pmem.WordBytes); base == 0 || slots != uint64(cfg.SlotsPerArea) {
+			r.Errorf("ssmem: corrupt area registry at %#x: area %d at %#x has %d slots, not %d",
+				regAddr, i, base, slots, cfg.SlotsPerArea)
 		}
-		out = append(out, Area{Base: pmem.Addr(h.Load(0, entry)), Slots: cfg.SlotsPerArea})
+		if r.Err() != nil {
+			return regAddr, nil
+		}
+		out = append(out, Area{Base: base, Slots: cfg.SlotsPerArea})
 	}
-	return out
+	return regAddr, out
 }
 
 // ValidSlot reports whether a is a properly aligned slot address

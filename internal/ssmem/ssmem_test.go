@@ -1,9 +1,9 @@
 package ssmem
 
 import (
+	"errors"
 	"fmt"
 	"math/rand"
-	"strings"
 	"sync"
 	"testing"
 
@@ -327,7 +327,7 @@ func TestNewPoolPanicsOnUsedRootSlot(t *testing.T) {
 }
 
 // TestAreasRefusesCorruptCount: a registry count or an area's slot
-// count no pool could have written is a panic naming the registry,
+// count no pool could have written is a panic wrapping pmem.ErrCorrupt,
 // which a caller can recover from — from Areas and from RecoverPool,
 // which reads the registry through it — not a 1<<40-entry allocation
 // or scan, which kills the process.
@@ -366,8 +366,8 @@ func TestAreasRefusesCorruptCount(t *testing.T) {
 				h.Store(0, word, c.bad)
 				defer func() {
 					r := recover()
-					if msg, _ := r.(string); !strings.Contains(msg, "corrupt area registry") {
-						t.Fatalf("%s over %s %d: recovered %v, want the corrupt-registry panic", reader, c.word, c.bad, r)
+					if err, _ := r.(error); !errors.Is(err, pmem.ErrCorrupt) {
+						t.Fatalf("%s over %s %d: recovered %v, want a panic wrapping pmem.ErrCorrupt", reader, c.word, c.bad, r)
 					}
 				}()
 				r.read(h)
