@@ -70,8 +70,12 @@ type Options struct {
 // belongs to an existing broker or is left over from a creation that
 // crashed before its anchor was written; either way Open refuses, with
 // an error wrapping pmem.ErrCorrupt, rather than overwrite durable
-// state it did not allocate. The anchor stamp is the last persist of
-// creation, so a crash inside Open leaves no broker.
+// state it did not allocate. So does a zero heap-0 anchor over a
+// catalog log that commits records: only a broker that anchored the
+// log commits into it. The anchor stamp is the last persist of
+// creation, so a crash inside Open leaves no broker, and what it leaves
+// on heap 0 — no log, a torn header or one with no committed record —
+// does not stop a later creation.
 func Open(hs *pmem.HeapSet, opts Options) (*Broker, error) {
 	r := pmem.NewReader(hs.Heap(0))
 	reg := r.Ptr(hs.Heap(0).RootAddr(slotAnchor), pmem.CacheLineBytes)
@@ -118,6 +122,9 @@ func openFresh(hs *pmem.HeapSet, opts Options) (*Broker, error) {
 		if err := checkMemberEmpty(hs.Heap(i), i); err != nil {
 			return nil, err
 		}
+	}
+	if err := checkNoCommittedLog(hs.Heap(0)); err != nil {
+		return nil, err
 	}
 	b := &Broker{hs: hs, threads: opts.Threads}
 	b.cat = createCatalogLog(hs, 0, opts.Threads, opts.CatalogLines)

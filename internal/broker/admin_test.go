@@ -377,3 +377,69 @@ func TestTopicsSnapshotCopy(t *testing.T) {
 		t.Fatalf("TopicNames = %v, want sorted [apple zebra]", names)
 	}
 }
+
+// TestOpenOverCrashedCreation: a power cut at each access of Open's
+// creation on a blank one-heap set leaves debris at heap 0's first
+// allocation (nothing, a torn log header, or a whole header over a
+// commit line with no record) but no anchor, and the next Open creates
+// over it. A zero anchor over a log that commits a record is refused
+// with pmem.ErrCorrupt instead: only a broker that anchored the log
+// commits into it.
+func TestOpenOverCrashedCreation(t *testing.T) {
+	cfg := pmem.Config{Bytes: 16 << 20, Mode: pmem.ModeCrash, MaxThreads: 1}
+	blank := pmem.NewSet(1, cfg)
+	blank.Heap(0).ScheduleCrashAtAccess(1 << 60)
+	if _, err := Open(blank, Options{Threads: 1}); err != nil {
+		t.Fatal(err)
+	}
+	n := blank.Heap(0).AccessCount()
+	headers := 0
+	for k := int64(1); k <= n; k++ {
+		hs := pmem.NewSet(1, cfg)
+		h := hs.Heap(0)
+		h.ScheduleCrashAtAccess(k)
+		if !pmem.Protect(func() { Open(hs, Options{Threads: 1}) }) {
+			t.Fatalf("cut %d of %d: Open finished; the armed crash never reached it", k, n)
+		}
+		hs.FinalizeCrash(rand.New(rand.NewSource(k)))
+		hs.Restart()
+		// A cut on the anchor's own persist, after its store, may leave
+		// a whole broker; Open recovers that one.
+		base := pmem.NewReader(h).FirstAlloc(logHeaderLines * pmem.CacheLineBytes)
+		if base != 0 && h.RawMem(h.RootAddr(slotAnchor)) == 0 {
+			var hdr [pmem.WordsPerLine]uint64
+			for i := range hdr {
+				hdr[i] = h.RawMem(base + pmem.Addr(i*pmem.WordBytes))
+			}
+			if hdr[0] == catMagicV4 && hdr[7] == catChecksum(hdr[:7]) {
+				headers++
+			}
+		}
+		b, err := Open(hs, Options{Threads: 1})
+		if err != nil {
+			t.Fatalf("cut %d of %d: Open after a crashed creation: %v", k, n, err)
+		}
+		if _, err := b.CreateTopic(0, TopicConfig{Name: "t", Shards: 1}); err != nil {
+			t.Fatalf("cut %d: %v", k, err)
+		}
+	}
+	if headers == 0 {
+		t.Fatal("no cut left a whole log header behind a zero anchor")
+	}
+
+	// The same log once it commits a record, behind a zeroed anchor.
+	hs := pmem.NewSet(1, cfg)
+	b, err := Open(hs, Options{Threads: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := b.CreateTopic(0, TopicConfig{Name: "t", Shards: 1}); err != nil {
+		t.Fatal(err)
+	}
+	h := hs.Heap(0)
+	h.Store(0, h.RootAddr(slotAnchor), 0)
+	h.Persist(0, h.RootAddr(slotAnchor))
+	if _, err := Open(hs, Options{Threads: 1}); !errors.Is(err, pmem.ErrCorrupt) {
+		t.Fatalf("Open over a committed log behind a zero anchor = %v, want pmem.ErrCorrupt", err)
+	}
+}

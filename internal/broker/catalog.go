@@ -152,6 +152,33 @@ func checkMemberEmpty(h *pmem.Heap, i int) error {
 	}
 }
 
+// checkNoCommittedLog refuses a heap 0 whose anchor slot is zero but
+// whose first allocation — where a broker's creation places its
+// catalog log — holds a valid, checksummed log header over a commit
+// line that counts records. Creation persists the anchor last, so a
+// crash short of it leaves no header, a torn one or one with no
+// committed record, and Open creates over that debris; a committed
+// record means a broker anchored the log once, and only corruption
+// zeroes an anchor. The refusal wraps pmem.ErrCorrupt.
+func checkNoCommittedLog(h *pmem.Heap) error {
+	r := pmem.NewReader(h)
+	base := r.FirstAlloc(logHeaderLines * pmem.CacheLineBytes)
+	if base == 0 {
+		return nil
+	}
+	var hdr [pmem.WordsPerLine]uint64
+	for i := range hdr {
+		hdr[i] = r.Word(base + pmem.Addr(i*pmem.WordBytes))
+	}
+	if hdr[0] != catMagicV4 || hdr[7] != catChecksum(hdr[:7]) {
+		return nil
+	}
+	if n := r.Word(base + pmem.CacheLineBytes); n > 0 {
+		return r.Errorf("broker: heap 0's anchor slot is zero, but the catalog log at %#x commits %d records", uint64(base), n)
+	}
+	return nil
+}
+
 // checkStamp verifies heap i's membership stamp against the catalog's
 // expectation: present, from the same broker creation, and in the
 // right position of the set. A set that fails it holds no broker, so

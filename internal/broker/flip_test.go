@@ -138,6 +138,7 @@ var flipPins = []struct {
 	{88, 3758187147, 2, "address 0x170304 stored at 0xa00 is not line-aligned"}, // pmem.Reader.Ptr, alignment
 	{1, 1, 18, "outside the allocated bytes [0x10000, 0x190680)"},               // pmem.Reader.Range, the break
 	{1, 2, 16, "heap 1 of the set carries a membership stamp"},                  // checkMemberEmpty
+	{0, 2, 16, "anchor slot is zero, but the catalog log at 0x10000 commits"},   // checkNoCommittedLog
 	{1, 4136, 16, "heap 1 of the set carries no membership stamp"},              // checkStamp, anchor
 	{1, 4136, 6, "heap 1 stamp magic 0x1 invalid"},                              // checkStamp, magic
 	{1, 4152, 3, "heap 1 carries stamp"},                                        // checkStamp, stamp

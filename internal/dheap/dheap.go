@@ -6,9 +6,11 @@
 // The durable state is deliberately NOT a heap. It is a checksummed
 // per-thread *entry log*: a fixed arena of entry slots per thread
 // inside one pmem region. A publish claims a free slot from the
-// publishing thread's arena, NTStores the entry (seq, key, payload,
-// checksum) and issues a single fence — one fence per batch when
-// batched, exactly like the queues' EnqueueBatch. A pop-min marks the
+// publishing thread's arena, NT-stores the entry (seq, key, payload,
+// checksum) with one pmem.NTStoreLine per cache line, so each line of
+// it reaches the write-pending queue once, and issues a single fence —
+// one fence per batch when batched, exactly like the queues'
+// EnqueueBatch. A pop-min marks the
 // entry consumed with one NTStore of the entry's own seq into the
 // entry's state word and covers a whole ready batch with one fence.
 // The comparator order lives purely in DRAM — a flat 4-ary min-heap of
@@ -164,9 +166,7 @@ func New(view *pmem.Heap, cfg Config) *Q {
 
 	hw := [8]uint64{dheapMagic, uint64(q.threads), uint64(q.cap), uint64(q.stride), uint64(q.maxPayload), 0, 0, 0}
 	hw[7] = headerSum(hw)
-	for i, w := range hw {
-		view.NTStore(tid, q.region+pmem.Addr(i*pmem.WordBytes), w)
-	}
+	view.NTStoreLine(tid, q.region, &hw, 0xff)
 	view.Fence(tid)
 	view.Store(tid, view.RootAddr(slotRegion), uint64(q.region))
 	view.Persist(tid, view.RootAddr(slotRegion))
@@ -349,28 +349,32 @@ func (q *Q) takeSlots(tid, n int) error {
 	return nil
 }
 
-// writeEntry NTStores one entry without fencing. The full payload
-// capacity is written (zero-padded) so the checksum always covers a
-// deterministic word set; the state word (w3) is skipped — it belongs
-// to pop, and excluding it from both write and checksum is what lets
-// a consume mark survive independently of the entry body.
+// headerMask selects every word of an entry's header line but word 3,
+// the state word.
+const headerMask = 0xff &^ (1 << 3)
+
+// writeEntry NT-stores one entry without fencing, one NTStoreLine per
+// line: each line enters the write-pending queue once, as a thread's
+// back-to-back stores to one line do on hardware that combines them.
+// The full payload capacity is written (zero-padded) so the checksum
+// always covers a deterministic word set; the state word (w3) is
+// skipped — it belongs to pop, and excluding it from both write and
+// checksum is what lets a consume mark survive independently of the
+// entry body.
 func (q *Q) writeEntry(tid int, words []uint64, it *item, payload []byte) {
 	base := q.entryAddr(it.slot)
 	bytesToWords(payload, words)
 	// Overflow payload lines first, then the header line with the
-	// checksum as its last word: within each cache line the simulator
-	// crash-truncates to a prefix of the stores issued, so a header
-	// line whose checksum landed implies the whole header landed.
-	for i := 3; i < len(words); i++ {
-		q.h.NTStore(tid, base+payloadOff(i), words[i])
+	// checksum as its last word: NTStoreLine stores in word order and
+	// the simulator crash-truncates each line to a prefix of its stores,
+	// so a header line whose checksum landed implies the whole header
+	// landed.
+	for l, ws := 1, words[3:]; len(ws) > 0; l, ws = l+1, ws[pmem.WordsPerLine:] {
+		q.h.NTStoreLine(tid, base+pmem.Addr(l*pmem.CacheLineBytes), (*[pmem.WordsPerLine]uint64)(ws), 0xff)
 	}
-	q.h.NTStore(tid, base, it.seq)
-	q.h.NTStore(tid, base+1*pmem.WordBytes, it.key)
-	q.h.NTStore(tid, base+2*pmem.WordBytes, uint64(it.len))
-	for i, w := range words[:3] {
-		q.h.NTStore(tid, base+payloadOff(i), w)
-	}
-	q.h.NTStore(tid, base+7*pmem.WordBytes, entrySum(it.seq, it.key, uint64(it.len), words))
+	hdr := [pmem.WordsPerLine]uint64{it.seq, it.key, uint64(it.len), 0, words[0], words[1], words[2],
+		entrySum(it.seq, it.key, uint64(it.len), words)}
+	q.h.NTStoreLine(tid, base, &hdr, headerMask)
 }
 
 // PopReadyBatch is PopReadyBatchAppend into a new slice, with the key of

@@ -191,6 +191,27 @@ func TestFenceAccounting(t *testing.T) {
 	if s := d.Delta(); s.Fences != 0 || s.NTStores != 0 || s.Flushes != 0 {
 		t.Fatalf("gauges/empty pop persisted: %+v", s)
 	}
+
+	// Each line of an entry reaches the write-pending queue once, however
+	// many of its words are stored: a publish queues stride lines an
+	// entry (header, then overflow lines), and a consume mark one.
+	for _, maxPayload := range []int{8, 40} {
+		h := newHeap(0, 1)
+		q := New(h, Config{Threads: 1, MaxPayload: maxPayload, Capacity: 256})
+		stride := strideFor(maxPayload)
+		d := h.DeltaOf(0)
+		if err := q.PushBatch(0, keys, ps); err != nil {
+			t.Fatal(err)
+		}
+		if s := d.Delta(); s.DrainLines != uint64(batch*stride) {
+			t.Fatalf("stride %d: publish batch of %d queued %d lines, want %d", stride, batch, s.DrainLines, batch*stride)
+		}
+		d = h.DeltaOf(0)
+		got, _ := q.PopReadyBatch(0, ^uint64(0), 16)
+		if s := d.Delta(); s.DrainLines != uint64(len(got)) {
+			t.Fatalf("stride %d: pop batch of %d queued %d lines, want one per entry", stride, len(got), s.DrainLines)
+		}
+	}
 }
 
 // TestRecover round-trips a mixed live/consumed state through a clean

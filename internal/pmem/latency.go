@@ -23,9 +23,13 @@ type LatencyModel struct {
 	// NTStoreNs is the issue cost of a movnti non-temporal store.
 	NTStoreNs int64
 	// DrainNsPerLine models write-pending-queue drain bandwidth. Every
-	// Flush and every NTStore queues one line — an NTStore is charged
-	// per word stored, not per distinct cache line, so eight NTStores
-	// filling one line queue eight. A thread's queue drains in the
+	// flushed line (a CLWB) queues one line, and so does every NTStore,
+	// a lone MOVNTI: eight NTStores filling one line queue eight. An
+	// NTStoreLine queues one however many words it stores. It models a
+	// thread's back-to-back MOVNTIs to one line, which the core
+	// combines in one write-combining buffer and writes to the queue as
+	// one line; each word still pays NTStoreNs to issue. Stats.DrainLines
+	// counts the lines queued. A thread's queue drains in the
 	// background, one line per DrainNsPerLine, from the issue of the
 	// first line queued since its last Fence: a window of n lines whose
 	// first was issued at instant first is durable at first + n·D, and

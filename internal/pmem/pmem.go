@@ -16,8 +16,9 @@
 // cached accesses), Flush (an asynchronous cache-line write-back such
 // as CLWB, which on Cascade Lake also invalidates the line), Fence (an
 // SFENCE that blocks until previously issued flushes and non-temporal
-// stores are durable) and NTStore (a movnti-style non-temporal store
-// that bypasses the cache).
+// stores are durable), NTStore (a movnti-style non-temporal store that
+// bypasses the cache) and NTStoreLine (a thread's movnti stores to one
+// line, combined in one write-combining buffer).
 //
 // The simulator implements the paper's Assumption 1: a cache line is
 // evicted to memory atomically, so after a crash the NVRAM content of
@@ -43,6 +44,7 @@ import (
 	"cmp"
 	"errors"
 	"fmt"
+	"math/bits"
 	"slices"
 	"sync"
 	"sync/atomic"
@@ -727,8 +729,11 @@ func (h *Heap) WriteBack(tid int, a Addr, words []uint64) {
 // drain, Fence will charge the bound itself and no clock is read; the
 // line at which the bound first exceeds that takes the window's one
 // reading. at is the modelled clock the real clock stands at: ts.spun,
-// unless the caller has added prices it has not spun yet.
+// unless the caller has added prices it has not spun yet. It is the one
+// place a line is counted in Stats.DrainLines, whether or not drain is
+// modelled.
 func (ts *threadCtx) queueLine(d, at int64) {
+	ts.stats.DrainLines++
 	if d == 0 {
 		return
 	}
@@ -813,26 +818,69 @@ func (h *Heap) Persist(tid int, a Addr) {
 // never causes a post-flush access. Durability is guaranteed only
 // after a subsequent Fence by the same thread.
 func (h *Heap) NTStore(tid int, a Addr, v uint64) {
-	if h.cfg.Mode == ModeCrash {
-		h.crashCheck()
-	}
 	ts := &h.threads[tid]
-	ts.stats.NTStores++
-	w := a / WordBytes
 	if h.cfg.Mode == ModeCrash {
-		line := int(a / CacheLineBytes)
-		s := h.shard(line)
-		s.mu.Lock()
-		j := h.open(s, line)
-		atomic.StoreUint64(&h.mem[w], v)
-		j.entries = append(j.entries, entry(w, v, 0, 1))
-		ts.pending = append(ts.pending, pendingFlush{line: line, upTo: len(j.entries), gen: j.gen})
-		s.mu.Unlock()
+		h.ntStoreCrash(ts, a/WordBytes, v)
 	} else {
-		atomic.StoreUint64(&h.mem[w], v)
+		ts.stats.NTStores++
+		atomic.StoreUint64(&h.mem[a/WordBytes], v)
 	}
 	ts.queueLine(h.lat.DrainNsPerLine, ts.spun)
 	ts.charge(h.lat.NTStoreNs)
+}
+
+// ntStoreCrash is a ModeCrash NTStore of v to word w short of its drain
+// line and its price: the crash check, the count, the journal entry and
+// the pending entry that makes the word durable at the thread's next
+// Fence.
+func (h *Heap) ntStoreCrash(ts *threadCtx, w Addr, v uint64) {
+	h.crashCheck()
+	ts.stats.NTStores++
+	line := int(w / WordsPerLine)
+	s := h.shard(line)
+	s.mu.Lock()
+	j := h.open(s, line)
+	atomic.StoreUint64(&h.mem[w], v)
+	j.entries = append(j.entries, entry(w, v, 0, 1))
+	ts.pending = append(ts.pending, pendingFlush{line: line, upTo: len(j.entries), gen: j.gen})
+	s.mu.Unlock()
+}
+
+// NTStoreLine NT-stores the words of the line-aligned line at a that
+// mask selects (bit i selects words[i]), in word order. It models a
+// thread's back-to-back MOVNTIs to one line, which the core combines in
+// one write-combining buffer, so the line enters the write-pending
+// queue once: each word is counted in Stats.NTStores and priced
+// NTStoreNs, in one charge, and the line queues one drain line where
+// the same words through NTStore queue one each. In ModeCrash each word
+// is exactly an NTStore: the same access number, crash point, journal
+// entry and pending entry, so per-line prefix truncation leaves a
+// word-order prefix of the masked words. An empty mask stores nothing
+// and queues nothing.
+func (h *Heap) NTStoreLine(tid int, a Addr, words *[WordsPerLine]uint64, mask uint8) {
+	if a%CacheLineBytes != 0 {
+		panic("pmem: NTStoreLine needs a cache-line-aligned address")
+	}
+	if mask == 0 {
+		return
+	}
+	ts := &h.threads[tid]
+	w := a / WordBytes
+	for i, v := range words {
+		switch {
+		case mask&(1<<i) == 0:
+		case h.cfg.Mode == ModeCrash:
+			h.ntStoreCrash(ts, w+Addr(i), v)
+		default:
+			atomic.StoreUint64(&h.mem[w+Addr(i)], v)
+		}
+	}
+	n := bits.OnesCount8(mask)
+	if h.cfg.Mode != ModeCrash {
+		ts.stats.NTStores += uint64(n)
+	}
+	ts.queueLine(h.lat.DrainNsPerLine, ts.spun)
+	ts.charge(h.lat.NTStoreNs * int64(n))
 }
 
 // ErrOutOfSpace is what AllocRaw panics with, wrapped with the sizes,

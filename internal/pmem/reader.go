@@ -72,14 +72,31 @@ func (r *Reader) Range(a Addr, size int64) bool {
 	if r.err != nil {
 		return false
 	}
-	// The break is read without a touch, as a recovery that loads it
-	// costs no access the simulator would count.
-	end := min(Addr(atomic.LoadUint64(&r.h.mem[brkAddr/WordBytes])), Addr(r.h.Bytes()))
+	end := r.end()
 	if a < dataStart || a > end || size < 0 || uint64(end-a) < uint64(size) {
 		r.Errorf("range [%#x, +%d) outside the allocated bytes [%#x, %#x)", uint64(a), size, uint64(dataStart), uint64(end))
 		return false
 	}
 	return true
+}
+
+// end is the end of the heap's allocated bytes: its persisted break,
+// capped at its size. The break is read without a touch, as a recovery
+// that loads it costs no access the simulator would count.
+func (r *Reader) end() Addr {
+	return min(Addr(atomic.LoadUint64(&r.h.mem[brkAddr/WordBytes])), Addr(r.h.Bytes()))
+}
+
+// FirstAlloc returns the address AllocRaw hands out first on a fresh
+// heap, if the heap has allocated size bytes there, and 0 if it has
+// not. A heap that has allocated less is no refusal: the reader does
+// not fail. A recovery that finds nothing anchored asks it where a
+// structure its creation allocates first would lie.
+func (r *Reader) FirstAlloc(size int64) Addr {
+	if r.err != nil || size < 0 || r.end() < dataStart || uint64(r.end()-dataStart) < uint64(size) {
+		return 0
+	}
+	return dataStart
 }
 
 // Count loads the count stored at at and checks it against limit, the

@@ -19,6 +19,10 @@ package pmem
 // paper's analysis are Fences (blocking persist operations), Flushes,
 // NTStores and PostFlushAccesses (accesses to explicitly flushed
 // content, the quantity the second amendment drives to zero).
+// DrainLines counts the lines queued on the write-pending queue: one
+// per flushed line and per NTStore, and one per NTStoreLine however
+// many words it stores (InitRange prices its lines' drain without
+// queueing them).
 type Stats struct {
 	Loads             uint64
 	Stores            uint64
@@ -28,6 +32,7 @@ type Stats struct {
 	Fences            uint64
 	NTStores          uint64
 	PostFlushAccesses uint64
+	DrainLines        uint64
 }
 
 // Add accumulates o into s.
@@ -40,6 +45,7 @@ func (s *Stats) Add(o Stats) {
 	s.Fences += o.Fences
 	s.NTStores += o.NTStores
 	s.PostFlushAccesses += o.PostFlushAccesses
+	s.DrainLines += o.DrainLines
 }
 
 // Sub returns s - o field-wise; useful for deltas around a measured
@@ -54,6 +60,7 @@ func (s Stats) Sub(o Stats) Stats {
 		Fences:            s.Fences - o.Fences,
 		NTStores:          s.NTStores - o.NTStores,
 		PostFlushAccesses: s.PostFlushAccesses - o.PostFlushAccesses,
+		DrainLines:        s.DrainLines - o.DrainLines,
 	}
 }
 

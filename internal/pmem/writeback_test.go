@@ -197,7 +197,7 @@ func TestWriteBackMatchesStoreFlush(t *testing.T) {
 				x.h.Fence(0)
 				before, spun := x.h.StatsOf(0), x.h.threads[0].spun
 				write[i](x.h, 0, base, make([]uint64, 2*WordsPerLine))
-				if d := x.h.StatsOf(0).Sub(before); d != (Stats{Stores: 2 * WordsPerLine, Flushes: 2, PostFlushAccesses: 2}) {
+				if d := x.h.StatsOf(0).Sub(before); d != (Stats{Stores: 2 * WordsPerLine, Flushes: 2, PostFlushAccesses: 2, DrainLines: 2}) {
 					t.Fatalf("rewriting two flushed lines cost %+v", d)
 				}
 				if got, want := x.h.threads[0].spun-spun, 2*(x.h.lat.NVMReadNs+x.h.lat.FlushNs); got != want {
