@@ -443,3 +443,46 @@ func TestOpenOverCrashedCreation(t *testing.T) {
 		t.Fatalf("Open over a committed log behind a zero anchor = %v, want pmem.ErrCorrupt", err)
 	}
 }
+
+// TestOpenRefusesZeroAnchorPastDebris: an Open cut before its anchor
+// flip leaves a whole log with no committed record at heap 0's first
+// allocation, and the next Open creates its broker's log at the
+// allocation after it. Zeroing that broker's anchor once it commits a
+// topic must not read as a blank set: the check steps past the debris
+// log and finds the committed one.
+func TestOpenRefusesZeroAnchorPastDebris(t *testing.T) {
+	hs := pmem.NewSet(1, pmem.Config{Bytes: 16 << 20, Mode: pmem.ModeCrash, MaxThreads: 1})
+	testHookBeforeFlip = func() { hs.CrashNow() }
+	crashed := pmem.Protect(func() { Open(hs, Options{Threads: 1}) })
+	testHookBeforeFlip = nil
+	if !crashed {
+		t.Fatal("Open survived a crash armed before the anchor flip")
+	}
+	hs.FinalizeCrash(rand.New(rand.NewSource(52)))
+	hs.Restart()
+
+	b, err := Open(hs, Options{Threads: 1})
+	if err != nil {
+		t.Fatalf("Open over the debris of a crashed creation: %v", err)
+	}
+	h := hs.Heap(0)
+	if first := pmem.NewReader(h).FirstAlloc(logHeaderLines * pmem.CacheLineBytes); b.cat.base == first {
+		t.Fatalf("the broker's log sits at the first allocation %#x: the fixture left no debris log", uint64(first))
+	}
+	if _, err := b.CreateTopic(0, TopicConfig{Name: "t", Shards: 1}); err != nil {
+		t.Fatal(err)
+	}
+	if err := b.Topic("t").Publish(0, U64(1)); err != nil {
+		t.Fatal(err)
+	}
+	h.Store(0, h.RootAddr(slotAnchor), 0)
+	h.Persist(0, h.RootAddr(slotAnchor))
+	r, err := Open(hs, Options{Threads: 1})
+	if err == nil {
+		t.Fatalf("Open over a committed log behind a debris log and a zero anchor created a broker with topics %q, want pmem.ErrCorrupt",
+			r.TopicNames())
+	}
+	if !errors.Is(err, pmem.ErrCorrupt) {
+		t.Fatalf("Open over a committed log behind a debris log and a zero anchor = %v, want pmem.ErrCorrupt", err)
+	}
+}

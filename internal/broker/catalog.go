@@ -153,28 +153,34 @@ func checkMemberEmpty(h *pmem.Heap, i int) error {
 }
 
 // checkNoCommittedLog refuses a heap 0 whose anchor slot is zero but
-// whose first allocation — where a broker's creation places its
-// catalog log — holds a valid, checksummed log header over a commit
+// whose allocations, from the first — where a broker's creation places
+// its catalog log — hold a valid, checksummed log header over a commit
 // line that counts records. Creation persists the anchor last, so a
 // crash short of it leaves no header, a torn one or one with no
-// committed record, and Open creates over that debris; a committed
-// record means a broker anchored the log once, and only corruption
-// zeroes an anchor. The refusal wraps pmem.ErrCorrupt.
+// committed record, and Open creates over that debris, placing its own
+// log at the next allocation; so the check steps past a log with no
+// committed record, by its header's line count, and applies the same
+// test there. A committed record means a broker anchored the log once,
+// and only corruption zeroes an anchor. The refusal wraps
+// pmem.ErrCorrupt.
 func checkNoCommittedLog(h *pmem.Heap) error {
 	r := pmem.NewReader(h)
-	base := r.FirstAlloc(logHeaderLines * pmem.CacheLineBytes)
-	if base == 0 {
-		return nil
-	}
-	var hdr [pmem.WordsPerLine]uint64
-	for i := range hdr {
-		hdr[i] = r.Word(base + pmem.Addr(i*pmem.WordBytes))
-	}
-	if hdr[0] != catMagicV4 || hdr[7] != catChecksum(hdr[:7]) {
-		return nil
-	}
-	if n := r.Word(base + pmem.CacheLineBytes); n > 0 {
-		return r.Errorf("broker: heap 0's anchor slot is zero, but the catalog log at %#x commits %d records", uint64(base), n)
+	for base := r.FirstAlloc(logHeaderLines * pmem.CacheLineBytes); base != 0; {
+		var hdr [pmem.WordsPerLine]uint64
+		for i := range hdr {
+			hdr[i] = r.Word(base + pmem.Addr(i*pmem.WordBytes))
+		}
+		if hdr[0] != catMagicV4 || hdr[7] != catChecksum(hdr[:7]) {
+			return nil
+		}
+		if n := r.Word(base + pmem.CacheLineBytes); n > 0 {
+			return r.Errorf("broker: heap 0's anchor slot is zero, but the catalog log at %#x commits %d records", uint64(base), n)
+		}
+		total := hdr[4]
+		if total < logHeaderLines || total > uint64(h.Bytes()/pmem.CacheLineBytes) {
+			return nil
+		}
+		base = r.AllocAt(base+pmem.Addr(total)*pmem.CacheLineBytes, logHeaderLines*pmem.CacheLineBytes)
 	}
 	return nil
 }

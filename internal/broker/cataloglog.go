@@ -65,7 +65,7 @@ import (
 // word bumped — whose records carry explicit global shard bases so
 // dropping dead records never renumbers the survivors. The whole new
 // generation is fenced first and then the root-slot anchor is flipped
-// to it with a single-word store + persist, so a crash on either side
+// to it with a single-word NTStore and a fence, so a crash on either side
 // of the flip recovers exactly one complete generation. Compaction is
 // also the log's resize path: the new generation's record capacity is
 // chosen independently of the old.
@@ -77,7 +77,7 @@ import (
 //	                   checksum(w0..w6)]
 //	line 1 (commit):  [committedRecords, ordinalFloor, 0...] — the
 //	                   anchor stamp, rewritten once per creation
-//	                   (single-word store, so it is old or new after a
+//	                   (single-word NTStore, so it is old or new after a
 //	                   crash, never torn); ordinalFloor is the global
 //	                   shard ordinal the generation starts issuing at
 //	                   (written once at generation creation), so
@@ -348,25 +348,34 @@ func (cl *catalogLog) unplace(locs []shardLoc, width int, old []int) {
 	copy(cl.marks, old)
 }
 
-// storeMarks stores every mark that moved past old and, if any did,
-// flushes the mark lines and fences: one blocking persist covers every
-// window one creation placed at a mark, and a creation that fit into
-// gaps alone pays none.
+// storeMarks NT-stores every mark that moved past old and, if any did,
+// fences: one blocking persist covers every window one creation placed
+// at a mark, and a creation that fit into gaps alone pays none.
 func (cl *catalogLog) storeMarks(tid int, old []int) {
 	moved := false
-	for hi, m := range cl.marks {
-		if m != old[hi] {
-			cl.h.Store(tid, markAddr(cl.base, hi), uint64(m))
-			moved = true
-		}
-	}
-	if !moved {
-		return
-	}
 	for l := 0; l < cl.allocLines; l++ {
-		cl.h.Flush(tid, cl.lineAddr(logHeaderLines+l))
+		var mask uint8
+		for i := l * pmem.WordsPerLine; i < min((l+1)*pmem.WordsPerLine, len(cl.marks)); i++ {
+			if cl.marks[i] != old[i] {
+				mask |= 1 << (i % pmem.WordsPerLine)
+			}
+		}
+		cl.writeMarkLine(tid, cl.base, l, mask)
+		moved = moved || mask != 0
 	}
-	cl.h.Fence(tid)
+	if moved {
+		cl.h.Fence(tid)
+	}
+}
+
+// writeMarkLine NT-stores the words of mark line l of the region at
+// base that mask selects: heap l*8+i's mark is word i.
+func (cl *catalogLog) writeMarkLine(tid int, base pmem.Addr, l int, mask uint8) {
+	var w [pmem.WordsPerLine]uint64
+	for i, m := range cl.marks[l*pmem.WordsPerLine : min((l+1)*pmem.WordsPerLine, len(cl.marks))] {
+		w[i] = uint64(m)
+	}
+	cl.h.NTStoreLine(tid, markAddr(base, l*pmem.WordsPerLine), &w, mask)
 }
 
 // room checks that the log's free tail holds a record of lines lines.
@@ -387,10 +396,13 @@ type catRecord struct {
 
 func (rec catRecord) lines() int { return 1 + len(rec.body) }
 
-// writeRecordAt stores one record — header words 0..6, the checksum,
-// and the body lines — at line `at` of the region based at `base`, and
-// flushes every line it wrote. No fence: callers order their own (one
-// fence per append, one per whole generation).
+// writeRecordAt writes one record — the body lines, then the header
+// line with the checksum as its word 7 — at line `at` of the region
+// based at `base`, one NTStoreLine a line. No flush, so rewriting a
+// line an earlier generation wrote touches no flushed content, and no
+// fence: callers order their own (one fence per append, one per whole
+// generation). Every catalog write holds the broker's admin mutex,
+// which is NTStoreLine's ownership rule.
 func (cl *catalogLog) writeRecordAt(tid int, base pmem.Addr, at int, rec catRecord) {
 	h := cl.h
 	sum := make([]uint64, 0, 7+len(rec.body)*8)
@@ -398,19 +410,13 @@ func (cl *catalogLog) writeRecordAt(tid int, base pmem.Addr, at int, rec catReco
 	for _, line := range rec.body {
 		sum = append(sum, line[:]...)
 	}
-	hdrAddr := base + pmem.Addr(at)*pmem.CacheLineBytes
-	for bi, line := range rec.body {
-		a := base + pmem.Addr(at+1+bi)*pmem.CacheLineBytes
-		for w, x := range line {
-			h.Store(tid, a+pmem.Addr(w*pmem.WordBytes), x)
-		}
-		h.Flush(tid, a)
+	for bi := range rec.body {
+		h.NTStoreLine(tid, base+pmem.Addr(at+1+bi)*pmem.CacheLineBytes, &rec.body[bi], 0xff)
 	}
-	for w, x := range rec.hdr {
-		h.Store(tid, hdrAddr+pmem.Addr(w*pmem.WordBytes), x)
-	}
-	h.Store(tid, hdrAddr+7*pmem.WordBytes, catChecksum(sum))
-	h.Flush(tid, hdrAddr)
+	var hdr [pmem.WordsPerLine]uint64
+	copy(hdr[:], rec.hdr[:])
+	hdr[7] = catChecksum(sum)
+	h.NTStoreLine(tid, base+pmem.Addr(at)*pmem.CacheLineBytes, &hdr, 0xff)
 }
 
 // appendRecord writes a record at the log's free tail, fences it, then
@@ -429,8 +435,8 @@ func (cl *catalogLog) appendRecord(tid int, rec catRecord) {
 
 	cl.records++
 	cl.next += rec.lines()
-	h.Store(tid, cl.lineAddr(1), uint64(cl.records))
-	h.Persist(tid, cl.lineAddr(1)) // the anchor stamp: now it exists
+	h.NTStore(tid, cl.lineAddr(1), uint64(cl.records))
+	h.Fence(tid) // the anchor stamp: now it exists
 }
 
 // writeGeneration writes a complete log generation into the region at
@@ -442,21 +448,14 @@ func (cl *catalogLog) appendRecord(tid int, rec catRecord) {
 func (cl *catalogLog) writeGeneration(tid, threads int, base pmem.Addr, totalLines int, gen uint64, floor int, recs []catRecord) {
 	h := cl.h
 	line := func(i int) pmem.Addr { return base + pmem.Addr(i)*pmem.CacheLineBytes }
-	hdr := []uint64{catMagicV4, uint64(threads), uint64(cl.heaps), cl.stamp,
+	hdr := [pmem.WordsPerLine]uint64{catMagicV4, uint64(threads), uint64(cl.heaps), cl.stamp,
 		uint64(totalLines), uint64(cl.allocLines), gen}
-	for i, w := range hdr {
-		h.Store(tid, line(0)+pmem.Addr(i*pmem.WordBytes), w)
-	}
-	h.Store(tid, line(0)+7*pmem.WordBytes, catChecksum(hdr))
-	h.Flush(tid, line(0))
-	h.Store(tid, line(1), uint64(len(recs)))
-	h.Store(tid, line(1)+pmem.WordBytes, uint64(floor))
-	h.Flush(tid, line(1))
-	for i, m := range cl.marks {
-		h.Store(tid, markAddr(base, i), uint64(m))
-	}
+	hdr[7] = catChecksum(hdr[:7])
+	h.NTStoreLine(tid, line(0), &hdr, 0xff)
+	commit := [pmem.WordsPerLine]uint64{uint64(len(recs)), uint64(floor)}
+	h.NTStoreLine(tid, line(1), &commit, 0xff)
 	for l := 0; l < cl.allocLines; l++ {
-		h.Flush(tid, line(logHeaderLines+l))
+		cl.writeMarkLine(tid, base, l, 0xff)
 	}
 	next := logHeaderLines + cl.allocLines
 	for _, rec := range recs {
@@ -469,8 +468,8 @@ func (cl *catalogLog) writeGeneration(tid, threads int, base pmem.Addr, totalLin
 		testHookBeforeFlip()
 	}
 
-	h.Store(tid, h.RootAddr(slotAnchor), uint64(base))
-	h.Persist(tid, h.RootAddr(slotAnchor)) // the flip: now this is the catalog
+	h.NTStore(tid, h.RootAddr(slotAnchor), uint64(base))
+	h.Fence(tid) // the flip: now this is the catalog
 	cl.base, cl.totalLines, cl.gen = base, totalLines, gen
 	cl.records, cl.next = len(recs), next
 }

@@ -751,7 +751,7 @@ func (c *Consumer) ackPath(tid int, verb string) error {
 // member: the messages go back onto the member's redelivery queue (a
 // later PollBatch serves them again, in order, before any fresh
 // dequeue of the same shard), and each affected shard's lease record
-// is rewritten — one store+flush per shard, one fence for the whole
+// is rewritten — one NTStoreLine per shard, one fence for the whole
 // nack — so the rescission itself is durable delivery state. Returns
 // the number of messages queued for redelivery, or ErrFenced (and
 // queues nothing) when the member was fenced off shards since its

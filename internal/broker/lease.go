@@ -19,8 +19,8 @@ import "repro/internal/pmem"
 // (see queues.OptUnlinkedQ ack mode), which are the source of truth
 // for the processed frontier.
 //
-// Region layout (all single cache lines, so each write persists with
-// one flush riding the operation's fence):
+// Region layout (all single cache lines, so each write is one
+// NTStoreLine riding the operation's fence):
 //
 //	line 0 (header):      [leaseMagic, capacity, groupIndex, 0...]
 //	line 1+g (shard g):   one packed lease line (see packLease)
@@ -141,16 +141,14 @@ func (lr leaseRegion) lineAddr(global int) pmem.Addr {
 	return lr.base + pmem.Addr(1+global)*pmem.CacheLineBytes
 }
 
-// writeLeaseLine stores a packed lease into shard global's line and
-// issues the asynchronous flush; the caller's fence on the region's
-// heap makes it durable.
+// writeLeaseLine NT-stores a packed lease into shard global's line,
+// checksum last; the caller's fence on the region's heap makes it
+// durable. No flush, so no later write of the line touches flushed
+// content. Every access of a lease line holds its member's lock or all
+// of them (lockAll), which is pmem.NTStoreLine's ownership rule.
 func (lr leaseRegion) writeLeaseLine(tid, global int, l Lease) {
-	a := lr.lineAddr(global)
 	w := packLease(l)
-	for i, x := range w {
-		lr.h.Store(tid, a+pmem.Addr(i*pmem.WordBytes), x)
-	}
-	lr.h.Flush(tid, a)
+	lr.h.NTStoreLine(tid, lr.lineAddr(global), &w, 0xff)
 }
 
 // readLeaseLine loads and decodes shard global's line.

@@ -270,7 +270,7 @@ func (g *Group) Scan(tid int, now uint64) (ScanReport, error) {
 // claims ONE shard whose durable lease has expired at the group
 // clock, from whichever member holds it, with the same epoch bump,
 // fencing and unacked-suffix redelivery as Adopt — it is the same
-// transfer — at one shard's store+flush and one fence. It reports
+// transfer — at one shard's NTStoreLine and one fence. It reports
 // whether a shard was found (false with no error means nothing is
 // expired) and the redeliveries queued. Unlike most Consumer methods
 // it may be called from any goroutine (it takes the group and every

@@ -3,6 +3,10 @@ package broker
 import (
 	"errors"
 	"math/rand"
+	"runtime"
+	"slices"
+	"sync"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/pmem"
@@ -327,5 +331,112 @@ func TestEpochDurability(t *testing.T) {
 	}
 	if past == 0 {
 		t.Fatal("no lease line reached epoch 2 after the post-crash takeover")
+	}
+}
+
+// TestLeaseLinesAcrossTakeovers: three members poll and acknowledge on
+// their own goroutines while a fourth goroutine loops Scan, Steal and
+// Adopt, so lease lines change hands between members' locks and the
+// group-wide lockAll while their owners write them, and the loop keeps
+// publishing so the members keep writing. Lease lines are plain-stored
+// NTStoreLines (pmem's ownership rule), which -race checks here. Every
+// message must still be delivered, and every line must decode.
+func TestLeaseLinesAcrossTakeovers(t *testing.T) {
+	const members, n, rounds = 3, 100, 200
+	_, b := newAckedBroker(t, 1, members+2, pmem.ModePerf)
+	clk := &logicalClock{}
+	g, err := b.NewGroupAcked([]string{"events", "jobs"}, members, LeaseConfig{TTL: 10, Now: clk.Now})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := uint64(0); i < n; i++ {
+		b.Topic("events").Publish(0, U64(i))
+		b.Topic("jobs").Publish(0, U64(n+i))
+	}
+	seen := make([][]uint64, members)
+	var fenced atomic.Int64
+	drain := func(m int) int {
+		c, tid := g.Consumer(m), 1+m
+		ms := c.PollBatch(tid, 8)
+		for _, msg := range ms {
+			seen[m] = append(seen[m], AsU64(msg.Payload))
+		}
+		if _, err := c.Ack(tid); errors.Is(err, ErrFenced) {
+			fenced.Add(1)
+		} else if err != nil {
+			t.Error(err)
+		}
+		return len(ms)
+	}
+	var stop atomic.Bool
+	var wg sync.WaitGroup
+	for m := 0; m < members; m++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for !stop.Load() {
+				if drain(m) == 0 {
+					runtime.Gosched()
+				}
+			}
+		}()
+	}
+	const tid = members + 1
+	moved := 0
+	for i := 0; i < rounds; i++ {
+		b.Topic("events").Publish(0, U64(2*n+uint64(i)))
+		b.Topic("jobs").Publish(0, U64(2*n+rounds+uint64(i)))
+		clk.Advance(20) // past every deadline written so far
+		var err error
+		switch from := i % members; i % 3 {
+		case 0:
+			var rep ScanReport
+			rep, err = g.Scan(tid, clk.Now())
+			moved += rep.Shards
+		case 1:
+			var stole bool
+			stole, _, err = g.Consumer(from).Steal(tid)
+			if stole {
+				moved++
+			}
+		default:
+			if _, err = g.Adopt(tid, from, (from+1)%members); err == nil {
+				moved++
+			} else if errors.Is(err, ErrUnexpiredLease) {
+				err = nil // its owner polled since the clock moved
+			}
+		}
+		if err != nil {
+			t.Error(err)
+			break
+		}
+		runtime.Gosched()
+	}
+	stop.Store(true)
+	wg.Wait()
+	for busy := true; busy; {
+		busy = false
+		for m := 0; m < members; m++ {
+			busy = drain(m) > 0 || busy
+		}
+	}
+	delivered := make([]bool, 2*n+2*rounds)
+	for _, ids := range seen {
+		for _, id := range ids {
+			delivered[id] = true
+		}
+	}
+	if i := slices.Index(delivered, false); i >= 0 {
+		t.Fatalf("message %d never delivered", i)
+	}
+	for m := 0; m < members; m++ {
+		for _, r := range g.Consumer(m).refs {
+			if _, ok := g.region.readLeaseLine(r.global); !ok {
+				t.Fatalf("lease line of %s/%d does not decode", r.t.Name(), r.shard)
+			}
+		}
+	}
+	if moved == 0 || fenced.Load() == 0 {
+		t.Fatalf("the fixture is vacuous: %d takeovers moved shards, %d acknowledgments were fenced", moved, fenced.Load())
 	}
 }

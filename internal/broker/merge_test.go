@@ -268,8 +268,8 @@ func TestTakeoverOneSource(t *testing.T) {
 	if !stolen.line.Active || stolen.line.Owner != 1 || stolen.line.Epoch != 1 || stolen.moved != 4 || len(stolen.redelivered) != 4 {
 		t.Fatalf("the fixture is vacuous: %+v", stolen)
 	}
-	if stolen.persists != [3]uint64{1, 0, 1} {
-		t.Fatalf("one-shard takeover = %v fences/NTStores/flushes, want 1/0/1", stolen.persists)
+	if stolen.persists != [3]uint64{1, 8, 0} {
+		t.Fatalf("one-shard takeover = %v fences/NTStores/flushes, want 1/8/0", stolen.persists)
 	}
 	if !reflect.DeepEqual(stolen, adopted) {
 		t.Fatalf("Steal and Adopt differ:\n  Steal: %+v\n  Adopt: %+v", stolen, adopted)

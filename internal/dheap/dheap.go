@@ -10,7 +10,10 @@
 // checksum) with one pmem.NTStoreLine per cache line, so each line of
 // it reaches the write-pending queue once, and issues a single fence —
 // one fence per batch when batched, exactly like the queues'
-// EnqueueBatch. A pop-min marks the
+// EnqueueBatch. A batch reserves its seqs with its slots, in the one
+// critical section of the index mutex that claims them: consecutive
+// seqs in the batch's order from a plain counter, not one atomic
+// increment per entry. A pop-min marks the
 // entry consumed with one NTStore of the entry's own seq into the
 // entry's state word and covers a whole ready batch with one fence.
 // The comparator order lives purely in DRAM — a flat 4-ary min-heap of
@@ -56,7 +59,6 @@ import (
 	"fmt"
 	"math/bits"
 	"sync"
-	"sync/atomic"
 
 	"repro/internal/pmem"
 )
@@ -130,11 +132,11 @@ type Q struct {
 	stride     int // lines per entry
 	maxPayload int
 
-	seq     atomic.Uint64 // last issued seq; next = Add(1)
-	mirror  []byte        // DRAM payload copy, maxPayload bytes per slot
-	scratch []scratch     // per tid
+	mirror  []byte    // DRAM payload copy, maxPayload bytes per slot
+	scratch []scratch // per tid
 
 	mu   sync.Mutex
+	seq  uint64     // last issued seq: takeSlots reserves a batch's past it
 	heap []item     // volatile 4-ary min-heap on (key, seq)
 	free [][]uint32 // per-tid free slots
 }
@@ -260,7 +262,7 @@ func Recover(view *pmem.Heap, threads int) (*Q, error) {
 	for i := (len(q.heap) - 2) / heapArity; i >= 0 && len(q.heap) > 1; i-- {
 		q.siftDown(i, q.heap[i])
 	}
-	q.seq.Store(maxSeq)
+	q.seq = maxSeq
 	return q, nil
 }
 
@@ -315,7 +317,6 @@ func (q *Q) PushBatch(tid int, keys []uint64, payloads [][]byte) error {
 	for i := range sc.staged {
 		it, p := &sc.staged[i], payloads[i]
 		it.key = keys[i]
-		it.seq = q.seq.Add(1)
 		it.len = uint32(len(p))
 		// The slot is this tid's alone until the insert under mu below.
 		copy(q.mirror[int(it.slot)*q.maxPayload:], p)
@@ -331,7 +332,9 @@ func (q *Q) PushBatch(tid int, keys []uint64, payloads [][]byte) error {
 	return nil
 }
 
-// takeSlots stages n free slots of tid's arena, all-or-nothing.
+// takeSlots stages n free slots of tid's arena, all-or-nothing, and
+// reserves the batch's n seqs with them: consecutive, past every seq
+// issued before, in the batch's order.
 func (q *Q) takeSlots(tid, n int) error {
 	q.mu.Lock()
 	defer q.mu.Unlock()
@@ -343,7 +346,8 @@ func (q *Q) takeSlots(tid, n int) error {
 	sc := &q.scratch[tid]
 	sc.staged = sc.staged[:0]
 	for _, slot := range fl[len(fl)-n:] {
-		sc.staged = append(sc.staged, item{slot: slot})
+		q.seq++
+		sc.staged = append(sc.staged, item{seq: q.seq, slot: slot})
 	}
 	q.free[tid] = fl[:len(fl)-n]
 	return nil

@@ -2,6 +2,7 @@ package dheap
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"math/rand"
@@ -399,6 +400,71 @@ func TestSplitTidsMirrorHandoff(t *testing.T) {
 	}
 	if q.Depth() != 0 {
 		t.Fatalf("depth %d after every key was delivered", q.Depth())
+	}
+}
+
+// TestPushBatchSeqsReserved: two producer tids push batches of one key
+// at once, so their takeSlots calls interleave. Every batch's seqs must
+// be consecutive in the batch's order, a producer's batches must take
+// ascending seqs, no seq may repeat, and the equal keys must pop in seq
+// order.
+func TestPushBatchSeqsReserved(t *testing.T) {
+	const batch, batches, producers = 8, 64, 2
+	q := New(newHeap(0, producers+1), Config{Threads: producers + 1, MaxPayload: 8, Capacity: batch * batches})
+	var wg sync.WaitGroup
+	for p := 0; p < producers; p++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			keys, bufs := make([]uint64, batch), make([][]byte, batch)
+			for b := 0; b < batches; b++ {
+				for i := range bufs {
+					keys[i] = 7
+					bufs[i] = binary.LittleEndian.AppendUint64(bufs[i][:0], uint64((p*batches+b)*batch+i))
+				}
+				if err := q.PushBatch(p, keys, bufs); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	if t.Failed() {
+		return
+	}
+	const consumer = producers
+	seqs := make([]uint64, producers*batches*batch) // by publish ordinal
+	var last uint64
+	for popped := 0; ; {
+		ps, _ := q.PopReadyBatch(consumer, ^uint64(0), batch)
+		if len(ps) == 0 {
+			if popped != len(seqs) {
+				t.Fatalf("popped %d entries, pushed %d", popped, len(seqs))
+			}
+			break
+		}
+		for i, it := range q.scratch[consumer].popped {
+			if it.seq <= last {
+				t.Fatalf("equal keys popped seq %d after seq %d", it.seq, last)
+			}
+			last = it.seq
+			seqs[binary.LittleEndian.Uint64(ps[i])] = it.seq
+		}
+		popped += len(ps)
+	}
+	for p := 0; p < producers; p++ {
+		for b := 0; b < batches; b++ {
+			first := (p*batches + b) * batch
+			for i := 1; i < batch; i++ {
+				if seqs[first+i] != seqs[first]+uint64(i) {
+					t.Fatalf("producer %d batch %d: entry %d has seq %d, entry 0 seq %d", p, b, i, seqs[first+i], seqs[first])
+				}
+			}
+			if b > 0 && seqs[first] < seqs[first-1] {
+				t.Fatalf("producer %d batch %d starts at seq %d, before its previous batch's last seq %d", p, b, seqs[first], seqs[first-1])
+			}
+		}
 	}
 }
 

@@ -661,11 +661,11 @@ func (h *Heap) FlushOwned(tid int, a Addr) {
 // WriteBack writes whole cache lines starting at the line-aligned a —
 // words holds eight words a line — and issues a Flush of each, for
 // lines the calling thread owns privately. That is the rule WriteBack,
-// StoreOwned, FlushOwned and ClearLineState share: no other thread
-// accesses the lines, and ownership passes to other threads only by an
-// atomic publish after it (a queue's link CAS, an allocator's hand-off;
-// a queue's node line stays its enqueuer's after the link too, because
-// no normal-path reader loads it). In ModeCrash it is exactly eight
+// StoreOwned, FlushOwned, ClearLineState and NTStoreLine share: no
+// other thread accesses the lines, and ownership passes to other
+// threads only by an atomic publish after it (a queue's link CAS, an
+// allocator's hand-off; a queue's node line stays its enqueuer's after
+// the link too, because no normal-path reader loads it). In ModeCrash it is exactly eight
 // Stores in word order and then one Flush per line, line by line: the
 // same access numbers, crash points and journal entries. In ModePerf every statistic, every hook call and
 // every modelled nanosecond reads as that sequence would, and the drain
@@ -673,8 +673,10 @@ func (h *Heap) FlushOwned(tid int, a Addr) {
 // loads and stores, the words are one copy and the whole price is one
 // spin, where the sequence pays an atomic exchange a word, two a line
 // and a spin a price. Store stays atomic for the lines another thread
-// may access at any time: roots, local and ack lines, lease lines, and
-// a comparison queue's node words once the node is published.
+// may access at any time: roots, local and ack lines, and a comparison
+// queue's node words once the node is published. A line that a mutex
+// hands from thread to thread, such as a lease or catalog line, is
+// owned by whoever holds the mutex.
 func (h *Heap) WriteBack(tid int, a Addr, words []uint64) {
 	if a%CacheLineBytes != 0 || len(words)%WordsPerLine != 0 {
 		panic("pmem: WriteBack needs whole lines at a cache-line-aligned address")
@@ -857,6 +859,12 @@ func (h *Heap) ntStoreCrash(ts *threadCtx, w Addr, v uint64) {
 // entry and pending entry, so per-line prefix truncation leaves a
 // word-order prefix of the masked words. An empty mask stores nothing
 // and queues nothing.
+//
+// The line follows WriteBack's ownership rule: no other thread accesses
+// it while it is written, and it reaches another thread only through
+// an atomic publish or a mutex. So in ModePerf the masked words are
+// plain stores, one copy for a whole line, where NTStore pays an atomic
+// exchange a word; every count, drain line and price is the same.
 func (h *Heap) NTStoreLine(tid int, a Addr, words *[WordsPerLine]uint64, mask uint8) {
 	if a%CacheLineBytes != 0 {
 		panic("pmem: NTStoreLine needs a cache-line-aligned address")
@@ -866,17 +874,24 @@ func (h *Heap) NTStoreLine(tid int, a Addr, words *[WordsPerLine]uint64, mask ui
 	}
 	ts := &h.threads[tid]
 	w := a / WordBytes
-	for i, v := range words {
-		switch {
-		case mask&(1<<i) == 0:
-		case h.cfg.Mode == ModeCrash:
-			h.ntStoreCrash(ts, w+Addr(i), v)
-		default:
-			atomic.StoreUint64(&h.mem[w+Addr(i)], v)
-		}
-	}
 	n := bits.OnesCount8(mask)
-	if h.cfg.Mode != ModeCrash {
+	if h.cfg.Mode == ModeCrash {
+		for i, v := range words {
+			if mask&(1<<i) != 0 {
+				h.ntStoreCrash(ts, w+Addr(i), v)
+			}
+		}
+	} else {
+		line := (*[WordsPerLine]uint64)(h.mem[w:])
+		if mask == 0xff {
+			*line = *words
+		} else {
+			for i, v := range words {
+				if mask&(1<<i) != 0 {
+					line[i] = v
+				}
+			}
+		}
 		ts.stats.NTStores += uint64(n)
 	}
 	ts.queueLine(h.lat.DrainNsPerLine, ts.spun)
@@ -895,20 +910,25 @@ var ErrOutOfSpace = errors.New("pmem: out of simulated persistent memory")
 // (allocator areas, registries, logs); per-node allocation goes
 // through package ssmem. A request past the heap's end panics with an
 // error wrapping ErrOutOfSpace and moves nothing.
+//
+// The allocator knows its break without reading NVRAM, as one that
+// keeps a volatile copy does: the break is read without a touch, and
+// persisted with an NTStore and a fence, so no allocation touches the
+// break's line after an earlier one wrote it.
 func (h *Heap) AllocRaw(tid int, size, align int64) Addr {
 	if align < WordBytes || align&(align-1) != 0 {
 		panic("pmem: AllocRaw alignment must be a power of two >= 8")
 	}
 	h.allocMu.Lock()
 	defer h.allocMu.Unlock()
-	brk := int64(h.Load(tid, brkAddr))
+	brk := int64(atomic.LoadUint64(&h.mem[brkAddr/WordBytes]))
 	a := (brk + align - 1) &^ (align - 1)
 	end := a + size
 	if end > h.cfg.Bytes {
 		panic(fmt.Errorf("%w (%d + %d > %d)", ErrOutOfSpace, a, size, h.cfg.Bytes))
 	}
-	h.Store(tid, brkAddr, uint64(end))
-	h.Persist(tid, brkAddr)
+	h.NTStore(tid, brkAddr, uint64(end))
+	h.Fence(tid)
 	return Addr(a)
 }
 

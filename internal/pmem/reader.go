@@ -89,14 +89,19 @@ func (r *Reader) end() Addr {
 
 // FirstAlloc returns the address AllocRaw hands out first on a fresh
 // heap, if the heap has allocated size bytes there, and 0 if it has
-// not. A heap that has allocated less is no refusal: the reader does
-// not fail. A recovery that finds nothing anchored asks it where a
+// not. A recovery that finds nothing anchored asks it where a
 // structure its creation allocates first would lie.
-func (r *Reader) FirstAlloc(size int64) Addr {
-	if r.err != nil || size < 0 || r.end() < dataStart || uint64(r.end()-dataStart) < uint64(size) {
+func (r *Reader) FirstAlloc(size int64) Addr { return r.AllocAt(dataStart, size) }
+
+// AllocAt returns a if the heap has allocated the size bytes at a, and
+// 0 if it has not. A range the heap has not allocated is no refusal
+// here: the reader does not fail.
+func (r *Reader) AllocAt(a Addr, size int64) Addr {
+	end := r.end()
+	if r.err != nil || size < 0 || a < dataStart || a > end || uint64(end-a) < uint64(size) {
 		return 0
 	}
-	return dataStart
+	return a
 }
 
 // Count loads the count stored at at and checks it against limit, the
