@@ -11,7 +11,7 @@
 // second topic, "audit", on the live broker and subscribes the running
 // group to it (Group.Subscribe): the catalog grows by one checksummed
 // record, appended and fenced before an anchor stamp makes the topic
-// visible, for a pinned three blocking persists of administrative cost
+// visible, for a pinned two blocking persists of administrative cost
 // plus the per-shard queue initialization.
 //
 // Then the power fails: a crash injected through one member heap downs
@@ -358,6 +358,7 @@ func main() {
 	// handle held across the delete refuses further traffic with a typed
 	// error rather than writing into recycled windows.
 	stale := r.Topic("audit")
+	live, liveFree := r.SlotFootprint()
 	before := hs.StatsOf(0).Fences
 	if err := r.DeleteTopic(0, "audit"); err != nil {
 		panic(err)
@@ -373,10 +374,10 @@ func main() {
 
 	// Compact the tombstone debris into a next-generation log region
 	// (one anchor flip, two fences regardless of how much debris there
-	// is) and restart cleanly: the new generation drops the tombstone
-	// but carries the high-water marks, and free slots are whatever the
-	// live windows leave below them, so the recovered broker has the
-	// same free windows as the one that compacted.
+	// is) and restart cleanly: the new generation drops the tombstone,
+	// and free slots are whatever the live windows leave, so the
+	// recovered broker has the same free windows as the one that
+	// compacted.
 	if err := r.CompactCatalog(0, 0); err != nil {
 		panic(err)
 	}
@@ -394,13 +395,16 @@ func main() {
 	fmt.Printf("compacted to catalog generation %d, restarted: %d used / %d free, as before\n",
 		r.CatalogGeneration(), used, free)
 
-	// Recreate: the new topic's windows are the retired ones, so the
-	// NVRAM footprint is steady under churn.
+	// Recreate: the new topic takes the retired topic's windows, so the
+	// footprint is the one before the retirement and steady under churn.
 	if _, err := r.CreateTopic(0, broker.TopicConfig{
 		Name: "audit-v2", Shards: 2, Acked: true,
 	}); err != nil {
 		panic(err)
 	}
-	used2, free2 := r.SlotFootprint()
-	fmt.Printf("%q reuses the retired windows: %d used / %d free\n", "audit-v2", used2, free2)
+	if u, f := r.SlotFootprint(); u != live || f != liveFree {
+		fmt.Printf("RECREATED FOOTPRINT %d used / %d free DIFFERS from the %d used / %d free before the retirement\n", u, f, live, liveFree)
+		os.Exit(1)
+	}
+	fmt.Printf("%q takes the retired windows: %d used / %d free, as before the retirement\n", "audit-v2", live, liveFree)
 }

@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
-	"slices"
 
 	"repro/internal/obs"
 	"repro/internal/pmem"
@@ -19,9 +18,9 @@ import (
 // windows become free slots for later creations, and the log itself is
 // rewritten into a fresh generation when debris accumulates. Every
 // operation is crash-atomic through the second amendment's
-// ordered-persist discipline (allocate → fence, initialize, append →
-// fence, anchor; see cataloglog.go): a crash at any point either
-// recovers the operation completely or as if it was never attempted.
+// ordered-persist discipline (initialize, append → fence, anchor; see
+// cataloglog.go): a crash at any point either recovers the operation
+// completely or as if it was never attempted.
 
 // Options parameterizes Open.
 type Options struct {
@@ -99,8 +98,8 @@ func checkObserver(o *obs.Observer, threads int) error {
 }
 
 // openFresh creates an empty broker: membership stamps on heaps 1..,
-// then the catalog log header, zero commit line and virgin high-water
-// marks on heap 0, fenced before the anchor names them.
+// then the catalog log header and zero commit line on heap 0, fenced
+// before the anchor names them.
 func openFresh(hs *pmem.HeapSet, opts Options) (*Broker, error) {
 	if opts.Threads <= 0 {
 		return nil, fmt.Errorf("broker: Threads must be positive to create a broker")
@@ -108,7 +107,7 @@ func openFresh(hs *pmem.HeapSet, opts Options) (*Broker, error) {
 	if opts.CatalogLines == 0 {
 		opts.CatalogLines = defaultCatalogLines
 	}
-	maxCap := maxCatalogLines - logHeaderLines - allocLinesFor(hs.Len())
+	maxCap := maxCatalogLines - logHeaderLines
 	if opts.CatalogLines < 1 || opts.CatalogLines > maxCap {
 		return nil, fmt.Errorf("broker: CatalogLines %d out of range [1,%d]", opts.CatalogLines, maxCap)
 	}
@@ -200,23 +199,21 @@ func openExisting(hs *pmem.HeapSet, opts Options, r *pmem.Reader, reg pmem.Addr)
 }
 
 // CreateTopic creates a topic on a live broker, durably: each shard
-// window is placed in the smallest free gap below its heap's
-// high-water mark, or at the mark, and any mark that moved is fenced
-// (no window is live twice across a crash), the shard queues are
-// initialized on their member heaps (dealt round-robin by global
-// ordinal), a checksummed record is appended to the catalog log and
-// fenced, and only then does the commit stamp's persist make the topic
-// visible. A crash anywhere before that last persist recovers as if
-// CreateTopic was never called; after it, the topic recovers fully,
+// window is placed in the smallest gap between its heap's live windows,
+// or just past the last of them, the windows are scrubbed and the
+// shard queues initialized on their member heaps (dealt round-robin by
+// global ordinal), a checksummed record is appended to the catalog log
+// and fenced, and only then does the commit stamp's persist make the
+// topic visible. A crash anywhere before that last persist recovers as
+// if CreateTopic was never called; after it, the topic recovers fully,
 // empty or with whatever was published. A member heap too full for a
 // shard's queue refuses the call with an error wrapping
 // pmem.ErrOutOfSpace, leaving the slot table as that crash would.
 //
-// The catalog-protocol cost is a pinned three blocking persists
-// (allocator marks, record, commit stamp) plus the per-shard queue
-// initialization — independent of how many topics the broker already
-// has. When every shard window fits a free gap the marks never move
-// and their persist is skipped: two blocking persists.
+// The catalog-protocol cost is a pinned two blocking persists (record,
+// commit stamp) plus the per-shard queue initialization, which also
+// makes the scrub durable — independent of how many topics the broker
+// already has.
 //
 // tid follows the usual rule: it must be owned by the calling
 // goroutine for the duration, and may be any id in [0, Threads).
@@ -248,47 +245,41 @@ func (b *Broker) CreateTopic(tid int, tc TopicConfig) (*Topic, error) {
 	}
 
 	// 1. Allocate: place every shard on the heap its global ordinal deals
-	// it to, round-robin across the set (best fit below the marks, else
-	// at a mark), then store the marks that moved and fence them once. A
-	// refused placement hands every window back before anything durable
-	// has happened.
+	// it to, round-robin across the set, by best fit. Nothing durable
+	// happens, so a refused placement only hands the windows back.
 	width := slotsForKind(tc.Kind)
-	old := slices.Clone(b.cat.marks)
 	locs := make([]shardLoc, 0, tc.Shards)
 	for si := 0; si < tc.Shards; si++ {
 		hi := (snap.shardTotal + si) % b.hs.Len()
 		loc, err := b.cat.place(b.hs, hi, width, fmt.Sprintf("topic %q shard %d", tc.Name, si))
 		if err != nil {
-			b.cat.unplace(locs, width, old)
+			for _, l := range locs {
+				b.cat.release(l, width)
+			}
 			return nil, err
 		}
 		locs = append(locs, loc)
 	}
-	b.cat.storeMarks(tid, old)
 
 	// 2. Initialize the shard queues, heap by heap in parallel. A heap
 	// out of space refuses the creation: the windows and their views go
-	// back, and the marks, already durable, stay monotone, as after a
-	// crash before the anchor.
+	// back, as after a crash before the anchor.
 	t := b.newTopic(tc, snap.shardTotal, locs)
 	views := make([]*pmem.Heap, len(locs))
 	if err := catch(pmem.ErrOutOfSpace, func() {
 		b.openShards([]*Topic{t}, func(t *Topic, si int, view *pmem.Heap) error {
 			views[si] = view
-			if loc := locs[si]; loc.base < old[loc.heap] {
-				// Scrub a window below the old mark before building on it:
-				// a retired queue's slots (acked frontier, epoch...), or
-				// those of a creation that crashed short of its anchor,
-				// would otherwise survive wherever the new queue kind does
-				// not overwrite them and mislead the recovery dispatch.
-				// Above the old mark no one ever wrote. The constructor's
-				// own persist on this heap orders the scrub durably before
-				// the record's anchor, so a crash never sees a committed
-				// topic on an unscrubbed window.
-				for slot := 0; slot < width; slot++ {
-					view.Store(tid, view.RootAddr(slot), 0)
-					view.Flush(tid, view.RootAddr(slot))
-				}
+			// Scrub the window before building on it: a retired queue's
+			// slots (acked frontier, epoch...), or those of a creation
+			// that crashed short of its anchor, would otherwise survive
+			// wherever the new queue kind does not overwrite them and
+			// mislead the recovery dispatch. Every structure keeps its
+			// root in word 0 of a slot. The constructor's own fence on
+			// this heap makes the scrub durable before the record's
+			// anchor, so a crash never sees a committed topic on an
+			// unscrubbed window.
+			for slot := 0; slot < width; slot++ {
+				view.NTStore(tid, view.RootAddr(slot), 0)
 			}
 			t.createShard(si, view, tid)
 			return nil
@@ -305,7 +296,7 @@ func (b *Broker) CreateTopic(tid int, tc TopicConfig) (*Topic, error) {
 
 	// 3 + 4. Append the record, fence, anchor. Visible only after the
 	// commit persist; a crash in between recovers as "never existed",
-	// and replay finds the windows free below the marks.
+	// and replay finds the windows free.
 	b.cat.appendRecord(tid, topicRecord(b.cat.records+1, tc, locs, snap.shardTotal))
 	// Registered before the snapshot swap publishes the topic, so the
 	// hot-path invariant (visible topic ⇒ ostats set) holds.
@@ -361,7 +352,8 @@ const defaultLeaseHeadroom = 256
 // CreateAckGroup allocates a durable consumer-group lease region on a
 // live broker and records it in the catalog log, following the same
 // allocate → initialize → append → anchor discipline as CreateTopic
-// (the same crash atomicity holds). Regions are dealt round-robin
+// (the same crash atomicity holds, at the same two blocking persists
+// plus the region's initialization). Regions are dealt round-robin
 // across the heap set. Returns the region index to pass as
 // LeaseConfig.Region to NewGroupAcked. A member heap too full for the
 // region refuses the call with an error wrapping pmem.ErrOutOfSpace,
@@ -392,15 +384,12 @@ func (b *Broker) CreateAckGroup(tid int, cfg AckGroupConfig) (int, error) {
 	}
 
 	hi := group % b.hs.Len()
-	old := slices.Clone(b.cat.marks)
 	loc, err := b.cat.place(b.hs, hi, 1, fmt.Sprintf("lease region %d", group))
 	if err != nil {
 		return 0, err
 	}
-	b.cat.storeMarks(tid, old)
 	// A heap too full for the region refuses the call: the window goes
-	// back, and the marks, already durable, stay monotone, as in
-	// CreateTopic's refusal.
+	// back, as in CreateTopic's refusal.
 	var lr leaseRegion
 	if err := catch(pmem.ErrOutOfSpace, func() {
 		lr = initLeaseRegion(b.hs.Heap(hi), tid, hi, loc.base, group, capacity)
@@ -437,11 +426,10 @@ func (b *Broker) CreateAckGroup(tid int, cfg AckGroupConfig) (int, error) {
 // topic.
 //
 // The catalog-protocol cost is at most three blocking persists; the
-// common path is two (tombstone record, commit stamp — the high-water
-// marks never move backward). When tombstone debris has accumulated
-// past half the log's record space, DeleteTopic compacts the log in
-// the same call (see CompactCatalog) — amortized, the cost bound
-// still holds.
+// common path is two (tombstone record, commit stamp). When tombstone
+// debris has accumulated past half the log's record space, DeleteTopic
+// compacts the log in the same call (see CompactCatalog) — amortized,
+// the cost bound still holds.
 func (b *Broker) DeleteTopic(tid int, name string) error {
 	b.adminMu.Lock()
 	defer b.adminMu.Unlock()
@@ -513,7 +501,7 @@ func (b *Broker) DeleteTopic(tid int, name string) error {
 
 	// Debris past half the record space triggers reclamation of the log
 	// itself.
-	if b.cat.deadLines*2 > b.cat.totalLines-b.cat.recStart() {
+	if b.cat.deadLines*2 > b.cat.totalLines-logHeaderLines {
 		if err := b.compactLocked(tid, 0); err != nil {
 			return fmt.Errorf("broker: topic %q deleted, but compaction failed: %w", name, err)
 		}
@@ -542,7 +530,7 @@ func (b *Broker) CompactCatalog(tid, capacityLines int) error {
 	b.adminMu.Lock()
 	defer b.adminMu.Unlock()
 	sp := b.span(tid)
-	maxCap := maxCatalogLines - logHeaderLines - b.cat.allocLines
+	maxCap := maxCatalogLines - logHeaderLines
 	if capacityLines < 0 || capacityLines > maxCap {
 		return fmt.Errorf("broker: CatalogLines %d out of range [0,%d]", capacityLines, maxCap)
 	}

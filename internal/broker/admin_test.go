@@ -3,6 +3,7 @@ package broker
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"math/rand"
 	"testing"
 
@@ -102,7 +103,9 @@ func TestOpenCreateRecoverRoundTrip(t *testing.T) {
 // atomicity, deterministically: a crash in the window between the
 // record's append fence and its anchor stamp recovers as "the topic
 // never existed" — and the torn record at the log's tail is truncated
-// by the next creation, which appends over it and commits.
+// by the next creation, which appends over it and commits. That
+// creation takes the windows the crashed one built in, over the root
+// slots its queues wrote, so it stands on the scrub.
 func TestCreateTopicCrashBeforeAnchor(t *testing.T) {
 	hs := pmem.NewSet(2, pmem.Config{Bytes: 64 << 20, Mode: pmem.ModeCrash, MaxThreads: 4})
 	b, err := Open(hs, Options{Threads: 2})
@@ -114,7 +117,13 @@ func TestCreateTopicCrashBeforeAnchor(t *testing.T) {
 	}
 	b.Topic("base").Publish(0, U64(11))
 
-	testHookAfterAppend = func() { hs.CrashNow() }
+	// The hook runs under the admin mutex, with the crashed creation's
+	// windows in the slot table.
+	var crashedTable string
+	testHookAfterAppend = func() {
+		crashedTable = fmt.Sprint(b.cat.live)
+		hs.CrashNow()
+	}
 	crashed := pmem.Protect(func() { b.CreateTopic(0, TopicConfig{Name: "late", Shards: 2}) })
 	testHookAfterAppend = nil
 	if !crashed {
@@ -130,7 +139,6 @@ func TestCreateTopicCrashBeforeAnchor(t *testing.T) {
 	if r.Topic("late") != nil {
 		t.Fatal("a create that crashed before its anchor stamp recovered as existing")
 	}
-	used, _ := r.SlotFootprint()
 	if p, ok := r.Topic("base").DequeueShard(0, 0); !ok || AsU64(p) != 11 {
 		t.Fatalf("pre-existing topic lost its message: %v,%v", p, ok)
 	}
@@ -139,10 +147,10 @@ func TestCreateTopicCrashBeforeAnchor(t *testing.T) {
 	if _, err := r.CreateTopic(0, TopicConfig{Name: "late", Shards: 2}); err != nil {
 		t.Fatal(err)
 	}
-	// The crashed create's marks were fenced, so its windows lie below
-	// them owned by no record: the re-create reuses them.
-	if now, _ := r.SlotFootprint(); now != used {
-		t.Fatalf("re-create after the crashed create moved the slot footprint %d -> %d; the stranded windows were not reused", used, now)
+	// No record owns the crashed create's windows, so the re-create
+	// takes exactly them.
+	if got := slotTable(r); got != crashedTable {
+		t.Fatalf("re-create after the crashed create holds slot table %s, want the crashed create's %s", got, crashedTable)
 	}
 	r.Topic("late").Publish(0, U64(21))
 	r.Topic("late").Publish(0, U64(22))
@@ -411,7 +419,7 @@ func TestOpenOverCrashedCreation(t *testing.T) {
 			for i := range hdr {
 				hdr[i] = h.RawMem(base + pmem.Addr(i*pmem.WordBytes))
 			}
-			if hdr[0] == catMagicV4 && hdr[7] == catChecksum(hdr[:7]) {
+			if hdr[0] == catMagicV4 && hdr[7] == lineSum(catMagicV4, hdr[:7]) {
 				headers++
 			}
 		}

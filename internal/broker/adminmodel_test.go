@@ -16,7 +16,7 @@ import (
 // with and without a resize, CreateAckGroup — with clean restarts at
 // random points. After every verb the broker's topics must match a
 // name → config model, and every Open must recover exactly the broker
-// that went down: the same slot table (marks and live windows), the
+// that went down: the same slot table (every heap's live windows), the
 // same windows for every topic, the same SlotFootprint and the same
 // ack groups. Many short sequences rather than one long one: a small
 // scope, covered densely.

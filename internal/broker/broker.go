@@ -26,8 +26,8 @@
 // cataloglog.go). The lifecycle is complete: DeleteTopic retires a
 // topic with a tombstone record under the same ordered-persist
 // discipline and releases its root-slot windows, which CreateTopic
-// reuses by best fit below the high-water marks (only the windows are
-// steady under churn: the heap a shard allocates has no free path);
+// reuses by best fit (only the windows are steady under churn: the
+// heap a shard allocates has no free path);
 // CompactCatalog rewrites the live records into a fresh log generation
 // when tombstone debris accumulates (and doubles as the log's resize
 // path). Open is the only way a broker comes to exist, on a blank set
@@ -88,12 +88,11 @@ import (
 // plus 4 in ack mode; the blob codec 6,7).
 const slotsPerShard = 8
 
-// heapTopicSlots is the window width of a delay/priority shard: slot
-// 0 anchors the dheap region, slot 1 is reserved for the per-group
-// heap-cursor follow-on. Heap topics are the first window kind
+// heapTopicSlots is the window width of a delay/priority shard: its
+// one slot anchors the dheap region. Heap topics are the window kind
 // narrower than slotsPerShard, so re-creating one over a retired FIFO
 // window fits it into part of the gap and leaves the rest free.
-const heapTopicSlots = 2
+const heapTopicSlots = 1
 
 // slotsForKind maps a topic kind to its shard-window width.
 func slotsForKind(k TopicKind) int {
@@ -502,19 +501,15 @@ func (b *Broker) CatalogGeneration() uint64 {
 }
 
 // SlotFootprint reports the broker's root-slot footprint: used is the
-// total number of slots below the per-heap high-water marks (the
-// anchor slots excluded) — the durable NVRAM the broker has ever
-// claimed for shard windows and lease regions — and free how many of
-// those no live window holds, awaiting reuse. A churning
-// workload whose deletes balance its creates holds used steady while
-// free oscillates.
+// total number of slots below each heap's top, one past its last live
+// shard window or lease region (the anchor slots excluded), and free
+// how many of those no live window holds: the gaps retired windows
+// left, awaiting reuse. A churning workload whose deletes balance its
+// creates reuses the same windows, so its footprint stays bounded.
 func (b *Broker) SlotFootprint() (used, free int) {
 	b.adminMu.Lock()
 	defer b.adminMu.Unlock()
-	for _, m := range b.cat.marks {
-		used += m - 1 // slot 0 is the anchor, never allocator-owned
-	}
-	return used, b.cat.freeSlots()
+	return b.cat.footprint()
 }
 
 // HeapSet returns the heap set the broker spans.

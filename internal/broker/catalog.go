@@ -98,7 +98,7 @@ func unpackLoc(w uint64) shardLoc { return shardLoc{heap: int(w >> 32), base: in
 // stamped member should be, a stamp from another broker, or heaps
 // presented in the wrong order. Placements need no second pass here:
 // replay's claims have already checked every window against the set's
-// marks and against each other.
+// root slots and against each other.
 func readCatalog(r *pmem.Reader, hs *pmem.HeapSet, reg pmem.Addr) (layoutInfo, error) {
 	magic := r.Word(reg)
 	switch {
@@ -170,7 +170,7 @@ func checkNoCommittedLog(h *pmem.Heap) error {
 		for i := range hdr {
 			hdr[i] = r.Word(base + pmem.Addr(i*pmem.WordBytes))
 		}
-		if hdr[0] != catMagicV4 || hdr[7] != catChecksum(hdr[:7]) {
+		if hdr[0] != catMagicV4 || hdr[7] != lineSum(catMagicV4, hdr[:7]) {
 			return nil
 		}
 		if n := r.Word(base + pmem.CacheLineBytes); n > 0 {

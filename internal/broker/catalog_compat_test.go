@@ -14,7 +14,7 @@ import (
 // Open wrapping pmem.ErrCorrupt (a retired format as an unsupported
 // one) — never a panic deep in the simulator, never a fresh broker
 // created over the image. Offsets target the log's layout (header
-// line, commit line, allocator line, records).
+// line, commit line, records).
 func TestCatalogCorruptionErrors(t *testing.T) {
 	newCrashed := func(t *testing.T) *pmem.Heap {
 		h := pmem.New(pmem.Config{Bytes: 64 << 20, Mode: pmem.ModeCrash, MaxThreads: 4})
@@ -76,11 +76,11 @@ func TestCatalogCorruptionErrors(t *testing.T) {
 				sum = append(sum, h.Load(0, hdrA+pmem.Addr(l*pmem.CacheLineBytes+w*8)))
 			}
 		}
-		h.Store(0, hdrA+7*pmem.WordBytes, catChecksum(sum))
+		h.Store(0, hdrA+7*pmem.WordBytes, lineSum(catMagicV4, sum))
 	}
-	// On a 1-heap set the log is header (line 0), commit (line 1), one
-	// allocator line (line 2), then the records from line 3.
-	const recLine = logHeaderLines + 1
+	// The log is header (line 0), commit (line 1), then the records from
+	// line 2.
+	const recLine = logHeaderLines
 
 	t.Run("bad magic", func(t *testing.T) {
 		h := newCrashed(t)
@@ -143,6 +143,8 @@ func TestCatalogCorruptionErrors(t *testing.T) {
 		{"placement out of range", rec0, []edit{{2 * pmem.CacheLineBytes, packLoc(shardLoc{heap: 7, base: 1})}}, "on heap 7 of 1"},
 		// jobs shard 0 on events shard 0's window.
 		{"windows overlap", rec1, []edit{{2 * pmem.CacheLineBytes, packLoc(shardLoc{heap: 0, base: 1})}}, "overlapping live window"},
+		// events shard 0's 8-slot window from the heap's last root slot.
+		{"window past its heap's root slots", rec0, []edit{{2 * pmem.CacheLineBytes, packLoc(shardLoc{heap: 0, base: pmem.NumRootSlots - 1})}}, "past heap 0's"},
 		{"invalid topic kind", rec0, []edit{{3 * pmem.WordBytes, 3 << catKindShift}}, "invalid kind"},
 		{"heap kind with four shards", rec0, []edit{{3 * pmem.WordBytes, uint64(KindDelay) << catKindShift}}, "exactly 1 shard"},
 		// jobs (blob topic, 100 bytes) claiming 358 blob lines: a seal
@@ -166,14 +168,6 @@ func TestCatalogCorruptionErrors(t *testing.T) {
 			}
 		})
 	}
-	t.Run("high-water mark lags committed windows", func(t *testing.T) {
-		// An allocator mark below what the committed records claim means
-		// the log and the allocator disagree: corruption, not debris.
-		h := newCrashed(t)
-		reg := pmem.Addr(h.Load(0, h.RootAddr(slotAnchor)))
-		h.Store(0, reg+logHeaderLines*pmem.CacheLineBytes, 1)
-		expectErr(t, h, "lagging mark")
-	})
 	t.Run("anchor near uint64 wraparound", func(t *testing.T) {
 		// A corrupt anchor in [2^64-8, 2^64) must fail the reader, not
 		// wrap past its bounds check into an index panic.
@@ -224,11 +218,11 @@ func TestCatalogCorruptionErrors(t *testing.T) {
 		// body runs off the heap: the commit-line read must hit the
 		// reader's bound.
 		tail := lastLine(h)
-		hdr := []uint64{catMagicV4, 2, 1, 1, 1024, 1, 0}
+		hdr := []uint64{catMagicV4, 2, 1, 1, 1024, 0, 0}
 		for i, w := range hdr {
 			h.Store(0, tail+pmem.Addr(i*8), w)
 		}
-		h.Store(0, tail+7*pmem.WordBytes, catChecksum(hdr))
+		h.Store(0, tail+7*pmem.WordBytes, lineSum(catMagicV4, hdr))
 		h.Store(0, h.RootAddr(slotAnchor), uint64(tail))
 		if err := expectErr(t, h, "short v4 log"); !strings.Contains(err.Error(), "beyond heap") {
 			t.Fatalf("want the reader's bound, got %v", err)

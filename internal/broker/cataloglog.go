@@ -17,13 +17,13 @@ import (
 // discipline, the same append → fence → anchor pattern the queues use
 // for nodes:
 //
-//  1. allocate — the shard windows are placed in the gaps the live
-//     windows leave below the per-heap high-water marks, or at a mark;
-//     a mark that moved is stored and fenced before anything is built
-//     above it, so a window handed out before a crash is never live
-//     twice;
-//  2. initialize — the shard queues (or the lease region) are built on
-//     their member heaps, each persisting its own state;
+//  1. allocate — each window is placed in the smallest gap between its
+//     heap's live windows, or just past the last of them; nothing
+//     durable happens;
+//  2. initialize — a topic's windows are scrubbed (an NTStore of 0 into
+//     word 0 of each root slot), then the shard queues (or the lease
+//     region) are built on their member heaps, each persisting its own
+//     state, and the constructor's fence makes the scrub durable too;
 //  3. append — a checksummed record describing the creation is written
 //     into the log's free tail and fenced;
 //  4. anchor — a single commit word (the count of committed records)
@@ -48,16 +48,17 @@ import (
 //
 // Free space is never stored. The volatile slot table holds, per heap,
 // the live windows of every committed topic shard and lease region;
-// a heap's free slots are whatever those leave below its high-water
-// mark. Replay rebuilds the table with the same claim and release the
-// live verbs use — a creation claims its windows, a tombstone releases
-// them — so live and recovered free space are one function of the
-// same inputs: the committed records and the marks, which compaction
-// carries verbatim. A committed creation whose windows overlap a
-// still-live structure is a hard recovery error instead of silent
-// aliasing. The marks never move backward; windows a creation placed
-// before crashing short of its anchor lie below them, owned by no
-// record, and are free again.
+// a heap's free slots are the gaps between them, and everything past
+// the last one. Replay rebuilds the table with the same claim and
+// release the live verbs use — a creation claims its windows, a
+// tombstone releases them — so live and recovered free space are one
+// function of the committed records, which compaction carries. A
+// committed creation whose windows overlap a still-live structure, or
+// run past its heap's root slots, is a hard recovery error instead of
+// silent aliasing. Windows a creation placed before crashing short of
+// its anchor are owned by no record, so they are free again; whatever
+// its constructors wrote there is scrubbed by the creation that reuses
+// them.
 //
 // Tombstone debris is reclaimed by compaction (CompactCatalog): the
 // live records are rewritten, re-sequenced, into a freshly allocated
@@ -73,7 +74,7 @@ import (
 // Log region layout (heap 0, anchored at root slot 0):
 //
 //	line 0 (header):  [magicV4, threads, heapCount, setStamp,
-//	                   totalLines, allocLines, generation,
+//	                   totalLines, generation, 0,
 //	                   checksum(w0..w6)]
 //	line 1 (commit):  [committedRecords, ordinalFloor, 0...] — the
 //	                   anchor stamp, rewritten once per creation
@@ -83,9 +84,7 @@ import (
 //	                   (written once at generation creation), so
 //	                   ordinals of compacted-away topics are never
 //	                   reissued
-//	lines 2..:        allocLines lines of per-heap high-water slot
-//	                   marks, one word per member heap
-//	records:          appended from line 2+allocLines
+//	records:          appended from line 2
 //
 // Topic record (header line + name line + placement lines):
 //
@@ -144,11 +143,12 @@ const (
 // way.
 var ErrCatalogFull = errors.New("broker: catalog log full")
 
-// catChecksum mixes an arbitrary word sequence into a guard word; it
-// only needs to catch torn records and random corruption, not
-// adversaries (the same contract as leaseChecksum).
-func catChecksum(ws []uint64) uint64 {
-	s := uint64(catMagicV4)
+// lineSum mixes a word sequence into the guard word of a catalog or
+// lease line, starting from the line kind's seed (catMagicV4,
+// leaseMagic). It only needs to catch torn lines and random
+// corruption, not adversaries.
+func lineSum(seed uint64, ws []uint64) uint64 {
+	s := seed
 	for i, x := range ws {
 		s ^= x + 0x9e3779b97f4a7c15*uint64(i+1)
 		s = s<<13 | s>>51
@@ -173,17 +173,15 @@ type catalogLog struct {
 	heaps      int        // set size
 	base       pmem.Addr  // log region base (header line)
 	totalLines int        // region capacity in cache lines
-	allocLines int        // high-water mark lines after the commit line
 	stamp      uint64     // membership set stamp (carried across generations)
 	gen        uint64     // log generation (bumped by compaction)
 
-	records int   // committed records
-	next    int   // next free line (replayed cursor / append position)
-	marks   []int // per-heap high-water root-slot marks (volatile mirror)
+	records int // committed records
+	next    int // next free line (replayed cursor / append position)
 
 	// live is the slot table: per heap, the windows of every committed
 	// topic shard and lease region, sorted by base. The free slots are
-	// the complement below marks, derived on demand and never stored.
+	// the gaps between them, derived on demand and never stored.
 	live [][]window
 
 	// deadLines counts record lines that replay would skip over:
@@ -209,22 +207,8 @@ func (cl *catalogLog) lineAddr(i int) pmem.Addr {
 	return cl.base + pmem.Addr(i)*pmem.CacheLineBytes
 }
 
-func (cl *catalogLog) recStart() int { return logHeaderLines + cl.allocLines }
-
-func allocLinesFor(heaps int) int {
-	return (heaps + pmem.WordsPerLine - 1) / pmem.WordsPerLine
-}
-
-// markAddr is the address of heap's high-water mark word in the log
-// generation whose region starts at base.
-func markAddr(base pmem.Addr, heap int) pmem.Addr {
-	return base + pmem.Addr(logHeaderLines+heap/pmem.WordsPerLine)*pmem.CacheLineBytes +
-		pmem.Addr((heap%pmem.WordsPerLine)*pmem.WordBytes)
-}
-
 // createCatalogLog stamps every non-anchor member, then writes and
-// anchors an empty catalog log generation on heap 0 with every heap's
-// high-water mark at slot 1 (slot 0 is the anchor). The anchor is
+// anchors an empty catalog log generation on heap 0. The anchor is
 // persisted last, so a crash inside leaves no broker. capacityLines is
 // the record space to reserve.
 func createCatalogLog(hs *pmem.HeapSet, tid, threads, capacityLines int) *catalogLog {
@@ -244,17 +228,12 @@ func createCatalogLog(hs *pmem.HeapSet, tid, threads, capacityLines int) *catalo
 
 	h := hs.Heap(0)
 	cl := &catalogLog{
-		h:          h,
-		heaps:      hs.Len(),
-		allocLines: allocLinesFor(hs.Len()),
-		stamp:      stamp,
-		marks:      make([]int, hs.Len()),
-		live:       make([][]window, hs.Len()),
+		h:     h,
+		heaps: hs.Len(),
+		stamp: stamp,
+		live:  make([][]window, hs.Len()),
 	}
-	for i := range cl.marks {
-		cl.marks[i] = 1 // slot 0 is the anchor
-	}
-	total := logHeaderLines + cl.allocLines + capacityLines
+	total := logHeaderLines + capacityLines
 	bytes := int64(total) * pmem.CacheLineBytes
 	base := h.AllocRaw(tid, bytes, pmem.CacheLineBytes)
 	h.InitRange(tid, base, bytes)
@@ -263,22 +242,27 @@ func createCatalogLog(hs *pmem.HeapSet, tid, threads, capacityLines int) *catalo
 }
 
 // fit returns the base at which a width-slot window goes on heap: the
-// smallest gap between live windows below the high-water mark that
-// holds it (the lowest base on ties), otherwise the mark itself.
+// smallest gap between live windows that holds it (the lowest base on
+// ties), otherwise the heap's top.
 func (cl *catalogLog) fit(heap, width int) int {
-	best, bestWidth := cl.marks[heap], 0
-	gap := func(lo, hi int) {
-		if g := hi - lo; g >= width && (bestWidth == 0 || g < bestWidth) {
-			best, bestWidth = lo, g
-		}
-	}
+	best, bestWidth := cl.top(heap), 0
 	prev := 1 // slot 0 is the anchor
 	for _, w := range cl.live[heap] {
-		gap(prev, w.base)
+		if g := w.base - prev; g >= width && (bestWidth == 0 || g < bestWidth) {
+			best, bestWidth = prev, g
+		}
 		prev = w.end()
 	}
-	gap(prev, cl.marks[heap])
 	return best
+}
+
+// top is one past heap's last live window: 1 on an empty heap, whose
+// slot 0 is the anchor.
+func (cl *catalogLog) top(heap int) int {
+	if ws := cl.live[heap]; len(ws) > 0 {
+		return ws[len(ws)-1].end()
+	}
+	return 1
 }
 
 // search finds the index of the first live window on heap based at or
@@ -311,71 +295,29 @@ func (cl *catalogLog) release(loc shardLoc, width int) {
 	}
 }
 
-// freeSlots reports the reclaimed-but-unused footprint: the slots
-// below the marks (anchor slots excluded) that no live window holds.
-func (cl *catalogLog) freeSlots() int {
-	n := 0
-	for hi, m := range cl.marks {
-		n += m - 1
-		for _, w := range cl.live[hi] {
-			n -= w.width
+// footprint reports, summed over the heaps, the slots below each top
+// (anchor slots excluded) and how many of those no live window holds.
+func (cl *catalogLog) footprint() (used, free int) {
+	for hi, ws := range cl.live {
+		below := cl.top(hi) - 1
+		used, free = used+below, free+below
+		for _, w := range ws {
+			free -= w.width
 		}
 	}
-	return n
+	return used, free
 }
 
-// place fits a width-slot window on heap and claims it, raising the
-// volatile mark when the window lands there. Nothing durable happens:
-// the caller stores the marks (storeMarks) before building inside any
-// window, and on refusal hands its places back (unplace).
+// place fits a width-slot window on heap and claims it. Nothing durable
+// happens: a creation refused later releases what it placed.
 func (cl *catalogLog) place(hs *pmem.HeapSet, heap, width int, what string) (shardLoc, error) {
 	loc := shardLoc{heap: heap, base: cl.fit(heap, width)}
 	if slots := hs.Heap(heap).RootSlots(); loc.base+width > slots {
 		return shardLoc{}, fmt.Errorf("broker: heap %d out of root slots (%s needs %d, %d left)",
-			heap, what, width, slots-cl.marks[heap])
+			heap, what, width, slots-cl.top(heap))
 	}
 	cl.claim(loc, width)
-	cl.marks[heap] = max(cl.marks[heap], loc.base+width)
 	return loc, nil
-}
-
-// unplace undoes the places of a creation refused before it stored the
-// marks: the windows leave the table and the marks return to old.
-func (cl *catalogLog) unplace(locs []shardLoc, width int, old []int) {
-	for _, loc := range locs {
-		cl.release(loc, width)
-	}
-	copy(cl.marks, old)
-}
-
-// storeMarks NT-stores every mark that moved past old and, if any did,
-// fences: one blocking persist covers every window one creation placed
-// at a mark, and a creation that fit into gaps alone pays none.
-func (cl *catalogLog) storeMarks(tid int, old []int) {
-	moved := false
-	for l := 0; l < cl.allocLines; l++ {
-		var mask uint8
-		for i := l * pmem.WordsPerLine; i < min((l+1)*pmem.WordsPerLine, len(cl.marks)); i++ {
-			if cl.marks[i] != old[i] {
-				mask |= 1 << (i % pmem.WordsPerLine)
-			}
-		}
-		cl.writeMarkLine(tid, cl.base, l, mask)
-		moved = moved || mask != 0
-	}
-	if moved {
-		cl.h.Fence(tid)
-	}
-}
-
-// writeMarkLine NT-stores the words of mark line l of the region at
-// base that mask selects: heap l*8+i's mark is word i.
-func (cl *catalogLog) writeMarkLine(tid int, base pmem.Addr, l int, mask uint8) {
-	var w [pmem.WordsPerLine]uint64
-	for i, m := range cl.marks[l*pmem.WordsPerLine : min((l+1)*pmem.WordsPerLine, len(cl.marks))] {
-		w[i] = uint64(m)
-	}
-	cl.h.NTStoreLine(tid, markAddr(base, l*pmem.WordsPerLine), &w, mask)
 }
 
 // room checks that the log's free tail holds a record of lines lines.
@@ -415,7 +357,7 @@ func (cl *catalogLog) writeRecordAt(tid int, base pmem.Addr, at int, rec catReco
 	}
 	var hdr [pmem.WordsPerLine]uint64
 	copy(hdr[:], rec.hdr[:])
-	hdr[7] = catChecksum(sum)
+	hdr[7] = lineSum(catMagicV4, sum)
 	h.NTStoreLine(tid, base+pmem.Addr(at)*pmem.CacheLineBytes, &hdr, 0xff)
 }
 
@@ -441,7 +383,7 @@ func (cl *catalogLog) appendRecord(tid int, rec catRecord) {
 
 // writeGeneration writes a complete log generation into the region at
 // base — header, commit line (record count, ordinal floor), the
-// high-water marks, the records — fences it once, and only then names
+// records — fences it once, and only then names
 // it in heap 0's anchor slot with a single-word persist, so a crash on
 // either side of the anchor store recovers exactly one complete
 // generation. The handle then adopts the region.
@@ -449,15 +391,12 @@ func (cl *catalogLog) writeGeneration(tid, threads int, base pmem.Addr, totalLin
 	h := cl.h
 	line := func(i int) pmem.Addr { return base + pmem.Addr(i)*pmem.CacheLineBytes }
 	hdr := [pmem.WordsPerLine]uint64{catMagicV4, uint64(threads), uint64(cl.heaps), cl.stamp,
-		uint64(totalLines), uint64(cl.allocLines), gen}
-	hdr[7] = catChecksum(hdr[:7])
+		uint64(totalLines), gen}
+	hdr[7] = lineSum(catMagicV4, hdr[:7])
 	h.NTStoreLine(tid, line(0), &hdr, 0xff)
 	commit := [pmem.WordsPerLine]uint64{uint64(len(recs)), uint64(floor)}
 	h.NTStoreLine(tid, line(1), &commit, 0xff)
-	for l := 0; l < cl.allocLines; l++ {
-		cl.writeMarkLine(tid, base, l, 0xff)
-	}
-	next := logHeaderLines + cl.allocLines
+	next := logHeaderLines
 	for _, rec := range recs {
 		cl.writeRecordAt(tid, base, next, rec)
 		next += rec.lines()
@@ -540,13 +479,13 @@ func topicRecLines(shards int) int {
 // resize path. capacityLines is the new record capacity (0 keeps the
 // current capacity); floor is the global shard ordinal the new
 // generation starts issuing at, recorded in its commit line so the
-// ordinals of compacted-away topics are never reissued. The marks go
-// along verbatim, so the new generation leaves the same free slots as
-// the old. Cost: one fence plus one anchor persist, regardless of how
-// many dead records are dropped.
+// ordinals of compacted-away topics are never reissued. The live
+// records carry every live window, so the new generation leaves the
+// same free slots as the old. Cost: one fence plus one anchor persist,
+// regardless of how many dead records are dropped.
 func (cl *catalogLog) compact(tid, threads, capacityLines int, recs []catRecord, floor int) error {
 	if capacityLines == 0 {
-		capacityLines = cl.totalLines - cl.recStart()
+		capacityLines = cl.totalLines - logHeaderLines
 	}
 	need := 0
 	for _, rec := range recs {
@@ -560,7 +499,7 @@ func (cl *catalogLog) compact(tid, threads, capacityLines int, recs []catRecord,
 		return fmt.Errorf("broker: catalog generation limit reached")
 	}
 
-	newTotal := logHeaderLines + cl.allocLines + capacityLines
+	newTotal := logHeaderLines + capacityLines
 	var newBase pmem.Addr
 	if cl.spareBase != 0 && cl.spareLines >= newTotal {
 		// Ping-pong into the previous generation's region; it is already
@@ -593,8 +532,8 @@ func (cl *catalogLog) compact(tid, threads, capacityLines int, recs []catRecord,
 // Replay rebuilds the slot table with the live verbs' own claim and
 // release: each creation record claims its root-slot windows, each
 // tombstone releases its topic's. A committed window that overlaps a
-// live one, or reaches past its heap's durable mark (whose store was
-// fenced before the record was written), is a hard recovery error.
+// live one, or reaches past its heap's root slots, is a hard recovery
+// error.
 func readCatalogV4(r *pmem.Reader, hs *pmem.HeapSet, reg pmem.Addr) (layoutInfo, int, uint64, error) {
 	var hdr [7]uint64
 	for i := range hdr {
@@ -604,24 +543,19 @@ func readCatalogV4(r *pmem.Reader, hs *pmem.HeapSet, reg pmem.Addr) (layoutInfo,
 	if r.Err() != nil {
 		return layoutInfo{}, 0, 0, r.Err()
 	}
-	if gotSum != catChecksum(hdr[:]) {
+	if gotSum != lineSum(catMagicV4, hdr[:]) {
 		return layoutInfo{}, 0, 0, r.Errorf("broker: catalog log header corrupt (checksum mismatch)")
 	}
 	threads := hdr[1]
 	heapCount := hdr[2]
 	stamp := hdr[3]
 	totalLines := hdr[4]
-	allocLines := hdr[5]
-	gen := hdr[6]
+	gen := hdr[5]
 	if heapCount == 0 || heapCount > maxCatHeaps {
 		return layoutInfo{}, 0, 0, r.Errorf("broker: catalog heap count %d invalid", heapCount)
 	}
 	if totalLines == 0 || totalLines > maxCatalogLines {
 		return layoutInfo{}, 0, 0, r.Errorf("broker: catalog log capacity %d lines invalid", totalLines)
-	}
-	if allocLines != uint64(allocLinesFor(int(heapCount))) {
-		return layoutInfo{}, 0, 0, r.Errorf("broker: catalog log records %d allocator lines for %d heaps, want %d",
-			allocLines, heapCount, allocLinesFor(int(heapCount)))
 	}
 	if gen >= maxCatGenerations {
 		return layoutInfo{}, 0, 0, r.Errorf("broker: catalog log generation %d invalid", gen)
@@ -631,36 +565,25 @@ func readCatalogV4(r *pmem.Reader, hs *pmem.HeapSet, reg pmem.Addr) (layoutInfo,
 		heaps:      int(heapCount),
 		base:       reg,
 		totalLines: int(totalLines),
-		allocLines: int(allocLines),
 		stamp:      stamp,
 		gen:        gen,
-		marks:      make([]int, heapCount),
 		live:       make([][]window, heapCount),
 	}
 	records := r.Word(cl.lineAddr(1))
 	floor := r.Word(cl.lineAddr(1) + pmem.WordBytes)
-	if records > uint64(cl.totalLines) { // each record spans >= 1 line
+	switch {
+	case r.Err() != nil:
+		return layoutInfo{}, 0, 0, r.Err()
+	case records > uint64(cl.totalLines): // each record spans >= 1 line
 		return layoutInfo{}, 0, 0, r.Errorf("broker: catalog log commit count %d absurd (capacity %d lines)",
 			records, cl.totalLines)
-	}
-	if floor > maxCatShards {
+	case floor > maxCatShards:
 		return layoutInfo{}, 0, 0, r.Errorf("broker: catalog log ordinal floor %d invalid", floor)
-	}
-	// The marks are authoritative: they may run ahead of every committed
-	// window (windows a creation placed before crashing short of its
-	// anchor are free), but never lag one.
-	for i := range cl.marks {
-		m := int(r.Word(markAddr(reg, i)))
-		if r.Err() != nil {
-			return layoutInfo{}, 0, 0, r.Err()
-		}
-		if m < 1 || i < hs.Len() && m > hs.Heap(i).RootSlots() {
-			return layoutInfo{}, 0, 0, r.Errorf("broker: heap %d high-water mark %d outside its root slots", i, m)
-		}
-		cl.marks[i] = m
 	}
 
 	lay := layoutInfo{threads: int(threads), nextGlobal: int(floor), cat: cl}
+	// A heap the catalog counts but the set lacks is left to
+	// readCatalog's heap-count check, which runs after replay.
 	claim := func(rec int, what string, loc shardLoc, width int) error {
 		switch {
 		case loc.heap >= int(heapCount):
@@ -669,9 +592,9 @@ func readCatalogV4(r *pmem.Reader, hs *pmem.HeapSet, reg pmem.Addr) (layoutInfo,
 		case loc.base < 1:
 			return r.Errorf("broker: catalog log record %d places %s over heap %d's anchor slot",
 				rec, what, loc.heap)
-		case loc.base+width > cl.marks[loc.heap]:
-			return r.Errorf("broker: heap %d high-water mark %d lags committed windows (record %d places %s at slots [%d,%d))",
-				loc.heap, cl.marks[loc.heap], rec, what, loc.base, loc.base+width)
+		case loc.heap < hs.Len() && loc.base+width > hs.Heap(loc.heap).RootSlots():
+			return r.Errorf("broker: catalog log record %d places %s at slots [%d,%d), past heap %d's %d root slots",
+				rec, what, loc.base, loc.base+width, loc.heap, hs.Heap(loc.heap).RootSlots())
 		}
 		if w, ok := cl.claim(loc, width); !ok {
 			return r.Errorf("broker: catalog log record %d claims slots [%d,%d) on heap %d overlapping live window [%d,%d)",
@@ -690,7 +613,7 @@ func readCatalogV4(r *pmem.Reader, hs *pmem.HeapSet, reg pmem.Addr) (layoutInfo,
 	}
 	var reps []*repTopic
 	byName := map[string]*repTopic{}
-	cursor := cl.recStart()
+	cursor := logHeaderLines
 	topics, ackGroups := 0, 0
 	for rec := 0; rec < int(records); rec++ {
 		if cursor >= cl.totalLines {
@@ -722,7 +645,7 @@ func readCatalogV4(r *pmem.Reader, hs *pmem.HeapSet, reg pmem.Addr) (layoutInfo,
 		if r.Err() != nil {
 			return layoutInfo{}, 0, 0, r.Err()
 		}
-		if recSum != catChecksum(sum) {
+		if recSum != lineSum(catMagicV4, sum) {
 			return layoutInfo{}, 0, 0, r.Errorf("broker: catalog log record %d corrupt (checksum mismatch)", rec)
 		}
 		if rh[1] != uint64(rec+1) {

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/pmem"
@@ -166,17 +167,17 @@ func sweepVerb(t *testing.T, name string, v verbSweep) {
 }
 
 // sweepRecreate demands that tc, when the recovered broker does not
-// hold it, can be created again — in free slots alone when its windows
-// were freed — and either way is empty and takes a publish.
-func sweepRecreate(t *testing.T, rb *Broker, tc TopicConfig, freed bool, what string) {
+// hold it, can be created again — in exactly the windows held, when
+// those are given — and either way is empty and takes a publish.
+func sweepRecreate(t *testing.T, rb *Broker, tc TopicConfig, held []shardLoc, what string) {
 	t.Helper()
 	if rb.Topic(tc.Name) == nil {
-		used, _ := rb.SlotFootprint()
-		if _, err := rb.CreateTopic(0, tc); err != nil {
+		tp, err := rb.CreateTopic(0, tc)
+		if err != nil {
 			t.Fatalf("%s: re-creation of %q after recovery: %v", what, tc.Name, err)
 		}
-		if now, _ := rb.SlotFootprint(); freed && now != used {
-			t.Fatalf("%s: re-creating %q moved the slot footprint %d -> %d; its freed windows were not reused", what, tc.Name, used, now)
+		if held != nil && !slices.Equal(tp.locs, held) {
+			t.Fatalf("%s: re-created %q took windows %v, want the freed %v", what, tc.Name, tp.locs, held)
 		}
 	}
 	tp := rb.Topic(tc.Name)
@@ -197,7 +198,7 @@ func TestCrashSweepCreateTopic(t *testing.T) {
 		// It recovers as "never existed" unless the crash fell after
 		// its anchor persist, and then it recovers whole and empty.
 		check: func(t *testing.T, rb *Broker, _ uint64, what string) {
-			sweepRecreate(t, rb, sweepLate, false, what)
+			sweepRecreate(t, rb, sweepLate, nil, what)
 			sweepAudit(t, rb, what, "fixed", "blob")
 		},
 	})
@@ -205,29 +206,34 @@ func TestCrashSweepCreateTopic(t *testing.T) {
 
 func TestCrashSweepDeleteTopic(t *testing.T) {
 	victim := TopicConfig{Name: "blob", Shards: 2, MaxPayload: 100}
+	var held []shardLoc
 	sweepVerb(t, "DeleteTopic", verbSweep{
+		prep: func(t *testing.T, b *Broker) { held = b.Topic(victim.Name).locs },
 		verb: func(b *Broker) error { return b.DeleteTopic(1, victim.Name) },
 		// The victim is either whole with every message, or gone — and
-		// then its windows are free slots again.
+		// then its windows are free again, for its re-creation to take.
 		check: func(t *testing.T, rb *Broker, _ uint64, what string) {
 			if rb.Topic(victim.Name) != nil {
 				sweepAudit(t, rb, what, "fixed", victim.Name)
 				return
 			}
-			sweepRecreate(t, rb, victim, true, what)
+			sweepRecreate(t, rb, victim, held, what)
 			sweepAudit(t, rb, what, "fixed")
 		},
 	})
 }
 
 func TestCrashSweepCompactCatalog(t *testing.T) {
+	var held []shardLoc
 	sweepVerb(t, "CompactCatalog", verbSweep{
 		// Tombstone debris for the new generation to drop, and freed
 		// windows it must keep free.
 		prep: func(t *testing.T, b *Broker) {
-			if _, err := b.CreateTopic(0, sweepLate); err != nil {
+			tp, err := b.CreateTopic(0, sweepLate)
+			if err != nil {
 				t.Fatal(err)
 			}
+			held = tp.locs
 			if err := b.DeleteTopic(0, sweepLate.Name); err != nil {
 				t.Fatal(err)
 			}
@@ -235,8 +241,8 @@ func TestCrashSweepCompactCatalog(t *testing.T) {
 		verb: func(b *Broker) error { return b.CompactCatalog(1, 0) },
 		// Exactly one generation recovers, the old or the new, and in
 		// both the deleted topic stays deleted and its windows are free:
-		// the new generation drops the tombstone but carries the marks,
-		// and free slots are what the live windows leave below them.
+		// the new generation drops the tombstone, and free slots are
+		// what the live windows leave, so the re-creation takes them.
 		check: func(t *testing.T, rb *Broker, gen uint64, what string) {
 			got := rb.CatalogGeneration()
 			if got != gen && got != gen+1 {
@@ -245,7 +251,7 @@ func TestCrashSweepCompactCatalog(t *testing.T) {
 			if rb.Topic(sweepLate.Name) != nil {
 				t.Fatalf("%s: deleted topic %q resurrected", what, sweepLate.Name)
 			}
-			sweepRecreate(t, rb, sweepLate, true, what)
+			sweepRecreate(t, rb, sweepLate, held, what)
 			sweepAudit(t, rb, what, "fixed", "blob")
 		},
 	})

@@ -173,12 +173,12 @@ func TestDeleteTopicCrashBeforeAnchor(t *testing.T) {
 }
 
 // TestDeleteTopicWindowReuse pins the acceptance criterion: a
-// create/delete storm over cycles of the same topic shape reaches a
-// steady-state high-water mark — the retired windows are provably
-// reused, the footprint stops growing after the first cycle, and the
-// free slots after a crash match the live ones exactly (they are the
-// complement of the replayed live windows below the durable marks).
-// The deliberately tiny log also forces the storm through repeated
+// create/delete storm over cycles of the same topic shape reuses the
+// retired windows — every cycle's topic takes exactly the windows the
+// first cycle's held, so the slot table after each delete is the one
+// before the storm — and a broker recovered after a crash rebuilds
+// the same table and hands the same windows out again. The
+// deliberately tiny log also forces the storm through repeated
 // compactions.
 func TestDeleteTopicWindowReuse(t *testing.T) {
 	hs := pmem.NewSet(2, pmem.Config{Bytes: 64 << 20, Mode: pmem.ModeCrash, MaxThreads: 2})
@@ -190,52 +190,39 @@ func TestDeleteTopicWindowReuse(t *testing.T) {
 		t.Fatal(err)
 	}
 	b.Topic("base").Publish(0, U64(7))
+	table := slotTable(b)
 
 	const cycles = 10
 	// Two shards over two heaps: the same shape claims the same windows
 	// every cycle once the first cycle has freed them.
 	shape := TopicConfig{Name: "churn", Shards: 2}
-	var used0, free0 int
+	var held []shardLoc
 	for i := 0; i < cycles; i++ {
-		if _, err := b.CreateTopic(0, shape); err != nil {
+		tp, err := b.CreateTopic(0, shape)
+		if err != nil {
 			t.Fatalf("cycle %d create: %v", i, err)
 		}
+		if i == 0 {
+			held = tp.locs
+		} else if !slices.Equal(tp.locs, held) {
+			t.Fatalf("cycle %d took windows %v, want the retired %v", i, tp.locs, held)
+		}
 		for m := uint64(0); m < 4; m++ {
-			b.Topic("churn").Publish(0, U64(uint64(i)<<8|m))
+			tp.Publish(0, U64(uint64(i)<<8|m))
 		}
 		if err := b.DeleteTopic(0, "churn"); err != nil {
 			t.Fatalf("cycle %d delete: %v", i, err)
 		}
-		used, free := b.SlotFootprint()
-		if i == 0 {
-			used0, free0 = used, free
-			if free != 2*slotsPerShard {
-				t.Fatalf("cycle 0 freed %d slots, want %d (two shard windows)", free, 2*slotsPerShard)
-			}
-			continue
-		}
-		if used != used0 || free != free0 {
-			t.Fatalf("cycle %d footprint (used %d, free %d) drifted from steady state (used %d, free %d): windows not reused",
-				i, used, free, used0, free0)
+		if got := slotTable(b); got != table {
+			t.Fatalf("cycle %d left slot table %s, want the one before the storm %s", i, got, table)
 		}
 	}
 	if gen := b.CatalogGeneration(); gen == 0 {
 		t.Fatal("a 10-cycle storm on a 24-line log never compacted")
 	}
-	// A same-shape create consumes the free slots completely: no fresh
-	// windows, no mark movement.
-	if _, err := b.CreateTopic(0, shape); err != nil {
-		t.Fatal(err)
-	}
-	if used, free := b.SlotFootprint(); used != used0 || free != 0 {
-		t.Fatalf("steady-state create left (used %d, free %d), want (used %d, free 0)", used, free, used0)
-	}
-	if err := b.DeleteTopic(0, "churn"); err != nil {
-		t.Fatal(err)
-	}
 
 	// Free slots are derived, not stored: replay's claims and releases
-	// rebuild the same footprint.
+	// rebuild the same table.
 	hs.CrashNow()
 	hs.FinalizeCrash(rand.New(rand.NewSource(94)))
 	hs.Restart()
@@ -243,18 +230,19 @@ func TestDeleteTopicWindowReuse(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if used, free := r.SlotFootprint(); used != used0 || free != free0 {
-		t.Fatalf("recovered footprint (used %d, free %d), want (used %d, free %d)", used, free, used0, free0)
+	if got := slotTable(r); got != table {
+		t.Fatalf("recovered slot table %s, want %s", got, table)
 	}
 	if p, ok := r.Topic("base").DequeueShard(0, 0); !ok || AsU64(p) != 7 {
 		t.Fatalf("base message lost in the storm: %v,%v", p, ok)
 	}
-	// And the recovered free slots actually serve allocations.
-	if _, err := r.CreateTopic(0, shape); err != nil {
+	// And the recovered broker hands out the same windows.
+	tp, err := r.CreateTopic(0, shape)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if used, free := r.SlotFootprint(); used != used0 || free != 0 {
-		t.Fatalf("post-recovery create left (used %d, free %d), want (used %d, free 0)", used, free, used0)
+	if !slices.Equal(tp.locs, held) {
+		t.Fatalf("post-recovery create took windows %v, want the retired %v", tp.locs, held)
 	}
 }
 
@@ -479,10 +467,11 @@ func TestCreateAckGroupOutOfSpace(t *testing.T) {
 
 // TestCompactCatalogKeepsFreeWindows: a compaction writes only live
 // records, yet a broker recovered from the new generation has the same
-// free slots as the one that compacted — the marks travel with the
-// generation and free space is their complement. Compared white-box
-// too: the recovered slot table (live windows and marks) and every
-// topic's windows equal the live broker's.
+// free slots as the one that compacted — free space is the gaps the
+// live windows leave, and the live records carry every live window.
+// Compared white-box too: the recovered slot table and every topic's
+// windows equal the live broker's, and the next create takes the
+// deleted topic's windows.
 func TestCompactCatalogKeepsFreeWindows(t *testing.T) {
 	hs := pmem.NewSet(2, pmem.Config{Bytes: 64 << 20, Mode: pmem.ModeCrash, MaxThreads: 2})
 	b, err := Open(hs, Options{Threads: 1})
@@ -494,6 +483,7 @@ func TestCompactCatalogKeepsFreeWindows(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
+	held := b.Topic("b").locs
 	if err := b.DeleteTopic(0, "b"); err != nil {
 		t.Fatal(err)
 	}
@@ -522,21 +512,25 @@ func TestCompactCatalogKeepsFreeWindows(t *testing.T) {
 	if got := topicWindows(r); got != locs {
 		t.Fatalf("recovered topic windows %s, want the live %s", got, locs)
 	}
-	// The freed windows serve the next create: the marks stay put.
-	if _, err := r.CreateTopic(0, TopicConfig{Name: "d", Shards: 2}); err != nil {
+	// The freed windows serve the next create.
+	d, err := r.CreateTopic(0, TopicConfig{Name: "d", Shards: 2})
+	if err != nil {
 		t.Fatal(err)
+	}
+	if !slices.Equal(d.locs, held) {
+		t.Fatalf("create after recovery took windows %v, want the deleted topic's %v", d.locs, held)
 	}
 	if u, f := r.SlotFootprint(); u != used || f != 0 {
 		t.Fatalf("create after recovery left (used %d, free %d), want (used %d, free 0)", u, f, used)
 	}
 }
 
-// slotTable renders the catalog's slot table — per-heap marks and live
+// slotTable renders the catalog's slot table — every heap's live
 // windows — for comparison across a restart.
 func slotTable(b *Broker) string {
 	b.adminMu.Lock()
 	defer b.adminMu.Unlock()
-	return fmt.Sprint(b.cat.marks, b.cat.live)
+	return fmt.Sprint(b.cat.live)
 }
 
 // topicWindows renders every topic's name and shard windows, in

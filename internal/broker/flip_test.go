@@ -129,26 +129,26 @@ var flipPins = []struct {
 	bit  uint8
 	want string
 }{
-	{678, 3983452985, 3, "two live nodes with index 43"},                        // queues.inIndexOrder, placed by index
-	{32, 579315515, 29, "area 0 at 0xd0240 has 536875008 slots, not 4096"},      // ssmem.readAreas, slot count
-	{1844, 2517756918, 12, "count 4097 stored at 0x170300 exceeds 4096"},        // pmem.Reader.Count
-	{342, 965019189, 39, "range [0x80001202c0, +262144) outside"},               // pmem.Reader.Range, an area
-	{564, 2169765249, 44, "range [0x1000002204c0, +65600) outside"},             // pmem.Reader.Range, a registry
-	{680, 3082594978, 25, "range [0x2240580, +64) outside"},                     // pmem.Reader.Range, per-thread lines
-	{88, 3758187147, 2, "address 0x170304 stored at 0xa00 is not line-aligned"}, // pmem.Reader.Ptr, alignment
-	{1, 1, 18, "outside the allocated bytes [0x10000, 0x190680)"},               // pmem.Reader.Range, the break
-	{1, 2, 16, "heap 1 of the set carries a membership stamp"},                  // checkMemberEmpty
-	{0, 2, 16, "anchor slot is zero, but the catalog log at 0x10000 commits"},   // checkNoCommittedLog
-	{1, 4136, 16, "heap 1 of the set carries no membership stamp"},              // checkStamp, anchor
-	{1, 4136, 6, "heap 1 stamp magic 0x1 invalid"},                              // checkStamp, magic
-	{1, 4152, 3, "heap 1 carries stamp"},                                        // checkStamp, stamp
-	{1971, 3255047204, 22, "stamped as member 1 of 4194306"},                    // checkStamp, position
-	{2865, 890115690, 50, "dheap: recover: bad region header"},                  // dheap.Recover, header
-	{1898, 1907075038, 35, "lease region 0 magic"},                              // readLeaseRegion, magic
-	{319, 472172087, 17, "catalog magic 0x0 invalid"},                           // readCatalog, magic
-	{426, 1583222232, 2, "catalog log header corrupt"},                          // readCatalogV4, header
-	{127, 944999107, 49, "catalog log record 1 corrupt"},                        // readCatalogV4, record
-	{3292, 413591665, 32, "record 2 overruns capacity"},                         // readCatalogV4, record length
+	{678, 185, 3, "two live nodes with index 43"},                             // queues.inIndexOrder, placed by index
+	{32, 539, 29, "area 0 at 0xd0200 has 536875008 slots, not 4096"},          // ssmem.readAreas, slot count
+	{1844, 998, 12, "count 4097 stored at 0x1702c0 exceeds 4096"},             // pmem.Reader.Count
+	{342, 767, 39, "range [0x8000120280, +262144) outside"},                   // pmem.Reader.Range, an area
+	{564, 21, 44, "range [0x100000220480, +65600) outside"},                   // pmem.Reader.Range, a registry
+	{680, 23, 25, "range [0x2240540, +64) outside"},                           // pmem.Reader.Range, per-thread lines
+	{88, 14, 2, "address 0x1702c4 stored at 0xa00 is not line-aligned"},       // pmem.Reader.Ptr, alignment
+	{1, 1, 18, "outside the allocated bytes [0x10000, 0x190640)"},             // pmem.Reader.Range, the break
+	{1, 2, 16, "heap 1 of the set carries a membership stamp"},                // checkMemberEmpty
+	{0, 2, 16, "anchor slot is zero, but the catalog log at 0x10000 commits"}, // checkNoCommittedLog
+	{1, 4133, 16, "heap 1 of the set carries no membership stamp"},            // checkStamp, anchor
+	{1, 4133, 6, "heap 1 stamp magic 0x1 invalid"},                            // checkStamp, magic
+	{1, 4149, 3, "heap 1 carries stamp"},                                      // checkStamp, stamp
+	{1971, 4151, 22, "stamped as member 1 of 4194306"},                        // checkStamp, position
+	{2865, 1287, 50, "dheap: recover: bad region header"},                     // dheap.Recover, header
+	{1898, 4128, 35, "lease region 0 magic"},                                  // readLeaseRegion, magic
+	{319, 2, 17, "catalog magic 0x0 invalid"},                                 // readCatalog, magic
+	{426, 36, 2, "catalog log header corrupt"},                                // readCatalogV4, header
+	{127, 49, 49, "catalog log record 1 corrupt"},                             // readCatalogV4, record
+	{3292, 70, 32, "record 2 overruns capacity"},                              // readCatalogV4, record length
 }
 
 func FuzzOpenFlip(f *testing.F) {

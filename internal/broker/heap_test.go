@@ -346,19 +346,23 @@ func TestHeapTopicRecovery(t *testing.T) {
 
 // TestHeapWindowSplitReuse covers both ways the slot allocator's best
 // fit reuses freed slots: a whole retired width-8 FIFO window serving
-// a new FIFO topic, and width-2 heap windows carved out of one, plus
-// the replay side — recovery claims the same windows and rebuilds the
-// identical footprint.
+// a new FIFO topic, and width-1 heap windows carved out of another,
+// plus the replay side — recovery claims the same windows and rebuilds
+// the identical slot table.
 func TestHeapWindowSplitReuse(t *testing.T) {
 	hs := pmem.NewSet(1, pmem.Config{Bytes: 64 << 20, Mode: pmem.ModeCrash, MaxThreads: 2})
 	b, err := Open(hs, Options{Threads: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, name := range []string{"a", "b"} {
-		if _, err := b.CreateTopic(0, TopicConfig{Name: name, Shards: 1}); err != nil {
+	// "top" stays live, so the windows a and b retire are a gap below it.
+	held := map[string]shardLoc{}
+	for _, name := range []string{"a", "b", "top"} {
+		tp, err := b.CreateTopic(0, TopicConfig{Name: name, Shards: 1})
+		if err != nil {
 			t.Fatal(err)
 		}
+		held[name] = tp.locs[0]
 	}
 	used0, _ := b.SlotFootprint()
 	for _, name := range []string{"a", "b"} {
@@ -367,34 +371,35 @@ func TestHeapWindowSplitReuse(t *testing.T) {
 		}
 	}
 	if used, free := b.SlotFootprint(); used != used0 || free != 2*slotsPerShard {
-		t.Fatalf("after retiring two FIFO topics: (used %d, free %d), want (used %d, free %d)",
+		t.Fatalf("after retiring two FIFO topics below a live one: (used %d, free %d), want (used %d, free %d)",
 			used, free, used0, 2*slotsPerShard)
 	}
 
-	// Exact fit: a same-width FIFO topic consumes one whole window; the
-	// high-water mark never moves again in this test.
-	if _, err := b.CreateTopic(0, TopicConfig{Name: "c", Shards: 1}); err != nil {
+	// Exact fit: a same-width FIFO topic takes a's whole window.
+	c, err := b.CreateTopic(0, TopicConfig{Name: "c", Shards: 1})
+	if err != nil {
 		t.Fatal(err)
 	}
-	if used, free := b.SlotFootprint(); used != used0 || free != slotsPerShard {
-		t.Fatalf("exact-fit create: (used %d, free %d), want (used %d, free %d)",
-			used, free, used0, slotsPerShard)
+	if c.locs[0] != held["a"] {
+		t.Fatalf("exact-fit create took window %v, want a's %v", c.locs[0], held["a"])
 	}
-	b.Topic("c").Publish(0, U64(7))
+	c.Publish(0, U64(7))
 
-	// Split bucket: four width-2 heap windows out of one width-8 window,
-	// with no fresh slots claimed past the original high-water mark.
+	// Split: width-1 heap windows carved, lowest first, out of b's
+	// window, with no slot claimed past the live top.
 	kinds := []TopicKind{KindDelay, KindPriority, KindDelay, KindPriority}
 	for i, k := range kinds {
-		if _, err := b.CreateTopic(0, TopicConfig{
+		tp, err := b.CreateTopic(0, TopicConfig{
 			Name: fmt.Sprintf("h%d", i), Shards: 1, MaxPayload: 24, Kind: k,
-		}); err != nil {
+		})
+		if err != nil {
 			t.Fatalf("heap topic %d: %v", i, err)
 		}
-		wantFree := slotsPerShard - (i+1)*heapTopicSlots
-		if used, free := b.SlotFootprint(); free != wantFree || used != used0 {
-			t.Fatalf("after heap topic %d: (used %d, free %d), want (used %d, free %d) from splits",
-				i, used, free, used0, wantFree)
+		if want := (shardLoc{heap: 0, base: held["b"].base + i*heapTopicSlots}); tp.locs[0] != want {
+			t.Fatalf("heap topic %d took window %v, want %v inside b's %v", i, tp.locs[0], want, held["b"])
+		}
+		if used, _ := b.SlotFootprint(); used != used0 {
+			t.Fatalf("heap topic %d moved the used slots %d -> %d", i, used0, used)
 		}
 	}
 	for i := range kinds {
@@ -409,8 +414,9 @@ func TestHeapWindowSplitReuse(t *testing.T) {
 		}
 	}
 
-	// Replay rebuilds the same footprint through the nested sub-range
-	// claim splits, and every topic's content survives.
+	// Replay rebuilds the same table through the nested sub-range
+	// claims, and every topic's content survives.
+	table, wins := slotTable(b), topicWindows(b)
 	hs.CrashNow()
 	hs.FinalizeCrash(rand.New(rand.NewSource(57)))
 	hs.Restart()
@@ -418,8 +424,11 @@ func TestHeapWindowSplitReuse(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if used, free := r.SlotFootprint(); used != used0 || free != 0 {
-		t.Fatalf("recovered footprint (used %d, free %d), want (used %d, free 0)", used, free, used0)
+	if got := slotTable(r); got != table {
+		t.Fatalf("recovered slot table %s, want %s", got, table)
+	}
+	if got := topicWindows(r); got != wins {
+		t.Fatalf("recovered topic windows %s, want %s", got, wins)
 	}
 	if p, ok := r.Topic("c").DequeueShard(0, 0); !ok || AsU64(p) != 7 {
 		t.Fatalf("FIFO message lost: %v,%v", p, ok)

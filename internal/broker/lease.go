@@ -76,18 +76,6 @@ const (
 	maxCatAckGroups = 1 << 10
 )
 
-// leaseChecksum mixes words 0..6 of a lease line into the guard word.
-// It only needs to catch torn lines and random corruption, not
-// adversaries.
-func leaseChecksum(w [8]uint64) uint64 {
-	s := uint64(leaseMagic)
-	for i := 0; i < 7; i++ {
-		s ^= w[i] + 0x9e3779b97f4a7c15*uint64(i+1)
-		s = s<<13 | s>>51
-	}
-	return s
-}
-
 // packLease lays a lease out as one cache line of words.
 func packLease(l Lease) [8]uint64 {
 	var w [8]uint64
@@ -96,7 +84,7 @@ func packLease(l Lease) [8]uint64 {
 		w[0] |= leaseActive
 	}
 	w[1], w[2], w[3], w[4], w[5] = l.Lo, l.Hi, l.Deadline, l.Seq, l.Epoch
-	w[7] = leaseChecksum(w)
+	w[7] = lineSum(leaseMagic, w[:7])
 	return w
 }
 
@@ -113,7 +101,7 @@ func unpackLease(w [8]uint64) (Lease, bool) {
 	if zero {
 		return Lease{}, true
 	}
-	if w[7] != leaseChecksum(w) {
+	if w[7] != lineSum(leaseMagic, w[:7]) {
 		return Lease{}, false
 	}
 	return Lease{
