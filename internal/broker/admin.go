@@ -29,11 +29,6 @@ type Options struct {
 	// recovery, 0 adopts the recorded bound and any other value must
 	// match it.
 	Threads int
-	// CatalogLines is the record capacity of the catalog log in cache
-	// lines when Open creates a fresh broker (default 1024 — a few
-	// hundred typical topics; a topic record spans 2 + shards/8 lines).
-	// Ignored on recovery: the log's recorded capacity is adopted.
-	CatalogLines int
 	// Observer, when non-nil, receives per-op latency samples, topic
 	// and group gauges, and trace events for the broker's lifetime. Its
 	// thread bound must cover the broker's. Observation costs no
@@ -64,17 +59,17 @@ type Options struct {
 //
 // A blank set gets a fresh broker with no topics — create them at
 // runtime with CreateTopic — and needs a positive Options.Threads, so
-// Open(hs, Options{}) is "recover or fail". Every member's anchor slot
-// must be empty: a member carrying a catalog or membership stamp
-// belongs to an existing broker or is left over from a creation that
-// crashed before its anchor was written; either way Open refuses, with
-// an error wrapping pmem.ErrCorrupt, rather than overwrite durable
-// state it did not allocate. So does a zero heap-0 anchor over a
-// catalog log that commits records: only a broker that anchored the
-// log commits into it. The anchor stamp is the last persist of
-// creation, so a crash inside Open leaves no broker, and what it leaves
-// on heap 0 — no log, a torn header or one with no committed record —
-// does not stop a later creation.
+// Open(hs, Options{}) is "recover or fail". Its catalog log has room
+// for a few hundred typical topic records; CompactCatalog resizes it.
+// The anchor flip is the last persist of creation, so a crash inside
+// Open leaves no broker, and what it leaves never stops a later
+// creation, on any set: on heap 0 a blank, torn or uncommitted log at
+// a fixed stride from the heap's first allocation, on a member a stamp
+// carrying the set stamp of such a log. Any other durable state is
+// refused with an error wrapping pmem.ErrCorrupt rather than
+// overwritten: a member carrying a catalog or another set's stamp, and
+// a zero heap-0 anchor over a catalog log that commits records, which
+// only a broker that anchored the log does.
 func Open(hs *pmem.HeapSet, opts Options) (*Broker, error) {
 	r := pmem.NewReader(hs.Heap(0))
 	reg := r.Ptr(hs.Heap(0).RootAddr(slotAnchor), pmem.CacheLineBytes)
@@ -97,19 +92,14 @@ func checkObserver(o *obs.Observer, threads int) error {
 	return nil
 }
 
-// openFresh creates an empty broker: membership stamps on heaps 1..,
-// then the catalog log header and zero commit line on heap 0, fenced
-// before the anchor names them.
+// openFresh creates an empty broker: the catalog log header and zero
+// commit line on heap 0, fenced, then membership stamps on heaps 1..,
+// then the anchor that names the log. A member stamped by a creation
+// that crashed on this set is debris like its log: its stamp is the
+// set stamp of a log checkNoCommittedLog found.
 func openFresh(hs *pmem.HeapSet, opts Options) (*Broker, error) {
 	if opts.Threads <= 0 {
 		return nil, fmt.Errorf("broker: Threads must be positive to create a broker")
-	}
-	if opts.CatalogLines == 0 {
-		opts.CatalogLines = defaultCatalogLines
-	}
-	maxCap := maxCatalogLines - logHeaderLines
-	if opts.CatalogLines < 1 || opts.CatalogLines > maxCap {
-		return nil, fmt.Errorf("broker: CatalogLines %d out of range [1,%d]", opts.CatalogLines, maxCap)
 	}
 	if err := checkSet(hs, opts.Threads); err != nil {
 		return nil, err
@@ -117,16 +107,17 @@ func openFresh(hs *pmem.HeapSet, opts Options) (*Broker, error) {
 	if err := checkObserver(opts.Observer, opts.Threads); err != nil {
 		return nil, err
 	}
-	for i := 0; i < hs.Len(); i++ {
-		if err := checkMemberEmpty(hs.Heap(i), i); err != nil {
+	debris, committed := checkNoCommittedLog(hs.Heap(0))
+	for i := 1; i < hs.Len(); i++ {
+		if err := checkMemberEmpty(hs.Heap(i), i, debris); err != nil {
 			return nil, err
 		}
 	}
-	if err := checkNoCommittedLog(hs.Heap(0)); err != nil {
-		return nil, err
+	if committed != nil {
+		return nil, committed
 	}
 	b := &Broker{hs: hs, threads: opts.Threads}
-	b.cat = createCatalogLog(hs, 0, opts.Threads, opts.CatalogLines)
+	b.cat = createCatalogLog(hs, 0, opts.Threads)
 	b.snap.Store(&topicSet{byName: map[string]*Topic{}})
 	b.observe(opts.Observer)
 	return b, nil
@@ -516,8 +507,8 @@ func (b *Broker) DeleteTopic(tid int, name string) error {
 // either side of the flip reads exactly one complete generation.
 // capacityLines resizes the log's record space (0 keeps the current
 // capacity), which makes compaction the log-full escape hatch: a
-// broker that outgrew Options.CatalogLines compacts into a larger
-// generation without restarting. A heap too full for a new region
+// broker that outgrew its log compacts into a larger generation
+// without restarting. A heap too full for a new region
 // refuses the call with an error wrapping pmem.ErrOutOfSpace and
 // leaves the log as it was.
 //
@@ -532,7 +523,7 @@ func (b *Broker) CompactCatalog(tid, capacityLines int) error {
 	sp := b.span(tid)
 	maxCap := maxCatalogLines - logHeaderLines
 	if capacityLines < 0 || capacityLines > maxCap {
-		return fmt.Errorf("broker: CatalogLines %d out of range [0,%d]", capacityLines, maxCap)
+		return fmt.Errorf("broker: capacityLines %d out of range [0,%d]", capacityLines, maxCap)
 	}
 	if err := b.compactLocked(tid, capacityLines); err != nil {
 		return err

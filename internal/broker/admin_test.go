@@ -107,28 +107,21 @@ func TestOpenCreateRecoverRoundTrip(t *testing.T) {
 // creation takes the windows the crashed one built in, over the root
 // slots its queues wrote, so it stands on the scrub.
 func TestCreateTopicCrashBeforeAnchor(t *testing.T) {
-	hs := pmem.NewSet(2, pmem.Config{Bytes: 64 << 20, Mode: pmem.ModeCrash, MaxThreads: 4})
-	b, err := Open(hs, Options{Threads: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := b.CreateTopic(0, TopicConfig{Name: "base", Shards: 2}); err != nil {
-		t.Fatal(err)
-	}
-	b.Topic("base").Publish(0, U64(11))
-
-	// The hook runs under the admin mutex, with the crashed creation's
-	// windows in the slot table.
-	var crashedTable string
-	testHookAfterAppend = func() {
-		crashedTable = fmt.Sprint(b.cat.live)
-		hs.CrashNow()
-	}
-	crashed := pmem.Protect(func() { b.CreateTopic(0, TopicConfig{Name: "late", Shards: 2}) })
-	testHookAfterAppend = nil
-	if !crashed {
-		t.Fatal("CreateTopic survived a crash armed between append and anchor")
-	}
+	var b *Broker
+	hs := cutBeforeCommit(t, func() (*pmem.HeapSet, func()) {
+		hs := pmem.NewSet(2, pmem.Config{Bytes: 64 << 20, Mode: pmem.ModeCrash, MaxThreads: 4})
+		var err error
+		if b, err = Open(hs, Options{Threads: 2}); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := b.CreateTopic(0, TopicConfig{Name: "base", Shards: 2}); err != nil {
+			t.Fatal(err)
+		}
+		b.Topic("base").Publish(0, U64(11))
+		return hs, func() { b.CreateTopic(0, TopicConfig{Name: "late", Shards: 2}) }
+	})
+	// The crashed creation's windows are still in the slot table.
+	crashedTable := fmt.Sprint(b.cat.live)
 	hs.FinalizeCrash(rand.New(rand.NewSource(82)))
 	hs.Restart()
 
@@ -320,9 +313,12 @@ func TestSubscribeLiveTopics(t *testing.T) {
 // refused verbs, and the broker (and its recovery) still works.
 func TestCatalogLogFull(t *testing.T) {
 	hs := pmem.NewSetOf(pmem.New(pmem.Config{Bytes: 64 << 20, Mode: pmem.ModeCrash, MaxThreads: 2}))
-	// A 1-shard topic record spans 3 lines: header, name, placements.
-	b, err := Open(hs, Options{Threads: 2, CatalogLines: 3})
+	b, err := Open(hs, Options{Threads: 2})
 	if err != nil {
+		t.Fatal(err)
+	}
+	// A 1-shard topic record spans 3 lines: header, name, placements.
+	if err := b.CompactCatalog(0, 3); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := b.CreateTopic(0, TopicConfig{Name: "only", Shards: 1}); err != nil {
@@ -386,57 +382,110 @@ func TestTopicsSnapshotCopy(t *testing.T) {
 	}
 }
 
-// TestOpenOverCrashedCreation: a power cut at each access of Open's
-// creation on a blank one-heap set leaves debris at heap 0's first
-// allocation (nothing, a torn log header, or a whole header over a
-// commit line with no record) but no anchor, and the next Open creates
-// over it. A zero anchor over a log that commits a record is refused
-// with pmem.ErrCorrupt instead: only a broker that anchored the log
-// commits into it.
-func TestOpenOverCrashedCreation(t *testing.T) {
+// creationCuts cuts power at every access a fresh Open makes on every
+// member of a blank set of heaps members, and hands each crashed and
+// restarted set to f, with a name for the cut.
+func creationCuts(t *testing.T, heaps int, f func(what string, hs *pmem.HeapSet)) {
+	t.Helper()
 	cfg := pmem.Config{Bytes: 16 << 20, Mode: pmem.ModeCrash, MaxThreads: 1}
-	blank := pmem.NewSet(1, cfg)
-	blank.Heap(0).ScheduleCrashAtAccess(1 << 60)
-	if _, err := Open(blank, Options{Threads: 1}); err != nil {
-		t.Fatal(err)
-	}
-	n := blank.Heap(0).AccessCount()
-	headers := 0
-	for k := int64(1); k <= n; k++ {
-		hs := pmem.NewSet(1, cfg)
-		h := hs.Heap(0)
-		h.ScheduleCrashAtAccess(k)
-		if !pmem.Protect(func() { Open(hs, Options{Threads: 1}) }) {
-			t.Fatalf("cut %d of %d: Open finished; the armed crash never reached it", k, n)
+	blank := pmem.NewSet(heaps, cfg)
+	counts := sweepCounts(blank, func() {
+		if _, err := Open(blank, Options{Threads: 1}); err != nil {
+			t.Fatal(err)
 		}
-		hs.FinalizeCrash(rand.New(rand.NewSource(k)))
-		hs.Restart()
-		// A cut on the anchor's own persist, after its store, may leave
-		// a whole broker; Open recovers that one.
-		base := pmem.NewReader(h).FirstAlloc(logHeaderLines * pmem.CacheLineBytes)
-		if base != 0 && h.RawMem(h.RootAddr(slotAnchor)) == 0 {
-			var hdr [pmem.WordsPerLine]uint64
-			for i := range hdr {
-				hdr[i] = h.RawMem(base + pmem.Addr(i*pmem.WordBytes))
+	})
+	for hi, n := range counts {
+		for k := int64(1); k <= n; k++ {
+			what := fmt.Sprintf("%d heap(s), cut at heap %d access %d of %d", heaps, hi, k, n)
+			hs := pmem.NewSet(heaps, cfg)
+			hs.Heap(hi).ScheduleCrashAtAccess(k)
+			if !pmem.Protect(func() { Open(hs, Options{Threads: 1}) }) {
+				t.Fatalf("%s: Open finished; the armed crash never reached it", what)
 			}
-			if hdr[0] == catMagicV4 && hdr[7] == lineSum(catMagicV4, hdr[:7]) {
-				headers++
-			}
-		}
-		b, err := Open(hs, Options{Threads: 1})
-		if err != nil {
-			t.Fatalf("cut %d of %d: Open after a crashed creation: %v", k, n, err)
-		}
-		if _, err := b.CreateTopic(0, TopicConfig{Name: "t", Shards: 1}); err != nil {
-			t.Fatalf("cut %d: %v", k, err)
+			hs.FinalizeCrash(rand.New(rand.NewSource(k)))
+			hs.Restart()
+			f(what, hs)
 		}
 	}
-	if headers == 0 {
-		t.Fatal("no cut left a whole log header behind a zero anchor")
+}
+
+// TestOpenOverCrashedCreation: a power cut at each access of Open's
+// creation on a blank set of one, two or three heaps leaves debris but
+// no anchor — on heap 0 nothing, a torn log header, or a whole header
+// over a commit line with no record; on a member that header's set
+// stamp — and the next Open creates over it. The broker it creates
+// spans the set with a 4-shard topic and recovers it after a crash. A
+// zero anchor over a log that commits a record is refused with
+// pmem.ErrCorrupt instead: only a broker that anchored the log commits
+// into it.
+func TestOpenOverCrashedCreation(t *testing.T) {
+	for heaps := 1; heaps <= 3; heaps++ {
+		headers, stamps := 0, 0
+		creationCuts(t, heaps, func(what string, hs *pmem.HeapSet) {
+			// A cut on the anchor's own persist, after its store, may
+			// leave a whole broker; Open recovers that one.
+			h := hs.Heap(0)
+			if h.RawMem(h.RootAddr(slotAnchor)) == 0 {
+				if base := pmem.NewReader(h).FirstAlloc(logHeaderLines * pmem.CacheLineBytes); base != 0 {
+					var hdr [pmem.WordsPerLine]uint64
+					for i := range hdr {
+						hdr[i] = h.RawMem(base + pmem.Addr(i*pmem.WordBytes))
+					}
+					if hdr[0] == catMagicV4 && hdr[7] == lineSum(catMagicV4, hdr[:7]) {
+						headers++
+					}
+				}
+				if heaps > 1 && hs.Heap(heaps-1).RawMem(hs.Heap(heaps-1).RootAddr(slotAnchor)) != 0 {
+					stamps++
+				}
+			}
+			b, err := Open(hs, Options{Threads: 1})
+			if err != nil {
+				t.Fatalf("%s: Open after a crashed creation: %v", what, err)
+			}
+			tp, err := b.CreateTopic(0, TopicConfig{Name: "t", Shards: 4})
+			if err != nil {
+				t.Fatalf("%s: %v", what, err)
+			}
+			spans := map[int]bool{}
+			for _, loc := range tp.locs {
+				spans[loc.heap] = true
+			}
+			if len(spans) != heaps {
+				t.Fatalf("%s: the topic's shards lie on %d of %d heaps", what, len(spans), heaps)
+			}
+			for m := uint64(1); m <= 8; m++ {
+				if err := tp.Publish(0, U64(m)); err != nil {
+					t.Fatalf("%s: %v", what, err)
+				}
+			}
+			hs.CrashNow()
+			hs.FinalizeCrash(rand.New(rand.NewSource(7)))
+			hs.Restart()
+			r, err := Open(hs, Options{})
+			if err != nil {
+				t.Fatalf("%s: recovery of the broker created over the debris: %v", what, err)
+			}
+			got := 0
+			for s := 0; r.Topic("t") != nil && s < r.Topic("t").Shards(); s++ {
+				for _, ok := r.Topic("t").DequeueShard(0, s); ok; _, ok = r.Topic("t").DequeueShard(0, s) {
+					got++
+				}
+			}
+			if got != 8 {
+				t.Fatalf("%s: the recovered broker drained %d of 8 messages", what, got)
+			}
+		})
+		if headers == 0 {
+			t.Fatalf("%d heap(s): no cut left a whole log header behind a zero anchor", heaps)
+		}
+		if heaps > 1 && stamps == 0 {
+			t.Fatalf("%d heaps: no cut left a stamped member behind a zero anchor", heaps)
+		}
 	}
 
 	// The same log once it commits a record, behind a zeroed anchor.
-	hs := pmem.NewSet(1, cfg)
+	hs := pmem.NewSet(1, pmem.Config{Bytes: 16 << 20, Mode: pmem.ModeCrash, MaxThreads: 1})
 	b, err := Open(hs, Options{Threads: 1})
 	if err != nil {
 		t.Fatal(err)
@@ -452,45 +501,43 @@ func TestOpenOverCrashedCreation(t *testing.T) {
 	}
 }
 
-// TestOpenRefusesZeroAnchorPastDebris: an Open cut before its anchor
-// flip leaves a whole log with no committed record at heap 0's first
-// allocation, and the next Open creates its broker's log at the
-// allocation after it. Zeroing that broker's anchor once it commits a
-// topic must not read as a blank set: the check steps past the debris
-// log and finds the committed one.
+// TestOpenRefusesZeroAnchorPastDebris: after every cut of a one-heap
+// creation that leaves anything at heap 0's first allocation, the next
+// Open creates its broker's log past that debris. Zeroing that
+// broker's anchor once it commits a topic must not read as a blank set,
+// whether the debris header is whole, torn or blank: the check walks
+// the debris at a fresh log's stride and finds the committed log.
 func TestOpenRefusesZeroAnchorPastDebris(t *testing.T) {
-	hs := pmem.NewSet(1, pmem.Config{Bytes: 16 << 20, Mode: pmem.ModeCrash, MaxThreads: 1})
-	testHookBeforeFlip = func() { hs.CrashNow() }
-	crashed := pmem.Protect(func() { Open(hs, Options{Threads: 1}) })
-	testHookBeforeFlip = nil
-	if !crashed {
-		t.Fatal("Open survived a crash armed before the anchor flip")
+	past := 0
+	creationCuts(t, 1, func(what string, hs *pmem.HeapSet) {
+		b, err := Open(hs, Options{Threads: 1})
+		if err != nil {
+			t.Fatalf("%s: Open over the debris of a crashed creation: %v", what, err)
+		}
+		h := hs.Heap(0)
+		if b.cat.base == pmem.NewReader(h).FirstAlloc(logHeaderLines*pmem.CacheLineBytes) {
+			return // no debris ahead of the live log
+		}
+		past++
+		if _, err := b.CreateTopic(0, TopicConfig{Name: "t", Shards: 1}); err != nil {
+			t.Fatal(err)
+		}
+		if err := b.Topic("t").Publish(0, U64(1)); err != nil {
+			t.Fatal(err)
+		}
+		h.Store(0, h.RootAddr(slotAnchor), 0)
+		h.Persist(0, h.RootAddr(slotAnchor))
+		r, err := Open(hs, Options{Threads: 1})
+		if err == nil {
+			t.Fatalf("%s: Open over a committed log behind debris and a zero anchor created a broker with topics %q, want pmem.ErrCorrupt",
+				what, r.TopicNames())
+		}
+		if !errors.Is(err, pmem.ErrCorrupt) {
+			t.Fatalf("%s: Open over a committed log behind debris and a zero anchor = %v, want pmem.ErrCorrupt", what, err)
+		}
+	})
+	if past == 0 {
+		t.Fatal("no cut left the live log past debris")
 	}
-	hs.FinalizeCrash(rand.New(rand.NewSource(52)))
-	hs.Restart()
-
-	b, err := Open(hs, Options{Threads: 1})
-	if err != nil {
-		t.Fatalf("Open over the debris of a crashed creation: %v", err)
-	}
-	h := hs.Heap(0)
-	if first := pmem.NewReader(h).FirstAlloc(logHeaderLines * pmem.CacheLineBytes); b.cat.base == first {
-		t.Fatalf("the broker's log sits at the first allocation %#x: the fixture left no debris log", uint64(first))
-	}
-	if _, err := b.CreateTopic(0, TopicConfig{Name: "t", Shards: 1}); err != nil {
-		t.Fatal(err)
-	}
-	if err := b.Topic("t").Publish(0, U64(1)); err != nil {
-		t.Fatal(err)
-	}
-	h.Store(0, h.RootAddr(slotAnchor), 0)
-	h.Persist(0, h.RootAddr(slotAnchor))
-	r, err := Open(hs, Options{Threads: 1})
-	if err == nil {
-		t.Fatalf("Open over a committed log behind a debris log and a zero anchor created a broker with topics %q, want pmem.ErrCorrupt",
-			r.TopicNames())
-	}
-	if !errors.Is(err, pmem.ErrCorrupt) {
-		t.Fatalf("Open over a committed log behind a debris log and a zero anchor = %v, want pmem.ErrCorrupt", err)
-	}
+	t.Logf("%d cuts left the live log past debris", past)
 }

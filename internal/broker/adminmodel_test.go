@@ -31,8 +31,11 @@ func TestAdminFootprintModel(t *testing.T) {
 		hs := pmem.NewSet(2, pmem.Config{Bytes: 8 << 20, Mode: pmem.ModeCrash, MaxThreads: 1})
 		// A small log, so deletes run into the automatic compaction and
 		// creates into ErrCatalogFull.
-		b, err := Open(hs, Options{Threads: 1, CatalogLines: 48})
+		b, err := Open(hs, Options{Threads: 1})
 		if err != nil {
+			t.Fatal(err)
+		}
+		if err := b.CompactCatalog(0, 48); err != nil {
 			t.Fatal(err)
 		}
 		model := map[string]TopicConfig{}

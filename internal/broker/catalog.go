@@ -2,6 +2,7 @@ package broker
 
 import (
 	"fmt"
+	"slices"
 	"sync/atomic"
 
 	"repro/internal/pmem"
@@ -126,15 +127,14 @@ func readCatalog(r *pmem.Reader, hs *pmem.HeapSet, reg pmem.Addr) (layoutInfo, e
 	return lay, nil
 }
 
-// checkMemberEmpty rejects a heap whose anchor slot already names
-// durable state: creating a broker over it would destroy another
-// broker's catalog, stamp or shard state, and a set whose heap 0
-// anchors no catalog while a member holds state is no set a broker
-// left behind, so the refusal wraps pmem.ErrCorrupt. The error says
-// what was found so an operator can tell a live set (recover it) from
-// debris of a creation that crashed pre-anchor (clear the slot
-// explicitly).
-func checkMemberEmpty(h *pmem.Heap, i int) error {
+// checkMemberEmpty rejects a member heap whose anchor slot already
+// names durable state other than debris: creating a broker over it
+// would destroy another broker's catalog, stamp or shard state, and a
+// set whose heap 0 anchors no catalog while a member holds state is no
+// set a broker left behind, so the refusal wraps pmem.ErrCorrupt. A
+// membership stamp carrying one of the debris set stamps is what a
+// creation that crashed on this set left, and is no refusal.
+func checkMemberEmpty(h *pmem.Heap, i int, debris []uint64) error {
 	r := pmem.NewReader(h)
 	reg := r.Ptr(h.RootAddr(slotAnchor), pmem.CacheLineBytes)
 	if r.Err() == nil && reg == 0 {
@@ -146,43 +146,43 @@ func checkMemberEmpty(h *pmem.Heap, i int) error {
 	case catMagicV4:
 		return r.Errorf("broker: heap %d of the set already hosts a broker catalog (Open that set to recover it)", i)
 	case stampMagic:
-		return r.Errorf("broker: heap %d of the set carries a membership stamp (member of another broker, or leftover from an interrupted creation)", i)
+		if slices.Contains(debris, r.Word(reg+8)) {
+			return nil
+		}
+		return r.Errorf("broker: heap %d of the set carries a membership stamp (member of another broker)", i)
 	default:
 		return r.Errorf("broker: heap %d of the set has a nonzero anchor slot (hosts unknown durable state)", i)
 	}
 }
 
-// checkNoCommittedLog refuses a heap 0 whose anchor slot is zero but
-// whose allocations, from the first — where a broker's creation places
-// its catalog log — hold a valid, checksummed log header over a commit
-// line that counts records. Creation persists the anchor last, so a
-// crash short of it leaves no header, a torn one or one with no
-// committed record, and Open creates over that debris, placing its own
-// log at the next allocation; so the check steps past a log with no
-// committed record, by its header's line count, and applies the same
-// test there. A committed record means a broker anchored the log once,
-// and only corruption zeroes an anchor. The refusal wraps
-// pmem.ErrCorrupt.
-func checkNoCommittedLog(h *pmem.Heap) error {
+// checkNoCommittedLog walks heap 0, whose anchor slot is zero, where
+// creations place their catalog logs: from the first allocation, at
+// the stride of a fresh log. Creation persists the anchor last, so a
+// crash short of it leaves there a blank or torn header, or a valid,
+// checksummed one over a commit line with no record, and the next
+// creation places its own log at the next stride. The walk returns the
+// set stamps of those valid headers: the stamps a crashed creation may
+// have left on the members. A valid header whose commit line counts
+// records ends it with a refusal wrapping pmem.ErrCorrupt: a committed
+// record means a broker anchored the log once, and only corruption
+// zeroes an anchor.
+func checkNoCommittedLog(h *pmem.Heap) (debris []uint64, err error) {
+	const stride = (logHeaderLines + defaultCatalogLines) * pmem.CacheLineBytes
 	r := pmem.NewReader(h)
-	for base := r.FirstAlloc(logHeaderLines * pmem.CacheLineBytes); base != 0; {
+	for base := r.FirstAlloc(logHeaderLines * pmem.CacheLineBytes); base != 0; base = r.AllocAt(base+stride, logHeaderLines*pmem.CacheLineBytes) {
 		var hdr [pmem.WordsPerLine]uint64
 		for i := range hdr {
 			hdr[i] = r.Word(base + pmem.Addr(i*pmem.WordBytes))
 		}
 		if hdr[0] != catMagicV4 || hdr[7] != lineSum(catMagicV4, hdr[:7]) {
-			return nil
+			continue
 		}
 		if n := r.Word(base + pmem.CacheLineBytes); n > 0 {
-			return r.Errorf("broker: heap 0's anchor slot is zero, but the catalog log at %#x commits %d records", uint64(base), n)
+			return debris, r.Errorf("broker: heap 0's anchor slot is zero, but the catalog log at %#x commits %d records", uint64(base), n)
 		}
-		total := hdr[4]
-		if total < logHeaderLines || total > uint64(h.Bytes()/pmem.CacheLineBytes) {
-			return nil
-		}
-		base = r.AllocAt(base+pmem.Addr(total)*pmem.CacheLineBytes, logHeaderLines*pmem.CacheLineBytes)
+		debris = append(debris, hdr[3]) // the set stamp
 	}
-	return nil
+	return debris, nil
 }
 
 // checkStamp verifies heap i's membership stamp against the catalog's

@@ -127,8 +127,8 @@ const (
 	maxCatGenerations = 1 << 32
 
 	// defaultCatalogLines is the record-space capacity (in cache lines)
-	// of a fresh catalog log when Options.CatalogLines is zero: room
-	// for a few hundred typical topic records.
+	// of every fresh catalog log: room for a few hundred typical topic
+	// records (a topic record spans 2 + shards/8 lines).
 	defaultCatalogLines = 1024
 	// maxCatalogLines caps the recorded capacity, like the other
 	// catalog sanity caps: a corrupted count is rejected before it is
@@ -137,10 +137,9 @@ const (
 )
 
 // ErrCatalogFull reports a catalog log without room for the record an
-// administrative verb must append. The capacity is chosen when the
-// broker is created (Options.CatalogLines, which recovery ignores);
-// only CompactCatalog changes it, reclaiming tombstone debris on the
-// way.
+// administrative verb must append. A fresh broker's log holds
+// defaultCatalogLines lines of records; only CompactCatalog changes
+// that, reclaiming tombstone debris on the way.
 var ErrCatalogFull = errors.New("broker: catalog log full")
 
 // lineSum mixes a word sequence into the guard word of a catalog or
@@ -155,16 +154,6 @@ func lineSum(seed uint64, ws []uint64) uint64 {
 	}
 	return s
 }
-
-// testHookAfterAppend, when non-nil, runs between a catalog record's
-// append fence and its commit stamp — the window in which a crash must
-// recover as "the create never happened". Tests only.
-var testHookAfterAppend func()
-
-// testHookBeforeFlip, when non-nil, runs between a log generation's
-// fence and its anchor flip — the window in which a crash during a
-// compaction must recover the *old* generation intact. Tests only.
-var testHookBeforeFlip func()
 
 // catalogLog is the volatile handle of the durable v4 catalog log.
 // All mutation happens under the broker's admin mutex.
@@ -207,37 +196,36 @@ func (cl *catalogLog) lineAddr(i int) pmem.Addr {
 	return cl.base + pmem.Addr(i)*pmem.CacheLineBytes
 }
 
-// createCatalogLog stamps every non-anchor member, then writes and
-// anchors an empty catalog log generation on heap 0. The anchor is
-// persisted last, so a crash inside leaves no broker. capacityLines is
-// the record space to reserve.
-func createCatalogLog(hs *pmem.HeapSet, tid, threads, capacityLines int) *catalogLog {
-	stamp := nextSetStamp()
-	for i := 1; i < hs.Len(); i++ {
-		h := hs.Heap(i)
-		reg := h.AllocRaw(tid, pmem.CacheLineBytes, pmem.CacheLineBytes)
-		h.InitRange(tid, reg, pmem.CacheLineBytes)
-		h.Store(tid, reg, stampMagic)
-		h.Store(tid, reg+8, stamp)
-		h.Store(tid, reg+16, uint64(i))
-		h.Store(tid, reg+24, uint64(hs.Len()))
-		h.Persist(tid, reg)
-		h.Store(tid, h.RootAddr(slotAnchor), uint64(reg))
-		h.Persist(tid, h.RootAddr(slotAnchor))
-	}
-
+// createCatalogLog writes an empty catalog log generation on heap 0,
+// stamps every non-anchor member with its set stamp, then anchors the
+// log. The log is durable before any stamp and the anchor is persisted
+// last, so a crash inside leaves no broker, and every stamp it leaves
+// names a log Open finds (checkNoCommittedLog).
+func createCatalogLog(hs *pmem.HeapSet, tid, threads int) *catalogLog {
 	h := hs.Heap(0)
 	cl := &catalogLog{
 		h:     h,
 		heaps: hs.Len(),
-		stamp: stamp,
+		stamp: nextSetStamp(),
 		live:  make([][]window, hs.Len()),
 	}
-	total := logHeaderLines + capacityLines
-	bytes := int64(total) * pmem.CacheLineBytes
-	base := h.AllocRaw(tid, bytes, pmem.CacheLineBytes)
-	h.InitRange(tid, base, bytes)
+	const total = logHeaderLines + defaultCatalogLines
+	base := h.AllocRaw(tid, total*pmem.CacheLineBytes, pmem.CacheLineBytes)
+	h.InitRange(tid, base, total*pmem.CacheLineBytes)
 	cl.writeGeneration(tid, threads, base, total, 0, 0, nil)
+	for i := 1; i < hs.Len(); i++ {
+		m := hs.Heap(i)
+		reg := m.AllocRaw(tid, pmem.CacheLineBytes, pmem.CacheLineBytes)
+		m.InitRange(tid, reg, pmem.CacheLineBytes)
+		m.Store(tid, reg, stampMagic)
+		m.Store(tid, reg+8, cl.stamp)
+		m.Store(tid, reg+16, uint64(i))
+		m.Store(tid, reg+24, uint64(hs.Len()))
+		m.Persist(tid, reg)
+		m.Store(tid, m.RootAddr(slotAnchor), uint64(reg))
+		m.Persist(tid, m.RootAddr(slotAnchor))
+	}
+	cl.flip(tid)
 	return cl
 }
 
@@ -370,11 +358,6 @@ func (cl *catalogLog) appendRecord(tid int, rec catRecord) {
 	h := cl.h
 	cl.writeRecordAt(tid, cl.base, cl.next, rec)
 	h.Fence(tid) // the record is durable, but not yet visible
-
-	if testHookAfterAppend != nil {
-		testHookAfterAppend()
-	}
-
 	cl.records++
 	cl.next += rec.lines()
 	h.NTStore(tid, cl.lineAddr(1), uint64(cl.records))
@@ -383,10 +366,8 @@ func (cl *catalogLog) appendRecord(tid int, rec catRecord) {
 
 // writeGeneration writes a complete log generation into the region at
 // base — header, commit line (record count, ordinal floor), the
-// records — fences it once, and only then names
-// it in heap 0's anchor slot with a single-word persist, so a crash on
-// either side of the anchor store recovers exactly one complete
-// generation. The handle then adopts the region.
+// records — fences it once, and adopts it into the handle. Nothing on
+// the media names it yet: flip does.
 func (cl *catalogLog) writeGeneration(tid, threads int, base pmem.Addr, totalLines int, gen uint64, floor int, recs []catRecord) {
 	h := cl.h
 	line := func(i int) pmem.Addr { return base + pmem.Addr(i)*pmem.CacheLineBytes }
@@ -402,15 +383,16 @@ func (cl *catalogLog) writeGeneration(tid, threads int, base pmem.Addr, totalLin
 		next += rec.lines()
 	}
 	h.Fence(tid) // the whole generation is durable, but not yet visible
-
-	if testHookBeforeFlip != nil {
-		testHookBeforeFlip()
-	}
-
-	h.NTStore(tid, h.RootAddr(slotAnchor), uint64(base))
-	h.Fence(tid) // the flip: now this is the catalog
 	cl.base, cl.totalLines, cl.gen = base, totalLines, gen
 	cl.records, cl.next = len(recs), next
+}
+
+// flip names the handle's generation in heap 0's anchor slot with a
+// single-word persist, so a crash on either side of the anchor store
+// recovers exactly one complete generation.
+func (cl *catalogLog) flip(tid int) {
+	cl.h.NTStore(tid, cl.h.RootAddr(slotAnchor), uint64(cl.base))
+	cl.h.Fence(tid) // the flip: now this is the catalog
 }
 
 // packName packs a topic name into one body line, catNameBytes packed
@@ -517,6 +499,7 @@ func (cl *catalogLog) compact(tid, threads, capacityLines int, recs []catRecord,
 	}
 	oldBase, oldLines := cl.base, cl.totalLines
 	cl.writeGeneration(tid, threads, newBase, newTotal, cl.gen+1, floor, recs)
+	cl.flip(tid)
 	cl.spareBase, cl.spareLines = oldBase, oldLines
 	cl.deadLines = 0
 	return nil

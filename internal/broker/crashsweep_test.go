@@ -84,10 +84,10 @@ func sweepAudit(t *testing.T, b *Broker, what string, names ...string) {
 	}
 }
 
-// sweepCounts runs f with an unreachable crash armed on both members
+// sweepCounts runs f with an unreachable crash armed on every member
 // and reports how many accesses it made on each.
-func sweepCounts(hs *pmem.HeapSet, f func()) [2]int64 {
-	var n [2]int64
+func sweepCounts(hs *pmem.HeapSet, f func()) []int64 {
+	n := make([]int64, hs.Len())
 	for i := range n {
 		hs.Heap(i).ScheduleCrashAtAccess(1 << 60)
 		n[i] = hs.Heap(i).AccessCount()
@@ -98,6 +98,24 @@ func sweepCounts(hs *pmem.HeapSet, f func()) [2]int64 {
 		hs.Heap(i).ScheduleCrashAtAccess(0)
 	}
 	return n
+}
+
+// cutBeforeCommit runs the call fresh returns on the set fresh built,
+// with power cut at the call's next-to-last heap-0 access: the
+// single-word NTStore of a commit stamp or an anchor flip, ahead of the
+// fence that ends the call. A dry run on a second set from fresh counts
+// the accesses, so fresh must build the same image each time. It fails
+// t if the call finishes, and returns the crashed set.
+func cutBeforeCommit(t *testing.T, fresh func() (*pmem.HeapSet, func())) *pmem.HeapSet {
+	t.Helper()
+	hs, call := fresh()
+	n := sweepCounts(hs, call)[0]
+	hs, call = fresh()
+	hs.Heap(0).ScheduleCrashAtAccess(n - 1)
+	if !pmem.Protect(call) {
+		t.Fatal("the call finished; the crash armed at its commit never reached it")
+	}
+	return hs
 }
 
 // verbSweep is one row of the per-verb crash sweep.

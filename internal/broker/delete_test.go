@@ -112,23 +112,19 @@ func TestDeleteTopicRoundTrip(t *testing.T) {
 // anchor stamp recovers as "the topic still exists", messages and all —
 // and a committed delete never resurrects across further crashes.
 func TestDeleteTopicCrashBeforeAnchor(t *testing.T) {
-	hs := pmem.NewSet(2, pmem.Config{Bytes: 64 << 20, Mode: pmem.ModeCrash, MaxThreads: 4})
-	b, err := Open(hs, Options{Threads: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := b.CreateTopic(0, TopicConfig{Name: "victim", Shards: 2}); err != nil {
-		t.Fatal(err)
-	}
-	b.Topic("victim").Publish(0, U64(41))
-	b.Topic("victim").Publish(0, U64(42))
-
-	testHookAfterAppend = func() { hs.CrashNow() }
-	crashed := pmem.Protect(func() { b.DeleteTopic(0, "victim") })
-	testHookAfterAppend = nil
-	if !crashed {
-		t.Fatal("DeleteTopic survived a crash armed between append and anchor")
-	}
+	hs := cutBeforeCommit(t, func() (*pmem.HeapSet, func()) {
+		hs := pmem.NewSet(2, pmem.Config{Bytes: 64 << 20, Mode: pmem.ModeCrash, MaxThreads: 4})
+		b, err := Open(hs, Options{Threads: 2})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := b.CreateTopic(0, TopicConfig{Name: "victim", Shards: 2}); err != nil {
+			t.Fatal(err)
+		}
+		b.Topic("victim").Publish(0, U64(41))
+		b.Topic("victim").Publish(0, U64(42))
+		return hs, func() { b.DeleteTopic(0, "victim") }
+	})
 	hs.FinalizeCrash(rand.New(rand.NewSource(92)))
 	hs.Restart()
 
@@ -182,8 +178,11 @@ func TestDeleteTopicCrashBeforeAnchor(t *testing.T) {
 // compactions.
 func TestDeleteTopicWindowReuse(t *testing.T) {
 	hs := pmem.NewSet(2, pmem.Config{Bytes: 64 << 20, Mode: pmem.ModeCrash, MaxThreads: 2})
-	b, err := Open(hs, Options{Threads: 1, CatalogLines: 24})
+	b, err := Open(hs, Options{Threads: 1})
 	if err != nil {
+		t.Fatal(err)
+	}
+	if err := b.CompactCatalog(0, 24); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := b.CreateTopic(0, TopicConfig{Name: "base", Shards: 1}); err != nil {
@@ -191,6 +190,7 @@ func TestDeleteTopicWindowReuse(t *testing.T) {
 	}
 	b.Topic("base").Publish(0, U64(7))
 	table := slotTable(b)
+	gen0 := b.CatalogGeneration()
 
 	const cycles = 10
 	// Two shards over two heaps: the same shape claims the same windows
@@ -217,7 +217,7 @@ func TestDeleteTopicWindowReuse(t *testing.T) {
 			t.Fatalf("cycle %d left slot table %s, want the one before the storm %s", i, got, table)
 		}
 	}
-	if gen := b.CatalogGeneration(); gen == 0 {
+	if gen := b.CatalogGeneration(); gen == gen0 {
 		t.Fatal("a 10-cycle storm on a 24-line log never compacted")
 	}
 
@@ -548,28 +548,24 @@ func topicWindows(b *Broker) string {
 // flip recovers the old generation intact — same topics, same
 // tombstones, same messages — and a completed flip survives crashes.
 func TestCompactCatalogCrashBeforeFlip(t *testing.T) {
-	hs := pmem.NewSetOf(pmem.New(pmem.Config{Bytes: 64 << 20, Mode: pmem.ModeCrash, MaxThreads: 2}))
-	b, err := Open(hs, Options{Threads: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := b.CreateTopic(0, TopicConfig{Name: "a", Shards: 1}); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := b.CreateTopic(0, TopicConfig{Name: "b", Shards: 1}); err != nil {
-		t.Fatal(err)
-	}
-	b.Topic("a").Publish(0, U64(51))
-	if err := b.DeleteTopic(0, "b"); err != nil {
-		t.Fatal(err)
-	}
-
-	testHookBeforeFlip = func() { hs.CrashNow() }
-	crashed := pmem.Protect(func() { b.CompactCatalog(0, 0) })
-	testHookBeforeFlip = nil
-	if !crashed {
-		t.Fatal("CompactCatalog survived a crash armed before the anchor flip")
-	}
+	hs := cutBeforeCommit(t, func() (*pmem.HeapSet, func()) {
+		hs := pmem.NewSetOf(pmem.New(pmem.Config{Bytes: 64 << 20, Mode: pmem.ModeCrash, MaxThreads: 2}))
+		b, err := Open(hs, Options{Threads: 2})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := b.CreateTopic(0, TopicConfig{Name: "a", Shards: 1}); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := b.CreateTopic(0, TopicConfig{Name: "b", Shards: 1}); err != nil {
+			t.Fatal(err)
+		}
+		b.Topic("a").Publish(0, U64(51))
+		if err := b.DeleteTopic(0, "b"); err != nil {
+			t.Fatal(err)
+		}
+		return hs, func() { b.CompactCatalog(0, 0) }
+	})
 	hs.FinalizeCrash(rand.New(rand.NewSource(95)))
 	hs.Restart()
 
@@ -618,9 +614,12 @@ func TestCompactCatalogCrashBeforeFlip(t *testing.T) {
 // generation and takes it, durably.
 func TestCompactCatalogResize(t *testing.T) {
 	hs := pmem.NewSetOf(pmem.New(pmem.Config{Bytes: 64 << 20, Mode: pmem.ModeCrash, MaxThreads: 2}))
-	// Room for exactly one 1-shard topic record (3 lines).
-	b, err := Open(hs, Options{Threads: 2, CatalogLines: 3})
+	b, err := Open(hs, Options{Threads: 2})
 	if err != nil {
+		t.Fatal(err)
+	}
+	// Room for exactly one 1-shard topic record (3 lines).
+	if err := b.CompactCatalog(0, 3); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := b.CreateTopic(0, TopicConfig{Name: "only", Shards: 1}); err != nil {

@@ -115,16 +115,17 @@ func TestHeapTopicKindMismatch(t *testing.T) {
 		t.Fatalf("DeleteTopic on a delay topic: %v", err)
 	}
 
-	// Arena exhaustion surfaces dheap.ErrFull through the wrap.
-	full := delay
+	// Pool exhaustion surfaces dheap.ErrFull through the wrap, once a
+	// lone publisher fills the whole pool: Threads × 1024 entries.
 	var fullErr error
-	for i := uint64(0); i < 2048; i++ {
-		if fullErr = full.PublishAt(1, heapPayload(i, 1), 1); fullErr != nil {
-			break
-		}
+	for i := uint64(0); i < 4096 && fullErr == nil; i++ {
+		fullErr = delay.PublishAt(1, heapPayload(i, 1), 1)
 	}
 	if !errors.Is(fullErr, dheap.ErrFull) {
-		t.Fatalf("arena exhaustion: got %v, want dheap.ErrFull", fullErr)
+		t.Fatalf("pool exhaustion: got %v, want dheap.ErrFull", fullErr)
+	}
+	if n := delay.heapq.Depth(); n != 2*1024 {
+		t.Fatalf("the pool refused its publisher at %d entries, want 2048", n)
 	}
 }
 

@@ -28,7 +28,8 @@ import (
 // use PublishAtBatch to amortize. Returns ErrWrongTopicKind on
 // non-delay topics, ErrBadPayload on a payload the topic cannot hold,
 // ErrTopicDeleted once retired, and dheap.ErrFull (wrapped) when the
-// publisher's entry arena is out of slots.
+// topic's entry pool, Threads × 1024 slots shared by every publisher,
+// is out of slots.
 func (t *Topic) PublishAt(tid int, payload []byte, deadline uint64) error {
 	return t.heapPublish(tid, "PublishAt", KindDelay, []uint64{deadline}, [][]byte{payload})
 }

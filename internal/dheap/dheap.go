@@ -4,11 +4,11 @@
 // from FIFO order to heap order.
 //
 // The durable state is deliberately NOT a heap. It is a checksummed
-// per-thread *entry log*: a fixed arena of entry slots per thread
-// inside one pmem region. A publish claims a free slot from the
-// publishing thread's arena, NT-stores the entry (seq, key, payload,
-// checksum) with one pmem.NTStoreLine per cache line, so each line of
-// it reaches the write-pending queue once, and issues a single fence —
+// *entry log*: a fixed pool of entry slots inside one pmem region,
+// shared by every thread. A publish claims free slots from the pool,
+// NT-stores each entry (seq, key, payload, checksum) with one
+// pmem.NTStoreLine per cache line, so each line of it reaches the
+// write-pending queue once, and issues a single fence —
 // one fence per batch when batched, exactly like the queues'
 // EnqueueBatch. A batch reserves its seqs with its slots, in the one
 // critical section of the index mutex that claims them: consecutive
@@ -69,24 +69,25 @@ const (
 	slotRegion           = 0                  // root slot anchoring the region base address
 )
 
-// ErrFull reports that the publishing thread's entry arena has no
-// free slot: the caller must drain (pop) or retry — backpressure,
-// not data loss. ErrPayloadTooLarge and ErrBatchShape refuse a batch
+// ErrFull reports that the entry pool has too few free slots for the
+// batch: the caller must drain (pop) or retry — backpressure, not data
+// loss. ErrPayloadTooLarge and ErrBatchShape refuse a batch
 // with a payload over MaxPayload or with keys and payloads differing
 // in number, before any slot is taken or word stored.
 var (
-	ErrFull            = errors.New("dheap: thread entry arena full")
+	ErrFull            = errors.New("dheap: entry pool full")
 	ErrPayloadTooLarge = errors.New("dheap: payload exceeds MaxPayload")
 	ErrBatchShape      = errors.New("dheap: keys and payloads differ in length")
 )
 
 // Config sizes a new durable heap.
 type Config struct {
-	// Threads is the number of worker tids; each gets its own arena.
+	// Threads is the number of worker tids: calls pass tids below it.
 	Threads int
 	// MaxPayload is the largest payload in bytes. 0 means 8 (one word).
 	MaxPayload int
-	// Capacity is the entry slots per thread arena. 0 means 1024.
+	// Capacity is the entry slots per thread id: the pool every tid
+	// draws on holds Threads × Capacity. 0 means 1024.
 	Capacity int
 	// InitTid is the thread id used for initialization persists.
 	InitTid int
@@ -105,8 +106,8 @@ func (c *Config) norm() {
 }
 
 // item is one live entry in the volatile min-heap: 24 bytes and no
-// pointer, so the GC never scans the index. slot = tid*cap + idx names
-// the durable entry and the payload's maxPayload bytes in the mirror.
+// pointer, so the GC never scans the index. slot names the durable
+// entry and the payload's maxPayload bytes in the mirror.
 type item struct {
 	key, seq uint64
 	slot     uint32
@@ -121,14 +122,14 @@ type scratch struct {
 }
 
 // Q is a durable priority queue. All methods are safe for concurrent
-// use; the volatile index is guarded by one mutex (the durable writes
-// themselves are per-thread and need no locking).
+// use; the volatile index and the free pool are guarded by one mutex
+// (the durable writes themselves go to slots the writer owns and need
+// no locking).
 type Q struct {
 	h      *pmem.Heap
 	region pmem.Addr
 
-	threads    int
-	cap        int
+	slots      int // entry slots in the region
 	stride     int // lines per entry
 	maxPayload int
 
@@ -136,9 +137,9 @@ type Q struct {
 	scratch []scratch // per tid
 
 	mu   sync.Mutex
-	seq  uint64     // last issued seq: takeSlots reserves a batch's past it
-	heap []item     // volatile 4-ary min-heap on (key, seq)
-	free [][]uint32 // per-tid free slots
+	seq  uint64   // last issued seq: takeSlots reserves a batch's past it
+	heap []item   // volatile 4-ary min-heap on (key, seq)
+	free []uint32 // free slots, taken from the end
 }
 
 // strideFor returns the number of cache lines one entry occupies.
@@ -156,30 +157,27 @@ func New(view *pmem.Heap, cfg Config) *Q {
 	cfg.norm()
 	q := &Q{
 		h:          view,
-		threads:    cfg.Threads,
-		cap:        cfg.Capacity,
+		slots:      cfg.Threads * cfg.Capacity,
 		stride:     strideFor(cfg.MaxPayload),
 		maxPayload: cfg.MaxPayload,
 	}
 	tid := cfg.InitTid
-	size := int64(1+q.threads*q.cap*q.stride) * pmem.CacheLineBytes
+	size := int64(1+q.slots*q.stride) * pmem.CacheLineBytes
 	q.region = view.AllocRaw(tid, size, pmem.CacheLineBytes)
 	view.InitRange(tid, q.region, size)
 
-	hw := [8]uint64{dheapMagic, uint64(q.threads), uint64(q.cap), uint64(q.stride), uint64(q.maxPayload), 0, 0, 0}
+	hw := [8]uint64{dheapMagic, uint64(cfg.Threads), uint64(cfg.Capacity), uint64(q.stride), uint64(q.maxPayload), 0, 0, 0}
 	hw[7] = headerSum(hw)
 	view.NTStoreLine(tid, q.region, &hw, 0xff)
 	view.Fence(tid)
 	view.Store(tid, view.RootAddr(slotRegion), uint64(q.region))
 	view.Persist(tid, view.RootAddr(slotRegion))
 
-	// Fresh format: every slot of every arena sits on its thread's
-	// LIFO free list, appended in reverse so slot 0 pops first.
-	q.initVolatile()
-	for t := range q.free {
-		for idx := q.cap - 1; idx >= 0; idx-- {
-			q.free[t] = append(q.free[t], uint32(t*q.cap+idx))
-		}
+	// Fresh format: every slot is free, appended in reverse so slot 0
+	// is taken first.
+	q.initVolatile(cfg.Threads)
+	for slot := q.slots - 1; slot >= 0; slot-- {
+		q.free = append(q.free, uint32(slot))
 	}
 	return q
 }
@@ -190,7 +188,8 @@ func New(view *pmem.Heap, cfg Config) *Q {
 // dead (torn or virgin — truncated from the log), copies live
 // payloads into a fresh mirror, heapifies the live items once, and
 // resumes the seq counter past every seq and state word ever observed.
-// The region's anchor and header are read through a pmem.Reader, so a
+// threads bounds the tids callers pass, as Config.Threads does. The
+// region's anchor and header are read through a pmem.Reader, so a
 // region that is missing, runs off the heap or carries a header New
 // did not write is an error wrapping pmem.ErrCorrupt.
 func Recover(view *pmem.Heap, threads int) (*Q, error) {
@@ -213,31 +212,28 @@ func Recover(view *pmem.Heap, threads int) (*Q, error) {
 	q := &Q{
 		h:          view,
 		region:     region,
-		threads:    int(hw[1]),
-		cap:        int(hw[2]),
 		stride:     int(hw[3]),
 		maxPayload: int(hw[4]),
 	}
 	// Divided, not multiplied, so no product of the three can wrap: the
 	// entries must fit the heap before Range checks where they lie.
 	maxLines := uint64(view.Bytes() / pmem.CacheLineBytes)
-	if q.threads <= 0 || q.cap <= 0 || q.maxPayload < 0 || q.stride != strideFor(q.maxPayload) ||
-		uint64(q.cap) > maxLines/uint64(q.threads)/uint64(q.stride) ||
-		!r.Range(region, int64(1+q.threads*q.cap*q.stride)*pmem.CacheLineBytes) {
+	hwThreads, hwCap := int(hw[1]), int(hw[2])
+	if hwThreads <= 0 || hwCap <= 0 || q.maxPayload < 0 || q.stride != strideFor(q.maxPayload) ||
+		uint64(hwCap) > maxLines/uint64(hwThreads)/uint64(q.stride) ||
+		!r.Range(region, int64(1+hwThreads*hwCap*q.stride)*pmem.CacheLineBytes) {
 		return nil, r.Errorf("dheap: recover: inconsistent region header at %#x", uint64(region))
 	}
-	if q.threads < threads {
-		return nil, fmt.Errorf("dheap: recover: region sized for %d threads, need %d", q.threads, threads)
-	}
-	// Free lists start EMPTY: only slots the scan below classifies as
+	q.slots = hwThreads * hwCap
+	// The pool starts EMPTY: only slots the scan below classifies as
 	// dead or consumed are freed. Pre-filling (as New does) would let a
 	// later PushBatch silently overwrite a durably-published live entry.
-	q.initVolatile()
+	q.initVolatile(max(threads, hwThreads))
 
 	var maxSeq uint64
 	words := q.scratch[tid].words
-	// Arena by arena in slot order: live entries join the index.
-	for slot := 0; slot < q.threads*q.cap; slot++ {
+	// In slot order: live entries join the index.
+	for slot := 0; slot < q.slots; slot++ {
 		base := q.entryAddr(uint32(slot))
 		seq := view.Load(tid, base)
 		key := view.Load(tid, base+1*pmem.WordBytes)
@@ -252,7 +248,7 @@ func Recover(view *pmem.Heap, threads int) (*Q, error) {
 			sum == entrySum(seq, key, length, words)
 		if !valid || state == seq {
 			// Torn, virgin or durably consumed: the slot is free.
-			q.free[slot/q.cap] = append(q.free[slot/q.cap], uint32(slot))
+			q.free = append(q.free, uint32(slot))
 			continue
 		}
 		wordsToBytes(words, q.mirror[slot*q.maxPayload:][:length])
@@ -266,16 +262,16 @@ func Recover(view *pmem.Heap, threads int) (*Q, error) {
 	return q, nil
 }
 
-// initVolatile allocates the DRAM side: payload mirror, per-tid
-// scratch (one entry's checksummed words) and empty free lists.
-func (q *Q) initVolatile() {
-	q.mirror = make([]byte, q.threads*q.cap*q.maxPayload)
-	q.scratch = make([]scratch, q.threads)
-	q.free = make([][]uint32, q.threads)
-	for t := range q.free {
+// initVolatile allocates the DRAM side: payload mirror, scratch (one
+// entry's checksummed words) for each of threads tids and an empty
+// free pool.
+func (q *Q) initVolatile(threads int) {
+	q.mirror = make([]byte, q.slots*q.maxPayload)
+	q.scratch = make([]scratch, threads)
+	for t := range q.scratch {
 		q.scratch[t].words = make([]uint64, 3+pmem.WordsPerLine*(q.stride-1))
-		q.free[t] = make([]uint32, 0, q.cap)
 	}
+	q.free = make([]uint32, 0, q.slots)
 }
 
 // entryAddr returns the address of slot's header line.
@@ -332,16 +328,15 @@ func (q *Q) PushBatch(tid int, keys []uint64, payloads [][]byte) error {
 	return nil
 }
 
-// takeSlots stages n free slots of tid's arena, all-or-nothing, and
-// reserves the batch's n seqs with them: consecutive, past every seq
-// issued before, in the batch's order.
+// takeSlots stages n free slots for tid, all-or-nothing, and reserves
+// the batch's n seqs with them: consecutive, past every seq issued
+// before, in the batch's order.
 func (q *Q) takeSlots(tid, n int) error {
 	q.mu.Lock()
 	defer q.mu.Unlock()
-	fl := q.free[tid]
+	fl := q.free
 	if len(fl) < n {
-		return fmt.Errorf("%w: tid %d needs %d slots, %d free (capacity %d)",
-			ErrFull, tid, n, len(fl), q.cap)
+		return fmt.Errorf("%w: %d slots needed, %d of %d free", ErrFull, n, len(fl), q.slots)
 	}
 	sc := &q.scratch[tid]
 	sc.staged = sc.staged[:0]
@@ -349,7 +344,7 @@ func (q *Q) takeSlots(tid, n int) error {
 		q.seq++
 		sc.staged = append(sc.staged, item{seq: q.seq, slot: slot})
 	}
-	q.free[tid] = fl[:len(fl)-n]
+	q.free = fl[:len(fl)-n]
 	return nil
 }
 
@@ -436,8 +431,7 @@ func (q *Q) PopReadyBatchAppend(tid int, maxKey uint64, max int, dst [][]byte) [
 	}
 	q.mu.Lock()
 	for _, it := range popped {
-		t := int(it.slot) / q.cap
-		q.free[t] = append(q.free[t], it.slot)
+		q.free = append(q.free, it.slot)
 	}
 	q.mu.Unlock()
 	return dst

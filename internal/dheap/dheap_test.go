@@ -110,25 +110,31 @@ func TestErrFullAllOrNothing(t *testing.T) {
 	q := New(h, Config{Threads: 2, Capacity: 4})
 	keys := []uint64{1, 2, 3}
 	ps := [][]byte{payloadFor(1, 8), payloadFor(2, 8), payloadFor(3, 8)}
-	if err := q.PushBatch(0, keys, ps); err != nil {
-		t.Fatal(err)
+	// One publisher may fill the whole pool: Threads × Capacity = 8.
+	for i := 0; i < 2; i++ {
+		if err := q.PushBatch(0, keys, ps); err != nil {
+			t.Fatal(err)
+		}
 	}
-	// 1 slot left in tid 0's arena: a 3-entry batch must fail whole.
-	if err := q.PushBatch(0, keys, ps); err == nil {
-		t.Fatal("over-capacity PushBatch succeeded")
-	} else if !errorsIs(err, ErrFull) {
-		t.Fatalf("err = %v, want ErrFull", err)
+	// 2 slots left in the pool: a 3-entry batch must fail whole, on
+	// either tid.
+	for tid := 0; tid < 2; tid++ {
+		if err := q.PushBatch(tid, keys, ps); err == nil {
+			t.Fatalf("tid %d: over-capacity PushBatch succeeded", tid)
+		} else if !errorsIs(err, ErrFull) {
+			t.Fatalf("tid %d: err = %v, want ErrFull", tid, err)
+		}
 	}
-	if q.Depth() != 3 {
-		t.Fatalf("failed batch published %d entries (all-or-nothing broken)", q.Depth()-3)
+	if q.Depth() != 6 {
+		t.Fatalf("failed batches published %d entries (all-or-nothing broken)", q.Depth()-6)
 	}
-	// The other thread's arena is unaffected.
-	if err := q.PushBatch(1, keys, ps); err != nil {
-		t.Fatalf("tid 1 push after tid 0 ErrFull: %v", err)
+	// The last two slots are any tid's.
+	if err := q.PushBatch(1, keys[:2], ps[:2]); err != nil {
+		t.Fatalf("tid 1 push into the last two slots: %v", err)
 	}
 	// Draining frees the slots again.
 	drainAll(q, 0)
-	if err := q.PushBatch(0, keys, ps); err != nil {
+	if err := q.PushBatch(1, keys, ps); err != nil {
 		t.Fatalf("push after drain: %v", err)
 	}
 }

@@ -55,7 +55,7 @@ func TestTypedRefusals(t *testing.T) {
 		{"more keys", []uint64{2, 3}, [][]byte{ok8}, ErrBatchShape, "2 keys, 1 payloads"},
 		{"more payloads", nil, [][]byte{ok8}, ErrBatchShape, "0 keys, 1 payloads"},
 	} {
-		free, d := len(q.free[0]), h.DeltaOf(0)
+		free, d := len(q.free), h.DeltaOf(0)
 		err := q.PushBatch(0, tc.keys, tc.payloads)
 		if !errors.Is(err, tc.want) || !strings.Contains(err.Error(), tc.mentions) {
 			t.Fatalf("%s: err = %v, want %v mentioning %q", tc.name, err, tc.want, tc.mentions)
@@ -63,8 +63,8 @@ func TestTypedRefusals(t *testing.T) {
 		if s := d.Delta(); s.NTStores != 0 || s.Fences != 0 || s.Flushes != 0 {
 			t.Fatalf("%s: a refused batch persisted: %+v", tc.name, s)
 		}
-		if len(q.free[0]) != free || q.Depth() != 1 {
-			t.Fatalf("%s: a refused batch took slots (free %d -> %d, depth %d)", tc.name, free, len(q.free[0]), q.Depth())
+		if len(q.free) != free || q.Depth() != 1 {
+			t.Fatalf("%s: a refused batch took slots (free %d -> %d, depth %d)", tc.name, free, len(q.free), q.Depth())
 		}
 	}
 	if err := q.PushBatch(0, []uint64{4}, [][]byte{big}); !errors.Is(err, ErrPayloadTooLarge) {
@@ -128,7 +128,7 @@ func drive(t *testing.T, q *Q, ref *reference, rng *rand.Rand, threads, maxPaylo
 		if !grown {
 			pushOdds = 8
 		}
-		if rng.Intn(10) < pushOdds && len(*ref)+n <= q.cap {
+		if rng.Intn(10) < pushOdds && len(*ref)+n <= q.slots {
 			keys, ps := make([]uint64, n), make([][]byte, n)
 			for i := range keys {
 				keys[i] = uint64(rng.Intn(64))
@@ -159,7 +159,7 @@ func drive(t *testing.T, q *Q, ref *reference, rng *rand.Rand, threads, maxPaylo
 func TestOrderAgainstReference(t *testing.T) {
 	for seed := int64(1); seed <= 3; seed++ {
 		const threads, maxPayload = 3, 25
-		// Every pusher may be handed the whole resident set: arenas are per tid.
+		// The pool, 3 × 1600 slots, holds the whole resident set.
 		q := New(newHeap(0, threads), Config{Threads: threads, MaxPayload: maxPayload, Capacity: 1600})
 		var ref reference
 		drive(t, q, &ref, rand.New(rand.NewSource(seed)), threads, maxPayload, 1400, 600)

@@ -331,11 +331,6 @@ func (h *Heap) RootAddr(slot int) Addr {
 // (NumRootSlots for a heap returned by New).
 func (h *Heap) RootSlots() int { return h.rootSlots }
 
-// RootBase reports the absolute slot index this header's window starts
-// at (0 for a heap returned by New). Durable catalogs record it so
-// recovery can re-derive the same window.
-func (h *Heap) RootBase() int { return h.rootBase }
-
 // View returns a heap header sharing all simulated memory and
 // statistics with h but exposing only the root-slot window
 // [baseSlot, baseSlot+slots) of h's own window, re-indexed from zero.

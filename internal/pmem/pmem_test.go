@@ -63,9 +63,6 @@ func TestViewRemapsRootSlots(t *testing.T) {
 	if got := v.RootSlots(); got != 4 {
 		t.Fatalf("view RootSlots = %d, want 4", got)
 	}
-	if got := v.RootBase(); got != 8 {
-		t.Fatalf("view RootBase = %d, want 8", got)
-	}
 	for i := 0; i < 4; i++ {
 		if v.RootAddr(i) != h.RootAddr(8+i) {
 			t.Fatalf("view slot %d maps to %d, want %d", i, v.RootAddr(i), h.RootAddr(8+i))

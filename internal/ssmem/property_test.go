@@ -113,7 +113,7 @@ func TestQuickRecoverPartition(t *testing.T) {
 			seen[a]++
 			return live[a]
 		})
-		total := rp.AreaCount() * cfg.SlotsPerArea
+		total := rp.Stats().Areas * cfg.SlotsPerArea
 		if len(seen) != total {
 			t.Logf("seed %d: live() saw %d slots, want %d", seed, len(seen), total)
 			return false

@@ -452,10 +452,6 @@ func (p *Pool) Locate(a pmem.Addr) (area, slot int) {
 	panic(fmt.Sprintf("ssmem: %#x is not a slot of this pool", a))
 }
 
-// AreaCount reports how many designated areas have been registered.
-// It touches no simulated memory.
-func (p *Pool) AreaCount() int { return int(p.areas.Load()) }
-
 // Stats is a pool's footprint. Every slot of every area is either held
 // by the data structure or counted in exactly one of the three slot
 // fields, so Areas × SlotsPerArea minus their sum is the live count.
@@ -475,7 +471,7 @@ type Stats struct {
 // contract — exact when the pool's threads are quiescent, a benign
 // torn view otherwise. It touches no simulated memory.
 func (p *Pool) Stats() Stats {
-	s := Stats{Areas: p.AreaCount(), DepotFree: int(p.depot.free.Load())}
+	s := Stats{Areas: int(p.areas.Load()), DepotFree: int(p.depot.free.Load())}
 	for i := range p.per {
 		ts := &p.per[i]
 		s.ThreadFree += len(ts.free) + int(ts.areaEnd-ts.areaNext)/p.cfg.SlotBytes

@@ -34,8 +34,8 @@ func TestAllocDistinctAlignedZeroed(t *testing.T) {
 			}
 		}
 	}
-	if p.AreaCount() < 100/16 {
-		t.Fatalf("expected multiple areas, got %d", p.AreaCount())
+	if p.Stats().Areas < 100/16 {
+		t.Fatalf("expected multiple areas, got %d", p.Stats().Areas)
 	}
 }
 
@@ -203,7 +203,7 @@ func TestSplitTidsNoDoubleHandout(t *testing.T) {
 	close(handoff)
 	consumers.Wait()
 	served := threads / 2 * per
-	if slots := p.AreaCount() * slotsPerArea; slots > served/4 {
+	if slots := p.Stats().Areas * slotsPerArea; slots > served/4 {
 		t.Fatalf("pool grew to %d slots to serve %d allocations: slots retired on one tid are not reaching the allocating tids", slots, served)
 	}
 	st := p.Stats()
@@ -230,12 +230,12 @@ func TestSteadyStateAllocatesNothing(t *testing.T) {
 	for i := 0; i < 50; i++ {
 		cycle()
 	}
-	areas := p.AreaCount()
+	areas := p.Stats().Areas
 	if got := testing.AllocsPerRun(100, cycle); got != 0 {
 		t.Fatalf("warmed Alloc/Retire cycle across tids = %v allocs per %d slots, want 0", got, 4*chunkSlots)
 	}
-	if p.AreaCount() != areas || areas != 1 {
-		t.Fatalf("areas %d -> %d over a one-slot-deep cycle, want 1 throughout", areas, p.AreaCount())
+	if p.Stats().Areas != areas || areas != 1 {
+		t.Fatalf("areas %d -> %d over a one-slot-deep cycle, want 1 throughout", areas, p.Stats().Areas)
 	}
 }
 
@@ -250,7 +250,7 @@ func TestRecoverPoolRebuildsFreeLists(t *testing.T) {
 			liveSet[a] = true // pretend these are still in the structure
 		}
 	}
-	total := p.AreaCount() * cfg.SlotsPerArea
+	total := p.Stats().Areas * cfg.SlotsPerArea
 
 	h.CrashNow()
 	h.FinalizeCrash(rand.New(rand.NewSource(1)))
@@ -277,7 +277,7 @@ func TestRecoverPoolRebuildsFreeLists(t *testing.T) {
 // the crash come first), before the pool opens a new area.
 func allocAllOnce(t testing.TB, p *Pool, tid, free int, live map[pmem.Addr]bool) {
 	t.Helper()
-	areas := p.AreaCount()
+	areas := p.Stats().Areas
 	seen := map[pmem.Addr]bool{}
 	var prev pmem.Addr
 	for i := 0; i < free; i++ {
@@ -293,8 +293,8 @@ func allocAllOnce(t testing.TB, p *Pool, tid, free int, live map[pmem.Addr]bool)
 	if st := p.Stats(); st != (Stats{Areas: areas}) {
 		t.Fatalf("after allocating every free slot: %+v, want nothing free in %d areas", st, areas)
 	}
-	if p.Alloc(tid); p.AreaCount() != areas+1 {
-		t.Fatalf("the allocation after the last free slot left %d areas, want %d", p.AreaCount(), areas+1)
+	if p.Alloc(tid); p.Stats().Areas != areas+1 {
+		t.Fatalf("the allocation after the last free slot left %d areas, want %d", p.Stats().Areas, areas+1)
 	}
 }
 
@@ -306,8 +306,8 @@ func TestRecoverPoolSurvivesCrashBeforeAnyArea(t *testing.T) {
 	h.FinalizeCrash(rand.New(rand.NewSource(2)))
 	h.Restart()
 	rp := RecoverPool(h, cfg, func(pmem.Addr) bool { return false })
-	if rp.AreaCount() != 0 {
-		t.Fatalf("expected 0 areas, got %d", rp.AreaCount())
+	if rp.Stats().Areas != 0 {
+		t.Fatalf("expected 0 areas, got %d", rp.Stats().Areas)
 	}
 	if a := rp.Alloc(0); a == 0 {
 		t.Fatal("Alloc after empty recovery returned nil addr")

@@ -281,7 +281,7 @@ func plainGroupRound(r *round, dequeueBatch, heaps int) error {
 		consumers   = 2
 		perProducer = 3000
 	)
-	if err := r.open(heaps, broker.Options{}, fifoTopics(false), 0); err != nil {
+	if err := r.open(heaps, fifoTopics(false), 0); err != nil {
 		return err
 	}
 	delivered, redelivered, err := plainConsumers(r, consumers, producers, dequeueBatch)
@@ -382,7 +382,7 @@ func consumerCrashRound(r *round) error {
 		window      = 8
 		heaps       = 2
 	)
-	if err := r.open(heaps, broker.Options{}, fifoTopics(true), 1); err != nil {
+	if err := r.open(heaps, fifoTopics(true), 1); err != nil {
 		return err
 	}
 	var clk atomic.Uint64
@@ -488,7 +488,7 @@ func dynamicTopicsRound(r *round) error {
 		adminTid    = producers + consumers
 		maxDyn      = 6
 	)
-	if err := r.open(heaps, broker.Options{}, fifoTopics(false), 0); err != nil {
+	if err := r.open(heaps, fifoTopics(false), 0); err != nil {
 		return err
 	}
 	b := r.b
@@ -599,12 +599,15 @@ func topicChurnRound(r *round) error {
 		raceTid     = producers + consumers + 1 // publishes into live churn topics
 		maxCycles   = 10
 	)
-	// Small log: ~4 churn cycles fill it, so the storm exercises the
-	// auto-compaction path under fire.
-	if err := r.open(heaps, broker.Options{CatalogLines: 96}, fifoTopics(false), 0); err != nil {
+	if err := r.open(heaps, fifoTopics(false), 0); err != nil {
 		return err
 	}
 	b := r.b
+	// Small log: ~4 churn cycles fill it, so the storm exercises the
+	// auto-compaction path under fire.
+	if err := b.CompactCatalog(0, 96); err != nil {
+		return err
+	}
 	delivered, redelivered, err := plainConsumers(r, consumers, producers, 8)
 	if err != nil {
 		return err
@@ -816,7 +819,7 @@ func heapTopicsRound(r *round) error {
 		popBatch    = 8
 		heaps       = 2
 	)
-	if err := r.open(heaps, broker.Options{}, []broker.TopicConfig{
+	if err := r.open(heaps, []broker.TopicConfig{
 		{Name: "delay", Shards: 1, MaxPayload: 24, Kind: broker.KindDelay},
 		{Name: "prio", Shards: 1, MaxPayload: 24, Kind: broker.KindPriority},
 	}, 0); err != nil {
@@ -1018,7 +1021,7 @@ func membershipChurnRound(r *round) error {
 		heaps       = 2
 		ctlTid      = producers + consumers
 	)
-	if err := r.open(heaps, broker.Options{}, fifoTopics(true), 1); err != nil {
+	if err := r.open(heaps, fifoTopics(true), 1); err != nil {
 		return err
 	}
 	var clk atomic.Uint64

@@ -43,10 +43,9 @@ type round struct {
 // open builds the ModeCrash set and populates a broker on it: one
 // CreateTopic per topic, then ackGroups lease regions each sized exactly
 // to the shard total.
-func (r *round) open(heaps int, extras broker.Options, topics []broker.TopicConfig, ackGroups int) error {
+func (r *round) open(heaps int, topics []broker.TopicConfig, ackGroups int) error {
 	r.hs = pmem.NewSet(heaps, pmem.Config{Bytes: 64 << 20, Mode: pmem.ModeCrash, MaxThreads: r.threads})
-	extras.Threads = r.threads
-	b, err := r.reopen(extras)
+	b, err := r.reopen(broker.Options{Threads: r.threads})
 	if err != nil {
 		return err
 	}
