@@ -14,7 +14,9 @@ package main
 import (
 	"fmt"
 	"math/rand"
+	"os"
 	"sync"
+	"sync/atomic"
 
 	"repro/internal/blobq"
 	"repro/internal/pmem"
@@ -39,10 +41,13 @@ func main() {
 	h.ScheduleCrashAtAccess(150_000)
 	acked := make([][]uint64, producers)
 	var wg sync.WaitGroup
+	var producing atomic.Int32
+	producing.Store(producers)
 	for p := 0; p < producers; p++ {
 		wg.Add(1)
 		go func(p int) {
 			defer wg.Done()
+			defer producing.Add(-1)
 			for i := uint64(0); i < 2000; i++ {
 				id := uint64(p+1)*1_000_000 + i
 				if pmem.Protect(func() { spool.Enqueue(p, document(id)) }) {
@@ -58,6 +63,9 @@ func main() {
 		defer wg.Done()
 		tid := producers
 		for {
+			// Read before the dequeue: an empty queue after every producer
+			// returned is drained for good.
+			done := producing.Load() == 0
 			var doc []byte
 			var ok bool
 			if pmem.Protect(func() { doc, ok = spool.Dequeue(tid) }) {
@@ -65,6 +73,13 @@ func main() {
 			}
 			if ok {
 				printed[parseID(doc)] = true
+				continue
+			}
+			// An empty dequeue whose head index is already durable makes
+			// no access to the heap, so it never meets the power loss:
+			// a consumer that has caught up asks for it.
+			if done || h.Crashed() {
+				return
 			}
 		}
 	}()
@@ -87,7 +102,7 @@ func main() {
 		want := document(id)
 		if string(doc) != string(want) {
 			fmt.Printf("CORRUPT DOCUMENT %d\n", id)
-			return
+			os.Exit(1)
 		}
 		printed[id] = true
 		backlog++
@@ -109,6 +124,7 @@ func main() {
 		fmt.Println("spooler audit passed")
 	} else {
 		fmt.Println("SPOOLER AUDIT FAILED")
+		os.Exit(1)
 	}
 }
 

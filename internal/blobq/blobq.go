@@ -6,17 +6,18 @@
 //
 // Queue is the second-amendment queue (queues.Core, Section 6.1) whose
 // items are byte payloads stored in persistent blobs; this package is
-// only the payload codec. A blob occupies a fixed number of cache
-// lines; every line carries 56 payload bytes plus an 8-byte seal
-// combining a globally unique blob tag with the line number. The
-// enqueuer writes the payload lines (data before seal, per line) and
-// issues asynchronous flushes for all of them before the core links
-// the node, and they ride the operation's single fence — no additional
-// blocking persist. Recovery accepts a node only if its blob's every
-// seal matches the node's tag, so a node whose linked flag was evicted
-// early while its payload was not cannot resurrect garbage: under
-// durable linearizability such an enqueue was pending and is
-// discarded.
+// only the payload codec. A node is one slot of the core's pool: the
+// node line [index, linked, tag, len], then the blob, a fixed number of
+// cache lines of which every one carries 56 payload bytes plus an
+// 8-byte seal combining a globally unique blob tag with the line
+// number. The enqueuer writes the payload lines (data before seal, per
+// line) and issues asynchronous flushes for all of them before the
+// core links the node, and they ride the operation's single fence — no
+// additional blocking persist. Recovery accepts a node only if its
+// blob's every seal matches the node's tag, so a node whose linked
+// flag was evicted early while its payload was not cannot resurrect
+// garbage: under durable linearizability such an enqueue was pending
+// and is discarded.
 //
 // Normal-path reads never touch the flushed blob lines: the payload
 // also lives in the node's Volatile half (a Go byte slice), so the
@@ -30,7 +31,6 @@ import (
 
 	"repro/internal/pmem"
 	"repro/internal/queues"
-	"repro/internal/ssmem"
 )
 
 // Blob geometry: per cache line, 56 payload bytes + one seal word.
@@ -44,18 +44,17 @@ const (
 // a blob has at most 255 lines.
 const MaxPayloadLimit = 255 * lineData
 
-// Codec words of the node line: [blob, tag, len].
+// Codec words of the node line: [tag, len]. The blob is the lines
+// after it.
 const (
-	pnBlob = queues.NodePayload
-	pnTag  = queues.NodePayload + 8
-	pnLen  = queues.NodePayload + 16
+	pnTag  = queues.NodePayload
+	pnLen  = queues.NodePayload + 8
+	pnBlob = pmem.CacheLineBytes
 )
 
-// Root slots the codec adds to the core's (a heap hosts one queue).
-const (
-	slotBlobPool = 6
-	slotEpoch    = 7
-)
+// slotEpoch is the root slot the codec adds to the core's (a heap hosts
+// one queue).
+const slotEpoch = 7
 
 // Config parameterizes a Queue.
 type Config struct {
@@ -89,13 +88,6 @@ func (c *Config) norm() {
 
 func (c Config) blobLines() int { return (c.MaxPayload + lineData - 1) / lineData }
 
-func (c Config) blobPool() *ssmem.Config {
-	return &ssmem.Config{
-		SlotBytes: c.blobLines() * pmem.CacheLineBytes, SlotsPerArea: 1024,
-		Threads: c.Threads, RootSlot: slotBlobPool, InitTid: c.InitTid,
-	}
-}
-
 // Queue is a durable lock-free FIFO of byte payloads with one blocking
 // persist per operation and no access to flushed content: every verb
 // is the core's.
@@ -112,8 +104,6 @@ type codec struct {
 	lines int
 	epoch uint64 // persistent boot incarnation, salts blob tags
 	per   []perTid
-	// areas bounds the blob addresses recovery may trust.
-	areas []ssmem.Area
 }
 
 // perTid is one thread's codec state, on a cache line of its own: the
@@ -134,7 +124,7 @@ func newCodec(cfg Config, epoch uint64) *codec {
 func New(h *pmem.Heap, cfg Config) *Queue {
 	cfg.norm()
 	c := newCodec(cfg, 1)
-	q := &Queue{queues.NewCore[[]byte](h, cfg.Threads, cfg.InitTid, cfg.Acked, c, cfg.blobPool()), c.lines}
+	q := &Queue{queues.NewCore[[]byte](h, cfg.Threads, cfg.InitTid, cfg.Acked, c, 1+c.lines), c.lines}
 	h.Store(cfg.InitTid, h.RootAddr(slotEpoch), c.epoch)
 	h.Persist(cfg.InitTid, h.RootAddr(slotEpoch))
 	return q
@@ -150,30 +140,28 @@ func Recover(h *pmem.Heap, cfg Config) *Queue {
 	// Bump the boot incarnation first so tags minted after this
 	// recovery can never collide with pre-crash seals.
 	c := newCodec(cfg, h.Load(0, h.RootAddr(slotEpoch))+1)
-	c.areas = ssmem.Areas(h, *cfg.blobPool())
 	h.Store(0, h.RootAddr(slotEpoch), c.epoch)
 	h.Persist(0, h.RootAddr(slotEpoch))
-	return &Queue{queues.RecoverCore[[]byte](h, cfg.Threads, cfg.Acked, c, cfg.blobPool()), c.lines}
+	return &Queue{queues.RecoverCore[[]byte](h, cfg.Threads, cfg.Acked, c, 1+c.lines), c.lines}
 }
 
-// Write records the blob's address, tag and length in the node line,
-// then writes payload into the blob lines, data words before the
+// Write records the blob's tag and length in the node line, then
+// writes payload into the blob lines after it, data words before the
 // sealing word of each line (Assumption 1 orders them in NVRAM), and
 // issues their asynchronous flushes. The tag is unique across the
 // heap's lifetime — boot incarnations never share tags — so a recycled
-// blob's stale seals can never validate a half-written new payload.
-func (c *codec) Write(h *pmem.Heap, tid int, pn, blob pmem.Addr, payload []byte) []byte {
+// slot's stale seals can never validate a half-written new payload.
+func (c *codec) Write(h *pmem.Heap, tid int, pn pmem.Addr, payload []byte) []byte {
 	if len(payload) > c.lines*lineData {
 		panic(fmt.Sprintf("blobq: payload %d exceeds capacity %d", len(payload), c.lines*lineData))
 	}
 	me := &c.per[tid]
 	me.tagSeq++
 	tag := c.epoch<<40 | uint64(tid+1)<<32 | me.tagSeq&0xffffffff
-	h.StoreOwned(tid, pn+pnBlob, uint64(blob))
 	h.StoreOwned(tid, pn+pnTag, tag)
 	h.StoreOwned(tid, pn+pnLen, uint64(len(payload)))
-	// The blob is this thread's alone until the core links the node, so
-	// it is staged whole and written back in one call.
+	// The slot is this thread's alone until the core links the node, so
+	// the blob is staged whole and written back in one call.
 	if me.stage == nil {
 		me.stage = make([]uint64, c.lines*pmem.WordsPerLine)
 	}
@@ -197,7 +185,7 @@ func (c *codec) Write(h *pmem.Heap, tid int, pn, blob pmem.Addr, payload []byte)
 		line[sealOff/pmem.WordBytes] = seal(tag, l)
 		rest = rest[min(lineData, len(rest)):]
 	}
-	h.WriteBack(tid, blob, me.stage)
+	h.WriteBack(tid, pn+pnBlob, me.stage)
 	return append([]byte(nil), payload...)
 }
 
@@ -205,27 +193,26 @@ func (c *codec) Write(h *pmem.Heap, tid int, pn, blob pmem.Addr, payload []byte)
 // line+1 fits the low byte and never carries into the tag.
 func seal(tag uint64, line int) uint64 { return tag<<8 | uint64(line) + 1 }
 
-// Check accepts a node only if its blob address is a real slot, its
-// length fits and every line's seal carries the node's tag; anything
-// else is a torn enqueue whose flag or index was evicted before the
-// payload became durable.
-func (c *codec) Check(h *pmem.Heap, pn pmem.Addr) (pmem.Addr, bool) {
-	blob := pmem.Addr(h.Load(0, pn+pnBlob))
+// Check accepts a node only if its length fits and every line of its
+// blob carries the seal of the node's tag; anything else is a torn
+// enqueue whose flag or index was evicted before the payload became
+// durable.
+func (c *codec) Check(h *pmem.Heap, pn pmem.Addr) bool {
 	tag := h.Load(0, pn+pnTag)
-	if !ssmem.ValidSlot(c.areas, c.lines*pmem.CacheLineBytes, blob) || h.Load(0, pn+pnLen) > uint64(c.lines*lineData) {
-		return 0, false
+	if h.Load(0, pn+pnLen) > uint64(c.lines*lineData) {
+		return false
 	}
 	for l := 0; l < c.lines; l++ {
-		if h.Load(0, blob+pmem.Addr(l*pmem.CacheLineBytes)+sealOff) != seal(tag, l) {
-			return 0, false
+		if h.Load(0, pn+pnBlob+pmem.Addr(l*pmem.CacheLineBytes)+sealOff) != seal(tag, l) {
+			return false
 		}
 	}
-	return blob, true
+	return true
 }
 
 // Read copies out the payload of a node Check accepted.
 func (c *codec) Read(h *pmem.Heap, pn pmem.Addr) []byte {
-	blob := pmem.Addr(h.Load(0, pn+pnBlob))
+	blob := pn + pnBlob
 	n := h.Load(0, pn+pnLen)
 	out := make([]byte, n)
 	// lineData is a multiple of the word size, so stepping a word at a

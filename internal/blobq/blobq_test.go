@@ -2,10 +2,12 @@ package blobq
 
 import (
 	"bytes"
+	"cmp"
 	"errors"
 	"fmt"
 	"math/rand"
 	"runtime"
+	"slices"
 	"strings"
 	"testing"
 
@@ -319,15 +321,16 @@ func TestOneFenceZeroPostFlush(t *testing.T) {
 		lines uint64 // cache lines flushed per enqueued item
 		// stores is the Stores counted per enqueued item, and no other
 		// verb stores: three by the core (linked cleared, index, linked
-		// set), then the word itself, or the codec's three node words and
-		// eight for each of a blob's three lines, however they are issued.
+		// set), then the word itself, or the codec's two node words (tag
+		// and length) and eight for each of a blob's three lines, however
+		// they are issued.
 		stores uint64
 		mk     func(h *pmem.Heap) pinQ
 	}{
 		{"word", false, 1, 4, func(h *pmem.Heap) pinQ { return queues.NewOptUnlinkedQ(h, 1) }},
 		{"word-acked", true, 1, 4, func(h *pmem.Heap) pinQ { return queues.NewOptUnlinkedQAcked(h, 1) }},
-		{"blob", false, 4, 6 + 8*3, func(h *pmem.Heap) pinQ { return blobInfo(t, false).New(h, 1).(pinQ) }},
-		{"blob-acked", true, 4, 6 + 8*3, func(h *pmem.Heap) pinQ { return blobInfo(t, true).New(h, 1).(pinQ) }},
+		{"blob", false, 4, 5 + 8*3, func(h *pmem.Heap) pinQ { return blobInfo(t, false).New(h, 1).(pinQ) }},
+		{"blob-acked", true, 4, 5 + 8*3, func(h *pmem.Heap) pinQ { return blobInfo(t, true).New(h, 1).(pinQ) }},
 	} {
 		t.Run(inst.name, func(t *testing.T) {
 			h := pmem.New(pmem.Config{Bytes: 64 << 20, MaxThreads: 2})
@@ -370,8 +373,8 @@ func TestOneFenceZeroPostFlush(t *testing.T) {
 // lines the previous owner's write-back left flushed. The allocator's
 // ClearLineState makes that rewrite an allocation miss, not an access to
 // flushed content: zero post-flush accesses, whether or not a flush
-// invalidates the line. The first round, which creates the pools'
-// areas, is not counted.
+// invalidates the line. The first round, which creates the pool's
+// area, is not counted.
 func TestRecycledBlobRewriteZeroPostFlush(t *testing.T) {
 	for _, retain := range []bool{false, true} {
 		h := pmem.New(pmem.Config{Bytes: 64 << 20, MaxThreads: 1, FlushRetainsLine: retain})
@@ -395,9 +398,9 @@ func TestRecycledBlobRewriteZeroPostFlush(t *testing.T) {
 					retain, i, d.PostFlushAccesses, d.Flushes, 8*(q.lines+1))
 			}
 		}
-		cfg.norm()
-		if areas := ssmem.Areas(h, *cfg.blobPool()); len(areas) != 1 || areas[0].Slots >= rounds*8 {
-			t.Fatalf("retain=%v: %d blob areas for %d messages: the rounds no longer recycle slots", retain, len(areas), rounds*8)
+		if st := q.PoolStats(); st.Areas != 1 || st.ThreadFree+st.DepotFree+st.Limbo >= rounds*8 {
+			t.Fatalf("retain=%v: %d areas with %d free slots for %d messages: the rounds no longer recycle slots",
+				retain, st.Areas, st.ThreadFree+st.DepotFree+st.Limbo, rounds*8)
 		}
 	}
 }
@@ -405,9 +408,9 @@ func TestRecycledBlobRewriteZeroPostFlush(t *testing.T) {
 // TestDequeueBatchCrash: a crash mid-DequeueBatch may cost at most the
 // unacknowledged window; acknowledged payloads never reappear and
 // whatever recovery resurrects is an intact FIFO suffix. Kept beside
-// the word queue's twin for what only an aux pool can show: blobs are
-// retired with their node, never ahead of the covering fence, or a
-// redelivered payload would come back overwritten.
+// the word queue's twin for what only multi-line nodes can show: a
+// blob's lines are retired with its node line, never ahead of the
+// covering fence, or a redelivered payload would come back overwritten.
 func TestDequeueBatchCrash(t *testing.T) {
 	const n, window = 60, 6
 	for seed := int64(1); seed <= 5; seed++ {
@@ -468,9 +471,9 @@ func TestExhaustiveCrashPoints(t *testing.T) {
 	qtest.RunCrashSweep(t, blobInfo(t, false), script, stride, 1)
 }
 
-// TestCrashSweepRecycledSlots cuts enqueues that write into node and
-// blob slots another tid freed, so a whole stale blob — every seal of
-// its previous life intact — is on media under each half-written one.
+// TestCrashSweepRecycledSlots cuts enqueues that write into slots
+// another tid freed, so a whole stale blob — every seal of its previous
+// life intact — is on media under each half-written one.
 func TestCrashSweepRecycledSlots(t *testing.T) {
 	stride := int64(5)
 	if testing.Short() {
@@ -489,7 +492,7 @@ func TestCrashSweepRecycledSlots(t *testing.T) {
 // power at quiescence; after recovery the same tid's first enqueue —
 // the same tag sequence number — lands in the same slot. That slot's
 // payload lines are then put back to their previous-boot image, as if
-// only the node line had reached media before a crash. Only the epoch
+// only its node line had reached media before a crash. Only the epoch
 // tells those stale seals from the new tag's, and recovery must refuse
 // the node instead of delivering the old payload under it.
 func TestRecycledSlotStaleSealsRefused(t *testing.T) {
@@ -507,8 +510,9 @@ func TestRecycledSlotStaleSealsRefused(t *testing.T) {
 	}
 	crash(1)
 	cfg.norm()
-	area := ssmem.Areas(h, *cfg.blobPool())[0]
-	slotWords := cfg.blobLines() * pmem.WordsPerLine
+	lines := 1 + cfg.blobLines()
+	area := nodeArea(h, lines)
+	slotWords := lines * pmem.WordsPerLine
 	image := func() []uint64 {
 		img := make([]uint64, area.Slots*slotWords)
 		for i := range img {
@@ -527,14 +531,17 @@ func TestRecycledSlotStaleSealsRefused(t *testing.T) {
 			continue
 		}
 		if rewritten >= 0 && i/slotWords != rewritten {
-			t.Fatalf("the second boot's one enqueue rewrote blob slots %d and %d", rewritten, i/slotWords)
+			t.Fatalf("the second boot's one enqueue rewrote slots %d and %d", rewritten, i/slotWords)
 		}
 		rewritten = i / slotWords
+		if i%slotWords < pmem.WordsPerLine {
+			continue // the node line keeps the new tag
+		}
 		a := area.Base + pmem.Addr(i*pmem.WordBytes)
 		h.Store(0, a, prev[i])
 		h.Persist(0, a)
 	}
-	if rewritten < 0 || prev[rewritten*slotWords+int(sealOff/pmem.WordBytes)] == 0 {
+	if rewritten < 0 || prev[rewritten*slotWords+int((pnBlob+sealOff)/pmem.WordBytes)] == 0 {
 		t.Fatalf("the second boot's enqueue did not recycle a slot sealed in the first (slot %d)", rewritten)
 	}
 	crash(3)
@@ -542,6 +549,92 @@ func TestRecycledSlotStaleSealsRefused(t *testing.T) {
 	q = Recover(h, cfg)
 	if p, ok := q.Dequeue(0); ok {
 		t.Fatalf("recovery delivered %d bytes from a blob whose seals are a previous boot's", len(p))
+	}
+}
+
+// TestBlobNodeIsOneSlot: a blob node is one slot of the core's one
+// pool, its node line and its blob together. Root slot 6, where the
+// blob lines once had a pool of their own, stays zero after New and
+// after Recover; the pool's footprint grows by exactly one slot per
+// enqueued blob; and a recovery over recycled slots in which one line
+// of one blob is torn drops exactly that node.
+func TestBlobNodeIsOneSlot(t *testing.T) {
+	const backlog, torn = 20, 9
+	h := newHeap(pmem.ModeCrash)
+	cfg := Config{Threads: 1, MaxPayload: 112}
+	cfg.norm()
+	lines := 1 + cfg.blobLines()
+	rootSlot6 := func(when string) {
+		t.Helper()
+		if v := h.Load(0, h.RootAddr(6)); v != 0 {
+			t.Fatalf("after %s, root slot 6 holds %#x, want 0", when, v)
+		}
+	}
+	held := func(q *Queue) int {
+		st := q.PoolStats()
+		return st.Areas*1024 - st.ThreadFree - st.DepotFree - st.Limbo
+	}
+	q := New(h, cfg)
+	rootSlot6("New")
+	for i := 0; i < 200; i++ { // 1 600 blobs through one area of 1 024 slots
+		for j := 0; j < 8; j++ {
+			q.Enqueue(0, payloadFor(uint64(i*8+j), 100))
+		}
+		if got := q.DequeueBatch(0, 8); len(got) != 8 {
+			t.Fatalf("round %d dequeued %d blobs, want 8", i, len(got))
+		}
+	}
+	if st := q.PoolStats(); st.Areas != 1 {
+		t.Fatalf("%d areas after 1 600 blobs: the rounds no longer recycle slots", st.Areas)
+	}
+	before := held(q)
+	for i := uint64(0); i < backlog; i++ {
+		q.Enqueue(0, payloadFor(1<<20+i, 100))
+	}
+	if grew := held(q) - before; grew != backlog {
+		t.Fatalf("%d enqueued blobs took %d slots of the pool, want one each", backlog, grew)
+	}
+	h.CrashNow()
+	h.FinalizeCrash(rand.New(rand.NewSource(5)))
+	h.Restart()
+
+	// The backlog is the linked slots with the largest indices; tear
+	// the second blob line of its torn'th node.
+	area := nodeArea(h, lines)
+	type linked struct {
+		index uint64
+		pn    pmem.Addr
+	}
+	var nodes []linked
+	for s := 0; s < area.Slots; s++ {
+		pn := area.Base + pmem.Addr(s*lines*pmem.CacheLineBytes)
+		if h.Load(0, pn+queues.NodePayload-8) == 1 {
+			nodes = append(nodes, linked{h.Load(0, pn+queues.NodePayload-16), pn})
+		}
+	}
+	slices.SortFunc(nodes, func(a, b linked) int { return cmp.Compare(a.index, b.index) })
+	if len(nodes) < backlog {
+		t.Fatalf("%d linked slots on media, want at least the backlog's %d", len(nodes), backlog)
+	}
+	seal := nodes[len(nodes)-backlog+torn].pn + pnBlob + pmem.CacheLineBytes + sealOff
+	h.Store(0, seal, h.Load(0, seal)^1<<8) // another tag's seal: a line of the slot's previous life
+	h.Persist(0, seal)
+
+	q = Recover(h, cfg)
+	rootSlot6("Recover")
+	if got := held(q); got != backlog {
+		t.Fatalf("recovery holds %d slots, want the %d surviving blobs and the dummy", got, backlog)
+	}
+	for i := uint64(0); i < backlog; i++ {
+		if i == torn {
+			continue
+		}
+		if p, ok := q.Dequeue(0); !ok || !bytes.Equal(p, payloadFor(1<<20+i, 100)) {
+			t.Fatalf("recovered blob %d missing or not the one published (ok=%v)", i, ok)
+		}
+	}
+	if _, ok := q.Dequeue(0); ok {
+		t.Fatal("recovery delivered more than the backlog without its torn node")
 	}
 }
 
@@ -602,11 +695,12 @@ func TestAckedLeaseRedelivery(t *testing.T) {
 // it for both instantiations; blobq's own recovery used to chain both
 // nodes silently.
 func TestRecoverRefusesDuplicateIndex(t *testing.T) {
-	const (
-		poolSlot  = 2                       // the node pool's registry anchor (package queues' root-slot convention)
-		nodeIndex = queues.NodePayload - 16 // the core's index word opens the node line
-	)
-	for _, in := range []queues.Info{mustLookup(t, "opt-unlinked"), blobInfo(t, false)} {
+	const nodeIndex = queues.NodePayload - 16 // the core's index word opens the node line
+	for _, inst := range []struct {
+		in    queues.Info
+		lines int // the node slot's lines
+	}{{mustLookup(t, "opt-unlinked"), 1}, {blobInfo(t, false), 4}} {
+		in := inst.in
 		t.Run(in.Name, func(t *testing.T) {
 			// Recovery places the nodes by index, and the forged
 			// duplicate is refused where the scan meets the indices in
@@ -634,9 +728,9 @@ func TestRecoverRefusesDuplicateIndex(t *testing.T) {
 					h.Restart()
 					// Slot 0 of the first area is the dummy; slots 1..3
 					// hold the items at indices 1..3.
-					nodes := ssmem.Areas(h, ssmem.Config{SlotBytes: pmem.CacheLineBytes, Threads: 1, RootSlot: poolSlot})[0].Base
+					nodes := nodeArea(h, inst.lines).Base
 					for _, slot := range forge.slots {
-						a := nodes + pmem.Addr(slot)*pmem.CacheLineBytes + nodeIndex
+						a := nodes + pmem.Addr(slot*uint64(inst.lines))*pmem.CacheLineBytes + nodeIndex
 						if got := h.Load(0, a); got != slot {
 							t.Fatalf("node layout moved: slot %d carries index %d", slot, got)
 						}
@@ -655,6 +749,18 @@ func TestRecoverRefusesDuplicateIndex(t *testing.T) {
 			}
 		})
 	}
+}
+
+// nodeArea is the first area of the core's node pool on h, for a queue
+// whose node slots span lines cache lines: package queues anchors the
+// pool's registry at root slot 2, with 4096 slots an area for one-line
+// nodes and 1024 for larger ones.
+func nodeArea(h *pmem.Heap, lines int) ssmem.Area {
+	cfg := ssmem.Config{SlotBytes: lines * pmem.CacheLineBytes, SlotsPerArea: 1024, Threads: 1, RootSlot: 2}
+	if lines == 1 {
+		cfg.SlotsPerArea = 4096
+	}
+	return ssmem.Areas(h, cfg)[0]
 }
 
 func mustLookup(t *testing.T, name string) queues.Info {
@@ -696,7 +802,7 @@ func TestBatchAllocs(t *testing.T) {
 // the queue with its message: 3 000 1 KiB payloads enqueued and then
 // consumed — dequeued, or leased and acknowledged — leave the Go heap
 // where it was, though their slots, and the slots' entries in the
-// core's node mirror, wait unreused in the pools.
+// core's node mirror, wait unreused in the pool.
 func TestConsumedBlobRetainsNothing(t *testing.T) {
 	const n, batchN = 3000, 60
 	for _, acked := range []bool{false, true} {
@@ -713,7 +819,7 @@ func TestConsumedBlobRetainsNothing(t *testing.T) {
 				q.AckTo(0, idxs[len(idxs)-1])
 			}
 		}
-		q.EnqueueBatch(0, batch[:1]) // the pools' first areas, the mirror's first array
+		q.EnqueueBatch(0, batch[:1]) // the pool's first area, the mirror's first array
 		consume()
 		var before, after runtime.MemStats
 		runtime.GC()
@@ -742,7 +848,7 @@ func TestConsumedBlobRetainsNothing(t *testing.T) {
 // pmem.WriteBack (400 k rounds, 11.4 µs a round, 2 vCPUs): codec.Write
 // 61 % cumulative, of which WriteBack 35 % (24 % the one spin of its
 // nineteen FlushNs, 6 % its own flag loop, 3 % queueLine), the volatile
-// copy 28 % (growslice and memmove), the staging 5 % and the three node
+// copy 28 % (growslice and memmove), the staging 5 % and the node
 // Stores 2 %; ssmem.clearSlotState 3 %, nineteen plain flag stores per
 // recycled blob; spinKernel, the model, 26 % in all.
 func BenchmarkBlob1kBatch8(b *testing.B) {
@@ -761,5 +867,48 @@ func BenchmarkBlob1kBatch8(b *testing.B) {
 			b.Fatalf("leased %d of 8", len(ps))
 		}
 		q.AckTo(0, idxs[7])
+	}
+}
+
+// BenchmarkRecoverRecycled is package queues' benchmark of that name
+// for the shape of crash-recover's acked blob topics: Recover over a
+// 100k backlog of 64 B payloads in ack mode, whose nodes are slots of
+// three lines and whose Check reads two seals each. Two tids enqueue
+// and consume random batches while the backlog is filled, drained and
+// filled again, so the slots follow the indices in neither direction.
+// Recovery is idempotent but for the boot epoch it bumps, so every
+// iteration recovers the same backlog.
+func BenchmarkRecoverRecycled(b *testing.B) {
+	const backlog = 100_000
+	h := pmem.New(pmem.Config{Bytes: 64 << 20, Mode: pmem.ModeCrash, MaxThreads: 3})
+	cfg := Config{Threads: 2, MaxPayload: 64, Acked: true}
+	q := New(h, cfg)
+	r := rand.New(rand.NewSource(1))
+	p := payloadFor(1, 64)
+	batch := make([][]byte, 16)
+	for i := range batch {
+		batch[i] = p
+	}
+	n := 0
+	for _, fill := range []bool{true, false, true} {
+		for fill && n < backlog || !fill && n > 0 {
+			if tid := r.Intn(2); r.Intn(4) > 0 == fill {
+				k := min(1+r.Intn(16), backlog-n)
+				if err := q.EnqueueBatch(tid, batch[:k]); err != nil {
+					b.Fatal(err)
+				}
+				n += k
+			} else if _, idxs := q.DequeueLeased(tid, 1+r.Intn(16)); len(idxs) > 0 {
+				q.AckTo(tid, idxs[len(idxs)-1])
+				n -= len(idxs)
+			}
+		}
+	}
+	h.CrashNow()
+	h.FinalizeCrash(rand.New(rand.NewSource(1)))
+	h.Restart()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		Recover(h, cfg)
 	}
 }

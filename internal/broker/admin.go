@@ -434,7 +434,8 @@ func (b *Broker) DeleteTopic(tid int, name string) error {
 		// The dheap's entry region is AllocRaw'd from the member heap,
 		// which has no free path, so a re-created heap topic would strand
 		// a whole arena per churn cycle (a re-created FIFO shard strands
-		// less: its ssmem registry, areas and line regions). Refused
+		// less: its node pool's registry and areas, and its per-thread
+		// line regions). Refused
 		// until dheap regions are recyclable (see the ROADMAP follow-on).
 		return fmt.Errorf("broker: DeleteTopic on %s topic %q: %w (a heap topic's entry region cannot be recycled)",
 			t.cfg.Kind, name, errors.ErrUnsupported)

@@ -271,13 +271,13 @@ func newWordCodec(threads int) *wordCodec { return &wordCodec{free: make([]wordC
 
 // Write returns a private copy of p — the caller keeps its buffer —
 // carved from tid's chunk (see copyOf).
-func (c *wordCodec) Write(h *pmem.Heap, tid int, pn, _ pmem.Addr, p []byte) []byte {
+func (c *wordCodec) Write(h *pmem.Heap, tid int, pn pmem.Addr, p []byte) []byte {
 	v := AsU64(p)
 	h.StoreOwned(tid, pn+queues.NodePayload, v)
 	return c.copyOf(tid, v)
 }
 
-func (*wordCodec) Check(*pmem.Heap, pmem.Addr) (pmem.Addr, bool) { return 0, true }
+func (*wordCodec) Check(*pmem.Heap, pmem.Addr) bool { return true }
 
 // Read carves from tid 0's chunk: recovery runs alone on tid 0 and
 // calls it in index order, so the copies lie in the order the drain
@@ -315,7 +315,7 @@ func (t *Topic) createShard(si int, view *pmem.Heap, tid int) {
 	case tc.MaxPayload > 0:
 		q = blobq.New(view, blobq.Config{Threads: threads, MaxPayload: tc.MaxPayload, Acked: tc.Acked, InitTid: tid}).Core
 	default:
-		q = queues.NewCore[[]byte](view, threads, tid, tc.Acked, newWordCodec(threads), nil)
+		q = queues.NewCore[[]byte](view, threads, tid, tc.Acked, newWordCodec(threads), 1)
 	}
 	t.shards[si] = &shard{Core: q, heap: t.locs[si].heap, h: view}
 }
@@ -339,7 +339,7 @@ func (t *Topic) recoverShard(si int, view *pmem.Heap) error {
 		if tc.MaxPayload > 0 {
 			q = blobq.Recover(view, blobq.Config{Threads: threads, MaxPayload: tc.MaxPayload, Acked: tc.Acked}).Core
 		} else {
-			q = queues.RecoverCore[[]byte](view, threads, tc.Acked, newWordCodec(threads), nil)
+			q = queues.RecoverCore[[]byte](view, threads, tc.Acked, newWordCodec(threads), 1)
 		}
 	}); err != nil {
 		return fmt.Errorf("broker: topic %q: %w", tc.Name, err)

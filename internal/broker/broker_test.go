@@ -335,8 +335,9 @@ func TestSteadyFootprintSplitTids(t *testing.T) {
 	run(fixed, cf, words, 8192)
 	run(blob, cb, blobs, 8192)
 	warm := measure()
-	// A fixed-topic message is one 64 B node; a blob message is a node
-	// plus a blob slot of whole lines carrying 56 payload bytes each.
+	// A fixed-topic message is one 64 B node; a blob message is one
+	// slot: the node line, then whole lines carrying 56 payload bytes
+	// each.
 	const blobSlot = 64 + (blobBytes+55)/56*64
 	run(fixed, cf, words, 20*heapBytes/64)
 	run(blob, cb, blobs, 20*heapBytes/blobSlot)

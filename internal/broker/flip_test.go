@@ -129,26 +129,26 @@ var flipPins = []struct {
 	bit  uint8
 	want string
 }{
-	{678, 185, 3, "two live nodes with index 43"},                             // queues.inIndexOrder, placed by index
-	{32, 539, 29, "area 0 at 0xd0200 has 536875008 slots, not 4096"},          // ssmem.readAreas, slot count
-	{1844, 998, 12, "count 4097 stored at 0x1702c0 exceeds 4096"},             // pmem.Reader.Count
-	{342, 767, 39, "range [0x8000120280, +262144) outside"},                   // pmem.Reader.Range, an area
-	{564, 21, 44, "range [0x100000220480, +65600) outside"},                   // pmem.Reader.Range, a registry
-	{680, 23, 25, "range [0x2240540, +64) outside"},                           // pmem.Reader.Range, per-thread lines
-	{88, 14, 2, "address 0x1702c4 stored at 0xa00 is not line-aligned"},       // pmem.Reader.Ptr, alignment
-	{1, 1, 18, "outside the allocated bytes [0x10000, 0x190640)"},             // pmem.Reader.Range, the break
+	{678, 181, 3, "two live nodes with index 43"},                             // queues.inIndexOrder, placed by index
+	{32, 535, 29, "area 0 at 0xd0200 has 536875008 slots, not 4096"},          // ssmem.readAreas, slot count
+	{1844, 991, 12, "count 4097 stored at 0x160280 exceeds 4096"},             // pmem.Reader.Count
+	{342, 763, 39, "range [0x8000120280, +262144) outside"},                   // pmem.Reader.Range, an area
+	{564, 19, 44, "range [0x1000001e0400, +65600) outside"},                   // pmem.Reader.Range, a registry
+	{680, 21, 25, "range [0x21f0480, +64) outside"},                           // pmem.Reader.Range, per-thread lines
+	{88, 11, 2, "address 0x160284 stored at 0x900 is not line-aligned"},       // pmem.Reader.Ptr, alignment
+	{1, 1, 18, "outside the allocated bytes [0x10000, 0x1105c0)"},             // pmem.Reader.Range, the break
 	{1, 2, 16, "heap 1 of the set carries a membership stamp"},                // checkMemberEmpty
 	{0, 2, 16, "anchor slot is zero, but the catalog log at 0x10000 commits"}, // checkNoCommittedLog
-	{1, 4133, 16, "heap 1 of the set carries no membership stamp"},            // checkStamp, anchor
-	{1, 4133, 6, "heap 1 stamp magic 0x1 invalid"},                            // checkStamp, magic
-	{1, 4149, 3, "heap 1 carries stamp"},                                      // checkStamp, stamp
-	{1971, 4151, 22, "stamped as member 1 of 4194306"},                        // checkStamp, position
-	{2865, 1287, 50, "dheap: recover: bad region header"},                     // dheap.Recover, header
-	{1898, 4128, 35, "lease region 0 magic"},                                  // readLeaseRegion, magic
+	{1, 3975, 16, "heap 1 of the set carries no membership stamp"},            // checkStamp, anchor
+	{1, 3975, 6, "heap 1 stamp magic 0x1 invalid"},                            // checkStamp, magic
+	{1, 3989, 3, "heap 1 carries stamp"},                                      // checkStamp, stamp
+	{1971, 3991, 22, "stamped as member 1 of 4194306"},                        // checkStamp, position
+	{2865, 2366, 50, "dheap: recover: bad region header"},                     // dheap.Recover, header
+	{1898, 6287, 35, "lease region 0 magic"},                                  // readLeaseRegion, magic
 	{319, 2, 17, "catalog magic 0x0 invalid"},                                 // readCatalog, magic
-	{426, 36, 2, "catalog log header corrupt"},                                // readCatalogV4, header
-	{127, 49, 49, "catalog log record 1 corrupt"},                             // readCatalogV4, record
-	{3292, 70, 32, "record 2 overruns capacity"},                              // readCatalogV4, record length
+	{426, 32, 2, "catalog log header corrupt"},                                // readCatalogV4, header
+	{127, 47, 49, "catalog log record 1 corrupt"},                             // readCatalogV4, record
+	{3292, 66, 32, "record 2 overruns capacity"},                              // readCatalogV4, record length
 }
 
 func FuzzOpenFlip(f *testing.F) {

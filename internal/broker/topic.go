@@ -7,7 +7,6 @@ import (
 
 	"repro/internal/dheap"
 	"repro/internal/obs"
-	"repro/internal/ssmem"
 )
 
 // ErrTopicDeleted is returned by the data plane — publish paths and
@@ -76,16 +75,14 @@ func (t *Topic) register(o *obs.Observer) {
 	t.ostats.SetNVRAM(t.nvram)
 }
 
-// nvram sums the allocator footprint of the topic's FIFO shards, node
-// and payload pools alike: areas registered, and slots in them that
-// hold no message. Heap topics keep a fixed arena and report zeros.
+// nvram sums the allocator footprint of the topic's FIFO shards' node
+// pools: areas registered, and slots in them that hold no message. Heap
+// topics keep a fixed arena and report zeros.
 func (t *Topic) nvram() (areas, freeSlots int) {
 	for _, s := range t.shards {
-		nodes, aux := s.PoolStats()
-		for _, st := range [...]ssmem.Stats{nodes, aux} {
-			areas += st.Areas
-			freeSlots += st.ThreadFree + st.DepotFree + st.Limbo
-		}
+		st := s.PoolStats()
+		areas += st.Areas
+		freeSlots += st.ThreadFree + st.DepotFree + st.Limbo
 	}
 	return areas, freeSlots
 }
@@ -208,7 +205,7 @@ func (t *Topic) PublishBatch(tid int, payloads [][]byte) error {
 // the one blocking persist that acknowledges it, and closes sp.
 // Returns ErrTopicDeleted, having published nothing, once the topic is
 // retired, and an error wrapping pmem.ErrOutOfSpace, having linked
-// nothing, when the shard's pools must grow on a full heap.
+// nothing, when the shard's pool must grow on a full heap.
 func (t *Topic) publishTo(sp span, verb string, keyHash *uint64, payloads [][]byte) error {
 	if err := t.admit(verb, KindFIFO, payloads); err != nil || len(payloads) == 0 {
 		return err

@@ -557,11 +557,8 @@ func RunRecycledCrashSweep(t *testing.T, in queues.Info, stride int64) {
 // warm fills r until its next enqueue is guaranteed a recycled slot,
 // keeping a backlog for the script's dequeues.
 func warm(t *testing.T, r *run) {
-	pools := r.q.(interface {
-		PoolStats() (nodes, aux ssmem.Stats)
-	})
-	var nodesCrossed, auxCrossed bool
-	for v := uint64(1); !nodesCrossed || !auxCrossed; v++ {
+	pools := r.q.(interface{ PoolStats() ssmem.Stats })
+	for v := uint64(1); pools.PoolStats().DepotFree == 0; v++ {
 		r.q.Enqueue(0, v)
 		r.model = append(r.model, v)
 		if v%4 != 0 {
@@ -570,11 +567,7 @@ func warm(t *testing.T, r *run) {
 		}
 		// A chunk seen waiting in the depot goes to tid 0, which never
 		// retires and so has no slots of its own, and serves its next
-		// 128 allocations; the two pools donate within an operation of
-		// each other.
-		nodes, aux := pools.PoolStats()
-		nodesCrossed = nodesCrossed || nodes.DepotFree > 0
-		auxCrossed = auxCrossed || aux.DepotFree > 0 || aux.Areas == 0
+		// 128 allocations.
 		if v > 1<<14 {
 			t.Fatal("warm-up never saw a retired slot reach the depot")
 		}

@@ -19,13 +19,13 @@ import (
 // payloads spanning several cache lines, the paper's footnote 3) are
 // its two instantiations and differ only in their payload Codec.
 //
-// Every logical node is split in two. The Persistent part — one cache
-// line [index, linked, codec words...] plus, for multi-line payloads,
-// one slot of the aux pool — lives in simulated NVRAM, is flushed
-// exactly once by its enqueuer, and is never read again except by
-// recovery. The Volatile part (the DRAM copy) holds the payload, the
-// duplicated index, the next link and the addresses of the Persistent
-// part, and serves all normal-path reads. As in the paper, both halves
+// Every logical node is split in two. The Persistent part — one slot
+// of the node pool: the node line [index, linked, codec words...],
+// then, for multi-line payloads, the codec's payload lines — lives in
+// simulated NVRAM, is flushed exactly once by its enqueuer, and is
+// never read again except by recovery. The Volatile part (the DRAM
+// copy) holds the payload, the duplicated index, the next link and the
+// address of the Persistent part, and serves all normal-path reads. As in the paper, both halves
 // come from ssmem: the Volatile part is its slot's entry in a mirror
 // kept per pool area in pages of pageNodes nodes, so it is reused
 // exactly when ssmem reuses the slot, after the epoch grace period that
@@ -39,10 +39,13 @@ import (
 type Core[P any] struct {
 	h     *pmem.Heap
 	pool  *ssmem.Pool
-	aux   *ssmem.Pool // payload lines retired alongside the node; nil for inline payloads
 	codec Codec[P]
-	head  atomic.Pointer[node[P]]
-	tail  atomic.Pointer[node[P]]
+	// lines is the node slot's line count: the node line and the
+	// codec's payload lines; pageBytes is a mirror page's span of them.
+	lines     int
+	pageBytes pmem.Addr
+	head      atomic.Pointer[node[P]]
+	tail      atomic.Pointer[node[P]]
 	// localBase anchors one persistent cache line per thread holding
 	// that thread's head index; recovery takes the maximum.
 	localBase pmem.Addr
@@ -86,21 +89,21 @@ type Codec[P any] interface {
 	// Write runs on the enqueue path before the node is linked. It
 	// stores p's persistent form into the codec words of the node line
 	// pn (NodePayload and up; the core owns the index and linked words
-	// and flushes the line itself) and, when the queue has an aux pool,
-	// into the aux slot, issuing an asynchronous flush for every aux
-	// line. Node-line words go through StoreOwned: the enqueuer owns the
-	// line, and only recovery ever loads it. It must not fence — the
-	// operation's single fence covers these flushes — and must not load
-	// from NVRAM. It returns the volatile copy that serves every later
-	// read of the payload.
-	Write(h *pmem.Heap, tid int, pn, aux pmem.Addr, p P) P
+	// and flushes the line itself) and into the slot's payload lines,
+	// the lines after pn, issuing an asynchronous flush for each of
+	// those. The enqueuer owns the whole slot, and only recovery ever
+	// loads it, so node-line words go through StoreOwned and payload
+	// lines through WriteBack. It must not fence — the operation's
+	// single fence covers these flushes — and must not load from NVRAM.
+	// It returns the volatile copy that serves every later read of the
+	// payload.
+	Write(h *pmem.Heap, tid int, pn pmem.Addr, p P) P
 	// Check runs only at recovery, once per linked node beyond the
 	// consumption frontier, in slot order. It validates the persistent
-	// form — ok false marks a torn enqueue, whose node line became
-	// durable before its payload did; the operation was pending and is
-	// discarded — and allocates nothing. aux is the node's aux slot, 0
-	// if none.
-	Check(h *pmem.Heap, pn pmem.Addr) (aux pmem.Addr, ok bool)
+	// form in the node's slot — false marks a torn enqueue, whose node
+	// line became durable before its payload did; the operation was
+	// pending and is discarded — and allocates nothing.
+	Check(h *pmem.Heap, pn pmem.Addr) bool
 	// Read materializes the payload of a node Check accepted. Recovery
 	// calls it once per resurrected node, in index order, so the copies
 	// lie in memory in the order the queue will hand them out.
@@ -116,12 +119,11 @@ type node[P any] struct {
 	// publishes it; once published it is read by loadNext and written by
 	// casNext only.
 	next *node[P]
-	// pline and auxLine locate the Persistent part as cache-line
-	// numbers (auxLine 0: no aux slot). Line numbers rather than
-	// addresses keep the word instantiation's node at 32 bytes — the
-	// size it had before it shared a body with multi-line payloads; a
-	// uint32 spans 256 GiB of heap, checked at construction.
-	pline, auxLine uint32
+	// pline locates the Persistent part as a cache-line number. A line
+	// number rather than an address keeps the word instantiation's node
+	// at 32 bytes; a uint32 spans 256 GiB of heap, checked at
+	// construction.
+	pline uint32
 }
 
 // pageNodes is the number of Volatile nodes in a mirror page: about
@@ -137,14 +139,19 @@ type mirrorPage[P any] [pageNodes]node[P]
 type pageTable[P any] [areaSlots / pageNodes]atomic.Pointer[mirrorPage[P]]
 
 // nodeAt returns the Volatile node of the node slot at a. tid's last
-// page answers a steady run of allocations with one compare.
+// page answers a steady run of allocations with one compare, and for
+// one-line nodes with a shift, not a divide.
 func (q *Core[P]) nodeAt(tid int, a pmem.Addr) *node[P] {
 	t := &q.per[tid]
-	if off := a - t.pageBase; off < pageNodes*nodeSize && t.page != nil {
-		return &t.page[off/nodeSize]
+	if off := a - t.pageBase; off < q.pageBytes && t.page != nil {
+		i := off / pmem.CacheLineBytes
+		if q.lines > 1 {
+			i /= pmem.Addr(q.lines)
+		}
+		return &t.page[i]
 	}
 	area, slot := q.pool.Locate(a)
-	t.page, t.pageBase = q.mirrorPage(area, slot/pageNodes), a-pmem.Addr(slot%pageNodes*nodeSize)
+	t.page, t.pageBase = q.mirrorPage(area, slot/pageNodes), a-pmem.Addr(slot%pageNodes*q.lines)*pmem.CacheLineBytes
 	return &t.page[slot%pageNodes]
 }
 
@@ -236,29 +243,20 @@ const (
 )
 
 // NewCore creates an empty queue, charging the construction persists
-// (pool registries, local-line region, dummy node) to tid. Fences are
+// (pool registry, local-line region, dummy node) to tid. Fences are
 // per-thread: a queue created while other threads run — a broker topic
 // created on a live system — must construct under a tid owned by the
 // constructing goroutine, or its fences would race another goroutine's
-// pending-persist state. aux, when non-nil, configures the second pool
-// whose slots carry the payload lines; acked selects ack mode (see the
-// Core fields), in which durability of a delivery is the caller's
-// concern, e.g. a broker lease record.
-func NewCore[P any](h *pmem.Heap, threads, tid int, acked bool, codec Codec[P], aux *ssmem.Config) *Core[P] {
+// pending-persist state. lines is the node slot's line count: 1 for a
+// payload inside the node line, 1 plus the payload lines otherwise.
+// acked selects ack mode (see the Core fields), in which durability of
+// a delivery is the caller's concern, e.g. a broker lease record.
+func NewCore[P any](h *pmem.Heap, threads, tid int, acked bool, codec Codec[P], lines int) *Core[P] {
 	if h.Bytes() > int64(pmem.CacheLineBytes)<<32 {
 		panic("queues: heap too large for 32-bit node line numbers")
 	}
-	q := &Core[P]{
-		h:     h,
-		pool:  createNodePoolAs(h, threads, tid),
-		codec: codec,
-		per:   make([]coreThread[P], threads),
-		acked: acked,
-	}
-	q.mirror.Store(new([]*pageTable[P]))
-	if aux != nil {
-		q.aux = ssmem.NewPool(h, *aux)
-	}
+	q := newCore(h, threads, acked, codec, lines)
+	q.pool = ssmem.NewPool(h, nodePoolConfig(threads, lines, tid))
 	size := int64(threads) * pmem.CacheLineBytes
 	q.localBase = h.AllocRaw(tid, size, pmem.CacheLineBytes)
 	h.InitRange(tid, q.localBase, size)
@@ -282,23 +280,24 @@ func NewCore[P any](h *pmem.Heap, threads, tid int, acked bool, codec Codec[P], 
 // Acked reports whether the queue is in acknowledgment mode.
 func (q *Core[P]) Acked() bool { return q.acked }
 
-// PoolStats reports the NVRAM footprint of the queue's node pool and,
-// zero without one, of its aux pool (see ssmem.Pool.Stats).
-func (q *Core[P]) PoolStats() (nodes, aux ssmem.Stats) {
-	if q.aux != nil {
-		aux = q.aux.Stats()
+// newCore is the part of a Core that NewCore and RecoverCore build
+// alike.
+func newCore[P any](h *pmem.Heap, threads int, acked bool, codec Codec[P], lines int) *Core[P] {
+	q := &Core[P]{
+		h:         h,
+		codec:     codec,
+		lines:     lines,
+		pageBytes: pmem.Addr(pageNodes*lines) * pmem.CacheLineBytes,
+		per:       make([]coreThread[P], threads),
+		acked:     acked,
 	}
-	return q.pool.Stats(), aux
+	q.mirror.Store(new([]*pageTable[P]))
+	return q
 }
 
-// retire hands n — its node line, and with it its mirror entry, and its
-// aux slot — back to the allocators.
-func (q *Core[P]) retire(tid int, n *node[P]) {
-	q.pool.Retire(tid, lineAddr(n.pline))
-	if n.auxLine != 0 {
-		q.aux.Retire(tid, lineAddr(n.auxLine))
-	}
-}
+// PoolStats reports the NVRAM footprint of the queue's node pool (see
+// ssmem.Pool.Stats).
+func (q *Core[P]) PoolStats() ssmem.Stats { return q.pool.Stats() }
 
 // DequeueLeased removes up to max items without issuing a single
 // persist instruction: the dequeued nodes stay durable in NVRAM and
@@ -409,7 +408,7 @@ func (q *Core[P]) CompleteAck(tid int) {
 		if n.index <= q.ackDurable && n != head {
 			var zero P
 			n.payload = zero // the slot may wait a while for reuse
-			q.retire(tid, n)
+			q.pool.Retire(tid, lineAddr(n.pline))
 		} else {
 			live = append(live, n)
 		}
@@ -554,18 +553,18 @@ func (q *Core[P]) EnqueueBatch(tid int, ps []P) error {
 func (q *Core[P]) writeChain(tid int, ps []P) (chain []*node[P], err error) {
 	h, t := q.h, &q.per[tid]
 	chain = t.chain[:0]
-	var pn, aux pmem.Addr // taken, not yet in chain
+	var pn pmem.Addr // taken, not yet in chain
 	defer func() {
 		r := recover()
 		if r == nil {
 			return
 		}
 		for _, vn := range chain {
-			q.freeSlots(tid, lineAddr(vn.pline), lineAddr(vn.auxLine))
+			q.pool.FreeImmediate(tid, lineAddr(vn.pline))
 			*vn = node[P]{}
 		}
 		if pn != 0 {
-			q.freeSlots(tid, pn, aux)
+			q.pool.FreeImmediate(tid, pn)
 		}
 		if e, ok := r.(error); ok && errors.Is(e, pmem.ErrOutOfSpace) {
 			chain, err = nil, e
@@ -575,33 +574,21 @@ func (q *Core[P]) writeChain(tid int, ps []P) (chain []*node[P], err error) {
 	}()
 	for _, p := range ps {
 		pn = q.pool.Alloc(tid)
-		if q.aux != nil {
-			aux = q.aux.Alloc(tid)
-		}
 		// linked is cleared before the index is written (line 113): a
 		// reused slot's stale set flag must never vouch for the new index.
 		h.StoreOwned(tid, pn+nodeLinked, 0)
 		// The slot's mirror entry is overwritten whole, which also resets
 		// the link that the next node, or the linking CAS, sets.
 		vn := q.nodeAt(tid, pn)
-		*vn = node[P]{payload: q.codec.Write(h, tid, pn, aux, p), pline: lineOf(pn), auxLine: lineOf(aux)} // line 112
+		*vn = node[P]{payload: q.codec.Write(h, tid, pn, p), pline: lineOf(pn)} // line 112
 		if n := len(chain); n > 0 {
 			chain[n-1].next = vn
 		}
 		chain = append(chain, vn)
-		pn, aux = 0, 0
+		pn = 0
 	}
 	t.chain = chain
 	return chain, nil
-}
-
-// freeSlots hands a node slot and its aux slot (0: none) straight back
-// to tid's free lists: only for slots no other thread can hold.
-func (q *Core[P]) freeSlots(tid int, pn, aux pmem.Addr) {
-	q.pool.FreeImmediate(tid, pn)
-	if aux != 0 {
-		q.aux.FreeImmediate(tid, aux)
-	}
 }
 
 // take moves the head past up to max nodes with one CAS (Figure 4,
@@ -650,7 +637,7 @@ func (q *Core[P]) take(max int) (head, last *node[P], k int) {
 // after a fence covering old's dequeue.
 func (q *Core[P]) retireAfterPersist(tid int, old *node[P]) {
 	if r := q.per[tid].nodeToRetire; r != nil {
-		q.retire(tid, r)
+		q.pool.Retire(tid, lineAddr(r.pline))
 	}
 	q.per[tid].nodeToRetire = old
 }
@@ -796,30 +783,23 @@ func (q *Core[P]) CompleteBatch(tid int) {
 // index are refused on either path. acked must match the mode the queue
 // was created with: a mismatch is refused, not mis-scanned (plain
 // recovery of an acked queue would take the never-written head lines as
-// the frontier and resurrect acknowledged items). aux must be the
-// NewCore aux configuration. Every refusal — the mode, a root that
+// the frontier and resurrect acknowledged items). lines must be the
+// NewCore line count. Every refusal — the mode, a root that
 // names no per-thread lines the heap allocated, a node registry
 // ssmem refuses, a duplicate index — is a panic with an error wrapping
 // pmem.ErrCorrupt, raised before recovery writes anything.
-func RecoverCore[P any](h *pmem.Heap, threads int, acked bool, codec Codec[P], aux *ssmem.Config) *Core[P] {
+func RecoverCore[P any](h *pmem.Heap, threads int, acked bool, codec Codec[P], lines int) *Core[P] {
 	r := pmem.NewReader(h)
-	lines := int64(threads) * pmem.CacheLineBytes
-	localBase := r.Ptr(h.RootAddr(slotLocal), lines)
-	ackBase := r.Ptr(h.RootAddr(slotAck), lines)
+	region := int64(threads) * pmem.CacheLineBytes
+	localBase := r.Ptr(h.RootAddr(slotLocal), region)
+	ackBase := r.Ptr(h.RootAddr(slotAck), region)
 	if localBase == 0 || acked != (ackBase != 0) {
 		r.Errorf("queues: recovery with acked=%v, but the heap holds local lines at %#x and ack lines at %#x",
 			acked, localBase, ackBase)
 	}
 	r.Raise()
-	q := &Core[P]{
-		h:         h,
-		codec:     codec,
-		localBase: localBase,
-		per:       make([]coreThread[P], threads),
-		acked:     acked,
-		ackBase:   ackBase,
-	}
-	q.mirror.Store(new([]*pageTable[P]))
+	q := newCore(h, threads, acked, codec, lines)
+	q.localBase, q.ackBase = localBase, ackBase
 	var frontier uint64
 	for t := 0; t < threads; t++ {
 		line := pmem.Addr(t) * pmem.CacheLineBytes
@@ -847,7 +827,7 @@ func RecoverCore[P any](h *pmem.Heap, threads int, acked bool, codec Codec[P], a
 	var runs [][]liveKey
 	last, hi := uint64(0), frontier
 	ascending := true
-	q.pool = recoverNodePool(h, threads, func(a pmem.Addr) bool {
+	q.pool = ssmem.RecoverPool(h, nodePoolConfig(threads, lines, 0), func(a pmem.Addr) bool {
 		if h.Load(0, a+nodeLinked) != 1 {
 			return false
 		}
@@ -855,28 +835,20 @@ func RecoverCore[P any](h *pmem.Heap, threads int, acked bool, codec Codec[P], a
 		if idx <= frontier {
 			return false
 		}
-		auxAddr, ok := codec.Check(h, a)
-		if !ok {
+		if !codec.Check(h, a) {
 			return false
 		}
 		if n := len(runs); n == 0 || len(runs[n-1]) == runLen {
 			runs = append(runs, make([]liveKey, 0, runLen))
 		}
 		r := &runs[len(runs)-1]
-		*r = append(*r, liveKey{idx, lineOf(a), lineOf(auxAddr)})
+		*r = append(*r, liveKey{idx, lineOf(a)})
 		ascending = ascending && last < idx
 		last, hi = idx, max(hi, idx)
 		return true
 	})
 	keys := inIndexOrder(r, runs, frontier, hi, ascending)
 	r.Raise()
-	if aux != nil {
-		liveAux := make(map[uint32]bool, len(keys))
-		for _, k := range keys {
-			liveAux[k.auxLine] = true
-		}
-		q.aux = ssmem.RecoverPool(h, *aux, func(a pmem.Addr) bool { return liveAux[lineOf(a)] })
-	}
 
 	dummyPn := q.pool.Alloc(0)
 	h.Store(0, dummyPn+nodeLinked, 0)
@@ -886,7 +858,7 @@ func RecoverCore[P any](h *pmem.Heap, threads int, acked bool, codec Codec[P], a
 	q.head.Store(prev)
 	for _, k := range keys {
 		n := q.nodeAt(0, lineAddr(k.pline))
-		*n = node[P]{payload: codec.Read(h, lineAddr(k.pline)), index: k.index, pline: k.pline, auxLine: k.auxLine}
+		*n = node[P]{payload: codec.Read(h, lineAddr(k.pline)), index: k.index, pline: k.pline}
 		prev.next = n
 		prev = n
 	}
@@ -896,8 +868,8 @@ func RecoverCore[P any](h *pmem.Heap, threads int, acked bool, codec Codec[P], a
 
 // liveKey is what recovery's scan keeps of one resurrected node.
 type liveKey struct {
-	index          uint64
-	pline, auxLine uint32
+	index uint64
+	pline uint32
 }
 
 // inIndexOrder returns the keys of runs in index order and refuses two

@@ -27,7 +27,7 @@ func recoverFlipped(t *testing.T, seed uint64, word uint32, bit uint8) (err erro
 	h := pmem.New(pmem.Config{Bytes: 2 << 20, Mode: pmem.ModeCrash, MaxThreads: 1})
 	acked := seed%2 == 1
 	rng := rand.New(rand.NewSource(int64(seed)))
-	q := NewCore[uint64](h, 1, 0, acked, wordCodec{}, nil)
+	q := NewCore[uint64](h, 1, 0, acked, wordCodec{}, 1)
 	for i := uint64(1); i <= 40; i++ {
 		q.Enqueue(0, i)
 	}
@@ -48,7 +48,7 @@ func recoverFlipped(t *testing.T, seed uint64, word uint32, bit uint8) (err erro
 			}
 		}
 	}()
-	q = RecoverCore[uint64](h, 1, acked, wordCodec{}, nil)
+	q = RecoverCore[uint64](h, 1, acked, wordCodec{}, 1)
 	for drainOne(q) {
 	}
 	return nil

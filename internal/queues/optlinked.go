@@ -216,7 +216,7 @@ func RecoverOptLinkedQ(h *pmem.Heap, threads int) *OptLinkedQ {
 
 	// Gather valid tail candidates: matching valid bits, non-nil
 	// pointer, index beyond the recovered head.
-	poolCfg := ssmem.Config{SlotBytes: nodeSize, SlotsPerArea: 4096, Threads: threads, RootSlot: slotPool}
+	poolCfg := nodePoolConfig(threads, 1, 0)
 	areas := ssmem.Areas(h, poolCfg)
 	var cands []olCandidate
 	cellOf := map[olCandidate][2]int{} // candidate -> (tid, cell)

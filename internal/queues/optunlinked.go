@@ -12,18 +12,18 @@ type OptUnlinkedQ = Core[uint64]
 // validate at recovery: the flag vouches for the item.
 type wordCodec struct{}
 
-func (wordCodec) Write(h *pmem.Heap, tid int, pn, _ pmem.Addr, v uint64) uint64 {
+func (wordCodec) Write(h *pmem.Heap, tid int, pn pmem.Addr, v uint64) uint64 {
 	h.StoreOwned(tid, pn+NodePayload, v)
 	return v
 }
 
-func (wordCodec) Check(*pmem.Heap, pmem.Addr) (pmem.Addr, bool) { return 0, true }
+func (wordCodec) Check(*pmem.Heap, pmem.Addr) bool { return true }
 
 func (wordCodec) Read(h *pmem.Heap, pn pmem.Addr) uint64 { return h.Load(0, pn+NodePayload) }
 
 // NewOptUnlinkedQ creates an empty OptUnlinkedQ.
 func NewOptUnlinkedQ(h *pmem.Heap, threads int) *OptUnlinkedQ {
-	return NewCore[uint64](h, threads, 0, false, wordCodec{}, nil)
+	return NewCore[uint64](h, threads, 0, false, wordCodec{}, 1)
 }
 
 // NewOptUnlinkedQPlainStore is the Section 6.3 ablation: local head
@@ -38,16 +38,16 @@ func NewOptUnlinkedQPlainStore(h *pmem.Heap, threads int) *OptUnlinkedQ {
 // NewOptUnlinkedQAcked creates an empty queue in acknowledgment mode
 // (see the Core fields).
 func NewOptUnlinkedQAcked(h *pmem.Heap, threads int) *OptUnlinkedQ {
-	return NewCore[uint64](h, threads, 0, true, wordCodec{}, nil)
+	return NewCore[uint64](h, threads, 0, true, wordCodec{}, 1)
 }
 
 // RecoverOptUnlinkedQ rebuilds a plain queue after a crash; it refuses
 // a heap holding an ack-mode queue (see RecoverCore).
 func RecoverOptUnlinkedQ(h *pmem.Heap, threads int) *OptUnlinkedQ {
-	return RecoverCore[uint64](h, threads, false, wordCodec{}, nil)
+	return RecoverCore[uint64](h, threads, false, wordCodec{}, 1)
 }
 
 // RecoverOptUnlinkedQAcked rebuilds an ack-mode queue after a crash.
 func RecoverOptUnlinkedQAcked(h *pmem.Heap, threads int) *OptUnlinkedQ {
-	return RecoverCore[uint64](h, threads, true, wordCodec{}, nil)
+	return RecoverCore[uint64](h, threads, true, wordCodec{}, 1)
 }

@@ -59,8 +59,9 @@ const (
 	offW2    = pmem.Addr(16) // linked / pred, depending on the queue
 	offW3    = pmem.Addr(24) // index / initialized, depending on the queue
 	nodeSize = pmem.CacheLineBytes
-	// areaSlots is the node pools' SlotsPerArea, and so the number of
-	// slots each of Core's mirror page tables covers.
+	// areaSlots is a one-line node pool's SlotsPerArea (a multi-line
+	// pool keeps a quarter of it), and so the most slots one of Core's
+	// mirror page tables covers.
 	areaSlots = 4096
 )
 
@@ -143,28 +144,25 @@ func Lookup(name string) (Info, bool) {
 }
 
 func createNodePool(h *pmem.Heap, threads int) *ssmem.Pool {
-	return createNodePoolAs(h, threads, 0)
-}
-
-// createNodePoolAs charges the pool's construction persists to tid, for
-// queues created while other threads are running (see NewCore).
-func createNodePoolAs(h *pmem.Heap, threads, tid int) *ssmem.Pool {
-	return ssmem.NewPool(h, ssmem.Config{
-		SlotBytes:    nodeSize,
-		SlotsPerArea: areaSlots,
-		Threads:      threads,
-		RootSlot:     slotPool,
-		InitTid:      tid,
-	})
+	return ssmem.NewPool(h, nodePoolConfig(threads, 1, 0))
 }
 
 func recoverNodePool(h *pmem.Heap, threads int, live func(pmem.Addr) bool) *ssmem.Pool {
-	return ssmem.RecoverPool(h, ssmem.Config{
-		SlotBytes:    nodeSize,
-		SlotsPerArea: areaSlots,
-		Threads:      threads,
-		RootSlot:     slotPool,
-	}, live)
+	return ssmem.RecoverPool(h, nodePoolConfig(threads, 1, 0), live)
+}
+
+// nodePoolConfig is the node pool of a queue whose slots span lines
+// cache lines, charging its construction persists to tid. A multi-line
+// pool (a Core's multi-line payloads) keeps a quarter of the slots an
+// area, so that an area of large nodes is not out of all proportion to
+// one of one-line nodes.
+func nodePoolConfig(threads, lines, tid int) ssmem.Config {
+	c := ssmem.Config{SlotBytes: lines * pmem.CacheLineBytes, SlotsPerArea: areaSlots,
+		Threads: threads, RootSlot: slotPool, InitTid: tid}
+	if lines > 1 {
+		c.SlotsPerArea = areaSlots / 4
+	}
+	return c
 }
 
 // paddedAddr is a per-thread pmem address slot on its own cache line,

@@ -80,7 +80,7 @@ func TestRecoveryReversedSlotOrder(t *testing.T) {
 	}
 	run := func(t *testing.T, acked, recycle bool) recovered {
 		h := crashHeap(t, 2)
-		q := NewCore[uint64](h, 2, 0, acked, wordCodec{}, nil)
+		q := NewCore[uint64](h, 2, 0, acked, wordCodec{}, 1)
 		v := uint64(0)
 		fill := func(n int) {
 			for i := 0; i < n; i++ {
@@ -123,7 +123,7 @@ func TestRecoveryReversedSlotOrder(t *testing.T) {
 		h.FinalizeCrash(rand.New(rand.NewSource(1)))
 		h.Restart()
 
-		rq := RecoverCore[uint64](h, 2, acked, wordCodec{}, nil)
+		rq := RecoverCore[uint64](h, 2, acked, wordCodec{}, 1)
 		var r recovered
 		for n := rq.head.Load().loadNext(); n != nil; n = n.loadNext() {
 			r.idxs, r.vals = append(r.idxs, n.index), append(r.vals, n.payload)
@@ -234,7 +234,7 @@ func TestRecoveryPlacesByIndex(t *testing.T) {
 	}{{"torn", false}, {"torn+forged", true}} {
 		t.Run(row.name, func(t *testing.T) {
 			h := crashHeap(t, 2)
-			q := NewCore[uint64](h, 2, 0, false, wordCodec{}, nil)
+			q := NewCore[uint64](h, 2, 0, false, wordCodec{}, 1)
 			chain := recycledBacklog(t, q, backlog, 1)
 			frontier := q.head.Load().index
 			crashRestart(h)
@@ -255,7 +255,7 @@ func TestRecoveryPlacesByIndex(t *testing.T) {
 
 			var before, after runtime.MemStats
 			runtime.ReadMemStats(&before)
-			rq := RecoverCore[uint64](h, 2, false, wordCodec{}, nil)
+			rq := RecoverCore[uint64](h, 2, false, wordCodec{}, 1)
 			runtime.ReadMemStats(&after)
 			if grew := after.TotalAlloc - before.TotalAlloc; grew >= 64<<20 {
 				t.Fatalf("recovery allocated %d MiB", grew>>20)
@@ -322,11 +322,11 @@ func TestDequeueHelpsLaggingTail(t *testing.T) {
 // Recovery is idempotent, so every iteration recovers the same image.
 func BenchmarkRecoverRecycled(b *testing.B) {
 	h := pmem.New(pmem.Config{Bytes: 64 << 20, Mode: pmem.ModeCrash, MaxThreads: 3})
-	q := NewCore[uint64](h, 2, 0, false, wordCodec{}, nil)
+	q := NewCore[uint64](h, 2, 0, false, wordCodec{}, 1)
 	recycledBacklog(b, q, 100_000, 1)
 	crashRestart(h)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		RecoverCore[uint64](h, 2, false, wordCodec{}, nil)
+		RecoverCore[uint64](h, 2, false, wordCodec{}, 1)
 	}
 }

@@ -41,8 +41,9 @@ import (
 // Config parameterizes a Pool.
 type Config struct {
 	// SlotBytes is the node size; it must be a multiple of the cache
-	// line size (all queues in this repository use exactly one line
-	// per node, per the paper's footnote 3).
+	// line size. The paper's queues use one line a node; a node of the
+	// queue core whose payload spans further lines (the paper's footnote
+	// 3) is one slot of that many lines.
 	SlotBytes int
 	// SlotsPerArea is the number of nodes per designated area
 	// (default 4096).
@@ -415,13 +416,14 @@ func (p *Pool) newArea(tid int) {
 		panic("ssmem: area registry full")
 	}
 	entry := p.regAddr + pmem.Addr((1+count*regEntryWords)*pmem.WordBytes)
-	p.h.Store(tid, entry, uint64(base))
-	p.h.Store(tid, entry+pmem.WordBytes, uint64(p.cfg.SlotsPerArea))
-	p.h.Flush(tid, entry)
-	p.h.Flush(tid, entry+pmem.WordBytes)
+	// Non-temporal stores: the registry line is written again by every
+	// growth, and a store into a line a flush left behind would read it
+	// back from NVRAM. The entry is durable before the count covers it.
+	p.h.NTStore(tid, entry, uint64(base))
+	p.h.NTStore(tid, entry+pmem.WordBytes, uint64(p.cfg.SlotsPerArea))
 	p.h.Fence(tid)
-	p.h.Store(tid, p.regAddr, count+1)
-	p.h.Persist(tid, p.regAddr)
+	p.h.NTStore(tid, p.regAddr, count+1)
+	p.h.Fence(tid)
 	p.areas.Store(int64(count + 1))
 	// The heap allocates upwards, so the new base is the largest. An
 	// append within capacity writes past every published length.
